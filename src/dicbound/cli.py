@@ -15,7 +15,7 @@ import sys
 
 from .channels import load_channel, validate_channel
 from .entropy import SourceDistribution, distribution_from_dict
-from .errors import DicboundError, UsageError
+from .errors import DicboundError, ProverError, UsageError
 from .extend import (
     bound_support_info,
     build_extended,
@@ -51,7 +51,7 @@ def _fmt(x: float) -> str:
 def _resolve_channel(ref: str):
     try:
         return load_channel(ref)
-    except (DicboundError, OSError, json.JSONDecodeError) as exc:
+    except (DicboundError, OSError, ValueError) as exc:
         raise UsageError(f"cannot load channel {ref!r}: {exc}") from exc
 
 
@@ -59,7 +59,11 @@ def _resolve_dist(ref: str, sizes, seed: int) -> SourceDistribution:
     if ref == "uniform":
         return SourceDistribution.uniform(sizes)
     if ref.startswith("seed:"):
-        return sample_product_distribution(sizes, int(ref.split(":", 1)[1]), 0)
+        try:
+            seed = int(ref.split(":", 1)[1])
+        except ValueError as exc:
+            raise UsageError(f"distribution seed is not an integer: {ref!r}") from exc
+        return sample_product_distribution(sizes, seed, 0)
     try:
         with open(ref, "r", encoding="utf-8") as fh:
             return distribution_from_dict(json.load(fh), sizes)
@@ -67,11 +71,24 @@ def _resolve_dist(ref: str, sizes, seed: int) -> SourceDistribution:
         raise UsageError(f"cannot load distribution {ref!r}: {exc}") from exc
 
 
-def _parse_k_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def _count(text: str) -> int:
+    """argparse type for counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is below 1")
+    return value
+
+
+def _k_range(text: str) -> list[int]:
+    """argparse type for --k: a size k or a range lo..hi, every k >= 1."""
+    lo, _, hi = text.partition("..")
+    ks = list(range(_count(lo), _count(hi or lo) + 1))
+    if not ks:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return ks
 
 
 def cmd_validate(args) -> int:
@@ -165,7 +182,7 @@ def cmd_extend(args) -> int:
     channel = _resolve_channel(args.channel)
     dist = _resolve_dist(args.dist, channel.input_sizes, args.seed)
     spec = bound_support_info(args.bound)
-    ks = _parse_k_range(args.k) if args.k else ([1, 2, 3] if spec["parametric"] else [None])
+    ks = args.k if args.k else ([1, 2, 3] if spec["parametric"] else [None])
     failures = 0
     if args.verify:
         report = verify_chain_identity(args.bound, channel, dist, k_range=ks)
@@ -197,23 +214,36 @@ def cmd_extend(args) -> int:
     return VERIFY_ERROR if failures else 0
 
 
+def _load_problem(path: str) -> ProverProblem:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or not {"variables", "target"} <= doc.keys():
+        raise UsageError(f"problem file {path!r} needs an object with 'variables' and 'target'")
+    variables, entries = doc["variables"], doc.get("constraints", [])
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise UsageError(f"problem file {path!r}: 'variables' must be a list of names")
+    if not isinstance(entries, list) or not all(
+        isinstance(c, dict) and "expr" in c and isinstance(c.get("name", ""), str) for c in entries
+    ):
+        raise UsageError(f"problem file {path!r}: 'constraints' must be a list of {{name, expr}} objects")
+    variables = tuple(variables)
+    try:
+        return ProverProblem(
+            variables=variables,
+            constraints=tuple(
+                (c.get("name", f"constraint {i}"), expr_from_names(variables, c["expr"]))
+                for i, c in enumerate(entries, start=1)
+            ),
+            target=expr_from_names(variables, doc["target"]),
+            name=doc.get("name", path),
+        )
+    except ProverError as exc:
+        raise UsageError(f"problem file {path!r}: {exc}") from exc
+
+
 def cmd_prove(args) -> int:
     if args.problem:
-        with open(args.problem, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        variables = tuple(doc["variables"])
-        constraints = tuple(
-            (c.get("name", f"constraint {i}"), expr_from_names(variables, c["expr"]))
-            for i, c in enumerate(doc.get("constraints", []), start=1)
-        )
-        problems = [
-            ProverProblem(
-                variables=variables,
-                constraints=constraints,
-                target=expr_from_names(variables, doc["target"]),
-                name=doc.get("name", args.problem),
-            )
-        ]
+        problems = [_load_problem(args.problem)]
     else:
         problems = appendix_targets(args.bound)
     failures = 0
@@ -263,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="evaluate rate-region bounds")
     p.add_argument("--channel", required=True)
     p.add_argument("--dist", default="uniform")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_count, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", choices=["csv", "svg"], default="csv")
     p.set_defaults(func=cmd_region)
@@ -274,13 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", default="uniform")
     p.add_argument("--chain", help="JSON file: list of node-label lists")
     p.add_argument("--enumerate", action="store_true")
-    p.add_argument("--max-l", type=int, default=2)
+    p.add_argument("--max-l", type=_count, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gcs)
 
     p = sub.add_parser("extend", help="build replicated networks and verify chain identities")
     p.add_argument("--bound", required=True)
-    p.add_argument("--k", help="size or range, e.g. 3 or 1..5")
+    p.add_argument("--k", type=_k_range, help="size or range, e.g. 3 or 1..5")
     p.add_argument("--channel", required=True)
     p.add_argument("--dist", default="uniform")
     p.add_argument("--seed", type=int, default=0)
@@ -294,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="chain-limit bounds vs direct rate bounds over a sweep")
     p.add_argument("--channel", required=True)
-    p.add_argument("--samples", type=int, default=5)
+    p.add_argument("--samples", type=_count, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_compare)
     return parser

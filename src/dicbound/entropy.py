@@ -27,9 +27,12 @@ def atom_budget() -> int:
     raw = os.environ.get("DICBOUND_BUDGET_ATOMS")
     if raw:
         try:
-            return int(raw)
+            cap = int(raw)
         except ValueError as exc:
             raise DicboundError(f"DICBOUND_BUDGET_ATOMS is not an integer: {raw!r}") from exc
+        if cap < 1:
+            raise DicboundError(f"DICBOUND_BUDGET_ATOMS must be at least 1, got {raw!r}")
+        return cap
     return DEFAULT_ATOM_BUDGET
 
 

@@ -15,6 +15,7 @@ target exactly, and NotProvable results are confirmed by an exact simplex run
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -31,6 +32,10 @@ from .networks import NetworkGraph, network_entropy
 
 MAX_VARIABLES = 12
 
+# generator labels are built from variable names, so a name may not contain
+# the separators the labels use
+_NAME_RE = re.compile(r"[^\s,;|()]+")
+
 Expr = dict[int, Fraction]  # subset bitmask -> coefficient
 
 
@@ -40,6 +45,8 @@ def _mask_name(mask: int, variables: Sequence[str]) -> str:
 
 def expr_from_names(variables: Sequence[str], terms: Mapping[str, object]) -> Expr:
     """Build an expression from {"X1 V2": coeff} style entries."""
+    if not isinstance(terms, Mapping):
+        raise ProverError("an expression maps space-separated variable names to coefficients")
     index = {v: i for i, v in enumerate(variables)}
     expr: Expr = {}
     for names, coeff in terms.items():
@@ -50,7 +57,10 @@ def expr_from_names(variables: Sequence[str], terms: Mapping[str, object]) -> Ex
             mask |= 1 << index[name]
         if mask == 0:
             raise ProverError("expressions may not reference the empty set")
-        coeff = Fraction(coeff)
+        try:
+            coeff = Fraction(coeff)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ProverError(f"coefficient {coeff!r} of {names!r} is not a rational") from exc
         if coeff:
             expr[mask] = expr.get(mask, Fraction(0)) + coeff
     return {m: c for m, c in expr.items() if c}
@@ -93,6 +103,16 @@ class ProverProblem:
             raise ProverError("a problem needs at least one variable")
         if n > MAX_VARIABLES:
             raise ProverError(f"{n} variables exceed the prover budget of {MAX_VARIABLES}")
+        for name in self.variables:
+            if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+                raise ProverError(
+                    f"variable name {name!r} must be non-empty, without whitespace or any of , ; | ( )"
+                )
+        if len(set(self.variables)) != n:
+            raise ProverError(f"variable names repeat in {list(self.variables)}")
+        labels = [label for label, _ in self.constraints]
+        if len(set(labels)) != len(labels):
+            raise ProverError(f"constraint names repeat in {labels}")
         top = 1 << n
         for _, expr in list(self.constraints) + [("target", self.target)]:
             for mask in expr:
@@ -118,16 +138,18 @@ class ProofResult:
         return self.status == "Provable"
 
 
-def elemental_inequalities(n: int) -> list[tuple[str, Expr]]:
-    """Generators of the polyhedral Shannon cone on n variables.
+def elemental_inequalities(variables: int | Sequence[str]) -> list[tuple[str, Expr]]:
+    """Generators of the polyhedral Shannon cone on the given variables.
 
     Monotonicity H(all) - H(all minus one) and conditional mutual
     informations I(i;j|K); for n <= 2 the single-variable non-negativities
-    are included as well (they are implied for larger n).
+    are included as well (they are implied for larger n).  Labels name the
+    variables; a bare count n names them Z1..Zn.
     """
+    names = [f"Z{i+1}" for i in range(variables)] if isinstance(variables, int) else list(variables)
+    n = len(names)
     if n < 1:
         raise ProverError("n must be >= 1")
-    names = [f"Z{i+1}" for i in range(n)]
     full = (1 << n) - 1
     out: list[tuple[str, Expr]] = []
     for i in range(n):
@@ -144,9 +166,7 @@ def elemental_inequalities(n: int) -> list[tuple[str, Expr]]:
         others = [t for t in range(n) if t not in (i, j)]
         for r in range(len(others) + 1):
             for ks in combinations(others, r):
-                k_mask = 0
-                for t in ks:
-                    k_mask |= 1 << t
+                k_mask = sum(1 << t for t in ks)
                 expr = {}
                 for mask, sign in (
                     ((1 << i) | k_mask, 1),
@@ -162,16 +182,36 @@ def elemental_inequalities(n: int) -> list[tuple[str, Expr]]:
     return out
 
 
-def _relabel(label: str, generic: Sequence[str], actual: Sequence[str]) -> str:
-    for g, a in zip(generic, actual):
-        label = label.replace(g, a)
-    return label
+def _receiver_equalities(
+    variables: Sequence[str],
+    r: tuple[int, int],
+    wired: Sequence[tuple[int, int]],
+    pinned: Sequence[tuple[int, int]] = (),
+) -> list[tuple[str, Expr]]:
+    """Structural equalities at receiver r among the given variables.
 
-
-def _elementals_for(variables: Sequence[str]) -> list[tuple[str, Expr]]:
-    n = len(variables)
-    generic = [f"Z{i+1}" for i in range(n)]
-    return [(_relabel(lbl, generic, variables), expr) for lbl, expr in elemental_inequalities(n)]
+    V is a function of X; Y is a function of (X, wired V's) and the wired V's
+    are recoverable from (X, Y).  When some wired V is absent, only the pinned
+    interference copies are claimed recoverable from (X, Y).
+    """
+    present = set(variables)
+    x, v, y = (str(VariableId(kind, *r)) for kind in ("X", "V", "Y"))
+    out: list[tuple[str, Expr]] = []
+    if x in present and v in present:
+        out.append((f"H({v}|{x})=0", entropy_diff(variables, [v], [x])))
+    if x in present and y in present:
+        wired_v = [str(VariableId("V", *w)) for w in wired]
+        if present.issuperset(wired_v):
+            out.append(
+                (f"H({y}|{x},{','.join(wired_v)})=0", entropy_diff(variables, [y], [x] + wired_v))
+            )
+            out.append(
+                (f"H({','.join(wired_v)}|{x},{y})=0", entropy_diff(variables, wired_v, [x, y]))
+            )
+        elif pinned:
+            names = [str(VariableId("V", *c)) for c in sorted(set(pinned))]
+            out.append((f"H({','.join(names)}|{x},{y})=0", entropy_diff(variables, names, [x, y])))
+    return out
 
 
 def dic_constraints(
@@ -193,29 +233,11 @@ def dic_constraints(
     variables = tuple(
         str(VariableId(kind, u, c)) for u, c in replicas for kind in ("X", "V", "Y")
     )
-
-    def var(kind, r):
-        return str(VariableId(kind, r[0], r[1]))
-
     constraints: list[tuple[str, Expr]] = []
-    all_x = [var("X", r) for r in replicas]
+    all_x = [str(VariableId("X", *r)) for r in replicas]
     for r in replicas:
-        wired = wiring[r]
-        x, v, y = var("X", r), var("V", r), var("Y", r)
-        wired_v = [var("V", w) for w in wired]
-        constraints.append((f"H({v}|{x})=0", entropy_diff(variables, [v], [x])))
-        constraints.append(
-            (
-                f"H({y}|{x},{','.join(wired_v)})=0",
-                entropy_diff(variables, [y], [x] + wired_v),
-            )
-        )
-        constraints.append(
-            (
-                f"H({','.join(wired_v)}|{x},{y})=0",
-                entropy_diff(variables, wired_v, [x, y]),
-            )
-        )
+        constraints += _receiver_equalities(variables, r, wiring[r])
+        y = str(VariableId("Y", *r))
         constraints.append((f"H({y}|inputs)=0", entropy_diff(variables, [y], all_x)))
     constraints.append(("independent sources", _independence_expr(variables, all_x)))
     return variables, tuple(constraints)
@@ -237,28 +259,38 @@ def _independence_expr(variables: Sequence[str], roots: Sequence[str]) -> Expr:
 # -- solving -------------------------------------------------------------------
 
 
-def _certificate_sum(
-    columns: Mapping[str, Expr], certificate: Iterable[tuple[str, Fraction]]
-) -> Expr:
-    total: Expr = {}
+Column = dict[int, Fraction]  # LP row (subset bitmask - 1) -> coefficient
+
+
+def _column(expr: Expr) -> Column:
+    return {m - 1: c for m, c in expr.items()}
+
+
+def _column_table(problem: ProverProblem) -> dict[str, Column]:
+    """Every generator a certificate may use, by label, as an LP column: the
+    elemental inequalities, then each structural equality as ``[=]<name>``."""
+    table = {label: _column(expr) for label, expr in elemental_inequalities(problem.variables)}
+    for label, expr in problem.constraints:
+        table[f"[=]{label}"] = _column(expr)
+    return table
+
+
+def _certificate_holds(
+    table: Mapping[str, Column], target: Column, certificate: Iterable[tuple[str, Fraction]]
+) -> bool:
+    total: Column = {}
     for label, coeff in certificate:
-        for mask, c in columns[label].items():
-            total[mask] = total.get(mask, Fraction(0)) + coeff * c
-    return {m: c for m, c in total.items() if c}
+        if label not in table or (coeff < 0 and not label.startswith("[=]")):
+            return False
+        for i, c in table[label].items():
+            total[i] = total.get(i, Fraction(0)) + coeff * c
+    return {i: c for i, c in total.items() if c} == target
 
 
 def verify_certificate(problem: ProverProblem, certificate) -> bool:
     """Exact re-summation: the combination must equal the target, with
     non-negative weights on the inequality generators."""
-    columns = dict(_elementals_for(problem.variables))
-    for label, expr in problem.constraints:
-        columns[f"[=]{label}"] = expr
-    for label, coeff in certificate:
-        if not label.startswith("[=]") and coeff < 0:
-            return False
-        if label not in columns:
-            return False
-    return _certificate_sum(columns, certificate) == problem.target
+    return _certificate_holds(_column_table(problem), _column(problem.target), certificate)
 
 
 def _separating_vector_checks(farkas, columns, target_vec) -> bool:
@@ -276,67 +308,57 @@ def _separating_vector_checks(farkas, columns, target_vec) -> bool:
     return against_target > 0
 
 
-def _solve_exact(problem, labels, columns, target_vec, n_rows, restrict=None):
-    if restrict is None:
-        cols = list(range(len(columns)))
-    else:
-        cols = sorted(restrict)
+def _solve_exact(columns, target_vec, n_rows, restrict=None):
+    """Exact feasibility over the given columns (all by default); the solution
+    is a list of (column index, weight) pairs, or None when infeasible."""
+    cols = list(range(len(columns))) if restrict is None else sorted(restrict)
     result = solve_feasibility([columns[j] for j in cols], target_vec, n_rows)
     if not result.feasible:
         return None, result
-    certificate = tuple(
-        (labels[cols[j]], coeff) for j, coeff in sorted(result.solution.items())
-    )
-    return certificate, result
+    return [(cols[j], coeff) for j, coeff in sorted(result.solution.items())], result
 
 
 def prove(problem: ProverProblem, method: str = "auto") -> ProofResult:
     """Decide Shannon-derivability of the target under the constraints."""
-    n = len(problem.variables)
-    n_rows = (1 << n) - 1
-    labels: list[str] = []
-    columns: list[dict[int, Fraction]] = []
-    for label, expr in _elementals_for(problem.variables):
-        labels.append(label)
-        columns.append({m - 1: c for m, c in expr.items()})
-    n_elemental = len(columns)
-    for label, expr in problem.constraints:
-        for sign in (1, -1):
-            labels.append(f"[=]{label}" if sign == 1 else f"[=]-({label})")
-            columns.append({m - 1: sign * c for m, c in expr.items()})
-    target_vec = {m - 1: c for m, c in problem.target.items()}
+    n_rows = (1 << len(problem.variables)) - 1
+    table = _column_table(problem)
+    labels = list(table)
+    n_elemental = len(labels) - len(problem.constraints)
+    # LP column j is table entry origin[j] times a sign: one column per
+    # elemental, a (+, -) pair per equality
+    origin = [(t, 1) for t in range(n_elemental)]
+    for t in range(n_elemental, len(labels)):
+        origin += [(t, 1), (t, -1)]
+    columns = [
+        table[labels[t]] if sign == 1 else {i: -c for i, c in table[labels[t]].items()}
+        for t, sign in origin
+    ]
+    target_vec = _column(problem.target)
 
-    certificate = None
+    solution = None
     if method == "auto":
         support = _float_support(columns, target_vec, n_rows)
         if support is not None:
-            certificate, _ = _solve_exact(
-                problem, labels, columns, target_vec, n_rows, restrict=support
-            )
-            if certificate is None:
+            solution, _ = _solve_exact(columns, target_vec, n_rows, restrict=support)
+            if solution is None:
                 widened = set(support) | set(range(n_elemental, len(columns)))
-                certificate, _ = _solve_exact(
-                    problem, labels, columns, target_vec, n_rows, restrict=widened
-                )
-    if certificate is None:
-        certificate, result = _solve_exact(problem, labels, columns, target_vec, n_rows)
-        if certificate is None and not _separating_vector_checks(
+                solution, _ = _solve_exact(columns, target_vec, n_rows, restrict=widened)
+    if solution is None:
+        solution, result = _solve_exact(columns, target_vec, n_rows)
+        if solution is None and not _separating_vector_checks(
             result.farkas, columns, target_vec
         ):
             raise ProverError(
                 f"internal error: infeasibility certificate for {problem.name} fails its checks"
             )
-    if certificate is not None:
-        # normalize: merge the +/- columns of each equality into one signed entry
-        merged: dict[str, Fraction] = {}
-        for label, coeff in certificate:
-            if label.startswith("[=]-("):
-                merged_label = "[=]" + label[len("[=]-(") : -1]
-                merged[merged_label] = merged.get(merged_label, Fraction(0)) - coeff
-            else:
-                merged[label] = merged.get(label, Fraction(0)) + coeff
-        cert = tuple((l, c) for l, c in merged.items() if c)
-        if not verify_certificate(problem, cert):
+    if solution is not None:
+        # fold the +/- columns of each equality into one signed entry
+        signed: dict[int, Fraction] = {}
+        for j, coeff in solution:
+            t, sign = origin[j]
+            signed[t] = signed.get(t, Fraction(0)) + sign * coeff
+        cert = tuple((labels[t], c) for t, c in signed.items() if c)
+        if not _certificate_holds(table, target_vec, cert):
             raise ProverError(f"internal error: certificate for {problem.name} fails re-summation")
         return ProofResult(
             status="Provable",
@@ -459,37 +481,9 @@ def appendix_targets(bound_id: str) -> list[ProverProblem]:
                     variables.append(str(VariableId(kind, r[0], r[1])))
         variables = tuple(variables)
         present = set(variables)
-
-        constraints: list[tuple[str, Expr]] = []
-        for r in order:
-            x = str(VariableId("X", r[0], r[1]))
-            v = str(VariableId("V", r[0], r[1]))
-            y = str(VariableId("Y", r[0], r[1]))
-            if x in present and v in present:
-                constraints.append((f"H({v}|{x})=0", entropy_diff(variables, [v], [x])))
-            if y in present and x in present:
-                wired_v = [str(VariableId("V", w[0], w[1])) for w in wiring[r]]
-                if all(wv in present for wv in wired_v):
-                    constraints.append(
-                        (
-                            f"H({y}|{x},{','.join(wired_v)})=0",
-                            entropy_diff(variables, [y], [x] + wired_v),
-                        )
-                    )
-                    constraints.append(
-                        (
-                            f"H({','.join(wired_v)}|{x},{y})=0",
-                            entropy_diff(variables, wired_v, [x, y]),
-                        )
-                    )
-                elif r in pinned:
-                    names = [str(VariableId("V", c[0], c[1])) for c in sorted(set(pinned[r]))]
-                    constraints.append(
-                        (
-                            f"H({','.join(names)}|{x},{y})=0",
-                            entropy_diff(variables, names, [x, y]),
-                        )
-                    )
+        constraints = [
+            eq for r in order for eq in _receiver_equalities(variables, r, wiring[r], pinned.get(r, ()))
+        ]
         roots = []
         for r in order:
             x = str(VariableId("X", r[0], r[1]))

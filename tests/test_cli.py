@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dicbound.cli import main
 from dicbound.extend import builtin_recipe, recipe_to_dict
 
@@ -110,3 +112,49 @@ def test_compare_deterministic(capsys):
     code, second = run_cli(capsys, "compare", "--channel", "xor2", "--samples", "4", "--seed", "9")
     assert first == second
     assert first.splitlines()[0] == "dist,bound,direct_bound_bits,chain_limit_bits,abs_diff"
+
+
+def run_cli_exit(capsys, *argv):
+    """Exit code and stderr, whether main returns or argparse exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--channel", "shift2:a"),
+        ("region", "--channel", "xor2", "--dist", "seed:abc"),
+        ("extend", "--bound", "4a", "--k", "1..x", "--channel", "xor2"),
+        ("extend", "--bound", "4a", "--k", "0", "--channel", "xor2"),
+        ("gcs", "--channel", "xor2", "--enumerate", "--max-l", "0"),
+        ("compare", "--channel", "xor2", "--samples", "0"),
+    ],
+)
+def test_bad_numeric_arguments_are_usage_errors(capsys, argv):
+    code, err = run_cli_exit(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err and "error" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"target": {"A": 1}},  # no variables
+        {"variables": ["A"]},  # no target
+        {"variables": ["A", "A"], "target": {"A": 1}},  # repeated name
+        {"variables": ["A B"], "target": {"A": 1}},  # whitespace in a name
+        {"variables": ["A"], "target": {"B": 1}},  # unknown variable
+        {"variables": ["A"], "constraints": [{"name": "c", "expr": {"B": 1}}], "target": {"A": 1}},
+        {"variables": ["A"], "target": {"A": "x"}},  # coefficient not rational
+    ],
+)
+def test_malformed_problem_file_is_usage_error(capsys, tmp_path, doc):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_cli_exit(capsys, "prove", "--problem", str(path))
+    assert code == 2
+    assert err.startswith("usage error:") and err.count("\n") == 1

@@ -180,6 +180,10 @@ def test_budget_env_override(shift2_221, monkeypatch):
     assert atom_budget() == 8
     with pytest.raises(BudgetExceededError):
         induce_joint(shift2_221, SourceDistribution.uniform([4, 4]))
+    for bad in ("0", "-5", "lots"):
+        monkeypatch.setenv("DICBOUND_BUDGET_ATOMS", bad)
+        with pytest.raises(DicboundError, match="DICBOUND_BUDGET_ATOMS"):
+            atom_budget()
     monkeypatch.delenv("DICBOUND_BUDGET_ATOMS")
     assert atom_budget() == 1 << 22
 

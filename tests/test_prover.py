@@ -1,6 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicbound.errors import ProverError
 from dicbound.exactlp import solve_feasibility
@@ -212,3 +215,91 @@ def test_every_bound_residue_provable():
     for bound_id in supported_bounds():
         for problem in appendix_targets(bound_id):
             assert prove(problem).provable, problem.name
+
+
+@pytest.mark.parametrize(
+    "variables",
+    [("A", "A"), ("",), ("A B",), ("A\tB",), ("A,B",), ("A;B",), ("A|B",), ("H(A",), ("A)",)],
+)
+def test_bad_variable_names_rejected(variables):
+    with pytest.raises(ProverError):
+        ProverProblem(variables=variables, constraints=(), target={1: Fraction(1)})
+
+
+def test_repeated_constraint_names_rejected():
+    c1, c2 = {1: Fraction(1)}, {2: Fraction(1), 3: Fraction(-1)}
+    with pytest.raises(ProverError):
+        ProverProblem(variables=("A", "B"), constraints=(("c", c1), ("c", c2)), target={3: Fraction(1)})
+
+
+def rename_label(label: str, mapping: dict[str, str]) -> str:
+    """A generator label with every variable name replaced through mapping."""
+    return "".join(mapping.get(t, t) for t in re.split(r"([,;|()])", label))
+
+
+def test_labels_use_the_problem_names():
+    # names that are themselves generic labels, in another order, must not
+    # be confused with the Z1..Zn of a bare-count call
+    problem = ProverProblem(variables=("Z2", "Z1"), constraints=(), target={3: Fraction(1)})
+    result = prove(problem)
+    assert result.provable
+    assert verify_certificate(problem, result.certificate)
+    # ten variables: the tenth must not print as the first plus a digit
+    names = ("A", "B", "C", "D", "E", "F", "G", "H", "K", "L10")
+    generic = {f"Z{i + 1}": name for i, name in enumerate(names)}
+    assert [label for label, _ in elemental_inequalities(names)] == [
+        rename_label(label, generic) for label, _ in elemental_inequalities(10)
+    ]
+    target = expr_from_names(names, {"A L10": 1, "A": -1})  # H(L10 | A)
+    result = prove(ProverProblem(variables=names, constraints=(), target=target))
+    assert result.provable and verify_certificate(result.problem, result.certificate)
+    for label, _ in result.certificate:
+        assert set(re.split(r"[,;|()]", label[2:-1])) <= set(names), label
+
+
+NAME_POOL = ("Z1", "Z12", "Z2", "Z21", "X1", "X1^2", "X1^21", "V3^2", "Y3", "Y3^2")
+
+
+@st.composite
+def renamed_problems(draw):
+    """A small problem, the same problem under other names, and under a
+    permuted variable order.  The target is a sum of elementals, negated or
+    not; the Shannon cone is pointed, so the verdict is known."""
+    n = draw(st.integers(1, 5))
+    names = tuple(draw(st.permutations(NAME_POOL))[:n])
+    renamed = tuple(draw(st.permutations(NAME_POOL))[:n])
+    order = draw(st.permutations(range(n)))
+    gens = elemental_inequalities(n)
+    picks = draw(st.lists(st.integers(0, len(gens) - 1), min_size=1, max_size=3))
+    sign = draw(st.sampled_from((1, -1)))
+    target: dict[int, Fraction] = {}
+    for k in picks:
+        for mask, c in gens[k][1].items():
+            target[mask] = target.get(mask, Fraction(0)) + sign * c
+    target = {m: c for m, c in target.items() if c}
+    position = {old: new for new, old in enumerate(order)}
+    permuted_target = {
+        sum(1 << position[i] for i in range(n) if mask >> i & 1): c for mask, c in target.items()
+    }
+    return (
+        ProverProblem(variables=names, constraints=(), target=target),
+        ProverProblem(variables=renamed, constraints=(), target=target),
+        ProverProblem(variables=tuple(names[i] for i in order), constraints=(), target=permuted_target),
+        sign == 1,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(renamed_problems())
+def test_verdicts_invariant_under_renaming_and_permutation(case):
+    problem, renamed, permuted, provable = case
+    results = [prove(p) for p in (problem, renamed, permuted)]
+    assert [r.provable for r in results] == [provable] * 3
+    for p, r in zip((problem, renamed, permuted), results):
+        assert r.certificate is None or verify_certificate(p, r.certificate)
+    if provable:
+        back = dict(zip(renamed.variables, problem.variables))
+        assert [c for _, c in results[1].certificate] == [c for _, c in results[0].certificate]
+        assert [rename_label(label, back) for label, _ in results[1].certificate] == [
+            label for label, _ in results[0].certificate
+        ]
