@@ -79,9 +79,6 @@ class DeterministicChannel:
         """0-based indices of the other users, ascending."""
         return tuple(j for j in range(self.user_count) if j != user)
 
-    def interference(self, user: int, x: int) -> int:
-        return self.g[user][x]
-
     def receive(self, user: int, x: int, v_tuple: tuple[int, ...]) -> int:
         idx = x
         for j, v in zip(self.interferers(user), v_tuple):

@@ -15,7 +15,7 @@ import sys
 
 from .channels import load_channel, validate_channel
 from .entropy import SourceDistribution, distribution_from_dict
-from .errors import DicboundError, ProverError, UsageError
+from .errors import DicboundError, ProverError, UnsupportedBoundError, UsageError
 from .extend import (
     bound_support_info,
     build_extended,
@@ -183,6 +183,7 @@ def cmd_extend(args) -> int:
     dist = _resolve_dist(args.dist, channel.input_sizes, args.seed)
     spec = bound_support_info(args.bound)
     ks = args.k if args.k else ([1, 2, 3] if spec["parametric"] else [None])
+    recipes = [builtin_recipe(args.bound, k) for k in ks]  # a k out of range fails before any output
     failures = 0
     if args.verify:
         report = verify_chain_identity(args.bound, channel, dist, k_range=ks)
@@ -196,15 +197,13 @@ def cmd_extend(args) -> int:
             print(f"increment: {_fmt(inc)}")
         for diag in report.diagnostics:
             print(f"MISMATCH {diag}")
-        recipe0 = builtin_recipe(args.bound, ks[0] if spec["parametric"] else None)
-        rates = verify_replica_rates(channel, recipe0.recipe, dist)
+        rates = verify_replica_rates(channel, recipes[0].recipe, dist)
         print(f"replica rate deviation: {rates.max_deviation:.2e}")
         weights, bits = limit_bound(args.bound, channel, dist)
         print(f"limit: {'+'.join(f'{w}R{u+1}' for u, w in enumerate(weights) if w)} <= {_fmt(bits)}")
         failures += 0 if report.ok else 1
     else:
-        for k in ks:
-            recipe = builtin_recipe(args.bound, k)
+        for k, recipe in zip(ks, recipes):
             network = build_extended(channel, recipe.recipe)
             chain = recipe_chain(recipe, network)
             value = evaluate_chain(network, chain, replicate_distribution(network, dist))
@@ -336,16 +335,8 @@ def main(argv=None) -> int:
     if args.command == "prove" and bool(args.bound) == bool(args.problem):
         parser.error("prove needs exactly one of --bound or --problem")
     try:
-        if args.command == "prove" and args.bound:
-            from .errors import UnsupportedBoundError
-
-            try:
-                bound_support_info(args.bound)
-            except UnsupportedBoundError as exc:
-                print(f"usage error: {exc}", file=sys.stderr)
-                return USAGE_ERROR
         return args.func(args)
-    except (UsageError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (UsageError, UnsupportedBoundError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except DicboundError as exc:

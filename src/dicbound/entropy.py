@@ -1,7 +1,8 @@
 """Exact joint distributions over realized channel symbols and entropy queries.
 
-Joint tables are support-sparse: atoms are keyed by source-input tuples only,
-since every other symbol is a deterministic image.  All entropies are in bits.
+Joint tables are support-sparse: one atom per source-input tuple, since every
+other symbol is a deterministic image.  ``induce_joint`` builds them with the
+engine in ``networks``.  All entropies are in bits.
 """
 
 from __future__ import annotations
@@ -10,11 +11,11 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from itertools import product
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .channels import DeterministicChannel
-from .errors import BudgetExceededError, DicboundError, DistributionError
+from .errors import DicboundError, DistributionError
 
 NORMALIZATION_TOL = 1e-9
 DEFAULT_ATOM_BUDGET = 1 << 22
@@ -149,12 +150,6 @@ class SourceDistribution:
             tables.append(t)
         return cls("product", sizes, tables)
 
-    def support(self, index: int):
-        """Nonzero symbols of one product factor as (symbol, prob) pairs."""
-        if self.mode != "product":
-            raise DistributionError("per-source support only defined for product mode")
-        return [(s, p) for s, p in enumerate(self.tables[index]) if p > 0.0]
-
     def marginal_joint(self, indices: Sequence[int]) -> dict:
         """Joint table over a subset of sources (joint mode), summing others out."""
         out: dict[tuple[int, ...], float] = {}
@@ -196,63 +191,36 @@ def _as_vars(subset: Iterable[VariableId | str]) -> tuple[VariableId, ...]:
     return tuple(sorted(set(out)))
 
 
-def induce_joint(model, dist: SourceDistribution, budget: int | None = None) -> JointTable:
+def induce_joint(model, dist: SourceDistribution) -> JointTable:
     """Materialize the joint table of all realized symbols.
 
     ``model`` is a DeterministicChannel (treated as its one-hop network) or a
     NetworkGraph.  Atom probabilities are exactly the source probabilities.
     """
+    from .networks import base_network, symbol_rows
+
     if isinstance(model, DeterministicChannel):
-        from .networks import base_network
-
         model = base_network(model)
-    sources = model.source_variables()
-    if len(dist.sizes) != len(sources):
-        raise DistributionError(
-            f"distribution has {len(dist.sizes)} sources, network has {len(sources)}"
-        )
-    for size, var, expected in zip(dist.sizes, sources, model.source_sizes()):
-        if size != expected:
-            raise DistributionError(f"alphabet size mismatch for {var}: {size} != {expected}")
-    cap = budget if budget is not None else atom_budget()
     variables = model.all_variables()
-    atoms = []
-    if dist.mode == "product":
-        supports = [dist.support(i) for i in range(len(sources))]
-        count = math.prod(len(s) for s in supports)
-        if count > cap:
-            raise BudgetExceededError(f"{count} source atoms exceed the cap of {cap}")
-        for combo in product(*supports):
-            x = tuple(s for s, _ in combo)
-            p = math.prod(p for _, p in combo)
-            atoms.append((model.realize(x), p))
-    else:
-        if len(dist.joint) > cap:
-            raise BudgetExceededError(f"{len(dist.joint)} source atoms exceed the cap of {cap}")
-        for x, p in dist.joint.items():
-            atoms.append((model.realize(x), p))
-    return JointTable(variables=variables, atoms=tuple(atoms))
+    return JointTable(variables, tuple(symbol_rows(model, dist, variables, model.replicas)))
 
 
-def _merged_projection(table: JointTable, subset: tuple[VariableId, ...]) -> dict:
-    idx = [table.index_of(v) for v in subset]
-    merged: dict[tuple[int, ...], float] = {}
-    for values, p in table.atoms:
-        key = tuple(values[i] for i in idx)
+def merged_entropy(rows: Iterable[tuple[tuple, float]]) -> float:
+    """Entropy in bits of the law that merges (value, p) rows with equal
+    values (0 log 0 = 0)."""
+    merged: dict[tuple, float] = {}
+    for key, p in rows:
         merged[key] = merged.get(key, 0.0) + p
-    return merged
-
-
-def _entropy_of_probs(probs: Iterable[float]) -> float:
-    return -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
+    return -math.fsum(p * math.log2(p) for p in merged.values() if p > 0.0)
 
 
 def entropy(table: JointTable, subset: Iterable[VariableId | str]) -> float:
     """Shannon entropy in bits of the marginal on ``subset`` (0 log 0 = 0)."""
-    vars_ = _as_vars(subset)
-    if not vars_:
+    idx = [table.index_of(v) for v in _as_vars(subset)]
+    if not idx:
         return 0.0
-    return _entropy_of_probs(_merged_projection(table, vars_).values())
+    key = itemgetter(*idx)  # a bare value for one index; keys only group atoms
+    return merged_entropy((key(values), p) for values, p in table.atoms)
 
 
 def conditional_entropy(table: JointTable, a: Iterable, b: Iterable) -> float:

@@ -18,6 +18,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from typing import Mapping, Sequence
 
@@ -237,7 +238,9 @@ class BoundRecipe:
         return counts
 
 
+@cache
 def _load_recipe_specs() -> dict:
+    """The bundled recipes by id, parsed once per process (shared: read only)."""
     raw = json.loads(resources.files("dicbound.data").joinpath("recipes.json").read_text())
     return {entry["id"]: entry for entry in raw["recipes"]}
 
@@ -316,7 +319,7 @@ def builtin_recipe(bound_id: str, k: int | None = None) -> BoundRecipe:
             raise DicboundError(f"bound {bound_id} is parametric; k is required")
         lo, hi = spec.get("k_range", [1, 8])
         if not lo <= k <= hi:
-            raise DicboundError(f"bound {bound_id} supports k in {lo}..{hi}, got {k}")
+            raise UnsupportedBoundError(f"bound {bound_id} supports k in {lo}..{hi}, got {k}")
     counts, wiring, peel = _instantiate(spec, k if parametric else None)
     recipe = ReplicationRecipe(counts=counts, wiring=tuple(sorted(wiring.items())))
     closed = derive_closed_terms(counts, wiring, peel)

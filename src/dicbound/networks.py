@@ -4,9 +4,14 @@ A network is a set of (user, copy) replicas; each replica has a source node
 transmitting X and a destination node receiving Y.  Every receiver reuses the
 base channel functions and is wired to exactly one replica of each other user.
 
-Entropy queries on a network avoid materializing the full joint: conditioning
-on a source's input and its receiver's output pins down the interference it
-saw, so each query reduces to a small set of relevant sources.
+This module holds the one entropy engine: ``source_atoms`` enumerates source
+atoms (and is the only place that checks a law against a network and enforces
+the atom budget), ``NetworkGraph.evaluator`` maps atoms to symbol values, and
+``entropy.merged_entropy`` turns (value, p) rows into an entropy.  The joint
+tables of ``entropy.induce_joint`` and the network queries below are both
+front-ends over it.  The network queries avoid materializing the full joint:
+conditioning on a source's input and its receiver's output pins down the
+interference it saw, so each query reduces to a small set of relevant sources.
 """
 
 from __future__ import annotations
@@ -14,14 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .channels import DeterministicChannel, validate_channel
 from .entropy import (
     SourceDistribution,
     VariableId,
-    _entropy_of_probs,
     atom_budget,
+    merged_entropy,
 )
 from .errors import BudgetExceededError, DicboundError, DistributionError, RecipeError
 
@@ -73,12 +78,6 @@ class NetworkGraph:
 
     # -- structure ----------------------------------------------------------
 
-    def counts(self) -> tuple[int, ...]:
-        out = [0] * self.channel.user_count
-        for user, copy in self.replicas:
-            out[user - 1] = max(out[user - 1], copy)
-        return tuple(out)
-
     def interferers_of(self, replica: Replica) -> tuple[Replica, ...]:
         return self._wiring_map[replica]
 
@@ -126,27 +125,52 @@ class NetworkGraph:
         ys = [VariableId("Y", u, c) for u, c in self.replicas]
         return tuple(xs + vs + ys)
 
-    def realize(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        """Map a source-input tuple to the full (X.., V.., Y..) value tuple."""
-        pos = {r: i for i, r in enumerate(self.replicas)}
-        vs = [self.channel.interference(u - 1, x[pos[(u, c)]]) for u, c in self.replicas]
-        ys = []
-        for r in self.replicas:
-            u, _ = r
-            v_tuple = tuple(vs[pos[w]] for w in self._wiring_map[r])
-            ys.append(self.channel.receive(u - 1, x[pos[r]], v_tuple))
-        return tuple(x) + tuple(vs) + tuple(ys)
+    def check_variables(self, variables: Iterable[VariableId]) -> set[VariableId]:
+        """The variables as a set, each checked to belong to this network."""
+        out = set(variables)
+        for var in out:
+            if (var.user, var.copy) not in self._wiring_map:
+                raise DicboundError(f"variable {var} is not in this network")
+        return out
 
-    def value_of(self, var: VariableId, x: tuple[int, ...], pos: Mapping[Replica, int]) -> int:
-        r = (var.user, var.copy)
-        if var.kind == "X":
-            return x[pos[r]]
-        if var.kind == "V":
-            return self.channel.interference(var.user - 1, x[pos[r]])
-        v_tuple = tuple(
-            self.channel.interference(w[0] - 1, x[pos[w]]) for w in self._wiring_map[r]
-        )
-        return self.channel.receive(var.user - 1, x[pos[r]], v_tuple)
+    def evaluator(self, variables: Sequence[VariableId], sources: Sequence[Replica]):
+        """The symbol evaluator: a function from the inputs of ``sources``, in
+        that order, to the tuple of values of ``variables``.
+
+        Positions and g/f tables are resolved here, once per query; a call
+        computes each interference symbol it needs once.
+        """
+        channel, pos = self.channel, {r: i for i, r in enumerate(sources)}
+        v_slots: dict[Replica, int] = {}  # replica -> index of its V after the inputs
+
+        def v_index(r: Replica) -> int:
+            return len(sources) + v_slots.setdefault(r, len(v_slots))
+
+        steps = []  # (value index, f table or None for X/V, wired (V index, radix) pairs)
+        for var in variables:
+            r = (var.user, var.copy)
+            if var.kind == "Y":
+                wired = tuple((v_index(w), channel.v_sizes[w[0] - 1]) for w in self._wiring_map[r])
+                steps.append((pos[r], channel.f[var.user - 1], wired))
+            else:
+                steps.append((pos[r] if var.kind == "X" else v_index(r), None, ()))
+        g_steps = [(channel.g[u - 1], pos[(u, c)]) for u, c in v_slots]
+
+        def evaluate(x: tuple[int, ...]) -> tuple[int, ...]:
+            values = list(x)
+            values.extend([g[x[i]] for g, i in g_steps])
+            out = []
+            for i, f, wired in steps:
+                if f is None:
+                    out.append(values[i])
+                    continue
+                idx = values[i]
+                for j, radix in wired:
+                    idx = idx * radix + values[j]
+                out.append(f[idx])
+            return tuple(out)
+
+        return evaluate
 
     def dependencies(self, var: VariableId) -> frozenset[Replica]:
         """Source replicas the variable is a function of."""
@@ -174,6 +198,51 @@ def replicate_distribution(network: NetworkGraph, base_dist: SourceDistribution)
         raise DistributionError("base distribution must have one factor per channel user")
     tables = [base_dist.tables[u - 1] for u, _ in network.replicas]
     return SourceDistribution("product", network.source_sizes(), tables)
+
+
+# -- the entropy engine ------------------------------------------------------
+
+
+def source_atoms(network: NetworkGraph, dist: SourceDistribution, sources: Sequence[Replica]):
+    """The source enumerator: yield (x, p) over the given source replicas,
+    x holding their inputs in order.
+
+    Checks the law against the network and enforces the atom budget before
+    the first atom.
+    """
+    expected = network.source_sizes()
+    if dist.sizes != expected:
+        names = ", ".join(str(v) for v in network.source_variables())
+        raise DistributionError(
+            f"law over alphabet sizes {list(dist.sizes)} does not fit the sources "
+            f"{names} with sizes {list(expected)}"
+        )
+    idx = [network.replicas.index(r) for r in sources]
+    if dist.mode == "product":
+        supports = [[(s, p) for s, p in enumerate(dist.tables[i]) if p > 0.0] for i in idx]
+        count = math.prod(len(s) for s in supports)
+    else:
+        marginal = dist.marginal_joint(idx)
+        count = len(marginal)
+    cap = atom_budget()
+    if count > cap:
+        raise BudgetExceededError(
+            f"{count} source atoms over {len(sources)} sources exceed the cap of {cap}"
+        )
+    if dist.mode == "product":
+        for combo in product(*supports):
+            yield tuple(s for s, _ in combo), math.prod(p for _, p in combo)
+    else:
+        yield from marginal.items()
+
+
+def symbol_rows(network: NetworkGraph, dist: SourceDistribution, variables, sources=None):
+    """(values of ``variables``, p) for every source atom over ``sources``,
+    by default the variables' dependency closure in sorted order."""
+    if sources is None:
+        sources = sorted(set().union(*(network.dependencies(v) for v in variables)))
+    evaluate = network.evaluator(variables, sources)
+    return ((evaluate(x), p) for x, p in source_atoms(network, dist, sources))
 
 
 # -- reduced entropy evaluation ----------------------------------------------
@@ -209,28 +278,6 @@ def known_closure(network: NetworkGraph, cond: Iterable[VariableId]) -> set[Vari
     return known
 
 
-def _enumerate_sources(network: NetworkGraph, dist: SourceDistribution, sources: list[Replica]):
-    """Yield (x-assignment dict position, prob) over the given source replicas."""
-    all_pos = {r: i for i, r in enumerate(network.replicas)}
-    idx = [all_pos[r] for r in sources]
-    if dist.mode == "product":
-        supports = [dist.support(i) for i in idx]
-        total = math.prod(len(s) for s in supports)
-        if total > atom_budget():
-            raise BudgetExceededError(
-                f"{total} source atoms over {len(sources)} sources exceed the cap of {atom_budget()}"
-            )
-        for combo in product(*supports):
-            yield tuple(s for s, _ in combo), math.prod(p for _, p in combo)
-    else:
-        marginal = dist.marginal_joint(idx)
-        if len(marginal) > atom_budget():
-            raise BudgetExceededError("joint support exceeds the atom cap")
-        for key, p in marginal.items():
-            if p > 0.0:
-                yield key, p
-
-
 def cond_entropy_network(
     network: NetworkGraph,
     dist: SourceDistribution,
@@ -243,8 +290,8 @@ def cond_entropy_network(
     own input): replace the conditioning by its X's plus the recovered
     interference symbols, then enumerate only the sources that still matter.
     """
-    targets = set(targets)
-    cond = set(cond)
+    targets = network.check_variables(targets)
+    cond = network.check_variables(cond)
     self_conditioned = all(
         VariableId("X", v.user, v.copy) in cond for v in cond if v.kind == "Y"
     )
@@ -260,41 +307,18 @@ def cond_entropy_network(
         deps: set[Replica] = set()
         for v in list(live) + gen_v:
             deps |= network.dependencies(v)
-        sources = sorted(deps)
         gen_x = sorted(VariableId("X", u, c) for (u, c) in deps & cond_x_sources)
         key_vars = gen_x + gen_v
-        return _grouped_cond_entropy(network, dist, sources, live, key_vars)
+        rows = list(symbol_rows(network, dist, key_vars + live, sorted(deps)))
+        return merged_entropy(rows) - merged_entropy((v[: len(key_vars)], p) for v, p in rows)
     # general path: H(A u B) - H(B) over the dependency closure
     return _plain_entropy(network, dist, targets | cond) - _plain_entropy(network, dist, cond)
 
 
-def _grouped_cond_entropy(network, dist, sources, live, key_vars):
-    pos = {r: i for i, r in enumerate(sources)}
-    joint: dict[tuple, float] = {}
-    keys: dict[tuple, float] = {}
-    for x, p in _enumerate_sources(network, dist, sources):
-        key = tuple(network.value_of(v, x, pos) for v in key_vars)
-        val = tuple(network.value_of(v, x, pos) for v in live)
-        joint[key + val] = joint.get(key + val, 0.0) + p
-        keys[key] = keys.get(key, 0.0) + p
-    return _entropy_of_probs(joint.values()) - _entropy_of_probs(keys.values())
-
-
 def _plain_entropy(network, dist, subset) -> float:
-    subset = sorted(set(subset))
-    if not subset:
-        return 0.0
-    deps: set[Replica] = set()
-    for v in subset:
-        deps |= network.dependencies(v)
-    sources = sorted(deps)
-    pos = {r: i for i, r in enumerate(sources)}
-    merged: dict[tuple, float] = {}
-    for x, p in _enumerate_sources(network, dist, sources):
-        key = tuple(network.value_of(v, x, pos) for v in subset)
-        merged[key] = merged.get(key, 0.0) + p
-    return _entropy_of_probs(merged.values())
+    subset = sorted(subset)
+    return merged_entropy(symbol_rows(network, dist, subset)) if subset else 0.0
 
 
 def network_entropy(network: NetworkGraph, dist: SourceDistribution, subset) -> float:
-    return _plain_entropy(network, dist, set(subset))
+    return _plain_entropy(network, dist, network.check_variables(subset))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -64,7 +65,9 @@ def _template_from_dict(data: dict) -> BoundTemplate:
     return BoundTemplate(id=data["id"], rates=tuple(data["rates"]), terms=terms)
 
 
+@cache
 def load_templates(user_count: int) -> tuple[BoundTemplate, ...]:
+    """The bundled templates for 2 or 3 users, parsed once per process."""
     raw = json.loads(resources.files("dicbound.data").joinpath("templates.json").read_text())
     key = {2: "two_user", 3: "three_user"}.get(user_count)
     if key is None:

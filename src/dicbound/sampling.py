@@ -34,10 +34,6 @@ def sample_product_distribution(sizes: Sequence[int], seed: int, index: int) -> 
     return SourceDistribution("product", sizes, [dirichlet_table(rng, s) for s in sizes])
 
 
-def seeded_distributions(sizes: Sequence[int], seed: int, count: int) -> list[SourceDistribution]:
-    return [sample_product_distribution(sizes, seed, i) for i in range(count)]
-
-
 def region_distribution_stream(sizes: Sequence[int], seed: int) -> Iterator[SourceDistribution]:
     """The sweep used for region sampling: uniform first, then every point
     mass in lexicographic order, then seeded Dirichlet draws."""

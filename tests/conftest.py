@@ -63,6 +63,54 @@ def oracle_bound_term(channel, dist_tables, y_user, given_users) -> float:
     )
 
 
+def oracle_product_law(tables) -> dict:
+    """Joint law {input tuple: p} of independent sources with these tables."""
+    law = {}
+    for xs in product(*(range(len(t)) for t in tables)):
+        p = 1.0
+        for t, x in zip(tables, xs):
+            p *= t[x]
+        law[xs] = p
+    return law
+
+
+def oracle_network_atoms(network, law):
+    """Realize every symbol of a one-hop network from first principles.
+
+    ``law`` maps input tuples over ``network.replicas`` to probabilities (a
+    joint-mode law as it is, a product law through oracle_product_law).
+    Returns (values, p) pairs, values keyed by (kind, user, copy).
+    """
+    ch = network.channel
+    atoms = []
+    for xs, p in law.items():
+        x = dict(zip(network.replicas, xs))
+        values = {}
+        for (u, c), xv in x.items():
+            values["X", u, c] = xv
+            values["V", u, c] = ch.g[u - 1][xv]
+            idx = xv  # f is row-major over (own input, wired V's in user order)
+            for w in network.interferers_of((u, c)):
+                idx = idx * ch.v_sizes[w[0] - 1] + ch.g[w[0] - 1][x[w]]
+            values["Y", u, c] = ch.f[u - 1][idx]
+        atoms.append((values, p))
+    return atoms
+
+
+def oracle_network_cond_entropy(atoms, a, b=()) -> float:
+    """H(A | B) over network atoms; A and B hold (kind, user, copy) keys."""
+
+    def h(keys):
+        marg: dict = {}
+        for values, p in atoms:
+            key = tuple(values[k] for k in keys)
+            marg[key] = marg.get(key, 0.0) + p
+        return oracle_entropy(marg.values())
+
+    b = sorted(set(b))
+    return h(sorted(set(a) | set(b))) - h(b)
+
+
 @pytest.fixture(scope="session")
 def xor2():
     return builtin_channel("xor2")

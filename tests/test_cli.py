@@ -115,12 +115,13 @@ def test_compare_deterministic(capsys):
 
 
 def run_cli_exit(capsys, *argv):
-    """Exit code and stderr, whether main returns or argparse exits."""
+    """Exit code, stdout and stderr, whether main returns or argparse exits."""
     try:
         code = main(list(argv))
     except SystemExit as exc:
         code = exc.code
-    return code, capsys.readouterr().err
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 @pytest.mark.parametrize(
@@ -132,11 +133,16 @@ def run_cli_exit(capsys, *argv):
         ("extend", "--bound", "4a", "--k", "0", "--channel", "xor2"),
         ("gcs", "--channel", "xor2", "--enumerate", "--max-l", "0"),
         ("compare", "--channel", "xor2", "--samples", "0"),
+        ("extend", "--bound", "nope", "--channel", "xor2"),
+        ("extend", "--bound", "4e", "--k", "20", "--channel", "xor2"),
+        ("extend", "--bound", "4e", "--k", "7..9", "--channel", "xor2"),
+        ("extend", "--bound", "ineq5", "--k", "7", "--channel", "concat3", "--verify"),
+        ("prove", "--bound", "nope"),
     ],
 )
 def test_bad_numeric_arguments_are_usage_errors(capsys, argv):
-    code, err = run_cli_exit(capsys, *argv)
-    assert code == 2
+    code, out, err = run_cli_exit(capsys, *argv)
+    assert code == 2 and out == ""
     assert "Traceback" not in err and "error" in err
 
 
@@ -155,6 +161,6 @@ def test_bad_numeric_arguments_are_usage_errors(capsys, argv):
 def test_malformed_problem_file_is_usage_error(capsys, tmp_path, doc):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
-    code, err = run_cli_exit(capsys, "prove", "--problem", str(path))
+    code, _, err = run_cli_exit(capsys, "prove", "--problem", str(path))
     assert code == 2
     assert err.startswith("usage error:") and err.count("\n") == 1

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +18,22 @@ from dicbound.entropy import (
     mutual_information,
 )
 from dicbound.errors import BudgetExceededError, DicboundError, DistributionError
+from dicbound.extend import build_extended, builtin_recipe
+from dicbound.gcs import evaluate_chain
 from dicbound.networks import base_network, cond_entropy_network, network_entropy
 from dicbound.sampling import sample_product_distribution
 
-from conftest import oracle_cond_entropy, oracle_joint
+from conftest import (
+    oracle_cond_entropy,
+    oracle_joint,
+    oracle_network_atoms,
+    oracle_network_cond_entropy,
+    oracle_product_law,
+)
+
+
+def keys(variables):
+    return [(v.kind, v.user, v.copy) for v in variables]
 
 
 def test_point_mass_single_atom(xor2):
@@ -87,10 +102,37 @@ def test_induce_joint_dimension_mismatch(xor2):
         induce_joint(xor2, SourceDistribution.uniform([2, 3]))
 
 
-def test_atom_budget_enforced(shift2_331):
+def test_atom_budget_enforced(shift2_331, monkeypatch):
+    monkeypatch.setenv("DICBOUND_BUDGET_ATOMS", "63")
     dist = SourceDistribution.uniform([8, 8])
+    net = base_network(shift2_331)
     with pytest.raises(BudgetExceededError):
-        induce_joint(shift2_331, dist, budget=63)
+        induce_joint(shift2_331, dist)
+    with pytest.raises(BudgetExceededError):
+        network_entropy(net, dist, [Y(1)])  # Y1 depends on both sources: 64 atoms
+    assert network_entropy(net, dist, [X(1)]) == pytest.approx(3.0, abs=1e-12)
+
+
+def test_law_that_does_not_fit_the_network_is_rejected(xor2, shift2_221):
+    recipe = builtin_recipe("4e", 2)
+    extended = build_extended(xor2, recipe.recipe)
+    with pytest.raises(DistributionError):
+        evaluate_chain(extended, recipe.chain, SourceDistribution.uniform([2, 2]))
+    with pytest.raises(DistributionError):
+        cond_entropy_network(base_network(shift2_221), SourceDistribution.uniform([2, 2]), [Y(1)], [X(1)])
+    with pytest.raises(DistributionError):
+        induce_joint(extended, SourceDistribution.uniform([2, 2]))
+
+
+def test_variables_outside_the_network_are_rejected(xor2):
+    net = base_network(xor2)
+    dist = SourceDistribution.uniform([2, 2])
+    with pytest.raises(DicboundError, match="not in this network"):
+        network_entropy(net, dist, [Y(3)])
+    with pytest.raises(DicboundError, match="not in this network"):
+        cond_entropy_network(net, dist, [Y(1)], [X(3)])
+    with pytest.raises(DicboundError, match="not in this network"):
+        cond_entropy_network(net, dist, [Y(1, 2)], [X(1)])
 
 
 def test_engine_matches_first_principles_oracle(shift2_221):
@@ -158,10 +200,13 @@ def test_reduced_network_evaluation_agrees_with_table(shift2_221):
     net = base_network(shift2_221)
     dist = sample_product_distribution([4, 4], 5, 2)
     table = induce_joint(shift2_221, dist)
-    got = cond_entropy_network(net, dist, [Y(1)], [X(2), Y(2)])
-    want = conditional_entropy(table, [Y(1)], [X(2), Y(2)])
-    assert abs(got - want) < 1e-12
-    assert abs(network_entropy(net, dist, [Y(1), V(1)]) - entropy(table, [Y(1), V(1)])) < 1e-12
+    atoms = oracle_network_atoms(net, oracle_product_law(dist.tables))
+    want = oracle_network_cond_entropy(atoms, keys([Y(1)]), keys([X(2), Y(2)]))
+    assert abs(cond_entropy_network(net, dist, [Y(1)], [X(2), Y(2)]) - want) < 1e-12
+    assert abs(conditional_entropy(table, [Y(1)], [X(2), Y(2)]) - want) < 1e-12
+    want = oracle_network_cond_entropy(atoms, keys([Y(1), V(1)]))
+    assert abs(network_entropy(net, dist, [Y(1), V(1)]) - want) < 1e-12
+    assert abs(entropy(table, [Y(1), V(1)]) - want) < 1e-12
 
 
 def test_joint_mode_source_distribution(xor2):
@@ -192,7 +237,8 @@ def test_budget_env_override(shift2_221, monkeypatch):
 @given(seed=st.integers(0, 10**6), mask_a=st.integers(0, 63), pairs=st.integers(0, 3), extra_v=st.integers(0, 3))
 def test_reduced_conditional_entropy_matches_table(seed, mask_a, pairs, extra_v):
     # self-conditioned conditioning sets (every output with its own input)
-    # exercise the fast path; compare against the materialized table
+    # exercise the fast path; compare it and the materialized table against
+    # the first-principles oracle
     channel = builtin_channel("shift2", [2, 2, 1])
     net = base_network(channel)
     dist = sample_product_distribution([4, 4], seed, 0)
@@ -208,6 +254,48 @@ def test_reduced_conditional_entropy_matches_table(seed, mask_a, pairs, extra_v)
         b.add(V(1))
     if extra_v & 2:
         b.add(X(2))
-    got = cond_entropy_network(net, dist, a, b)
-    want = conditional_entropy(table, a, b)
-    assert abs(got - want) < 1e-12
+    want = oracle_network_cond_entropy(
+        oracle_network_atoms(net, oracle_product_law(dist.tables)), keys(a), keys(b)
+    )
+    assert abs(cond_entropy_network(net, dist, a, b) - want) < 1e-12
+    assert abs(conditional_entropy(table, a, b) - want) < 1e-12
+
+
+def _network_and_law(k, mode, seed):
+    channel = builtin_channel("shift2", [2, 2, 1])
+    net = base_network(channel) if k is None else build_extended(channel, builtin_recipe("4a", k).recipe)
+    sizes = net.source_sizes()
+    if mode == "product":
+        dist = sample_product_distribution(sizes, seed, 0)
+        return net, dist, oracle_product_law(dist.tables)
+    rng = random.Random(seed)
+    tuples = list(product(*(range(s) for s in sizes)))
+    weights = {xs: rng.random() if rng.random() < 0.6 else 0.0 for xs in tuples}
+    weights[rng.choice(tuples)] = 1.0  # never all zero
+    total = sum(weights.values())
+    law = {xs: w / total for xs, w in weights.items()}
+    return net, SourceDistribution("joint", sizes, law), law
+
+
+@pytest.mark.parametrize("mode", ["product", "joint"])
+@pytest.mark.parametrize("k", [None, 2])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), mask_a=st.integers(1, 511), mask_b=st.integers(0, 511), fast=st.booleans())
+def test_engine_matches_first_principles_on_networks(k, mode, seed, mask_a, mask_b, fast):
+    # the base network and a replicated one (4a at k = 2), product and joint
+    # laws; under a product law ``fast`` pairs every conditioned output with
+    # its input (the fast path), otherwise Y1 is conditioned without X1 (the
+    # general path); joint laws always take the general path
+    net, dist, law = _network_and_law(k, mode, seed)
+    variables = net.all_variables()
+    a = {v for i, v in enumerate(variables) if mask_a >> i & 1}
+    b = {v for i, v in enumerate(variables) if mask_b >> i & 1}
+    if fast:
+        b |= {X(v.user, v.copy) for v in b if v.kind == "Y"}
+    else:
+        b = (b | {Y(1)}) - {X(1)}
+    atoms = oracle_network_atoms(net, law)
+    want = oracle_network_cond_entropy(atoms, keys(a), keys(b))
+    assert abs(cond_entropy_network(net, dist, a, b) - want) < 1e-12
+    assert abs(conditional_entropy(induce_joint(net, dist), a, b) - want) < 1e-12
+    assert abs(network_entropy(net, dist, a) - oracle_network_cond_entropy(atoms, keys(a))) < 1e-12
