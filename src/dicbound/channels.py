@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ChannelFormatError, DicboundError
 
@@ -23,8 +24,8 @@ class Alphabet:
     size: int
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ChannelFormatError(f"alphabet size must be >= 1, got {self.size}")
+        if not isinstance(self.size, int) or self.size < 1:
+            raise ChannelFormatError(f"alphabet size must be an integer >= 1, got {self.size!r}")
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class DeterministicChannel:
     y_sizes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.user_count not in (2, 3):
+        if not isinstance(self.user_count, int) or self.user_count not in (2, 3):
             raise ChannelFormatError(f"user_count must be 2 or 3, got {self.user_count}")
         if len(self.input_sizes) != self.user_count:
             raise ChannelFormatError("one input alphabet per user required")
@@ -52,13 +53,17 @@ class DeterministicChannel:
             Alphabet(s)
         if len(self.g) != self.user_count or len(self.f) != self.user_count:
             raise ChannelFormatError("one g table and one f table per user required")
+        for name, tables in (("g", self.g), ("f", self.f)):
+            for i, table in enumerate(tables):
+                if not all(isinstance(v, int) and v >= 0 for v in table):
+                    raise ChannelFormatError(
+                        f"{name} table for user {i + 1} has a symbol that is not a non-negative integer"
+                    )
         for i, table in enumerate(self.g):
             if len(table) != self.input_sizes[i]:
                 raise ChannelFormatError(
                     f"g table for user {i + 1} has {len(table)} entries, expected {self.input_sizes[i]}"
                 )
-            if any(v < 0 for v in table):
-                raise ChannelFormatError(f"g table for user {i + 1} has a negative symbol")
         v_sizes = tuple(max(table) + 1 for table in self.g)
         object.__setattr__(self, "v_sizes", v_sizes)
         y_sizes = []
@@ -70,10 +75,13 @@ class DeterministicChannel:
                 raise ChannelFormatError(
                     f"f table for user {i + 1} has {len(table)} entries, expected {expected}"
                 )
-            if any(y < 0 for y in table):
-                raise ChannelFormatError(f"f table for user {i + 1} has a negative symbol")
             y_sizes.append(max(table) + 1)
         object.__setattr__(self, "y_sizes", tuple(y_sizes))
+
+    @cached_property
+    def valid(self) -> bool:
+        """Interference recoverability, checked once per channel object."""
+        return validate_channel(self).valid
 
     def interferers(self, user: int) -> tuple[int, ...]:
         """0-based indices of the other users, ascending."""
@@ -182,8 +190,15 @@ def builtin_channel(family: str, params: list[int] | None = None) -> Determinist
 
 def channel_from_dict(data: dict) -> DeterministicChannel:
     """Build a channel from its JSON document form."""
+    if not isinstance(data, dict):
+        raise ChannelFormatError("channel document must be an object")
     if "family" in data:
-        return builtin_channel(data["family"], data.get("params"))
+        params = data.get("params")
+        if params is not None and not (
+            isinstance(params, list) and all(isinstance(p, int) for p in params)
+        ):
+            raise ChannelFormatError(f"channel params must be a list of integers, got {params!r}")
+        return builtin_channel(data["family"], params)
     try:
         user_count = data["user_count"]
         sizes = tuple(data["alphabet_sizes"])

@@ -13,16 +13,15 @@ import argparse
 import json
 import sys
 
-from .channels import load_channel, validate_channel
-from .entropy import SourceDistribution, distribution_from_dict
-from .errors import DicboundError, ProverError, UnsupportedBoundError, UsageError
+from .channels import channel_from_dict, load_channel, validate_channel
+from .entropy import SourceDistribution, atom_budget, distribution_from_dict
+from .errors import DicboundError, UnsupportedBoundError, UsageError
 from .extend import (
     bound_support_info,
     build_extended,
     builtin_recipe,
     chain_closed_form,
     limit_bound,
-    recipe_chain,
     recipe_from_dict,
     supported_bounds,
     verify_chain_identity,
@@ -48,10 +47,23 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
+def _load_file(path: str, what: str, build):
+    """``build`` applied to a JSON input file's document.  The one loading path
+    for input files: an unreadable, unparsable or malformed file is a
+    ``UsageError`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except (OSError, ValueError, DicboundError) as exc:
+        raise UsageError(f"cannot load {what} {path!r}: {exc}") from exc
+
+
 def _resolve_channel(ref: str):
+    if ref.endswith(".json"):
+        return _load_file(ref, "channel", channel_from_dict)
     try:
         return load_channel(ref)
-    except (DicboundError, OSError, ValueError) as exc:
+    except (DicboundError, ValueError) as exc:
         raise UsageError(f"cannot load channel {ref!r}: {exc}") from exc
 
 
@@ -64,11 +76,7 @@ def _resolve_dist(ref: str, sizes, seed: int) -> SourceDistribution:
         except ValueError as exc:
             raise UsageError(f"distribution seed is not an integer: {ref!r}") from exc
         return sample_product_distribution(sizes, seed, 0)
-    try:
-        with open(ref, "r", encoding="utf-8") as fh:
-            return distribution_from_dict(json.load(fh), sizes)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise UsageError(f"cannot load distribution {ref!r}: {exc}") from exc
+    return _load_file(ref, "distribution", lambda doc: distribution_from_dict(doc, sizes))
 
 
 def _count(text: str) -> int:
@@ -106,12 +114,12 @@ def cmd_validate(args) -> int:
 
 def cmd_region(args) -> int:
     channel = _resolve_channel(args.channel)
+    if args.out == "svg" and channel.user_count != 2:
+        raise UsageError("SVG output is limited to 2-user regions")
     templates = load_templates(channel.user_count)
     if args.samples is not None:
         family = sample_region(channel, args.seed, args.samples, templates)
         if args.out == "svg":
-            if channel.user_count != 2:
-                raise DicboundError("SVG output is limited to 2-user regions")
             sys.stdout.write(render_region_svg(family.polytopes))
             return 0
         print("sample,template,rhs_bits")
@@ -122,8 +130,6 @@ def cmd_region(args) -> int:
     dist = _resolve_dist(args.dist, channel.input_sizes, args.seed)
     vector = bound_vector(channel, dist, templates)
     if args.out == "svg":
-        if channel.user_count != 2:
-            raise DicboundError("SVG output is limited to 2-user regions")
         sys.stdout.write(render_region_svg([region_polytope(vector, templates)]))
         return 0
     print("template,rhs_bits")
@@ -133,18 +139,28 @@ def cmd_region(args) -> int:
 
 
 def _load_network(args):
+    channel = _resolve_channel(args.channel) if args.channel else None
     if args.network:
-        with open(args.network, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        channel = _resolve_channel(args.channel) if args.channel else None
-        if channel is None:
-            from .channels import channel_from_dict
 
-            channel = channel_from_dict(doc["channel"])
-        return build_extended(channel, recipe_from_dict(doc["recipe"]))
-    if not args.channel:
-        raise DicboundError("either --channel or --network is required")
-    return base_network(_resolve_channel(args.channel))
+        def build(doc):
+            if not isinstance(doc, dict) or "recipe" not in doc or not (channel or "channel" in doc):
+                raise UsageError("needs an object with 'recipe' and, without --channel, 'channel'")
+            return build_extended(
+                channel or channel_from_dict(doc["channel"]), recipe_from_dict(doc["recipe"])
+            )
+
+        return _load_file(args.network, "network", build)
+    if channel is None:
+        raise UsageError("either --channel or --network is required")
+    return base_network(channel)
+
+
+def _chain_from_doc(doc) -> CutChain:
+    if not isinstance(doc, list) or not all(
+        isinstance(s, list) and all(isinstance(n, str) for n in s) for s in doc
+    ):
+        raise UsageError("a chain is a list of node-label lists")
+    return CutChain.of(doc)
 
 
 def cmd_gcs(args) -> int:
@@ -162,9 +178,8 @@ def cmd_gcs(args) -> int:
         print(f"tightest: {_fmt(best)} via {[sorted(s) for s in chain.subsets]}")
         return 0
     if not args.chain:
-        raise DicboundError("--chain FILE or --enumerate is required")
-    with open(args.chain, "r", encoding="utf-8") as fh:
-        chain = CutChain.of(json.load(fh))
+        raise UsageError("--chain FILE or --enumerate is required")
+    chain = _load_file(args.chain, "chain", _chain_from_doc)
     violations = validate_chain(network, chain)
     if violations:
         print("invalid chain:")
@@ -182,6 +197,11 @@ def cmd_extend(args) -> int:
     channel = _resolve_channel(args.channel)
     dist = _resolve_dist(args.dist, channel.input_sizes, args.seed)
     spec = bound_support_info(args.bound)
+    if spec["users"] != channel.user_count:
+        raise UsageError(
+            f"bound {args.bound} is a {spec['users']}-user bound, "
+            f"channel {args.channel} has {channel.user_count} users"
+        )
     ks = args.k if args.k else ([1, 2, 3] if spec["parametric"] else [None])
     recipes = [builtin_recipe(args.bound, k) for k in ks]  # a k out of range fails before any output
     failures = 0
@@ -205,44 +225,38 @@ def cmd_extend(args) -> int:
     else:
         for k, recipe in zip(ks, recipes):
             network = build_extended(channel, recipe.recipe)
-            chain = recipe_chain(recipe, network)
-            value = evaluate_chain(network, chain, replicate_distribution(network, dist))
+            value = evaluate_chain(network, recipe.chain, replicate_distribution(network, dist))
             closed = chain_closed_form(recipe, channel, dist)
             tag = f"k={k}" if spec["parametric"] else "fixed size"
             print(f"{args.bound} {tag}: chain {_fmt(value.total)}, closed form {_fmt(closed)}")
     return VERIFY_ERROR if failures else 0
 
 
-def _load_problem(path: str) -> ProverProblem:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+def _problem_from_doc(doc, path: str) -> ProverProblem:
     if not isinstance(doc, dict) or not {"variables", "target"} <= doc.keys():
-        raise UsageError(f"problem file {path!r} needs an object with 'variables' and 'target'")
+        raise UsageError("needs an object with 'variables' and 'target'")
     variables, entries = doc["variables"], doc.get("constraints", [])
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-        raise UsageError(f"problem file {path!r}: 'variables' must be a list of names")
+        raise UsageError("'variables' must be a list of names")
     if not isinstance(entries, list) or not all(
         isinstance(c, dict) and "expr" in c and isinstance(c.get("name", ""), str) for c in entries
     ):
-        raise UsageError(f"problem file {path!r}: 'constraints' must be a list of {{name, expr}} objects")
+        raise UsageError("'constraints' must be a list of {name, expr} objects")
     variables = tuple(variables)
-    try:
-        return ProverProblem(
-            variables=variables,
-            constraints=tuple(
-                (c.get("name", f"constraint {i}"), expr_from_names(variables, c["expr"]))
-                for i, c in enumerate(entries, start=1)
-            ),
-            target=expr_from_names(variables, doc["target"]),
-            name=doc.get("name", path),
-        )
-    except ProverError as exc:
-        raise UsageError(f"problem file {path!r}: {exc}") from exc
+    return ProverProblem(
+        variables=variables,
+        constraints=tuple(
+            (c.get("name", f"constraint {i}"), expr_from_names(variables, c["expr"]))
+            for i, c in enumerate(entries, start=1)
+        ),
+        target=expr_from_names(variables, doc["target"]),
+        name=doc.get("name", path),
+    )
 
 
 def cmd_prove(args) -> int:
     if args.problem:
-        problems = [_load_problem(args.problem)]
+        problems = [_load_file(args.problem, "problem", lambda doc: _problem_from_doc(doc, args.problem))]
     else:
         problems = appendix_targets(args.bound)
     failures = 0
@@ -335,8 +349,9 @@ def main(argv=None) -> int:
     if args.command == "prove" and bool(args.bound) == bool(args.problem):
         parser.error("prove needs exactly one of --bound or --problem")
     try:
+        atom_budget()  # a bad DICBOUND_BUDGET_ATOMS fails before any output
         return args.func(args)
-    except (UsageError, UnsupportedBoundError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (UsageError, UnsupportedBoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except DicboundError as exc:

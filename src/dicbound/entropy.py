@@ -11,11 +11,12 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from numbers import Integral, Real
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .channels import DeterministicChannel
-from .errors import DicboundError, DistributionError
+from .errors import DicboundError, DistributionError, UsageError
 
 NORMALIZATION_TOL = 1e-9
 DEFAULT_ATOM_BUDGET = 1 << 22
@@ -24,15 +25,16 @@ _VAR_RE = re.compile(r"^([XVY])(\d+)(?:\^(\d+))?$")
 
 
 def atom_budget() -> int:
-    """Source-atom cap, overridable through DICBOUND_BUDGET_ATOMS."""
+    """Source-atom cap, overridable through DICBOUND_BUDGET_ATOMS; a bad
+    setting is a ``UsageError``."""
     raw = os.environ.get("DICBOUND_BUDGET_ATOMS")
     if raw:
         try:
             cap = int(raw)
         except ValueError as exc:
-            raise DicboundError(f"DICBOUND_BUDGET_ATOMS is not an integer: {raw!r}") from exc
+            raise UsageError(f"DICBOUND_BUDGET_ATOMS is not an integer: {raw!r}") from exc
         if cap < 1:
-            raise DicboundError(f"DICBOUND_BUDGET_ATOMS must be at least 1, got {raw!r}")
+            raise UsageError(f"DICBOUND_BUDGET_ATOMS must be at least 1, got {raw!r}")
         return cap
     return DEFAULT_ATOM_BUDGET
 
@@ -88,7 +90,9 @@ class SourceDistribution:
         self.mode = mode
         self.sizes = tuple(int(s) for s in sizes)
         if mode == "product":
-            tables = tuple(tuple(float(p) for p in t) for t in probs)
+            if not isinstance(probs, (list, tuple)):
+                raise DistributionError(f"a product law is a list of per-source tables, got {probs!r}")
+            tables = tuple(_probabilities(t) for t in probs)
             if len(tables) != len(self.sizes):
                 raise DistributionError("one probability table per source required")
             for size, table in zip(self.sizes, tables):
@@ -100,11 +104,12 @@ class SourceDistribution:
             self.tables = tables
             self.joint = None
         else:
-            joint = {tuple(k): float(p) for k, p in probs.items()} if isinstance(probs, dict) else None
-            if joint is None:
+            if isinstance(probs, dict):
+                joint = dict(zip(probs, _probabilities(list(probs.values()))))
+            else:
                 # flat list over the full tuple space, row-major
                 total = math.prod(self.sizes)
-                flat = [float(p) for p in probs]
+                flat = _probabilities(probs)
                 if len(flat) != total:
                     raise DistributionError(
                         f"joint table length {len(flat)} does not match tuple space {total}"
@@ -119,13 +124,17 @@ class SourceDistribution:
                             rem //= size
                         joint[tuple(reversed(key))] = p
             for key, p in joint.items():
-                if len(key) != len(self.sizes) or any(
-                    not 0 <= s < size for s, size in zip(key, self.sizes)
+                if not (
+                    isinstance(key, tuple)
+                    and len(key) == len(self.sizes)
+                    and all(isinstance(s, Integral) and 0 <= s < size for s, size in zip(key, self.sizes))
                 ):
-                    raise DistributionError(f"joint atom {key} outside the source tuple space")
+                    raise DistributionError(
+                        f"joint atom {key!r} is not a tuple of integers in the source tuple space"
+                    )
                 if p < 0:
                     raise DistributionError(f"negative probability {p} at {key}")
-            if abs(math.fsum(joint.values()) - 1.0) > NORMALIZATION_TOL:
+            if not abs(math.fsum(joint.values()) - 1.0) <= NORMALIZATION_TOL:
                 raise DistributionError("joint table does not sum to 1 within 1e-9")
             self.tables = None
             self.joint = dict(sorted(joint.items()))
@@ -134,7 +143,7 @@ class SourceDistribution:
     def _check_table(table):
         if any(p < 0 for p in table):
             raise DistributionError("negative probability entry")
-        if abs(math.fsum(table) - 1.0) > NORMALIZATION_TOL:
+        if not abs(math.fsum(table) - 1.0) <= NORMALIZATION_TOL:
             raise DistributionError("probability table does not sum to 1 within 1e-9")
 
     @classmethod
@@ -160,10 +169,17 @@ class SourceDistribution:
 
 
 def distribution_from_dict(data: dict, sizes: Sequence[int]) -> SourceDistribution:
-    mode = data.get("mode", "product")
-    if mode == "product":
-        return SourceDistribution("product", sizes, data["probs"])
-    return SourceDistribution("joint", sizes, data["probs"])
+    """A law from its document form: {"mode": "product" | "joint", "probs": ...}."""
+    if not isinstance(data, dict) or "probs" not in data:
+        raise DistributionError("distribution document must be an object with 'probs'")
+    return SourceDistribution(data.get("mode", "product"), sizes, data["probs"])
+
+
+def _probabilities(values) -> tuple[float, ...]:
+    """A list of probabilities as floats; anything else is a ``DistributionError``."""
+    if not isinstance(values, (list, tuple)) or not all(isinstance(p, Real) for p in values):
+        raise DistributionError(f"expected a list of probabilities, got {values!r}")
+    return tuple(float(p) for p in values)
 
 
 @dataclass(frozen=True)

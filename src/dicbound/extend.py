@@ -24,14 +24,16 @@ from typing import Mapping, Sequence
 
 from .channels import DeterministicChannel
 from .entropy import SourceDistribution, V, X, Y, conditional_entropy, induce_joint
-from .errors import ChainValidationError, DicboundError, RecipeError, UnsupportedBoundError
-from .gcs import CutChain, evaluate_chain, validate_chain
+from .errors import DicboundError, RecipeError, UnsupportedBoundError
+from .gcs import CutChain, evaluate_chain
 from .networks import (
     NetworkGraph,
     Replica,
     base_network,
     cond_entropy_network,
     network_entropy,
+    node_labels,
+    replicas_from_counts,
     replicate_distribution,
 )
 
@@ -79,41 +81,29 @@ class ReplicationRecipe:
         return dict(self.wiring)
 
     def replicas(self) -> tuple[Replica, ...]:
-        return tuple(
-            (u + 1, c) for u in range(len(self.counts)) for c in range(1, self.counts[u] + 1)
-        )
+        return replicas_from_counts(self.counts)
 
 
 def build_extended(channel: DeterministicChannel, recipe: ReplicationRecipe) -> NetworkGraph:
-    """Instantiate the recipe on a channel; every replica reuses the base tables."""
-    if len(recipe.counts) != channel.user_count:
-        raise RecipeError(
-            f"recipe has {len(recipe.counts)} users, channel has {channel.user_count}"
-        )
-    for count in recipe.counts:
-        if count < 1:
-            raise RecipeError("replica counts must be positive")
-    wmap = recipe.wiring_map()
-    replicas = recipe.replicas()
-    for r in replicas:
-        wired = wmap.get(r)
-        if wired is None:
-            raise RecipeError(f"recipe does not wire receiver {r}")
-        for u, c in wired:
-            if not 1 <= c <= recipe.counts[u - 1]:
-                raise RecipeError(f"receiver {r} wired to out-of-range replica ({u},{c})")
-    return NetworkGraph(channel=channel, replicas=replicas, wiring=tuple(sorted(wmap.items())))
+    """Instantiate the recipe on a channel; every replica reuses the base tables.
+
+    ``NetworkGraph`` checks the recipe's replicas and wiring against the channel.
+    """
+    return NetworkGraph(channel=channel, replicas=recipe.replicas(), wiring=recipe.wiring)
 
 
 def recipe_from_dict(data: dict) -> ReplicationRecipe:
     """Recipe file form: {"counts": [..], "wiring": {"1^1": {"2": 1, ...}, ...}}."""
-    counts = tuple(int(c) for c in data["counts"])
-    wiring = []
-    for key, wires in data["wiring"].items():
-        user_s, _, copy_s = key.partition("^")
-        rx = (int(user_s), int(copy_s) if copy_s else 1)
-        wired = tuple(sorted((int(u), int(c)) for u, c in wires.items()))
-        wiring.append((rx, wired))
+    try:
+        counts = tuple(int(c) for c in data["counts"])
+        wiring = []
+        for key, wires in data["wiring"].items():
+            user_s, _, copy_s = key.partition("^")
+            rx = (int(user_s), int(copy_s) if copy_s else 1)
+            wired = tuple(sorted((int(u), int(c)) for u, c in wires.items()))
+            wiring.append((rx, wired))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise RecipeError(f"malformed recipe document: {exc!r}") from exc
     return ReplicationRecipe(counts=counts, wiring=tuple(sorted(wiring)))
 
 
@@ -199,9 +189,7 @@ def derive_closed_terms(
             known.setdefault(target, ("peeled", target))
             for w in wiring[target]:
                 known.setdefault(w, ("recovered", target))
-    all_replicas = {
-        (u + 1, c) for u in range(len(counts)) for c in range(1, counts[u] + 1)
-    }
+    all_replicas = set(replicas_from_counts(counts))
     if peeled != all_replicas:
         raise RecipeError(f"peel order misses replicas {sorted(all_replicas - peeled)}")
     return tuple(terms)
@@ -296,13 +284,13 @@ def _instantiate(spec: dict, k: int | None):
 
 
 def _chain_from_peel(counts: Sequence[int], peel: Sequence[Sequence[Replica]]) -> CutChain:
-    replicas = [(u + 1, c) for u in range(len(counts)) for c in range(1, counts[u] + 1)]
-    remaining = set(replicas)
+    labels = {r: node_labels(r) for r in replicas_from_counts(counts)}
+    remaining = set(labels)
     subsets = []
     for level in peel:
-        sources = frozenset(f"S{u}^{c}" for u, c in remaining)
+        sources = frozenset(labels[r][0] for r in remaining)
         remaining -= set(level)
-        dests = frozenset(f"D{u}^{c}" for u, c in remaining)
+        dests = frozenset(labels[r][1] for r in remaining)
         subsets.append(sources | dests)
     return CutChain(tuple(subsets))
 
@@ -335,13 +323,6 @@ def builtin_recipe(bound_id: str, k: int | None = None) -> BoundRecipe:
         reconstructed=spec.get("reconstructed", False),
         recovery_notes=tuple(spec.get("recovery", [])),
     )
-
-
-def recipe_chain(bound: BoundRecipe, network: NetworkGraph) -> CutChain:
-    violations = validate_chain(network, bound.chain)
-    if violations:
-        raise ChainValidationError(violations)
-    return bound.chain
 
 
 # -- verification --------------------------------------------------------------
@@ -425,9 +406,8 @@ def verify_chain_identity(
     for k in ks:
         recipe = builtin_recipe(bound_id, k)
         network = build_extended(channel, recipe.recipe)
-        chain = recipe_chain(recipe, network)
         rdist = replicate_distribution(network, dist)
-        value = evaluate_chain(network, chain, rdist)
+        value = evaluate_chain(network, recipe.chain, rdist)
         closed_terms = [_term_value(t, table) for t in recipe.closed_terms]
         closed_by_level: dict[int, float] = {}
         for t, v in zip(recipe.closed_terms, closed_terms):

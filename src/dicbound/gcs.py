@@ -77,14 +77,13 @@ def _chain_levels(network: NetworkGraph, chain: CutChain):
         omega_prev, omega = full[j - 1], full[j]
         targets = set()
         cond = set()
-        for src, dst in network.pairs():
-            _, replica = network.replica_of_node(dst)
+        for (user, copy), (src, dst) in zip(network.replicas, network.pairs()):
             if dst in omega_prev and dst not in omega:
-                targets.add(VariableId("Y", replica[0], replica[1]))
+                targets.add(VariableId("Y", user, copy))
             if dst not in omega_prev:
-                cond.add(VariableId("Y", replica[0], replica[1]))
+                cond.add(VariableId("Y", user, copy))
             if src not in omega:
-                cond.add(VariableId("X", replica[0], replica[1]))
+                cond.add(VariableId("X", user, copy))
         levels.append((targets, cond))
     return levels
 

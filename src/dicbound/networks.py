@@ -3,6 +3,9 @@
 A network is a set of (user, copy) replicas; each replica has a source node
 transmitting X and a destination node receiving Y.  Every receiver reuses the
 base channel functions and is wired to exactly one replica of each other user.
+This module owns that model: ``replicas_from_counts`` lists the replicas,
+``NetworkGraph`` is the one check of replicas and wiring, and ``node_labels``
+is the one node-label format.
 
 This module holds the one entropy engine: ``source_atoms`` enumerates source
 atoms (and is the only place that checks a law against a network and enforces
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .channels import DeterministicChannel, validate_channel
+from .channels import DeterministicChannel
 from .entropy import (
     SourceDistribution,
     VariableId,
@@ -33,14 +36,27 @@ from .errors import BudgetExceededError, DicboundError, DistributionError, Recip
 Replica = tuple[int, int]  # (user, copy), both 1-based
 
 
-def _fmt_replica(replica: Replica, base: bool) -> str:
+def replicas_from_counts(counts: Sequence[int]) -> tuple[Replica, ...]:
+    """Copies 1..counts[u-1] of every user u, user-major."""
+    return tuple((u, c) for u, n in enumerate(counts, start=1) for c in range(1, n + 1))
+
+
+def node_labels(replica: Replica, base: bool = False) -> tuple[str, str]:
+    """(source, destination) labels of a replica: S1/D1 on a base network,
+    S1^2/D2^1 on a replicated one."""
     user, copy = replica
-    return f"{user}" if base else f"{user}^{copy}"
+    tag = f"{user}" if base else f"{user}^{copy}"
+    return "S" + tag, "D" + tag
 
 
 @dataclass(frozen=True)
 class NetworkGraph:
-    """One-hop K-unicast network: sources transmit only, destinations receive only."""
+    """One-hop K-unicast network: sources transmit only, destinations receive only.
+
+    The one validator of replica structure and wiring: the replicas are
+    copies 1..k of every channel user, and every replica's receiver, and no
+    other, is wired to one replica of each other user, in user order.
+    """
 
     channel: DeterministicChannel
     replicas: tuple[Replica, ...]
@@ -49,18 +65,25 @@ class NetworkGraph:
     _wiring_map: Mapping[Replica, tuple[Replica, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        report = validate_channel(self.channel)
-        if not report.valid:
+        if not self.channel.valid:
             raise RecipeError("channel fails interference recoverability; refusing to build network")
         counts: dict[int, int] = {}
         for user, copy in self.replicas:
             counts[user] = max(counts.get(user, 0), copy)
-        if set(counts) != set(range(1, self.channel.user_count + 1)):
-            raise RecipeError("replicas must cover every channel user")
-        expected = sorted((u, c) for u in counts for c in range(1, counts[u] + 1))
-        if sorted(self.replicas) != expected:
+        users = sorted(counts)
+        if users != list(range(1, self.channel.user_count + 1)):
+            raise RecipeError(
+                f"replicas cover {len(users)} users {users}, channel has {self.channel.user_count}"
+            )
+        if sorted(self.replicas) != list(replicas_from_counts([counts[u] for u in users])):
             raise RecipeError("replica copies must be dense 1..k per user")
         wmap = dict(self.wiring)
+        if len(wmap) != len(self.wiring):
+            raise RecipeError("a receiver is wired twice")
+        replicas = set(self.replicas)
+        stray = sorted(set(wmap) - replicas)
+        if stray:
+            raise RecipeError(f"wiring for receivers {stray}, which are not replicas")
         for r in self.replicas:
             user, _ = r
             others = tuple(j + 1 for j in self.channel.interferers(user - 1))
@@ -72,7 +95,7 @@ class NetworkGraph:
                     f"replica {r} must be wired to users {others} in order, got {wired}"
                 )
             for w in wired:
-                if w not in set(self.replicas):
+                if w not in replicas:
                     raise RecipeError(f"replica {r} wired to unknown replica {w}")
         object.__setattr__(self, "_wiring_map", wmap)
 
@@ -82,34 +105,17 @@ class NetworkGraph:
         return self._wiring_map[replica]
 
     def source_label(self, replica: Replica) -> str:
-        return "S" + _fmt_replica(replica, self.base_labels)
+        return node_labels(replica, self.base_labels)[0]
 
     def dest_label(self, replica: Replica) -> str:
-        return "D" + _fmt_replica(replica, self.base_labels)
+        return node_labels(replica, self.base_labels)[1]
 
     def nodes(self) -> frozenset[str]:
-        labels = set()
-        for r in self.replicas:
-            labels.add(self.source_label(r))
-            labels.add(self.dest_label(r))
-        return frozenset(labels)
+        return frozenset(label for pair in self.pairs() for label in pair)
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple((self.source_label(r), self.dest_label(r)) for r in self.replicas)
-
-    def replica_of_node(self, label: str) -> tuple[str, Replica]:
-        """Return (role, replica) for a node label like 'S1', 'D2^3'."""
-        if not label or label[0] not in ("S", "D"):
-            raise DicboundError(f"bad node label {label!r}")
-        body = label[1:]
-        user_s, _, copy_s = body.partition("^")
-        try:
-            replica = (int(user_s), int(copy_s) if copy_s else 1)
-        except ValueError:
-            raise DicboundError(f"bad node label {label!r}") from None
-        if replica not in self._wiring_map:
-            raise DicboundError(f"node {label!r} not in this network")
-        return ("source" if label[0] == "S" else "destination", replica)
+        """(source, destination) labels per replica, in replica order."""
+        return tuple(node_labels(r, self.base_labels) for r in self.replicas)
 
     # -- variables ----------------------------------------------------------
 

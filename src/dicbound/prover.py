@@ -28,7 +28,7 @@ from scipy.optimize import linprog
 from .entropy import VariableId
 from .errors import ProverError, UnsupportedBoundError
 from .exactlp import solve_feasibility
-from .networks import NetworkGraph, network_entropy
+from .networks import NetworkGraph, network_entropy, replicas_from_counts
 
 MAX_VARIABLES = 12
 
@@ -227,9 +227,7 @@ def dic_constraints(
     """
     if user_count not in (2, 3) or len(replica_counts) != user_count:
         raise ProverError("replica_counts must list one positive count per user")
-    replicas = [
-        (u + 1, c) for u in range(user_count) for c in range(1, replica_counts[u] + 1)
-    ]
+    replicas = replicas_from_counts(replica_counts)
     variables = tuple(
         str(VariableId(kind, u, c)) for u, c in replicas for kind in ("X", "V", "Y")
     )

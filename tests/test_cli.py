@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicbound.cli import main
 from dicbound.extend import builtin_recipe, recipe_to_dict
@@ -138,6 +144,10 @@ def run_cli_exit(capsys, *argv):
         ("extend", "--bound", "4e", "--k", "7..9", "--channel", "xor2"),
         ("extend", "--bound", "ineq5", "--k", "7", "--channel", "concat3", "--verify"),
         ("prove", "--bound", "nope"),
+        ("extend", "--bound", "ineq5", "--channel", "xor2"),  # 3-user bound, 2-user channel
+        ("region", "--channel", "concat3", "--out", "svg"),
+        ("gcs", "--enumerate"),  # neither --channel nor --network
+        ("gcs", "--channel", "xor2"),  # neither --chain nor --enumerate
     ],
 )
 def test_bad_numeric_arguments_are_usage_errors(capsys, argv):
@@ -164,3 +174,158 @@ def test_malformed_problem_file_is_usage_error(capsys, tmp_path, doc):
     code, _, err = run_cli_exit(capsys, "prove", "--problem", str(path))
     assert code == 2
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("raw", ["lots", "0", "-5"])
+def test_bad_budget_setting_is_usage_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("DICBOUND_BUDGET_ATOMS", raw)
+    code, out, err = run_cli_exit(capsys, "compare", "--channel", "xor2", "--samples", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "DICBOUND_BUDGET_ATOMS" in err
+
+
+XOR2_DOC = {"user_count": 2, "alphabet_sizes": [2, 2], "g": [[0, 1], [0, 1]], "f": [[0, 1, 1, 0]] * 2}
+NETWORK_4F = {"channel": {"family": "xor2"}, "recipe": {"counts": [2, 1], "wiring": {
+    "1^1": {"2": 1}, "1^2": {"2": 1}, "2^1": {"1": 1}}}}
+
+# id -> (option, file name, file text): each file is malformed for that option
+MALFORMED_FILES = {
+    "dist-list": ("--dist", "dist.json", "[0.5, 0.5]"),
+    "dist-string-keys": (
+        "--dist", "dist.json", json.dumps({"mode": "joint", "probs": {"00": 0.5, "11": 0.5}})
+    ),
+    "dist-joint-length": ("--dist", "dist.json", json.dumps({"mode": "joint", "probs": [0.5, 0.5]})),
+    "dist-sum": ("--dist", "dist.json", json.dumps({"probs": [[0.5, 0.4], [0.5, 0.5]]})),
+    "dist-not-numbers": ("--dist", "dist.json", json.dumps({"probs": [["a", "b"], [0.5, 0.5]]})),
+    "dist-not-json": ("--dist", "dist.json", "{not json"),
+    "channel-string-entry": (
+        "--channel", "channel.json", json.dumps({**XOR2_DOC, "g": [[0, "a"], [0, 1]]})
+    ),
+    "channel-float-entry": (
+        "--channel", "channel.json", json.dumps({**XOR2_DOC, "f": [[0, 1, 1, 0.5], [0, 1, 1, 0]]})
+    ),
+    "channel-float-user-count": ("--channel", "channel.json", json.dumps({**XOR2_DOC, "user_count": 2.0})),
+    "channel-string-size": ("--channel", "channel.json", json.dumps({**XOR2_DOC, "alphabet_sizes": ["2", 2]})),
+    "channel-params": (
+        "--channel", "channel.json", json.dumps({"family": "shift2", "params": "2,2,1"})
+    ),
+    "channel-list": ("--channel", "channel.json", "[1, 2]"),
+    "network-no-wiring": (
+        "--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {"counts": [2, 1]}})
+    ),
+    "network-no-channel": ("--network", "net.json", json.dumps({"recipe": NETWORK_4F["recipe"]})),
+    "network-wiring-list": (
+        "--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {"counts": [2, 1], "wiring": [1]}})
+    ),
+    "network-stray-receiver": (  # receiver 1^5 is not a replica
+        "--network",
+        "net.json",
+        json.dumps({**NETWORK_4F, "recipe": {**NETWORK_4F["recipe"], "wiring": {
+            **NETWORK_4F["recipe"]["wiring"], "1^5": {"2": 1}}}}),
+    ),
+    "chain-object": ("--chain", "chain.json", json.dumps({"a": ["S1"]})),
+    "chain-flat-list": ("--chain", "chain.json", json.dumps(["S1", "D1"])),
+}
+
+
+@pytest.mark.parametrize("option,name,text", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+def test_malformed_input_file_is_usage_error(capsys, tmp_path, option, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    argv = {
+        "--dist": ("region", "--channel", "xor2", "--dist", str(path)),
+        "--channel": ("region", "--channel", str(path)),
+        "--network": ("gcs", "--network", str(path), "--enumerate"),
+        "--chain": ("gcs", "--channel", "xor2", "--chain", str(path)),
+    }[option]
+    code, out, err = run_cli_exit(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+# Inputs for the fuzzing test: one good and some malformed files per option.
+FUZZ_FILES = {
+    "ok-dist.json": json.dumps({"probs": [[0.5, 0.5], [0.25, 0.75]]}),
+    "joint-dist.json": json.dumps({"mode": "joint", "probs": [0.25, 0.25, 0.25, 0.25]}),
+    "ok-channel.json": json.dumps(XOR2_DOC),
+    "ok-net.json": json.dumps(NETWORK_4F),
+    "ok-chain.json": json.dumps([["S1", "S2", "D1"], ["S1"]]),
+    "unknown-chain.json": json.dumps([["S9"]]),
+    "ok-problem.json": json.dumps({"variables": ["A", "B"], "target": {"A B": 1, "A": -1}}),
+    "false-problem.json": json.dumps({"variables": ["A", "B"], "target": {"A": 1, "A B": -1}}),
+    "bad-problem.json": json.dumps({"variables": ["A", "A"], "target": {"A": 1}}),
+}
+FUZZ_FILES.update({f"bad-{case}-{name}": text for case, (_, name, text) in MALFORMED_FILES.items()})
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-inputs")
+    paths = {}
+    for name, text in FUZZ_FILES.items():
+        (root / name).write_text(text)
+        paths[name] = str(root / name)
+    return paths
+
+
+def _files(paths, kind):
+    return sorted(p for name, p in paths.items() if name.endswith(f"-{kind}.json"))
+
+
+@st.composite
+def cli_argv(draw, paths):
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    def maybe(*args):
+        return list(args) if draw(st.booleans()) else []
+
+    # good values come more than once, so that most runs get past argument checks
+    good_channels = ["xor2", "shift2:2,2,1", "concat3", paths["ok-channel.json"]]
+    channels = good_channels * 4 + ["nosuch", "shift2:1,2"] + _files(paths, "channel")
+    dists = ["uniform", "seed:3", paths["ok-dist.json"], paths["joint-dist.json"]] * 4
+    dists += ["seed:x"] + _files(paths, "dist")
+    command = pick(["validate", "region", "gcs", "extend", "prove", "compare"])
+    argv = [command]
+    if command == "validate":
+        argv += ["--channel", pick(channels)]
+    elif command == "region":
+        argv += ["--channel", pick(channels)] + maybe("--dist", pick(dists))
+        argv += maybe("--samples", pick(["1", "2", "0", "x"])) + maybe("--out", pick(["csv", "svg"]))
+    elif command == "gcs":
+        channel, network = ["--channel", pick(channels)], ["--network", pick(_files(paths, "net"))]
+        argv += pick([channel, network] * 3 + [channel + network, []]) + maybe("--dist", pick(dists))
+        if draw(st.booleans()):
+            argv += ["--enumerate"] + maybe("--max-l", pick(["1", "2", "0"]))
+        else:
+            argv += maybe("--chain", pick(_files(paths, "chain")))
+    elif command == "extend":
+        argv += ["--bound", pick(["4a", "4e", "4f", "ineq5", "nope"]), "--channel", pick(channels)]
+        argv += maybe("--k", pick(["1", "1..2", "2"] * 3 + ["0", "9", "2..1", "x"])) + maybe("--verify")
+        argv += maybe("--dist", pick(dists))
+    elif command == "prove":
+        bound = ["--bound", pick(["4a", "4c", "4f", "nope"])]
+        problem = ["--problem", pick(_files(paths, "problem"))]
+        argv += pick([bound, problem] * 3 + [bound + problem, []])
+    else:
+        argv += ["--channel", pick(channels)] + maybe("--samples", pick(["1", "2", "0"]))
+    argv += maybe("--seed", pick(["0", "7"] * 4 + ["x"]))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), budget=st.sampled_from([None] * 6 + ["64", "lots", "0"]))
+def test_cli_exit_codes_over_the_argument_surface(fuzz_files, data, budget):
+    argv = data.draw(cli_argv(fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop("DICBOUND_BUDGET_ATOMS", None)
+        if budget is not None:
+            os.environ["DICBOUND_BUDGET_ATOMS"] = budget
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse answers a bad argument with exit 2
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == "", argv

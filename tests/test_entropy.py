@@ -93,6 +93,22 @@ def test_distribution_validation():
         SourceDistribution("joint", [2, 2], [0.5, 0.5, 0.25, -0.25])
     uniform_joint = SourceDistribution("joint", [2, 2], [0.25] * 4)
     assert len(uniform_joint.joint) == 4
+    # joint keys must be tuples of in-range integers, probabilities numbers
+    for probs in (
+        {"00": 0.5, "11": 0.5},  # string keys, as a JSON object gives them
+        {(0, 2): 1.0},
+        {(0,): 1.0},
+        {(0.0, 1.0): 1.0},
+        {0: 1.0},
+        {(0, 0): "1"},
+        [0.25, 0.25, 0.25, None],
+        0.5,
+    ):
+        with pytest.raises(DistributionError):
+            SourceDistribution("joint", [2, 2], probs)
+    for probs in ([["0.5", "0.5"], [0.5, 0.5]], [0.5, 0.5], "ab", [[float("nan"), 1.0], [0.5, 0.5]]):
+        with pytest.raises(DistributionError):
+            SourceDistribution("product", [2, 2], probs)
 
 
 def test_induce_joint_dimension_mismatch(xor2):

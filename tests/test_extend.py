@@ -11,7 +11,6 @@ from dicbound.extend import (
     builtin_recipe,
     chain_closed_form,
     limit_bound,
-    recipe_chain,
     recipe_from_dict,
     recipe_to_dict,
     supported_bounds,
@@ -139,7 +138,7 @@ def test_identity_against_materialized_joint(shift2_221):
     net = build_extended(shift2_221, recipe.recipe)
     dist = sample_product_distribution([4, 4], 31, 0)
     rdist = replicate_distribution(net, dist)
-    chain = recipe_chain(recipe, net)
+    chain = recipe.chain
     reduced = evaluate_chain(net, chain, rdist)
     table = induce_joint(net, rdist)
     full = [frozenset(net.nodes())] + list(chain.subsets)
@@ -291,7 +290,7 @@ def test_reduced_evaluation_matches_materialized_joint_broadly(xor2, concat3):
         net = build_extended(channel, recipe.recipe)
         dist = sample_product_distribution(channel.input_sizes, 404, 1)
         rdist = replicate_distribution(net, dist)
-        chain = recipe_chain(recipe, net)
+        chain = recipe.chain
         reduced = evaluate_chain(net, chain, rdist)
         table = induce_joint(net, rdist)
         full = [frozenset(net.nodes())] + list(chain.subsets)
@@ -388,3 +387,62 @@ def test_asymmetric_custom_channel_through_the_stack():
             assert abs(bits - vector[bound_id]) < 1e-9, bound_id
         rates = verify_replica_rates(channel, builtin_recipe("4e", 3).recipe, dist)
         assert rates.max_deviation <= 1e-12
+
+
+def test_wiring_for_a_receiver_that_is_not_a_replica_is_rejected(xor2):
+    from dicbound.networks import NetworkGraph
+
+    wiring = (((1, 1), ((2, 1),)), ((1, 5), ((2, 1),)), ((2, 1), ((1, 1),)))
+    with pytest.raises(RecipeError, match=r"\(1, 5\)"):
+        build_extended(xor2, ReplicationRecipe(counts=(1, 1), wiring=wiring))
+    with pytest.raises(RecipeError, match="not replicas"):
+        NetworkGraph(channel=xor2, replicas=((1, 1), (2, 1)), wiring=wiring)
+
+
+def test_user_count_mismatch_names_both_counts(xor2):
+    from dicbound.networks import NetworkGraph
+
+    replicas = ((1, 1), (2, 1), (3, 1))
+    wiring = tuple((r, tuple(w for w in replicas if w != r)) for r in replicas)
+    with pytest.raises(RecipeError, match=r"3 users.*channel has 2"):
+        NetworkGraph(channel=xor2, replicas=replicas, wiring=wiring)
+    with pytest.raises(RecipeError, match=r"3 users.*channel has 2"):
+        build_extended(xor2, builtin_recipe("ineq5", 1).recipe)
+
+
+def test_channel_validity_checked_once_per_channel(monkeypatch):
+    import dicbound.channels
+    import dicbound.networks
+
+    calls = []
+    real = dicbound.channels.validate_channel
+
+    def counting(channel):
+        calls.append(channel)
+        return real(channel)
+
+    monkeypatch.setattr(dicbound.channels, "validate_channel", counting)
+    monkeypatch.setattr(dicbound.networks, "validate_channel", counting, raising=False)
+    channel = builtin_channel("shift2", [2, 2, 1])
+    for k in range(1, 6):
+        base_network(channel)
+        build_extended(channel, builtin_recipe("4e", k).recipe)
+    assert len(calls) == 1
+
+
+def test_identity_check_validates_each_chain_once(xor2, monkeypatch):
+    import dicbound.extend
+    import dicbound.gcs
+
+    calls = []
+    real = dicbound.gcs.validate_chain
+
+    def counting(network, chain):
+        calls.append(chain)
+        return real(network, chain)
+
+    monkeypatch.setattr(dicbound.gcs, "validate_chain", counting)
+    monkeypatch.setattr(dicbound.extend, "validate_chain", counting, raising=False)
+    report = verify_chain_identity("4e", xor2, UNIFORM2, k_range=[1, 2, 3])
+    assert report.ok
+    assert len(calls) == 3
