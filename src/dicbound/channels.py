@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 from .errors import ChannelFormatError, DicboundError
 
@@ -24,7 +25,7 @@ class Alphabet:
     size: int
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 1:
+        if not isinstance(self.size, Integral) or self.size < 1:
             raise ChannelFormatError(f"alphabet size must be an integer >= 1, got {self.size!r}")
 
 
@@ -45,7 +46,7 @@ class DeterministicChannel:
     y_sizes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.user_count, int) or self.user_count not in (2, 3):
+        if not isinstance(self.user_count, Integral) or self.user_count not in (2, 3):
             raise ChannelFormatError(f"user_count must be 2 or 3, got {self.user_count}")
         if len(self.input_sizes) != self.user_count:
             raise ChannelFormatError("one input alphabet per user required")
@@ -55,7 +56,7 @@ class DeterministicChannel:
             raise ChannelFormatError("one g table and one f table per user required")
         for name, tables in (("g", self.g), ("f", self.f)):
             for i, table in enumerate(tables):
-                if not all(isinstance(v, int) and v >= 0 for v in table):
+                if not all(isinstance(v, Integral) and v >= 0 for v in table):
                     raise ChannelFormatError(
                         f"{name} table for user {i + 1} has a symbol that is not a non-negative integer"
                     )
@@ -195,7 +196,7 @@ def channel_from_dict(data: dict) -> DeterministicChannel:
     if "family" in data:
         params = data.get("params")
         if params is not None and not (
-            isinstance(params, list) and all(isinstance(p, int) for p in params)
+            isinstance(params, list) and all(isinstance(p, Integral) for p in params)
         ):
             raise ChannelFormatError(f"channel params must be a list of integers, got {params!r}")
         return builtin_channel(data["family"], params)

@@ -49,8 +49,9 @@ def _fmt(x: float) -> str:
 
 def _load_file(path: str, what: str, build):
     """``build`` applied to a JSON input file's document.  The one loading path
-    for input files: an unreadable, unparsable or malformed file is a
-    ``UsageError`` naming the file."""
+    for the --dist, --network, --chain and --problem files (channel files load
+    through ``channels.load_channel``): an unreadable, unparsable or malformed
+    file is a ``UsageError`` naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return build(json.load(fh))
@@ -59,11 +60,9 @@ def _load_file(path: str, what: str, build):
 
 
 def _resolve_channel(ref: str):
-    if ref.endswith(".json"):
-        return _load_file(ref, "channel", channel_from_dict)
     try:
         return load_channel(ref)
-    except (DicboundError, ValueError) as exc:
+    except (DicboundError, OSError, ValueError) as exc:
         raise UsageError(f"cannot load channel {ref!r}: {exc}") from exc
 
 
@@ -142,14 +141,14 @@ def _load_network(args):
     channel = _resolve_channel(args.channel) if args.channel else None
     if args.network:
 
-        def build(doc):
+        def parse(doc):
             if not isinstance(doc, dict) or "recipe" not in doc or not (channel or "channel" in doc):
                 raise UsageError("needs an object with 'recipe' and, without --channel, 'channel'")
-            return build_extended(
-                channel or channel_from_dict(doc["channel"]), recipe_from_dict(doc["recipe"])
-            )
+            return channel or channel_from_dict(doc["channel"]), recipe_from_dict(doc["recipe"])
 
-        return _load_file(args.network, "network", build)
+        # A well-formed recipe that fails the network checks, or a channel that
+        # fails recoverability, is a validation failure (exit 1), not a usage error.
+        return build_extended(*_load_file(args.network, "network", parse))
     if channel is None:
         raise UsageError("either --channel or --network is required")
     return base_network(channel)

@@ -38,6 +38,8 @@ Replica = tuple[int, int]  # (user, copy), both 1-based
 
 def replicas_from_counts(counts: Sequence[int]) -> tuple[Replica, ...]:
     """Copies 1..counts[u-1] of every user u, user-major."""
+    if any(n < 1 for n in counts):
+        raise RecipeError(f"replica counts must be positive, got {list(counts)}")
     return tuple((u, c) for u, n in enumerate(counts, start=1) for c in range(1, n + 1))
 
 

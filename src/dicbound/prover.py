@@ -225,7 +225,7 @@ def dic_constraints(
     the wired V's are recoverable from (X, Y); Y is a function of all inputs.
     Plus one joint source-independence equality.
     """
-    if user_count not in (2, 3) or len(replica_counts) != user_count:
+    if user_count not in (2, 3) or len(replica_counts) != user_count or min(replica_counts) < 1:
         raise ProverError("replica_counts must list one positive count per user")
     replicas = replicas_from_counts(replica_counts)
     variables = tuple(

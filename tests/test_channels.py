@@ -78,6 +78,23 @@ def test_malformed_tables_raise_structural_error():
         channel_from_dict({"user_count": 2, "alphabet_sizes": [2, 2], "g": [[0, 1], [0, 1]]})
 
 
+def test_numpy_integer_symbols_are_integers():
+    import numpy as np
+
+    table = tuple(np.int64(v) for v in (0, 1))
+    channel = DeterministicChannel(
+        user_count=np.int64(2),
+        input_sizes=(np.int64(2), 2),
+        g=(table, table),
+        f=(tuple(np.int64(v) for v in (0, 1, 1, 0)),) * 2,
+    )
+    assert channel == builtin_channel("xor2")
+    assert channel_from_dict({"family": "xor2", "params": []}) == channel
+    assert channel_from_dict({"family": "shift2", "params": [np.int64(2), 2, 1]}) == builtin_channel(
+        "shift2", [2, 2, 1]
+    )
+
+
 def test_channel_json_round_trip(shift2_332):
     doc = channel_to_dict(shift2_332)
     again = channel_from_dict(doc)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 from unittest import mock
 
 import pytest
@@ -217,12 +218,6 @@ MALFORMED_FILES = {
     "network-wiring-list": (
         "--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {"counts": [2, 1], "wiring": [1]}})
     ),
-    "network-stray-receiver": (  # receiver 1^5 is not a replica
-        "--network",
-        "net.json",
-        json.dumps({**NETWORK_4F, "recipe": {**NETWORK_4F["recipe"], "wiring": {
-            **NETWORK_4F["recipe"]["wiring"], "1^5": {"2": 1}}}}),
-    ),
     "chain-object": ("--chain", "chain.json", json.dumps({"a": ["S1"]})),
     "chain-flat-list": ("--chain", "chain.json", json.dumps(["S1", "D1"])),
 }
@@ -243,6 +238,54 @@ def test_malformed_input_file_is_usage_error(capsys, tmp_path, option, name, tex
     assert err.startswith("usage error:") and err.count("\n") == 1
 
 
+NONRECOVERABLE_DOC = {**XOR2_DOC, "f": [[0, 0, 0, 0]] * 2}
+
+# id -> (network document, message): each is well-formed JSON but fails the network checks
+INVALID_NETWORKS = {
+    "stray-receiver": (  # receiver 1^5 is not a replica
+        {**NETWORK_4F, "recipe": {**NETWORK_4F["recipe"], "wiring": {
+            **NETWORK_4F["recipe"]["wiring"], "1^5": {"2": 1}}}},
+        "not replicas",
+    ),
+    "out-of-range-wiring": (
+        {**NETWORK_4F, "recipe": {**NETWORK_4F["recipe"], "wiring": {
+            **NETWORK_4F["recipe"]["wiring"], "2^1": {"1": 3}}}},
+        "unknown replica",
+    ),
+    "zero-count": (
+        {**NETWORK_4F, "recipe": {**NETWORK_4F["recipe"], "counts": [0, 1]}},
+        r"replica counts must be positive, got \[0, 1\]",
+    ),
+    "nonrecoverable-channel": (
+        {**NETWORK_4F, "channel": NONRECOVERABLE_DOC},
+        "interference recoverability",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc,message", INVALID_NETWORKS.values(), ids=INVALID_NETWORKS)
+def test_network_that_fails_the_checks_is_a_validation_failure(capsys, tmp_path, doc, message):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli_exit(capsys, "gcs", "--network", str(path), "--enumerate")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and re.search(message, err)
+
+
+def test_nonrecoverable_channel_fails_the_same_way_from_either_option(capsys, tmp_path):
+    channel = tmp_path / "channel.json"
+    channel.write_text(json.dumps(NONRECOVERABLE_DOC))
+    network = tmp_path / "net.json"
+    network.write_text(json.dumps({**NETWORK_4F, "channel": NONRECOVERABLE_DOC}))
+    results = [
+        run_cli_exit(capsys, "gcs", "--channel", str(channel), "--enumerate"),
+        run_cli_exit(capsys, "gcs", "--network", str(network), "--enumerate"),
+        run_cli_exit(capsys, "validate", "--channel", str(channel))[:1],
+    ]
+    assert [r[0] for r in results] == [1, 1, 1]
+    assert results[0][1:] == results[1][1:]
+
+
 # Inputs for the fuzzing test: one good and some malformed files per option.
 FUZZ_FILES = {
     "ok-dist.json": json.dumps({"probs": [[0.5, 0.5], [0.25, 0.75]]}),
@@ -256,6 +299,7 @@ FUZZ_FILES = {
     "bad-problem.json": json.dumps({"variables": ["A", "A"], "target": {"A": 1}}),
 }
 FUZZ_FILES.update({f"bad-{case}-{name}": text for case, (_, name, text) in MALFORMED_FILES.items()})
+FUZZ_FILES.update({f"bad-{case}-net.json": json.dumps(doc) for case, (doc, _) in INVALID_NETWORKS.items()})
 
 
 @pytest.fixture(scope="module")

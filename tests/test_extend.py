@@ -410,6 +410,13 @@ def test_user_count_mismatch_names_both_counts(xor2):
         build_extended(xor2, builtin_recipe("ineq5", 1).recipe)
 
 
+def test_a_count_below_one_is_named_as_the_fault(xor2):
+    wiring = (((1, 1), ((2, 1),)), ((2, 1), ((1, 1),)))
+    for counts in ((0, 1), (-1, 1)):
+        with pytest.raises(RecipeError, match="replica counts must be positive"):
+            build_extended(xor2, ReplicationRecipe(counts=counts, wiring=wiring))
+
+
 def test_channel_validity_checked_once_per_channel(monkeypatch):
     import dicbound.channels
     import dicbound.networks

@@ -77,6 +77,11 @@ def test_constraint_counts(base2):
     assert any("V2,V3" in l and "X1" in l for l in labels)  # pair recoverability
 
 
+def test_dic_constraints_rejects_a_zero_count():
+    with pytest.raises(ProverError, match="positive count"):
+        dic_constraints(2, [0, 1], BASE2_WIRING)
+
+
 def test_budget_enforced():
     with pytest.raises(ProverError):
         ProverProblem(variables=tuple(f"Z{i}" for i in range(13)), constraints=(), target={1: Fraction(1)})
