@@ -15,20 +15,19 @@ import sys
 
 from .channels import channel_from_dict, load_channel, validate_channel
 from .entropy import SourceDistribution, atom_budget, distribution_from_dict
-from .errors import DicboundError, UnsupportedBoundError, UsageError
+from .errors import ChainValidationError, DicboundError, UnsupportedBoundError, UsageError
 from .extend import (
     bound_support_info,
     build_extended,
     builtin_recipe,
-    chain_closed_form,
     limit_bound,
     recipe_from_dict,
     supported_bounds,
     verify_chain_identity,
     verify_replica_rates,
 )
-from .gcs import CutChain, enumerate_chains, evaluate_chain, min_chain_bound, validate_chain
-from .networks import base_network, replicate_distribution
+from .gcs import CutChain, chain_values, evaluate_chain, tightest_chain
+from .networks import base_network
 from .prover import ProverProblem, appendix_targets, expr_from_names, prove
 from .regions import (
     bound_vector,
@@ -112,6 +111,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_region(args) -> int:
+    if args.samples is not None and args.dist is not None:
+        raise UsageError("--dist and --samples exclude each other")
     channel = _resolve_channel(args.channel)
     if args.out == "svg" and channel.user_count != 2:
         raise UsageError("SVG output is limited to 2-user regions")
@@ -126,7 +127,7 @@ def cmd_region(args) -> int:
             for t, (_, rhs) in zip(templates, poly.halfspaces):
                 print(f"{s},{t.id},{_fmt(rhs)}")
         return 0
-    dist = _resolve_dist(args.dist, channel.input_sizes, args.seed)
+    dist = _resolve_dist(args.dist or "uniform", channel.input_sizes, args.seed)
     vector = bound_vector(channel, dist, templates)
     if args.out == "svg":
         sys.stdout.write(render_region_svg([region_polytope(vector, templates)]))
@@ -167,25 +168,24 @@ def cmd_gcs(args) -> int:
     sizes = network.source_sizes()
     dist = _resolve_dist(args.dist, sizes, args.seed)
     if args.enumerate:
-        chains = enumerate_chains(network, args.max_l)
-        print(f"valid chains up to length {args.max_l}: {len(chains)}")
-        for chain in chains:
-            value = evaluate_chain(network, chain, dist).total
+        values = chain_values(network, dist, args.max_l)
+        print(f"valid chains up to length {args.max_l}: {len(values)}")
+        for chain, value in values:
             subsets = " >= ".join("{" + ",".join(s) + "}" for s in chain.canonical())
             print(f"{_fmt(value)}  {subsets}")
-        chain, best = min_chain_bound(network, dist, args.max_l)
+        chain, best = tightest_chain(values)
         print(f"tightest: {_fmt(best)} via {[sorted(s) for s in chain.subsets]}")
         return 0
     if not args.chain:
         raise UsageError("--chain FILE or --enumerate is required")
     chain = _load_file(args.chain, "chain", _chain_from_doc)
-    violations = validate_chain(network, chain)
-    if violations:
+    try:
+        value = evaluate_chain(network, chain, dist)
+    except ChainValidationError as exc:
         print("invalid chain:")
-        for v in violations:
+        for v in exc.violations:
             print(f"  {v}")
         return VERIFY_ERROR
-    value = evaluate_chain(network, chain, dist)
     for idx, term in enumerate(value.terms, start=1):
         print(f"term {idx}: {_fmt(term)}")
     print(f"total: {_fmt(value.total)}")
@@ -201,34 +201,24 @@ def cmd_extend(args) -> int:
             f"bound {args.bound} is a {spec['users']}-user bound, "
             f"channel {args.channel} has {channel.user_count} users"
         )
-    ks = args.k if args.k else ([1, 2, 3] if spec["parametric"] else [None])
-    recipes = [builtin_recipe(args.bound, k) for k in ks]  # a k out of range fails before any output
-    failures = 0
-    if args.verify:
-        report = verify_chain_identity(args.bound, channel, dist, k_range=ks)
-        for k, chain_v, closed_v, diff in report.per_k:
-            tag = f"k={k}" if spec["parametric"] else "fixed size"
-            print(
-                f"{args.bound} {tag}: chain {_fmt(chain_v)}, closed form {_fmt(closed_v)}, "
-                f"|diff| {diff:.2e}"
-            )
-        for inc in report.increments:
-            print(f"increment: {_fmt(inc)}")
-        for diag in report.diagnostics:
-            print(f"MISMATCH {diag}")
-        rates = verify_replica_rates(channel, recipes[0].recipe, dist)
-        print(f"replica rate deviation: {rates.max_deviation:.2e}")
-        weights, bits = limit_bound(args.bound, channel, dist)
-        print(f"limit: {'+'.join(f'{w}R{u+1}' for u, w in enumerate(weights) if w)} <= {_fmt(bits)}")
-        failures += 0 if report.ok else 1
-    else:
-        for k, recipe in zip(ks, recipes):
-            network = build_extended(channel, recipe.recipe)
-            value = evaluate_chain(network, recipe.chain, replicate_distribution(network, dist))
-            closed = chain_closed_form(recipe, channel, dist)
-            tag = f"k={k}" if spec["parametric"] else "fixed size"
-            print(f"{args.bound} {tag}: chain {_fmt(value.total)}, closed form {_fmt(closed)}")
-    return VERIFY_ERROR if failures else 0
+    # A constant-size bound ignores k; a k out of range fails before any output.
+    ks = args.k or [1, 2, 3]
+    report = verify_chain_identity(args.bound, channel, dist, k_range=ks)
+    for k, chain_v, closed_v, diff in report.per_k:
+        tag = f"k={k}" if spec["parametric"] else "fixed size"
+        line = f"{args.bound} {tag}: chain {_fmt(chain_v)}, closed form {_fmt(closed_v)}"
+        print(line + (f", |diff| {diff:.2e}" if args.verify else ""))
+    if not args.verify:
+        return 0
+    for inc in report.increments:
+        print(f"increment: {_fmt(inc)}")
+    for diag in report.diagnostics:
+        print(f"MISMATCH {diag}")
+    rates = verify_replica_rates(channel, builtin_recipe(args.bound, ks[0]).recipe, dist)
+    print(f"replica rate deviation: {rates.max_deviation:.2e}")
+    weights, bits = limit_bound(args.bound, channel, dist)
+    print(f"limit: {'+'.join(f'{w}R{u+1}' for u, w in enumerate(weights) if w)} <= {_fmt(bits)}")
+    return 0 if report.ok else VERIFY_ERROR
 
 
 def _problem_from_doc(doc, path: str) -> ProverProblem:
@@ -304,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("region", help="evaluate rate-region bounds")
     p.add_argument("--channel", required=True)
-    p.add_argument("--dist", default="uniform")
+    p.add_argument("--dist", help="law: uniform (the default), seed:N or a JSON file; not with --samples")
     p.add_argument("--samples", type=_count, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", choices=["csv", "svg"], default="csv")

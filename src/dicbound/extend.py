@@ -20,12 +20,13 @@ import re
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .channels import DeterministicChannel
 from .entropy import SourceDistribution, V, X, Y, conditional_entropy, induce_joint
 from .errors import DicboundError, RecipeError, UnsupportedBoundError
-from .gcs import CutChain, evaluate_chain
+from .gcs import CutChain, chain_from_cuts, evaluate_chain
 from .networks import (
     NetworkGraph,
     Replica,
@@ -199,6 +200,10 @@ def _term_value(term: ClosedTerm, base_table) -> float:
     return conditional_entropy(base_table, [Y(term.target[0])], [V(u) for u in term.given])
 
 
+def _closed_total(recipe: BoundRecipe, base_table) -> float:
+    return math.fsum(_term_value(t, base_table) for t in recipe.closed_terms)
+
+
 # -- built-in recipes ----------------------------------------------------------
 
 
@@ -283,18 +288,6 @@ def _instantiate(spec: dict, k: int | None):
     return counts, wiring, peel
 
 
-def _chain_from_peel(counts: Sequence[int], peel: Sequence[Sequence[Replica]]) -> CutChain:
-    labels = {r: node_labels(r) for r in replicas_from_counts(counts)}
-    remaining = set(labels)
-    subsets = []
-    for level in peel:
-        sources = frozenset(labels[r][0] for r in remaining)
-        remaining -= set(level)
-        dests = frozenset(labels[r][1] for r in remaining)
-        subsets.append(sources | dests)
-    return CutChain(tuple(subsets))
-
-
 def builtin_recipe(bound_id: str, k: int | None = None) -> BoundRecipe:
     """Instantiate a built-in bound recipe.
 
@@ -311,13 +304,16 @@ def builtin_recipe(bound_id: str, k: int | None = None) -> BoundRecipe:
     counts, wiring, peel = _instantiate(spec, k if parametric else None)
     recipe = ReplicationRecipe(counts=counts, wiring=tuple(sorted(wiring.items())))
     closed = derive_closed_terms(counts, wiring, peel)
+    labels = {r: node_labels(r) for r in replicas_from_counts(counts)}
+    # the replicas not yet peeled after each level, from all of them down to none
+    uncut = list(accumulate(peel, lambda left, level: left - set(level), initial=frozenset(labels)))
     return BoundRecipe(
         bound_id=bound_id,
         users=spec["users"],
         k=k if parametric else None,
         parametric=parametric,
         recipe=recipe,
-        chain=_chain_from_peel(counts, peel),
+        chain=chain_from_cuts(labels, uncut),
         rate_weights=counts,
         closed_terms=closed,
         reconstructed=spec.get("reconstructed", False),
@@ -374,8 +370,7 @@ def chain_closed_form(
     recipe = bound if isinstance(bound, BoundRecipe) else builtin_recipe(bound, k)
     if k is not None and recipe.parametric and recipe.k != k:
         recipe = builtin_recipe(recipe.bound_id, k)
-    table = induce_joint(channel, dist)
-    return math.fsum(_term_value(t, table) for t in recipe.closed_terms)
+    return _closed_total(recipe, induce_joint(channel, dist))
 
 
 @dataclass(frozen=True)
@@ -401,33 +396,27 @@ def verify_chain_identity(
     table = induce_joint(channel, dist)
     per_k = []
     diagnostics = []
-    totals = []
     ok = True
     for k in ks:
         recipe = builtin_recipe(bound_id, k)
         network = build_extended(channel, recipe.recipe)
         rdist = replicate_distribution(network, dist)
         value = evaluate_chain(network, recipe.chain, rdist)
-        closed_terms = [_term_value(t, table) for t in recipe.closed_terms]
-        closed_by_level: dict[int, float] = {}
-        for t, v in zip(recipe.closed_terms, closed_terms):
-            closed_by_level[t.level] = closed_by_level.get(t.level, 0.0) + v
-        closed_total = math.fsum(closed_terms)
+        closed_total = _closed_total(recipe, table)
         diff = abs(value.total - closed_total)
         if diff > tol:
             ok = False
             for level, term_value in enumerate(value.terms, start=1):
-                expected = closed_by_level.get(level, 0.0)
+                terms = [t for t in recipe.closed_terms if t.level == level]
+                expected = sum(_term_value(t, table) for t in terms)
                 if abs(term_value - expected) > tol:
-                    names = [t.describe() for t in recipe.closed_terms if t.level == level]
                     diagnostics.append(
-                        f"k={k}: level {level} evaluates to {term_value:.12g} but the "
-                        f"closed form {' + '.join(names) or '0'} gives {expected:.12g}"
+                        f"k={k}: level {level} evaluates to {term_value:.12g} but the closed form "
+                        f"{' + '.join(t.describe() for t in terms) or '0'} gives {expected:.12g}"
                     )
                     break
         per_k.append((k if k is not None else 0, value.total, closed_total, diff))
-        totals.append(closed_total)
-    increments = tuple(b - a for a, b in zip(totals, totals[1:]))
+    increments = tuple(b[2] - a[2] for a, b in zip(per_k, per_k[1:]))
     return IdentityReport(
         bound_id=bound_id,
         ok=ok,
@@ -443,18 +432,19 @@ def limit_bound(
     """The weighted-rate bound the recipe family yields in the large-size limit.
 
     Parametric recipes are affine in k, so one difference extracts the per-k
-    increment; constant-size recipes contribute their full chain value.
+    increment; constant-size recipes contribute their full chain value.  Both
+    closed forms read one joint table.
     """
     spec = bound_support_info(bound_id)
+    table = induce_joint(channel, dist)
     if not spec["parametric"]:
         recipe = builtin_recipe(bound_id)
-        return recipe.rate_weights, chain_closed_form(recipe, channel, dist)
+        return recipe.rate_weights, _closed_total(recipe, table)
     lo, _ = spec.get("k_range", [1, 8])
     r_lo = builtin_recipe(bound_id, lo)
     r_hi = builtin_recipe(bound_id, lo + 1)
     weights = tuple(h - l for l, h in zip(r_lo.rate_weights, r_hi.rate_weights))
-    bits = chain_closed_form(r_hi, channel, dist) - chain_closed_form(r_lo, channel, dist)
-    return weights, bits
+    return weights, _closed_total(r_hi, table) - _closed_total(r_lo, table)
 
 
 def affine_term_multiplicities(bound_id: str) -> dict[tuple[int, frozenset[int]], tuple[int, int]]:

@@ -5,17 +5,22 @@ membership rule: a destination lies in O_j exactly when its source lies in
 O_{j+1} (with O_0 the full node set and O_{l+1} empty).  The chain value is
 the sum over levels of H(freshly cut outputs | inputs outside the level,
 outputs already cut), evaluated single-letter.
+
+The rule fixes a chain by the replicas still uncut at each level: nested sets
+R_0 = all >= R_1 >= ... >= R_l = {} give O_j = S(R_{j-1}) | D(R_j), and every
+valid chain arises this way.  ``chain_from_cuts`` is the one constructor; it
+builds enumerated chains and recipe chains alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .entropy import SourceDistribution, VariableId
 from .errors import ChainValidationError, DicboundError
-from .networks import NetworkGraph, cond_entropy_network
+from .networks import NetworkGraph, Replica, cond_entropy_network
 
 
 @dataclass(frozen=True)
@@ -88,71 +93,83 @@ def _chain_levels(network: NetworkGraph, chain: CutChain):
     return levels
 
 
-def evaluate_chain(network: NetworkGraph, chain: CutChain, dist: SourceDistribution) -> ChainValue:
-    """Single-letter chain value; raises if the chain is invalid."""
-    violations = validate_chain(network, chain)
-    if violations:
-        raise ChainValidationError(violations)
+def _chain_value(network: NetworkGraph, chain: CutChain, dist: SourceDistribution) -> ChainValue:
     terms = []
     for targets, cond in _chain_levels(network, chain):
         terms.append(cond_entropy_network(network, dist, targets, cond) if targets else 0.0)
     return ChainValue(total=math.fsum(terms), terms=tuple(terms))
 
 
-def _chain_from_dest_sets(network: NetworkGraph, dest_sets: Sequence[frozenset[str]]) -> CutChain:
-    """Build the unique chain whose destination parts are the given nested sets."""
-    src_of = dict((d, s) for s, d in network.pairs())
+def evaluate_chain(network: NetworkGraph, chain: CutChain, dist: SourceDistribution) -> ChainValue:
+    """Single-letter chain value; raises if the chain is invalid."""
+    violations = validate_chain(network, chain)
+    if violations:
+        raise ChainValidationError(violations)
+    return _chain_value(network, chain, dist)
+
+
+def chain_from_cuts(
+    labels: Mapping[Replica, tuple[str, str]], uncut: Sequence[AbstractSet[Replica]]
+) -> CutChain:
+    """The chain of nested replica sets ``uncut`` = R_0 >= R_1 >= ... >= R_l,
+    R_j holding the replicas still uncut after level j: R_0 is every replica
+    in ``labels`` (replica -> source and destination label) and R_l is empty.
+    Level j is S(R_{j-1}) | D(R_j), so the chain satisfies the membership rule
+    by construction."""
+    if set(uncut[0]) != set(labels) or uncut[-1]:
+        raise DicboundError("a cut chain starts with every replica uncut and ends with none")
     subsets = []
-    prev_dests = frozenset(d for _, d in network.pairs())
-    for dests in dest_sets:
-        sources = frozenset(src_of[d] for d in prev_dests)
-        subsets.append(sources | dests)
-        prev_dests = dests
+    for outer, inner in zip(uncut, uncut[1:]):
+        if not inner <= outer:
+            raise DicboundError(f"replicas {sorted(inner - outer)} are uncut again after a cut")
+        subsets.append(frozenset(labels[r][0] for r in outer) | {labels[r][1] for r in inner})
     return CutChain(tuple(subsets))
 
 
 def enumerate_chains(network: NetworkGraph, max_l: int) -> list[CutChain]:
-    """Every valid chain of length 1..max_l, canonically ordered, no duplicates.
-
-    Valid chains are exactly determined by a nested sequence of destination
-    subsets ending empty, which keeps enumeration complete and finite.
-    """
+    """Every valid chain of length 1..max_l, canonically ordered, no duplicates:
+    one per nested sequence of uncut replica sets ending empty."""
     if max_l < 1:
         raise DicboundError("max_l must be >= 1")
-    dests = sorted(d for _, d in network.pairs())
     if len(network.nodes()) > 16:
         raise DicboundError("network too large for exhaustive chain enumeration")
+    replicas = network.replicas
+    labels = dict(zip(replicas, network.pairs()))
     all_subsets = []
-    for mask in range(1 << len(dests)):
-        all_subsets.append(frozenset(d for i, d in enumerate(dests) if mask >> i & 1))
+    for mask in range(1 << len(replicas)):
+        all_subsets.append(frozenset(r for i, r in enumerate(replicas) if mask >> i & 1))
     chains = []
+
     def extend(seq):
-        length = len(seq) + 1  # the chain ends with an implicit empty dest set
-        chains.append(_chain_from_dest_sets(network, seq + [frozenset()]))
-        if length >= max_l:
-            return
-        base = seq[-1] if seq else frozenset(dests)
-        for sub in all_subsets:
-            if sub <= base:
-                extend(seq + [sub])
-    extend([])
+        chains.append(chain_from_cuts(labels, seq + [frozenset()]))
+        if len(seq) < max_l:
+            for sub in all_subsets:
+                if sub <= seq[-1]:
+                    extend(seq + [sub])
+
+    extend([frozenset(replicas)])
     chains.sort(key=lambda c: (len(c), c.canonical()))
     return chains
+
+
+def chain_values(
+    network: NetworkGraph, dist: SourceDistribution, max_l: int
+) -> list[tuple[CutChain, float]]:
+    """Every enumerated chain with its value, each evaluated once and not
+    re-validated: enumerated chains are valid by construction."""
+    chains = enumerate_chains(network, max_l)
+    return [(chain, _chain_value(network, chain, dist).total) for chain in chains]
+
+
+def tightest_chain(values: Iterable[tuple[CutChain, float]]) -> tuple[CutChain, float]:
+    """The least (chain, value) pair.  Ties go to the shortest chain, then to
+    the lexicographically least canonical form, so results are
+    scheduler-independent."""
+    return min(values, key=lambda cv: (cv[1], len(cv[0]), cv[0].canonical()))
 
 
 def min_chain_bound(
     network: NetworkGraph, dist: SourceDistribution, max_l: int
 ) -> tuple[CutChain, float]:
-    """Tightest chain value over all chains up to length max_l.
-
-    Ties go to the shortest chain, then to the lexicographically least
-    canonical form, so results are scheduler-independent.
-    """
-    best = None
-    for chain in enumerate_chains(network, max_l):
-        value = evaluate_chain(network, chain, dist).total
-        key = (value, len(chain), chain.canonical())
-        if best is None or key < best[0]:
-            best = (key, chain, value)
-    assert best is not None
-    return best[1], best[2]
+    """Tightest chain value over all chains up to length max_l."""
+    return tightest_chain(chain_values(network, dist, max_l))

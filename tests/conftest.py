@@ -8,6 +8,7 @@ the engine under test.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import product
 
 import pytest
@@ -134,3 +135,25 @@ def shift2_332():
 @pytest.fixture(scope="session")
 def concat3():
     return builtin_channel("concat3")
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` replaces that function on every dicbound
+    module that binds it, so calls through ``from .x import f`` names count
+    too, and returns the list of argument tuples its calls append to."""
+
+    def install(module, name):
+        real = getattr(module, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "dicbound" and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting)
+        return calls
+
+    return install

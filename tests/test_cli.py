@@ -149,12 +149,31 @@ def run_cli_exit(capsys, *argv):
         ("region", "--channel", "concat3", "--out", "svg"),
         ("gcs", "--enumerate"),  # neither --channel nor --network
         ("gcs", "--channel", "xor2"),  # neither --chain nor --enumerate
+        ("region", "--channel", "xor2", "--dist", "seed:3", "--samples", "1"),  # exclusive options
+        ("region", "--channel", "xor2", "--dist", "missing.json", "--samples", "1"),
+        ("region", "--channel", "xor2", "--dist", "uniform", "--samples", "2", "--out", "svg"),
     ],
 )
 def test_bad_numeric_arguments_are_usage_errors(capsys, argv):
     code, out, err = run_cli_exit(capsys, *argv)
     assert code == 2 and out == ""
     assert "Traceback" not in err and "error" in err
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def _golden_cases():
+    with open(os.path.join(GOLDEN, "cli.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", _golden_cases(), ids=lambda case: case["stdout"])
+def test_output_matches_the_golden_files(capsys, case):
+    # stdout and exit code pinned byte for byte: a refactor must not move them
+    code, out, _ = run_cli_exit(capsys, *case["argv"])
+    with open(os.path.join(GOLDEN, case["stdout"]), encoding="utf-8") as fh:
+        assert (code, out) == (case["exit"], fh.read())
 
 
 @pytest.mark.parametrize(

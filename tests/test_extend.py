@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from dicbound.channels import builtin_channel
@@ -453,3 +455,12 @@ def test_identity_check_validates_each_chain_once(xor2, monkeypatch):
     report = verify_chain_identity("4e", xor2, UNIFORM2, k_range=[1, 2, 3])
     assert report.ok
     assert len(calls) == 3
+
+
+def test_limit_bound_builds_one_joint_table(xor2, count_calls):
+    # both closed forms of a parametric bound read one table, bit-equal to two
+    tables = count_calls(sys.modules["dicbound.entropy"], "induce_joint")
+    weights, bits = limit_bound("4e", xor2, UNIFORM2)
+    assert len(tables) == 1
+    hi, lo = (chain_closed_form("4e", xor2, UNIFORM2, k=k) for k in (2, 1))
+    assert (weights, bits) == ((1, 1), hi - lo)

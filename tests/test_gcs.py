@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dicbound.gcs
 from dicbound.channels import builtin_channel
+from dicbound.cli import main
 from dicbound.entropy import SourceDistribution, V, X, Y, conditional_entropy, entropy, induce_joint
 from dicbound.errors import ChainValidationError, DicboundError
 from dicbound.gcs import (
     CutChain,
+    chain_from_cuts,
     enumerate_chains,
     evaluate_chain,
     min_chain_bound,
@@ -83,10 +86,46 @@ def test_enumeration_counts_and_oracle(xor2, concat3):
     assert got == brute_force_chains(net, 2)
     # every emitted chain passes validation
     assert all(validate_chain(net, c) == [] for c in chains)
+    chains = enumerate_chains(net, 3)
+    assert len(chains) == 14
+    assert {c.canonical() for c in chains} == brute_force_chains(net, 3)
     # three-user base network against the same oracle
     net3 = base_network(concat3)
     chains3 = enumerate_chains(net3, 2)
     assert {c.canonical() for c in chains3} == brute_force_chains(net3, 2)
+
+
+def test_chain_from_uncut_replica_sets(xor2):
+    net = base_network(xor2)
+    labels = dict(zip(net.replicas, net.pairs()))
+    both = {(1, 1), (2, 1)}
+    assert chain_from_cuts(labels, [both, {(1, 1)}, set()]) == FIG_A
+    assert chain_from_cuts(labels, [both, set()]) == CutChain.of([{"S1", "S2"}])
+    with pytest.raises(DicboundError):
+        chain_from_cuts(labels, [both, {(1, 1)}])  # receiver 1 never cut
+    with pytest.raises(DicboundError):
+        chain_from_cuts(labels, [{(1, 1)}, set()])  # receiver 2 cut before level 1
+    with pytest.raises(DicboundError):
+        chain_from_cuts(labels, [both, {(1, 1)}, {(2, 1)}, set()])  # not nested
+
+
+def test_enumerate_command_evaluates_each_chain_once(count_calls, capsys):
+    # 36 chains on concat3 up to length 3: one enumeration and one level walk
+    # per chain, and the tightest chain is picked from the printed values
+    enumerations = count_calls(dicbound.gcs, "enumerate_chains")
+    walks = count_calls(dicbound.gcs, "_chain_levels")
+    assert main(["gcs", "--channel", "concat3", "--enumerate", "--max-l", "3"]) == 0
+    assert capsys.readouterr().out.startswith("valid chains up to length 3: 36\n")
+    assert len(enumerations) == 1
+    assert len(walks) == 36
+
+
+def test_min_chain_bound_does_not_revalidate_enumerated_chains(concat3, count_calls):
+    validations = count_calls(dicbound.gcs, "validate_chain")
+    chain, bits = min_chain_bound(base_network(concat3), SourceDistribution.uniform([2, 2, 2]), 3)
+    assert validations == []
+    assert validate_chain(base_network(concat3), chain) == []
+    assert bits == pytest.approx(3.0, abs=1e-12)
 
 
 def test_enumeration_rejects_bad_max_l(xor2):
