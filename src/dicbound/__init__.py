@@ -17,6 +17,7 @@ from .entropy import (
     JointTable,
     SourceDistribution,
     VariableId,
+    base_terms,
     conditional_entropy,
     entropy,
     induce_joint,
@@ -83,6 +84,7 @@ __all__ = [
     "VariableId",
     "appendix_targets",
     "base_network",
+    "base_terms",
     "bound_vector",
     "build_extended",
     "builtin_channel",

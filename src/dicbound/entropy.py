@@ -246,6 +246,20 @@ def conditional_entropy(table: JointTable, a: Iterable, b: Iterable) -> float:
     return entropy(table, a_vars + b_vars) - entropy(table, b_vars)
 
 
+def base_terms(channel: DeterministicChannel, dist: SourceDistribution, keys: Iterable) -> dict:
+    """H(Y_u | V_A) on the base channel for each distinct key (u, A), A a
+    frozenset, from one joint table: the terms that rate bounds and chain
+    closed forms combine, over independent inputs only."""
+    if dist.mode != "product":
+        raise DistributionError("rate-region bounds are defined over product input distributions")
+    table = induce_joint(channel, dist)
+    values = {}
+    for user, given in keys:
+        if (user, given) not in values:
+            values[user, given] = conditional_entropy(table, [Y(user)], [V(w) for w in given])
+    return values
+
+
 def mutual_information(table: JointTable, a: Iterable, b: Iterable) -> float:
     """I(A; B) = H(A) + H(B) - H(A u B); symmetric by construction."""
     a_vars = _as_vars(a)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
@@ -24,7 +25,7 @@ from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .channels import DeterministicChannel
-from .entropy import SourceDistribution, V, X, Y, conditional_entropy, induce_joint
+from .entropy import SourceDistribution, X, Y, base_terms
 from .errors import DicboundError, RecipeError, UnsupportedBoundError
 from .gcs import CutChain, chain_from_cuts, evaluate_chain
 from .networks import (
@@ -135,6 +136,10 @@ class ClosedTerm:
     given: frozenset[int]
     evidence: tuple[tuple[int, tuple[str, Replica]], ...]
 
+    @property
+    def key(self) -> tuple[int, frozenset[int]]:
+        return self.target[0], self.given
+
     def describe(self) -> str:
         given = ",".join(f"V{u}" for u in sorted(self.given))
         head = f"H(Y{self.target[0]}^{self.target[1]}"
@@ -196,12 +201,9 @@ def derive_closed_terms(
     return tuple(terms)
 
 
-def _term_value(term: ClosedTerm, base_table) -> float:
-    return conditional_entropy(base_table, [Y(term.target[0])], [V(u) for u in term.given])
-
-
-def _closed_total(recipe: BoundRecipe, base_table) -> float:
-    return math.fsum(_term_value(t, base_table) for t in recipe.closed_terms)
+def _closed_total(recipe: BoundRecipe, values: Mapping) -> float:
+    """The closed form: ``math.fsum`` over every copy of every term value."""
+    return math.fsum(values[t.key] for t in recipe.closed_terms)
 
 
 # -- built-in recipes ----------------------------------------------------------
@@ -223,12 +225,8 @@ class BoundRecipe:
     reconstructed: bool
     recovery_notes: tuple[str, ...] = field(default=(), repr=False)
 
-    def term_counts(self) -> dict[tuple[int, frozenset[int]], int]:
-        counts: dict[tuple[int, frozenset[int]], int] = {}
-        for t in self.closed_terms:
-            key = (t.target[0], t.given)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+    def term_counts(self) -> Counter[tuple[int, frozenset[int]]]:
+        return Counter(t.key for t in self.closed_terms)
 
 
 @cache
@@ -289,10 +287,16 @@ def _instantiate(spec: dict, k: int | None):
 
 
 def builtin_recipe(bound_id: str, k: int | None = None) -> BoundRecipe:
-    """Instantiate a built-in bound recipe.
+    """Instantiate a built-in bound recipe, once per (id, k) and process.
 
-    Parametric recipes need k >= 1; constant-size recipes ignore k.
+    Parametric recipes need k >= 1; constant-size recipes ignore k and are
+    cached under k = None.  A recipe depends on neither channel nor law.
     """
+    return _builtin_recipe(bound_id, k if bound_support_info(bound_id)["parametric"] else None)
+
+
+@cache  # an error raised inside is not cached
+def _builtin_recipe(bound_id: str, k: int | None) -> BoundRecipe:
     spec = bound_support_info(bound_id)
     parametric = spec["parametric"]
     if parametric:
@@ -301,7 +305,7 @@ def builtin_recipe(bound_id: str, k: int | None = None) -> BoundRecipe:
         lo, hi = spec.get("k_range", [1, 8])
         if not lo <= k <= hi:
             raise UnsupportedBoundError(f"bound {bound_id} supports k in {lo}..{hi}, got {k}")
-    counts, wiring, peel = _instantiate(spec, k if parametric else None)
+    counts, wiring, peel = _instantiate(spec, k)
     recipe = ReplicationRecipe(counts=counts, wiring=tuple(sorted(wiring.items())))
     closed = derive_closed_terms(counts, wiring, peel)
     labels = {r: node_labels(r) for r in replicas_from_counts(counts)}
@@ -310,7 +314,7 @@ def builtin_recipe(bound_id: str, k: int | None = None) -> BoundRecipe:
     return BoundRecipe(
         bound_id=bound_id,
         users=spec["users"],
-        k=k if parametric else None,
+        k=k,
         parametric=parametric,
         recipe=recipe,
         chain=chain_from_cuts(labels, uncut),
@@ -347,17 +351,9 @@ def verify_replica_rates(
         return network_entropy(net, d, y) - cond_entropy_network(net, d, y, [X(user, copy)])
 
     base_values = tuple(mi(base, dist, u, 1) for u in range(1, channel.user_count + 1))
-    replica_values = []
-    deviation = 0.0
-    for u, c in network.replicas:
-        value = mi(network, rdist, u, c)
-        replica_values.append(((u, c), value))
-        deviation = max(deviation, abs(value - base_values[u - 1]))
-    return RateReport(
-        base_values=base_values,
-        replica_values=tuple(replica_values),
-        max_deviation=deviation,
-    )
+    replica_values = tuple(((u, c), mi(network, rdist, u, c)) for u, c in network.replicas)
+    deviation = max((abs(value - base_values[u - 1]) for (u, _), value in replica_values), default=0.0)
+    return RateReport(base_values=base_values, replica_values=replica_values, max_deviation=deviation)
 
 
 def chain_closed_form(
@@ -370,7 +366,7 @@ def chain_closed_form(
     recipe = bound if isinstance(bound, BoundRecipe) else builtin_recipe(bound, k)
     if k is not None and recipe.parametric and recipe.k != k:
         recipe = builtin_recipe(recipe.bound_id, k)
-    return _closed_total(recipe, induce_joint(channel, dist))
+    return _closed_total(recipe, base_terms(channel, dist, recipe.term_counts()))
 
 
 @dataclass(frozen=True)
@@ -393,22 +389,23 @@ def verify_chain_identity(
     first diverging term on mismatch and per-k increments."""
     spec = bound_support_info(bound_id)
     ks = list(k_range) if spec["parametric"] else [None]
-    table = induce_joint(channel, dist)
+    recipes = [builtin_recipe(bound_id, k) for k in ks]
+    evaluated = []
+    for recipe in recipes:
+        network = build_extended(channel, recipe.recipe)
+        evaluated.append(evaluate_chain(network, recipe.chain, replicate_distribution(network, dist)))
+    values = base_terms(channel, dist, (t.key for r in recipes for t in r.closed_terms))
     per_k = []
     diagnostics = []
     ok = True
-    for k in ks:
-        recipe = builtin_recipe(bound_id, k)
-        network = build_extended(channel, recipe.recipe)
-        rdist = replicate_distribution(network, dist)
-        value = evaluate_chain(network, recipe.chain, rdist)
-        closed_total = _closed_total(recipe, table)
+    for k, recipe, value in zip(ks, recipes, evaluated):
+        closed_total = _closed_total(recipe, values)
         diff = abs(value.total - closed_total)
         if diff > tol:
             ok = False
             for level, term_value in enumerate(value.terms, start=1):
                 terms = [t for t in recipe.closed_terms if t.level == level]
-                expected = sum(_term_value(t, table) for t in terms)
+                expected = sum(values[t.key] for t in terms)
                 if abs(term_value - expected) > tol:
                     diagnostics.append(
                         f"k={k}: level {level} evaluates to {term_value:.12g} but the closed form "
@@ -433,34 +430,29 @@ def limit_bound(
 
     Parametric recipes are affine in k, so one difference extracts the per-k
     increment; constant-size recipes contribute their full chain value.  Both
-    closed forms read one joint table.
+    closed forms read one base-term evaluation.
     """
     spec = bound_support_info(bound_id)
-    table = induce_joint(channel, dist)
     if not spec["parametric"]:
         recipe = builtin_recipe(bound_id)
-        return recipe.rate_weights, _closed_total(recipe, table)
+        return recipe.rate_weights, _closed_total(recipe, base_terms(channel, dist, recipe.term_counts()))
     lo, _ = spec.get("k_range", [1, 8])
-    r_lo = builtin_recipe(bound_id, lo)
-    r_hi = builtin_recipe(bound_id, lo + 1)
+    r_lo, r_hi = builtin_recipe(bound_id, lo), builtin_recipe(bound_id, lo + 1)
+    values = base_terms(channel, dist, r_lo.term_counts() | r_hi.term_counts())
     weights = tuple(h - l for l, h in zip(r_lo.rate_weights, r_hi.rate_weights))
-    return weights, _closed_total(r_hi, table) - _closed_total(r_lo, table)
+    return weights, _closed_total(r_hi, values) - _closed_total(r_lo, values)
 
 
 def affine_term_multiplicities(bound_id: str) -> dict[tuple[int, frozenset[int]], tuple[int, int]]:
     """Closed-form term multiplicities as (a, b) meaning a*k + b.
 
-    Validated at three sizes; constant recipes report a = 0.
+    Validated at three sizes; a constant-size recipe ignores k, so it reports a = 0.
     """
-    spec = bound_support_info(bound_id)
-    if not spec["parametric"]:
-        return {key: (0, m) for key, m in builtin_recipe(bound_id).term_counts().items()}
-    lo, _ = spec.get("k_range", [1, 8])
+    lo, _ = bound_support_info(bound_id).get("k_range", [1, 8])
     counts = [builtin_recipe(bound_id, k).term_counts() for k in (lo, lo + 1, lo + 2)]
-    keys = set().union(*counts)
     out = {}
-    for key in keys:
-        c0, c1, c2 = (c.get(key, 0) for c in counts)
+    for key in set().union(*counts):
+        c0, c1, c2 = (c[key] for c in counts)
         a = c1 - c0
         b = c0 - a * lo
         if c2 != a * (lo + 2) + b:

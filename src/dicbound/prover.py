@@ -429,12 +429,8 @@ def appendix_targets(bound_id: str) -> list[ProverProblem]:
     """
     from .extend import bound_support_info, builtin_recipe
 
-    spec = bound_support_info(bound_id)
-    if spec["parametric"]:
-        k = 2 if spec["users"] == 2 else 1
-        recipe = builtin_recipe(bound_id, k)
-    else:
-        recipe = builtin_recipe(bound_id)
+    # a constant-size recipe ignores k
+    recipe = builtin_recipe(bound_id, 2 if bound_support_info(bound_id)["users"] == 2 else 1)
     wiring = recipe.recipe.wiring_map()
     problems = []
     for term in recipe.closed_terms:

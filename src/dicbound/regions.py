@@ -16,15 +16,8 @@ from importlib import resources
 from typing import Iterable, Sequence
 
 from .channels import DeterministicChannel
-from .entropy import (
-    JointTable,
-    SourceDistribution,
-    V,
-    Y,
-    conditional_entropy,
-    induce_joint,
-)
-from .errors import DicboundError, DistributionError
+from .entropy import SourceDistribution, base_terms
+from .errors import DicboundError
 from .sampling import region_distribution_stream
 
 CONTAINS_TOL = 1e-9
@@ -35,6 +28,11 @@ class BoundTerm:
     mult: int
     y_user: int
     given: tuple[int, ...]
+
+    @property
+    def key(self) -> tuple[int, frozenset[int]]:
+        """The base term H(Y_u | V_A) this entry counts, keyed (u, A)."""
+        return self.y_user, frozenset(self.given)
 
 
 @dataclass(frozen=True)
@@ -48,13 +46,6 @@ class BoundTemplate:
     @property
     def user_count(self) -> int:
         return len(self.rates)
-
-    def evaluate(self, table: JointTable) -> float:
-        total = 0.0
-        for term in self.terms:
-            value = conditional_entropy(table, [Y(term.y_user)], [V(u) for u in term.given])
-            total += term.mult * value
-        return total
 
 
 def _template_from_dict(data: dict) -> BoundTemplate:
@@ -109,16 +100,18 @@ def bound_vector(
     templates: Sequence[BoundTemplate] | None = None,
 ) -> BoundVector:
     """Evaluate every template at the given product input distribution."""
-    if dist.mode != "product":
-        raise DistributionError("rate-region bounds are defined over product input distributions")
     if templates is None:
         templates = load_templates(channel.user_count)
-    table = induce_joint(channel, dist)
-    entries = []
     for t in templates:
         if t.user_count != channel.user_count:
             raise DicboundError(f"template {t.id} is for {t.user_count} users")
-        entries.append((t.id, t.evaluate(table)))
+    values = base_terms(channel, dist, (term.key for t in templates for term in t.terms))
+    entries = []
+    for t in templates:
+        total = 0.0
+        for term in t.terms:
+            total += term.mult * values[term.key]
+        entries.append((t.id, total))
     return BoundVector(entries)
 
 

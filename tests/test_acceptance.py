@@ -35,7 +35,7 @@ from dicbound.prover import appendix_targets, dic_constraints, evaluate_expr, ex
 from dicbound.regions import bound_vector, load_templates
 from dicbound.sampling import sample_product_distribution
 
-from conftest import oracle_bound_term
+from first_principles import oracle_bound_term
 
 EXACT = 1e-12
 NUMERIC = 1e-9

@@ -176,6 +176,15 @@ def test_output_matches_the_golden_files(capsys, case):
         assert (code, out) == (case["exit"], fh.read())
 
 
+def test_joint_law_is_a_validation_failure_for_the_bound_commands(capsys, tmp_path):
+    path = tmp_path / "joint.json"
+    path.write_text(json.dumps({"mode": "joint", "probs": [0.5, 0, 0, 0.5]}))
+    for argv in (["extend", "--bound", "4e", "--k", "1..2"], ["extend", "--bound", "4f", "--verify"], ["region"]):
+        code, out, err = run_cli_exit(capsys, *argv, "--channel", "xor2", "--dist", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and "product" in err
+
+
 @pytest.mark.parametrize(
     "doc",
     [

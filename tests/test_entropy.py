@@ -23,7 +23,7 @@ from dicbound.gcs import evaluate_chain
 from dicbound.networks import base_network, cond_entropy_network, network_entropy
 from dicbound.sampling import sample_product_distribution
 
-from conftest import (
+from first_principles import (
     oracle_cond_entropy,
     oracle_joint,
     oracle_network_atoms,

@@ -3,8 +3,8 @@ import sys
 import pytest
 
 from dicbound.channels import builtin_channel
-from dicbound.entropy import SourceDistribution, X, Y, conditional_entropy, induce_joint
-from dicbound.errors import DicboundError, RecipeError, UnsupportedBoundError
+from dicbound.entropy import SourceDistribution, X, Y, base_terms, conditional_entropy, induce_joint
+from dicbound.errors import DicboundError, DistributionError, RecipeError, UnsupportedBoundError
 from dicbound.extend import (
     ReplicationRecipe,
     affine_term_multiplicities,
@@ -274,9 +274,9 @@ def test_identity_mismatch_diagnostic(xor2):
             evidence=(),
         ),
     )
-    table = induce_joint(xor2, UNIFORM2)
-    good = sum(ext._term_value(t, table) for t in recipe.closed_terms)
-    bad = sum(ext._term_value(t, table) for t in broken)
+    values = base_terms(xor2, UNIFORM2, [t.key for t in recipe.closed_terms + broken])
+    good = sum(values[t.key] for t in recipe.closed_terms)
+    bad = sum(values[t.key] for t in broken)
     assert bad != pytest.approx(good, abs=1e-9)
 
 
@@ -464,3 +464,51 @@ def test_limit_bound_builds_one_joint_table(xor2, count_calls):
     assert len(tables) == 1
     hi, lo = (chain_closed_form("4e", xor2, UNIFORM2, k=k) for k in (2, 1))
     assert (weights, bits) == ((1, 1), hi - lo)
+
+
+def test_every_base_term_reader_rejects_a_joint_law(xor2):
+    # base terms are defined over independent inputs only, whichever reader asks
+    joint = SourceDistribution("joint", [2, 2], [0.5, 0, 0, 0.5])
+    readers = [
+        lambda: bound_vector(xor2, joint),
+        lambda: limit_bound("4e", xor2, joint),
+        lambda: chain_closed_form("4e", xor2, joint, k=2),
+        lambda: verify_chain_identity("4e", xor2, joint),
+    ]
+    for read in readers:
+        with pytest.raises(DistributionError):
+            read()
+
+
+def test_identity_check_evaluates_each_base_term_once(xor2, count_calls):
+    entropy = sys.modules["dicbound.entropy"]
+    tables = count_calls(entropy, "induce_joint")
+    terms = count_calls(entropy, "conditional_entropy")
+    ks = range(1, 7)
+    assert verify_chain_identity("4a", xor2, UNIFORM2, k_range=ks).ok
+    distinct = set().union(*(builtin_recipe("4a", k).term_counts() for k in ks))
+    assert (len(tables), len(terms)) == (1, len(distinct))
+
+
+def test_closed_form_builds_one_table_and_reads_each_term_once(xor2, count_calls):
+    recipe = builtin_recipe("4a", 6)
+    assert len(recipe.closed_terms) > len(recipe.term_counts())  # repeated terms
+    entropy = sys.modules["dicbound.entropy"]
+    tables = count_calls(entropy, "induce_joint")
+    terms = count_calls(entropy, "conditional_entropy")
+    chain_closed_form(recipe, xor2, UNIFORM2)
+    assert (len(tables), len(terms)) == (1, len(recipe.term_counts()))
+
+
+def test_recipes_are_built_once_per_id_and_size():
+    assert builtin_recipe("4a", 3) is builtin_recipe("4a", 3)
+    assert builtin_recipe("ineq5", 2) is builtin_recipe("ineq5", 2)
+    assert builtin_recipe("4a", 3) is not builtin_recipe("4a", 4)
+    # a constant-size recipe ignores k, so every k shares the k = None entry
+    assert builtin_recipe("4f", 3) is builtin_recipe("4f")
+    # errors are not cached: every call raises again
+    for _ in range(2):
+        with pytest.raises(UnsupportedBoundError):
+            builtin_recipe("4a", 99)
+        with pytest.raises(DicboundError):
+            builtin_recipe("4a")

@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import permutations
 
 import pytest
@@ -16,7 +17,7 @@ from dicbound.regions import (
 )
 from dicbound.sampling import sample_product_distribution
 
-from conftest import oracle_bound_term
+from first_principles import oracle_bound_term
 
 
 def test_template_inventory():
@@ -63,6 +64,16 @@ def test_joint_mode_rejected(xor2):
     dist = SourceDistribution("joint", [2, 2], [0.25] * 4)
     with pytest.raises(DistributionError):
         bound_vector(xor2, dist)
+
+
+@pytest.mark.parametrize("name,distinct", [("xor2", 8), ("concat3", 20)])
+def test_bound_vector_evaluates_each_base_term_once(request, count_calls, name, distinct):
+    channel = request.getfixturevalue(name)
+    entropy = sys.modules["dicbound.entropy"]
+    tables = count_calls(entropy, "induce_joint")
+    terms = count_calls(entropy, "conditional_entropy")
+    bound_vector(channel, SourceDistribution.uniform(channel.input_sizes))
+    assert (len(tables), len(terms)) == (1, distinct)
 
 
 def test_bounds_never_exceed_output_entropy_budget(shift2_331):
