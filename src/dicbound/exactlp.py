@@ -1,8 +1,11 @@
-"""Exact rational LP feasibility via a sparse phase-1 simplex.
+"""Exact rational LP feasibility: the one place that decides infeasibility.
 
 Finds x >= 0 with A x = b in Fraction arithmetic, or reports infeasibility
-with a certificate vector y satisfying y.A <= 0 and y.b > 0.  Pivots follow
-the lowest-index rule on both the entering column and the leaving row, so the
+with a Farkas vector y satisfying y.A <= 0 and y.b > 0, checked exactly by
+``separates`` before it is returned.  A caller may offer a candidate y (for
+instance a rationalized float dual); when it passes the check, no pivot is
+made.  Otherwise a sparse phase-1 simplex decides.  Its pivots follow the
+lowest-index rule on both the entering column and the leaving row, so the
 procedure terminates and is deterministic.
 """
 
@@ -25,10 +28,30 @@ class FeasibilityResult:
     farkas: dict[int, Fraction] | None  # row index -> multiplier (infeasible case)
 
 
+def _dot(y: Mapping[int, Fraction], col: SparseCol) -> Fraction:
+    return sum((y.get(i, ZERO) * c for i, c in col.items()), ZERO)
+
+
+def separates(y: Mapping[int, Fraction], columns: Sequence[SparseCol], rhs: SparseCol) -> bool:
+    """Exact Farkas check: y.a_j <= 0 for every column and y.b > 0, so no
+    x >= 0 solves A x = b."""
+    return _dot(y, rhs) > 0 and all(_dot(y, col) <= 0 for col in columns)
+
+
 def solve_feasibility(
-    columns: Sequence[SparseCol], rhs: Mapping[int, Fraction], n_rows: int
+    columns: Sequence[SparseCol],
+    rhs: Mapping[int, Fraction],
+    n_rows: int,
+    candidate: Mapping[int, Fraction] | None = None,
 ) -> FeasibilityResult:
-    """Phase-1 simplex on {x >= 0 : sum_j columns[j] * x_j = rhs}."""
+    """Decide {x >= 0 : sum_j columns[j] * x_j = rhs} exactly.
+
+    A candidate Farkas vector that passes ``separates`` is returned as the
+    result's ``farkas`` (the same object) without a pivot; otherwise the
+    phase-1 simplex runs, and its own Farkas vector must pass the same check.
+    """
+    if candidate is not None and separates(candidate, columns, rhs):
+        return FeasibilityResult(feasible=False, solution=None, farkas=candidate)
     n_cols = len(columns)
     # rows as sparse dicts over column indices; artificial j gets index n_cols + i
     rows: list[dict[int, Fraction]] = []
@@ -126,4 +149,6 @@ def solve_feasibility(
             y = -y
         if y:
             farkas[i] = y
+    if not separates(farkas, columns, rhs):
+        raise RuntimeError("phase-1 simplex ended with a Farkas vector that fails its check")
     return FeasibilityResult(feasible=False, solution=None, farkas=farkas)

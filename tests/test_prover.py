@@ -1,12 +1,15 @@
 import re
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dicbound.errors import ProverError
-from dicbound.exactlp import solve_feasibility
+from dicbound import prover as prover_module
+from dicbound.exactlp import separates, solve_feasibility
 from dicbound.networks import base_network
 from dicbound.prover import (
     ProverProblem,
@@ -45,6 +48,19 @@ def test_exact_lp_feasibility_small():
     # certificate: y*A <= 0 and y*b > 0
     assert all(sum(y.get(i, 0) * c for i, c in col.items()) <= 0 for col in [{0: 1}, {0: 1}])
     assert y[0] * Fraction(-1) > 0
+
+
+def test_exact_lp_rejects_a_candidate_that_violates_one_column():
+    # x1 * e0 + x2 * e1 = -e0 has no solution with x >= 0
+    cols = [{0: Fraction(1)}, {1: Fraction(1)}]
+    rhs = {0: Fraction(-1)}
+    bad = {0: Fraction(-1), 1: Fraction(1)}  # positive on the second column
+    assert bad[0] * rhs[0] > 0 and not separates(bad, cols, rhs)
+    res = solve_feasibility(cols, rhs, 2, candidate=bad)
+    assert not res.feasible and res.farkas is not bad
+    assert separates(res.farkas, cols, rhs)
+    good = {0: Fraction(-1)}
+    assert solve_feasibility(cols, rhs, 2, candidate=good).farkas is good
 
 
 def test_elemental_counts():
@@ -93,7 +109,7 @@ def test_chain_step_target_provable(base2):
         variables, {"Y1 V1 V2": 1, "V1 V2": -1, "Y1 X2 Y2": -1, "X2 Y2": 1}
     )
     result = prove(ProverProblem(variables=variables, constraints=constraints, target=target))
-    assert result.provable
+    assert result.provable and result.path == "guided" and result.separating_vector is None
     assert verify_certificate(result.problem, result.certificate)
 
 
@@ -122,6 +138,81 @@ def test_equality_provable_both_directions(base2):
     for target in (fwd, bwd):
         result = prove(ProverProblem(variables=variables, constraints=constraints, target=target))
         assert result.provable
+
+
+def test_unknown_method_rejected(base2):
+    variables, constraints = base2
+    target = expr_from_names(variables, {"X1 X2": 1, "X1": -1, "X2": -1})
+    problem = ProverProblem(variables=variables, constraints=constraints, target=target)
+    with pytest.raises(ProverError, match="'auto', 'exact'"):
+        prove(problem, method="bogus")
+
+
+def negated_mutual_information(a_mask, b_mask, k_mask=0):
+    """-I(A;B|K) as an expression over variable-set masks."""
+    expr: dict[int, Fraction] = {}
+    for mask, sign in ((a_mask | k_mask, -1), (b_mask | k_mask, -1), (a_mask | b_mask | k_mask, 1), (k_mask, 1)):
+        if mask:
+            expr[mask] = expr.get(mask, Fraction(0)) + sign
+    return {m: c for m, c in expr.items() if c}
+
+
+def refutations():
+    names = tuple(f"Z{i + 1}" for i in range(4))
+    for i, j in combinations(range(4), 2):
+        others = [t for t in range(4) if t not in (i, j)]
+        for r in range(len(others) + 1):
+            for ks in combinations(others, r):
+                target = negated_mutual_information(1 << i, 1 << j, sum(1 << t for t in ks))
+                yield ProverProblem(variables=names, constraints=(), target=target, name=f"n4 {i}{j}{ks}")
+    variables, constraints = dic_constraints(2, [1, 1], BASE2_WIRING)
+    index = {v: t for t, v in enumerate(variables)}
+    for a, b in (("X1", "Y1"), ("X2", "Y1"), ("Y1", "Y2")):
+        target = negated_mutual_information(1 << index[a], 1 << index[b])
+        yield ProverProblem(variables=variables, constraints=constraints, target=target, name=f"-I({a};{b})")
+
+
+def separating_vector_holds(problem, y) -> bool:
+    """Re-check a NotProvable witness from the generators themselves: y is
+    non-positive on every elemental, zero on every equality, and positive on
+    the target."""
+    def dot(expr):
+        return sum((y.get(m, Fraction(0)) * c for m, c in expr.items()), Fraction(0))
+
+    return (
+        all(dot(expr) <= 0 for _, expr in elemental_inequalities(problem.variables))
+        and all(dot(expr) == 0 for _, expr in problem.constraints)
+        and dot(problem.target) > 0
+    )
+
+
+def test_auto_and_exact_agree_on_refutations(monkeypatch):
+    problems = list(refutations())
+    assert len(problems) == 27
+    auto = [prove(p) for p in problems]
+    # the exact method uses no floats
+    monkeypatch.setattr(prover_module, "linprog", None)
+    exact = [prove(p, method="exact") for p in problems]
+    for problem, a, e in zip(problems, auto, exact):
+        assert (a.status, a.path) == ("NotProvable", "dual"), problem.name
+        assert (e.status, e.path) == ("NotProvable", "exact"), problem.name
+        assert a.certificate is None and e.certificate is None
+        assert separating_vector_holds(problem, a.separating_vector), problem.name
+        assert separating_vector_holds(problem, e.separating_vector), problem.name
+
+
+def test_nine_variable_refutation_decided_by_the_dual():
+    # -I(Z1;Z2) over nine variables: the full exact simplex did not finish in
+    # minutes at eight; the float dual plus its exact check takes well under a
+    # second on a current CPU
+    names = tuple(f"Z{i + 1}" for i in range(9))
+    problem = ProverProblem(variables=names, constraints=(), target=negated_mutual_information(1, 2))
+    start = time.perf_counter()
+    result = prove(problem)
+    elapsed = time.perf_counter() - start
+    assert (result.status, result.path) == ("NotProvable", "dual")
+    assert elapsed < 10.0, f"took {elapsed:.1f} s"
+    assert separating_vector_holds(problem, result.separating_vector)
 
 
 def test_exact_method_agrees_with_guided(base2):
