@@ -11,6 +11,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from itertools import product
 from numbers import Integral, Real
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -114,15 +115,8 @@ class SourceDistribution:
                     raise DistributionError(
                         f"joint table length {len(flat)} does not match tuple space {total}"
                     )
-                joint = {}
-                for idx, p in enumerate(flat):
-                    if p != 0.0:
-                        key = []
-                        rem = idx
-                        for size in reversed(self.sizes):
-                            key.append(rem % size)
-                            rem //= size
-                        joint[tuple(reversed(key))] = p
+                keys = product(*map(range, self.sizes))
+                joint = {key: p for key, p in zip(keys, flat) if p != 0.0}
             for key, p in joint.items():
                 if not (
                     isinstance(key, tuple)
@@ -218,7 +212,7 @@ def induce_joint(model, dist: SourceDistribution) -> JointTable:
     if isinstance(model, DeterministicChannel):
         model = base_network(model)
     variables = model.all_variables()
-    return JointTable(variables, tuple(symbol_rows(model, dist, variables, model.replicas)))
+    return JointTable(variables, tuple(symbol_rows(model, dist, variables)))
 
 
 def merged_entropy(rows: Iterable[tuple[tuple, float]]) -> float:

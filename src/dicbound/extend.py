@@ -18,7 +18,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from itertools import accumulate
@@ -215,15 +215,12 @@ class BoundRecipe:
     weights, and the derived closed form."""
 
     bound_id: str
-    users: int
     k: int | None
     parametric: bool
     recipe: ReplicationRecipe
     chain: CutChain
     rate_weights: tuple[int, ...]
     closed_terms: tuple[ClosedTerm, ...]
-    reconstructed: bool
-    recovery_notes: tuple[str, ...] = field(default=(), repr=False)
 
     def term_counts(self) -> Counter[tuple[int, frozenset[int]]]:
         return Counter(t.key for t in self.closed_terms)
@@ -313,15 +310,12 @@ def _builtin_recipe(bound_id: str, k: int | None) -> BoundRecipe:
     uncut = list(accumulate(peel, lambda left, level: left - set(level), initial=frozenset(labels)))
     return BoundRecipe(
         bound_id=bound_id,
-        users=spec["users"],
         k=k,
         parametric=parametric,
         recipe=recipe,
         chain=chain_from_cuts(labels, uncut),
         rate_weights=counts,
         closed_terms=closed,
-        reconstructed=spec.get("reconstructed", False),
-        recovery_notes=tuple(spec.get("recovery", [])),
     )
 
 

@@ -11,10 +11,12 @@ This module holds the one entropy engine: ``source_atoms`` enumerates source
 atoms (and is the only place that checks a law against a network and enforces
 the atom budget), ``NetworkGraph.evaluator`` maps atoms to symbol values, and
 ``entropy.merged_entropy`` turns (value, p) rows into an entropy.  The joint
-tables of ``entropy.induce_joint`` and the network queries below are both
-front-ends over it.  The network queries avoid materializing the full joint:
-conditioning on a source's input and its receiver's output pins down the
-interference it saw, so each query reduces to a small set of relevant sources.
+tables of ``entropy.induce_joint`` and the one network query,
+``cond_entropy_network``, are both front-ends over it; ``network_entropy`` is
+that query with nothing conditioned.  The query avoids materializing the full
+joint: it enumerates once, over only the sources its variables depend on, and
+under a product law conditioning on a source's input and its receiver's output
+pins down the interference it saw, which shrinks that set further.
 """
 
 from __future__ import annotations
@@ -244,16 +246,15 @@ def source_atoms(network: NetworkGraph, dist: SourceDistribution, sources: Seque
         yield from marginal.items()
 
 
-def symbol_rows(network: NetworkGraph, dist: SourceDistribution, variables, sources=None):
-    """(values of ``variables``, p) for every source atom over ``sources``,
-    by default the variables' dependency closure in sorted order."""
-    if sources is None:
-        sources = sorted(set().union(*(network.dependencies(v) for v in variables)))
+def symbol_rows(network: NetworkGraph, dist: SourceDistribution, variables):
+    """(values of ``variables``, p) for every source atom over the variables'
+    dependency closure, in sorted order."""
+    sources = sorted(set().union(*(network.dependencies(v) for v in variables)))
     evaluate = network.evaluator(variables, sources)
     return ((evaluate(x), p) for x, p in source_atoms(network, dist, sources))
 
 
-# -- reduced entropy evaluation ----------------------------------------------
+# -- the network query ---------------------------------------------------------
 
 
 def known_closure(network: NetworkGraph, cond: Iterable[VariableId]) -> set[VariableId]:
@@ -261,28 +262,20 @@ def known_closure(network: NetworkGraph, cond: Iterable[VariableId]) -> set[Vari
 
     Closure rules: V = g(X); Y determined once its input and all wired
     interference symbols are; and (X, Y) of a receiver determine the wired
-    interference symbols (the recoverability invariant).
+    interference symbols (the recoverability invariant).  No rule derives an
+    X, so one pass adds every V there is to add; a second adds each Y whose
+    input and wired V's are known, and that is the fixed point.
     """
     known = set(cond)
-    changed = True
-    while changed:
-        changed = False
-        for r in network.replicas:
-            u, c = r
-            x, y = VariableId("X", u, c), VariableId("Y", u, c)
-            v = VariableId("V", u, c)
-            wired = [VariableId("V", w[0], w[1]) for w in network.interferers_of(r)]
-            if x in known and v not in known:
-                known.add(v)
-                changed = True
-            if x in known and y not in known and all(w in known for w in wired):
-                known.add(y)
-                changed = True
-            if x in known and y in known:
-                for w in wired:
-                    if w not in known:
-                        known.add(w)
-                        changed = True
+    for u, c in network.replicas:
+        if VariableId("X", u, c) in known:
+            known.add(VariableId("V", u, c))
+            if VariableId("Y", u, c) in known:
+                known.update(VariableId("V", *w) for w in network.interferers_of((u, c)))
+    for u, c in network.replicas:
+        wired = (VariableId("V", *w) for w in network.interferers_of((u, c)))
+        if VariableId("X", u, c) in known and all(w in known for w in wired):
+            known.add(VariableId("Y", u, c))
     return known
 
 
@@ -292,11 +285,14 @@ def cond_entropy_network(
     targets: Iterable[VariableId],
     cond: Iterable[VariableId] = (),
 ) -> float:
-    """H(targets | cond) on the network without materializing the full joint.
+    """H(targets | cond) on the network without materializing the full joint:
+    H(keys, targets) - H(keys) from one enumeration of the sources they
+    depend on.
 
-    Fast path (product sources, every conditioned output accompanied by its
-    own input): replace the conditioning by its X's plus the recovered
-    interference symbols, then enumerate only the sources that still matter.
+    The keys are the conditioning set.  Under a product law whose conditioned
+    outputs each come with their own input, they are reduced first: the
+    targets the conditioning determines drop out, and the keys become the
+    conditioned X's and recovered V's that share a source with what is left.
     """
     targets = network.check_variables(targets)
     cond = network.check_variables(cond)
@@ -313,20 +309,15 @@ def cond_entropy_network(
             v for v in known if v.kind == "V" and (v.user, v.copy) not in cond_x_sources
         )
         deps: set[Replica] = set()
-        for v in list(live) + gen_v:
+        for v in live + gen_v:
             deps |= network.dependencies(v)
-        gen_x = sorted(VariableId("X", u, c) for (u, c) in deps & cond_x_sources)
-        key_vars = gen_x + gen_v
-        rows = list(symbol_rows(network, dist, key_vars + live, sorted(deps)))
-        return merged_entropy(rows) - merged_entropy((v[: len(key_vars)], p) for v, p in rows)
-    # general path: H(A u B) - H(B) over the dependency closure
-    return _plain_entropy(network, dist, targets | cond) - _plain_entropy(network, dist, cond)
-
-
-def _plain_entropy(network, dist, subset) -> float:
-    subset = sorted(subset)
-    return merged_entropy(symbol_rows(network, dist, subset)) if subset else 0.0
+        keys = sorted(VariableId("X", u, c) for (u, c) in deps & cond_x_sources) + gen_v
+    else:
+        live, keys = sorted(targets - cond), sorted(cond)
+    rows = list(symbol_rows(network, dist, keys + live))
+    return merged_entropy(rows) - merged_entropy((v[: len(keys)], p) for v, p in rows)
 
 
 def network_entropy(network: NetworkGraph, dist: SourceDistribution, subset) -> float:
-    return _plain_entropy(network, dist, network.check_variables(subset))
+    """H(subset): the network query with nothing conditioned."""
+    return cond_entropy_network(network, dist, subset)

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` for the per-criterion
 report.  Tolerances are fixed here, not calibrated.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ from itertools import product as iproduct
 
 import pytest
 
+import dicbound
 from dicbound.channels import DeterministicChannel, builtin_channel, validate_channel
 from dicbound.entropy import (
     SourceDistribution,
@@ -261,7 +263,11 @@ def test_criterion_9_compare_determinism():
         sys.executable, "-m", "dicbound.cli", "compare",
         "--channel", "shift2:2,2,1", "--samples", "6", "--seed", "31",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=True).stdout
-    second = subprocess.run(cmd, capture_output=True, check=True).stdout
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(dicbound.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
     assert first == second and first
     report("criterion 9: compare runs are byte-identical for a fixed seed")

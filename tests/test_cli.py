@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import math
 import os
+import random
 import re
+from itertools import product as iproduct
 from unittest import mock
 
 import pytest
@@ -174,6 +177,34 @@ def test_output_matches_the_golden_files(capsys, case):
     code, out, _ = run_cli_exit(capsys, *case["argv"])
     with open(os.path.join(GOLDEN, case["stdout"]), encoding="utf-8") as fh:
         assert (code, out) == (case["exit"], fh.read())
+
+
+def correlated_law(sizes, seed):
+    """A seeded joint law as a flat row-major list: about a third of the
+    source tuples get no mass, and tuples with equal inputs get more."""
+    rng = random.Random(seed)
+    weights = []
+    for xs in iproduct(*map(range, sizes)):
+        scale = 4.0 if len(set(xs)) == 1 else 1.0
+        weights.append(scale * rng.random() if rng.random() < 0.7 else 0.0)
+    total = math.fsum(weights)
+    return {"mode": "joint", "probs": [w / total for w in weights]}
+
+
+@pytest.mark.parametrize(
+    "channel, sizes, seed, golden",
+    [
+        ("concat3", [2, 2, 2], 11, "gcs-concat3-enumerate-l3-joint11.out"),
+        ("xor2", [2, 2], 3, "gcs-xor2-enumerate-l3-joint3.out"),
+    ],
+)
+def test_enumerate_under_a_joint_law_matches_the_golden_files(capsys, tmp_path, channel, sizes, seed, golden):
+    # a correlated law: every chain term is a network query over dependent sources
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(correlated_law(sizes, seed)))
+    code, out, _ = run_cli_exit(capsys, "gcs", "--channel", channel, "--enumerate", "--max-l", "3", "--dist", str(path))
+    with open(os.path.join(GOLDEN, golden), encoding="utf-8") as fh:
+        assert (code, out) == (0, fh.read())
 
 
 def test_joint_law_is_a_validation_failure_for_the_bound_commands(capsys, tmp_path):

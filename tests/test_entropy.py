@@ -20,7 +20,8 @@ from dicbound.entropy import (
 from dicbound.errors import BudgetExceededError, DicboundError, DistributionError
 from dicbound.extend import build_extended, builtin_recipe
 from dicbound.gcs import evaluate_chain
-from dicbound.networks import base_network, cond_entropy_network, network_entropy
+from dicbound import networks
+from dicbound.networks import base_network, cond_entropy_network, known_closure, network_entropy
 from dicbound.sampling import sample_product_distribution
 
 from first_principles import (
@@ -315,3 +316,61 @@ def test_engine_matches_first_principles_on_networks(k, mode, seed, mask_a, mask
     assert abs(cond_entropy_network(net, dist, a, b) - want) < 1e-12
     assert abs(conditional_entropy(induce_joint(net, dist), a, b) - want) < 1e-12
     assert abs(network_entropy(net, dist, a) - oracle_network_cond_entropy(atoms, keys(a))) < 1e-12
+
+
+def test_network_entropy_is_the_query_with_nothing_conditioned(shift2_221):
+    # bit for bit, also when H of the empty key is not exactly 0: a product
+    # table off 1 in the last bits, and a joint law
+    net = base_network(shift2_221)
+    off_one = SourceDistribution("product", [4, 4], [[0.1, 0.2, 0.3, 0.4 + 1e-12], [0.25] * 4])
+    _, joint_law, _ = _network_and_law(None, "joint", 8)
+    variables = net.all_variables()
+    for dist in (off_one, joint_law):
+        for mask in range(1, 1 << len(variables)):
+            subset = [v for i, v in enumerate(variables) if mask >> i & 1]
+            assert network_entropy(net, dist, subset) == cond_entropy_network(net, dist, subset)
+
+
+def test_one_source_enumeration_per_query(shift2_221, count_calls):
+    net = base_network(shift2_221)
+    calls = count_calls(networks, "source_atoms")
+    _, joint_law, _ = _network_and_law(None, "joint", 3)
+    product_law = sample_product_distribution([4, 4], 3, 0)
+    # a joint law, and Y1 conditioned without X1 under a product law
+    for dist, cond in ((joint_law, [X(1), Y(1)]), (product_law, [Y(1), V(2)])):
+        calls.clear()
+        cond_entropy_network(net, dist, [X(2), Y(2)], cond)
+        assert len(calls) == 1
+
+
+def fixed_point_closure(net, cond):
+    """The closure rules applied to every replica until nothing changes."""
+    known = set(cond)
+    while True:
+        size = len(known)
+        for u, c in net.replicas:
+            wired = {V(*w) for w in net.interferers_of((u, c))}
+            if X(u, c) in known:
+                known.add(V(u, c))
+                if wired <= known:
+                    known.add(Y(u, c))
+                if Y(u, c) in known:
+                    known |= wired
+        if len(known) == size:
+            return known
+
+
+def test_one_pass_closure_is_the_fixed_point(shift2_221, concat3):
+    nets = [
+        base_network(shift2_221),
+        build_extended(shift2_221, builtin_recipe("4a", 2).recipe),
+        build_extended(concat3, builtin_recipe("ineq5", 1).recipe),
+    ]
+    rng = random.Random(5)
+    for net in nets:
+        variables = net.all_variables()
+        for _ in range(300):
+            # V's and Y's are often conditioned without their X
+            share = rng.choice((0.15, 0.35, 0.6))
+            cond = {v for v in variables if rng.random() < share}
+            assert known_closure(net, cond) == fixed_point_closure(net, cond)
