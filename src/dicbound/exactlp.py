@@ -11,9 +11,10 @@ procedure terminates and is deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -28,14 +29,19 @@ class FeasibilityResult:
     farkas: dict[int, Fraction] | None  # row index -> multiplier (infeasible case)
 
 
-def _dot(y: Mapping[int, Fraction], col: SparseCol) -> Fraction:
-    return sum((y.get(i, ZERO) * c for i, c in col.items()), ZERO)
+def _dot(y: Mapping[int, int], col: SparseCol):
+    return sum((y.get(i, 0) * c for i, c in col.items()), 0)
 
 
-def separates(y: Mapping[int, Fraction], columns: Sequence[SparseCol], rhs: SparseCol) -> bool:
+def separates(y: Mapping[int, Fraction], columns: Iterable[SparseCol], rhs: SparseCol) -> bool:
     """Exact Farkas check: y.a_j <= 0 for every column and y.b > 0, so no
     x >= 0 solves A x = b."""
-    return _dot(y, rhs) > 0 and all(_dot(y, col) <= 0 for col in columns)
+    # y times its common denominator has the same signs on every column, and
+    # integer columns then sum in integer arithmetic
+    y = {i: Fraction(v) for i, v in y.items()}
+    den = math.lcm(*(v.denominator for v in y.values()))
+    scaled = {i: v.numerator * (den // v.denominator) for i, v in y.items()}
+    return _dot(scaled, rhs) > 0 and all(_dot(scaled, col) <= 0 for col in columns)
 
 
 def solve_feasibility(
@@ -53,26 +59,21 @@ def solve_feasibility(
     if candidate is not None and separates(candidate, columns, rhs):
         return FeasibilityResult(feasible=False, solution=None, farkas=candidate)
     n_cols = len(columns)
-    # rows as sparse dicts over column indices; artificial j gets index n_cols + i
-    rows: list[dict[int, Fraction]] = []
+    # rows as sparse dicts over column indices, filled in one pass over the
+    # columns' entries; artificial j gets index n_cols + i
+    rows: list[dict[int, Fraction]] = [{} for _ in range(n_rows)]
+    for j, col in enumerate(columns):
+        for i, a in col.items():
+            if a:
+                rows[i][j] = Fraction(a)
     b: list[Fraction] = []
     for i in range(n_rows):
         bi = Fraction(rhs.get(i, 0))
-        row: dict[int, Fraction] = {}
-        for j, col in enumerate(columns):
-            a = col.get(i)
-            if a:
-                row[j] = Fraction(a)
         if bi < 0:
             bi = -bi
-            row = {j: -a for j, a in row.items()}
-            row[n_cols + i] = ONE
-            rows.append(row)
-            b.append(bi)
-        else:
-            row[n_cols + i] = ONE
-            rows.append(row)
-            b.append(bi)
+            rows[i] = {j: -a for j, a in rows[i].items()}
+        rows[i][n_cols + i] = ONE
+        b.append(bi)
     basis = [n_cols + i for i in range(n_rows)]
     # reduced-cost row for minimizing the artificial sum: obj[j] = c_j - z_j
     obj: dict[int, Fraction] = {}

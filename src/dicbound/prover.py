@@ -16,14 +16,35 @@ y.g <= 0 for every generator g and y.target > 0, checked exactly by
 rationalized, is offered to ``exactlp.solve_feasibility`` as a candidate, and
 only if it fails the exact check does the full exact simplex run.  The
 ``method="exact"`` path uses no floats at all.
+
+Both methods solve a smaller LP over closed sets.  A constraint of the exact
+shape h(A u B) - h(A) with A non-empty is a functional dependency (FD), and on
+the constrained cone h(S) = h(cl S), where cl S is the closure of S under the
+FDs.  So every generator maps through h(S) -> h(cl S): the rows are the
+non-empty closed sets, the FD columns vanish, zero and repeated elemental
+columns are dropped, and every other constraint stays a (+, -) column pair.
+The elementals themselves are one integer table per n.  Verdicts are lifted
+back to the unreduced system and checked there:
+
+- a separating vector y_red of the reduced LP lifts to y(S) = y_red(cl S),
+  which ``exactlp.separates`` checks against every unreduced column;
+- a reduced solution leaves the residual R = target - sum(weights *
+  generators) with R = sum_S r_S (h(S) - h(cl S)) over the sets S that are
+  not closed.  When r_S < 0 the term is |r_S| H(cl S \\ S | S).  When r_S > 0
+  the FDs fire from S up to cl S, and each step S_t -> S_t u B by
+  H(B|A) = 0 (A in S_t, D = B n S_t) adds
+  -H(B|A) + I(B \\ S_t; S_t \\ (A u D) | A u D) + H(D|A).  Every term is
+  written out in elementals by the chain rule, and the whole certificate is
+  re-summed exactly before it is returned.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, starmap
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -32,7 +53,7 @@ from scipy.optimize import linprog
 
 from .entropy import VariableId
 from .errors import ProverError, UnsupportedBoundError
-from .exactlp import solve_feasibility
+from .exactlp import separates, solve_feasibility
 from .networks import NetworkGraph, network_entropy, replicas_from_counts
 
 MAX_VARIABLES = 12
@@ -138,8 +159,9 @@ class ProofResult:
     carries ``separating_vector``, an exactly checked y (by subset mask) that
     is non-positive on every generator and positive on the target.  ``path``
     names the step that decided: "guided" (exact solve on the float LP's
-    support), "widened" (that support plus every equality), "dual" (the float
-    dual's vector passed the exact check) or "exact" (the full simplex)."""
+    support), "widened" (that support plus every equality left in the
+    closed-set LP), "dual" (the float dual's vector passed the exact check)
+    or "exact" (the full simplex)."""
 
     status: str  # "Provable" | "NotProvable"
     certificate: tuple[tuple[str, Fraction], ...] | None
@@ -153,48 +175,113 @@ class ProofResult:
         return self.status == "Provable"
 
 
-def elemental_inequalities(variables: int | Sequence[str]) -> list[tuple[str, Expr]]:
+_SIGNS = {1: Fraction(1), -1: Fraction(-1)}
+
+
+@dataclass(frozen=True)
+class _ElementalTable:
+    """The elemental inequalities on n variables as integer arrays.  Column t
+    is H(a|K) when b[t] < 0 and I(a;b|K) otherwise, with K = k[t]; masks[t]
+    and signs[t] are its joint-entropy terms, padded with mask 0 and sign 0."""
+
+    n: int
+    a: np.ndarray
+    b: np.ndarray
+    k: np.ndarray
+    masks: np.ndarray  # (columns, 4) subset bitmasks
+    signs: np.ndarray  # (columns, 4) in {-1, 0, 1}
+    pair_index: np.ndarray  # ((a * n + b) << n) | K -> t of I(a;b|K), a < b
+
+    def mutual(self, i: int, j: int, k: int) -> int:
+        """The column I(i;j|K)."""
+        a, b = min(i, j), max(i, j)
+        return int(self.pair_index[((a * self.n + b) << self.n) | k])
+
+
+@functools.cache
+def _elemental_table(n: int) -> _ElementalTable:
+    full = (1 << n) - 1
+    a, b, k = [np.arange(n)], [np.full(n, -1)], [full & ~(1 << np.arange(n))]
+    if n == 2:
+        a, b, k = a + [np.arange(2)], b + [np.full(2, -1)], k + [np.zeros(2, dtype=int)]
+    if n >= 2:
+        # conditioning sets over the other n - 2 positions, by size then
+        # lexicographically, then spread onto the variables of each pair
+        spread = np.array(
+            [sum(1 << p for p in ks) for r in range(n - 1) for ks in combinations(range(n - 2), r)]
+        )
+        for i, j in combinations(range(n), 2):
+            others = [t for t in range(n) if t not in (i, j)]
+            ks = np.zeros_like(spread)
+            for p, bit in enumerate(others):
+                ks |= (spread >> p & 1) << bit
+            a.append(np.full(len(spread), i))
+            b.append(np.full(len(spread), j))
+            k.append(ks)
+    a, b, k = (np.concatenate(x).astype(np.int64) for x in (a, b, k))
+    single = b < 0
+    bit_a = 1 << a
+    bit_b = np.where(single, 0, 1 << np.maximum(b, 0))
+    masks = np.stack(
+        [bit_a | k, np.where(single, k, bit_b | k), np.where(single, 0, bit_a | bit_b | k), np.where(single, 0, k)],
+        axis=1,
+    )
+    signs = np.where(single[:, None], np.array([1, -1, 0, 0]), np.array([1, 1, -1, -1]))
+    signs = np.where(masks == 0, 0, signs)
+    pair_index = np.full((n * n) << n, -1, dtype=np.int32)
+    pairs = np.flatnonzero(~single)
+    pair_index[((a[pairs] * n + b[pairs]) << n) | k[pairs]] = pairs
+    for array in (a, b, k, masks, signs, pair_index):
+        array.flags.writeable = False  # shared by every later call for this n
+    return _ElementalTable(n, a, b, k, masks, signs, pair_index)
+
+
+class _Elementals(Sequence):
+    """The elemental inequalities on named variables: a sequence of
+    (label, Expr) pairs, each built on access from the per-n table."""
+
+    def __init__(self, names: Sequence[str]):
+        self.names = tuple(names)
+        self.table = _elemental_table(len(self.names))
+        self._conditions: dict[int, str] = {}  # K -> "|names of K", shared by many labels
+
+    def __len__(self) -> int:
+        return len(self.table.a)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [self[i] for i in range(len(self))[t]]
+        t = range(len(self))[t]
+        return self._item(*(x[t].tolist() for x in self._fields()))
+
+    def __iter__(self):
+        return starmap(self._item, zip(*(x.tolist() for x in self._fields())))
+
+    def _fields(self):
+        return self.table.a, self.table.b, self.table.k, self.table.masks, self.table.signs
+
+    def _item(self, a: int, b: int, k: int, masks: list[int], signs: list[int]) -> tuple[str, Expr]:
+        cond = self._conditions.get(k)
+        if cond is None:
+            cond = self._conditions[k] = f"|{_mask_name(k, self.names)}" if k else ""
+        label = f"H({self.names[a]}{cond})" if b < 0 else f"I({self.names[a]};{self.names[b]}{cond})"
+        return label, {m: _SIGNS[s] for m, s in zip(masks, signs) if s}
+
+
+def elemental_inequalities(variables: int | Sequence[str]) -> Sequence[tuple[str, Expr]]:
     """Generators of the polyhedral Shannon cone on the given variables.
 
     Monotonicity H(all) - H(all minus one) and conditional mutual
     informations I(i;j|K); for n <= 2 the single-variable non-negativities
     are included as well (they are implied for larger n).  Labels name the
-    variables; a bare count n names them Z1..Zn.
+    variables; a bare count n names them Z1..Zn.  The result is a sequence
+    view over one integer table per n, built on first use, and each
+    (label, Expr) item is built when it is read.
     """
     names = [f"Z{i+1}" for i in range(variables)] if isinstance(variables, int) else list(variables)
-    n = len(names)
-    if n < 1:
+    if len(names) < 1:
         raise ProverError("n must be >= 1")
-    full = (1 << n) - 1
-    out: list[tuple[str, Expr]] = []
-    for i in range(n):
-        rest = full & ~(1 << i)
-        expr: Expr = {full: Fraction(1)}
-        if rest:
-            expr[rest] = Fraction(-1)
-        label = f"H({names[i]}|{_mask_name(rest, names)})" if rest else f"H({names[i]})"
-        out.append((label, expr))
-    if n == 2:
-        for i in range(n):
-            out.append((f"H({names[i]})", {1 << i: Fraction(1)}))
-    for i, j in combinations(range(n), 2):
-        others = [t for t in range(n) if t not in (i, j)]
-        for r in range(len(others) + 1):
-            for ks in combinations(others, r):
-                k_mask = sum(1 << t for t in ks)
-                expr = {}
-                for mask, sign in (
-                    ((1 << i) | k_mask, 1),
-                    ((1 << j) | k_mask, 1),
-                    ((1 << i) | (1 << j) | k_mask, -1),
-                    (k_mask, -1),
-                ):
-                    if mask:
-                        expr[mask] = expr.get(mask, Fraction(0)) + sign
-                expr = {m: c for m, c in expr.items() if c}
-                cond = f"|{_mask_name(k_mask, names)}" if k_mask else ""
-                out.append((f"I({names[i]};{names[j]}{cond})", expr))
-    return out
+    return _Elementals(names)
 
 
 def _receiver_equalities(
@@ -306,11 +393,216 @@ def verify_certificate(problem: ProverProblem, certificate) -> bool:
     return _certificate_holds(_column_table(problem), _column(problem.target), certificate)
 
 
-def _solve_exact(columns, target_vec, n_rows, restrict=None, candidate=None):
-    """Exact feasibility over the given columns (all by default); the solution
-    is a list of (column index, weight) pairs, or None when infeasible."""
-    cols = list(range(len(columns))) if restrict is None else sorted(restrict)
-    result = solve_feasibility([columns[j] for j in cols], target_vec, n_rows, candidate)
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _functional_dependencies(constraints) -> list[tuple[int, int, int]]:
+    """(constraint index, A, A u B) for every constraint of the exact shape
+    h(A u B) - h(A) with A non-empty, that is H(B | A) = 0."""
+    fds = []
+    for c, (_, expr) in enumerate(constraints):
+        up = [m for m, v in expr.items() if v == 1]
+        down = [m for m, v in expr.items() if v == -1]
+        if len(expr) == 2 and len(up) == len(down) == 1 and down[0] & ~up[0] == 0:
+            fds.append((c, down[0], up[0]))
+    return fds
+
+
+class _ClosedSetLP:
+    """The prover's LP over the sets closed under the problem's functional
+    dependencies (FDs).  Every generator maps through h(S) -> h(cl S): the
+    FDs vanish, zero and repeated elemental columns are dropped (the first
+    index is kept), and every other constraint stays a (+, -) column pair.
+
+    Generator g is elemental g when g < len(elementals), else constraint
+    g - len(elementals); reduced column j is generator ``gens[j]`` times
+    ``signs[j]``.  Rows are the non-empty closed sets."""
+
+    def __init__(self, elementals: _Elementals, problem: ProverProblem):
+        n = len(problem.variables)
+        table = elementals.table
+        self.elementals, self.problem, self.table = elementals, problem, table
+        self.n_elementals = len(elementals)
+        self.fds = _functional_dependencies(problem.constraints)
+        closure = np.arange(1 << n)
+        changed = bool(self.fds)
+        while changed:
+            changed = False
+            for _, a, u in self.fds:
+                fire = (closure & a == a) & (closure & u != u)
+                if fire.any():
+                    closure[fire] |= u
+                    changed = True
+        self.closure = closure
+        closed = np.flatnonzero(closure == np.arange(1 << n))[1:]
+        row = np.full(1 << n, -1)
+        row[closed] = np.arange(len(closed))
+        self.row_of = row[closure]  # reduced row of every mask; -1 for the empty set
+        self.n_rows = len(closed)
+
+        # elemental columns on reduced rows: merge terms that land on one
+        # row, then sort each column's terms into a canonical order
+        rows, signs = self.row_of[table.masks], table.signs.copy()
+        order = np.argsort(rows, axis=1, kind="stable")
+        rows, signs = np.take_along_axis(rows, order, 1), np.take_along_axis(signs, order, 1)
+        for s in range(1, rows.shape[1]):
+            same = rows[:, s] == rows[:, s - 1]
+            signs[same, s] += signs[same, s - 1]
+            signs[same, s - 1] = 0
+        rows = np.where(signs == 0, -1, rows)
+        order = np.argsort(rows, axis=1, kind="stable")
+        rows, signs = np.take_along_axis(rows, order, 1), np.take_along_axis(signs, order, 1)
+        _, first = np.unique(np.concatenate([rows, signs], axis=1), axis=0, return_index=True)
+        kept = np.sort(first)
+        kept = kept[(signs[kept] != 0).any(axis=1)]
+        self.rows, self.row_signs = rows[kept], signs[kept]
+        self.gens = kept.tolist()
+        self.signs = [1] * len(kept)
+        self.n_elemental_columns = len(kept)
+
+        self.constraint_columns: dict[int, dict[int, Fraction]] = {}
+        fd_index = {c for c, _, _ in self.fds}
+        for c, (_, expr) in enumerate(problem.constraints):
+            if c in fd_index:
+                continue
+            col = self.reduce(expr)
+            if col:
+                self.constraint_columns[c] = col
+                self.gens += [self.n_elementals + c] * 2
+                self.signs += [1, -1]
+        self.target = self.reduce(problem.target)
+
+    @property
+    def n_columns(self) -> int:
+        return len(self.gens)
+
+    def reduce(self, expr: Expr) -> dict[int, Fraction]:
+        out: dict[int, Fraction] = {}
+        for m, c in expr.items():
+            r = int(self.row_of[m])
+            out[r] = out.get(r, Fraction(0)) + c
+        return {r: c for r, c in out.items() if c}
+
+    def column(self, j: int) -> dict[int, object]:
+        """Reduced column j, exactly (integer or Fraction entries)."""
+        if j < self.n_elemental_columns:
+            return {int(r): int(s) for r, s in zip(self.rows[j], self.row_signs[j]) if s}
+        col = self.constraint_columns[self.gens[j] - self.n_elementals]
+        return col if self.signs[j] == 1 else {r: -c for r, c in col.items()}
+
+    def float_system(self):
+        """A (sparse, one column per reduced column) and b in floats."""
+        nz = self.row_signs != 0
+        rows_idx = [self.rows[nz]]
+        cols_idx = [np.nonzero(nz)[0]]
+        data = [self.row_signs[nz].astype(float)]
+        for j in range(self.n_elemental_columns, self.n_columns):
+            col = self.column(j)
+            rows_idx.append(np.fromiter(col, dtype=np.int64, count=len(col)))
+            cols_idx.append(np.full(len(col), j))
+            data.append(np.fromiter((float(c) for c in col.values()), dtype=float, count=len(col)))
+        a_eq = sparse.csc_matrix(
+            (np.concatenate(data), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
+            shape=(self.n_rows, self.n_columns),
+        )
+        b_eq = np.zeros(self.n_rows)
+        for r, c in self.target.items():
+            b_eq[r] = float(c)
+        return a_eq, b_eq
+
+    def terms(self, g: int) -> Expr:
+        """Generator g on the unreduced sets, by subset mask."""
+        if g < self.n_elementals:
+            return {int(m): int(s) for m, s in zip(self.table.masks[g], self.table.signs[g]) if s}
+        return self.problem.constraints[g - self.n_elementals][1]
+
+    def label(self, g: int) -> str:
+        if g < self.n_elementals:
+            return self.elementals[g][0]
+        return f"[=]{self.problem.constraints[g - self.n_elementals][0]}"
+
+    def lift_vector(self, y: Mapping[int, Fraction]) -> Expr:
+        """y(S) = y_red(cl S) for every non-empty set S."""
+        return {mask: y[r] for mask, r in enumerate(self.row_of.tolist()) if mask and y.get(r)}
+
+    def lift_certificate(self, solution: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
+        """Generator weights that sum to the target on the unreduced sets.
+
+        The reduced solution leaves a residual R = target - sum(weights *
+        generators) with R(cl) = 0, so R = sum_S r_S (h(S) - h(cl S)) over the
+        sets that are not closed, r_S = R(S); each such term is written out in
+        elementals and FDs."""
+        cert: dict[int, Fraction] = {}
+        residual = dict(self.problem.target)
+        for j, weight in solution:
+            g, coeff = self.gens[j], self.signs[j] * weight
+            cert[g] = cert.get(g, Fraction(0)) + coeff
+            for m, c in self.terms(g).items():
+                residual[m] = residual.get(m, Fraction(0)) - coeff * c
+        for s, r in sorted(residual.items()):
+            cl = int(self.closure[s])
+            if not r or cl == s:
+                continue
+            if r < 0:
+                # |r| (h(cl S) - h(S)) = |r| H(cl S \ S | S) >= 0
+                self._add_entropy(cert, -r, cl & ~s, s)
+                continue
+            # r (h(S) - h(cl S)): fire the FDs from S up to cl S; each step
+            # S_t -> S_t u B by H(B|A) = 0 (A in S_t) is, with D = B n S_t,
+            # -H(B \ S_t | S_t) = -H(B|A) + H(D|A) + I(B \ S_t; S_t \ (A u D) | A u D)
+            current = s
+            while current != cl:
+                c, a, u = next(fd for fd in self.fds if fd[1] & ~current == 0 and fd[2] & ~current)
+                b = u & ~a
+                d = b & current
+                g = self.n_elementals + c
+                cert[g] = cert.get(g, Fraction(0)) - r
+                self._add_entropy(cert, r, d, a)
+                self._add_mutual(cert, r, b & ~current, current & ~(a | d), a | d)
+                current |= u
+        return cert
+
+    def _add_entropy(self, cert, coeff, d_mask: int, a_mask: int) -> None:
+        """coeff * H(D | A), D and A disjoint, by the chain rule: each
+        H(d | K) = H(d | every other) + I(d; the rest | K)."""
+        full = (1 << self.table.n) - 1
+        known = a_mask
+        for d in _bits(d_mask):
+            cert[d] = cert.get(d, Fraction(0)) + coeff  # column d is H(d | every other)
+            self._add_mutual(cert, coeff, 1 << d, full & ~known & ~(1 << d), known)
+            known |= 1 << d
+
+    def _add_mutual(self, cert, coeff, x_mask: int, y_mask: int, z_mask: int) -> None:
+        """coeff * I(X; Y | Z), X, Y and Z disjoint, by the chain rule."""
+        cond_x = z_mask
+        for x in _bits(x_mask):
+            cond = cond_x
+            for y in _bits(y_mask):
+                t = self.table.mutual(x, y, cond)
+                cert[t] = cert.get(t, Fraction(0)) + coeff
+                cond |= 1 << y
+            cond_x |= 1 << x
+
+    def generator_columns(self):
+        """Every unreduced LP column, equalities as (+, -) pairs, built one at
+        a time."""
+        for masks, signs in zip(self.table.masks.tolist(), self.table.signs.tolist()):
+            yield {m - 1: s for m, s in zip(masks, signs) if s}
+        for _, expr in self.problem.constraints:
+            col = _column(expr)
+            yield col
+            yield {i: -c for i, c in col.items()}
+
+
+def _solve_exact(lp: _ClosedSetLP, restrict: Iterable[int], candidate=None):
+    """Exact feasibility over the given reduced columns; the solution is a
+    list of (column index, weight) pairs, or None when infeasible."""
+    cols = sorted(restrict)
+    result = solve_feasibility([lp.column(j) for j in cols], lp.target, lp.n_rows, candidate)
     if not result.feasible:
         return None, result
     return [(cols[j], coeff) for j, coeff in sorted(result.solution.items())], result
@@ -320,50 +612,34 @@ def prove(problem: ProverProblem, method: str = "auto") -> ProofResult:
     """Decide Shannon-derivability of the target under the constraints.
 
     ``method="auto"`` lets float LPs guide the exact solver; ``"exact"`` runs
-    the exact simplex over every column and uses no floats.
+    the exact simplex over every column and uses no floats.  Both solve the
+    LP over closed sets and lift the verdict back to the unreduced system.
     """
     if method not in METHODS:
         raise ProverError(f"method {method!r} is not one of {', '.join(map(repr, METHODS))}")
-    n_rows = (1 << len(problem.variables)) - 1
-    table = _column_table(problem)
-    labels = list(table)
-    n_elemental = len(labels) - len(problem.constraints)
-    # LP column j is table entry origin[j] times a sign: one column per
-    # elemental, a (+, -) pair per equality
-    origin = [(t, 1) for t in range(n_elemental)]
-    for t in range(n_elemental, len(labels)):
-        origin += [(t, 1), (t, -1)]
-    columns = [
-        table[labels[t]] if sign == 1 else {i: -c for i, c in table[labels[t]].items()}
-        for t, sign in origin
-    ]
-    target_vec = _column(problem.target)
-
+    lp = _ClosedSetLP(elemental_inequalities(problem.variables), problem)
     solution, path, candidate = None, "exact", None
     if method == "auto":
-        a_eq, b_eq = _float_system(columns, target_vec, n_rows)
+        a_eq, b_eq = lp.float_system()
         support = _float_support(a_eq, b_eq)
         if support is None:
             candidate = _float_farkas(a_eq, b_eq)
         else:
-            widened = support | set(range(n_elemental, len(columns)))
+            widened = support | set(range(lp.n_elemental_columns, lp.n_columns))
             for step, restrict in (("guided", support), ("widened", widened)):
-                solution, _ = _solve_exact(columns, target_vec, n_rows, restrict=restrict)
+                solution, _ = _solve_exact(lp, restrict)
                 if solution is not None:
                     path = step
                     break
     if solution is None:
-        solution, result = _solve_exact(columns, target_vec, n_rows, candidate=candidate)
+        solution, result = _solve_exact(lp, range(lp.n_columns), candidate)
         if solution is None and result.farkas is candidate:
             path = "dual"
     if solution is not None:
-        # fold the +/- columns of each equality into one signed entry
-        signed: dict[int, Fraction] = {}
-        for j, coeff in solution:
-            t, sign = origin[j]
-            signed[t] = signed.get(t, Fraction(0)) + sign * coeff
-        cert = tuple((labels[t], c) for t, c in signed.items() if c)
-        if not _certificate_holds(table, target_vec, cert):
+        weights = {g: c for g, c in sorted(lp.lift_certificate(solution).items()) if c}
+        cert = tuple((lp.label(g), c) for g, c in weights.items())
+        used = {lp.label(g): _column(lp.terms(g)) for g in weights}
+        if not _certificate_holds(used, _column(problem.target), cert):
             raise ProverError(f"internal error: certificate for {problem.name} fails re-summation")
         return ProofResult(
             status="Provable",
@@ -373,30 +649,18 @@ def prove(problem: ProverProblem, method: str = "auto") -> ProofResult:
             problem=problem,
             path=path,
         )
+    y = lp.lift_vector(result.farkas)
+    if not separates(_column(y), lp.generator_columns(), _column(problem.target)):
+        raise ProverError(f"internal error: separating vector for {problem.name} fails its exact check")
     return ProofResult(
         status="NotProvable",
         certificate=None,
         message="not derivable from Shannon-type inequalities plus the given "
         "constraints; the inequality may still hold",
         problem=problem,
-        separating_vector={i + 1: y for i, y in sorted(result.farkas.items())},
+        separating_vector=y,
         path=path,
     )
-
-
-def _float_system(columns, target_vec, n_rows):
-    """The LP data A (sparse, one column per generator column) and b in floats."""
-    data, rows_idx, cols_idx = [], [], []
-    for j, col in enumerate(columns):
-        for i, c in col.items():
-            rows_idx.append(i)
-            cols_idx.append(j)
-            data.append(float(c))
-    a_eq = sparse.csc_matrix((data, (rows_idx, cols_idx)), shape=(n_rows, len(columns)))
-    b_eq = np.zeros(n_rows)
-    for i, c in target_vec.items():
-        b_eq[i] = float(c)
-    return a_eq, b_eq
 
 
 def _float_support(a_eq, b_eq) -> set[int] | None:

@@ -12,6 +12,7 @@ from dicbound import prover as prover_module
 from dicbound.exactlp import separates, solve_feasibility
 from dicbound.networks import base_network
 from dicbound.prover import (
+    METHODS,
     ProverProblem,
     appendix_targets,
     dic_constraints,
@@ -63,6 +64,22 @@ def test_exact_lp_rejects_a_candidate_that_violates_one_column():
     assert solve_feasibility(cols, rhs, 2, candidate=good).farkas is good
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 3), st.fractions(max_denominator=12), max_size=4),
+    st.lists(
+        st.dictionaries(st.integers(0, 3), st.integers(-3, 3) | st.fractions(max_denominator=5), max_size=4),
+        max_size=4,
+    ),
+    st.dictionaries(st.integers(0, 3), st.fractions(max_denominator=5), max_size=4),
+)
+def test_separates_agrees_with_rational_dot_products(y, columns, rhs):
+    def dot(col):
+        return sum((y.get(i, Fraction(0)) * c for i, c in col.items()), Fraction(0))
+
+    assert separates(y, columns, rhs) == (dot(rhs) > 0 and all(dot(col) <= 0 for col in columns))
+
+
 def test_elemental_counts():
     assert len(elemental_inequalities(1)) == 1
     assert len(elemental_inequalities(2)) == 5
@@ -71,6 +88,44 @@ def test_elemental_counts():
         assert len(elemental_inequalities(n)) == n + n * (n - 1) * 2 ** (n - 3)
     labels = [l for l, _ in elemental_inequalities(4)]
     assert len(labels) == len(set(labels))
+
+
+def reference_elementals(names):
+    """The elemental inequalities built one by one, in the prover's order."""
+    n = len(names)
+    full = (1 << n) - 1
+    out = []
+    for i in range(n):
+        rest = full & ~(1 << i)
+        expr = {full: Fraction(1)}
+        if rest:
+            expr[rest] = Fraction(-1)
+        rest_names = ",".join(v for t, v in enumerate(names) if rest >> t & 1)
+        out.append((f"H({names[i]}|{rest_names})" if rest else f"H({names[i]})", expr))
+    if n == 2:
+        out += [(f"H({names[i]})", {1 << i: Fraction(1)}) for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        others = [t for t in range(n) if t not in (i, j)]
+        for r in range(len(others) + 1):
+            for ks in combinations(others, r):
+                k = sum(1 << t for t in ks)
+                expr = {}
+                for mask, sign in (((1 << i) | k, 1), ((1 << j) | k, 1), ((1 << i) | (1 << j) | k, -1), (k, -1)):
+                    if mask:
+                        expr[mask] = expr.get(mask, Fraction(0)) + sign
+                cond = "|" + ",".join(names[t] for t in ks) if ks else ""
+                out.append((f"I({names[i]};{names[j]}{cond})", expr))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_elemental_table_matches_the_reference_loop(n):
+    names = tuple(f"A{i}" for i in range(n))
+    view = elemental_inequalities(names)
+    expected = reference_elementals(names)
+    assert list(view) == expected
+    assert [view[t] for t in range(len(view))] == expected
+    assert view[-1] == expected[-1] and view[1:3] == expected[1:3]
 
 
 def test_elementals_are_self_provable():
@@ -138,6 +193,109 @@ def test_equality_provable_both_directions(base2):
     for target in (fwd, bwd):
         result = prove(ProverProblem(variables=variables, constraints=constraints, target=target))
         assert result.provable
+
+
+def test_lift_keeps_both_directions_of_a_dependency(base2):
+    # H(V1|X1) = 0 is a functional dependency, so the closed-set LP sees the
+    # target as 0 either way; the negated target needs the dependency itself
+    variables, constraints = base2
+    conditional = expr_from_names(variables, {"X1 V1": 1, "X1": -1})
+    for sign in (1, -1):
+        target = {m: sign * c for m, c in conditional.items()}
+        result = prove(ProverProblem(variables=variables, constraints=constraints, target=target))
+        assert result.provable
+        assert verify_certificate(result.problem, result.certificate)
+        if sign == -1:
+            assert dict(result.certificate)["[=]H(V1|X1)=0"] == -1
+
+
+def doubled(constraints):
+    """The same equalities with every coefficient doubled: none of them has
+    the shape of a functional dependency any more."""
+    return tuple((label, {m: 2 * c for m, c in expr.items()}) for label, expr in constraints)
+
+
+def test_constraints_that_are_not_dependencies_reach_the_same_verdict(base2):
+    variables, constraints = base2
+    cases = [
+        ({"X1": 1, "X1 V1": -1}, "Provable"),  # -H(V1|X1)
+        ({"X1 Y1": 1, "X1": -1}, "Provable"),  # H(Y1|X1)
+        ({"X1 X2": 1, "X1": -1, "X2": -1}, "Provable"),  # -I(X1;X2), from the independence equality
+        ({"Y1 V1 V2": 1, "V1 V2": -1, "Y1 X2 Y2": -1, "X2 Y2": 1}, "Provable"),
+        ({"Y1 V2": 1, "V2": -1, "Y1": -1}, "NotProvable"),
+        ({"X1 Y1": 1, "X1": -1, "Y1": -1}, "NotProvable"),  # -I(X1;Y1)
+    ]
+    for terms, verdict in cases:
+        target = expr_from_names(variables, terms)
+        # without a dependency to reduce by, the exact method runs the slow
+        # unreduced simplex, which test_exact_method_agrees_with_guided covers
+        for given_constraints, methods in ((constraints, METHODS), (doubled(constraints), ("auto",))):
+            problem = ProverProblem(variables=variables, constraints=given_constraints, target=target)
+            for method in methods:
+                result = prove(problem, method=method)
+                assert result.status == verdict, (terms, method)
+                if result.provable:
+                    assert verify_certificate(problem, result.certificate)
+                else:
+                    assert separating_vector_holds(problem, result.separating_vector)
+
+
+def unreduced_system(problem):
+    """The prover's LP without any reduction: one column per elemental and a
+    (+, -) pair per constraint, rows indexed by subset bitmask - 1."""
+    columns = [{m - 1: c for m, c in expr.items()} for _, expr in elemental_inequalities(problem.variables)]
+    for _, expr in problem.constraints:
+        column = {m - 1: c for m, c in expr.items()}
+        columns += [column, {i: -c for i, c in column.items()}]
+    return columns, {m - 1: c for m, c in problem.target.items()}
+
+
+@st.composite
+def dependency_problems(draw):
+    """Up to three random functional dependencies H(B|A) = 0 on n <= 5
+    variables, and a target mixing elementals, the dependencies and single
+    entropies with random signs, so both verdicts occur."""
+    n = draw(st.integers(2, 5))
+    top = 1 << n
+    constraints = []
+    for c in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(1, top - 1))
+        u = a | draw(st.integers(1, top - 1))
+        if u != a:
+            constraints.append((f"fd{c}", {u: Fraction(1), a: Fraction(-1)}))
+    target: dict[int, Fraction] = {}
+
+    def add(expr, coeff):
+        for mask, c in expr.items():
+            target[mask] = target.get(mask, Fraction(0)) + coeff * c
+
+    gens = elemental_inequalities(n)
+    for k in draw(st.lists(st.integers(0, len(gens) - 1), max_size=3)):
+        add(gens[k][1], draw(st.sampled_from((1, -1))))
+    for _, expr in constraints:
+        add(expr, draw(st.integers(-2, 2)))
+    for mask in draw(st.lists(st.integers(1, top - 1), max_size=2)):
+        add({mask: Fraction(1)}, draw(st.sampled_from((1, -1))))
+    return ProverProblem(
+        variables=tuple(f"Z{i + 1}" for i in range(n)),
+        constraints=tuple(constraints),
+        target={m: c for m, c in target.items() if c},
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(dependency_problems())
+def test_closed_set_lp_decides_like_the_unreduced_lp(problem):
+    columns, target = unreduced_system(problem)
+    expected = solve_feasibility(columns, target, (1 << len(problem.variables)) - 1).feasible
+    for method in METHODS:
+        result = prove(problem, method=method)
+        assert result.provable == expected, method
+        if result.provable:
+            assert verify_certificate(problem, result.certificate)
+        else:
+            y = {m - 1: c for m, c in result.separating_vector.items()}
+            assert separates(y, columns, target)
 
 
 def test_unknown_method_rejected(base2):
@@ -301,16 +459,14 @@ def test_largest_residue_problems_provable():
         assert verify_certificate(problems[0], result.certificate)
 
 
-@pytest.mark.skipif(
-    "DICBOUND_FULL_PROVER" not in __import__("os").environ,
-    reason="set DICBOUND_FULL_PROVER=1 for the ~90s full sweep",
-)
 def test_every_bound_residue_provable():
     from dicbound.extend import supported_bounds
 
     for bound_id in supported_bounds():
         for problem in appendix_targets(bound_id):
-            assert prove(problem).provable, problem.name
+            result = prove(problem)
+            assert result.provable, problem.name
+            assert verify_certificate(problem, result.certificate), problem.name
 
 
 @pytest.mark.parametrize(
