@@ -252,12 +252,13 @@ def cmd_prove(args) -> int:
     for problem in problems:
         result = prove(problem)
         print(f"{problem.name or 'problem'}: {result.status}")
+        if not result.provable:
+            failures += 1
         if result.certificate:
             for label, coeff in result.certificate:
                 print(f"  {coeff} * {label}")
         else:
             print(f"  {result.message}")
-            failures += 1
     return VERIFY_ERROR if failures else 0
 
 

@@ -34,8 +34,8 @@ back to the unreduced system and checked there:
   the FDs fire from S up to cl S, and each step S_t -> S_t u B by
   H(B|A) = 0 (A in S_t, D = B n S_t) adds
   -H(B|A) + I(B \\ S_t; S_t \\ (A u D) | A u D) + H(D|A).  Every term is
-  written out in elementals by the chain rule, and the whole certificate is
-  re-summed exactly before it is returned.
+  written out in elementals by the chain rule, and ``verify_certificate``
+  re-sums the whole certificate exactly before it is returned.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, starmap
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -175,9 +175,6 @@ class ProofResult:
         return self.status == "Provable"
 
 
-_SIGNS = {1: Fraction(1), -1: Fraction(-1)}
-
-
 @dataclass(frozen=True)
 class _ElementalTable:
     """The elemental inequalities on n variables as integer arrays.  Column t
@@ -243,7 +240,7 @@ class _Elementals(Sequence):
     def __init__(self, names: Sequence[str]):
         self.names = tuple(names)
         self.table = _elemental_table(len(self.names))
-        self._conditions: dict[int, str] = {}  # K -> "|names of K", shared by many labels
+        self.position = {name: i for i, name in enumerate(self.names)}
 
     def __len__(self) -> int:
         return len(self.table.a)
@@ -252,20 +249,37 @@ class _Elementals(Sequence):
         if isinstance(t, slice):
             return [self[i] for i in range(len(self))[t]]
         t = range(len(self))[t]
-        return self._item(*(x[t].tolist() for x in self._fields()))
+        return self.label(t), self.terms(t)
 
-    def __iter__(self):
-        return starmap(self._item, zip(*(x.tolist() for x in self._fields())))
+    def label(self, t: int) -> str:
+        a, b, k = (int(x[t]) for x in (self.table.a, self.table.b, self.table.k))
+        cond = f"|{_mask_name(k, self.names)}" if k else ""
+        return f"H({self.names[a]}{cond})" if b < 0 else f"I({self.names[a]};{self.names[b]}{cond})"
 
-    def _fields(self):
-        return self.table.a, self.table.b, self.table.k, self.table.masks, self.table.signs
+    def terms(self, t: int) -> Expr:
+        return {int(m): Fraction(int(s)) for m, s in zip(self.table.masks[t], self.table.signs[t]) if s}
 
-    def _item(self, a: int, b: int, k: int, masks: list[int], signs: list[int]) -> tuple[str, Expr]:
-        cond = self._conditions.get(k)
-        if cond is None:
-            cond = self._conditions[k] = f"|{_mask_name(k, self.names)}" if k else ""
-        label = f"H({self.names[a]}{cond})" if b < 0 else f"I({self.names[a]};{self.names[b]}{cond})"
-        return label, {m: _SIGNS[s] for m, s in zip(masks, signs) if s}
+    def find(self, label) -> int | None:
+        """The index of the generator labelled exactly ``label``, or None.
+        No name contains , ; | ( ), so a label splits into names unambiguously;
+        the generator must render back to the same label, which rejects a
+        reversed pair, a repeated or unordered conditioning name and a
+        non-elemental H(a|K)."""
+        if not isinstance(label, str) or label[:2] not in ("H(", "I(") or label[-1:] != ")":
+            return None
+        head, bar, cond = label[2:-1].partition("|")
+        heads = head.split(";")
+        names = heads + (cond.split(",") if bar else [])
+        if len(heads) != (1 if label[0] == "H" else 2) or any(name not in self.position for name in names):
+            return None
+        bits = [self.position[name] for name in names]
+        n = len(self.names)
+        if label[0] == "H":
+            # H(a|rest) is column a; a bare H(a) is column n + a at n = 2
+            t = bits[0] + (n if n == 2 and not bar else 0)
+        else:
+            t = self.table.mutual(bits[0], bits[1], sum({1 << bit for bit in bits[2:]}))
+        return t if t >= 0 and self.label(t) == label else None
 
 
 def elemental_inequalities(variables: int | Sequence[str]) -> Sequence[tuple[str, Expr]]:
@@ -359,38 +373,25 @@ def _independence_expr(variables: Sequence[str], roots: Sequence[str]) -> Expr:
 # -- solving -------------------------------------------------------------------
 
 
-Column = dict[int, Fraction]  # LP row (subset bitmask - 1) -> coefficient
-
-
-def _column(expr: Expr) -> Column:
-    return {m - 1: c for m, c in expr.items()}
-
-
-def _column_table(problem: ProverProblem) -> dict[str, Column]:
-    """Every generator a certificate may use, by label, as an LP column: the
-    elemental inequalities, then each structural equality as ``[=]<name>``."""
-    table = {label: _column(expr) for label, expr in elemental_inequalities(problem.variables)}
-    for label, expr in problem.constraints:
-        table[f"[=]{label}"] = _column(expr)
-    return table
-
-
-def _certificate_holds(
-    table: Mapping[str, Column], target: Column, certificate: Iterable[tuple[str, Fraction]]
-) -> bool:
-    total: Column = {}
-    for label, coeff in certificate:
-        if label not in table or (coeff < 0 and not label.startswith("[=]")):
-            return False
-        for i, c in table[label].items():
-            total[i] = total.get(i, Fraction(0)) + coeff * c
-    return {i: c for i, c in total.items() if c} == target
-
-
 def verify_certificate(problem: ProverProblem, certificate) -> bool:
     """Exact re-summation: the combination must equal the target, with
-    non-negative weights on the inequality generators."""
-    return _certificate_holds(_column_table(problem), _column(problem.target), certificate)
+    non-negative weights on the inequality generators.  Each line names an
+    elemental by its label or a constraint as ``[=]<name>``; only the
+    generators named are looked up."""
+    elementals = _Elementals(problem.variables)
+    constraints = {f"[=]{label}": expr for label, expr in problem.constraints}
+    total: Expr = {}
+    for label, coeff in certificate:
+        if label in constraints:
+            expr = constraints[label]
+        else:
+            t = elementals.find(label)
+            if t is None or coeff < 0:
+                return False
+            expr = elementals.terms(t)
+        for m, c in expr.items():
+            total[m] = total.get(m, Fraction(0)) + coeff * c
+    return {m: c for m, c in total.items() if c} == problem.target
 
 
 def _bits(mask: int):
@@ -517,12 +518,12 @@ class _ClosedSetLP:
     def terms(self, g: int) -> Expr:
         """Generator g on the unreduced sets, by subset mask."""
         if g < self.n_elementals:
-            return {int(m): int(s) for m, s in zip(self.table.masks[g], self.table.signs[g]) if s}
+            return self.elementals.terms(g)
         return self.problem.constraints[g - self.n_elementals][1]
 
     def label(self, g: int) -> str:
         if g < self.n_elementals:
-            return self.elementals[g][0]
+            return self.elementals.label(g)
         return f"[=]{self.problem.constraints[g - self.n_elementals][0]}"
 
     def lift_vector(self, y: Mapping[int, Fraction]) -> Expr:
@@ -588,14 +589,13 @@ class _ClosedSetLP:
             cond_x |= 1 << x
 
     def generator_columns(self):
-        """Every unreduced LP column, equalities as (+, -) pairs, built one at
-        a time."""
+        """Every unreduced generator by subset mask, equalities as (+, -)
+        pairs, built one at a time."""
         for masks, signs in zip(self.table.masks.tolist(), self.table.signs.tolist()):
-            yield {m - 1: s for m, s in zip(masks, signs) if s}
+            yield {m: s for m, s in zip(masks, signs) if s}
         for _, expr in self.problem.constraints:
-            col = _column(expr)
-            yield col
-            yield {i: -c for i, c in col.items()}
+            yield expr
+            yield {m: -c for m, c in expr.items()}
 
 
 def _solve_exact(lp: _ClosedSetLP, restrict: Iterable[int], candidate=None):
@@ -636,10 +636,8 @@ def prove(problem: ProverProblem, method: str = "auto") -> ProofResult:
         if solution is None and result.farkas is candidate:
             path = "dual"
     if solution is not None:
-        weights = {g: c for g, c in sorted(lp.lift_certificate(solution).items()) if c}
-        cert = tuple((lp.label(g), c) for g, c in weights.items())
-        used = {lp.label(g): _column(lp.terms(g)) for g in weights}
-        if not _certificate_holds(used, _column(problem.target), cert):
+        cert = tuple((lp.label(g), c) for g, c in sorted(lp.lift_certificate(solution).items()) if c)
+        if not verify_certificate(problem, cert):
             raise ProverError(f"internal error: certificate for {problem.name} fails re-summation")
         return ProofResult(
             status="Provable",
@@ -650,7 +648,7 @@ def prove(problem: ProverProblem, method: str = "auto") -> ProofResult:
             path=path,
         )
     y = lp.lift_vector(result.farkas)
-    if not separates(_column(y), lp.generator_columns(), _column(problem.target)):
+    if not separates(y, lp.generator_columns(), problem.target):
         raise ProverError(f"internal error: separating vector for {problem.name} fails its exact check")
     return ProofResult(
         status="NotProvable",

@@ -106,7 +106,37 @@ def test_prove_problem_file(capsys, tmp_path):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
     code, out = run_cli(capsys, "prove", "--problem", str(path))
-    assert code == 0 and "Provable" in out
+    # the output the README shows for this file
+    assert code == 0 and out == (
+        "output entropy after conditioning: Provable\n"
+        "  1 * H(V1|X1,Y1,X2,V2,Y2)\n"
+        "  1 * H(Y1|X1,V1,X2,V2,Y2)\n"
+        "  1 * I(V1;Y1|X1)\n"
+        "  1 * I(V1;Y1|X1,V2)\n"
+        "  1 * I(V1;X2|X1,Y1,V2)\n"
+        "  1 * I(V1;V2|X1,Y1)\n"
+        "  1 * I(V1;Y2|X1,Y1,X2,V2)\n"
+        "  1 * I(Y1;X2|X1,V1,V2)\n"
+        "  1 * I(Y1;V2|X1)\n"
+        "  1 * I(Y1;Y2|X1,V1,X2,V2)\n"
+        "  -1 * [=]V1 from X1\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"variables": ["A"], "target": {"A": 0}},
+        {"variables": ["A", "B"], "target": {"A B": 1, "B A": -1}},
+    ],
+)
+def test_prove_a_target_that_is_identically_zero(capsys, tmp_path, doc):
+    # Provable with an empty certificate: a success, not a verification failure
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "prove", "--problem", str(path))
+    assert code == 0
+    assert out == f"{path}: Provable\n  target 0 is a non-negative combination of elemental inequalities and constraints\n"
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -403,6 +403,88 @@ def test_certificates_resummed_and_nonnegative(base2):
     assert not verify_certificate(result.problem, tampered)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_elemental_label_finds_its_own_index(n):
+    view = elemental_inequalities(NAME_POOL[:n])
+    assert [view.find(label) for label, _ in view] == list(range(len(view)))
+
+
+I_AB_C = {"A C": 1, "B C": 1, "A B C": -1, "C": -1}
+
+
+@pytest.mark.parametrize(
+    "label, coeff, target, accepted",
+    [
+        ("I(A;B|C)", 1, I_AB_C, True),
+        ("H(A|B,C,D)", 1, {"A B C D": 1, "B C D": -1}, True),
+        ("[=]c", -1, {"A": -1}, True),
+        ("I(B;A|C)", 1, I_AB_C, False),  # the pair reversed
+        ("I(A;B|C,C)", 1, I_AB_C, False),  # a repeated conditioning name
+        ("I(A;B|A)", 1, {}, False),  # conditioning on a name of the pair
+        ("I(A;B|)", 1, {"A": 1, "B": 1, "A B": -1}, False),  # an empty conditioning list
+        ("I(A;B|D,C)", 1, {"A C D": 1, "B C D": 1, "A B C D": -1, "C D": -1}, False),  # out of order
+        ("H(A|B)", 1, {"A B": 1, "B": -1}, False),  # not elemental at n >= 3
+        ("H(A)", 1, {"A": 1}, False),  # likewise
+        ("I(A;Q|C)", 1, I_AB_C, False),  # an unknown name
+        ("I(A;B|C)x", 1, I_AB_C, False),  # trailing text
+        ("I(A;B|C) ", 1, I_AB_C, False),
+        ("I(A;B|C))", 1, I_AB_C, False),
+        ("I(A;B;C)", 1, I_AB_C, False),
+        ("[=]d", 1, {"A": 1}, False),  # an unknown constraint
+        ("I(A;B|C)", -1, {m: -c for m, c in I_AB_C.items()}, False),  # a negative weight on an elemental
+    ],
+)
+def test_verification_accepts_only_generator_labels(label, coeff, target, accepted):
+    names = ("A", "B", "C", "D")
+    problem = ProverProblem(
+        variables=names, constraints=(("c", expr_from_names(names, {"A": 1})),), target=expr_from_names(names, target)
+    )
+    assert verify_certificate(problem, [(label, Fraction(coeff))]) == accepted
+    if coeff > 0 and not label.startswith("[=]"):
+        assert (elemental_inequalities(names).find(label) is None) == (not accepted)
+
+
+def test_verification_renders_only_the_labels_a_certificate_names(monkeypatch):
+    # twelve variables have 67,596 elementals; a five-line certificate must
+    # not cost a label for each of them
+    names = tuple(f"Z{i + 1}" for i in range(12))
+    view = elemental_inequalities(names)
+    picks = (0, 11, 12, len(view) // 2, len(view) - 1)
+    certificate = [(view[t][0], Fraction(t + 1)) for t in picks]
+    target: dict[int, Fraction] = {}
+    for t in picks:
+        for mask, c in view[t][1].items():
+            target[mask] = target.get(mask, Fraction(0)) + (t + 1) * c
+    target = {m: c for m, c in target.items() if c}
+    rendered = []
+    real = prover_module._mask_name
+    monkeypatch.setattr(prover_module, "_mask_name", lambda mask, variables: rendered.append(mask) or real(mask, variables))
+    assert verify_certificate(ProverProblem(variables=names, constraints=(), target=target), certificate)
+    assert 0 < len(rendered) <= len(certificate)
+
+
+def test_prove_returns_only_certificates_that_verify(monkeypatch, base2):
+    variables, constraints = base2
+    target = expr_from_names(variables, {"X1 Y1": 1, "X1": -1})
+    problem = ProverProblem(variables=variables, constraints=constraints, target=target, name="H(Y1|X1)")
+    assert prove(problem).provable
+    monkeypatch.setattr(prover_module, "verify_certificate", lambda problem, certificate: False)
+    with pytest.raises(ProverError, match="fails re-summation"):
+        prove(problem)
+
+
+def test_auto_falls_back_when_the_float_support_is_empty(monkeypatch, base2):
+    # with no float support the guided solve fails; the equalities alone give
+    # -I(X1;X2) (independent sources), and I(X1;Y1) needs the full simplex
+    variables, constraints = base2
+    monkeypatch.setattr(prover_module, "_float_support", lambda a_eq, b_eq: set())
+    for terms, path in (({"X1 X2": 1, "X1": -1, "X2": -1}, "widened"), ({"X1": 1, "Y1": 1, "X1 Y1": -1}, "exact")):
+        problem = ProverProblem(variables=variables, constraints=constraints, target=expr_from_names(variables, terms))
+        result = prove(problem)
+        assert (result.status, result.path) == ("Provable", path), terms
+        assert verify_certificate(problem, result.certificate)
+
+
 @pytest.mark.parametrize("bound_id", ["4a", "4b", "4c", "4d", "4e", "4f", "4g"])
 def test_two_user_appendix_targets_provable(bound_id):
     problems = appendix_targets(bound_id)
