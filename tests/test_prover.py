@@ -473,16 +473,56 @@ def test_prove_returns_only_certificates_that_verify(monkeypatch, base2):
         prove(problem)
 
 
-def test_auto_falls_back_when_the_float_support_is_empty(monkeypatch, base2):
-    # with no float support the guided solve fails; the equalities alone give
-    # -I(X1;X2) (independent sources), and I(X1;Y1) needs the full simplex
+def test_auto_falls_back_to_the_full_simplex_without_float_guidance(monkeypatch, base2):
+    # a failed float solve gives neither a support nor a candidate vector;
+    # the full exact simplex then decides both -I(X1;X2) (independent
+    # sources) and I(X1;Y1)
     variables, constraints = base2
-    monkeypatch.setattr(prover_module, "_float_support", lambda a_eq, b_eq: set())
-    for terms, path in (({"X1 X2": 1, "X1": -1, "X2": -1}, "widened"), ({"X1": 1, "Y1": 1, "X1 Y1": -1}, "exact")):
+    monkeypatch.setattr(prover_module, "_float_dual", lambda a_eq, b_eq: (None, None))
+    for terms in ({"X1 X2": 1, "X1": -1, "X2": -1}, {"X1": 1, "Y1": 1, "X1 Y1": -1}):
         problem = ProverProblem(variables=variables, constraints=constraints, target=expr_from_names(variables, terms))
         result = prove(problem)
-        assert (result.status, result.path) == ("Provable", path), terms
+        assert (result.status, result.path) == ("Provable", "exact"), terms
         assert verify_certificate(problem, result.certificate)
+
+
+def test_each_verdict_costs_one_float_lp(monkeypatch, base2):
+    variables, constraints = base2
+    calls = []
+    real = prover_module.linprog
+    monkeypatch.setattr(prover_module, "linprog", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    for terms, status in (
+        ({"Y1 V1 V2": 1, "V1 V2": -1, "Y1 X2 Y2": -1, "X2 Y2": 1}, "Provable"),
+        ({"X1 Y1": 1, "X1": -1, "Y1": -1}, "NotProvable"),  # -I(X1;Y1)
+    ):
+        calls.clear()
+        result = prove(ProverProblem(variables=variables, constraints=constraints, target=expr_from_names(variables, terms)))
+        assert result.status == status and len(calls) == 1, terms
+
+
+def test_zero_coefficients_are_dropped():
+    # H(A) >= 0 with an explicit zero on H(B)
+    problem = ProverProblem(variables=("A", "B"), constraints=(), target={1: Fraction(1), 2: Fraction(0)})
+    result = prove(problem)
+    assert result.provable and verify_certificate(problem, result.certificate)
+    assert problem.target == {1: Fraction(1)}
+
+
+def test_a_dependency_with_a_stray_zero_term_is_still_a_dependency(base2):
+    variables, constraints = base2
+    stray = tuple(
+        (label, {**expr, 63: Fraction(0)} if label == "H(V1|X1)=0" else expr) for label, expr in constraints
+    )
+    assert stray != constraints
+    target = expr_from_names(variables, {"X1 Y1": 1, "X1": -1})
+    clean = ProverProblem(variables=variables, constraints=constraints, target=target)
+    padded = ProverProblem(variables=variables, constraints=stray, target=target)
+    fds = prover_module._functional_dependencies(clean.constraints)
+    assert prover_module._functional_dependencies(padded.constraints) == fds
+    assert any(constraints[c][0] == "H(V1|X1)=0" for c, _, _ in fds)
+    a, b = prove(clean), prove(padded)
+    assert a.provable and b.provable and a.certificate == b.certificate
+    assert verify_certificate(padded, b.certificate)
 
 
 @pytest.mark.parametrize("bound_id", ["4a", "4b", "4c", "4d", "4e", "4f", "4g"])
@@ -547,7 +587,8 @@ def test_every_bound_residue_provable():
     for bound_id in supported_bounds():
         for problem in appendix_targets(bound_id):
             result = prove(problem)
-            assert result.provable, problem.name
+            # a fall-through to the full simplex has no time bound at n = 11
+            assert (result.status, result.path) == ("Provable", "guided"), problem.name
             assert verify_certificate(problem, result.certificate), problem.name
 
 
