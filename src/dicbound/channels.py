@@ -56,9 +56,10 @@ class DeterministicChannel:
             raise ChannelFormatError("one g table and one f table per user required")
         for name, tables in (("g", self.g), ("f", self.f)):
             for i, table in enumerate(tables):
-                if not all(isinstance(v, Integral) and v >= 0 for v in table):
+                # symbols are held in int64 arrays by the entropy engine
+                if not all(isinstance(v, Integral) and 0 <= v < 1 << 63 for v in table):
                     raise ChannelFormatError(
-                        f"{name} table for user {i + 1} has a symbol that is not a non-negative integer"
+                        f"{name} table for user {i + 1} has a symbol that is not an integer in 0..2^63-1"
                     )
         for i, table in enumerate(self.g):
             if len(table) != self.input_sizes[i]:

@@ -2,7 +2,7 @@
 
 Joint tables are support-sparse: one atom per source-input tuple, since every
 other symbol is a deterministic image.  ``induce_joint`` builds them with the
-engine in ``networks``.  All entropies are in bits.
+engine in ``networks``; its last step is ``row_entropy``.  Entropies are in bits.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ import re
 from dataclasses import dataclass
 from itertools import product
 from numbers import Integral, Real
-from operator import itemgetter
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .channels import DeterministicChannel
 from .errors import DicboundError, DistributionError, UsageError
@@ -176,16 +177,23 @@ def _probabilities(values) -> tuple[float, ...]:
     return tuple(float(p) for p in values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointTable:
-    """Sparse joint distribution over an ordered variable list.
+    """Sparse joint distribution over an ordered variable list: one row of
+    ``values`` per source atom, its mass in ``probs``.
 
     Atoms are keyed by source inputs, so the atom count never exceeds the
     product of source alphabet sizes.
     """
 
     variables: tuple[VariableId, ...]
-    atoms: tuple[tuple[tuple[int, ...], float], ...]
+    values: np.ndarray
+    probs: np.ndarray
+
+    @property
+    def atoms(self) -> tuple[tuple[tuple[int, ...], float], ...]:
+        """(values, p) per atom."""
+        return tuple(zip(map(tuple, self.values.tolist()), self.probs.tolist()))
 
     def index_of(self, var: VariableId) -> int:
         try:
@@ -212,16 +220,29 @@ def induce_joint(model, dist: SourceDistribution) -> JointTable:
     if isinstance(model, DeterministicChannel):
         model = base_network(model)
     variables = model.all_variables()
-    return JointTable(variables, tuple(symbol_rows(model, dist, variables)))
+    return JointTable(variables, *symbol_rows(model, dist, variables))
 
 
-def merged_entropy(rows: Iterable[tuple[tuple, float]]) -> float:
-    """Entropy in bits of the law that merges (value, p) rows with equal
-    values (0 log 0 = 0)."""
-    merged: dict[tuple, float] = {}
-    for key, p in rows:
-        merged[key] = merged.get(key, 0.0) + p
-    return -math.fsum(p * math.log2(p) for p in merged.values() if p > 0.0)
+def row_entropy(values: np.ndarray, probs: np.ndarray) -> float:
+    """Entropy in bits of the law merging atoms with equal ``values`` rows (0 log 0 = 0).
+
+    Rows become mixed-radix int64 keys, re-indexed by ``np.unique`` before
+    the radix product reaches 2^62, so they never overflow, and before
+    ``bincount`` when they are sparse.  ``bincount`` adds each merged mass in
+    atom order: the float a sequential sum gives.
+    """
+    key, bound = np.zeros(len(probs), dtype=np.int64), 1
+    for column in values.T:
+        radix = int(column.max()) + 1
+        if radix > 1 << 31:  # huge symbols: number them in order instead
+            column, radix = np.unique(column, return_inverse=True)[1], len(probs)
+        if bound * radix >= 1 << 62:
+            key, bound = np.unique(key, return_inverse=True)[1], len(probs)
+        key, bound = key * radix + column, bound * radix
+    if bound > 4 * len(probs):
+        key = np.unique(key, return_inverse=True)[1]
+    masses = np.bincount(key, weights=probs)
+    return -math.fsum(m * math.log2(m) for m in masses[masses > 0.0].tolist())
 
 
 def entropy(table: JointTable, subset: Iterable[VariableId | str]) -> float:
@@ -229,8 +250,7 @@ def entropy(table: JointTable, subset: Iterable[VariableId | str]) -> float:
     idx = [table.index_of(v) for v in _as_vars(subset)]
     if not idx:
         return 0.0
-    key = itemgetter(*idx)  # a bare value for one index; keys only group atoms
-    return merged_entropy((key(values), p) for values, p in table.atoms)
+    return row_entropy(table.values[:, idx], table.probs)
 
 
 def conditional_entropy(table: JointTable, a: Iterable, b: Iterable) -> float:

@@ -25,18 +25,17 @@ from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .channels import DeterministicChannel
-from .entropy import SourceDistribution, X, Y, base_terms
+from .entropy import SourceDistribution, X, Y, base_terms, row_entropy
 from .errors import DicboundError, RecipeError, UnsupportedBoundError
 from .gcs import CutChain, chain_from_cuts, evaluate_chain
 from .networks import (
     NetworkGraph,
     Replica,
     base_network,
-    cond_entropy_network,
-    network_entropy,
     node_labels,
     replicas_from_counts,
     replicate_distribution,
+    symbol_rows,
 )
 
 IDENTITY_TOL = 1e-9
@@ -341,8 +340,9 @@ def verify_replica_rates(
     base = base_network(channel)
 
     def mi(net, d, user, copy):
-        y = [Y(user, copy)]
-        return network_entropy(net, d, y) - cond_entropy_network(net, d, y, [X(user, copy)])
+        # I(X;Y) = H(X) + H(Y) - H(X,Y), from one enumeration
+        values, p = symbol_rows(net, d, [X(user, copy), Y(user, copy)])
+        return row_entropy(values[:, :1], p) + row_entropy(values[:, 1:], p) - row_entropy(values, p)
 
     base_values = tuple(mi(base, dist, u, 1) for u in range(1, channel.user_count + 1))
     replica_values = tuple(((u, c), mi(network, rdist, u, c)) for u, c in network.replicas)

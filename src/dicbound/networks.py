@@ -7,13 +7,13 @@ This module owns that model: ``replicas_from_counts`` lists the replicas,
 ``NetworkGraph`` is the one check of replicas and wiring, and ``node_labels``
 is the one node-label format.
 
-This module holds the one entropy engine: ``source_atoms`` enumerates source
-atoms (and is the only place that checks a law against a network and enforces
-the atom budget), ``NetworkGraph.evaluator`` maps atoms to symbol values, and
-``entropy.merged_entropy`` turns (value, p) rows into an entropy.  The joint
-tables of ``entropy.induce_joint`` and the one network query,
-``cond_entropy_network``, are both front-ends over it; ``network_entropy`` is
-that query with nothing conditioned.  The query avoids materializing the full
+This module holds the one entropy engine, a numpy kernel: ``source_atoms``
+enumerates source atoms as arrays (and is the only place that checks a law
+against a network and enforces the atom budget), ``NetworkGraph.evaluator``
+maps them to a value array, and ``entropy.row_entropy`` merges equal rows into
+an entropy.  ``entropy.induce_joint`` and the one network query,
+``cond_entropy_network``, are front-ends over it; ``network_entropy`` is that
+query with nothing conditioned.  The query avoids materializing the full
 joint: it enumerates once, over only the sources its variables depend on, and
 under a product law conditioning on a source's input and its receiver's output
 pins down the interference it saw, which shrinks that set further.
@@ -23,16 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .channels import DeterministicChannel
-from .entropy import (
-    SourceDistribution,
-    VariableId,
-    atom_budget,
-    merged_entropy,
-)
+from .entropy import SourceDistribution, VariableId, atom_budget, row_entropy
 from .errors import BudgetExceededError, DicboundError, DistributionError, RecipeError
 
 Replica = tuple[int, int]  # (user, copy), both 1-based
@@ -143,44 +140,24 @@ class NetworkGraph:
                 raise DicboundError(f"variable {var} is not in this network")
         return out
 
-    def evaluator(self, variables: Sequence[VariableId], sources: Sequence[Replica]):
-        """The symbol evaluator: a function from the inputs of ``sources``, in
-        that order, to the tuple of values of ``variables``.
-
-        Positions and g/f tables are resolved here, once per query; a call
-        computes each interference symbol it needs once.
+    def evaluator(self, variables: Sequence[VariableId], sources: Sequence[Replica], xs):
+        """The symbol evaluator: the (atoms x variables) value array of
+        ``variables`` at the inputs ``xs`` (atoms x ``sources``, in order).
+        Each interference column a query needs is computed once.
         """
         channel, pos = self.channel, {r: i for i, r in enumerate(sources)}
-        v_slots: dict[Replica, int] = {}  # replica -> index of its V after the inputs
-
-        def v_index(r: Replica) -> int:
-            return len(sources) + v_slots.setdefault(r, len(v_slots))
-
-        steps = []  # (value index, f table or None for X/V, wired (V index, radix) pairs)
-        for var in variables:
+        v_col = cache(lambda r: np.asarray(channel.g[r[0] - 1])[xs[:, pos[r]]])
+        out = np.empty((len(xs), len(variables)), dtype=np.int64)
+        for j, var in enumerate(variables):
             r = (var.user, var.copy)
             if var.kind == "Y":
-                wired = tuple((v_index(w), channel.v_sizes[w[0] - 1]) for w in self._wiring_map[r])
-                steps.append((pos[r], channel.f[var.user - 1], wired))
+                idx = xs[:, pos[r]]
+                for w in self._wiring_map[r]:
+                    idx = idx * channel.v_sizes[w[0] - 1] + v_col(w)
+                out[:, j] = np.asarray(channel.f[var.user - 1])[idx]
             else:
-                steps.append((pos[r] if var.kind == "X" else v_index(r), None, ()))
-        g_steps = [(channel.g[u - 1], pos[(u, c)]) for u, c in v_slots]
-
-        def evaluate(x: tuple[int, ...]) -> tuple[int, ...]:
-            values = list(x)
-            values.extend([g[x[i]] for g, i in g_steps])
-            out = []
-            for i, f, wired in steps:
-                if f is None:
-                    out.append(values[i])
-                    continue
-                idx = values[i]
-                for j, radix in wired:
-                    idx = idx * radix + values[j]
-                out.append(f[idx])
-            return tuple(out)
-
-        return evaluate
+                out[:, j] = xs[:, pos[r]] if var.kind == "X" else v_col(r)
+        return out
 
     def dependencies(self, var: VariableId) -> frozenset[Replica]:
         """Source replicas the variable is a function of."""
@@ -214,11 +191,11 @@ def replicate_distribution(network: NetworkGraph, base_dist: SourceDistribution)
 
 
 def source_atoms(network: NetworkGraph, dist: SourceDistribution, sources: Sequence[Replica]):
-    """The source enumerator: yield (x, p) over the given source replicas,
-    x holding their inputs in order.
+    """The source enumerator: (xs, p) over the given source replicas, xs an
+    int64 array with one row of their inputs per atom, p the atom masses.
 
     Checks the law against the network and enforces the atom budget before
-    the first atom.
+    any array is allocated.  Product-law atoms are in row-major order.
     """
     expected = network.source_sizes()
     if dist.sizes != expected:
@@ -229,7 +206,7 @@ def source_atoms(network: NetworkGraph, dist: SourceDistribution, sources: Seque
         )
     idx = [network.replicas.index(r) for r in sources]
     if dist.mode == "product":
-        supports = [[(s, p) for s, p in enumerate(dist.tables[i]) if p > 0.0] for i in idx]
+        supports = [[s for s, q in enumerate(dist.tables[i]) if q > 0.0] for i in idx]
         count = math.prod(len(s) for s in supports)
     else:
         marginal = dist.marginal_joint(idx)
@@ -239,19 +216,22 @@ def source_atoms(network: NetworkGraph, dist: SourceDistribution, sources: Seque
         raise BudgetExceededError(
             f"{count} source atoms over {len(sources)} sources exceed the cap of {cap}"
         )
-    if dist.mode == "product":
-        for combo in product(*supports):
-            yield tuple(s for s, _ in combo), math.prod(p for _, p in combo)
-    else:
-        yield from marginal.items()
+    if dist.mode == "joint":
+        xs = np.array(list(marginal), dtype=np.int64).reshape(count, len(idx))
+        return xs, np.fromiter(marginal.values(), dtype=float, count=count)
+    xs, p = np.empty([len(s) for s in supports] + [len(idx)], dtype=np.int64), np.ones(1)
+    for axis, (i, support) in enumerate(zip(idx, supports)):
+        xs[..., axis] = np.reshape(support, [-1] + [1] * (len(idx) - 1 - axis))
+        p = (p[:, None] * np.array(dist.tables[i])[support]).ravel()
+    return xs.reshape(count, len(idx)), p
 
 
 def symbol_rows(network: NetworkGraph, dist: SourceDistribution, variables):
-    """(values of ``variables``, p) for every source atom over the variables'
-    dependency closure, in sorted order."""
+    """(values, p): the values of ``variables`` and the masses of the source
+    atoms over the variables' dependency closure, in sorted order."""
     sources = sorted(set().union(*(network.dependencies(v) for v in variables)))
-    evaluate = network.evaluator(variables, sources)
-    return ((evaluate(x), p) for x, p in source_atoms(network, dist, sources))
+    xs, p = source_atoms(network, dist, sources)
+    return network.evaluator(variables, sources, xs), p
 
 
 # -- the network query ---------------------------------------------------------
@@ -314,8 +294,8 @@ def cond_entropy_network(
         keys = sorted(VariableId("X", u, c) for (u, c) in deps & cond_x_sources) + gen_v
     else:
         live, keys = sorted(targets - cond), sorted(cond)
-    rows = list(symbol_rows(network, dist, keys + live))
-    return merged_entropy(rows) - merged_entropy((v[: len(keys)], p) for v, p in rows)
+    values, p = symbol_rows(network, dist, keys + live)
+    return row_entropy(values, p) - row_entropy(values[:, : len(keys)], p)
 
 
 def network_entropy(network: NetworkGraph, dist: SourceDistribution, subset) -> float:

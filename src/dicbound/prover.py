@@ -50,8 +50,6 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .entropy import VariableId
 from .errors import ProverError, UnsupportedBoundError
@@ -504,6 +502,8 @@ class _ClosedSetLP:
 
     def float_system(self):
         """A (sparse, one column per reduced column) and b in floats."""
+        from scipy import sparse
+
         nz = self.row_signs != 0
         rows_idx = [self.rows[nz]]
         cols_idx = [np.nonzero(nz)[0]]
@@ -660,6 +660,14 @@ def prove(problem: ProverProblem, method: str = "auto") -> ProofResult:
         separating_vector=y,
         path=path,
     )
+
+
+def linprog(*args, **kwargs):
+    """scipy's ``linprog``, imported on the first call, so that importing
+    dicbound and the entropy engine never load scipy."""
+    from scipy.optimize import linprog as highs_linprog
+
+    return highs_linprog(*args, **kwargs)
 
 
 def _float_dual(a_eq, b_eq) -> tuple[set[int] | None, dict[int, Fraction] | None]:

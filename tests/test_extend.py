@@ -133,6 +133,22 @@ def test_replica_rates_all_recipes_k6(xor2, concat3):
         assert report.max_deviation <= 1e-12, bound_id
 
 
+def test_replica_rates_enumerate_once_per_replica_and_base_user(shift2_221, count_calls):
+    # I(X;Y) = H(X) + H(Y) - H(X,Y) from one enumeration over (X, Y)
+    from dicbound import networks
+
+    atoms = count_calls(networks, "source_atoms")
+    recipe = builtin_recipe("4e", 3).recipe
+    dist = sample_product_distribution([4, 4], 12, 0)
+    report = verify_replica_rates(shift2_221, recipe, dist)
+    assert len(atoms) == len(recipe.replicas()) + shift2_221.user_count
+    assert report.max_deviation == 0.0
+    table = induce_joint(shift2_221, dist)
+    for user, value in enumerate(report.base_values, start=1):
+        want = conditional_entropy(table, [Y(user)], []) - conditional_entropy(table, [Y(user)], [X(user)])
+        assert value == pytest.approx(want, abs=1e-12)
+
+
 def test_identity_against_materialized_joint(shift2_221):
     # independent cross-check: evaluate chain terms on the fully materialized
     # joint table instead of the reduced path
