@@ -6,7 +6,6 @@ prover for the conditional-entropy steps behind each bound.
 """
 
 from .channels import (
-    Alphabet,
     DeterministicChannel,
     ValidationReport,
     builtin_channel,
@@ -53,7 +52,6 @@ from .prover import (
 )
 from .regions import (
     BoundTemplate,
-    BoundVector,
     RegionPolytope,
     bound_vector,
     contains,
@@ -66,10 +64,8 @@ from .regions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet",
     "BoundRecipe",
     "BoundTemplate",
-    "BoundVector",
     "ChainValue",
     "CutChain",
     "DeterministicChannel",

@@ -19,17 +19,6 @@ BUILTIN_FAMILIES = ("xor2", "shift2", "concat3")
 
 
 @dataclass(frozen=True)
-class Alphabet:
-    """Dense 0-based symbol range 0..size-1."""
-
-    size: int
-
-    def __post_init__(self):
-        if not isinstance(self.size, Integral) or self.size < 1:
-            raise ChannelFormatError(f"alphabet size must be an integer >= 1, got {self.size!r}")
-
-
-@dataclass(frozen=True)
 class DeterministicChannel:
     """Lookup-table channel for 2 or 3 users.
 
@@ -50,8 +39,9 @@ class DeterministicChannel:
             raise ChannelFormatError(f"user_count must be 2 or 3, got {self.user_count}")
         if len(self.input_sizes) != self.user_count:
             raise ChannelFormatError("one input alphabet per user required")
-        for s in self.input_sizes:
-            Alphabet(s)
+        for size in self.input_sizes:
+            if not isinstance(size, Integral) or size < 1:
+                raise ChannelFormatError(f"alphabet size must be an integer >= 1, got {size!r}")
         if len(self.g) != self.user_count or len(self.f) != self.user_count:
             raise ChannelFormatError("one g table and one f table per user required")
         for name, tables in (("g", self.g), ("f", self.f)):

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: validate, region, gcs, extend, prove, compare.  Runs are
-reproducible: all sampling derives from --seed through per-index stream
+reproducible: every sampled law derives from a seed (``--dist seed:N``, or
+``--seed`` for ``region --samples`` and ``compare``) through per-index stream
 splitting, and CSV/text output is byte-stable for identical configurations.
 
 Exit codes: 0 success, 1 validation/verification failure, 2 usage error.
@@ -65,7 +66,7 @@ def _resolve_channel(ref: str):
         raise UsageError(f"cannot load channel {ref!r}: {exc}") from exc
 
 
-def _resolve_dist(ref: str, sizes, seed: int) -> SourceDistribution:
+def _resolve_dist(ref: str, sizes) -> SourceDistribution:
     if ref == "uniform":
         return SourceDistribution.uniform(sizes)
     if ref.startswith("seed:"):
@@ -88,10 +89,10 @@ def _count(text: str) -> int:
     return value
 
 
-def _k_range(text: str) -> list[int]:
+def _k_range(text: str) -> range:
     """argparse type for --k: a size k or a range lo..hi, every k >= 1."""
     lo, _, hi = text.partition("..")
-    ks = list(range(_count(lo), _count(hi or lo) + 1))
+    ks = range(_count(lo), _count(hi or lo) + 1)
     if not ks:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return ks
@@ -118,22 +119,22 @@ def cmd_region(args) -> int:
         raise UsageError("SVG output is limited to 2-user regions")
     templates = load_templates(channel.user_count)
     if args.samples is not None:
-        family = sample_region(channel, args.seed, args.samples, templates)
+        polytopes = sample_region(channel, args.seed, args.samples, templates)
         if args.out == "svg":
-            sys.stdout.write(render_region_svg(family.polytopes))
+            sys.stdout.write(render_region_svg(polytopes))
             return 0
         print("sample,template,rhs_bits")
-        for s, poly in enumerate(family.polytopes):
+        for s, poly in enumerate(polytopes):
             for t, (_, rhs) in zip(templates, poly.halfspaces):
                 print(f"{s},{t.id},{_fmt(rhs)}")
         return 0
-    dist = _resolve_dist(args.dist or "uniform", channel.input_sizes, args.seed)
+    dist = _resolve_dist(args.dist or "uniform", channel.input_sizes)
     vector = bound_vector(channel, dist, templates)
     if args.out == "svg":
         sys.stdout.write(render_region_svg([region_polytope(vector, templates)]))
         return 0
     print("template,rhs_bits")
-    for bound_id, value in vector:
+    for bound_id, value in vector.items():
         print(f"{bound_id},{_fmt(value)}")
     return 0
 
@@ -166,7 +167,7 @@ def _chain_from_doc(doc) -> CutChain:
 def cmd_gcs(args) -> int:
     network = _load_network(args)
     sizes = network.source_sizes()
-    dist = _resolve_dist(args.dist, sizes, args.seed)
+    dist = _resolve_dist(args.dist, sizes)
     if args.enumerate:
         values = chain_values(network, dist, args.max_l)
         print(f"valid chains up to length {args.max_l}: {len(values)}")
@@ -194,7 +195,7 @@ def cmd_gcs(args) -> int:
 
 def cmd_extend(args) -> int:
     channel = _resolve_channel(args.channel)
-    dist = _resolve_dist(args.dist, channel.input_sizes, args.seed)
+    dist = _resolve_dist(args.dist, channel.input_sizes)
     spec = bound_support_info(args.bound)
     if spec["users"] != channel.user_count:
         raise UsageError(
@@ -308,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", help="JSON file: list of node-label lists")
     p.add_argument("--enumerate", action="store_true")
     p.add_argument("--max-l", type=_count, default=2)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gcs)
 
     p = sub.add_parser("extend", help="build replicated networks and verify chain identities")
@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_k_range, help="size or range, e.g. 3 or 1..5")
     p.add_argument("--channel", required=True)
     p.add_argument("--dist", default="uniform")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=cmd_extend)
 

@@ -25,7 +25,7 @@ class ChainValidationError(DicboundError):
 
 
 class BudgetExceededError(DicboundError):
-    """An evaluation would enumerate more source atoms than the configured cap."""
+    """An evaluation would enumerate more source atoms, or cut chains, than its cap."""
 
 
 class RecipeError(DicboundError):

@@ -78,9 +78,6 @@ class ReplicationRecipe:
     counts: tuple[int, ...]
     wiring: tuple[tuple[Replica, tuple[Replica, ...]], ...]
 
-    def wiring_map(self) -> dict[Replica, tuple[Replica, ...]]:
-        return dict(self.wiring)
-
     def replicas(self) -> tuple[Replica, ...]:
         return replicas_from_counts(self.counts)
 
@@ -88,8 +85,17 @@ class ReplicationRecipe:
 def build_extended(channel: DeterministicChannel, recipe: ReplicationRecipe) -> NetworkGraph:
     """Instantiate the recipe on a channel; every replica reuses the base tables.
 
-    ``NetworkGraph`` checks the recipe's replicas and wiring against the channel.
+    ``NetworkGraph`` checks the recipe's replicas and wiring against the
+    channel.  Counts that exceed the wiring are refused first, naming the
+    first unwired replica, so a file asking for millions of replicas is
+    refused before they are listed.
     """
+    counts = recipe.counts
+    if all(n >= 1 for n in counts) and sum(counts) > len(recipe.wiring):
+        wired = dict(recipe.wiring)
+        replicas = ((u, c) for u, n in enumerate(counts, start=1) for c in range(1, n + 1))
+        missing = next(r for r in replicas if r not in wired)
+        raise RecipeError(f"no interference wiring for replica {missing}")
     return NetworkGraph(channel=channel, replicas=recipe.replicas(), wiring=recipe.wiring)
 
 
@@ -377,12 +383,13 @@ def verify_chain_identity(
     channel: DeterministicChannel,
     dist: SourceDistribution,
     k_range: Sequence[int] = (1, 2, 3),
-    tol: float = IDENTITY_TOL,
 ) -> IdentityReport:
-    """Check evaluate_chain == derived closed form for each k, reporting the
-    first diverging term on mismatch and per-k increments."""
+    """Check evaluate_chain == derived closed form, up to ``IDENTITY_TOL``, for
+    each k, reporting the first diverging term on mismatch and per-k
+    increments.  The sizes are read in order and never listed, so a long
+    range stops at its first unsupported k."""
     spec = bound_support_info(bound_id)
-    ks = list(k_range) if spec["parametric"] else [None]
+    ks = k_range if spec["parametric"] else [None]
     recipes = [builtin_recipe(bound_id, k) for k in ks]
     evaluated = []
     for recipe in recipes:
@@ -395,12 +402,12 @@ def verify_chain_identity(
     for k, recipe, value in zip(ks, recipes, evaluated):
         closed_total = _closed_total(recipe, values)
         diff = abs(value.total - closed_total)
-        if diff > tol:
+        if diff > IDENTITY_TOL:
             ok = False
             for level, term_value in enumerate(value.terms, start=1):
                 terms = [t for t in recipe.closed_terms if t.level == level]
                 expected = sum(values[t.key] for t in terms)
-                if abs(term_value - expected) > tol:
+                if abs(term_value - expected) > IDENTITY_TOL:
                     diagnostics.append(
                         f"k={k}: level {level} evaluates to {term_value:.12g} but the closed form "
                         f"{' + '.join(t.describe() for t in terms) or '0'} gives {expected:.12g}"

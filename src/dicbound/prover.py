@@ -16,10 +16,9 @@ yields re-sums to the target exactly.  When its optimum is positive, the
 rationalized y is offered to ``exactlp.solve_feasibility`` as a candidate
 separating vector, with y.g <= 0 for every generator g and y.target > 0.  If
 the float solve fails, or its support or candidate fails the exact check, the
-full exact simplex decides.  The ``method="exact"`` path uses no floats at
-all.
+full exact simplex decides.
 
-Both methods solve a smaller LP over closed sets.  A constraint of the exact
+Both LPs run over closed sets, a smaller system.  A constraint of the exact
 shape h(A u B) - h(A) with A non-empty is a functional dependency (FD), and on
 the constrained cone h(S) = h(cl S), where cl S is the closure of S under the
 FDs.  So every generator maps through h(S) -> h(cl S): the rows are the
@@ -57,7 +56,6 @@ from .exactlp import separates, solve_feasibility
 from .networks import NetworkGraph, network_entropy, replicas_from_counts
 
 MAX_VARIABLES = 12
-METHODS = ("auto", "exact")
 
 # generator labels are built from variable names, so a name may not contain
 # the separators the labels use
@@ -615,23 +613,21 @@ def _solve_exact(lp: _ClosedSetLP, restrict: Iterable[int], candidate=None):
     return [(cols[j], coeff) for j, coeff in sorted(result.solution.items())], result
 
 
-def prove(problem: ProverProblem, method: str = "auto") -> ProofResult:
+def prove(problem: ProverProblem) -> ProofResult:
     """Decide Shannon-derivability of the target under the constraints.
 
-    ``method="auto"`` lets one float LP guide the exact solver; ``"exact"``
-    runs the exact simplex over every column and uses no floats.  Both solve
-    the LP over closed sets and lift the verdict back to the unreduced system.
+    One float LP guides the exact solver (path ``guided`` or ``dual``); when
+    its guidance fails, the exact simplex runs over every column (path
+    ``exact``).  Both solve the LP over closed sets and lift the verdict back
+    to the unreduced system, where it is checked exactly.
     """
-    if method not in METHODS:
-        raise ProverError(f"method {method!r} is not one of {', '.join(map(repr, METHODS))}")
     lp = _ClosedSetLP(elemental_inequalities(problem.variables), problem)
-    solution, path, candidate = None, "exact", None
-    if method == "auto":
-        support, candidate = _float_dual(*lp.float_system())
-        if support is not None:
-            solution, _ = _solve_exact(lp, support)
-            if solution is not None:
-                path = "guided"
+    solution, path = None, "exact"
+    support, candidate = _float_dual(*lp.float_system())
+    if support is not None:
+        solution, _ = _solve_exact(lp, support)
+        if solution is not None:
+            path = "guided"
     if solution is None:
         solution, result = _solve_exact(lp, range(lp.n_columns), candidate)
         if solution is None and result.farkas is candidate:
@@ -729,7 +725,7 @@ def appendix_targets(bound_id: str) -> list[ProverProblem]:
 
     # a constant-size recipe ignores k
     recipe = builtin_recipe(bound_id, 2 if bound_support_info(bound_id)["users"] == 2 else 1)
-    wiring = recipe.recipe.wiring_map()
+    wiring = dict(recipe.recipe.wiring)
     problems = []
     for term in recipe.closed_terms:
         if not term.evidence:

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Mapping, Sequence
 
 from .channels import DeterministicChannel
 from .entropy import SourceDistribution, base_terms
@@ -74,45 +75,26 @@ def template_by_id(bound_id: str) -> BoundTemplate:
     raise DicboundError(f"unknown bound id {bound_id!r}")
 
 
-class BoundVector:
-    """Evaluated right-hand sides, keyed by template id, in template order."""
-
-    def __init__(self, entries: Sequence[tuple[str, float]]):
-        self.entries = tuple(entries)
-        self._by_id = dict(self.entries)
-
-    def __getitem__(self, bound_id: str) -> float:
-        return self._by_id[bound_id]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def ids(self):
-        return tuple(i for i, _ in self.entries)
-
-    def values(self):
-        return tuple(v for _, v in self.entries)
-
-
 def bound_vector(
     channel: DeterministicChannel,
     dist: SourceDistribution,
     templates: Sequence[BoundTemplate] | None = None,
-) -> BoundVector:
-    """Evaluate every template at the given product input distribution."""
+) -> dict[str, float]:
+    """Every template's right-hand side at the given input distribution,
+    keyed by template id, in template order."""
     if templates is None:
         templates = load_templates(channel.user_count)
     for t in templates:
         if t.user_count != channel.user_count:
             raise DicboundError(f"template {t.id} is for {t.user_count} users")
     values = base_terms(channel, dist, (term.key for t in templates for term in t.terms))
-    entries = []
+    vector = {}
     for t in templates:
         total = 0.0
         for term in t.terms:
             total += term.mult * values[term.key]
-        entries.append((t.id, total))
-    return BoundVector(entries)
+        vector[t.id] = total
+    return vector
 
 
 @dataclass(frozen=True)
@@ -139,21 +121,22 @@ class RegionPolytope:
                 raise DicboundError(f"rate {i + 1} is unbounded in this halfspace list")
 
 
-def region_polytope(bounds: BoundVector, templates: Sequence[BoundTemplate]) -> RegionPolytope:
-    if tuple(t.id for t in templates) != bounds.ids():
+def region_polytope(bounds: Mapping[str, float], templates: Sequence[BoundTemplate]) -> RegionPolytope:
+    if [t.id for t in templates] != list(bounds):
         raise DicboundError("templates and bound vector are not aligned")
     dimension = templates[0].user_count
     halfspaces = tuple((t.rates, bounds[t.id]) for t in templates)
     return RegionPolytope(dimension=dimension, halfspaces=halfspaces)
 
 
-def contains(polytope: RegionPolytope, point: Sequence[float], tol: float = CONTAINS_TOL) -> bool:
+def contains(polytope: RegionPolytope, point: Sequence[float]) -> bool:
+    """Whether the point lies in the polytope, up to ``CONTAINS_TOL``."""
     if len(point) != polytope.dimension:
         raise DicboundError("point dimension mismatch")
-    if any(r < -tol for r in point):
+    if any(r < -CONTAINS_TOL for r in point):
         return False
     for coeffs, rhs in polytope.halfspaces:
-        if sum(c * r for c, r in zip(coeffs, point)) > rhs + tol:
+        if sum(c * r for c, r in zip(coeffs, point)) > rhs + CONTAINS_TOL:
             return False
     return True
 
@@ -184,26 +167,14 @@ def permute_templates(
     return tuple(out)
 
 
-class RegionFamily:
-    """Union of sampled polytopes with a membership query (inner approximation)."""
-
-    def __init__(self, polytopes: Sequence[RegionPolytope]):
-        if not polytopes:
-            raise DicboundError("a region family needs at least one polytope")
-        self.polytopes = tuple(polytopes)
-        self.dimension = self.polytopes[0].dimension
-
-    def contains(self, point: Sequence[float], tol: float = CONTAINS_TOL) -> bool:
-        return any(contains(p, point, tol) for p in self.polytopes)
-
-
 def sample_region(
     channel: DeterministicChannel,
     sampler_seed: int,
     n_samples: int,
     templates: Sequence[BoundTemplate] | None = None,
-) -> RegionFamily:
-    """Region family over the deterministic distribution sweep.
+) -> tuple[RegionPolytope, ...]:
+    """One polytope per law of the deterministic distribution sweep; their
+    union is an inner approximation of the region.
 
     The sweep starts at the uniform distribution, then point masses, then
     seeded per-source Dirichlet draws, so n_samples=1 is the uniform region.
@@ -212,12 +183,8 @@ def sample_region(
         raise DicboundError("n_samples must be >= 1")
     if templates is None:
         templates = load_templates(channel.user_count)
-    stream = region_distribution_stream(channel.input_sizes, sampler_seed)
-    polytopes = []
-    for _ in range(n_samples):
-        dist = next(stream)
-        polytopes.append(region_polytope(bound_vector(channel, dist, templates), templates))
-    return RegionFamily(polytopes)
+    stream = islice(region_distribution_stream(channel.input_sizes, sampler_seed), n_samples)
+    return tuple(region_polytope(bound_vector(channel, dist, templates), templates) for dist in stream)
 
 
 # -- 2-D rendering -------------------------------------------------------------
@@ -247,7 +214,7 @@ def _polytope_vertices_2d(polytope: RegionPolytope) -> list[tuple[float, float]]
     return pts
 
 
-def render_region_svg(polytopes: Iterable[RegionPolytope], size: int = 420) -> str:
+def render_region_svg(polytopes: Iterable[RegionPolytope]) -> str:
     """Static SVG outline of one or more 2-D region polytopes."""
     polys = list(polytopes)
     if any(p.dimension != 2 for p in polys):
@@ -255,7 +222,7 @@ def render_region_svg(polytopes: Iterable[RegionPolytope], size: int = 420) -> s
     hulls = [_polytope_vertices_2d(p) for p in polys]
     extent = max((max(max(x, y) for x, y in h) for h in hulls if h), default=1.0)
     extent = max(extent, 1e-9) * 1.15
-    margin = 34
+    size, margin = 420, 34
     scale = (size - 2 * margin) / extent
 
     def sx(x):

@@ -98,7 +98,7 @@ def test_criterion_2_interference_entropy_identity():
 def test_criterion_3_rate_bound_vectors_vs_oracle():
     xor2 = builtin_channel("xor2")
     vector = bound_vector(xor2, SourceDistribution.uniform([2, 2]))
-    assert vector.values() == pytest.approx((1, 1, 1, 1, 2, 2, 2), abs=NUMERIC)
+    assert tuple(vector.values()) == pytest.approx((1, 1, 1, 1, 2, 2, 2), abs=NUMERIC)
     uniform2 = [[0.5, 0.5]] * 2
     for template in load_templates(2):
         want = sum(

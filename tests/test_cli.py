@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dicbound import extend, networks
 from dicbound.cli import main
 from dicbound.extend import builtin_recipe, recipe_to_dict
 
@@ -193,6 +194,23 @@ def test_bad_numeric_arguments_are_usage_errors(capsys, argv):
     assert "Traceback" not in err and "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv,expected_code,message",
+    [
+        (("gcs", "--channel", "xor2", "--enumerate", "--max-l", "1500"), 1, "error: more than 10000 cut chains"),
+        (
+            ("extend", "--bound", "4a", "--k", "1..1000000000000", "--channel", "xor2"),
+            2,
+            "usage error: bound 4a supports k in 1..8, got 9",
+        ),
+    ],
+)
+def test_huge_sizes_fail_with_one_line(capsys, argv, expected_code, message):
+    code, out, err = run_cli_exit(capsys, *argv)
+    assert (code, out) == (expected_code, "")
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -349,14 +367,37 @@ INVALID_NETWORKS = {
         {**NETWORK_4F, "channel": NONRECOVERABLE_DOC},
         "interference recoverability",
     ),
+    "oversized-counts": (  # two million copies of user 1, one of them wired
+        {**NETWORK_4F, "recipe": {"counts": [2000000, 1], "wiring": {"1^1": {"2": 1}, "2^1": {"1": 1}}}},
+        r"no interference wiring for replica \(1, 2\)",
+    ),
 }
+
+
+@contextlib.contextmanager
+def refusing_huge_counts():
+    """Make listing the replicas of a count above 10^6 raise at once, so that
+    code that lists every replica before checking the wiring fails fast
+    instead of exhausting memory."""
+    real = networks.replicas_from_counts
+
+    def guarded(counts):
+        if any(n > 10**6 for n in counts):
+            raise AssertionError(f"listed every replica of counts {list(counts)}")
+        return real(counts)
+
+    with mock.patch.object(extend, "replicas_from_counts", guarded), mock.patch.object(
+        networks, "replicas_from_counts", guarded
+    ):
+        yield
 
 
 @pytest.mark.parametrize("doc,message", INVALID_NETWORKS.values(), ids=INVALID_NETWORKS)
 def test_network_that_fails_the_checks_is_a_validation_failure(capsys, tmp_path, doc, message):
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli_exit(capsys, "gcs", "--network", str(path), "--enumerate")
+    with refusing_huge_counts():
+        code, out, err = run_cli_exit(capsys, "gcs", "--network", str(path), "--enumerate")
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and re.search(message, err)
 
@@ -429,12 +470,13 @@ def cli_argv(draw, paths):
         channel, network = ["--channel", pick(channels)], ["--network", pick(_files(paths, "net"))]
         argv += pick([channel, network] * 3 + [channel + network, []]) + maybe("--dist", pick(dists))
         if draw(st.booleans()):
-            argv += ["--enumerate"] + maybe("--max-l", pick(["1", "2", "0"]))
+            argv += ["--enumerate"] + maybe("--max-l", pick(["1", "2", "0", "1500"]))
         else:
             argv += maybe("--chain", pick(_files(paths, "chain")))
     elif command == "extend":
         argv += ["--bound", pick(["4a", "4e", "4f", "ineq5", "nope"]), "--channel", pick(channels)]
-        argv += maybe("--k", pick(["1", "1..2", "2"] * 3 + ["0", "9", "2..1", "x"])) + maybe("--verify")
+        argv += maybe("--k", pick(["1", "1..2", "2"] * 3 + ["0", "9", "2..1", "x", "1..1000000000000"]))
+        argv += maybe("--verify")
         argv += maybe("--dist", pick(dists))
     elif command == "prove":
         bound = ["--bound", pick(["4a", "4c", "4f", "nope"])]
@@ -442,7 +484,8 @@ def cli_argv(draw, paths):
         argv += pick([bound, problem] * 3 + [bound + problem, []])
     else:
         argv += ["--channel", pick(channels)] + maybe("--samples", pick(["1", "2", "0"]))
-    argv += maybe("--seed", pick(["0", "7"] * 4 + ["x"]))
+    if command in ("region", "compare"):
+        argv += maybe("--seed", pick(["0", "7"] * 4 + ["x"]))
     return argv
 
 
@@ -451,7 +494,7 @@ def cli_argv(draw, paths):
 def test_cli_exit_codes_over_the_argument_surface(fuzz_files, data, budget):
     argv = data.draw(cli_argv(fuzz_files))
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ), refusing_huge_counts(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         os.environ.pop("DICBOUND_BUDGET_ATOMS", None)
         if budget is not None:
             os.environ["DICBOUND_BUDGET_ATOMS"] = budget

@@ -59,7 +59,7 @@ def test_out_of_range_wiring_rejected(xor2):
 def test_all_copies_interfered_by_one_sender(xor2):
     recipe = builtin_recipe("4a", 3).recipe
     assert recipe.counts == (3, 1)
-    wiring = recipe.wiring_map()
+    wiring = dict(recipe.wiring)
     assert all(wiring[(1, j)] == ((2, 1),) for j in (1, 2, 3))
     assert wiring[(2, 1)] == ((1, 1),)
     net = build_extended(xor2, recipe)

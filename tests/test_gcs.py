@@ -8,7 +8,7 @@ import dicbound.gcs
 from dicbound.channels import builtin_channel
 from dicbound.cli import main
 from dicbound.entropy import SourceDistribution, V, X, Y, conditional_entropy, entropy, induce_joint
-from dicbound.errors import ChainValidationError, DicboundError
+from dicbound.errors import BudgetExceededError, ChainValidationError, DicboundError
 from dicbound.gcs import (
     CutChain,
     chain_from_cuts,
@@ -131,6 +131,24 @@ def test_min_chain_bound_does_not_revalidate_enumerated_chains(concat3, count_ca
 def test_enumeration_rejects_bad_max_l(xor2):
     with pytest.raises(DicboundError):
         enumerate_chains(base_network(xor2), 0)
+
+
+def test_chain_count_is_a_sum_of_powers(xor2, concat3):
+    # a chain of length l cuts each of the n replicas at one of its l levels
+    for channel, n in ((xor2, 2), (concat3, 3)):
+        for max_l in range(1, 6):
+            chains = enumerate_chains(base_network(channel), max_l)
+            assert len(chains) == len(set(chains)) == sum(l**n for l in range(1, max_l + 1))
+
+
+def test_enumeration_past_the_cap_is_refused_before_any_chain_is_built(monkeypatch, xor2):
+    net = base_network(xor2)
+    # the largest length that fits: 1 + 4 + ... + 30^2 = 9,455 chains
+    assert len(enumerate_chains(net, 30)) == 9455 <= dicbound.gcs.MAX_CHAINS
+    monkeypatch.setattr(dicbound.gcs, "chain_from_cuts", lambda labels, uncut: pytest.fail("built a chain"))
+    for max_l in (31, 1500, 10**12):
+        with pytest.raises(BudgetExceededError, match="more than 10000 cut chains"):
+            enumerate_chains(net, max_l)
 
 
 def test_min_chain_bound(xor2):

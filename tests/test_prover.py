@@ -2,6 +2,7 @@ import re
 import time
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from dicbound import prover as prover_module
 from dicbound.exactlp import separates, solve_feasibility
 from dicbound.networks import base_network
 from dicbound.prover import (
-    METHODS,
     ProverProblem,
     appendix_targets,
     dic_constraints,
@@ -35,6 +35,20 @@ BASE3_WIRING = {
 @pytest.fixture(scope="module")
 def base2():
     return dic_constraints(2, [1, 1], BASE2_WIRING)
+
+
+def without_float_guidance():
+    """While active, the float LP gives neither a support nor a candidate
+    vector, so ``prove`` decides with the full exact simplex (path
+    ``exact``).  A context manager, so that hypothesis tests can use it."""
+    return mock.patch.object(prover_module, "_float_dual", lambda a_eq, b_eq: (None, None))
+
+
+def prove_both_ways(problem):
+    """``prove`` with float guidance, then without it."""
+    guided = prove(problem)
+    with without_float_guidance():
+        return guided, prove(problem)
 
 
 def test_exact_lp_feasibility_small():
@@ -227,17 +241,18 @@ def test_constraints_that_are_not_dependencies_reach_the_same_verdict(base2):
     ]
     for terms, verdict in cases:
         target = expr_from_names(variables, terms)
-        # without a dependency to reduce by, the exact method runs the slow
-        # unreduced simplex, which test_exact_method_agrees_with_guided covers
-        for given_constraints, methods in ((constraints, METHODS), (doubled(constraints), ("auto",))):
-            problem = ProverProblem(variables=variables, constraints=given_constraints, target=target)
-            for method in methods:
-                result = prove(problem, method=method)
-                assert result.status == verdict, (terms, method)
-                if result.provable:
-                    assert verify_certificate(problem, result.certificate)
-                else:
-                    assert separating_vector_holds(problem, result.separating_vector)
+        # without a dependency to reduce by, the full exact simplex is slow,
+        # so the doubled constraints run guided only
+        problem = ProverProblem(variables=variables, constraints=constraints, target=target)
+        results = list(prove_both_ways(problem))
+        doubled_problem = ProverProblem(variables=variables, constraints=doubled(constraints), target=target)
+        results.append(prove(doubled_problem))
+        for p, result in zip((problem, problem, doubled_problem), results):
+            assert result.status == verdict, (terms, result.path)
+            if result.provable:
+                assert verify_certificate(p, result.certificate)
+            else:
+                assert separating_vector_holds(p, result.separating_vector)
 
 
 def unreduced_system(problem):
@@ -288,22 +303,13 @@ def dependency_problems(draw):
 def test_closed_set_lp_decides_like_the_unreduced_lp(problem):
     columns, target = unreduced_system(problem)
     expected = solve_feasibility(columns, target, (1 << len(problem.variables)) - 1).feasible
-    for method in METHODS:
-        result = prove(problem, method=method)
-        assert result.provable == expected, method
+    for result in prove_both_ways(problem):
+        assert result.provable == expected, result.path
         if result.provable:
             assert verify_certificate(problem, result.certificate)
         else:
             y = {m - 1: c for m, c in result.separating_vector.items()}
             assert separates(y, columns, target)
-
-
-def test_unknown_method_rejected(base2):
-    variables, constraints = base2
-    target = expr_from_names(variables, {"X1 X2": 1, "X1": -1, "X2": -1})
-    problem = ProverProblem(variables=variables, constraints=constraints, target=target)
-    with pytest.raises(ProverError, match="'auto', 'exact'"):
-        prove(problem, method="bogus")
 
 
 def negated_mutual_information(a_mask, b_mask, k_mask=0):
@@ -348,9 +354,10 @@ def test_auto_and_exact_agree_on_refutations(monkeypatch):
     problems = list(refutations())
     assert len(problems) == 27
     auto = [prove(p) for p in problems]
-    # the exact method uses no floats
+    # without float guidance no float LP runs
     monkeypatch.setattr(prover_module, "linprog", None)
-    exact = [prove(p, method="exact") for p in problems]
+    with without_float_guidance():
+        exact = [prove(p) for p in problems]
     for problem, a, e in zip(problems, auto, exact):
         assert (a.status, a.path) == ("NotProvable", "dual"), problem.name
         assert (e.status, e.path) == ("NotProvable", "exact"), problem.name
@@ -383,7 +390,8 @@ def test_exact_method_agrees_with_guided(base2):
     ]
     for target in targets:
         p = ProverProblem(variables=variables, constraints=constraints, target=target)
-        assert prove(p, method="auto").status == prove(p, method="exact").status
+        guided, exact = prove_both_ways(p)
+        assert exact.path == "exact" and guided.status == exact.status
 
 
 def test_certificates_resummed_and_nonnegative(base2):
@@ -473,15 +481,15 @@ def test_prove_returns_only_certificates_that_verify(monkeypatch, base2):
         prove(problem)
 
 
-def test_auto_falls_back_to_the_full_simplex_without_float_guidance(monkeypatch, base2):
+def test_auto_falls_back_to_the_full_simplex_without_float_guidance(base2):
     # a failed float solve gives neither a support nor a candidate vector;
     # the full exact simplex then decides both -I(X1;X2) (independent
     # sources) and I(X1;Y1)
     variables, constraints = base2
-    monkeypatch.setattr(prover_module, "_float_dual", lambda a_eq, b_eq: (None, None))
     for terms in ({"X1 X2": 1, "X1": -1, "X2": -1}, {"X1": 1, "Y1": 1, "X1 Y1": -1}):
         problem = ProverProblem(variables=variables, constraints=constraints, target=expr_from_names(variables, terms))
-        result = prove(problem)
+        with without_float_guidance():
+            result = prove(problem)
         assert (result.status, result.path) == ("Provable", "exact"), terms
         assert verify_certificate(problem, result.certificate)
 

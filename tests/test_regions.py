@@ -30,7 +30,8 @@ def test_template_inventory():
 
 def test_xor2_uniform_vector_against_oracle(xor2):
     vector = bound_vector(xor2, SourceDistribution.uniform([2, 2]))
-    assert vector.values() == pytest.approx((1, 1, 1, 1, 2, 2, 2), abs=1e-9)
+    assert list(vector) == [t.id for t in load_templates(2)]
+    assert tuple(vector.values()) == pytest.approx((1, 1, 1, 1, 2, 2, 2), abs=1e-9)
     # cross-check every template term against the first-principles oracle
     tables = [[0.5, 0.5], [0.5, 0.5]]
     for template in load_templates(2):
@@ -57,7 +58,7 @@ def test_concat3_uniform_oracle_values(concat3):
 def test_point_mass_vector_is_zero(shift2_221):
     dist = SourceDistribution.point_mass([4, 4], (2, 3))
     vector = bound_vector(shift2_221, dist)
-    assert all(abs(v) < 1e-12 for _, v in vector)
+    assert all(abs(v) < 1e-12 for v in vector.values())
 
 
 def test_joint_mode_rejected(xor2):
@@ -84,7 +85,7 @@ def test_bounds_never_exceed_output_entropy_budget(shift2_331):
     }
     for i in range(10):
         dist = sample_product_distribution([8, 8], 3, i)
-        for template_id, value in bound_vector(shift2_331, dist):
+        for template_id, value in bound_vector(shift2_331, dist).items():
             assert -1e-12 <= value <= budgets[template_id] + 1e-9
 
 
@@ -145,23 +146,23 @@ def test_three_user_permutation_symmetry(concat3):
 def test_sample_region_determinism_and_membership(xor2):
     fam1 = sample_region(xor2, 17, 8)
     fam2 = sample_region(xor2, 17, 8)
-    assert fam1.polytopes == fam2.polytopes
+    assert fam1 == fam2
     # first sample is the uniform region
     only_uniform = sample_region(xor2, 17, 1)
     templates = load_templates(2)
     uniform_poly = region_polytope(
         bound_vector(xor2, SourceDistribution.uniform([2, 2])), templates
     )
-    assert only_uniform.polytopes == (uniform_poly,)
-    assert fam1.contains((0.4, 0.4))
-    assert not fam1.contains((2.0, 2.0))
+    assert only_uniform == (uniform_poly,)
+    assert any(contains(p, (0.4, 0.4)) for p in fam1)
+    assert not any(contains(p, (2.0, 2.0)) for p in fam1)
     with pytest.raises(DicboundError):
         sample_region(xor2, 17, 0)
 
 
 def test_svg_rendering(xor2):
     fam = sample_region(xor2, 1, 3)
-    svg = render_region_svg(fam.polytopes)
+    svg = render_region_svg(fam)
     assert svg.startswith("<svg") and "polygon" in svg
     three = load_templates(3)
     from dicbound.regions import RegionPolytope
