@@ -124,7 +124,7 @@ def cmd_region(args) -> int:
             sys.stdout.write(render_region_svg(polytopes))
             return 0
         print("sample,template,rhs_bits")
-        for s, poly in enumerate(polytopes):
+        for s, poly in enumerate(polytopes):  # each sample printed as it is computed
             for t, (_, rhs) in zip(templates, poly.halfspaces):
                 print(f"{s},{t.id},{_fmt(rhs)}")
         return 0

@@ -25,7 +25,8 @@ class ChainValidationError(DicboundError):
 
 
 class BudgetExceededError(DicboundError):
-    """An evaluation would enumerate more source atoms, or cut chains, than its cap."""
+    """An evaluation would enumerate more source atoms, cut chains or region
+    samples than its cap."""
 
 
 class RecipeError(DicboundError):

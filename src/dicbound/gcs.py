@@ -10,6 +10,11 @@ The rule fixes a chain by the replicas still uncut at each level: nested sets
 R_0 = all >= R_1 >= ... >= R_l = {} give O_j = S(R_{j-1}) | D(R_j), and every
 valid chain arises this way.  ``chain_from_cuts`` is the one constructor; it
 builds enumerated chains and recipe chains alike.
+
+Level j is H(Y(R_{j-1} - R_j) | X, Y(all - R_{j-1})), so the pair
+(R_{j-1}, R_j) alone decides its value, whichever chain it occurs in.
+``chain_values`` evaluates each distinct level once per call, from a memo
+local to that call; ``evaluate_chain`` evaluates a given chain the same way.
 """
 
 from __future__ import annotations
@@ -56,7 +61,8 @@ class ChainValue:
 def validate_chain(network: NetworkGraph, chain: CutChain) -> list[str]:
     """Return the list of rule violations (empty means the chain is valid)."""
     violations = []
-    nodes = network.nodes()
+    pairs = network.pairs()
+    nodes = frozenset(label for pair in pairs for label in pair)
     subsets = chain.subsets
     if not subsets:
         return ["chain must contain at least one subset"]
@@ -69,9 +75,9 @@ def validate_chain(network: NetworkGraph, chain: CutChain) -> list[str]:
     for idx in range(1, len(subsets)):
         if not subsets[idx] <= subsets[idx - 1]:
             violations.append(f"subset {idx + 1} is not contained in subset {idx}")
-    full = [frozenset(nodes)] + list(subsets) + [frozenset()]
+    full = [nodes] + list(subsets) + [frozenset()]
     for j in range(len(full) - 1):
-        for src, dst in network.pairs():
+        for src, dst in pairs:
             if (dst in full[j]) != (src in full[j + 1]):
                 violations.append(
                     f"level {j}: destination {dst} in subset iff source {src} in next "
@@ -80,30 +86,39 @@ def validate_chain(network: NetworkGraph, chain: CutChain) -> list[str]:
     return violations
 
 
-def _chain_levels(network: NetworkGraph, chain: CutChain):
-    """Per level: (target output vars, conditioning vars)."""
-    nodes = network.nodes()
-    full = [frozenset(nodes)] + list(chain.subsets)
-    levels = []
-    for j in range(1, len(full)):
-        omega_prev, omega = full[j - 1], full[j]
-        targets = set()
-        cond = set()
-        for (user, copy), (src, dst) in zip(network.replicas, network.pairs()):
-            if dst in omega_prev and dst not in omega:
-                targets.add(VariableId("Y", user, copy))
-            if dst not in omega_prev:
-                cond.add(VariableId("Y", user, copy))
-            if src not in omega:
-                cond.add(VariableId("X", user, copy))
-        levels.append((targets, cond))
-    return levels
+Level = tuple[frozenset[Replica], frozenset[Replica]]
 
 
-def _chain_value(network: NetworkGraph, chain: CutChain, dist: SourceDistribution) -> ChainValue:
+def _chain_levels(network: NetworkGraph, chain: CutChain) -> list[Level]:
+    """Per level j of a valid chain: (R_{j-1}, R_j), the replicas uncut before
+    and after it.  R_j is the replicas whose destination lies in subset j."""
+    dests = [(r, network.dest_label(r)) for r in network.replicas]
+    uncut = [frozenset(network.replicas)]
+    uncut += (frozenset(r for r, dst in dests if dst in s) for s in chain.subsets)
+    return list(zip(uncut, uncut[1:]))
+
+
+def _level_value(network: NetworkGraph, dist: SourceDistribution, level: Level) -> float:
+    """H(Y(R_{j-1} - R_j) | X, Y(all - R_{j-1})): the fresh outputs given the
+    inputs and outputs of every replica already cut."""
+    outer, inner = level
+    if outer == inner:
+        return 0.0
+    cut = [r for r in network.replicas if r not in outer]
+    targets = [VariableId("Y", *r) for r in outer - inner]
+    cond = [VariableId(kind, *r) for r in cut for kind in "XY"]
+    return cond_entropy_network(network, dist, targets, cond)
+
+
+def _chain_value(
+    network: NetworkGraph, chain: CutChain, dist: SourceDistribution, memo: dict[Level, float]
+) -> ChainValue:
+    """The chain's value; ``memo`` holds the levels evaluated so far."""
     terms = []
-    for targets, cond in _chain_levels(network, chain):
-        terms.append(cond_entropy_network(network, dist, targets, cond) if targets else 0.0)
+    for level in _chain_levels(network, chain):
+        if level not in memo:
+            memo[level] = _level_value(network, dist, level)
+        terms.append(memo[level])
     return ChainValue(total=math.fsum(terms), terms=tuple(terms))
 
 
@@ -112,7 +127,7 @@ def evaluate_chain(network: NetworkGraph, chain: CutChain, dist: SourceDistribut
     violations = validate_chain(network, chain)
     if violations:
         raise ChainValidationError(violations)
-    return _chain_value(network, chain, dist)
+    return _chain_value(network, chain, dist, {})
 
 
 def chain_from_cuts(
@@ -163,10 +178,12 @@ def enumerate_chains(network: NetworkGraph, max_l: int) -> list[CutChain]:
 def chain_values(
     network: NetworkGraph, dist: SourceDistribution, max_l: int
 ) -> list[tuple[CutChain, float]]:
-    """Every enumerated chain with its value, each evaluated once and not
-    re-validated: enumerated chains are valid by construction."""
+    """Every enumerated chain with its value, not re-validated: enumerated
+    chains are valid by construction.  Each distinct level is evaluated once;
+    the memo is dropped when the call returns."""
     chains = enumerate_chains(network, max_l)
-    return [(chain, _chain_value(network, chain, dist).total) for chain in chains]
+    memo: dict[Level, float] = {}
+    return [(chain, _chain_value(network, chain, dist, memo).total) for chain in chains]
 
 
 def tightest_chain(values: Iterable[tuple[CutChain, float]]) -> tuple[CutChain, float]:

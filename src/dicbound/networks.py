@@ -16,7 +16,11 @@ an entropy.  ``entropy.induce_joint`` and the one network query,
 query with nothing conditioned.  The query avoids materializing the full
 joint: it enumerates once, over only the sources its variables depend on, and
 under a product law conditioning on a source's input and its receiver's output
-pins down the interference it saw, which shrinks that set further.
+pins down the interference it saw, which shrinks that set further.  That
+closure is computed on the (user, copy) replica sets of the known X's, V's and
+Y's; ``VariableId``s are built only for the columns the enumeration evaluates.
+A cut-chain level is one such query, fixed by the replicas uncut before and
+after it (see ``gcs``).
 """
 
 from __future__ import annotations
@@ -64,6 +68,8 @@ class NetworkGraph:
     wiring: tuple[tuple[Replica, tuple[Replica, ...]], ...]
     base_labels: bool = False
     _wiring_map: Mapping[Replica, tuple[Replica, ...]] = field(init=False, repr=False)
+    _index: Mapping[Replica, int] = field(init=False, repr=False)  # position in replicas
+    _sizes: tuple[int, ...] = field(init=False, repr=False)  # source alphabet sizes
 
     def __post_init__(self):
         if not self.channel.valid:
@@ -99,6 +105,9 @@ class NetworkGraph:
                 if w not in replicas:
                     raise RecipeError(f"replica {r} wired to unknown replica {w}")
         object.__setattr__(self, "_wiring_map", wmap)
+        object.__setattr__(self, "_index", {r: i for i, r in enumerate(self.replicas)})
+        sizes = tuple(self.channel.input_sizes[u - 1] for u, _ in self.replicas)
+        object.__setattr__(self, "_sizes", sizes)
 
     # -- structure ----------------------------------------------------------
 
@@ -124,7 +133,7 @@ class NetworkGraph:
         return tuple(VariableId("X", u, c) for u, c in self.replicas)
 
     def source_sizes(self) -> tuple[int, ...]:
-        return tuple(self.channel.input_sizes[u - 1] for u, _ in self.replicas)
+        return self._sizes
 
     def all_variables(self) -> tuple[VariableId, ...]:
         xs = [VariableId("X", u, c) for u, c in self.replicas]
@@ -132,13 +141,16 @@ class NetworkGraph:
         ys = [VariableId("Y", u, c) for u, c in self.replicas]
         return tuple(xs + vs + ys)
 
-    def check_variables(self, variables: Iterable[VariableId]) -> set[VariableId]:
-        """The variables as a set, each checked to belong to this network."""
-        out = set(variables)
-        for var in out:
-            if (var.user, var.copy) not in self._wiring_map:
+    def replica_sets(self, variables: Iterable[VariableId]) -> tuple[set[Replica], ...]:
+        """The replicas of the variables' X's, V's and Y's, as three sets,
+        each variable checked to belong to this network."""
+        sets: dict[str, set[Replica]] = {"X": set(), "V": set(), "Y": set()}
+        for var in variables:
+            r = (var.user, var.copy)
+            if r not in self._wiring_map:
                 raise DicboundError(f"variable {var} is not in this network")
-        return out
+            sets[var.kind].add(r)
+        return sets["X"], sets["V"], sets["Y"]
 
     def evaluator(self, variables: Sequence[VariableId], sources: Sequence[Replica], xs):
         """The symbol evaluator: the (atoms x variables) value array of
@@ -197,14 +209,13 @@ def source_atoms(network: NetworkGraph, dist: SourceDistribution, sources: Seque
     Checks the law against the network and enforces the atom budget before
     any array is allocated.  Product-law atoms are in row-major order.
     """
-    expected = network.source_sizes()
-    if dist.sizes != expected:
+    if dist.sizes != network.source_sizes():
         names = ", ".join(str(v) for v in network.source_variables())
         raise DistributionError(
             f"law over alphabet sizes {list(dist.sizes)} does not fit the sources "
-            f"{names} with sizes {list(expected)}"
+            f"{names} with sizes {list(network.source_sizes())}"
         )
-    idx = [network.replicas.index(r) for r in sources]
+    idx = [network._index[r] for r in sources]
     if dist.mode == "product":
         supports = [[s for s, q in enumerate(dist.tables[i]) if q > 0.0] for i in idx]
         count = math.prod(len(s) for s in supports)
@@ -237,26 +248,32 @@ def symbol_rows(network: NetworkGraph, dist: SourceDistribution, variables):
 # -- the network query ---------------------------------------------------------
 
 
-def known_closure(network: NetworkGraph, cond: Iterable[VariableId]) -> set[VariableId]:
-    """All variables determined by the conditioning set.
+def _closure(network: NetworkGraph, xs: set[Replica], vs: set[Replica], ys: set[Replica]):
+    """The replicas of the known X's, V's and Y's, given those conditioned.
 
     Closure rules: V = g(X); Y determined once its input and all wired
     interference symbols are; and (X, Y) of a receiver determine the wired
     interference symbols (the recoverability invariant).  No rule derives an
-    X, so one pass adds every V there is to add; a second adds each Y whose
-    input and wired V's are known, and that is the fixed point.
+    X, so the known V's are the conditioned ones, those of the known X's and
+    those recovered at receivers with X and Y known; the known Y's add each
+    receiver whose input and wired V's are known, and that is the fixed point.
     """
-    known = set(cond)
-    for u, c in network.replicas:
-        if VariableId("X", u, c) in known:
-            known.add(VariableId("V", u, c))
-            if VariableId("Y", u, c) in known:
-                known.update(VariableId("V", *w) for w in network.interferers_of((u, c)))
-    for u, c in network.replicas:
-        wired = (VariableId("V", *w) for w in network.interferers_of((u, c)))
-        if VariableId("X", u, c) in known and all(w in known for w in wired):
-            known.add(VariableId("Y", u, c))
-    return known
+    known_v = vs | xs
+    for r in xs & ys:
+        known_v.update(network.interferers_of(r))
+    known_y = ys | {r for r in xs if known_v.issuperset(network.interferers_of(r))}
+    return xs, known_v, known_y
+
+
+def _variables(kind: str, replicas: Iterable[Replica]) -> list[VariableId]:
+    """The variables of one kind at the replicas, in sorted order."""
+    return [VariableId(kind, u, c) for u, c in sorted(replicas)]
+
+
+def known_closure(network: NetworkGraph, cond: Iterable[VariableId]) -> set[VariableId]:
+    """All variables determined by the conditioning set (see ``_closure``)."""
+    known = _closure(network, *network.replica_sets(cond))
+    return {v for kind, replicas in zip("XVY", known) for v in _variables(kind, replicas)}
 
 
 def cond_entropy_network(
@@ -274,26 +291,22 @@ def cond_entropy_network(
     targets the conditioning determines drop out, and the keys become the
     conditioned X's and recovered V's that share a source with what is left.
     """
-    targets = network.check_variables(targets)
-    cond = network.check_variables(cond)
-    self_conditioned = all(
-        VariableId("X", v.user, v.copy) in cond for v in cond if v.kind == "Y"
-    )
-    if dist.mode == "product" and self_conditioned:
-        known = known_closure(network, cond)
-        live = sorted(targets - known)
-        if not live:
+    t_x, t_v, t_y = network.replica_sets(targets)
+    c_x, c_v, c_y = network.replica_sets(cond)
+    if dist.mode == "product" and c_y <= c_x:
+        k_x, k_v, k_y = _closure(network, c_x, c_v, c_y)
+        t_x, t_v, t_y = t_x - k_x, t_v - k_v, t_y - k_y
+        if not (t_x or t_v or t_y):
             return 0.0
-        cond_x_sources = {(v.user, v.copy) for v in cond if v.kind == "X"}
-        gen_v = sorted(
-            v for v in known if v.kind == "V" and (v.user, v.copy) not in cond_x_sources
-        )
-        deps: set[Replica] = set()
-        for v in live + gen_v:
-            deps |= network.dependencies(v)
-        keys = sorted(VariableId("X", u, c) for (u, c) in deps & cond_x_sources) + gen_v
+        gen_v = k_v - c_x
+        deps = t_x | t_v | t_y | gen_v
+        for r in t_y:
+            deps.update(network.interferers_of(r))
+        keys = _variables("X", deps & c_x) + _variables("V", gen_v)
     else:
-        live, keys = sorted(targets - cond), sorted(cond)
+        t_x, t_v, t_y = t_x - c_x, t_v - c_v, t_y - c_y
+        keys = _variables("V", c_v) + _variables("X", c_x) + _variables("Y", c_y)
+    live = _variables("V", t_v) + _variables("X", t_x) + _variables("Y", t_y)
     values, p = symbol_rows(network, dist, keys + live)
     return row_entropy(values, p) - row_entropy(values[:, : len(keys)], p)
 

@@ -5,6 +5,8 @@ import math
 import os
 import random
 import re
+import subprocess
+import sys
 from itertools import product as iproduct
 from unittest import mock
 
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicbound import extend, networks
+import dicbound
+from dicbound import extend, networks, regions
 from dicbound.cli import main
 from dicbound.extend import builtin_recipe, recipe_to_dict
 
@@ -209,6 +212,40 @@ def test_huge_sizes_fail_with_one_line(capsys, argv, expected_code, message):
     code, out, err = run_cli_exit(capsys, *argv)
     assert (code, out) == (expected_code, "")
     assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_region_samples_past_the_cap_are_refused_before_any_law_is_drawn(capsys, monkeypatch):
+    monkeypatch.setattr(regions, "region_distribution_stream", lambda *a: pytest.fail("drew a law"))
+    code, out, err = run_cli_exit(capsys, "region", "--channel", "xor2", "--samples", "100000000")
+    assert (code, out) == (1, "")
+    assert err == "error: 100000000 region samples exceed the cap of 10000\n"
+
+
+def test_region_samples_are_printed_as_they_are_computed(capsys, monkeypatch):
+    # each sample's rows are out before the next sample's bound vector starts
+    printed, lines_before = [], []
+    real = regions.bound_vector
+
+    def counting(*args, **kwargs):
+        printed.append(capsys.readouterr().out)
+        lines_before.append("".join(printed).count("\n"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(regions, "bound_vector", counting)
+    assert main(["region", "--channel", "xor2", "--samples", "3"]) == 0
+    templates = len(regions.load_templates(2))
+    assert lines_before == [1, 1 + templates, 1 + 2 * templates]
+
+
+def test_python_m_runs_the_cli(capsys):
+    src = os.path.dirname(os.path.dirname(dicbound.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["validate", "--channel", "xor2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dicbound", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    code, out = run_cli(capsys, *argv)
+    assert proc.returncode == code == 0 and proc.stdout == out
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")

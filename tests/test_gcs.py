@@ -1,3 +1,6 @@
+import json
+import math
+import random
 from itertools import product as iproduct
 
 import pytest
@@ -9,15 +12,18 @@ from dicbound.channels import builtin_channel
 from dicbound.cli import main
 from dicbound.entropy import SourceDistribution, V, X, Y, conditional_entropy, entropy, induce_joint
 from dicbound.errors import BudgetExceededError, ChainValidationError, DicboundError
+from dicbound.extend import build_extended, builtin_recipe, recipe_to_dict
 from dicbound.gcs import (
     CutChain,
     chain_from_cuts,
+    chain_values,
     enumerate_chains,
     evaluate_chain,
     min_chain_bound,
+    tightest_chain,
     validate_chain,
 )
-from dicbound.networks import base_network
+from dicbound.networks import base_network, cond_entropy_network, replicate_distribution
 from dicbound.sampling import sample_product_distribution
 
 FIG_A = CutChain.of([{"S1", "S2", "D1"}, {"S1"}])  # opens on receiver 2
@@ -212,10 +218,126 @@ def test_joint_mode_distribution_accepted(xor2):
 
 def test_enumeration_oracle_on_eight_node_network(xor2):
     # replicated network with 8 nodes: enumeration still matches raw iteration
-    from dicbound.extend import build_extended, builtin_recipe
-
     net = build_extended(xor2, builtin_recipe("4e", 2).recipe)
     assert len(net.nodes()) == 8
     chains = enumerate_chains(net, 2)
     assert {c.canonical() for c in chains} == brute_force_chains(net, 2)
     assert all(validate_chain(net, c) == [] for c in chains)
+
+
+# -- the memo-free reference evaluator ------------------------------------------
+
+
+def reference_levels(network, chain):
+    """Per level: (target outputs, conditioning), read from the node labels of
+    every replica at every level, with no assumption that the chain is valid."""
+    full = [network.nodes()] + list(chain.subsets)
+    levels = []
+    for omega_prev, omega in zip(full, full[1:]):
+        targets, cond = set(), set()
+        for (user, copy), (src, dst) in zip(network.replicas, network.pairs()):
+            if dst in omega_prev and dst not in omega:
+                targets.add(Y(user, copy))
+            if dst not in omega_prev:
+                cond.add(Y(user, copy))
+            if src not in omega:
+                cond.add(X(user, copy))
+        levels.append((targets, cond))
+    return levels
+
+
+def reference_terms(network, chain, dist):
+    """Every level of the chain evaluated with its own network query."""
+    return tuple(
+        cond_entropy_network(network, dist, targets, cond) if targets else 0.0
+        for targets, cond in reference_levels(network, chain)
+    )
+
+
+def extended_search(channel, bound_id, k, seed):
+    net = build_extended(channel, builtin_recipe(bound_id, k).recipe)
+    law = sample_product_distribution(channel.input_sizes, seed, 1)
+    return net, replicate_distribution(net, law)
+
+
+def random_joint_law(sizes, seed):
+    rng = random.Random(seed)
+    weights = {xs: rng.random() for xs in iproduct(*(range(s) for s in sizes))}
+    total = sum(weights.values())
+    return SourceDistribution("joint", sizes, {xs: w / total for xs, w in weights.items()})
+
+
+def searches(shift2_331, concat3, xor2):
+    """The benchmark's extended searches and the three base networks under a
+    random joint law: (network, law, max chain length)."""
+    out = [
+        (*extended_search(shift2_331, "4a", 3, 21), 2),
+        (*extended_search(concat3, "ineq5", 1, 22), 3),
+    ]
+    for seed, channel in enumerate((xor2, shift2_331, concat3)):
+        out.append((base_network(channel), random_joint_law(channel.input_sizes, seed), 3))
+    return out
+
+
+def test_chain_values_equal_the_memo_free_reference(shift2_331, concat3, xor2):
+    # bit for bit: a level shared by many chains is evaluated once, and every
+    # chain still gets the float its own walk gives
+    for net, dist, max_l in searches(shift2_331, concat3, xor2):
+        values = chain_values(net, dist, max_l)
+        expected = [(chain, math.fsum(reference_terms(net, chain, dist))) for chain, _ in values]
+        assert values == expected
+        assert tightest_chain(values) == tightest_chain(expected)
+
+
+def test_each_distinct_level_is_one_query(concat3, count_calls):
+    # the ineq5 search asks one query per distinct non-empty level; the levels
+    # are counted here from the labels, as (targets, conditioning) pairs
+    net, dist = extended_search(concat3, "ineq5", 1, 22)
+    distinct = {
+        (frozenset(targets), frozenset(cond))
+        for chain in enumerate_chains(net, 3)
+        for targets, cond in reference_levels(net, chain)
+        if targets
+    }
+    calls = count_calls(dicbound.networks, "cond_entropy_network")
+    chain_values(net, dist, 3)
+    assert len(calls) == len(distinct) < sum(len(c) for c in enumerate_chains(net, 3))
+
+
+# hand-written chains on 4a at k = 2 (replicas 1^1, 1^2, 2^1); the last has an
+# empty level, which costs no query
+HAND_CHAINS = (
+    [["S1^1", "S1^2", "S2^1", "D1^1", "D2^1"], ["S1^1", "S2^1"]],
+    [["S1^1", "S1^2", "S2^1", "D1^2"], ["S1^2", "D1^2"], ["S1^2"]],
+)
+HAND_INVALID = [["S1^1", "S1^2", "S2^1", "D1^1"], ["S1^1", "D2^1"]]
+HAND_VIOLATIONS = [
+    "subset 2 is not contained in subset 1",
+    "level 2: destination D2^1 in subset iff source S2^1 in next (got True vs False)",
+]
+
+
+def test_given_chains_match_the_reference_term_by_term(shift2_331, tmp_path, capsys):
+    recipe = builtin_recipe("4a", 2)
+    net = build_extended(shift2_331, recipe.recipe)
+    network = tmp_path / "net.json"
+    channel = {"family": "shift2", "params": [3, 3, 1]}
+    network.write_text(json.dumps({"channel": channel, "recipe": recipe_to_dict(recipe.recipe)}))
+    dist = sample_product_distribution(net.source_sizes(), 42, 0)  # what --dist seed:42 draws
+    for doc in HAND_CHAINS + (recipe.chain.canonical(),):
+        chain = CutChain.of(doc)
+        terms = reference_terms(net, chain, dist)
+        value = evaluate_chain(net, chain, dist)
+        assert value.terms == terms and value.total == math.fsum(terms)
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps([sorted(s) for s in doc]))
+        assert main(["gcs", "--network", str(network), "--chain", str(path), "--dist", "seed:42"]) == 0
+        lines = [f"term {i}: {t:.12g}" for i, t in enumerate(terms, start=1)]
+        assert capsys.readouterr().out == "\n".join(lines + [f"total: {math.fsum(terms):.12g}"]) + "\n"
+    with pytest.raises(ChainValidationError) as exc:
+        evaluate_chain(net, CutChain.of(HAND_INVALID), dist)
+    assert exc.value.violations == validate_chain(net, CutChain.of(HAND_INVALID)) == HAND_VIOLATIONS
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(HAND_INVALID))
+    assert main(["gcs", "--network", str(network), "--chain", str(path), "--dist", "seed:42"]) == 1
+    assert capsys.readouterr().out == "invalid chain:\n" + "".join(f"  {v}\n" for v in HAND_VIOLATIONS)

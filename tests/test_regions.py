@@ -5,8 +5,9 @@ from itertools import permutations
 import pytest
 
 from dicbound.entropy import SourceDistribution
-from dicbound.errors import DicboundError, DistributionError
+from dicbound.errors import BudgetExceededError, DicboundError, DistributionError
 from dicbound.regions import (
+    MAX_SAMPLES,
     bound_vector,
     contains,
     load_templates,
@@ -144,11 +145,11 @@ def test_three_user_permutation_symmetry(concat3):
 
 
 def test_sample_region_determinism_and_membership(xor2):
-    fam1 = sample_region(xor2, 17, 8)
-    fam2 = sample_region(xor2, 17, 8)
+    fam1 = tuple(sample_region(xor2, 17, 8))
+    fam2 = tuple(sample_region(xor2, 17, 8))
     assert fam1 == fam2
     # first sample is the uniform region
-    only_uniform = sample_region(xor2, 17, 1)
+    only_uniform = tuple(sample_region(xor2, 17, 1))
     templates = load_templates(2)
     uniform_poly = region_polytope(
         bound_vector(xor2, SourceDistribution.uniform([2, 2])), templates
@@ -158,6 +159,13 @@ def test_sample_region_determinism_and_membership(xor2):
     assert not any(contains(p, (2.0, 2.0)) for p in fam1)
     with pytest.raises(DicboundError):
         sample_region(xor2, 17, 0)
+
+
+def test_region_samples_are_lazy_and_capped(xor2):
+    # the cap is checked at the call, and the count in it draws only what is read
+    assert next(sample_region(xor2, 17, MAX_SAMPLES)) == next(sample_region(xor2, 17, 1))
+    with pytest.raises(BudgetExceededError, match="10001 region samples exceed the cap of 10000"):
+        sample_region(xor2, 17, MAX_SAMPLES + 1)
 
 
 def test_svg_rendering(xor2):
