@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .channels import channel_from_dict, load_channel, validate_channel
-from .entropy import SourceDistribution, atom_budget, distribution_from_dict
-from .errors import ChainValidationError, DicboundError, UnsupportedBoundError, UsageError
+from .entropy import SourceDistribution, distribution_from_dict
+from .errors import BudgetExceededError, ChainValidationError, DicboundError, UnsupportedBoundError, UsageError
 from .extend import (
     bound_support_info,
     build_extended,
@@ -31,6 +32,7 @@ from .gcs import CutChain, chain_values, evaluate_chain, tightest_chain
 from .networks import base_network
 from .prover import ProverProblem, appendix_targets, expr_from_names, prove
 from .regions import (
+    MAX_SAMPLES,
     bound_vector,
     load_templates,
     region_polytope,
@@ -265,6 +267,8 @@ def cmd_prove(args) -> int:
 
 def cmd_compare(args) -> int:
     channel = _resolve_channel(args.channel)
+    if args.samples > MAX_SAMPLES:
+        raise BudgetExceededError(f"{args.samples} compare samples exceed the cap of {MAX_SAMPLES}")
     bounds = [b for b in supported_bounds(channel.user_count)]
     print("dist,bound,direct_bound_bits,chain_limit_bits,abs_diff")
     for index in range(args.samples):
@@ -338,13 +342,20 @@ def main(argv=None) -> int:
     if args.command == "prove" and bool(args.bound) == bool(args.problem):
         parser.error("prove needs exactly one of --bound or --problem")
     try:
-        atom_budget()  # a bad DICBOUND_BUDGET_ATOMS fails before any output
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not in the flush at exit
+        return code
     except (UsageError, UnsupportedBoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except DicboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return VERIFY_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull, so
+        # the flush at exit cannot raise again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return VERIFY_ERROR
 
 

@@ -8,7 +8,6 @@ engine in ``networks``; its last step is ``row_entropy``.  Entropies are in bits
 from __future__ import annotations
 
 import math
-import os
 import re
 from dataclasses import dataclass
 from itertools import product
@@ -18,27 +17,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channels import DeterministicChannel
-from .errors import DicboundError, DistributionError, UsageError
+from .errors import DicboundError, DistributionError
 
 NORMALIZATION_TOL = 1e-9
-DEFAULT_ATOM_BUDGET = 1 << 22
 
 _VAR_RE = re.compile(r"^([XVY])(\d+)(?:\^(\d+))?$")
-
-
-def atom_budget() -> int:
-    """Source-atom cap, overridable through DICBOUND_BUDGET_ATOMS; a bad
-    setting is a ``UsageError``."""
-    raw = os.environ.get("DICBOUND_BUDGET_ATOMS")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise UsageError(f"DICBOUND_BUDGET_ATOMS is not an integer: {raw!r}") from exc
-        if cap < 1:
-            raise UsageError(f"DICBOUND_BUDGET_ATOMS must be at least 1, got {raw!r}")
-        return cap
-    return DEFAULT_ATOM_BUDGET
 
 
 @dataclass(frozen=True, order=True)

@@ -25,8 +25,8 @@ class ChainValidationError(DicboundError):
 
 
 class BudgetExceededError(DicboundError):
-    """An evaluation would enumerate more source atoms, cut chains or region
-    samples than its cap."""
+    """An evaluation would enumerate more source atoms, cut chains or sampled
+    laws than its cap."""
 
 
 class RecipeError(DicboundError):

@@ -10,6 +10,9 @@ order, with copy indices affine in the block variable j and the size k.  The
 closed form of a chain is *derived*, not transcribed: walking the peel order
 while tracking which interference symbols the conditioning pins down reduces
 every term to a base-channel conditional entropy H(Y_u | V_A).
+``chain_closed_form`` is the one closed-form total: it sums a recipe's terms
+from one ``base_terms`` evaluation, for ``verify_chain_identity`` and
+``limit_bound`` alike.
 """
 
 from __future__ import annotations
@@ -206,25 +209,19 @@ def derive_closed_terms(
     return tuple(terms)
 
 
-def _closed_total(recipe: BoundRecipe, values: Mapping) -> float:
-    """The closed form: ``math.fsum`` over every copy of every term value."""
-    return math.fsum(values[t.key] for t in recipe.closed_terms)
-
-
 # -- built-in recipes ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class BoundRecipe:
-    """A bound id instantiated at size k: network recipe, cut chain, rate
-    weights, and the derived closed form."""
+    """A bound id instantiated at size k: network recipe (its replica counts
+    are the rate weights), cut chain, and the derived closed form."""
 
     bound_id: str
     k: int | None
     parametric: bool
     recipe: ReplicationRecipe
     chain: CutChain
-    rate_weights: tuple[int, ...]
     closed_terms: tuple[ClosedTerm, ...]
 
     def term_counts(self) -> Counter[tuple[int, frozenset[int]]]:
@@ -319,7 +316,6 @@ def _builtin_recipe(bound_id: str, k: int | None) -> BoundRecipe:
         parametric=parametric,
         recipe=recipe,
         chain=chain_from_cuts(labels, uncut),
-        rate_weights=counts,
         closed_terms=closed,
     )
 
@@ -356,17 +352,10 @@ def verify_replica_rates(
     return RateReport(base_values=base_values, replica_values=replica_values, max_deviation=deviation)
 
 
-def chain_closed_form(
-    bound: str | BoundRecipe,
-    channel: DeterministicChannel,
-    dist: SourceDistribution,
-    k: int | None = None,
-) -> float:
-    """Evaluate the derived closed form on the base channel."""
-    recipe = bound if isinstance(bound, BoundRecipe) else builtin_recipe(bound, k)
-    if k is not None and recipe.parametric and recipe.k != k:
-        recipe = builtin_recipe(recipe.bound_id, k)
-    return _closed_total(recipe, base_terms(channel, dist, recipe.term_counts()))
+def chain_closed_form(recipe: BoundRecipe, values: Mapping) -> float:
+    """The derived closed form: ``math.fsum`` over every copy of every term,
+    reading each term's value from ``values`` (as ``base_terms`` returns them)."""
+    return math.fsum(values[t.key] for t in recipe.closed_terms)
 
 
 @dataclass(frozen=True)
@@ -400,7 +389,7 @@ def verify_chain_identity(
     diagnostics = []
     ok = True
     for k, recipe, value in zip(ks, recipes, evaluated):
-        closed_total = _closed_total(recipe, values)
+        closed_total = chain_closed_form(recipe, values)
         diff = abs(value.total - closed_total)
         if diff > IDENTITY_TOL:
             ok = False
@@ -436,12 +425,12 @@ def limit_bound(
     spec = bound_support_info(bound_id)
     if not spec["parametric"]:
         recipe = builtin_recipe(bound_id)
-        return recipe.rate_weights, _closed_total(recipe, base_terms(channel, dist, recipe.term_counts()))
+        return recipe.recipe.counts, chain_closed_form(recipe, base_terms(channel, dist, recipe.term_counts()))
     lo, _ = spec.get("k_range", [1, 8])
     r_lo, r_hi = builtin_recipe(bound_id, lo), builtin_recipe(bound_id, lo + 1)
     values = base_terms(channel, dist, r_lo.term_counts() | r_hi.term_counts())
-    weights = tuple(h - l for l, h in zip(r_lo.rate_weights, r_hi.rate_weights))
-    return weights, _closed_total(r_hi, values) - _closed_total(r_lo, values)
+    weights = tuple(h - l for l, h in zip(r_lo.recipe.counts, r_hi.recipe.counts))
+    return weights, chain_closed_form(r_hi, values) - chain_closed_form(r_lo, values)
 
 
 def affine_term_multiplicities(bound_id: str) -> dict[tuple[int, frozenset[int]], tuple[int, int]]:

@@ -157,8 +157,6 @@ def enumerate_chains(network: NetworkGraph, max_l: int) -> list[CutChain]:
     are refused before any is built."""
     if max_l < 1:
         raise DicboundError("max_l must be >= 1")
-    if len(network.nodes()) > 16:
-        raise DicboundError("network too large for exhaustive chain enumeration")
     replicas = network.replicas
     total = 0
     for length in range(1, max_l + 1):

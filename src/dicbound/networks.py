@@ -9,9 +9,9 @@ is the one node-label format.
 
 This module holds the one entropy engine, a numpy kernel: ``source_atoms``
 enumerates source atoms as arrays (and is the only place that checks a law
-against a network and enforces the atom budget), ``NetworkGraph.evaluator``
-maps them to a value array, and ``entropy.row_entropy`` merges equal rows into
-an entropy.  ``entropy.induce_joint`` and the one network query,
+against a network and enforces the atom cap, ``MAX_ATOMS``),
+``NetworkGraph.evaluator`` maps them to a value array, and
+``entropy.row_entropy`` merges equal rows into an entropy.  ``entropy.induce_joint`` and the one network query,
 ``cond_entropy_network``, are front-ends over it; ``network_entropy`` is that
 query with nothing conditioned.  The query avoids materializing the full
 joint: it enumerates once, over only the sources its variables depend on, and
@@ -33,8 +33,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .channels import DeterministicChannel
-from .entropy import SourceDistribution, VariableId, atom_budget, row_entropy
+from .entropy import SourceDistribution, VariableId, row_entropy
 from .errors import BudgetExceededError, DicboundError, DistributionError, RecipeError
+
+# source_atoms refuses more atoms in one enumeration, before any array is built
+MAX_ATOMS = 1 << 22
 
 Replica = tuple[int, int]  # (user, copy), both 1-based
 
@@ -206,7 +209,7 @@ def source_atoms(network: NetworkGraph, dist: SourceDistribution, sources: Seque
     """The source enumerator: (xs, p) over the given source replicas, xs an
     int64 array with one row of their inputs per atom, p the atom masses.
 
-    Checks the law against the network and enforces the atom budget before
+    Checks the law against the network and enforces ``MAX_ATOMS`` before
     any array is allocated.  Product-law atoms are in row-major order.
     """
     if dist.sizes != network.source_sizes():
@@ -222,11 +225,8 @@ def source_atoms(network: NetworkGraph, dist: SourceDistribution, sources: Seque
     else:
         marginal = dist.marginal_joint(idx)
         count = len(marginal)
-    cap = atom_budget()
-    if count > cap:
-        raise BudgetExceededError(
-            f"{count} source atoms over {len(sources)} sources exceed the cap of {cap}"
-        )
+    if count > MAX_ATOMS:
+        raise BudgetExceededError(f"{count} source atoms over {len(sources)} sources exceed the cap of {MAX_ATOMS}")
     if dist.mode == "joint":
         xs = np.array(list(marginal), dtype=np.int64).reshape(count, len(idx))
         return xs, np.fromiter(marginal.values(), dtype=float, count=count)

@@ -5,7 +5,9 @@ of the elemental Shannon inequalities plus the channel's structural equalities
 (interference = function of input, output = function of input and
 interference, interference recoverable from input and output, independent
 sources).  NotProvable means exactly that no such combination exists; the
-inequality may still hold for reasons outside this system.
+inequality may still hold for reasons outside this system.  Besides problems
+given by hand, ``appendix_targets`` writes one residue per conditioned step of
+a bound's cut chain, over the replicas that step touches.
 
 Search is float-guided (scipy's HiGHS) for speed, but every verdict rests on
 exact rational arithmetic.  One float LP runs per verdict, the dual
@@ -68,18 +70,29 @@ def _mask_name(mask: int, variables: Sequence[str]) -> str:
     return ",".join(v for i, v in enumerate(variables) if mask >> i & 1)
 
 
+def _mask(variables: Sequence[str], names: Iterable[str]) -> int:
+    """The subset bitmask of the named variables."""
+    index = {v: i for i, v in enumerate(variables)}
+    mask = 0
+    for name in names:
+        if name not in index:
+            raise ProverError(f"expression references unknown variable {name!r}")
+        mask |= 1 << index[name]
+    return mask
+
+
+def _name(kind: str, replica: tuple[int, int]) -> str:
+    """The variable name of a replica's X, V or Y."""
+    return str(VariableId(kind, *replica))
+
+
 def expr_from_names(variables: Sequence[str], terms: Mapping[str, object]) -> Expr:
     """Build an expression from {"X1 V2": coeff} style entries."""
     if not isinstance(terms, Mapping):
         raise ProverError("an expression maps space-separated variable names to coefficients")
-    index = {v: i for i, v in enumerate(variables)}
     expr: Expr = {}
     for names, coeff in terms.items():
-        mask = 0
-        for name in names.split():
-            if name not in index:
-                raise ProverError(f"expression references unknown variable {name!r}")
-            mask |= 1 << index[name]
+        mask = _mask(variables, names.split())
         if mask == 0:
             raise ProverError("expressions may not reference the empty set")
         try:
@@ -93,17 +106,8 @@ def expr_from_names(variables: Sequence[str], terms: Mapping[str, object]) -> Ex
 
 def entropy_diff(variables: Sequence[str], a: Iterable[str], b: Iterable[str]) -> Expr:
     """H(a | b) as an expression: H(a u b) - H(b)."""
-    index = {v: i for i, v in enumerate(variables)}
-    mask_b = 0
-    for name in b:
-        mask_b |= 1 << index[name]
-    mask_ab = mask_b
-    for name in a:
-        mask_ab |= 1 << index[name]
-    expr: Expr = {mask_ab: Fraction(1)}
-    if mask_b:
-        expr[mask_b] = expr.get(mask_b, Fraction(0)) - 1
-    return {m: c for m, c in expr.items() if c}
+    mask_b = _mask(variables, b)
+    return expr_sub({mask_b | _mask(variables, a): Fraction(1)}, {mask_b: Fraction(1)} if mask_b else {})
 
 
 def expr_sub(x: Expr, y: Expr) -> Expr:
@@ -314,21 +318,17 @@ def _receiver_equalities(
     interference copies are claimed recoverable from (X, Y).
     """
     present = set(variables)
-    x, v, y = (str(VariableId(kind, *r)) for kind in ("X", "V", "Y"))
+    x, v, y = (_name(kind, r) for kind in "XVY")
     out: list[tuple[str, Expr]] = []
     if x in present and v in present:
         out.append((f"H({v}|{x})=0", entropy_diff(variables, [v], [x])))
     if x in present and y in present:
-        wired_v = [str(VariableId("V", *w)) for w in wired]
+        wired_v = [_name("V", w) for w in wired]
         if present.issuperset(wired_v):
-            out.append(
-                (f"H({y}|{x},{','.join(wired_v)})=0", entropy_diff(variables, [y], [x] + wired_v))
-            )
-            out.append(
-                (f"H({','.join(wired_v)}|{x},{y})=0", entropy_diff(variables, wired_v, [x, y]))
-            )
+            out.append((f"H({y}|{x},{','.join(wired_v)})=0", entropy_diff(variables, [y], [x] + wired_v)))
+            out.append((f"H({','.join(wired_v)}|{x},{y})=0", entropy_diff(variables, wired_v, [x, y])))
         elif pinned:
-            names = [str(VariableId("V", *c)) for c in sorted(set(pinned))]
+            names = [_name("V", c) for c in sorted(set(pinned))]
             out.append((f"H({','.join(names)}|{x},{y})=0", entropy_diff(variables, names, [x, y])))
     return out
 
@@ -347,30 +347,20 @@ def dic_constraints(
     if user_count not in (2, 3) or len(replica_counts) != user_count or min(replica_counts) < 1:
         raise ProverError("replica_counts must list one positive count per user")
     replicas = replicas_from_counts(replica_counts)
-    variables = tuple(
-        str(VariableId(kind, u, c)) for u, c in replicas for kind in ("X", "V", "Y")
-    )
+    variables = tuple(_name(kind, r) for r in replicas for kind in "XVY")
     constraints: list[tuple[str, Expr]] = []
-    all_x = [str(VariableId("X", *r)) for r in replicas]
+    all_x = [_name("X", r) for r in replicas]
     for r in replicas:
         constraints += _receiver_equalities(variables, r, wiring[r])
-        y = str(VariableId("Y", *r))
+        y = _name("Y", r)
         constraints.append((f"H({y}|inputs)=0", entropy_diff(variables, [y], all_x)))
     constraints.append(("independent sources", _independence_expr(variables, all_x)))
     return variables, tuple(constraints)
 
 
 def _independence_expr(variables: Sequence[str], roots: Sequence[str]) -> Expr:
-    index = {v: i for i, v in enumerate(variables)}
-    expr: Expr = {}
-    joint = 0
-    for r in roots:
-        joint |= 1 << index[r]
-        mask = 1 << index[r]
-        expr[mask] = expr.get(mask, Fraction(0)) - 1
-    if len(roots) > 1:
-        expr[joint] = expr.get(joint, Fraction(0)) + 1
-    return {m: c for m, c in expr.items() if c}
+    """H(roots) - sum of H(root), which independent roots (two or more) make zero."""
+    return {**{_mask(variables, [r]): Fraction(-1) for r in roots}, _mask(variables, roots): Fraction(1)}
 
 
 # -- solving -------------------------------------------------------------------
@@ -719,7 +709,10 @@ def appendix_targets(bound_id: str) -> list[ProverProblem]:
 
     For every chain term with non-empty conditioning, the claim is
     H(Y_target | V-copies pinned down) - H(Y_target | pinning inputs/outputs)
-    >= 0, over just the replicas that step touches.
+    >= 0, over just the replicas that step touches.  ``kinds`` maps each
+    touched replica to its X/V/Y kinds in the residue, and ``copy`` maps each
+    user to the replica whose V the step reads: the target for its own user,
+    the target's wired copy for every other user.
     """
     from .extend import bound_support_info, builtin_recipe
 
@@ -731,72 +724,35 @@ def appendix_targets(bound_id: str) -> list[ProverProblem]:
         if not term.evidence:
             continue  # unconditioned opening term
         target = term.target
-
-        def copy_of(user):
-            if user == target[0]:
-                return target
-            return next(w for w in wiring[target] if w[0] == user)
-
-        replica_vars: dict[tuple[int, int], set[str]] = {}
-
-        def touch(r, kinds):
-            replica_vars.setdefault(r, set()).update(kinds)
-
-        touch(target, {"X", "Y"})
-        for w in wiring[target]:
-            touch(w, {"V"})
-        if target[0] in term.given:
-            touch(target, {"V"})
+        copy = {w[0]: w for w in wiring[target]} | {target[0]: target}
+        kinds = {w: set("V") for w in wiring[target]} | {target: set("XVY" if target[0] in term.given else "XY")}
         # each evidence receiver contributes its (input, output) pair and pins
         # exactly the interference copies this step conditions on
-        cond_names: list[str] = []
+        cond: list[str] = []
         pinned: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for user, (how, r) in term.evidence:
             if how == "peeled":
-                touch(r, {"X", "V"})
-                cond_names.append(str(VariableId("X", r[0], r[1])))
+                kinds.setdefault(r, set()).update("XV")
+                cond.append(_name("X", r))
             else:
-                touch(r, {"X", "Y"})
-                pinned.setdefault(r, []).append(copy_of(user))
-        for r in sorted(pinned):
-            cond_names.append(str(VariableId("X", r[0], r[1])))
-            cond_names.append(str(VariableId("Y", r[0], r[1])))
-        order = sorted(replica_vars)
-        variables = []
-        for r in order:
-            for kind in ("X", "V", "Y"):
-                if kind in replica_vars[r]:
-                    variables.append(str(VariableId(kind, r[0], r[1])))
-        variables = tuple(variables)
-        present = set(variables)
-        constraints = [
-            eq for r in order for eq in _receiver_equalities(variables, r, wiring[r], pinned.get(r, ()))
-        ]
-        roots = []
-        for r in order:
-            x = str(VariableId("X", r[0], r[1]))
-            v = str(VariableId("V", r[0], r[1]))
-            if x in present:
-                roots.append(x)
-            elif v in present:
-                roots.append(v)
-        if len(roots) > 1:
+                kinds.setdefault(r, set()).update("XY")
+                pinned.setdefault(r, []).append(copy[user])
+        cond += [_name(kind, r) for r in sorted(pinned) for kind in "XY"]
+        order = sorted(kinds)
+        variables = tuple(_name(kind, r) for r in order for kind in "XVY" if kind in kinds[r])
+        constraints = [eq for r in order for eq in _receiver_equalities(variables, r, wiring[r], pinned.get(r, ()))]
+        # every touched replica carries its X (target, receivers, peeled) or its V (wired copies)
+        if len(order) > 1:
+            roots = [_name("X" if "X" in kinds[r] else "V", r) for r in order]
             constraints.append(("independent sources", _independence_expr(variables, roots)))
-
-        y_t = str(VariableId("Y", target[0], target[1]))
-        given_copies = [
-            str(VariableId("V", c[0], c[1]))
-            for c in (copy_of(u) for u in sorted(term.given))
-        ]
-        closed_expr = entropy_diff(variables, [y_t], given_copies)
-        chain_expr = entropy_diff(variables, [y_t], cond_names)
+        y = _name("Y", target)
+        given = [_name("V", copy[u]) for u in sorted(term.given)]
         problems.append(
             ProverProblem(
                 variables=variables,
                 constraints=tuple(constraints),
-                target=expr_sub(closed_expr, chain_expr),
-                name=f"{bound_id} level {term.level}: "
-                f"{term.describe()} dominates the chain term",
+                target=expr_sub(entropy_diff(variables, [y], given), entropy_diff(variables, [y], cond)),
+                name=f"{bound_id} level {term.level}: {term.describe()} dominates the chain term",
             )
         )
     if not problems:

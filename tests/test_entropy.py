@@ -120,7 +120,7 @@ def test_induce_joint_dimension_mismatch(xor2):
 
 
 def test_atom_budget_enforced(shift2_331, monkeypatch):
-    monkeypatch.setenv("DICBOUND_BUDGET_ATOMS", "63")
+    monkeypatch.setattr(networks, "MAX_ATOMS", 63)
     dist = SourceDistribution.uniform([8, 8])
     net = base_network(shift2_331)
     with pytest.raises(BudgetExceededError):
@@ -236,18 +236,13 @@ def test_joint_mode_source_distribution(xor2):
 
 
 def test_budget_env_override(shift2_221, monkeypatch):
-    from dicbound.entropy import atom_budget
-
-    monkeypatch.setenv("DICBOUND_BUDGET_ATOMS", "8")
-    assert atom_budget() == 8
-    with pytest.raises(BudgetExceededError):
+    # the cap is read when the atoms are counted, so a patched cap takes effect
+    monkeypatch.setattr(networks, "MAX_ATOMS", 8)
+    with pytest.raises(BudgetExceededError, match="16 source atoms over 2 sources exceed the cap of 8"):
         induce_joint(shift2_221, SourceDistribution.uniform([4, 4]))
-    for bad in ("0", "-5", "lots"):
-        monkeypatch.setenv("DICBOUND_BUDGET_ATOMS", bad)
-        with pytest.raises(DicboundError, match="DICBOUND_BUDGET_ATOMS"):
-            atom_budget()
-    monkeypatch.delenv("DICBOUND_BUDGET_ATOMS")
-    assert atom_budget() == 1 << 22
+    monkeypatch.undo()
+    assert networks.MAX_ATOMS == 1 << 22
+    assert len(induce_joint(shift2_221, SourceDistribution.uniform([4, 4])).probs) == 16
 
 
 @settings(max_examples=40, deadline=None)

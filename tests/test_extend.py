@@ -4,7 +4,7 @@ import pytest
 
 from dicbound.channels import builtin_channel
 from dicbound.entropy import SourceDistribution, X, Y, base_terms, conditional_entropy, induce_joint
-from dicbound.errors import DicboundError, DistributionError, RecipeError, UnsupportedBoundError
+from dicbound.errors import BudgetExceededError, DicboundError, DistributionError, RecipeError, UnsupportedBoundError
 from dicbound.extend import (
     ReplicationRecipe,
     affine_term_multiplicities,
@@ -93,7 +93,7 @@ def test_unknown_and_out_of_range_bounds():
 
 def test_recipe_examples_match_stated_structure():
     r4a = builtin_recipe("4a", 3)
-    assert r4a.rate_weights == (3, 1)
+    assert r4a.recipe.counts == (3, 1)
     assert len(r4a.chain) == 4
     r4e = builtin_recipe("4e", 2)
     assert r4e.recipe.counts == (2, 2)
@@ -101,14 +101,18 @@ def test_recipe_examples_match_stated_structure():
     r4f = builtin_recipe("4f")
     assert r4f.recipe.counts == (2, 1)
     assert len(r4f.chain) == 3
-    assert r4f.rate_weights == (2, 1)
+
+
+def _closed(channel, dist, bound_id, k=None):
+    recipe = builtin_recipe(bound_id, k)
+    return chain_closed_form(recipe, base_terms(channel, dist, recipe.term_counts()))
 
 
 def test_closed_form_values(xor2):
-    assert chain_closed_form("4a", xor2, UNIFORM2, k=3) == pytest.approx(3.0, abs=1e-12)
-    assert chain_closed_form("4f", xor2, UNIFORM2) == pytest.approx(2.0, abs=1e-12)
+    assert _closed(xor2, UNIFORM2, "4a", 3) == pytest.approx(3.0, abs=1e-12)
+    assert _closed(xor2, UNIFORM2, "4f") == pytest.approx(2.0, abs=1e-12)
     point = SourceDistribution.point_mass([2, 2], (0, 0))
-    assert chain_closed_form("4e", xor2, point, k=3) == pytest.approx(0.0, abs=1e-12)
+    assert _closed(xor2, point, "4e", 3) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_replica_rates_examples(xor2, shift2_221):
@@ -173,7 +177,7 @@ def test_identity_against_materialized_joint(shift2_221):
                 cond.append(X(r[0], r[1]))
         total += conditional_entropy(table, targets, cond)
     assert abs(total - reduced.total) < 1e-10
-    closed = chain_closed_form(recipe, shift2_221, dist)
+    closed = chain_closed_form(recipe, base_terms(shift2_221, dist, recipe.term_counts()))
     assert abs(total - closed) < 1e-9
 
 
@@ -329,10 +333,12 @@ def test_reduced_evaluation_matches_materialized_joint_broadly(xor2, concat3):
 def test_chain_enumeration_guard_on_large_networks(shift2_331):
     from dicbound.gcs import enumerate_chains
 
+    # 16 replicas: the chain count, not the node count, is capped
     net = build_extended(shift2_331, builtin_recipe("4e", 8).recipe)
     assert len(net.nodes()) == 32
-    with pytest.raises(DicboundError):
-        enumerate_chains(net, 1)
+    assert len(enumerate_chains(net, 1)) == 1
+    with pytest.raises(BudgetExceededError, match="more than 10000 cut chains"):
+        enumerate_chains(net, 2)  # 1 + 2**16 chains
 
 
 def test_term_structure_matches_templates_symbolically():
@@ -478,7 +484,7 @@ def test_limit_bound_builds_one_joint_table(xor2, count_calls):
     tables = count_calls(sys.modules["dicbound.entropy"], "induce_joint")
     weights, bits = limit_bound("4e", xor2, UNIFORM2)
     assert len(tables) == 1
-    hi, lo = (chain_closed_form("4e", xor2, UNIFORM2, k=k) for k in (2, 1))
+    hi, lo = (_closed(xor2, UNIFORM2, "4e", k) for k in (2, 1))
     assert (weights, bits) == ((1, 1), hi - lo)
 
 
@@ -488,7 +494,7 @@ def test_every_base_term_reader_rejects_a_joint_law(xor2):
     readers = [
         lambda: bound_vector(xor2, joint),
         lambda: limit_bound("4e", xor2, joint),
-        lambda: chain_closed_form("4e", xor2, joint, k=2),
+        lambda: base_terms(xor2, joint, builtin_recipe("4e", 2).term_counts()),
         lambda: verify_chain_identity("4e", xor2, joint),
     ]
     for read in readers:
@@ -512,7 +518,7 @@ def test_closed_form_builds_one_table_and_reads_each_term_once(xor2, count_calls
     entropy = sys.modules["dicbound.entropy"]
     tables = count_calls(entropy, "induce_joint")
     terms = count_calls(entropy, "conditional_entropy")
-    chain_closed_form(recipe, xor2, UNIFORM2)
+    chain_closed_form(recipe, base_terms(xor2, UNIFORM2, recipe.term_counts()))
     assert (len(tables), len(terms)) == (1, len(recipe.term_counts()))
 
 

@@ -157,6 +157,16 @@ def test_enumeration_past_the_cap_is_refused_before_any_chain_is_built(monkeypat
             enumerate_chains(net, max_l)
 
 
+def test_networks_past_16_nodes_are_enumerated_within_the_chain_cap(xor2):
+    # 4a at k = 8: 9 replicas, 18 nodes
+    net = build_extended(xor2, builtin_recipe("4a", 8).recipe)
+    assert len(net.replicas) == 9 and len(net.nodes()) == 18
+    chains = enumerate_chains(net, 2)
+    assert len(chains) == len(set(chains)) == 1 + 2**9
+    with pytest.raises(BudgetExceededError, match="more than 10000 cut chains"):
+        enumerate_chains(net, 3)  # 513 + 3**9
+
+
 def test_min_chain_bound(xor2):
     net = base_network(xor2)
     chain, bits = min_chain_bound(net, SourceDistribution.uniform([2, 2]), 2)

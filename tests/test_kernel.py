@@ -249,7 +249,7 @@ def test_budget_is_enforced_before_any_atom_array(monkeypatch, shift2_331):
     network = base_network(shift2_331)
     sizes = network.source_sizes()
     laws = (SourceDistribution.uniform(sizes), SourceDistribution("joint", sizes, [1 / 64] * 64))
-    monkeypatch.setenv("DICBOUND_BUDGET_ATOMS", "63")
+    monkeypatch.setattr(networks, "MAX_ATOMS", 63)
     for name in ("empty", "array", "fromiter"):
         monkeypatch.setattr(networks.np, name, allocate)
     for dist in laws:

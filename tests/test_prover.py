@@ -1,3 +1,4 @@
+import hashlib
 import re
 import time
 from fractions import Fraction
@@ -557,6 +558,27 @@ def test_appendix_target_counts_and_shapes():
     assert len(appendix_targets("ineq8")) == 2
     for problem in appendix_targets("4f"):
         assert len(problem.variables) <= 8
+
+
+def test_every_residue_and_structure_is_pinned():
+    # a canonical rendering of every residue problem, in bound order, and of
+    # both base-channel structures; any change to a variable, constraint,
+    # target or name changes the digest
+    from dicbound.extend import supported_bounds
+
+    def render(variables, constraints):
+        return (variables, [(label, sorted(expr.items())) for label, expr in constraints])
+
+    lines = [
+        repr(render(p.variables, p.constraints) + (sorted(p.target.items()), p.name))
+        for bound_id in supported_bounds()
+        for p in appendix_targets(bound_id)
+    ]
+    for n, wiring in ((2, BASE2_WIRING), (3, BASE3_WIRING)):
+        lines.append(repr(render(*dic_constraints(n, [1] * n, wiring))))
+    assert len(lines) == 156
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "e701b252d325668e69f7721f0f260272bb551b6c1ce447cc7ad1469df96230e8"
 
 
 def test_provable_targets_nonnegative_numerically(shift2_221):
