@@ -234,6 +234,8 @@ def _problem_from_doc(doc, path: str) -> ProverProblem:
         isinstance(c, dict) and "expr" in c and isinstance(c.get("name", ""), str) for c in entries
     ):
         raise UsageError("'constraints' must be a list of {name, expr} objects")
+    if not isinstance(doc.get("name", ""), str):
+        raise UsageError("'name' must be a string")
     variables = tuple(variables)
     return ProverProblem(
         variables=variables,

@@ -35,9 +35,10 @@ back to the unreduced system and checked there:
   generators) with R = sum_S r_S (h(S) - h(cl S)) over the sets S that are
   not closed.  When r_S < 0 the term is |r_S| H(cl S \\ S | S).  When r_S > 0
   the FDs fire from S up to cl S, and each step S_t -> S_t u B by
-  H(B|A) = 0 (A in S_t, D = B n S_t) adds
-  -H(B|A) + I(B \\ S_t; S_t \\ (A u D) | A u D) + H(D|A).  Every term is
-  written out in elementals by the chain rule, and ``verify_certificate``
+  H(B|A) = 0 (A in S_t, D = B n S_t) adds -H(B|A), H(D|A) when D is
+  non-empty, and I(B \\ S_t; S_t \\ (A u D) | A u D) when its second side is.
+  So each certificate line is a constraint or one basic inequality H(A|C) or
+  I(A;B|C) over disjoint sets (ITIP's proof form); ``verify_certificate``
   re-sums the whole certificate exactly before it is returned.
 """
 
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -70,6 +72,37 @@ def _mask_name(mask: int, variables: Sequence[str]) -> str:
     return ",".join(v for i, v in enumerate(variables) if mask >> i & 1)
 
 
+def _basic_label(variables: Sequence[str], a: int, b: int, c: int) -> str:
+    """The one spelling of the basic inequality H(A|C) (b = 0) or I(A;B|C),
+    for every certificate and elemental label: names in variable order, the
+    I-sides ordered by their first variable, and no bar when C is empty."""
+    if b and b & -b < a & -a:
+        a, b = b, a
+    sides = _mask_name(a, variables) + (f";{_mask_name(b, variables)}" if b else "")
+    cond = f"|{_mask_name(c, variables)}" if c else ""
+    return f"{'I' if b else 'H'}({sides}{cond})"
+
+
+def _basic_terms(label, variables: Sequence[str]) -> dict[int, int] | None:
+    """The joint entropies of H(A|C) or I(A;B|C), or None unless ``label``
+    names one over disjoint sets, A and B non-empty, as ``_basic_label``
+    spells it.  No name contains , ; | ( ), so a label splits unambiguously."""
+    if not isinstance(label, str) or label[:2] not in ("H(", "I(") or label[-1:] != ")":
+        return None
+    head, bar, cond = label[2:-1].partition("|")
+    sides = head.split(";")
+    groups = [group.split(",") for group in sides + [cond] * bool(bar)]
+    names = [name for group in groups for name in group]
+    if len(sides) != 1 + (label[0] == "I") or len(set(names)) != len(names) or not set(names) <= set(variables):
+        return None
+    a, b = _mask(variables, groups[0]), _mask(variables, groups[1]) if len(sides) == 2 else 0
+    c = _mask(variables, groups[-1]) if bar else 0
+    if _basic_label(variables, a, b, c) != label:
+        return None
+    terms = {a | c: 1, c: -1} if not b else {a | c: 1, b | c: 1, a | b | c: -1, c: -1}
+    return {m: s for m, s in terms.items() if m}
+
+
 def _mask(variables: Sequence[str], names: Iterable[str]) -> int:
     """The subset bitmask of the named variables."""
     index = {v: i for i, v in enumerate(variables)}
@@ -86,6 +119,12 @@ def _name(kind: str, replica: tuple[int, int]) -> str:
     return str(VariableId(kind, *replica))
 
 
+# Fraction("1e-400000000") would build 10**400000000.  int() reads at most
+# 4300 digits, so no coefficient a float can hold needs a larger exponent
+_MAX_EXPONENT = 10_000
+_EXPONENT_RE = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
+
+
 def expr_from_names(variables: Sequence[str], terms: Mapping[str, object]) -> Expr:
     """Build an expression from {"X1 V2": coeff} style entries."""
     if not isinstance(terms, Mapping):
@@ -96,11 +135,13 @@ def expr_from_names(variables: Sequence[str], terms: Mapping[str, object]) -> Ex
         if mask == 0:
             raise ProverError("expressions may not reference the empty set")
         try:
+            exponent = _EXPONENT_RE.search(coeff) if isinstance(coeff, str) else None
+            if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+                raise ProverError(f"coefficient {coeff!r} of {names!r} has an exponent beyond {_MAX_EXPONENT}")
             coeff = Fraction(coeff)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ProverError(f"coefficient {coeff!r} of {names!r} is not a rational") from exc
-        if coeff:
-            expr[mask] = expr.get(mask, Fraction(0)) + coeff
+        expr[mask] = expr.get(mask, Fraction(0)) + coeff
     return {m: c for m, c in expr.items() if c}
 
 
@@ -143,10 +184,15 @@ class ProverProblem:
         if len(set(labels)) != len(labels):
             raise ProverError(f"constraint names repeat in {labels}")
         top = 1 << n
-        for _, expr in list(self.constraints) + [("target", self.target)]:
-            for mask in expr:
+        for label, expr in list(self.constraints) + [("the target", self.target)]:
+            for mask, coeff in expr.items():
                 if not 0 < mask < top:
                     raise ProverError(f"expression mask {mask} outside the variable set")
+                try:  # the float LP must see the coefficients the exact solve sees
+                    if coeff and not float(coeff):
+                        raise OverflowError  # underflow to 0
+                except OverflowError:
+                    raise ProverError(f"a coefficient of {label!r} is outside the range of a float") from None
         # zero coefficients are dropped, as expr_from_names does, so that the
         # target compares equal to a re-summed certificate and a dependency
         # with a stray zero term keeps its shape
@@ -155,10 +201,7 @@ class ProverProblem:
         object.__setattr__(self, "target", {m: c for m, c in self.target.items() if c})
 
     def describe_expr(self, expr: Expr) -> str:
-        parts = []
-        for mask in sorted(expr):
-            parts.append(f"{expr[mask]}*H({_mask_name(mask, self.variables)})")
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(f"{expr[mask]}*H({_mask_name(mask, self.variables)})" for mask in sorted(expr)) or "0"
 
 
 @dataclass(frozen=True)
@@ -188,18 +231,11 @@ class _ElementalTable:
     is H(a|K) when b[t] < 0 and I(a;b|K) otherwise, with K = k[t]; masks[t]
     and signs[t] are its joint-entropy terms, padded with mask 0 and sign 0."""
 
-    n: int
     a: np.ndarray
     b: np.ndarray
     k: np.ndarray
     masks: np.ndarray  # (columns, 4) subset bitmasks
     signs: np.ndarray  # (columns, 4) in {-1, 0, 1}
-    pair_index: np.ndarray  # ((a * n + b) << n) | K -> t of I(a;b|K), a < b
-
-    def mutual(self, i: int, j: int, k: int) -> int:
-        """The column I(i;j|K)."""
-        a, b = min(i, j), max(i, j)
-        return int(self.pair_index[((a * self.n + b) << self.n) | k])
 
 
 @functools.cache
@@ -232,12 +268,9 @@ def _elemental_table(n: int) -> _ElementalTable:
     )
     signs = np.where(single[:, None], np.array([1, -1, 0, 0]), np.array([1, 1, -1, -1]))
     signs = np.where(masks == 0, 0, signs)
-    pair_index = np.full((n * n) << n, -1, dtype=np.int32)
-    pairs = np.flatnonzero(~single)
-    pair_index[((a[pairs] * n + b[pairs]) << n) | k[pairs]] = pairs
-    for array in (a, b, k, masks, signs, pair_index):
+    for array in (a, b, k, masks, signs):
         array.flags.writeable = False  # shared by every later call for this n
-    return _ElementalTable(n, a, b, k, masks, signs, pair_index)
+    return _ElementalTable(a, b, k, masks, signs)
 
 
 class _Elementals(Sequence):
@@ -247,7 +280,6 @@ class _Elementals(Sequence):
     def __init__(self, names: Sequence[str]):
         self.names = tuple(names)
         self.table = _elemental_table(len(self.names))
-        self.position = {name: i for i, name in enumerate(self.names)}
 
     def __len__(self) -> int:
         return len(self.table.a)
@@ -260,33 +292,10 @@ class _Elementals(Sequence):
 
     def label(self, t: int) -> str:
         a, b, k = (int(x[t]) for x in (self.table.a, self.table.b, self.table.k))
-        cond = f"|{_mask_name(k, self.names)}" if k else ""
-        return f"H({self.names[a]}{cond})" if b < 0 else f"I({self.names[a]};{self.names[b]}{cond})"
+        return _basic_label(self.names, 1 << a, 1 << b if b >= 0 else 0, k)
 
     def terms(self, t: int) -> Expr:
         return {int(m): Fraction(int(s)) for m, s in zip(self.table.masks[t], self.table.signs[t]) if s}
-
-    def find(self, label) -> int | None:
-        """The index of the generator labelled exactly ``label``, or None.
-        No name contains , ; | ( ), so a label splits into names unambiguously;
-        the generator must render back to the same label, which rejects a
-        reversed pair, a repeated or unordered conditioning name and a
-        non-elemental H(a|K)."""
-        if not isinstance(label, str) or label[:2] not in ("H(", "I(") or label[-1:] != ")":
-            return None
-        head, bar, cond = label[2:-1].partition("|")
-        heads = head.split(";")
-        names = heads + (cond.split(",") if bar else [])
-        if len(heads) != (1 if label[0] == "H" else 2) or any(name not in self.position for name in names):
-            return None
-        bits = [self.position[name] for name in names]
-        n = len(self.names)
-        if label[0] == "H":
-            # H(a|rest) is column a; a bare H(a) is column n + a at n = 2
-            t = bits[0] + (n if n == 2 and not bar else 0)
-        else:
-            t = self.table.mutual(bits[0], bits[1], sum({1 << bit for bit in bits[2:]}))
-        return t if t >= 0 and self.label(t) == label else None
 
 
 def elemental_inequalities(variables: int | Sequence[str]) -> Sequence[tuple[str, Expr]]:
@@ -367,31 +376,22 @@ def _independence_expr(variables: Sequence[str], roots: Sequence[str]) -> Expr:
 
 
 def verify_certificate(problem: ProverProblem, certificate) -> bool:
-    """Exact re-summation: the combination must equal the target, with
-    non-negative weights on the inequality generators.  Each line names an
-    elemental by its label or a constraint as ``[=]<name>``; only the
-    generators named are looked up."""
-    elementals = _Elementals(problem.variables)
+    """Exact re-summation: the combination must equal the target.  Each line
+    is a constraint ``[=]<name>`` with any weight, or a basic inequality
+    H(A|C) or I(A;B|C) with a non-negative weight, spelled as the prover
+    spells it.  A basic line expands to at most four joint entropies, so no
+    table of elementals is built, for any n."""
     constraints = {f"[=]{label}": expr for label, expr in problem.constraints}
-    total: Expr = {}
+    total: Expr = defaultdict(Fraction)
     for label, coeff in certificate:
-        if label in constraints:
-            expr = constraints[label]
-        else:
-            t = elementals.find(label)
-            if t is None or coeff < 0:
+        expr = constraints.get(label)
+        if expr is None:
+            expr = _basic_terms(label, problem.variables)
+            if expr is None or coeff < 0:
                 return False
-            expr = elementals.terms(t)
         for m, c in expr.items():
-            total[m] = total.get(m, Fraction(0)) + coeff * c
+            total[m] += coeff * c
     return {m: c for m, c in total.items() if c} == problem.target
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _functional_dependencies(constraints) -> list[tuple[int, int, int]]:
@@ -475,10 +475,9 @@ class _ClosedSetLP:
         return len(self.gens)
 
     def reduce(self, expr: Expr) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+        out: dict[int, Fraction] = defaultdict(Fraction)
         for m, c in expr.items():
-            r = int(self.row_of[m])
-            out[r] = out.get(r, Fraction(0)) + c
+            out[int(self.row_of[m])] += c
         return {r: c for r, c in out.items() if c}
 
     def column(self, j: int) -> dict[int, object]:
@@ -516,36 +515,34 @@ class _ClosedSetLP:
             return self.elementals.terms(g)
         return self.problem.constraints[g - self.n_elementals][1]
 
-    def label(self, g: int) -> str:
-        if g < self.n_elementals:
-            return self.elementals.label(g)
-        return f"[=]{self.problem.constraints[g - self.n_elementals][0]}"
-
     def lift_vector(self, y: Mapping[int, Fraction]) -> Expr:
         """y(S) = y_red(cl S) for every non-empty set S."""
         return {mask: y[r] for mask, r in enumerate(self.row_of.tolist()) if mask and y.get(r)}
 
-    def lift_certificate(self, solution: Iterable[tuple[int, Fraction]]) -> dict[int, Fraction]:
-        """Generator weights that sum to the target on the unreduced sets.
-
-        The reduced solution leaves a residual R = target - sum(weights *
-        generators) with R(cl) = 0, so R = sum_S r_S (h(S) - h(cl S)) over the
-        sets that are not closed, r_S = R(S); each such term is written out in
-        elementals and FDs."""
-        cert: dict[int, Fraction] = {}
-        residual = dict(self.problem.target)
+    def lift_certificate(self, solution: Iterable[tuple[int, Fraction]]) -> tuple[tuple[str, Fraction], ...]:
+        """Certificate lines that sum to the target on the unreduced sets: the
+        basic inequalities in the order they first arise, then the constraints
+        in problem order.  The residual R = target - sum(weights * generators)
+        is paid for as the module docstring sets out."""
+        basic: dict[str, Fraction] = defaultdict(Fraction)  # label -> weight
+        equal: dict[int, Fraction] = defaultdict(Fraction)  # constraint index -> weight
+        names = self.problem.variables
+        residual = defaultdict(Fraction, self.problem.target)
         for j, weight in solution:
             g, coeff = self.gens[j], self.signs[j] * weight
-            cert[g] = cert.get(g, Fraction(0)) + coeff
+            if g < self.n_elementals:
+                basic[self.elementals.label(g)] += coeff
+            else:
+                equal[g - self.n_elementals] += coeff
             for m, c in self.terms(g).items():
-                residual[m] = residual.get(m, Fraction(0)) - coeff * c
+                residual[m] -= coeff * c
         for s, r in sorted(residual.items()):
             cl = int(self.closure[s])
             if not r or cl == s:
                 continue
             if r < 0:
                 # |r| (h(cl S) - h(S)) = |r| H(cl S \ S | S) >= 0
-                self._add_entropy(cert, -r, cl & ~s, s)
+                basic[_basic_label(names, cl & ~s, 0, s)] -= r
                 continue
             # r (h(S) - h(cl S)): fire the FDs from S up to cl S; each step
             # S_t -> S_t u B by H(B|A) = 0 (A in S_t) is, with D = B n S_t,
@@ -553,35 +550,17 @@ class _ClosedSetLP:
             current = s
             while current != cl:
                 c, a, u = next(fd for fd in self.fds if fd[1] & ~current == 0 and fd[2] & ~current)
-                b = u & ~a
-                d = b & current
-                g = self.n_elementals + c
-                cert[g] = cert.get(g, Fraction(0)) - r
-                self._add_entropy(cert, r, d, a)
-                self._add_mutual(cert, r, b & ~current, current & ~(a | d), a | d)
+                d = u & ~a & current
+                equal[c] -= r
+                if d:
+                    basic[_basic_label(names, d, 0, a)] += r
+                if current & ~(a | d):
+                    basic[_basic_label(names, u & ~current, current & ~(a | d), a | d)] += r
                 current |= u
-        return cert
-
-    def _add_entropy(self, cert, coeff, d_mask: int, a_mask: int) -> None:
-        """coeff * H(D | A), D and A disjoint, by the chain rule: each
-        H(d | K) = H(d | every other) + I(d; the rest | K)."""
-        full = (1 << self.table.n) - 1
-        known = a_mask
-        for d in _bits(d_mask):
-            cert[d] = cert.get(d, Fraction(0)) + coeff  # column d is H(d | every other)
-            self._add_mutual(cert, coeff, 1 << d, full & ~known & ~(1 << d), known)
-            known |= 1 << d
-
-    def _add_mutual(self, cert, coeff, x_mask: int, y_mask: int, z_mask: int) -> None:
-        """coeff * I(X; Y | Z), X, Y and Z disjoint, by the chain rule."""
-        cond_x = z_mask
-        for x in _bits(x_mask):
-            cond = cond_x
-            for y in _bits(y_mask):
-                t = self.table.mutual(x, y, cond)
-                cert[t] = cert.get(t, Fraction(0)) + coeff
-                cond |= 1 << y
-            cond_x |= 1 << x
+        constraints = self.problem.constraints
+        return tuple((label, w) for label, w in basic.items() if w) + tuple(
+            (f"[=]{constraints[c][0]}", equal[c]) for c in sorted(equal) if equal[c]
+        )
 
     def generator_columns(self):
         """Every unreduced generator by subset mask, equalities as (+, -)
@@ -623,7 +602,7 @@ def prove(problem: ProverProblem) -> ProofResult:
         if solution is None and result.farkas is candidate:
             path = "dual"
     if solution is not None:
-        cert = tuple((lp.label(g), c) for g, c in sorted(lp.lift_certificate(solution).items()) if c)
+        cert = lp.lift_certificate(solution)
         if not verify_certificate(problem, cert):
             raise ProverError(f"internal error: certificate for {problem.name} fails re-summation")
         return ProofResult(

@@ -113,16 +113,9 @@ def test_prove_problem_file(capsys, tmp_path):
     # the output the README shows for this file
     assert code == 0 and out == (
         "output entropy after conditioning: Provable\n"
-        "  1 * H(V1|X1,Y1,X2,V2,Y2)\n"
-        "  1 * H(Y1|X1,V1,X2,V2,Y2)\n"
-        "  1 * I(V1;Y1|X1)\n"
-        "  1 * I(V1;Y1|X1,V2)\n"
-        "  1 * I(V1;X2|X1,Y1,V2)\n"
-        "  1 * I(V1;V2|X1,Y1)\n"
-        "  1 * I(V1;Y2|X1,Y1,X2,V2)\n"
-        "  1 * I(Y1;X2|X1,V1,V2)\n"
         "  1 * I(Y1;V2|X1)\n"
-        "  1 * I(Y1;Y2|X1,V1,X2,V2)\n"
+        "  1 * H(V1,Y1|X1,V2)\n"
+        "  1 * I(V1;Y1,V2|X1)\n"
         "  -1 * [=]V1 from X1\n"
     )
 
@@ -348,6 +341,35 @@ def test_malformed_problem_file_is_usage_error(capsys, tmp_path, doc):
     code, _, err = run_cli_exit(capsys, "prove", "--problem", str(path))
     assert code == 2
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"variables": ["A"], "target": {"A": "1e400"}},  # exact, but past the float range
+        {"variables": ["A"], "target": {"A": "1e-400000000"}},  # would build 10**400000000
+        {"variables": ["A"], "target": {"A": 1}, "name": ["x"]},  # a name that is not a string
+    ],
+)
+def test_problem_values_the_solver_cannot_take_are_usage_errors(tmp_path, doc):
+    # a fresh interpreter, so that a parse that does not end fails on the timeout
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    script = (
+        "import sys, time\n"
+        "from dicbound.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dicbound.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "prove", "--problem", str(path)], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage error:") and proc.stderr.count("\n") == 1
+    assert float(proc.stdout) < 1.0
 
 
 XOR2_DOC = {"user_count": 2, "alphabet_sizes": [2, 2], "g": [[0, 1], [0, 1]], "f": [[0, 1, 1, 0]] * 2}

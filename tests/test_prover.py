@@ -173,6 +173,14 @@ def test_budget_enforced():
         ProverProblem(variables=tuple(f"Z{i}" for i in range(13)), constraints=(), target={1: Fraction(1)})
 
 
+@pytest.mark.parametrize("coeff", [Fraction(10**400), Fraction(-1, 10**400)])
+def test_coefficients_a_float_cannot_hold_rejected(coeff):
+    with pytest.raises(ProverError, match="range of a float"):
+        ProverProblem(variables=("A",), constraints=(), target={1: coeff})
+    with pytest.raises(ProverError, match="range of a float"):
+        ProverProblem(variables=("A",), constraints=(("c", {1: coeff}),), target={1: Fraction(1)})
+
+
 def test_chain_step_target_provable(base2):
     variables, constraints = base2
     target = expr_from_names(
@@ -413,9 +421,10 @@ def test_certificates_resummed_and_nonnegative(base2):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_every_elemental_label_finds_its_own_index(n):
-    view = elemental_inequalities(NAME_POOL[:n])
-    assert [view.find(label) for label, _ in view] == list(range(len(view)))
+def test_every_elemental_label_is_a_basic_label(n):
+    names = NAME_POOL[:n]
+    for label, expr in elemental_inequalities(names):
+        assert prover_module._basic_terms(label, names) == expr, label
 
 
 I_AB_C = {"A C": 1, "B C": 1, "A B C": -1, "C": -1}
@@ -432,8 +441,8 @@ I_AB_C = {"A C": 1, "B C": 1, "A B C": -1, "C": -1}
         ("I(A;B|A)", 1, {}, False),  # conditioning on a name of the pair
         ("I(A;B|)", 1, {"A": 1, "B": 1, "A B": -1}, False),  # an empty conditioning list
         ("I(A;B|D,C)", 1, {"A C D": 1, "B C D": 1, "A B C D": -1, "C D": -1}, False),  # out of order
-        ("H(A|B)", 1, {"A B": 1, "B": -1}, False),  # not elemental at n >= 3
-        ("H(A)", 1, {"A": 1}, False),  # likewise
+        ("H(A|B)", 1, {"A B": 1, "B": -1}, True),  # basic, though not elemental at n >= 3
+        ("H(A)", 1, {"A": 1}, True),
         ("I(A;Q|C)", 1, I_AB_C, False),  # an unknown name
         ("I(A;B|C)x", 1, I_AB_C, False),  # trailing text
         ("I(A;B|C) ", 1, I_AB_C, False),
@@ -441,6 +450,18 @@ I_AB_C = {"A C": 1, "B C": 1, "A B C": -1, "C": -1}
         ("I(A;B;C)", 1, I_AB_C, False),
         ("[=]d", 1, {"A": 1}, False),  # an unknown constraint
         ("I(A;B|C)", -1, {m: -c for m, c in I_AB_C.items()}, False),  # a negative weight on an elemental
+        ("H(A,B|C)", 1, {"A B C": 1, "C": -1}, True),
+        ("I(A,B;C|D)", 1, {"A B D": 1, "C D": 1, "A B C D": -1, "D": -1}, True),
+        ("I(A;B)", 1, {"A": 1, "B": 1, "A B": -1}, True),
+        ("H(B,A)", 1, {"A B": 1}, False),  # names out of order
+        ("I(A;A,B)", 1, {"A": 1}, False),  # overlapping sides
+        ("H(A|A)", 1, {}, False),
+        ("I(;B)", 1, {}, False),  # an empty side
+        ("H(|A)", 1, {}, False),
+        ("H(A|)", 1, {"A": 1}, False),  # an empty conditioning list
+        ("H(A;B)", 1, {"A B": 1}, False),  # wrong arity
+        ("H(A|B)", -1, {"A B": -1, "B": 1}, False),  # a negative weight on a basic line
+        ("I(A;A|B)", 1, {"A B": -1, "B": -1}, False),  # overlapping sides, summed as if disjoint
     ],
 )
 def test_verification_accepts_only_generator_labels(label, coeff, target, accepted):
@@ -449,27 +470,86 @@ def test_verification_accepts_only_generator_labels(label, coeff, target, accept
         variables=names, constraints=(("c", expr_from_names(names, {"A": 1})),), target=expr_from_names(names, target)
     )
     assert verify_certificate(problem, [(label, Fraction(coeff))]) == accepted
-    if coeff > 0 and not label.startswith("[=]"):
-        assert (elemental_inequalities(names).find(label) is None) == (not accepted)
 
 
-def test_verification_renders_only_the_labels_a_certificate_names(monkeypatch):
-    # twelve variables have 67,596 elementals; a five-line certificate must
-    # not cost a label for each of them
-    names = tuple(f"Z{i + 1}" for i in range(12))
-    view = elemental_inequalities(names)
-    picks = (0, 11, 12, len(view) // 2, len(view) - 1)
-    certificate = [(view[t][0], Fraction(t + 1)) for t in picks]
+def basic_expr(a, b, c):
+    """H(A|C) (b = 0) or I(A;B|C) as joint entropies over subset masks."""
+    terms = [(a | c, 1), (c, -1)] if not b else [(a | c, 1), (b | c, 1), (a | b | c, -1), (c, -1)]
+    return {m: Fraction(s) for m, s in terms if m}
+
+
+def basic_label(names, a, b, c):
+    """The canonical spelling of a basic inequality: names in variable order,
+    I-sides by their first variable, no bar for an empty C."""
+    def spell(mask):
+        return ",".join(v for i, v in enumerate(names) if mask >> i & 1)
+
+    if b and b & -b < a & -a:
+        a, b = b, a
+    return f"{'I' if b else 'H'}({spell(a)}{';' + spell(b) if b else ''}{'|' + spell(c) if c else ''})"
+
+
+def certificate_and_target(names, lines):
+    """A certificate of (weight, A, B, C) basic lines, and the target it sums to."""
     target: dict[int, Fraction] = {}
-    for t in picks:
-        for mask, c in view[t][1].items():
-            target[mask] = target.get(mask, Fraction(0)) + (t + 1) * c
-    target = {m: c for m, c in target.items() if c}
-    rendered = []
-    real = prover_module._mask_name
-    monkeypatch.setattr(prover_module, "_mask_name", lambda mask, variables: rendered.append(mask) or real(mask, variables))
-    assert verify_certificate(ProverProblem(variables=names, constraints=(), target=target), certificate)
-    assert 0 < len(rendered) <= len(certificate)
+    for weight, a, b, c in lines:
+        for mask, s in basic_expr(a, b, c).items():
+            target[mask] = target.get(mask, Fraction(0)) + weight * s
+    certificate = [(basic_label(names, a, b, c), weight) for weight, a, b, c in lines]
+    return certificate, {m: c for m, c in target.items() if c}
+
+
+def test_verification_builds_no_elemental_table(monkeypatch):
+    # twelve variables have 67,596 elementals; checking a short certificate
+    # must build none of them
+    names = tuple(f"Z{i + 1}" for i in range(12))
+    lines = [
+        (Fraction(2), 0b1_0001, 0, 1 << 11),  # H(Z1,Z5|Z12)
+        (Fraction(3), 0b10, 0b1100, 1 << 5),  # I(Z2;Z3,Z4|Z6)
+        (Fraction(1, 2), 1, 1 << 11, 0),  # I(Z1;Z12)
+        (Fraction(1), 1 << 6, 0, 0),  # H(Z7)
+        (Fraction(5), 1 << 11, 0, (1 << 11) - 1),  # H(Z12|Z1,...,Z11)
+    ]
+    certificate, target = certificate_and_target(names, lines)
+
+    def no_table(n):
+        raise AssertionError(f"built the elemental table for n = {n}")
+
+    monkeypatch.setattr(prover_module, "_elemental_table", no_table)
+    problem = ProverProblem(variables=names, constraints=(), target=target)
+    assert verify_certificate(problem, certificate)
+    assert not verify_certificate(problem, certificate[:-1])
+
+
+@st.composite
+def basic_certificates(draw):
+    """Up to five basic lines with non-negative weights on n <= 6 variables:
+    each variable goes to A, B, C or none of them."""
+    n = draw(st.integers(1, 6))
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        mutual = n >= 2 and draw(st.booleans())
+        roles = draw(st.lists(st.sampled_from("ABC-" if mutual else "AC-"), min_size=n, max_size=n))
+        masks = [sum(1 << i for i, role in enumerate(roles) if role == side) for side in "ABC"]
+        if not masks[0] or (mutual and not masks[1]):
+            continue
+        lines.append((draw(st.fractions(min_value=0, max_denominator=6)), *masks))
+    return n, lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(basic_certificates(), st.data())
+def test_basic_certificates_verify_exactly(case, data):
+    n, lines = case
+    names = tuple(f"Z{i + 1}" for i in range(n))
+    certificate, target = certificate_and_target(names, lines)
+    problem = ProverProblem(variables=names, constraints=(), target=target)
+    assert verify_certificate(problem, certificate)
+    if certificate:
+        t = data.draw(st.integers(0, len(certificate) - 1))
+        delta = data.draw(st.fractions(max_denominator=6).filter(bool))
+        changed = [(label, w + delta if i == t else w) for i, (label, w) in enumerate(certificate)]
+        assert not verify_certificate(problem, changed)
 
 
 def test_prove_returns_only_certificates_that_verify(monkeypatch, base2):
@@ -614,12 +694,16 @@ def test_largest_residue_problems_provable():
 def test_every_bound_residue_provable():
     from dicbound.extend import supported_bounds
 
+    lines = 0
     for bound_id in supported_bounds():
         for problem in appendix_targets(bound_id):
             result = prove(problem)
             # a fall-through to the full simplex has no time bound at n = 11
             assert (result.status, result.path) == ("Provable", "guided"), problem.name
             assert verify_certificate(problem, result.certificate), problem.name
+            lines += len(result.certificate)
+    # one basic inequality per residual term keeps the 35 ids at 1,873 lines
+    assert lines <= 2000
 
 
 @pytest.mark.parametrize(
