@@ -9,7 +9,6 @@ from .channels import (
     DeterministicChannel,
     ValidationReport,
     builtin_channel,
-    load_channel,
     validate_channel,
 )
 from .entropy import (
@@ -95,7 +94,6 @@ __all__ = [
     "evaluate_chain",
     "induce_joint",
     "limit_bound",
-    "load_channel",
     "load_templates",
     "min_chain_bound",
     "mutual_information",

@@ -8,7 +8,6 @@ tuple, so the interference is recoverable from (X_i, Y_i).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
@@ -16,6 +15,12 @@ from numbers import Integral
 from .errors import ChannelFormatError, DicboundError
 
 BUILTIN_FAMILIES = ("xor2", "shift2", "concat3")
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool: JSON's true and false are neither
+    sizes, symbols nor counts."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -35,19 +40,19 @@ class DeterministicChannel:
     y_sizes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.user_count, Integral) or self.user_count not in (2, 3):
+        if not is_int(self.user_count) or self.user_count not in (2, 3):
             raise ChannelFormatError(f"user_count must be 2 or 3, got {self.user_count}")
         if len(self.input_sizes) != self.user_count:
             raise ChannelFormatError("one input alphabet per user required")
         for size in self.input_sizes:
-            if not isinstance(size, Integral) or size < 1:
+            if not is_int(size) or size < 1:
                 raise ChannelFormatError(f"alphabet size must be an integer >= 1, got {size!r}")
         if len(self.g) != self.user_count or len(self.f) != self.user_count:
             raise ChannelFormatError("one g table and one f table per user required")
         for name, tables in (("g", self.g), ("f", self.f)):
             for i, table in enumerate(tables):
                 # symbols are held in int64 arrays by the entropy engine
-                if not all(isinstance(v, Integral) and 0 <= v < 1 << 63 for v in table):
+                if not all(is_int(v) and 0 <= v < 1 << 63 for v in table):
                     raise ChannelFormatError(
                         f"{name} table for user {i + 1} has a symbol that is not an integer in 0..2^63-1"
                     )
@@ -187,7 +192,7 @@ def channel_from_dict(data: dict) -> DeterministicChannel:
     if "family" in data:
         params = data.get("params")
         if params is not None and not (
-            isinstance(params, list) and all(isinstance(p, Integral) for p in params)
+            isinstance(params, list) and all(is_int(p) for p in params)
         ):
             raise ChannelFormatError(f"channel params must be a list of integers, got {params!r}")
         return builtin_channel(data["family"], params)
@@ -208,13 +213,3 @@ def channel_to_dict(channel: DeterministicChannel) -> dict:
         "g": [list(t) for t in channel.g],
         "f": [list(t) for t in channel.f],
     }
-
-
-def load_channel(ref: str) -> DeterministicChannel:
-    """Resolve a CLI channel reference: builtin name, builtin:params, or a JSON file path."""
-    if ref.endswith(".json"):
-        with open(ref, "r", encoding="utf-8") as fh:
-            return channel_from_dict(json.load(fh))
-    name, _, raw = ref.partition(":")
-    params = [int(p) for p in raw.split(",")] if raw else None
-    return builtin_channel(name, params)

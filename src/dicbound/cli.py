@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .channels import channel_from_dict, load_channel, validate_channel
+from .channels import builtin_channel, channel_from_dict, validate_channel
 from .entropy import SourceDistribution, distribution_from_dict
 from .errors import BudgetExceededError, ChainValidationError, DicboundError, UnsupportedBoundError, UsageError
 from .extend import (
@@ -30,7 +30,7 @@ from .extend import (
 )
 from .gcs import CutChain, chain_values, evaluate_chain, tightest_chain
 from .networks import base_network
-from .prover import ProverProblem, appendix_targets, expr_from_names, prove
+from .prover import ProverProblem, appendix_targets, expr_from_names, prove, rational
 from .regions import (
     MAX_SAMPLES,
     bound_vector,
@@ -51,20 +51,26 @@ def _fmt(x: float) -> str:
 
 def _load_file(path: str, what: str, build):
     """``build`` applied to a JSON input file's document.  The one loading path
-    for the --dist, --network, --chain and --problem files (channel files load
-    through ``channels.load_channel``): an unreadable, unparsable or malformed
-    file is a ``UsageError`` naming the file."""
+    for the channel, --dist, --network, --chain and --problem files: an
+    unreadable, unparsable or malformed file is a ``UsageError`` naming the
+    file.  A problem file's number literals are read exactly from their text
+    (``prover.rational``, so 0.1 is 1/10); the other files read them as
+    floats."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return build(json.load(fh))
+            return build(json.load(fh, parse_float=rational if what == "problem" else float))
     except (OSError, ValueError, DicboundError) as exc:
         raise UsageError(f"cannot load {what} {path!r}: {exc}") from exc
 
 
 def _resolve_channel(ref: str):
+    """A channel reference: a JSON file, a built-in name, or name:params."""
+    if ref.endswith(".json"):
+        return _load_file(ref, "channel", channel_from_dict)
+    name, _, raw = ref.partition(":")
     try:
-        return load_channel(ref)
-    except (DicboundError, OSError, ValueError) as exc:
+        return builtin_channel(name, [int(p) for p in raw.split(",")] if raw else None)
+    except (DicboundError, ValueError) as exc:
         raise UsageError(f"cannot load channel {ref!r}: {exc}") from exc
 
 

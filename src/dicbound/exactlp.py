@@ -4,9 +4,11 @@ Finds x >= 0 with A x = b in Fraction arithmetic, or reports infeasibility
 with a Farkas vector y satisfying y.A <= 0 and y.b > 0, checked exactly by
 ``separates`` before it is returned.  A caller may offer a candidate y (for
 instance a rationalized float dual); when it passes the check, no pivot is
-made.  Otherwise a sparse phase-1 simplex decides.  Its pivots follow the
-lowest-index rule on both the entering column and the leaving row, so the
-procedure terminates and is deterministic.
+made.  Otherwise a sparse phase-1 simplex decides.  Its reduced-cost row is
+kept as one more row of the tableau, so each pivot updates it with the
+constraint rows.  Its pivots follow the lowest-index rule on both the
+entering column and the leaving row, so the procedure terminates and is
+deterministic.
 """
 
 from __future__ import annotations
@@ -75,30 +77,28 @@ def solve_feasibility(
         rows[i][n_cols + i] = ONE
         b.append(bi)
     basis = [n_cols + i for i in range(n_rows)]
-    # reduced-cost row for minimizing the artificial sum: obj[j] = c_j - z_j
-    obj: dict[int, Fraction] = {}
+    # the reduced-cost row for minimizing the artificial sum, cost[j] = c_j -
+    # z_j, rides below the constraint rows with right-hand side minus the
+    # objective value, so that every pivot updates it like any other row
+    cost: dict[int, Fraction] = {}
     for row in rows:
         for j, a in row.items():
             if j < n_cols:
-                obj[j] = obj.get(j, ZERO) - a
-    obj = {j: v for j, v in obj.items() if v}
-    obj_value = sum(b, ZERO)
+                cost[j] = cost.get(j, ZERO) - a
+    cost = {j: v for j, v in cost.items() if v}
+    rows.append(cost)
+    b.append(-sum(b, ZERO))
 
     while True:
-        entering = None
-        for j in sorted(obj):
-            if j < n_cols and obj[j] < 0:
-                entering = j
-                break
+        entering = next((j for j in sorted(cost) if j < n_cols and cost[j] < 0), None)
         if entering is None:
             break
         leaving = None
         best = None
-        for i, row in enumerate(rows):
-            a = row.get(entering)
+        for i in range(n_rows):
+            a = rows[i].get(entering)
             if a and a > 0:
-                ratio = b[i] / a
-                key = (ratio, basis[i])
+                key = (b[i] / a, basis[i])
                 if best is None or key < best:
                     best = key
                     leaving = i
@@ -125,17 +125,8 @@ def solve_feasibility(
                 else:
                     row.pop(j, None)
             b[i] -= factor * pb
-        factor = obj.get(entering)
-        if factor:
-            for j, a in prow.items():
-                new = obj.get(j, ZERO) - factor * a
-                if new:
-                    obj[j] = new
-                else:
-                    obj.pop(j, None)
-            obj_value += factor * pb
 
-    if obj_value == 0:
+    if b[n_rows] == 0:
         solution: dict[int, Fraction] = {}
         for i, j in enumerate(basis):
             if j < n_cols and b[i]:
@@ -144,7 +135,7 @@ def solve_feasibility(
     # infeasible: dual multipliers from the reduced costs at artificial columns
     farkas: dict[int, Fraction] = {}
     for i in range(n_rows):
-        y = ONE - obj.get(n_cols + i, ZERO)
+        y = ONE - cost.get(n_cols + i, ZERO)
         # undo the sign flip applied to rows with negative rhs
         if rhs.get(i, ZERO) < 0:
             y = -y

@@ -27,7 +27,7 @@ from importlib import resources
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .channels import DeterministicChannel
+from .channels import DeterministicChannel, is_int
 from .entropy import SourceDistribution, X, Y, base_terms, row_entropy
 from .errors import DicboundError, RecipeError, UnsupportedBoundError
 from .gcs import CutChain, chain_from_cuts, evaluate_chain
@@ -103,17 +103,22 @@ def build_extended(channel: DeterministicChannel, recipe: ReplicationRecipe) -> 
 
 
 def recipe_from_dict(data: dict) -> ReplicationRecipe:
-    """Recipe file form: {"counts": [..], "wiring": {"1^1": {"2": 1, ...}, ...}}."""
+    """Recipe file form: {"counts": [..], "wiring": {"1^1": {"2": 1, ...}, ...}}.
+    Counts and wired copies are integers; the users and copies in the keys
+    are read from the key text."""
     try:
-        counts = tuple(int(c) for c in data["counts"])
+        counts = tuple(data["counts"])
         wiring = []
         for key, wires in data["wiring"].items():
             user_s, _, copy_s = key.partition("^")
             rx = (int(user_s), int(copy_s) if copy_s else 1)
-            wired = tuple(sorted((int(u), int(c)) for u, c in wires.items()))
+            wired = tuple(sorted((int(u), c) for u, c in wires.items()))
             wiring.append((rx, wired))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise RecipeError(f"malformed recipe document: {exc!r}") from exc
+    bad = [v for v in counts + tuple(c for _, wired in wiring for _, c in wired) if not is_int(v)]
+    if bad:
+        raise RecipeError(f"replica counts and wired copies must be integers, got {bad[0]!r}")
     return ReplicationRecipe(counts=counts, wiring=tuple(sorted(wiring)))
 
 

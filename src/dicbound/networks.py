@@ -270,12 +270,6 @@ def _variables(kind: str, replicas: Iterable[Replica]) -> list[VariableId]:
     return [VariableId(kind, u, c) for u, c in sorted(replicas)]
 
 
-def known_closure(network: NetworkGraph, cond: Iterable[VariableId]) -> set[VariableId]:
-    """All variables determined by the conditioning set (see ``_closure``)."""
-    known = _closure(network, *network.replica_sets(cond))
-    return {v for kind, replicas in zip("XVY", known) for v in _variables(kind, replicas)}
-
-
 def cond_entropy_network(
     network: NetworkGraph,
     dist: SourceDistribution,

@@ -11,10 +11,11 @@ a bound's cut chain, over the replicas that step touches.
 
 Search is float-guided (scipy's HiGHS) for speed, but every verdict rests on
 exact rational arithmetic.  One float LP runs per verdict, the dual
-max b.y subject to A^T y <= 0 and -1 <= y <= 1.  When its optimum is 0, its
-constraint marginals are a float solution of A x = b, x >= 0 whose support is
-a basis, and the exact solver runs on that support alone; the certificate it
-yields re-sums to the target exactly.  When its optimum is positive, the
+max b.y subject to A^T y <= 0 and -1 <= y <= 1, whose matrix is built as the
+sparse rows of A^T.  When its optimum is 0, its constraint marginals are a
+float solution of A x = b, x >= 0 whose support is a basis, and the exact
+solver runs on that support alone; the certificate it yields re-sums to the
+target exactly.  When its optimum is positive, the
 rationalized y is offered to ``exactlp.solve_feasibility`` as a candidate
 separating vector, with y.g <= 0 for every generator g and y.target > 0.  If
 the float solve fails, or its support or candidate fails the exact check, the
@@ -26,8 +27,11 @@ the constrained cone h(S) = h(cl S), where cl S is the closure of S under the
 FDs.  So every generator maps through h(S) -> h(cl S): the rows are the
 non-empty closed sets, the FD columns vanish, zero and repeated elemental
 columns are dropped, and every other constraint stays a (+, -) column pair.
-The elementals themselves are one integer table per n.  Verdicts are lifted
-back to the unreduced system and checked there:
+The elementals themselves are one integer table per n, a subset mask and a
+sign per joint-entropy term, and each label is read off its row.  One
+accessor returns every unreduced generator, for the certificate lift and for
+the separating-vector check.  Verdicts are lifted back to the unreduced
+system and checked there:
 
 - a separating vector y_red of the reduced LP lifts to y(S) = y_red(cl S),
   which ``exactlp.separates`` checks against every unreduced column;
@@ -125,8 +129,19 @@ _MAX_EXPONENT = 10_000
 _EXPONENT_RE = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
 
 
+def rational(text: str) -> Fraction:
+    """The exact value of a number or fraction literal: "0.1" is 1/10, and
+    "-3/2" and "1e-5" are read as written.  An exponent beyond
+    ``_MAX_EXPONENT`` is a ``ProverError`` before any power of 10 is built."""
+    exponent = _EXPONENT_RE.search(text)
+    if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+        raise ProverError(f"number {text!r} has an exponent beyond {_MAX_EXPONENT}")
+    return Fraction(text)
+
+
 def expr_from_names(variables: Sequence[str], terms: Mapping[str, object]) -> Expr:
-    """Build an expression from {"X1 V2": coeff} style entries."""
+    """Build an expression from {"X1 V2": coeff} style entries; a string
+    coefficient is read by ``rational``."""
     if not isinstance(terms, Mapping):
         raise ProverError("an expression maps space-separated variable names to coefficients")
     expr: Expr = {}
@@ -135,10 +150,9 @@ def expr_from_names(variables: Sequence[str], terms: Mapping[str, object]) -> Ex
         if mask == 0:
             raise ProverError("expressions may not reference the empty set")
         try:
-            exponent = _EXPONENT_RE.search(coeff) if isinstance(coeff, str) else None
-            if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
-                raise ProverError(f"coefficient {coeff!r} of {names!r} has an exponent beyond {_MAX_EXPONENT}")
-            coeff = Fraction(coeff)
+            coeff = rational(coeff) if isinstance(coeff, str) else Fraction(coeff)
+        except ProverError:
+            raise ProverError(f"coefficient {coeff!r} of {names!r} has an exponent beyond {_MAX_EXPONENT}") from None
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ProverError(f"coefficient {coeff!r} of {names!r} is not a rational") from exc
         expr[mask] = expr.get(mask, Fraction(0)) + coeff
@@ -225,25 +239,19 @@ class ProofResult:
         return self.status == "Provable"
 
 
-@dataclass(frozen=True)
-class _ElementalTable:
-    """The elemental inequalities on n variables as integer arrays.  Column t
-    is H(a|K) when b[t] < 0 and I(a;b|K) otherwise, with K = k[t]; masks[t]
-    and signs[t] are its joint-entropy terms, padded with mask 0 and sign 0."""
-
-    a: np.ndarray
-    b: np.ndarray
-    k: np.ndarray
-    masks: np.ndarray  # (columns, 4) subset bitmasks
-    signs: np.ndarray  # (columns, 4) in {-1, 0, 1}
-
-
 @functools.cache
-def _elemental_table(n: int) -> _ElementalTable:
+def _elemental_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The elemental inequalities on n variables as integer arrays: row t of
+    ``masks`` and ``signs`` holds the joint-entropy terms of H(A|C), with
+    signs (1, -1), or of I(A;B|C), with signs (1, 1, -1, -1), padded with
+    mask 0 and sign 0.  Shared, read-only, by every later call for this n."""
     full = (1 << n) - 1
-    a, b, k = [np.arange(n)], [np.full(n, -1)], [full & ~(1 << np.arange(n))]
+    bits = 1 << np.arange(n)
+    none = np.zeros(n, dtype=np.int64)
+    # H(i | all others), then for n = 2 also H(i); the B side of an H is 0
+    a, b, c = [bits], [none], [full & ~bits]
     if n == 2:
-        a, b, k = a + [np.arange(2)], b + [np.full(2, -1)], k + [np.zeros(2, dtype=int)]
+        a, b, c = a + [bits], b + [none], c + [none]
     if n >= 2:
         # conditioning sets over the other n - 2 positions, by size then
         # lexicographically, then spread onto the variables of each pair
@@ -255,22 +263,16 @@ def _elemental_table(n: int) -> _ElementalTable:
             ks = np.zeros_like(spread)
             for p, bit in enumerate(others):
                 ks |= (spread >> p & 1) << bit
-            a.append(np.full(len(spread), i))
-            b.append(np.full(len(spread), j))
-            k.append(ks)
-    a, b, k = (np.concatenate(x).astype(np.int64) for x in (a, b, k))
-    single = b < 0
-    bit_a = 1 << a
-    bit_b = np.where(single, 0, 1 << np.maximum(b, 0))
-    masks = np.stack(
-        [bit_a | k, np.where(single, k, bit_b | k), np.where(single, 0, bit_a | bit_b | k), np.where(single, 0, k)],
-        axis=1,
-    )
+            a.append(np.full(len(spread), 1 << i))
+            b.append(np.full(len(spread), 1 << j))
+            c.append(ks)
+    a, b, c = (np.concatenate(x).astype(np.int64) for x in (a, b, c))
+    single = b == 0
+    masks = np.stack([a | c, b | c, np.where(single, 0, a | b | c), np.where(single, 0, c)], axis=1)
     signs = np.where(single[:, None], np.array([1, -1, 0, 0]), np.array([1, 1, -1, -1]))
     signs = np.where(masks == 0, 0, signs)
-    for array in (a, b, k, masks, signs):
-        array.flags.writeable = False  # shared by every later call for this n
-    return _ElementalTable(a, b, k, masks, signs)
+    masks.flags.writeable = signs.flags.writeable = False
+    return masks, signs
 
 
 class _Elementals(Sequence):
@@ -279,23 +281,27 @@ class _Elementals(Sequence):
 
     def __init__(self, names: Sequence[str]):
         self.names = tuple(names)
-        self.table = _elemental_table(len(self.names))
+        self.masks, self.signs = _elemental_table(len(self.names))
 
     def __len__(self) -> int:
-        return len(self.table.a)
+        return len(self.masks)
 
     def __getitem__(self, t):
         if isinstance(t, slice):
             return [self[i] for i in range(len(self))[t]]
         t = range(len(self))[t]
-        return self.label(t), self.terms(t)
+        return self.label(t), {m: Fraction(s) for m, s in self.terms(t).items()}
 
     def label(self, t: int) -> str:
-        a, b, k = (int(x[t]) for x in (self.table.a, self.table.b, self.table.k))
-        return _basic_label(self.names, 1 << a, 1 << b if b >= 0 else 0, k)
+        """H(A|C) or I(A;B|C) from row t: C is the fourth mask of an I, the
+        second mask of an H with a non-empty C, else empty."""
+        masks, signs = self.masks[t].tolist(), self.signs[t].tolist()
+        c = masks[3] if signs[2] else masks[1] if signs[1] else 0
+        return _basic_label(self.names, masks[0] & ~c, masks[1] & ~c if signs[2] else 0, c)
 
-    def terms(self, t: int) -> Expr:
-        return {int(m): Fraction(int(s)) for m, s in zip(self.table.masks[t], self.table.signs[t]) if s}
+    def terms(self, t: int) -> dict[int, int]:
+        """Row t's joint entropies, by subset mask, with integer signs."""
+        return {m: s for m, s in zip(self.masks[t].tolist(), self.signs[t].tolist()) if s}
 
 
 def elemental_inequalities(variables: int | Sequence[str]) -> Sequence[tuple[str, Expr]]:
@@ -418,8 +424,7 @@ class _ClosedSetLP:
 
     def __init__(self, elementals: _Elementals, problem: ProverProblem):
         n = len(problem.variables)
-        table = elementals.table
-        self.elementals, self.problem, self.table = elementals, problem, table
+        self.elementals, self.problem = elementals, problem
         self.n_elementals = len(elementals)
         self.fds = _functional_dependencies(problem.constraints)
         closure = np.arange(1 << n)
@@ -440,7 +445,7 @@ class _ClosedSetLP:
 
         # elemental columns on reduced rows: merge terms that land on one
         # row, then sort each column's terms into a canonical order
-        rows, signs = self.row_of[table.masks], table.signs.copy()
+        rows, signs = self.row_of[elementals.masks], elementals.signs.copy()
         order = np.argsort(rows, axis=1, kind="stable")
         rows, signs = np.take_along_axis(rows, order, 1), np.take_along_axis(signs, order, 1)
         for s in range(1, rows.shape[1]):
@@ -483,12 +488,12 @@ class _ClosedSetLP:
     def column(self, j: int) -> dict[int, object]:
         """Reduced column j, exactly (integer or Fraction entries)."""
         if j < self.n_elemental_columns:
-            return {int(r): int(s) for r, s in zip(self.rows[j], self.row_signs[j]) if s}
+            return {r: s for r, s in zip(self.rows[j].tolist(), self.row_signs[j].tolist()) if s}
         col = self.constraint_columns[self.gens[j] - self.n_elementals]
         return col if self.signs[j] == 1 else {r: -c for r, c in col.items()}
 
     def float_system(self):
-        """A (sparse, one column per reduced column) and b in floats."""
+        """A^T (sparse CSR, one row per reduced column) and b in floats."""
         from scipy import sparse
 
         nz = self.row_signs != 0
@@ -500,17 +505,18 @@ class _ClosedSetLP:
             rows_idx.append(np.fromiter(col, dtype=np.int64, count=len(col)))
             cols_idx.append(np.full(len(col), j))
             data.append(np.fromiter((float(c) for c in col.values()), dtype=float, count=len(col)))
-        a_eq = sparse.csc_matrix(
-            (np.concatenate(data), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
-            shape=(self.n_rows, self.n_columns),
+        a_t = sparse.csr_matrix(
+            (np.concatenate(data), (np.concatenate(cols_idx), np.concatenate(rows_idx))),
+            shape=(self.n_columns, self.n_rows),
         )
-        b_eq = np.zeros(self.n_rows)
+        b = np.zeros(self.n_rows)
         for r, c in self.target.items():
-            b_eq[r] = float(c)
-        return a_eq, b_eq
+            b[r] = float(c)
+        return a_t, b
 
-    def terms(self, g: int) -> Expr:
-        """Generator g on the unreduced sets, by subset mask."""
+    def generator(self, g: int) -> Mapping[int, object]:
+        """Unreduced generator g by subset mask: elemental g when g <
+        len(elementals), else constraint g - len(elementals)."""
         if g < self.n_elementals:
             return self.elementals.terms(g)
         return self.problem.constraints[g - self.n_elementals][1]
@@ -534,7 +540,7 @@ class _ClosedSetLP:
                 basic[self.elementals.label(g)] += coeff
             else:
                 equal[g - self.n_elementals] += coeff
-            for m, c in self.terms(g).items():
+            for m, c in self.generator(g).items():
                 residual[m] -= coeff * c
         for s, r in sorted(residual.items()):
             cl = int(self.closure[s])
@@ -565,11 +571,11 @@ class _ClosedSetLP:
     def generator_columns(self):
         """Every unreduced generator by subset mask, equalities as (+, -)
         pairs, built one at a time."""
-        for masks, signs in zip(self.table.masks.tolist(), self.table.signs.tolist()):
-            yield {m: s for m, s in zip(masks, signs) if s}
-        for _, expr in self.problem.constraints:
-            yield expr
-            yield {m: -c for m, c in expr.items()}
+        for g in range(self.n_elementals + len(self.problem.constraints)):
+            col = self.generator(g)
+            yield col
+            if g >= self.n_elementals:
+                yield {m: -c for m, c in col.items()}
 
 
 def _solve_exact(lp: _ClosedSetLP, restrict: Iterable[int], candidate=None):
@@ -635,7 +641,7 @@ def linprog(*args, **kwargs):
     return highs_linprog(*args, **kwargs)
 
 
-def _float_dual(a_eq, b_eq) -> tuple[set[int] | None, dict[int, Fraction] | None]:
+def _float_dual(a_t, b) -> tuple[set[int] | None, dict[int, Fraction] | None]:
     """The one float LP: max b.y subject to A^T y <= 0 and -1 <= y <= 1.
 
     A positive optimum returns (None, y) with y rationalized, a candidate
@@ -649,9 +655,9 @@ def _float_dual(a_eq, b_eq) -> tuple[set[int] | None, dict[int, Fraction] | None
     # interior-point solver.  Presolve is off: with it, the prove benchmark
     # ran about 100 operations per second instead of 119, at higher peak RSS
     res = linprog(
-        c=-b_eq,
-        A_ub=a_eq.T.tocsr(),
-        b_ub=np.zeros(a_eq.shape[1]),
+        c=-b,
+        A_ub=a_t,
+        b_ub=np.zeros(a_t.shape[0]),
         bounds=(-1, 1),
         method="highs-ds",
         options={"simplex_dual_edge_weight_strategy": "devex", "presolve": False},

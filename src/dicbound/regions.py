@@ -70,14 +70,6 @@ def load_templates(user_count: int) -> tuple[BoundTemplate, ...]:
     return tuple(_template_from_dict(d) for d in raw[key])
 
 
-def template_by_id(bound_id: str) -> BoundTemplate:
-    for user_count in (2, 3):
-        for t in load_templates(user_count):
-            if t.id == bound_id:
-                return t
-    raise DicboundError(f"unknown bound id {bound_id!r}")
-
-
 def bound_vector(
     channel: DeterministicChannel,
     dist: SourceDistribution,

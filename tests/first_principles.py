@@ -1,14 +1,17 @@
 """Independent oracle helpers.
 
 The oracles here recompute entropies from first principles (plain dicts of
-probabilities over enumerated input tuples) so they share no code path with
-the engine under test.
+probabilities over enumerated input tuples), and the variables a conditioning
+set determines by iterating the closure rules to their fixed point, so they
+share no code path with the engine under test.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
+
+from dicbound.entropy import VariableId
 
 
 def oracle_entropy(probs) -> float:
@@ -105,3 +108,24 @@ def oracle_network_cond_entropy(atoms, a, b=()) -> float:
 
     b = sorted(set(b))
     return h(sorted(set(a) | set(b))) - h(b)
+
+
+def fixed_point_closure(net, cond):
+    """The variables a conditioning set determines on a replica network: the
+    closure rules (V = g(X); Y once X and the wired V's are known; the wired
+    V's once X and Y are known) applied to every replica until nothing
+    changes."""
+    known = set(cond)
+    while True:
+        size = len(known)
+        for u, c in net.replicas:
+            x, v, y = (VariableId(kind, u, c) for kind in "XVY")
+            wired = {VariableId("V", *w) for w in net.interferers_of((u, c))}
+            if x in known:
+                known.add(v)
+                if wired <= known:
+                    known.add(y)
+                if y in known:
+                    known |= wired
+        if len(known) == size:
+            return known

@@ -349,12 +349,19 @@ def test_malformed_problem_file_is_usage_error(capsys, tmp_path, doc):
         {"variables": ["A"], "target": {"A": "1e400"}},  # exact, but past the float range
         {"variables": ["A"], "target": {"A": "1e-400000000"}},  # would build 10**400000000
         {"variables": ["A"], "target": {"A": 1}, "name": ["x"]},  # a name that is not a string
+        # number literals, as file text because json.dumps turns 1e-400 into
+        # 0.0: the false claim -1e-400 H(B|A) >= 0, read exactly, is past
+        # the float range
+        pytest.param('{"variables": ["A", "B"], "target": {"A": 1e-400, "A B": -1e-400}}', id="number-underflow"),
+        pytest.param('{"variables": ["A"], "target": {"A": 1e-400000000}}', id="number-exponent"),
+        pytest.param('{"variables": ["A"], "target": {"A": 1}, "name": 0.5}', id="number-name"),
+        pytest.param('{"variables": ["A", 1.5], "target": {"A": 1}}', id="number-variable"),
     ],
 )
 def test_problem_values_the_solver_cannot_take_are_usage_errors(tmp_path, doc):
     # a fresh interpreter, so that a parse that does not end fails on the timeout
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     script = (
         "import sys, time\n"
         "from dicbound.cli import main\n"
@@ -370,6 +377,17 @@ def test_problem_values_the_solver_cannot_take_are_usage_errors(tmp_path, doc):
     assert proc.returncode == 2
     assert proc.stderr.startswith("usage error:") and proc.stderr.count("\n") == 1
     assert float(proc.stdout) < 1.0
+
+
+def test_problem_file_numbers_are_exact_decimals(capsys, tmp_path):
+    # 0.3 and -0.1 are 3/10 and -1/10, not the nearest floats
+    outputs = []
+    for coeffs in ('0.3, "A": -0.1', '"3/10", "A": "-1/10"'):
+        path = tmp_path / "problem.json"
+        path.write_text('{"name": "p", "variables": ["A", "B"], "target": {"A B": %s}}' % coeffs)
+        outputs.append(run_cli_exit(capsys, "prove", "--problem", str(path)))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][:2] == (0, "p: Provable\n  1/5 * H(A|B)\n  1/10 * H(B|A)\n  1/5 * H(B)\n")
 
 
 XOR2_DOC = {"user_count": 2, "alphabet_sizes": [2, 2], "g": [[0, 1], [0, 1]], "f": [[0, 1, 1, 0]] * 2}
@@ -398,6 +416,14 @@ MALFORMED_FILES = {
         "--channel", "channel.json", json.dumps({"family": "shift2", "params": "2,2,1"})
     ),
     "channel-list": ("--channel", "channel.json", "[1, 2]"),
+    # JSON true is not the symbol, size or parameter 1
+    "channel-bool-entry": ("--channel", "channel.json", json.dumps({**XOR2_DOC, "g": [[0, True], [0, 1]]})),
+    "channel-bool-size": ("--channel", "channel.json", json.dumps(
+        {"user_count": 2, "alphabet_sizes": [True, 2], "g": [[0], [0, 1]], "f": [[0, 1], [0, 1]]}
+    )),
+    "channel-bool-params": (
+        "--channel", "channel.json", json.dumps({"family": "shift2", "params": [True, True, False]})
+    ),
     "network-no-wiring": (
         "--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {"counts": [2, 1]}})
     ),
@@ -405,6 +431,22 @@ MALFORMED_FILES = {
     "network-wiring-list": (
         "--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {"counts": [2, 1], "wiring": [1]}})
     ),
+    # a count or wired copy that is not a JSON integer is not rounded to one
+    "network-float-count": (
+        "--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {**NETWORK_4F["recipe"], "counts": [2.0, 1]}})
+    ),
+    "network-bool-count": (
+        "--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {**NETWORK_4F["recipe"], "counts": [2, True]}})
+    ),
+    "network-string-count": (
+        "--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {**NETWORK_4F["recipe"], "counts": ["2", 1]}})
+    ),
+    "network-float-copy": ("--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {
+        **NETWORK_4F["recipe"], "wiring": {**NETWORK_4F["recipe"]["wiring"], "2^1": {"1": 1.0}}}})),
+    "network-bool-copy": ("--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {
+        **NETWORK_4F["recipe"], "wiring": {**NETWORK_4F["recipe"]["wiring"], "2^1": {"1": True}}}})),
+    "network-rounded": ("--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {
+        "counts": [1.9, True], "wiring": {"1^1": {"2": 1.7}, "2^1": {"1": 1}}}})),
     "chain-object": ("--chain", "chain.json", json.dumps({"a": ["S1"]})),
     "chain-flat-list": ("--chain", "chain.json", json.dumps(["S1", "D1"])),
 }

@@ -21,10 +21,11 @@ from dicbound.errors import BudgetExceededError, DicboundError, DistributionErro
 from dicbound.extend import build_extended, builtin_recipe
 from dicbound.gcs import evaluate_chain
 from dicbound import networks
-from dicbound.networks import base_network, cond_entropy_network, known_closure, network_entropy
+from dicbound.networks import base_network, cond_entropy_network, network_entropy
 from dicbound.sampling import sample_product_distribution
 
 from first_principles import (
+    fixed_point_closure,
     oracle_cond_entropy,
     oracle_joint,
     oracle_network_atoms,
@@ -338,23 +339,6 @@ def test_one_source_enumeration_per_query(shift2_221, count_calls):
         assert len(calls) == 1
 
 
-def fixed_point_closure(net, cond):
-    """The closure rules applied to every replica until nothing changes."""
-    known = set(cond)
-    while True:
-        size = len(known)
-        for u, c in net.replicas:
-            wired = {V(*w) for w in net.interferers_of((u, c))}
-            if X(u, c) in known:
-                known.add(V(u, c))
-                if wired <= known:
-                    known.add(Y(u, c))
-                if Y(u, c) in known:
-                    known |= wired
-        if len(known) == size:
-            return known
-
-
 def test_one_pass_closure_is_the_fixed_point(shift2_221, concat3):
     nets = [
         base_network(shift2_221),
@@ -368,4 +352,6 @@ def test_one_pass_closure_is_the_fixed_point(shift2_221, concat3):
             # V's and Y's are often conditioned without their X
             share = rng.choice((0.15, 0.35, 0.6))
             cond = {v for v in variables if rng.random() < share}
-            assert known_closure(net, cond) == fixed_point_closure(net, cond)
+            known = networks._closure(net, *net.replica_sets(cond))
+            one_pass = {VariableId(kind, *r) for kind, replicas in zip("XVY", known) for r in replicas}
+            assert one_pass == fixed_point_closure(net, cond)

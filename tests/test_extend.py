@@ -21,7 +21,7 @@ from dicbound.extend import (
 )
 from dicbound.gcs import evaluate_chain, validate_chain
 from dicbound.networks import base_network, replicate_distribution
-from dicbound.regions import bound_vector
+from dicbound.regions import bound_vector, load_templates
 from dicbound.sampling import sample_product_distribution
 
 UNIFORM2 = SourceDistribution.uniform([2, 2])
@@ -224,8 +224,7 @@ def test_limit_bound_matches_rate_bounds_everywhere(xor2, shift2_331, concat3):
 
 
 def test_limit_weights_match_template_rates():
-    from dicbound.regions import template_by_id
-
+    templates = {t.id: t for users in (2, 3) for t in load_templates(users)}
     xor2 = builtin_channel("xor2")
     concat3 = builtin_channel("concat3")
     for bound_id in supported_bounds():
@@ -233,7 +232,7 @@ def test_limit_weights_match_template_rates():
         channel = xor2 if spec["users"] == 2 else concat3
         dist = UNIFORM2 if spec["users"] == 2 else UNIFORM3
         weights, _ = limit_bound(bound_id, channel, dist)
-        assert weights == template_by_id(bound_id).rates, bound_id
+        assert weights == templates[bound_id].rates, bound_id
 
 
 def test_affine_multiplicities():
@@ -344,11 +343,10 @@ def test_chain_enumeration_guard_on_large_networks(shift2_331):
 def test_term_structure_matches_templates_symbolically():
     # the per-size increment (parametric) or the full term multiset (constant)
     # must equal the bound template term for term, not just numerically
-    from dicbound.regions import template_by_id
-
+    templates = {t.id: t for users in (2, 3) for t in load_templates(users)}
     for bound_id in supported_bounds():
         spec = bound_support_info(bound_id)
-        template = template_by_id(bound_id)
+        template = templates[bound_id]
         want = {}
         for term in template.terms:
             key = (term.y_user, frozenset(term.given))

@@ -1,7 +1,9 @@
 """The numpy entropy kernel against the per-atom engine it replaced.
 
 The reference below is that engine, kept as a test oracle: a generator of
-(x, p) atoms, a per-atom evaluator closure and a dict merge.  The kernel must
+(x, p) atoms, a per-atom evaluator closure and a dict merge.  What a
+conditioning set determines comes from the fixed-point closure of
+``first_principles``, not from the library's one pass.  The kernel must
 give the same floats, compared with ``==``: the atom masses are built in the
 same order, ``bincount`` merges them in atom order like the dict did, and the
 entropy is the same ``math.fsum`` over ``math.log2`` terms.
@@ -28,10 +30,11 @@ from dicbound.networks import (
     NetworkGraph,
     base_network,
     cond_entropy_network,
-    known_closure,
     network_entropy,
     replicas_from_counts,
 )
+
+from first_principles import fixed_point_closure
 
 # -- the per-atom reference engine ----------------------------------------------
 
@@ -97,7 +100,7 @@ def reference_cond_entropy(network, dist, targets, cond=()):
     targets, cond = set(targets), set(cond)
     self_conditioned = all(VariableId("X", v.user, v.copy) in cond for v in cond if v.kind == "Y")
     if dist.mode == "product" and self_conditioned:
-        known = known_closure(network, cond)
+        known = fixed_point_closure(network, cond)
         live = sorted(targets - known)
         if not live:
             return 0.0

@@ -694,16 +694,20 @@ def test_largest_residue_problems_provable():
 def test_every_bound_residue_provable():
     from dicbound.extend import supported_bounds
 
-    lines = 0
+    lines = []
     for bound_id in supported_bounds():
         for problem in appendix_targets(bound_id):
             result = prove(problem)
             # a fall-through to the full simplex has no time bound at n = 11
             assert (result.status, result.path) == ("Provable", "guided"), problem.name
             assert verify_certificate(problem, result.certificate), problem.name
-            lines += len(result.certificate)
+            lines += [f"{coeff} * {label}" for label, coeff in result.certificate]
     # one basic inequality per residual term keeps the 35 ids at 1,873 lines
-    assert lines <= 2000
+    assert len(lines) <= 2000
+    # every certificate line, in bound order: any change to a weight, a label
+    # or the line order changes the digest
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1a7989cf50b662ad149155c427e7b806f8202aa4a0073be79597ebcf31d25136"
 
 
 @pytest.mark.parametrize(
