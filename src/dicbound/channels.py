@@ -100,12 +100,11 @@ class DeterministicChannel:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    valid: bool
     violations: tuple[tuple[int, int, tuple[tuple[int, ...], ...]], ...]
 
-    def __post_init__(self):
-        if self.valid != (len(self.violations) == 0):
-            raise DicboundError("validity flag inconsistent with violation list")
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
 
 def validate_channel(channel: DeterministicChannel) -> ValidationReport:
@@ -123,7 +122,7 @@ def validate_channel(channel: DeterministicChannel) -> ValidationReport:
             for group in seen.values():
                 if len(group) > 1:
                     violations.append((i + 1, x, tuple(group)))
-    return ValidationReport(valid=not violations, violations=tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 def _xor2() -> DeterministicChannel:

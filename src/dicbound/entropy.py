@@ -11,12 +11,12 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import product
-from numbers import Integral, Real
+from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import DeterministicChannel
+from .channels import DeterministicChannel, is_int
 from .errors import DicboundError, DistributionError
 
 NORMALIZATION_TOL = 1e-9
@@ -105,7 +105,7 @@ class SourceDistribution:
                 if not (
                     isinstance(key, tuple)
                     and len(key) == len(self.sizes)
-                    and all(isinstance(s, Integral) and 0 <= s < size for s, size in zip(key, self.sizes))
+                    and all(is_int(s) and 0 <= s < size for s, size in zip(key, self.sizes))
                 ):
                     raise DistributionError(
                         f"joint atom {key!r} is not a tuple of integers in the source tuple space"
@@ -154,8 +154,11 @@ def distribution_from_dict(data: dict, sizes: Sequence[int]) -> SourceDistributi
 
 
 def _probabilities(values) -> tuple[float, ...]:
-    """A list of probabilities as floats; anything else is a ``DistributionError``."""
-    if not isinstance(values, (list, tuple)) or not all(isinstance(p, Real) for p in values):
+    """A list of probabilities as floats; anything else, JSON's true and false
+    included, is a ``DistributionError``."""
+    if not isinstance(values, (list, tuple)) or not all(
+        isinstance(p, Real) and not isinstance(p, bool) for p in values
+    ):
         raise DistributionError(f"expected a list of probabilities, got {values!r}")
     return tuple(float(p) for p in values)
 

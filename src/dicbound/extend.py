@@ -6,10 +6,11 @@ i.i.d. on all replicas makes every per-replica rate equal the base rate, so a
 chain bound on the extended network is a weighted-rate bound on the channel.
 
 Recipes are data (``data/recipes.json``): replica counts, wiring and peel
-order, with copy indices affine in the block variable j and the size k.  The
-closed form of a chain is *derived*, not transcribed: walking the peel order
-while tracking which interference symbols the conditioning pins down reduces
-every term to a base-channel conditional entropy H(Y_u | V_A).
+order, each copy index a constant or a·v±b in the block variable j or the
+size k.  The closed form of a chain is *derived*, not transcribed: walking
+the peel order while tracking which interference symbols the conditioning
+pins down reduces every term to a base-channel conditional entropy
+H(Y_u | V_A).
 ``chain_closed_form`` is the one closed-form total: it sums a recipe's terms
 from one ``base_terms`` evaluation, for ``verify_chain_identity`` and
 ``limit_bound`` alike.
@@ -43,35 +44,22 @@ from .networks import (
 
 IDENTITY_TOL = 1e-9
 
-_TERM_RE = re.compile(r"([+-]?)(\d*)([jk]?)")
+_INDEX_RE = re.compile(r"(\d+)|(\d*)([jk])([+-]\d+)?")
 
 
 def _eval_expr(expr: str, k: int | None, j: int | None = None) -> int:
-    """Evaluate an affine index expression like '2j+1', 'k-1', '3'."""
-    total = 0
-    pos = 0
-    text = expr.replace(" ", "")
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise RecipeError(f"cannot parse index expression {expr!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        coeff = int(m.group(2)) if m.group(2) else 1
-        var = m.group(3)
-        if var == "k":
-            if k is None:
-                raise RecipeError(f"expression {expr!r} needs k")
-            total += sign * coeff * k
-        elif var == "j":
-            if j is None:
-                raise RecipeError(f"expression {expr!r} needs a loop variable")
-            total += sign * coeff * j
-        else:
-            if not m.group(2):
-                raise RecipeError(f"cannot parse index expression {expr!r}")
-            total += sign * coeff
-        pos = m.end()
-    return total
+    """Evaluate a recipe index: a constant like '3', or a·v±b like '2j+1' or
+    'k-1', with v the loop variable j or the size k."""
+    m = _INDEX_RE.fullmatch(expr)
+    if not m:
+        raise RecipeError(f"cannot parse index expression {expr!r}")
+    const, a, var, b = m.groups()
+    if const:
+        return int(const)
+    value = j if var == "j" else k
+    if value is None:
+        raise RecipeError(f"expression {expr!r} needs {'a loop variable' if var == 'j' else 'k'}")
+    return int(a or 1) * value + int(b or 0)
 
 
 @dataclass(frozen=True)
@@ -81,25 +69,11 @@ class ReplicationRecipe:
     counts: tuple[int, ...]
     wiring: tuple[tuple[Replica, tuple[Replica, ...]], ...]
 
-    def replicas(self) -> tuple[Replica, ...]:
-        return replicas_from_counts(self.counts)
-
 
 def build_extended(channel: DeterministicChannel, recipe: ReplicationRecipe) -> NetworkGraph:
-    """Instantiate the recipe on a channel; every replica reuses the base tables.
-
-    ``NetworkGraph`` checks the recipe's replicas and wiring against the
-    channel.  Counts that exceed the wiring are refused first, naming the
-    first unwired replica, so a file asking for millions of replicas is
-    refused before they are listed.
-    """
-    counts = recipe.counts
-    if all(n >= 1 for n in counts) and sum(counts) > len(recipe.wiring):
-        wired = dict(recipe.wiring)
-        replicas = ((u, c) for u, n in enumerate(counts, start=1) for c in range(1, n + 1))
-        missing = next(r for r in replicas if r not in wired)
-        raise RecipeError(f"no interference wiring for replica {missing}")
-    return NetworkGraph(channel=channel, replicas=recipe.replicas(), wiring=recipe.wiring)
+    """Instantiate the recipe on a channel; every replica reuses the base
+    tables, and ``NetworkGraph`` checks the counts and wiring."""
+    return NetworkGraph(channel, recipe.counts, recipe.wiring)
 
 
 def recipe_from_dict(data: dict) -> ReplicationRecipe:
@@ -222,9 +196,6 @@ class BoundRecipe:
     """A bound id instantiated at size k: network recipe (its replica counts
     are the rate weights), cut chain, and the derived closed form."""
 
-    bound_id: str
-    k: int | None
-    parametric: bool
     recipe: ReplicationRecipe
     chain: CutChain
     closed_terms: tuple[ClosedTerm, ...]
@@ -302,8 +273,7 @@ def builtin_recipe(bound_id: str, k: int | None = None) -> BoundRecipe:
 @cache  # an error raised inside is not cached
 def _builtin_recipe(bound_id: str, k: int | None) -> BoundRecipe:
     spec = bound_support_info(bound_id)
-    parametric = spec["parametric"]
-    if parametric:
+    if spec["parametric"]:
         if k is None:
             raise DicboundError(f"bound {bound_id} is parametric; k is required")
         lo, hi = spec.get("k_range", [1, 8])
@@ -315,14 +285,7 @@ def _builtin_recipe(bound_id: str, k: int | None) -> BoundRecipe:
     labels = {r: node_labels(r) for r in replicas_from_counts(counts)}
     # the replicas not yet peeled after each level, from all of them down to none
     uncut = list(accumulate(peel, lambda left, level: left - set(level), initial=frozenset(labels)))
-    return BoundRecipe(
-        bound_id=bound_id,
-        k=k,
-        parametric=parametric,
-        recipe=recipe,
-        chain=chain_from_cuts(labels, uncut),
-        closed_terms=closed,
-    )
+    return BoundRecipe(recipe=recipe, chain=chain_from_cuts(labels, uncut), closed_terms=closed)
 
 
 # -- verification --------------------------------------------------------------

@@ -61,8 +61,7 @@ class ChainValue:
 def validate_chain(network: NetworkGraph, chain: CutChain) -> list[str]:
     """Return the list of rule violations (empty means the chain is valid)."""
     violations = []
-    pairs = network.pairs()
-    nodes = frozenset(label for pair in pairs for label in pair)
+    pairs, nodes = network.pairs(), network.nodes()
     subsets = chain.subsets
     if not subsets:
         return ["chain must contain at least one subset"]

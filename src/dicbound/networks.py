@@ -3,9 +3,10 @@
 A network is a set of (user, copy) replicas; each replica has a source node
 transmitting X and a destination node receiving Y.  Every receiver reuses the
 base channel functions and is wired to exactly one replica of each other user.
-This module owns that model: ``replicas_from_counts`` lists the replicas,
-``NetworkGraph`` is the one check of replicas and wiring, and ``node_labels``
-is the one node-label format.
+So a network is fixed by its replica count per user and its wiring.  This
+module owns that model: ``NetworkGraph`` is built from those two and is the
+one check of them, ``replicas_from_counts`` lists the replicas, and
+``node_labels`` is the one node-label format.
 
 This module holds the one entropy engine, a numpy kernel: ``source_atoms``
 enumerates source atoms as arrays (and is the only place that checks a law
@@ -61,55 +62,58 @@ def node_labels(replica: Replica, base: bool = False) -> tuple[str, str]:
 class NetworkGraph:
     """One-hop K-unicast network: sources transmit only, destinations receive only.
 
-    The one validator of replica structure and wiring: the replicas are
-    copies 1..k of every channel user, and every replica's receiver, and no
-    other, is wired to one replica of each other user, in user order.
+    Fixed by the replica count of each channel user and each receiver's
+    wiring; ``replicas`` lists copies 1..counts[u-1] of every user u.  The
+    one validator of a network: every replica's receiver, and no other, is
+    wired to one replica of each other user, in user order.
     """
 
     channel: DeterministicChannel
-    replicas: tuple[Replica, ...]
+    counts: tuple[int, ...]
     wiring: tuple[tuple[Replica, tuple[Replica, ...]], ...]
     base_labels: bool = False
+    replicas: tuple[Replica, ...] = field(init=False)
     _wiring_map: Mapping[Replica, tuple[Replica, ...]] = field(init=False, repr=False)
     _index: Mapping[Replica, int] = field(init=False, repr=False)  # position in replicas
     _sizes: tuple[int, ...] = field(init=False, repr=False)  # source alphabet sizes
 
     def __post_init__(self):
+        counts, wmap = self.counts, dict(self.wiring)
+        # more replicas than wired receivers: name the first unwired one
+        # before listing them, so that huge counts are refused at once
+        if all(n >= 1 for n in counts) and sum(counts) > len(self.wiring):
+            copies = ((u, c) for u, n in enumerate(counts, start=1) for c in range(1, n + 1))
+            missing = next(r for r in copies if r not in wmap)
+            raise RecipeError(f"no interference wiring for replica {missing}")
+        replicas = replicas_from_counts(counts)
         if not self.channel.valid:
             raise RecipeError("channel fails interference recoverability; refusing to build network")
-        counts: dict[int, int] = {}
-        for user, copy in self.replicas:
-            counts[user] = max(counts.get(user, 0), copy)
-        users = sorted(counts)
-        if users != list(range(1, self.channel.user_count + 1)):
+        if len(counts) != self.channel.user_count:
             raise RecipeError(
-                f"replicas cover {len(users)} users {users}, channel has {self.channel.user_count}"
+                f"replicas cover {len(counts)} users {list(range(1, len(counts) + 1))}, "
+                f"channel has {self.channel.user_count}"
             )
-        if sorted(self.replicas) != list(replicas_from_counts([counts[u] for u in users])):
-            raise RecipeError("replica copies must be dense 1..k per user")
-        wmap = dict(self.wiring)
         if len(wmap) != len(self.wiring):
             raise RecipeError("a receiver is wired twice")
-        replicas = set(self.replicas)
-        stray = sorted(set(wmap) - replicas)
+        stray = sorted(set(wmap) - set(replicas))
         if stray:
             raise RecipeError(f"wiring for receivers {stray}, which are not replicas")
-        for r in self.replicas:
-            user, _ = r
-            others = tuple(j + 1 for j in self.channel.interferers(user - 1))
-            wired = wmap.get(r)
-            if wired is None:
-                raise RecipeError(f"no interference wiring for replica {r}")
+        # the counts fit the wiring and no receiver is wired twice or stray,
+        # so every replica, and nothing else, is a wired receiver
+        for r in replicas:
+            others = tuple(j + 1 for j in self.channel.interferers(r[0] - 1))
+            wired = wmap[r]
             if tuple(w[0] for w in wired) != others:
                 raise RecipeError(
                     f"replica {r} must be wired to users {others} in order, got {wired}"
                 )
             for w in wired:
-                if w not in replicas:
+                if w not in wmap:
                     raise RecipeError(f"replica {r} wired to unknown replica {w}")
+        object.__setattr__(self, "replicas", replicas)
         object.__setattr__(self, "_wiring_map", wmap)
-        object.__setattr__(self, "_index", {r: i for i, r in enumerate(self.replicas)})
-        sizes = tuple(self.channel.input_sizes[u - 1] for u, _ in self.replicas)
+        object.__setattr__(self, "_index", {r: i for i, r in enumerate(replicas)})
+        sizes = tuple(self.channel.input_sizes[u - 1] for u, _ in replicas)
         object.__setattr__(self, "_sizes", sizes)
 
     # -- structure ----------------------------------------------------------
@@ -184,12 +188,11 @@ class NetworkGraph:
 
 def base_network(channel: DeterministicChannel) -> NetworkGraph:
     """Wrap a channel as its own one-hop network (nodes S1..  D1..)."""
-    replicas = tuple((u, 1) for u in range(1, channel.user_count + 1))
     wiring = tuple(
         ((u, 1), tuple((j + 1, 1) for j in channel.interferers(u - 1)))
         for u in range(1, channel.user_count + 1)
     )
-    return NetworkGraph(channel=channel, replicas=replicas, wiring=wiring, base_labels=True)
+    return NetworkGraph(channel, (1,) * channel.user_count, wiring, base_labels=True)
 
 
 def replicate_distribution(network: NetworkGraph, base_dist: SourceDistribution) -> SourceDistribution:

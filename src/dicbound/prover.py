@@ -141,7 +141,8 @@ def rational(text: str) -> Fraction:
 
 def expr_from_names(variables: Sequence[str], terms: Mapping[str, object]) -> Expr:
     """Build an expression from {"X1 V2": coeff} style entries; a string
-    coefficient is read by ``rational``."""
+    coefficient is read by ``rational``, and JSON's true and false are not
+    coefficients."""
     if not isinstance(terms, Mapping):
         raise ProverError("an expression maps space-separated variable names to coefficients")
     expr: Expr = {}
@@ -149,6 +150,8 @@ def expr_from_names(variables: Sequence[str], terms: Mapping[str, object]) -> Ex
         mask = _mask(variables, names.split())
         if mask == 0:
             raise ProverError("expressions may not reference the empty set")
+        if isinstance(coeff, bool):
+            raise ProverError(f"coefficient {coeff!r} of {names!r} is not a rational")
         try:
             coeff = rational(coeff) if isinstance(coeff, str) else Fraction(coeff)
         except ProverError:
@@ -244,29 +247,20 @@ def _elemental_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The elemental inequalities on n variables as integer arrays: row t of
     ``masks`` and ``signs`` holds the joint-entropy terms of H(A|C), with
     signs (1, -1), or of I(A;B|C), with signs (1, 1, -1, -1), padded with
-    mask 0 and sign 0.  Shared, read-only, by every later call for this n."""
+    mask 0 and sign 0.  The rows are H(i | all others), then for n = 2 also
+    H(i), then I(i;j|K) per pair i < j with K over the other variables by
+    size, then lexicographically.  Shared, read-only, by every later call
+    for this n."""
     full = (1 << n) - 1
-    bits = 1 << np.arange(n)
-    none = np.zeros(n, dtype=np.int64)
-    # H(i | all others), then for n = 2 also H(i); the B side of an H is 0
-    a, b, c = [bits], [none], [full & ~bits]
+    # (A, B, C) per row; the B side of an H is 0
+    rows = [(1 << i, 0, full & ~(1 << i)) for i in range(n)]
     if n == 2:
-        a, b, c = a + [bits], b + [none], c + [none]
-    if n >= 2:
-        # conditioning sets over the other n - 2 positions, by size then
-        # lexicographically, then spread onto the variables of each pair
-        spread = np.array(
-            [sum(1 << p for p in ks) for r in range(n - 1) for ks in combinations(range(n - 2), r)]
-        )
-        for i, j in combinations(range(n), 2):
-            others = [t for t in range(n) if t not in (i, j)]
-            ks = np.zeros_like(spread)
-            for p, bit in enumerate(others):
-                ks |= (spread >> p & 1) << bit
-            a.append(np.full(len(spread), 1 << i))
-            b.append(np.full(len(spread), 1 << j))
-            c.append(ks)
-    a, b, c = (np.concatenate(x).astype(np.int64) for x in (a, b, c))
+        rows += [(1 << i, 0, 0) for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        others = [t for t in range(n) if t not in (i, j)]
+        for r in range(n - 1):
+            rows += [(1 << i, 1 << j, sum(1 << t for t in ks)) for ks in combinations(others, r)]
+    a, b, c = np.array(rows, dtype=np.int64).reshape(-1, 3).T
     single = b == 0
     masks = np.stack([a | c, b | c, np.where(single, 0, a | b | c), np.where(single, 0, c)], axis=1)
     signs = np.where(single[:, None], np.array([1, -1, 0, 0]), np.array([1, 1, -1, -1]))

@@ -349,6 +349,9 @@ def test_malformed_problem_file_is_usage_error(capsys, tmp_path, doc):
         {"variables": ["A"], "target": {"A": "1e400"}},  # exact, but past the float range
         {"variables": ["A"], "target": {"A": "1e-400000000"}},  # would build 10**400000000
         {"variables": ["A"], "target": {"A": 1}, "name": ["x"]},  # a name that is not a string
+        # JSON true and false are not the coefficients 1 and 0
+        {"variables": ["A"], "target": {"A": True}},
+        {"variables": ["A", "B"], "constraints": [{"name": "c", "expr": {"A": False, "B": 1}}], "target": {"A": 1}},
         # number literals, as file text because json.dumps turns 1e-400 into
         # 0.0: the false claim -1e-400 H(B|A) >= 0, read exactly, is past
         # the float range
@@ -404,6 +407,11 @@ MALFORMED_FILES = {
     "dist-sum": ("--dist", "dist.json", json.dumps({"probs": [[0.5, 0.4], [0.5, 0.5]]})),
     "dist-not-numbers": ("--dist", "dist.json", json.dumps({"probs": [["a", "b"], [0.5, 0.5]]})),
     "dist-not-json": ("--dist", "dist.json", "{not json"),
+    # JSON true and false are not the probabilities 1 and 0
+    "dist-bool-product": ("--dist", "dist.json", json.dumps({"probs": [[True, False], [0.5, 0.5]]})),
+    "dist-bool-joint": (
+        "--dist", "dist.json", json.dumps({"mode": "joint", "probs": [True, False, False, False]})
+    ),
     "channel-string-entry": (
         "--channel", "channel.json", json.dumps({**XOR2_DOC, "g": [[0, "a"], [0, 1]]})
     ),

@@ -145,7 +145,7 @@ def test_replica_rates_enumerate_once_per_replica_and_base_user(shift2_221, coun
     recipe = builtin_recipe("4e", 3).recipe
     dist = sample_product_distribution([4, 4], 12, 0)
     report = verify_replica_rates(shift2_221, recipe, dist)
-    assert len(atoms) == len(recipe.replicas()) + shift2_221.user_count
+    assert len(atoms) == sum(recipe.counts) + shift2_221.user_count
     assert report.max_deviation == 0.0
     table = induce_joint(shift2_221, dist)
     for user, value in enumerate(report.base_values, start=1):
@@ -264,6 +264,10 @@ def test_index_expressions():
         _eval_expr("j", k=1)  # loop variable outside a loop
     with pytest.raises(RecipeError):
         _eval_expr("q+1", k=1, j=1)
+    # forms outside a constant and a·v±b, which no bundled recipe uses
+    for expr in ("k+j", "2 j", "+3"):
+        with pytest.raises(RecipeError, match="cannot parse"):
+            _eval_expr(expr, k=1, j=1)
 
 
 def test_peel_walk_rejects_malformed_orders():
@@ -418,7 +422,7 @@ def test_wiring_for_a_receiver_that_is_not_a_replica_is_rejected(xor2):
     with pytest.raises(RecipeError, match=r"\(1, 5\)"):
         build_extended(xor2, ReplicationRecipe(counts=(1, 1), wiring=wiring))
     with pytest.raises(RecipeError, match="not replicas"):
-        NetworkGraph(channel=xor2, replicas=((1, 1), (2, 1)), wiring=wiring)
+        NetworkGraph(xor2, (1, 1), wiring)
 
 
 def test_user_count_mismatch_names_both_counts(xor2):
@@ -427,7 +431,7 @@ def test_user_count_mismatch_names_both_counts(xor2):
     replicas = ((1, 1), (2, 1), (3, 1))
     wiring = tuple((r, tuple(w for w in replicas if w != r)) for r in replicas)
     with pytest.raises(RecipeError, match=r"3 users.*channel has 2"):
-        NetworkGraph(channel=xor2, replicas=replicas, wiring=wiring)
+        NetworkGraph(xor2, (1, 1, 1), wiring)
     with pytest.raises(RecipeError, match=r"3 users.*channel has 2"):
         build_extended(xor2, builtin_recipe("ineq5", 1).recipe)
 

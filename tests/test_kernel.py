@@ -215,7 +215,7 @@ def test_row_keys_never_overflow():
     channel = builtin_channel("shift2", [8, 8, 4])
     replicas = replicas_from_counts([10, 10])
     wiring = tuple(((u, c), ((3 - u, c % 10 + 1),)) for u, c in replicas)
-    network = NetworkGraph(channel=channel, replicas=replicas, wiring=wiring)
+    network = NetworkGraph(channel, (10, 10), wiring)
     supports = [{240: 0.25, 255: 0.75} if i < 12 else {255: 1.0} for i in range(len(replicas))]
     tables = [[masses.get(s, 0.0) for s in range(256)] for masses in supports]
     dist = SourceDistribution("product", network.source_sizes(), tables)

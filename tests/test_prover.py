@@ -133,7 +133,7 @@ def reference_elementals(names):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_elemental_table_matches_the_reference_loop(n):
     names = tuple(f"A{i}" for i in range(n))
     view = elemental_inequalities(names)
