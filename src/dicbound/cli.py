@@ -223,8 +223,12 @@ def cmd_extend(args) -> int:
         print(f"increment: {_fmt(inc)}")
     for diag in report.diagnostics:
         print(f"MISMATCH {diag}")
-    rates = verify_replica_rates(channel, builtin_recipe(args.bound, ks[0]).recipe, dist)
-    print(f"replica rate deviation: {rates.max_deviation:.2e}")
+    # the largest deviation over every size the identity checked
+    sizes = ks if spec["parametric"] else [None]
+    deviation = max(
+        verify_replica_rates(channel, builtin_recipe(args.bound, k).recipe, dist).max_deviation for k in sizes
+    )
+    print(f"replica rate deviation: {deviation:.2e}")
     weights, bits = limit_bound(args.bound, channel, dist)
     print(f"limit: {'+'.join(f'{w}R{u+1}' for u, w in enumerate(weights) if w)} <= {_fmt(bits)}")
     return 0 if report.ok else VERIFY_ERROR

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 from .channels import DeterministicChannel, is_int
 from .entropy import SourceDistribution, X, Y, base_terms, row_entropy
 from .errors import DicboundError, RecipeError, UnsupportedBoundError
-from .gcs import CutChain, chain_from_cuts, evaluate_chain
+from .gcs import CutChain, _evaluate_chain, chain_from_cuts
 from .networks import (
     NetworkGraph,
     Replica,
@@ -348,10 +348,14 @@ def verify_chain_identity(
     spec = bound_support_info(bound_id)
     ks = k_range if spec["parametric"] else [None]
     recipes = [builtin_recipe(bound_id, k) for k in ks]
+    # one channel and the replicas of one base law: a query shape met at one
+    # size has the same value at every other, so the memo spans the range
+    shapes: dict = {}
     evaluated = []
     for recipe in recipes:
         network = build_extended(channel, recipe.recipe)
-        evaluated.append(evaluate_chain(network, recipe.chain, replicate_distribution(network, dist)))
+        rdist = replicate_distribution(network, dist)
+        evaluated.append(_evaluate_chain(network, recipe.chain, rdist, shapes))
     values = base_terms(channel, dist, (t.key for r in recipes for t in r.closed_terms))
     per_k = []
     diagnostics = []

@@ -12,9 +12,16 @@ valid chain arises this way.  ``chain_from_cuts`` is the one constructor; it
 builds enumerated chains and recipe chains alike.
 
 Level j is H(Y(R_{j-1} - R_j) | X, Y(all - R_{j-1})), so the pair
-(R_{j-1}, R_j) alone decides its value, whichever chain it occurs in.
-``chain_values`` evaluates each distinct level once per call, from a memo
-local to that call; ``evaluate_chain`` evaluates a given chain the same way.
+(R_{j-1}, R_j) alone decides its value, whichever chain it occurs in.  Each
+distinct level is reduced on replica sets (``networks.reduce_query``) and
+looked up by its query shape (``networks.query_shape``) in a memo; only a
+new shape reaches ``cond_entropy_network``.  A hit is exact: replicas of a
+user run i.i.d. copies of its inputs, and a shape renames replicas only
+within a user under equal tables, so the engine repeats the same arithmetic.
+``chain_values`` keeps one memo per call, ``evaluate_chain`` one per chain,
+and ``extend.verify_chain_identity`` one across its k range, which is one
+channel and the replicas of one base law.  A joint-law query has no shape
+and is asked once per distinct level.
 """
 
 from __future__ import annotations
@@ -26,11 +33,11 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .entropy import SourceDistribution, VariableId
 from .errors import BudgetExceededError, ChainValidationError, DicboundError
-from .networks import NetworkGraph, Replica, cond_entropy_network
+from .networks import NetworkGraph, Replica, check_law, cond_entropy_network, query_shape, reduce_query
 
 # enumerate_chains refuses to build more.  The largest enumeration in the
 # benchmark builds 794 (ineq5 at k = 1, up to length 3); `gcs --enumerate` on
-# xor2 up to length 30 builds 9,455 and takes 5 s and 97 MB on a 2-core Xeon,
+# xor2 up to length 30 builds 9,455 and takes 1.8-2.0 s and 96 MB on a 2-core Xeon,
 # and time and memory grow with the chain count times the chain length.
 MAX_CHAINS = 10_000
 
@@ -97,36 +104,62 @@ def _chain_levels(network: NetworkGraph, chain: CutChain) -> list[Level]:
     return list(zip(uncut, uncut[1:]))
 
 
-def _level_value(network: NetworkGraph, dist: SourceDistribution, level: Level) -> float:
+def _level_value(network: NetworkGraph, dist: SourceDistribution, level: Level, shapes: dict) -> float:
     """H(Y(R_{j-1} - R_j) | X, Y(all - R_{j-1})): the fresh outputs given the
-    inputs and outputs of every replica already cut."""
+    inputs and outputs of every replica already cut.
+
+    The level is reduced on replica sets and looked up by its query shape in
+    ``shapes``; only a new shape reaches the network query.  A joint-law
+    query has no shape and is always asked.
+    """
     outer, inner = level
     if outer == inner:
         return 0.0
-    cut = [r for r in network.replicas if r not in outer]
+    cut = set(network.replicas) - outer
+    reduced = reduce_query(network, dist, (set(), set(), outer - inner), (cut, set(), cut))
+    if reduced is None:
+        return 0.0
+    shape = query_shape(network, dist, *reduced)
+    if shape in shapes:
+        return shapes[shape]
     targets = [VariableId("Y", *r) for r in outer - inner]
     cond = [VariableId(kind, *r) for r in cut for kind in "XY"]
-    return cond_entropy_network(network, dist, targets, cond)
+    value = cond_entropy_network(network, dist, targets, cond)
+    if shape is not None:
+        shapes[shape] = value
+    return value
 
 
 def _chain_value(
-    network: NetworkGraph, chain: CutChain, dist: SourceDistribution, memo: dict[Level, float]
+    network: NetworkGraph, chain: CutChain, dist: SourceDistribution, shapes: dict, levels: dict
 ) -> ChainValue:
-    """The chain's value; ``memo`` holds the levels evaluated so far."""
+    """The chain's value.  ``levels`` maps this network's levels evaluated so
+    far to their values, ``shapes`` the query shapes (see ``_level_value``);
+    a shape memo may span networks of one channel.  The law is checked
+    against the network first, since a shape reads its tables."""
+    check_law(network, dist)
     terms = []
     for level in _chain_levels(network, chain):
-        if level not in memo:
-            memo[level] = _level_value(network, dist, level)
-        terms.append(memo[level])
+        if level not in levels:
+            levels[level] = _level_value(network, dist, level, shapes)
+        terms.append(levels[level])
     return ChainValue(total=math.fsum(terms), terms=tuple(terms))
 
 
 def evaluate_chain(network: NetworkGraph, chain: CutChain, dist: SourceDistribution) -> ChainValue:
     """Single-letter chain value; raises if the chain is invalid."""
+    return _evaluate_chain(network, chain, dist, {})
+
+
+def _evaluate_chain(
+    network: NetworkGraph, chain: CutChain, dist: SourceDistribution, shapes: dict
+) -> ChainValue:
+    """``evaluate_chain`` with a shape memo the caller keeps across networks
+    of one channel."""
     violations = validate_chain(network, chain)
     if violations:
         raise ChainValidationError(violations)
-    return _chain_value(network, chain, dist, {})
+    return _chain_value(network, chain, dist, shapes, {})
 
 
 def chain_from_cuts(
@@ -176,11 +209,13 @@ def chain_values(
     network: NetworkGraph, dist: SourceDistribution, max_l: int
 ) -> list[tuple[CutChain, float]]:
     """Every enumerated chain with its value, not re-validated: enumerated
-    chains are valid by construction.  Each distinct level is evaluated once;
-    the memo is dropped when the call returns."""
+    chains are valid by construction.  Each distinct level is reduced once
+    and each distinct query shape asked once; the memos are dropped when the
+    call returns."""
     chains = enumerate_chains(network, max_l)
-    memo: dict[Level, float] = {}
-    return [(chain, _chain_value(network, chain, dist, memo).total) for chain in chains]
+    shapes: dict = {}
+    levels: dict = {}
+    return [(chain, _chain_value(network, chain, dist, shapes, levels).total) for chain in chains]
 
 
 def tightest_chain(values: Iterable[tuple[CutChain, float]]) -> tuple[CutChain, float]:

@@ -17,11 +17,18 @@ against a network and enforces the atom cap, ``MAX_ATOMS``),
 query with nothing conditioned.  The query avoids materializing the full
 joint: it enumerates once, over only the sources its variables depend on, and
 under a product law conditioning on a source's input and its receiver's output
-pins down the interference it saw, which shrinks that set further.  That
-closure is computed on the (user, copy) replica sets of the known X's, V's and
-Y's; ``VariableId``s are built only for the columns the enumeration evaluates.
-A cut-chain level is one such query, fixed by the replicas uncut before and
-after it (see ``gcs``).
+pins down the interference it saw, which shrinks that set further.
+
+The query has two steps.  ``reduce_query`` computes that closure on the
+(user, copy) replica sets of the known X's, V's and Y's and returns the key
+and live columns; the engine step builds ``VariableId``s only for those
+columns and evaluates them.  ``cond_entropy_network`` is the one
+``VariableId`` front end over both.  ``query_shape`` names a reduced
+product-law query up to renaming replicas of one user under equal tables;
+two queries of one shape run the same arrays through the same arithmetic, so
+a caller may answer the second from the first bit for bit.  A cut-chain
+level is one such query, fixed by the replicas uncut before and after it,
+and ``gcs`` memoizes its levels by shape; joint-mode laws have no shape.
 """
 
 from __future__ import annotations
@@ -178,12 +185,14 @@ class NetworkGraph:
                 out[:, j] = xs[:, pos[r]] if var.kind == "X" else v_col(r)
         return out
 
+    def reads(self, kind: str, replica: Replica) -> tuple[Replica, ...]:
+        """Source replicas the symbol of that kind at the replica is a function
+        of: its own, then, for an output, the wired ones in user order."""
+        return (replica,) + self._wiring_map[replica] if kind == "Y" else (replica,)
+
     def dependencies(self, var: VariableId) -> frozenset[Replica]:
         """Source replicas the variable is a function of."""
-        r = (var.user, var.copy)
-        if var.kind in ("X", "V"):
-            return frozenset((r,))
-        return frozenset((r,) + self._wiring_map[r])
+        return frozenset(self.reads(var.kind, (var.user, var.copy)))
 
 
 def base_network(channel: DeterministicChannel) -> NetworkGraph:
@@ -208,6 +217,16 @@ def replicate_distribution(network: NetworkGraph, base_dist: SourceDistribution)
 # -- the entropy engine ------------------------------------------------------
 
 
+def check_law(network: NetworkGraph, dist: SourceDistribution) -> None:
+    """Refuse a law whose alphabet sizes do not fit the network's sources."""
+    if dist.sizes != network.source_sizes():
+        names = ", ".join(str(v) for v in network.source_variables())
+        raise DistributionError(
+            f"law over alphabet sizes {list(dist.sizes)} does not fit the sources "
+            f"{names} with sizes {list(network.source_sizes())}"
+        )
+
+
 def source_atoms(network: NetworkGraph, dist: SourceDistribution, sources: Sequence[Replica]):
     """The source enumerator: (xs, p) over the given source replicas, xs an
     int64 array with one row of their inputs per atom, p the atom masses.
@@ -215,12 +234,7 @@ def source_atoms(network: NetworkGraph, dist: SourceDistribution, sources: Seque
     Checks the law against the network and enforces ``MAX_ATOMS`` before
     any array is allocated.  Product-law atoms are in row-major order.
     """
-    if dist.sizes != network.source_sizes():
-        names = ", ".join(str(v) for v in network.source_variables())
-        raise DistributionError(
-            f"law over alphabet sizes {list(dist.sizes)} does not fit the sources "
-            f"{names} with sizes {list(network.source_sizes())}"
-        )
+    check_law(network, dist)
     idx = [network._index[r] for r in sources]
     if dist.mode == "product":
         supports = [[s for s, q in enumerate(dist.tables[i]) if q > 0.0] for i in idx]
@@ -268,9 +282,62 @@ def _closure(network: NetworkGraph, xs: set[Replica], vs: set[Replica], ys: set[
     return xs, known_v, known_y
 
 
-def _variables(kind: str, replicas: Iterable[Replica]) -> list[VariableId]:
-    """The variables of one kind at the replicas, in sorted order."""
-    return [VariableId(kind, u, c) for u, c in sorted(replicas)]
+Columns = list[tuple[str, Replica]]  # (kind, replica) per column, in column order
+
+
+def _columns(kind: str, replicas: Iterable[Replica]) -> Columns:
+    """The columns of one kind at the replicas, in sorted order."""
+    return [(kind, r) for r in sorted(replicas)]
+
+
+def reduce_query(
+    network: NetworkGraph, dist: SourceDistribution, targets, cond
+) -> tuple[Columns, Columns] | None:
+    """The reduction step of the network query, on (X, V, Y) replica sets:
+    H(targets | cond) = H(live | keys), as (keys, live) columns, or None when
+    the conditioning determines every target and the value is 0.
+
+    Under a product law whose conditioned outputs each come with their own
+    input, the closure of the conditioning drops the targets it determines,
+    and the keys become the conditioned X's and recovered V's that share a
+    source with what is left.  Otherwise the keys are the conditioning.
+    """
+    (t_x, t_v, t_y), (c_x, c_v, c_y) = targets, cond
+    if dist.mode == "product" and c_y <= c_x:
+        k_x, k_v, k_y = _closure(network, c_x, c_v, c_y)
+        t_x, t_v, t_y = t_x - k_x, t_v - k_v, t_y - k_y
+        if not (t_x or t_v or t_y):
+            return None
+        gen_v = k_v - c_x
+        deps = set().union(t_x, t_v, t_y, gen_v)
+        for r in t_y:
+            deps.update(network.interferers_of(r))
+        keys = _columns("X", deps & c_x) + _columns("V", gen_v)
+    else:
+        t_x, t_v, t_y = t_x - c_x, t_v - c_v, t_y - c_y
+        keys = _columns("V", c_v) + _columns("X", c_x) + _columns("Y", c_y)
+    return keys, _columns("V", t_v) + _columns("X", t_x) + _columns("Y", t_y)
+
+
+def query_shape(network: NetworkGraph, dist: SourceDistribution, keys: Columns, live: Columns):
+    """The shape of a reduced product-law query, None under a joint law.
+
+    The sources the columns read are relabelled by their position in the
+    sorted order the enumeration uses.  The shape lists each source as (user,
+    its law's table), then the number of keys, then each column as (kind,
+    relabelled sources it reads).  Equal shapes differ only by renaming
+    replicas of the same user under the same tables, and the engine runs the
+    same arrays through the same arithmetic for both, so their entropies are
+    equal bit for bit.
+    """
+    if dist.mode != "product":
+        return None
+    reads = [network.reads(kind, r) for kind, r in keys + live]
+    sources = sorted(set().union(*reads))
+    label = {s: i for i, s in enumerate(sources)}
+    tables = tuple((s[0], dist.tables[network._index[s]]) for s in sources)
+    columns = tuple((kind, tuple(map(label.__getitem__, read))) for (kind, _), read in zip(keys + live, reads))
+    return tables, len(keys), columns
 
 
 def cond_entropy_network(
@@ -280,31 +347,14 @@ def cond_entropy_network(
     cond: Iterable[VariableId] = (),
 ) -> float:
     """H(targets | cond) on the network without materializing the full joint:
-    H(keys, targets) - H(keys) from one enumeration of the sources they
-    depend on.
-
-    The keys are the conditioning set.  Under a product law whose conditioned
-    outputs each come with their own input, they are reduced first: the
-    targets the conditioning determines drop out, and the keys become the
-    conditioned X's and recovered V's that share a source with what is left.
-    """
-    t_x, t_v, t_y = network.replica_sets(targets)
-    c_x, c_v, c_y = network.replica_sets(cond)
-    if dist.mode == "product" and c_y <= c_x:
-        k_x, k_v, k_y = _closure(network, c_x, c_v, c_y)
-        t_x, t_v, t_y = t_x - k_x, t_v - k_v, t_y - k_y
-        if not (t_x or t_v or t_y):
-            return 0.0
-        gen_v = k_v - c_x
-        deps = t_x | t_v | t_y | gen_v
-        for r in t_y:
-            deps.update(network.interferers_of(r))
-        keys = _variables("X", deps & c_x) + _variables("V", gen_v)
-    else:
-        t_x, t_v, t_y = t_x - c_x, t_v - c_v, t_y - c_y
-        keys = _variables("V", c_v) + _variables("X", c_x) + _variables("Y", c_y)
-    live = _variables("V", t_v) + _variables("X", t_x) + _variables("Y", t_y)
-    values, p = symbol_rows(network, dist, keys + live)
+    the one ``VariableId`` front end over ``reduce_query`` and the engine
+    step, H(keys, live) - H(keys) from one enumeration of the sources the
+    columns depend on."""
+    reduced = reduce_query(network, dist, network.replica_sets(targets), network.replica_sets(cond))
+    if reduced is None:
+        return 0.0
+    keys, live = reduced
+    values, p = symbol_rows(network, dist, [VariableId(kind, *r) for kind, r in keys + live])
     return row_entropy(values, p) - row_entropy(values[:, : len(keys)], p)
 
 

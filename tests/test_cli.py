@@ -90,6 +90,26 @@ def test_extend_verify(capsys):
     assert "limit: 1R1 <= 1" in out
 
 
+@pytest.mark.parametrize(
+    "bound, channel, sizes",
+    [("4a", "xor2", [1, 2, 3]), ("ineq8", "concat3", [None])],
+    ids=["parametric", "fixed-size"],
+)
+def test_extend_verify_checks_replica_rates_at_every_size(capsys, monkeypatch, bound, channel, sizes):
+    # one rate check per size the identity verified, and the line reports the largest deviation
+    calls = []
+
+    def fake(channel, recipe, dist):
+        calls.append(recipe)
+        return mock.Mock(max_deviation=[1e-3, 5e-3, 2e-3][len(calls) - 1])
+
+    monkeypatch.setattr(dicbound.cli, "verify_replica_rates", fake)
+    code, out = run_cli(capsys, "extend", "--bound", bound, "--k", "1..3", "--channel", channel, "--verify")
+    assert code == 0
+    assert calls == [builtin_recipe(bound, k).recipe for k in sizes]
+    assert f"replica rate deviation: {max([1e-3, 5e-3, 2e-3][: len(sizes)]):.2e}\n" in out
+
+
 def test_prove_bound_and_usage_error(capsys):
     code, out = run_cli(capsys, "prove", "--bound", "4c")
     assert code == 0 and "Provable" in out

@@ -11,8 +11,15 @@ import dicbound.gcs
 from dicbound.channels import builtin_channel
 from dicbound.cli import main
 from dicbound.entropy import SourceDistribution, V, X, Y, conditional_entropy, entropy, induce_joint
-from dicbound.errors import BudgetExceededError, ChainValidationError, DicboundError
-from dicbound.extend import build_extended, builtin_recipe, recipe_to_dict
+from dicbound.errors import BudgetExceededError, ChainValidationError, DicboundError, DistributionError
+from dicbound.extend import (
+    bound_support_info,
+    build_extended,
+    builtin_recipe,
+    recipe_to_dict,
+    supported_bounds,
+    verify_chain_identity,
+)
 from dicbound.gcs import (
     CutChain,
     chain_from_cuts,
@@ -23,7 +30,13 @@ from dicbound.gcs import (
     tightest_chain,
     validate_chain,
 )
-from dicbound.networks import base_network, cond_entropy_network, replicate_distribution
+from dicbound.networks import (
+    base_network,
+    cond_entropy_network,
+    query_shape,
+    reduce_query,
+    replicate_distribution,
+)
 from dicbound.sampling import sample_product_distribution
 
 FIG_A = CutChain.of([{"S1", "S2", "D1"}, {"S1"}])  # opens on receiver 2
@@ -299,19 +312,136 @@ def test_chain_values_equal_the_memo_free_reference(shift2_331, concat3, xor2):
         assert tightest_chain(values) == tightest_chain(expected)
 
 
-def test_each_distinct_level_is_one_query(concat3, count_calls):
-    # the ineq5 search asks one query per distinct non-empty level; the levels
-    # are counted here from the labels, as (targets, conditioning) pairs
-    net, dist = extended_search(concat3, "ineq5", 1, 22)
-    distinct = {
+def level_shape(network, dist, targets, cond):
+    """The query shape of a (targets, conditioning) level, from the two
+    public steps, or None when the level needs no query."""
+    reduced = reduce_query(network, dist, network.replica_sets(targets), network.replica_sets(cond))
+    return reduced and query_shape(network, dist, *reduced)
+
+
+def level_reads(network, dist, targets, cond):
+    """The source replicas the reduced query of a level reads."""
+    reduced = reduce_query(network, dist, network.replica_sets(targets), network.replica_sets(cond))
+    if reduced is None:
+        return set()
+    keys, live = reduced
+    return {s for kind, r in keys + live for s in network.reads(kind, r)}
+
+
+def search_levels(network, max_l):
+    """The distinct non-empty (targets, conditioning) levels of every chain
+    up to length max_l, read from the labels."""
+    return {
         (frozenset(targets), frozenset(cond))
-        for chain in enumerate_chains(net, 3)
-        for targets, cond in reference_levels(net, chain)
+        for chain in enumerate_chains(network, max_l)
+        for targets, cond in reference_levels(network, chain)
         if targets
     }
+
+
+def test_each_distinct_level_is_one_query(concat3, count_calls):
+    # the ineq5 search asks one query per distinct query shape among its
+    # distinct non-empty levels, which are fewer than the levels themselves
+    net, dist = extended_search(concat3, "ineq5", 1, 22)
+    distinct = search_levels(net, 3)
+    shapes = {level_shape(net, dist, *level) for level in distinct} - {None}
     calls = count_calls(dicbound.networks, "cond_entropy_network")
     chain_values(net, dist, 3)
-    assert len(calls) == len(distinct) < sum(len(c) for c in enumerate_chains(net, 3))
+    assert len(calls) == len(shapes) < len(distinct) < sum(len(c) for c in enumerate_chains(net, 3))
+
+
+def recipe_levels(channel, law):
+    """(network, replicated law, targets, conditioning) for every non-empty
+    level of every recipe chain of the channel's bound ids, at k = 1..3."""
+    out = []
+    for bound_id in supported_bounds(channel.user_count):
+        ks = (1, 2, 3) if bound_support_info(bound_id)["parametric"] else (None,)
+        for k in ks:
+            recipe = builtin_recipe(bound_id, k)
+            net = build_extended(channel, recipe.recipe)
+            rdist = replicate_distribution(net, law)
+            out += [(net, rdist, *level) for level in reference_levels(net, recipe.chain) if level[0]]
+    return out
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_levels_with_equal_shapes_have_equal_values(xor2, shift2_331, concat3, seed):
+    # equal shapes rename replicas of one user under one table, so their
+    # direct queries agree bit for bit, across bound ids and sizes alike
+    for channel in (xor2, shift2_331, concat3):
+        law = sample_product_distribution(channel.input_sizes, seed, 0)
+        levels = recipe_levels(channel, law)
+        if channel is concat3:
+            net, dist = extended_search(concat3, "ineq5", 1, seed)
+            levels += [(net, dist, *level) for level in search_levels(net, 3)]
+        by_shape = {}
+        for net, dist, targets, cond in levels:
+            shape = level_shape(net, dist, targets, cond)
+            if shape is not None:
+                by_shape.setdefault(shape, set()).add(cond_entropy_network(net, dist, targets, cond))
+        assert len(by_shape) < len(levels)
+        assert all(len(values) == 1 for values in by_shape.values())
+
+
+def test_a_replica_with_its_own_table_changes_every_shape_that_reads_it(concat3):
+    # a product law that is not replicated: copy 2 of user 1 gets a table of its own
+    net, replicated = extended_search(concat3, "ineq5", 1, 22)
+    assert (1, 2) in net.replicas
+    tables = list(replicated.tables)
+    tables[net.replicas.index((1, 2))] = (0.9, 0.1)
+    law = SourceDistribution("product", replicated.sizes, tables)
+    reading = 0
+    for level in search_levels(net, 3):
+        reads = (1, 2) in level_reads(net, law, *level)
+        reading += reads
+        assert (level_shape(net, law, *level) != level_shape(net, replicated, *level)) == reads
+    assert 0 < reading < len(search_levels(net, 3))
+    values = chain_values(net, law, 3)
+    assert values == [(chain, math.fsum(reference_terms(net, chain, law))) for chain, _ in values]
+
+
+def test_joint_law_searches_ask_one_query_per_distinct_level(concat3, count_calls):
+    net, law = base_network(concat3), random_joint_law(concat3.input_sizes, 2)
+    distinct = search_levels(net, 3)
+    assert {level_shape(net, law, *level) for level in distinct} == {None}
+    calls = count_calls(dicbound.networks, "cond_entropy_network")
+    chain_values(net, law, 3)
+    assert len(calls) == len(distinct) == 19
+
+
+def _evaluate(xor2, law):
+    recipe = builtin_recipe("4a", 2)
+    return evaluate_chain(build_extended(xor2, recipe.recipe), recipe.chain, law)
+
+
+def _values(xor2, law):
+    return chain_values(build_extended(xor2, builtin_recipe("4a", 2).recipe), law, 2)
+
+
+def _identity(xor2, law):
+    return verify_chain_identity("4a", xor2, law, k_range=[1, 2, 3])
+
+
+NOT_FIT = r"law over alphabet sizes \[2, 2\] does not fit the sources X1, X1\^2, X2 with sizes \[2, 2, 2\]"
+
+
+@pytest.mark.parametrize(
+    "evaluate, law, message",
+    [
+        (_evaluate, SourceDistribution.uniform([2, 2]), NOT_FIT),  # two tables for three sources
+        (_values, SourceDistribution.uniform([2, 2]), NOT_FIT),
+        # the replicated law is built for the network's sizes and refuses the tables
+        (_identity, SourceDistribution.uniform([3, 3]), "table length 3 does not match alphabet size 2"),
+    ],
+    ids=["evaluate_chain", "chain_values", "verify_chain_identity"],
+)
+def test_a_law_that_does_not_fit_is_refused_before_any_shape(xor2, count_calls, evaluate, law, message):
+    # a shape reads the law's tables, so the law is checked first, with the
+    # parent's message, whatever the shape memo already holds
+    shapes = count_calls(dicbound.networks, "query_shape")
+    with pytest.raises(DistributionError, match=f"^{message}$"):
+        evaluate(xor2, law)
+    assert shapes == []
 
 
 # hand-written chains on 4a at k = 2 (replicas 1^1, 1^2, 2^1); the last has an
