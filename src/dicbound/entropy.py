@@ -206,7 +206,8 @@ def induce_joint(model, dist: SourceDistribution) -> JointTable:
     if isinstance(model, DeterministicChannel):
         model = base_network(model)
     variables = model.all_variables()
-    return JointTable(variables, *symbol_rows(model, dist, variables))
+    columns = [(v.kind, (v.user, v.copy)) for v in variables]
+    return JointTable(variables, *symbol_rows(model, dist, columns))
 
 
 def row_entropy(values: np.ndarray, probs: np.ndarray) -> float:

@@ -26,7 +26,7 @@ class ChainValidationError(DicboundError):
 
 class BudgetExceededError(DicboundError):
     """An evaluation would enumerate more source atoms, cut chains or sampled
-    laws than its cap."""
+    laws, or build a larger channel table, than its cap."""
 
 
 class RecipeError(DicboundError):

@@ -29,7 +29,7 @@ from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .channels import DeterministicChannel, is_int
-from .entropy import SourceDistribution, X, Y, base_terms, row_entropy
+from .entropy import SourceDistribution, base_terms, row_entropy
 from .errors import DicboundError, RecipeError, UnsupportedBoundError
 from .gcs import CutChain, _evaluate_chain, chain_from_cuts
 from .networks import (
@@ -309,13 +309,13 @@ def verify_replica_rates(
     rdist = replicate_distribution(network, dist)
     base = base_network(channel)
 
-    def mi(net, d, user, copy):
+    def mi(net, d, replica):
         # I(X;Y) = H(X) + H(Y) - H(X,Y), from one enumeration
-        values, p = symbol_rows(net, d, [X(user, copy), Y(user, copy)])
+        values, p = symbol_rows(net, d, [("X", replica), ("Y", replica)])
         return row_entropy(values[:, :1], p) + row_entropy(values[:, 1:], p) - row_entropy(values, p)
 
-    base_values = tuple(mi(base, dist, u, 1) for u in range(1, channel.user_count + 1))
-    replica_values = tuple(((u, c), mi(network, rdist, u, c)) for u, c in network.replicas)
+    base_values = tuple(mi(base, dist, r) for r in base.replicas)
+    replica_values = tuple((r, mi(network, rdist, r)) for r in network.replicas)
     deviation = max((abs(value - base_values[u - 1]) for (u, _), value in replica_values), default=0.0)
     return RateReport(base_values=base_values, replica_values=replica_values, max_deviation=deviation)
 

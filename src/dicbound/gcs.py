@@ -13,9 +13,10 @@ builds enumerated chains and recipe chains alike.
 
 Level j is H(Y(R_{j-1} - R_j) | X, Y(all - R_{j-1})), so the pair
 (R_{j-1}, R_j) alone decides its value, whichever chain it occurs in.  Each
-distinct level is reduced on replica sets (``networks.reduce_query``) and
-looked up by its query shape (``networks.query_shape``) in a memo; only a
-new shape reaches ``cond_entropy_network``.  A hit is exact: replicas of a
+distinct level is reduced once, on replica sets (``networks.reduce_query``),
+and looked up by its query shape (``networks.query_shape``) in a memo; only a
+new shape reaches the engine, which takes the reduced (kind, replica) columns
+as they are (``networks.query_entropy``).  A hit is exact: replicas of a
 user run i.i.d. copies of its inputs, and a shape renames replicas only
 within a user under equal tables, so the engine repeats the same arithmetic.
 ``chain_values`` keeps one memo per call, ``evaluate_chain`` one per chain,
@@ -31,9 +32,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .entropy import SourceDistribution, VariableId
+from .entropy import SourceDistribution
 from .errors import BudgetExceededError, ChainValidationError, DicboundError
-from .networks import NetworkGraph, Replica, check_law, cond_entropy_network, query_shape, reduce_query
+from .networks import NetworkGraph, Replica, check_law, query_entropy, query_shape, reduce_query
 
 # enumerate_chains refuses to build more.  The largest enumeration in the
 # benchmark builds 794 (ineq5 at k = 1, up to length 3); `gcs --enumerate` on
@@ -109,7 +110,7 @@ def _level_value(network: NetworkGraph, dist: SourceDistribution, level: Level, 
     inputs and outputs of every replica already cut.
 
     The level is reduced on replica sets and looked up by its query shape in
-    ``shapes``; only a new shape reaches the network query.  A joint-law
+    ``shapes``; only a new shape reaches ``query_entropy``.  A joint-law
     query has no shape and is always asked.
     """
     outer, inner = level
@@ -122,9 +123,7 @@ def _level_value(network: NetworkGraph, dist: SourceDistribution, level: Level, 
     shape = query_shape(network, dist, *reduced)
     if shape in shapes:
         return shapes[shape]
-    targets = [VariableId("Y", *r) for r in outer - inner]
-    cond = [VariableId(kind, *r) for r in cut for kind in "XY"]
-    value = cond_entropy_network(network, dist, targets, cond)
+    value = query_entropy(network, dist, *reduced)
     if shape is not None:
         shapes[shape] = value
     return value

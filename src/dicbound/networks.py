@@ -8,27 +8,30 @@ module owns that model: ``NetworkGraph`` is built from those two and is the
 one check of them, ``replicas_from_counts`` lists the replicas, and
 ``node_labels`` is the one node-label format.
 
-This module holds the one entropy engine, a numpy kernel: ``source_atoms``
-enumerates source atoms as arrays (and is the only place that checks a law
-against a network and enforces the atom cap, ``MAX_ATOMS``),
-``NetworkGraph.evaluator`` maps them to a value array, and
-``entropy.row_entropy`` merges equal rows into an entropy.  ``entropy.induce_joint`` and the one network query,
-``cond_entropy_network``, are front-ends over it; ``network_entropy`` is that
-query with nothing conditioned.  The query avoids materializing the full
-joint: it enumerates once, over only the sources its variables depend on, and
-under a product law conditioning on a source's input and its receiver's output
-pins down the interference it saw, which shrinks that set further.
+This module holds the one entropy engine, a numpy kernel that speaks (kind,
+replica) columns: ``source_atoms`` enumerates source atoms as arrays (and is
+the only place that checks a law against a network and enforces the atom
+cap, ``MAX_ATOMS``), ``NetworkGraph.evaluator`` maps them to the values of
+the columns, and ``entropy.row_entropy`` merges equal rows into an entropy.
+``entropy.induce_joint`` and the one network query, ``cond_entropy_network``,
+are front-ends over it; ``network_entropy`` is that query with nothing
+conditioned.  The query avoids materializing the full joint: it enumerates
+once, over only the sources its variables depend on, and under a product law
+conditioning on a source's input and its receiver's output pins down the
+interference it saw, which shrinks that set further.
 
 The query has two steps.  ``reduce_query`` computes that closure on the
 (user, copy) replica sets of the known X's, V's and Y's and returns the key
-and live columns; the engine step builds ``VariableId``s only for those
-columns and evaluates them.  ``cond_entropy_network`` is the one
-``VariableId`` front end over both.  ``query_shape`` names a reduced
-product-law query up to renaming replicas of one user under equal tables;
-two queries of one shape run the same arrays through the same arithmetic, so
-a caller may answer the second from the first bit for bit.  A cut-chain
-level is one such query, fixed by the replicas uncut before and after it,
-and ``gcs`` memoizes its levels by shape; joint-mode laws have no shape.
+and live columns; ``query_entropy``, the engine step, evaluates them as they
+are, so no ``VariableId`` is built inside a query.  ``cond_entropy_network``
+is the one ``VariableId`` front end over both.  ``query_shape`` names a
+reduced product-law query up to renaming replicas of one user under equal
+tables; two queries of one shape run the same arrays through the same
+arithmetic, so a caller may answer the second from the first bit for bit.  A
+cut-chain level is one such query, fixed by the replicas uncut before and
+after it: ``gcs`` reduces each level once, memoizes it by shape and sends a
+new shape's columns straight to ``query_entropy``.  Joint-mode laws have no
+shape.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .errors import BudgetExceededError, DicboundError, DistributionError, Recip
 MAX_ATOMS = 1 << 22
 
 Replica = tuple[int, int]  # (user, copy), both 1-based
+Columns = list[tuple[str, Replica]]  # (kind, replica) per column, in column order
 
 
 def replicas_from_counts(counts: Sequence[int]) -> tuple[Replica, ...]:
@@ -166,33 +170,28 @@ class NetworkGraph:
             sets[var.kind].add(r)
         return sets["X"], sets["V"], sets["Y"]
 
-    def evaluator(self, variables: Sequence[VariableId], sources: Sequence[Replica], xs):
-        """The symbol evaluator: the (atoms x variables) value array of
-        ``variables`` at the inputs ``xs`` (atoms x ``sources``, in order).
-        Each interference column a query needs is computed once.
+    def evaluator(self, columns: Columns, sources: Sequence[Replica], xs):
+        """The symbol evaluator: the (atoms x columns) value array of the
+        (kind, replica) ``columns`` at the inputs ``xs`` (atoms x ``sources``,
+        in order).  Each interference column a query needs is computed once.
         """
         channel, pos = self.channel, {r: i for i, r in enumerate(sources)}
         v_col = cache(lambda r: np.asarray(channel.g[r[0] - 1])[xs[:, pos[r]]])
-        out = np.empty((len(xs), len(variables)), dtype=np.int64)
-        for j, var in enumerate(variables):
-            r = (var.user, var.copy)
-            if var.kind == "Y":
+        out = np.empty((len(xs), len(columns)), dtype=np.int64)
+        for j, (kind, r) in enumerate(columns):
+            if kind == "Y":
                 idx = xs[:, pos[r]]
                 for w in self._wiring_map[r]:
                     idx = idx * channel.v_sizes[w[0] - 1] + v_col(w)
-                out[:, j] = np.asarray(channel.f[var.user - 1])[idx]
+                out[:, j] = np.asarray(channel.f[r[0] - 1])[idx]
             else:
-                out[:, j] = xs[:, pos[r]] if var.kind == "X" else v_col(r)
+                out[:, j] = xs[:, pos[r]] if kind == "X" else v_col(r)
         return out
 
     def reads(self, kind: str, replica: Replica) -> tuple[Replica, ...]:
         """Source replicas the symbol of that kind at the replica is a function
         of: its own, then, for an output, the wired ones in user order."""
         return (replica,) + self._wiring_map[replica] if kind == "Y" else (replica,)
-
-    def dependencies(self, var: VariableId) -> frozenset[Replica]:
-        """Source replicas the variable is a function of."""
-        return frozenset(self.reads(var.kind, (var.user, var.copy)))
 
 
 def base_network(channel: DeterministicChannel) -> NetworkGraph:
@@ -254,12 +253,19 @@ def source_atoms(network: NetworkGraph, dist: SourceDistribution, sources: Seque
     return xs.reshape(count, len(idx)), p
 
 
-def symbol_rows(network: NetworkGraph, dist: SourceDistribution, variables):
-    """(values, p): the values of ``variables`` and the masses of the source
-    atoms over the variables' dependency closure, in sorted order."""
-    sources = sorted(set().union(*(network.dependencies(v) for v in variables)))
+def symbol_rows(network: NetworkGraph, dist: SourceDistribution, columns: Columns):
+    """(values, p): the values of the (kind, replica) ``columns`` and the
+    masses of the source atoms over the sources they read, in sorted order."""
+    sources = sorted(set().union(*(network.reads(kind, r) for kind, r in columns)))
     xs, p = source_atoms(network, dist, sources)
-    return network.evaluator(variables, sources, xs), p
+    return network.evaluator(columns, sources, xs), p
+
+
+def query_entropy(network: NetworkGraph, dist: SourceDistribution, keys: Columns, live: Columns) -> float:
+    """The engine step: H(live | keys) = H(keys, live) - H(keys), from one
+    enumeration of the sources the columns read."""
+    values, p = symbol_rows(network, dist, keys + live)
+    return row_entropy(values, p) - row_entropy(values[:, : len(keys)], p)
 
 
 # -- the network query ---------------------------------------------------------
@@ -280,9 +286,6 @@ def _closure(network: NetworkGraph, xs: set[Replica], vs: set[Replica], ys: set[
         known_v.update(network.interferers_of(r))
     known_y = ys | {r for r in xs if known_v.issuperset(network.interferers_of(r))}
     return xs, known_v, known_y
-
-
-Columns = list[tuple[str, Replica]]  # (kind, replica) per column, in column order
 
 
 def _columns(kind: str, replicas: Iterable[Replica]) -> Columns:
@@ -347,15 +350,10 @@ def cond_entropy_network(
     cond: Iterable[VariableId] = (),
 ) -> float:
     """H(targets | cond) on the network without materializing the full joint:
-    the one ``VariableId`` front end over ``reduce_query`` and the engine
-    step, H(keys, live) - H(keys) from one enumeration of the sources the
-    columns depend on."""
+    the one ``VariableId`` front end, ``reduce_query`` on the variables'
+    replica sets, then ``query_entropy`` on the columns it returns."""
     reduced = reduce_query(network, dist, network.replica_sets(targets), network.replica_sets(cond))
-    if reduced is None:
-        return 0.0
-    keys, live = reduced
-    values, p = symbol_rows(network, dist, [VariableId(kind, *r) for kind, r in keys + live])
-    return row_entropy(values, p) - row_entropy(values[:, : len(keys)], p)
+    return 0.0 if reduced is None else query_entropy(network, dist, *reduced)
 
 
 def network_entropy(network: NetworkGraph, dist: SourceDistribution, subset) -> float:

@@ -1,13 +1,16 @@
+import time
+
 import pytest
 
 from dicbound.channels import (
+    MAX_SHIFT2_ENTRIES,
     DeterministicChannel,
     builtin_channel,
     channel_from_dict,
     channel_to_dict,
     validate_channel,
 )
-from dicbound.errors import ChannelFormatError, DicboundError
+from dicbound.errors import BudgetExceededError, ChannelFormatError, DicboundError
 
 
 def test_xor2_valid_by_exhaustive_check(xor2):
@@ -54,6 +57,18 @@ def test_shift2_parameter_constraints():
         builtin_channel("shift2", [2, 1, 2])  # cross above direct
     with pytest.raises(DicboundError):
         builtin_channel("shift2", [2, 3, 1])  # direct above width
+
+
+def test_huge_shift2_is_refused_before_any_table_is_built():
+    # 2^41 entries would never finish; the cap is checked on the exponents
+    assert 1 << (8 + 4) <= MAX_SHIFT2_ENTRIES < 1 << (40 + 1)
+    for params in ([40, 40, 1], [10**12, 1, 1]):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="above the cap"):
+            builtin_channel("shift2", params)
+        assert time.perf_counter() - start < 0.1
+    with pytest.raises(BudgetExceededError):
+        channel_from_dict({"family": "shift2", "params": [40, 40, 1]})
 
 
 def test_unknown_family_rejected():

@@ -202,6 +202,7 @@ def run_cli_exit(capsys, *argv):
         ("region", "--channel", "xor2", "--dist", "seed:3", "--samples", "1"),  # exclusive options
         ("region", "--channel", "xor2", "--dist", "missing.json", "--samples", "1"),
         ("region", "--channel", "xor2", "--dist", "uniform", "--samples", "2", "--out", "svg"),
+        ("validate", "--channel", "shift2:40,40,1"),
     ],
 )
 def test_bad_numeric_arguments_are_usage_errors(capsys, argv):

@@ -340,13 +340,16 @@ def search_levels(network, max_l):
 
 
 def test_each_distinct_level_is_one_query(concat3, count_calls):
-    # the ineq5 search asks one query per distinct query shape among its
-    # distinct non-empty levels, which are fewer than the levels themselves
+    # the ineq5 search reduces each distinct non-empty level once and asks
+    # one engine query per distinct query shape among them, which are fewer
+    # than the levels themselves
     net, dist = extended_search(concat3, "ineq5", 1, 22)
     distinct = search_levels(net, 3)
     shapes = {level_shape(net, dist, *level) for level in distinct} - {None}
-    calls = count_calls(dicbound.networks, "cond_entropy_network")
+    reductions = count_calls(dicbound.networks, "reduce_query")
+    calls = count_calls(dicbound.networks, "query_entropy")
     chain_values(net, dist, 3)
+    assert len(reductions) == len(distinct) == 665
     assert len(calls) == len(shapes) < len(distinct) < sum(len(c) for c in enumerate_chains(net, 3))
 
 
@@ -404,7 +407,7 @@ def test_joint_law_searches_ask_one_query_per_distinct_level(concat3, count_call
     net, law = base_network(concat3), random_joint_law(concat3.input_sizes, 2)
     distinct = search_levels(net, 3)
     assert {level_shape(net, law, *level) for level in distinct} == {None}
-    calls = count_calls(dicbound.networks, "cond_entropy_network")
+    calls = count_calls(dicbound.networks, "query_entropy")
     chain_values(net, law, 3)
     assert len(calls) == len(distinct) == 19
 

@@ -91,7 +91,7 @@ def reference_merged_entropy(rows):
 
 
 def reference_rows(network, dist, variables):
-    sources = sorted(set().union(*(network.dependencies(v) for v in variables)))
+    sources = sorted(set().union(*(network.reads(v.kind, (v.user, v.copy)) for v in variables)))
     evaluate = reference_evaluator(network, variables, sources)
     return [(evaluate(x), p) for x, p in reference_atoms(network, dist, sources)]
 
@@ -108,7 +108,7 @@ def reference_cond_entropy(network, dist, targets, cond=()):
         gen_v = sorted(v for v in known if v.kind == "V" and (v.user, v.copy) not in cond_x)
         deps = set()
         for v in live + gen_v:
-            deps |= network.dependencies(v)
+            deps.update(network.reads(v.kind, (v.user, v.copy)))
         keys = sorted(VariableId("X", u, c) for (u, c) in deps & cond_x) + gen_v
     else:
         live, keys = sorted(targets - cond), sorted(cond)
