@@ -2,8 +2,9 @@
 
 A replication recipe copies each user some number of times and wires every
 receiver to exactly one replica of each other user.  Running the base inputs
-i.i.d. on all replicas makes every per-replica rate equal the base rate, so a
-chain bound on the extended network is a weighted-rate bound on the channel.
+i.i.d. on all replicas makes every per-replica rate equal the base rate
+(``verify_replica_rates`` checks it), so a chain bound on the extended
+network is a weighted-rate bound on the channel.
 
 Recipes are data (``data/recipes.json``): replica counts, wiring and peel
 order, each copy index a constant or a·v±b in the block variable j or the
@@ -29,17 +30,17 @@ from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .channels import DeterministicChannel, is_int
-from .entropy import SourceDistribution, base_terms, row_entropy
+from .entropy import SourceDistribution, base_terms
 from .errors import DicboundError, RecipeError, UnsupportedBoundError
 from .gcs import CutChain, _evaluate_chain, chain_from_cuts
 from .networks import (
     NetworkGraph,
     Replica,
     base_network,
+    memo_entropy,
     node_labels,
     replicas_from_counts,
     replicate_distribution,
-    symbol_rows,
 )
 
 IDENTITY_TOL = 1e-9
@@ -304,15 +305,17 @@ def verify_replica_rates(
     channel: DeterministicChannel, recipe: ReplicationRecipe, dist: SourceDistribution
 ) -> RateReport:
     """With identical i.i.d. replica inputs, every replica's I(X;Y) must equal
-    the base channel's."""
+    the base channel's.  Each is H(Y) - H(Y | X) from ``memo_entropy`` with
+    one memo over both networks, so a replica asks its user's base shapes
+    and the check costs two enumerations per user."""
     network = build_extended(channel, recipe)
     rdist = replicate_distribution(network, dist)
     base = base_network(channel)
+    memo: dict = {}
 
     def mi(net, d, replica):
-        # I(X;Y) = H(X) + H(Y) - H(X,Y), from one enumeration
-        values, p = symbol_rows(net, d, [("X", replica), ("Y", replica)])
-        return row_entropy(values[:, :1], p) + row_entropy(values[:, 1:], p) - row_entropy(values, p)
+        y = [("Y", replica)]
+        return memo_entropy(net, d, [], y, memo) - memo_entropy(net, d, [("X", replica)], y, memo)
 
     base_values = tuple(mi(base, dist, r) for r in base.replicas)
     replica_values = tuple((r, mi(network, rdist, r)) for r in network.replicas)

@@ -14,15 +14,13 @@ builds enumerated chains and recipe chains alike.
 Level j is H(Y(R_{j-1} - R_j) | X, Y(all - R_{j-1})), so the pair
 (R_{j-1}, R_j) alone decides its value, whichever chain it occurs in.  Each
 distinct level is reduced once, on replica sets (``networks.reduce_query``),
-and looked up by its query shape (``networks.query_shape``) in a memo; only a
-new shape reaches the engine, which takes the reduced (kind, replica) columns
-as they are (``networks.query_entropy``).  A hit is exact: replicas of a
-user run i.i.d. copies of its inputs, and a shape renames replicas only
-within a user under equal tables, so the engine repeats the same arithmetic.
-``chain_values`` keeps one memo per call, ``evaluate_chain`` one per chain,
-and ``extend.verify_chain_identity`` one across its k range, which is one
-channel and the replicas of one base law.  A joint-law query has no shape
-and is asked once per distinct level.
+and answered by ``networks.memo_entropy``, which enumerates only a query
+shape its memo has not met.  A hit is exact: replicas of a user run i.i.d.
+copies of its inputs, and a shape renames replicas only within a user under
+equal tables.  ``chain_values`` keeps one memo per call, ``evaluate_chain``
+one per chain, and ``extend.verify_chain_identity`` one across its k range,
+which is one channel and the replicas of one base law.  A joint-law query
+has no shape and is asked once per distinct level.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .entropy import SourceDistribution
 from .errors import BudgetExceededError, ChainValidationError, DicboundError
-from .networks import NetworkGraph, Replica, check_law, query_entropy, query_shape, reduce_query
+from .networks import NetworkGraph, Replica, memo_entropy, reduce_query
 
 # enumerate_chains refuses to build more.  The largest enumeration in the
 # benchmark builds 794 (ineq5 at k = 1, up to length 3); `gcs --enumerate` on
@@ -107,26 +105,14 @@ def _chain_levels(network: NetworkGraph, chain: CutChain) -> list[Level]:
 
 def _level_value(network: NetworkGraph, dist: SourceDistribution, level: Level, shapes: dict) -> float:
     """H(Y(R_{j-1} - R_j) | X, Y(all - R_{j-1})): the fresh outputs given the
-    inputs and outputs of every replica already cut.
-
-    The level is reduced on replica sets and looked up by its query shape in
-    ``shapes``; only a new shape reaches ``query_entropy``.  A joint-law
-    query has no shape and is always asked.
-    """
+    inputs and outputs of every replica already cut, reduced on replica sets
+    and answered by ``memo_entropy`` from ``shapes``."""
     outer, inner = level
     if outer == inner:
         return 0.0
     cut = set(network.replicas) - outer
     reduced = reduce_query(network, dist, (set(), set(), outer - inner), (cut, set(), cut))
-    if reduced is None:
-        return 0.0
-    shape = query_shape(network, dist, *reduced)
-    if shape in shapes:
-        return shapes[shape]
-    value = query_entropy(network, dist, *reduced)
-    if shape is not None:
-        shapes[shape] = value
-    return value
+    return 0.0 if reduced is None else memo_entropy(network, dist, *reduced, shapes)
 
 
 def _chain_value(
@@ -134,9 +120,7 @@ def _chain_value(
 ) -> ChainValue:
     """The chain's value.  ``levels`` maps this network's levels evaluated so
     far to their values, ``shapes`` the query shapes (see ``_level_value``);
-    a shape memo may span networks of one channel.  The law is checked
-    against the network first, since a shape reads its tables."""
-    check_law(network, dist)
+    a shape memo may span networks of one channel."""
     terms = []
     for level in _chain_levels(network, chain):
         if level not in levels:

@@ -13,25 +13,22 @@ replica) columns: ``source_atoms`` enumerates source atoms as arrays (and is
 the only place that checks a law against a network and enforces the atom
 cap, ``MAX_ATOMS``), ``NetworkGraph.evaluator`` maps them to the values of
 the columns, and ``entropy.row_entropy`` merges equal rows into an entropy.
-``entropy.induce_joint`` and the one network query, ``cond_entropy_network``,
-are front-ends over it; ``network_entropy`` is that query with nothing
-conditioned.  The query avoids materializing the full joint: it enumerates
-once, over only the sources its variables depend on, and under a product law
-conditioning on a source's input and its receiver's output pins down the
-interference it saw, which shrinks that set further.
+A query enumerates once, over only the sources its columns read; under a
+product law, conditioning on a source's input and its receiver's output pins
+down the interference it saw, which shrinks that set further.
 
-The query has two steps.  ``reduce_query`` computes that closure on the
+A query has two steps.  ``reduce_query`` computes that closure on the
 (user, copy) replica sets of the known X's, V's and Y's and returns the key
 and live columns; ``query_entropy``, the engine step, evaluates them as they
-are, so no ``VariableId`` is built inside a query.  ``cond_entropy_network``
-is the one ``VariableId`` front end over both.  ``query_shape`` names a
-reduced product-law query up to renaming replicas of one user under equal
-tables; two queries of one shape run the same arrays through the same
-arithmetic, so a caller may answer the second from the first bit for bit.  A
-cut-chain level is one such query, fixed by the replicas uncut before and
-after it: ``gcs`` reduces each level once, memoizes it by shape and sends a
-new shape's columns straight to ``query_entropy``.  Joint-mode laws have no
-shape.
+are.  ``query_shape`` names a reduced product-law query up to renaming
+replicas of one user under equal tables; two queries of one shape run the
+same arrays through the same arithmetic, so their values are equal bit for
+bit.  ``memo_entropy`` is the one memoized query and the only reader of
+shapes: ``gcs`` sends it each reduced cut-chain level, and
+``extend.verify_replica_rates`` each replica's H(Y) and H(Y | X).  A
+joint-mode law has no shape.  ``cond_entropy_network`` (``network_entropy``
+with nothing conditioned) is the public ``VariableId`` front end over both
+steps, and ``entropy.induce_joint`` builds a full joint table on the engine.
 """
 
 from __future__ import annotations
@@ -343,6 +340,24 @@ def query_shape(network: NetworkGraph, dist: SourceDistribution, keys: Columns, 
     return tables, len(keys), columns
 
 
+def memo_entropy(
+    network: NetworkGraph, dist: SourceDistribution, keys: Columns, live: Columns, memo: dict
+) -> float:
+    """H(live | keys) from ``memo``, keyed by query shape: the one memoized
+    network query.  The law is checked first, since a shape reads its tables;
+    only a shape not in ``memo`` reaches ``query_entropy``, and its value is
+    stored.  A joint-law query has no shape and is always asked.  A memo may
+    span networks of one channel, since a shape names users, not channels."""
+    check_law(network, dist)
+    shape = query_shape(network, dist, keys, live)
+    if shape in memo:
+        return memo[shape]
+    value = query_entropy(network, dist, keys, live)
+    if shape is not None:
+        memo[shape] = value
+    return value
+
+
 def cond_entropy_network(
     network: NetworkGraph,
     dist: SourceDistribution,
@@ -350,12 +365,13 @@ def cond_entropy_network(
     cond: Iterable[VariableId] = (),
 ) -> float:
     """H(targets | cond) on the network without materializing the full joint:
-    the one ``VariableId`` front end, ``reduce_query`` on the variables'
+    the public ``VariableId`` front end, ``reduce_query`` on the variables'
     replica sets, then ``query_entropy`` on the columns it returns."""
     reduced = reduce_query(network, dist, network.replica_sets(targets), network.replica_sets(cond))
     return 0.0 if reduced is None else query_entropy(network, dist, *reduced)
 
 
 def network_entropy(network: NetworkGraph, dist: SourceDistribution, subset) -> float:
-    """H(subset): the network query with nothing conditioned."""
+    """H(subset): the network query with nothing conditioned.  Public API
+    beside ``cond_entropy_network``; the library itself asks neither."""
     return cond_entropy_network(network, dist, subset)

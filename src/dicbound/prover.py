@@ -61,7 +61,7 @@ import numpy as np
 from .entropy import VariableId
 from .errors import ProverError, UnsupportedBoundError
 from .exactlp import separates, solve_feasibility
-from .networks import NetworkGraph, network_entropy, replicas_from_counts
+from .networks import replicas_from_counts
 
 MAX_VARIABLES = 12
 
@@ -663,21 +663,6 @@ def _float_dual(a_t, b) -> tuple[set[int] | None, dict[int, Fraction] | None]:
     # a vertex takes few distinct values: rationalize each once
     rational = {y: Fraction(y).limit_denominator(1000) for y in set(res.x.tolist())}
     return None, {i: rational[y] for i, y in enumerate(res.x.tolist()) if rational[y]}
-
-
-# -- numeric evaluation of prover expressions -----------------------------------
-
-
-def evaluate_expr(
-    expr: Expr, variables: Sequence[str], network: NetworkGraph, dist
-) -> float:
-    """Evaluate a linear entropy expression on a concrete network."""
-    ids = [VariableId.parse(v) for v in variables]
-    total = 0.0
-    for mask, coeff in expr.items():
-        subset = [ids[i] for i in range(len(ids)) if mask >> i & 1]
-        total += float(coeff) * network_entropy(network, dist, subset)
-    return total
 
 
 # -- per-bound residue problems --------------------------------------------------

@@ -110,6 +110,17 @@ def oracle_network_cond_entropy(atoms, a, b=()) -> float:
     return h(sorted(set(a) | set(b))) - h(b)
 
 
+def oracle_expr_value(expr, variables, network, dist) -> float:
+    """A prover expression ({mask: coefficient} over the named variables) on
+    the network under a product law, summed over entropies of its atoms."""
+    atoms = oracle_network_atoms(network, oracle_product_law(dist.tables))
+    keys = [(v.kind, v.user, v.copy) for v in map(VariableId.parse, variables)]
+    return sum(
+        float(coeff) * oracle_network_cond_entropy(atoms, [key for i, key in enumerate(keys) if mask >> i & 1])
+        for mask, coeff in expr.items()
+    )
+
+
 def fixed_point_closure(net, cond):
     """The variables a conditioning set determines on a replica network: the
     closure rules (V = g(X); Y once X and the wired V's are known; the wired

@@ -33,11 +33,11 @@ from dicbound.extend import (
 )
 from dicbound.gcs import CutChain, enumerate_chains, evaluate_chain, validate_chain
 from dicbound.networks import base_network
-from dicbound.prover import appendix_targets, dic_constraints, evaluate_expr, expr_from_names, prove, ProverProblem, verify_certificate
+from dicbound.prover import appendix_targets, dic_constraints, expr_from_names, prove, ProverProblem, verify_certificate
 from dicbound.regions import bound_vector, load_templates
 from dicbound.sampling import sample_product_distribution
 
-from first_principles import oracle_bound_term
+from first_principles import oracle_bound_term, oracle_expr_value
 
 EXACT = 1e-12
 NUMERIC = 1e-9
@@ -225,7 +225,7 @@ def test_criterion_7_prover():
     counterexample = None
     for i in range(60):
         dist = sample_product_distribution([4, 4], 707, i)
-        value = evaluate_expr(target, variables, net, dist)
+        value = oracle_expr_value(target, variables, net, dist)
         if value < -1e-6:
             counterexample = (i, value)
             break

@@ -113,6 +113,24 @@ def test_distribution_validation():
             SourceDistribution("product", [2, 2], probs)
 
 
+@pytest.mark.parametrize(
+    "sizes, tables, order, message",
+    [
+        ([2, 3], ([0.5, 0.5],), (0, 0), "table length 2 does not match alphabet size 3"),
+        ([2, 2], ([0.7, 0.2],), (0, 0), "probability table does not sum to 1"),
+        ([2, 2], ([True, False],), (0, 0), "expected a list of probabilities"),
+        # the second source fails first, although the shared table fails later
+        ([2, 2, 3], ([0.5, 0.5], [1.2, -0.2]), (0, 1, 0), "negative probability entry"),
+    ],
+)
+def test_a_shared_table_is_refused_as_its_copies_are(sizes, tables, order, message):
+    # each distinct table object is converted and checked once: passing one
+    # object for several sources must give the error distinct copies give
+    for probs in ([tables[i] for i in order], [list(tables[i]) for i in order]):
+        with pytest.raises(DistributionError, match=f"^{message}"):
+            SourceDistribution("product", sizes, probs)
+
+
 def test_induce_joint_dimension_mismatch(xor2):
     with pytest.raises(DistributionError):
         induce_joint(xor2, SourceDistribution.uniform([2, 2, 2]))

@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from dicbound.channels import builtin_channel
-from dicbound.entropy import SourceDistribution, X, Y, base_terms, conditional_entropy, induce_joint
+from dicbound.entropy import SourceDistribution, X, Y, base_terms, conditional_entropy, induce_joint, row_entropy
 from dicbound.errors import BudgetExceededError, DicboundError, DistributionError, RecipeError, UnsupportedBoundError
 from dicbound.extend import (
     ReplicationRecipe,
@@ -20,7 +20,7 @@ from dicbound.extend import (
     verify_replica_rates,
 )
 from dicbound.gcs import evaluate_chain, validate_chain
-from dicbound.networks import base_network, replicate_distribution
+from dicbound.networks import base_network, replicate_distribution, symbol_rows
 from dicbound.regions import bound_vector, load_templates
 from dicbound.sampling import sample_product_distribution
 
@@ -127,30 +127,71 @@ def test_replica_rates_examples(xor2, shift2_221):
     assert report3.max_deviation <= 1e-12
 
 
+def replica_rate_alone(network, dist, replica):
+    """I(X;Y) = H(X) + H(Y) - H(X,Y) at one replica, from one enumeration of
+    its own, with no memo."""
+    values, p = symbol_rows(network, dist, [("X", replica), ("Y", replica)])
+    return row_entropy(values[:, :1], p) + row_entropy(values[:, 1:], p) - row_entropy(values, p)
+
+
 def test_replica_rates_all_recipes_k6(xor2, concat3):
     for bound_id in supported_bounds():
         spec = bound_support_info(bound_id)
         channel = xor2 if spec["users"] == 2 else concat3
         dist = UNIFORM2 if spec["users"] == 2 else UNIFORM3
         k = 6 if spec["parametric"] else None
-        report = verify_replica_rates(channel, builtin_recipe(bound_id, k).recipe, dist)
+        recipe = builtin_recipe(bound_id, k).recipe
+        report = verify_replica_rates(channel, recipe, dist)
         assert report.max_deviation <= 1e-12, bound_id
+        # every memoized value against its replica enumerated alone
+        net = build_extended(channel, recipe)
+        rdist = replicate_distribution(net, dist)
+        assert [r for r, _ in report.replica_values] == list(net.replicas)
+        for replica, value in report.replica_values:
+            assert abs(value - replica_rate_alone(net, rdist, replica)) <= 1e-12, (bound_id, replica)
 
 
-def test_replica_rates_enumerate_once_per_replica_and_base_user(shift2_221, count_calls):
-    # I(X;Y) = H(X) + H(Y) - H(X,Y) from one enumeration over (X, Y)
+def test_a_replica_under_another_table_deviates(concat3, monkeypatch):
+    # the memo keys on the law's tables: a replica whose input law is not its
+    # user's is asked on its own and shows up in the deviation
+    import dicbound.extend
+
+    def skewed(network, dist):
+        law = replicate_distribution(network, dist)
+        tables = list(law.tables)
+        tables[network.replicas.index((1, 2))] = (0.9, 0.1)
+        return SourceDistribution("product", law.sizes, tables)
+
+    monkeypatch.setattr(dicbound.extend, "replicate_distribution", skewed)
+    report = verify_replica_rates(concat3, builtin_recipe("ineq5", 1).recipe, UNIFORM3)
+    assert report.max_deviation > 0
+    assert dict(report.replica_values)[(1, 2)] < report.base_values[0]
+
+
+def test_replica_rates_enumerate_once_per_query_shape(shift2_221, count_calls):
+    # I(X;Y) = H(Y) - H(Y | X): every replica's two queries have its user's
+    # base shapes, so only the base network's queries are enumerated
     from dicbound import networks
 
     atoms = count_calls(networks, "source_atoms")
     recipe = builtin_recipe("4e", 3).recipe
     dist = sample_product_distribution([4, 4], 12, 0)
     report = verify_replica_rates(shift2_221, recipe, dist)
-    assert len(atoms) == sum(recipe.counts) + shift2_221.user_count
+    assert len(atoms) == 2 * shift2_221.user_count
     assert report.max_deviation == 0.0
     table = induce_joint(shift2_221, dist)
     for user, value in enumerate(report.base_values, start=1):
         want = conditional_entropy(table, [Y(user)], []) - conditional_entropy(table, [Y(user)], [X(user)])
         assert value == pytest.approx(want, abs=1e-12)
+
+
+def test_a_replicated_law_checks_each_base_table_once(concat3, count_calls):
+    net = build_extended(concat3, builtin_recipe("ineq26", 6).recipe)
+    law = sample_product_distribution(concat3.input_sizes, 5, 0)
+    calls = count_calls(sys.modules["dicbound.entropy"], "_probabilities")
+    rdist = replicate_distribution(net, law)
+    assert len(net.replicas) == 39 and len(calls) == 3
+    assert rdist.tables == tuple(law.tables[u - 1] for u, _ in net.replicas)
 
 
 def test_identity_against_materialized_joint(shift2_221):

@@ -18,12 +18,12 @@ from dicbound.prover import (
     appendix_targets,
     dic_constraints,
     elemental_inequalities,
-    evaluate_expr,
     expr_from_names,
     prove,
     verify_certificate,
 )
 from dicbound.sampling import sample_product_distribution
+from first_principles import oracle_expr_value
 
 BASE2_WIRING = {(1, 1): ((2, 1),), (2, 1): ((1, 1),)}
 BASE3_WIRING = {
@@ -203,7 +203,7 @@ def test_reverse_conditioning_not_provable_with_counterexample(base2, shift2_221
     witnesses = []
     for i in range(40):
         dist = sample_product_distribution([4, 4], 12345, i)
-        value = evaluate_expr(problem.target, variables, net, dist)
+        value = oracle_expr_value(problem.target, variables, net, dist)
         if value < -1e-6:
             witnesses.append((i, value))
     assert witnesses, "expected a strict violation among sampled input laws"
@@ -676,7 +676,7 @@ def test_provable_targets_nonnegative_numerically(shift2_221):
         for i in range(20):
             dist = sample_product_distribution([4, 4], 555, i)
             rdist = replicate_distribution(net, dist)
-            value = evaluate_expr(problem.target, problem.variables, net, rdist)
+            value = oracle_expr_value(problem.target, problem.variables, net, rdist)
             assert value >= -1e-12, (problem.name, i, value)
 
 
