@@ -9,17 +9,18 @@ inequality may still hold for reasons outside this system.  Besides problems
 given by hand, ``appendix_targets`` writes one residue per conditioned step of
 a bound's cut chain, over the replicas that step touches.
 
-Search is float-guided (scipy's HiGHS) for speed, but every verdict rests on
-exact rational arithmetic.  One float LP runs per verdict, the dual
-max b.y subject to A^T y <= 0 and -1 <= y <= 1, whose matrix is built as the
-sparse rows of A^T.  When its optimum is 0, its constraint marginals are a
-float solution of A x = b, x >= 0 whose support is a basis, and the exact
-solver runs on that support alone; the certificate it yields re-sums to the
-target exactly.  When its optimum is positive, the
-rationalized y is offered to ``exactlp.solve_feasibility`` as a candidate
-separating vector, with y.g <= 0 for every generator g and y.target > 0.  If
-the float solve fails, or its support or candidate fails the exact check, the
-full exact simplex decides.
+Search is float-guided for speed, but every verdict rests on exact rational
+arithmetic.  One float LP runs per verdict, the dual max b.y subject to
+A^T y <= 0 and -1 <= y <= 1.  Its matrix is built as the sparse rows of A^T
+and goes straight to HiGHS's dual simplex, through the HiGHS bindings that
+scipy bundles.  When its optimum is 0, its row duals are minus a float
+solution of A x = b, x >= 0 whose support is a basis, and the exact solver
+runs on that support alone; the certificate it yields re-sums to the target
+exactly.  When its optimum is positive, the rationalized y is offered to
+``exactlp.solve_feasibility`` as a candidate separating vector, with
+y.g <= 0 for every generator g and y.target > 0.  If the float solve fails,
+or its support or candidate fails the exact check, the full exact simplex
+decides.
 
 Both LPs run over closed sets, a smaller system.  A constraint of the exact
 shape h(A u B) - h(A) with A non-empty is a functional dependency (FD), and on
@@ -54,7 +55,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -406,6 +407,45 @@ def _functional_dependencies(constraints) -> list[tuple[int, int, int]]:
     return fds
 
 
+def _sort_terms(rows: np.ndarray, signs: np.ndarray) -> None:
+    """Sort each line's four (row, sign) terms by row, in place, with the
+    5-exchange sorting network on 4 inputs; terms of equal row keep an
+    unspecified order."""
+    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+        swap = rows[:, i] > rows[:, j]
+        for a in (rows, signs):
+            a[swap, i], a[swap, j] = a[swap, j], a[swap, i]
+
+
+def _reduce_elementals(rows: np.ndarray, signs: np.ndarray, n_rows: int):
+    """The distinct non-zero elemental columns on reduced rows.  Line t of
+    ``rows`` and ``signs`` holds elemental t's four (reduced row, sign)
+    terms, row -1 and sign 0 for padding, and is overwritten.  Terms that
+    land on one row are merged and each column's terms sorted by row.
+    Returns the rows and signs of the kept columns and their elemental
+    indices: the first of equal columns is kept, and zero columns dropped."""
+    _sort_terms(rows, signs)
+    for s in range(1, rows.shape[1]):
+        same = rows[:, s] == rows[:, s - 1]
+        signs[same, s] += signs[same, s - 1]
+        signs[same, s - 1] = 0
+    rows[signs == 0] = -1
+    _sort_terms(rows, signs)
+    # one integer key per column, a digit (row + 1, sign + 2) per term: an
+    # elemental's signs are (1, -1) or (1, 1, -1, -1), so merged signs lie in
+    # -2..2, and at n <= MAX_VARIABLES = 12 a key stays below
+    # (5 * 4096)^4 < 2^63.  return_index sorts stably, so it finds the first
+    # of equal columns
+    radix = 5 * (n_rows + 1)
+    key = np.zeros(len(rows), dtype=np.int64)
+    for s in range(rows.shape[1]):
+        key = key * radix + (rows[:, s] + 1) * 5 + (signs[:, s] + 2)
+    _, first = np.unique(key, return_index=True)
+    kept = np.sort(first)
+    kept = kept[(signs[kept] != 0).any(axis=1)]
+    return rows[kept], signs[kept], kept
+
+
 class _ClosedSetLP:
     """The prover's LP over the sets closed under the problem's functional
     dependencies (FDs).  Every generator maps through h(S) -> h(cl S): the
@@ -437,22 +477,9 @@ class _ClosedSetLP:
         self.row_of = row[closure]  # reduced row of every mask; -1 for the empty set
         self.n_rows = len(closed)
 
-        # elemental columns on reduced rows: merge terms that land on one
-        # row, then sort each column's terms into a canonical order
-        rows, signs = self.row_of[elementals.masks], elementals.signs.copy()
-        order = np.argsort(rows, axis=1, kind="stable")
-        rows, signs = np.take_along_axis(rows, order, 1), np.take_along_axis(signs, order, 1)
-        for s in range(1, rows.shape[1]):
-            same = rows[:, s] == rows[:, s - 1]
-            signs[same, s] += signs[same, s - 1]
-            signs[same, s - 1] = 0
-        rows = np.where(signs == 0, -1, rows)
-        order = np.argsort(rows, axis=1, kind="stable")
-        rows, signs = np.take_along_axis(rows, order, 1), np.take_along_axis(signs, order, 1)
-        _, first = np.unique(np.concatenate([rows, signs], axis=1), axis=0, return_index=True)
-        kept = np.sort(first)
-        kept = kept[(signs[kept] != 0).any(axis=1)]
-        self.rows, self.row_signs = rows[kept], signs[kept]
+        self.rows, self.row_signs, kept = _reduce_elementals(
+            self.row_of[elementals.masks], elementals.signs.copy(), self.n_rows
+        )
         self.gens = kept.tolist()
         self.signs = [1] * len(kept)
         self.n_elemental_columns = len(kept)
@@ -487,22 +514,19 @@ class _ClosedSetLP:
         return col if self.signs[j] == 1 else {r: -c for r, c in col.items()}
 
     def float_system(self):
-        """A^T (sparse CSR, one row per reduced column) and b in floats."""
-        from scipy import sparse
-
+        """A^T as CSR arrays (indptr, indices, values), one row per reduced
+        column, and b, in floats."""
         nz = self.row_signs != 0
-        rows_idx = [self.rows[nz]]
-        cols_idx = [np.nonzero(nz)[0]]
-        data = [self.row_signs[nz].astype(float)]
+        counts = [nz.sum(axis=1)]
+        indices = [self.rows[nz]]
+        values = [self.row_signs[nz].astype(float)]
         for j in range(self.n_elemental_columns, self.n_columns):
             col = self.column(j)
-            rows_idx.append(np.fromiter(col, dtype=np.int64, count=len(col)))
-            cols_idx.append(np.full(len(col), j))
-            data.append(np.fromiter((float(c) for c in col.values()), dtype=float, count=len(col)))
-        a_t = sparse.csr_matrix(
-            (np.concatenate(data), (np.concatenate(cols_idx), np.concatenate(rows_idx))),
-            shape=(self.n_columns, self.n_rows),
-        )
+            counts.append([len(col)])
+            indices.append(np.fromiter(col, dtype=np.int64, count=len(col)))
+            values.append(np.fromiter((float(c) for c in col.values()), dtype=float, count=len(col)))
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+        a_t = indptr, np.concatenate(indices), np.concatenate(values)
         b = np.zeros(self.n_rows)
         for r, c in self.target.items():
             b[r] = float(c)
@@ -627,12 +651,55 @@ def prove(problem: ProverProblem) -> ProofResult:
     )
 
 
-def linprog(*args, **kwargs):
-    """scipy's ``linprog``, imported on the first call, so that importing
-    dicbound and the entropy engine never load scipy."""
-    from scipy.optimize import linprog as highs_linprog
+class FloatLPResult(NamedTuple):
+    """What ``linprog`` returns: whether HiGHS reached an optimum, and then
+    the maximum, the vertex y and the dual of each row of A^T y <= 0."""
 
-    return highs_linprog(*args, **kwargs)
+    success: bool
+    maximum: float | None = None
+    x: np.ndarray | None = None
+    duals: np.ndarray | None = None
+
+
+def linprog(a_t, b) -> FloatLPResult:
+    """max b.y subject to A^T y <= 0 and -1 <= y <= 1, with A^T given as
+    CSR arrays (indptr, indices, values), solved by HiGHS's dual simplex.
+
+    The model is passed row-wise to the HiGHS bindings bundled with scipy,
+    imported on the first call, so that importing dicbound and the entropy
+    engine never load scipy.  It is solved as min -b.y, with the options
+    scipy's ``linprog(method="highs-ds")`` sets."""
+    from scipy.optimize._highspy import _core as highs
+
+    simplex = highs.simplex_constants
+    indptr, indices, values = a_t
+    n_rows, n_cols = len(indptr) - 1, len(b)
+    # the bindings copy a list into a C++ vector about twice as fast as an array
+    lp = highs.HighsLp()
+    lp.num_col_, lp.num_row_ = n_cols, n_rows
+    lp.col_cost_ = (-b).tolist()
+    lp.col_lower_, lp.col_upper_ = [-1.0] * n_cols, [1.0] * n_cols
+    lp.row_lower_, lp.row_upper_ = [-highs.kHighsInf] * n_rows, [0.0] * n_rows
+    matrix = lp.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kRowwise
+    matrix.num_col_, matrix.num_row_ = n_cols, n_rows
+    matrix.start_, matrix.index_, matrix.value_ = indptr.tolist(), indices.tolist(), values.tolist()
+    options = highs.HighsOptions()
+    options.solver = "simplex"
+    options.simplex_strategy = simplex.SimplexStrategy.kSimplexStrategyDual
+    options.simplex_dual_edge_weight_strategy = simplex.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex
+    options.presolve = "off"
+    options.output_flag = False
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    solver.run()
+    if solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
+        return FloatLPResult(False)
+    solution = solver.getSolution()
+    return FloatLPResult(
+        True, -solver.getInfo().objective_function_value, np.array(solution.col_value), np.array(solution.row_dual)
+    )
 
 
 def _float_dual(a_t, b) -> tuple[set[int] | None, dict[int, Fraction] | None]:
@@ -640,26 +707,19 @@ def _float_dual(a_t, b) -> tuple[set[int] | None, dict[int, Fraction] | None]:
 
     A positive optimum returns (None, y) with y rationalized, a candidate
     Farkas vector that only ``solve_feasibility``'s exact check can accept.
-    An optimum of 0 returns (support, None): the constraint marginals are
-    then a float solution of A x = b, x >= 0, and their support is a basis
-    for the exact solve.  A failed solve returns (None, None)."""
+    An optimum of 0 returns (support, None): the row duals are then minus a
+    float solution of A x = b, x >= 0, and its support is a basis for the
+    exact solve.  A failed solve returns (None, None)."""
     # dual simplex with devex pricing returns a vertex, whose entries have
     # small denominators; on -I(Z1;Z2) at n = 12 it took 2.3 s, against 104 s
     # with the default steepest-edge pricing and over 15 minutes with the
     # interior-point solver.  Presolve is off: with it, the prove benchmark
-    # ran about 100 operations per second instead of 119, at higher peak RSS
-    res = linprog(
-        c=-b,
-        A_ub=a_t,
-        b_ub=np.zeros(a_t.shape[0]),
-        bounds=(-1, 1),
-        method="highs-ds",
-        options={"simplex_dual_edge_weight_strategy": "devex", "presolve": False},
-    )
+    # ran about 159 operations per second instead of 215, at higher peak RSS
+    res = linprog(a_t, b)
     if not res.success:
         return None, None
-    if -res.fun <= 1e-9:
-        return set(np.flatnonzero(-res.ineqlin.marginals > 1e-9).tolist()), None
+    if res.maximum <= 1e-9:
+        return set(np.flatnonzero(-res.duals > 1e-9).tolist()), None
     # a vertex takes few distinct values: rationalize each once
     rational = {y: Fraction(y).limit_denominator(1000) for y in set(res.x.tolist())}
     return None, {i: rational[y] for i, y in enumerate(res.x.tolist()) if rational[y]}

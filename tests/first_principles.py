@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from itertools import product
 
+import numpy as np
+
 from dicbound.entropy import VariableId
 
 
@@ -140,3 +142,25 @@ def fixed_point_closure(net, cond):
                     known |= wired
         if len(known) == size:
             return known
+
+
+def reference_elemental_columns(rows, signs):
+    """The prover's reduction of elemental columns, by row-wise stable
+    argsorts and a row-wise ``np.unique``.  Line t of ``rows`` and ``signs``
+    holds elemental t's four (reduced row, sign) terms, row -1 and sign 0 for
+    padding.  Terms on one row are merged, each column's terms sorted by row,
+    the first of equal columns kept and zero columns dropped.  Returns the
+    reduced rows and signs and the kept elemental indices."""
+    order = np.argsort(rows, axis=1, kind="stable")
+    rows, signs = np.take_along_axis(rows, order, 1), np.take_along_axis(signs, order, 1)
+    for s in range(1, rows.shape[1]):
+        same = rows[:, s] == rows[:, s - 1]
+        signs[same, s] += signs[same, s - 1]
+        signs[same, s - 1] = 0
+    rows = np.where(signs == 0, -1, rows)
+    order = np.argsort(rows, axis=1, kind="stable")
+    rows, signs = np.take_along_axis(rows, order, 1), np.take_along_axis(signs, order, 1)
+    _, first = np.unique(np.concatenate([rows, signs], axis=1), axis=0, return_index=True)
+    kept = np.sort(first)
+    kept = kept[(signs[kept] != 0).any(axis=1)]
+    return rows[kept], signs[kept], kept.tolist()

@@ -1,10 +1,12 @@
 import hashlib
+import random
 import re
 import time
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from dicbound.prover import (
     verify_certificate,
 )
 from dicbound.sampling import sample_product_distribution
-from first_principles import oracle_expr_value
+from first_principles import oracle_expr_value, reference_elemental_columns
 
 BASE2_WIRING = {(1, 1): ((2, 1),), (2, 1): ((1, 1),)}
 BASE3_WIRING = {
@@ -42,7 +44,7 @@ def without_float_guidance():
     """While active, the float LP gives neither a support nor a candidate
     vector, so ``prove`` decides with the full exact simplex (path
     ``exact``).  A context manager, so that hypothesis tests can use it."""
-    return mock.patch.object(prover_module, "_float_dual", lambda a_eq, b_eq: (None, None))
+    return mock.patch.object(prover_module, "_float_dual", lambda a_t, b: (None, None))
 
 
 def prove_both_ways(problem):
@@ -587,6 +589,109 @@ def test_each_verdict_costs_one_float_lp(monkeypatch, base2):
         calls.clear()
         result = prove(ProverProblem(variables=variables, constraints=constraints, target=expr_from_names(variables, terms)))
         assert result.status == status and len(calls) == 1, terms
+
+
+def every_residue():
+    from dicbound.extend import supported_bounds
+
+    return [problem for bound_id in supported_bounds() for problem in appendix_targets(bound_id)]
+
+
+def public_linprog(a_t, b):
+    """The float LP through scipy's public ``linprog``, with the options
+    ``prover.linprog`` passes to HiGHS itself."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    indptr, indices, values = a_t
+    matrix = sparse.csr_matrix((values, indices, indptr), shape=(len(indptr) - 1, len(b)))
+    res = linprog(
+        c=-b,
+        A_ub=matrix,
+        b_ub=np.zeros(matrix.shape[0]),
+        bounds=(-1, 1),
+        method="highs-ds",
+        options={"simplex_dual_edge_weight_strategy": "devex", "presolve": False},
+    )
+    if not res.success:
+        return prover_module.FloatLPResult(False)
+    return prover_module.FloatLPResult(True, -res.fun, res.x, res.ineqlin.marginals)
+
+
+def test_the_float_lp_agrees_with_public_linprog(monkeypatch):
+    # prover.linprog builds the HiGHS model through scipy's private bindings;
+    # the public linprog on the same system is the oracle for that module
+    problems = every_residue() + list(refutations())
+    assert len(problems) == 154 + 27
+    results, solvers = [], (prover_module.linprog, public_linprog)
+    for problem in problems:
+        system = prover_module._ClosedSetLP(elemental_inequalities(problem.variables), problem).float_system()
+        duals = []
+        for solve in solvers:
+            monkeypatch.setattr(prover_module, "linprog", lambda a_t, b: results.append(solve(a_t, b)) or results[-1])
+            duals.append(prover_module._float_dual(*system))
+        ours, public = results[-2:]
+        assert ours.success and public.success, problem.name
+        assert abs(ours.maximum - public.maximum) <= 1e-12, problem.name
+        for a, b in ((ours.x, public.x), (ours.duals, public.duals)):
+            assert np.abs(a - b).max() <= 1e-12, problem.name
+        # the same support for a residue, the same rationalized candidate for a refutation
+        assert duals[0] == duals[1] and duals[0] != (None, None), problem.name
+
+
+def assert_same_reduction(got, expected, name=""):
+    assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1]), name
+    assert list(got[2]) == expected[2], name
+
+
+def assert_reduction_matches_the_reference(problem):
+    lp = prover_module._ClosedSetLP(elemental_inequalities(problem.variables), problem)
+    expected = reference_elemental_columns(lp.row_of[lp.elementals.masks], lp.elementals.signs)
+    assert_same_reduction((lp.rows, lp.row_signs, lp.gens[: lp.n_elemental_columns]), expected, problem.name)
+    return lp
+
+
+def random_dependencies(rng, n):
+    """Up to four random functional dependencies H(B|A) = 0 on n variables."""
+    top = 1 << n
+    constraints = []
+    for c in range(rng.randrange(5)):
+        a = rng.randrange(1, top)
+        u = a | rng.randrange(1, top)
+        if u != a:
+            constraints.append((f"fd{c}", {u: Fraction(1), a: Fraction(-1)}))
+    return tuple(constraints)
+
+
+def test_elemental_reduction_matches_the_argsort_reference():
+    for problem in every_residue():
+        assert_reduction_matches_the_reference(problem)
+    rng = random.Random(22)
+    for n in range(1, 11):
+        for _ in range(4):
+            names = tuple(f"Z{i + 1}" for i in range(n))
+            problem = ProverProblem(
+                variables=names, constraints=random_dependencies(rng, n), target={(1 << n) - 1: Fraction(1)}
+            )
+            assert_reduction_matches_the_reference(problem)
+    # with no dependency at n = MAX_VARIABLES every non-empty set is a row,
+    # so the integer keys reach their largest radix, 5 * 4096
+    n = prover_module.MAX_VARIABLES
+    problem = ProverProblem(variables=tuple(f"Z{i + 1}" for i in range(n)), constraints=(), target={1: Fraction(1)})
+    lp = assert_reduction_matches_the_reference(problem)
+    assert lp.n_rows == 4095 and (5 * (lp.n_rows + 1)) ** 4 < 2**63
+    # elemental-shaped lines, terms in random places, on few rows: they
+    # repeat, merge to signs of +-2 and share rows under other signs
+    generator = np.random.default_rng(22)
+    for n_rows in (1, 3, 6, 4095):
+        rows = generator.integers(0, n_rows, size=(3000, 4))
+        signs = np.tile([1, 1, -1, -1], (3000, 1))
+        single = generator.random(3000) < 0.5
+        rows[single, 2:], signs[single, 2:] = -1, 0
+        places = generator.permuted(np.tile(np.arange(4), (3000, 1)), axis=1)
+        rows, signs = np.take_along_axis(rows, places, 1), np.take_along_axis(signs, places, 1)
+        expected = reference_elemental_columns(rows, signs)
+        assert_same_reduction(prover_module._reduce_elementals(rows, signs, n_rows), expected, n_rows)
 
 
 def test_zero_coefficients_are_dropped():
