@@ -217,6 +217,7 @@ def channel_from_dict(data: dict) -> DeterministicChannel:
 
 
 def channel_to_dict(channel: DeterministicChannel) -> dict:
+    """The table document form that ``channel_from_dict`` reads."""
     return {
         "user_count": channel.user_count,
         "alphabet_sizes": list(channel.input_sizes),

@@ -223,8 +223,11 @@ def row_entropy(values: np.ndarray, probs: np.ndarray) -> float:
     Rows become mixed-radix int64 keys, re-indexed by ``np.unique`` before
     the radix product reaches 2^62, so they never overflow, and before
     ``bincount`` when they are sparse.  ``bincount`` adds each merged mass in
-    atom order: the float a sequential sum gives.
+    atom order: the float a sequential sum gives.  No columns give
+    H(nothing) = 0.0, not -s log2 s for the mass sum s.
     """
+    if not values.shape[1]:
+        return 0.0
     key, bound = np.zeros(len(probs), dtype=np.int64), 1
     for column in values.T:
         radix = int(column.max()) + 1
@@ -242,8 +245,6 @@ def row_entropy(values: np.ndarray, probs: np.ndarray) -> float:
 def entropy(table: JointTable, subset: Iterable[VariableId | str]) -> float:
     """Shannon entropy in bits of the marginal on ``subset`` (0 log 0 = 0)."""
     idx = [table.index_of(v) for v in _as_vars(subset)]
-    if not idx:
-        return 0.0
     return row_entropy(table.values[:, idx], table.probs)
 
 

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 from .channels import DeterministicChannel, is_int
 from .entropy import SourceDistribution, base_terms
 from .errors import DicboundError, RecipeError, UnsupportedBoundError
-from .gcs import CutChain, _evaluate_chain, chain_from_cuts
+from .gcs import CutChain, _chain_value, chain_from_cuts
 from .networks import (
     NetworkGraph,
     Replica,
@@ -98,6 +98,7 @@ def recipe_from_dict(data: dict) -> ReplicationRecipe:
 
 
 def recipe_to_dict(recipe: ReplicationRecipe) -> dict:
+    """The recipe file form that ``recipe_from_dict`` reads."""
     return {
         "counts": list(recipe.counts),
         "wiring": {
@@ -277,7 +278,7 @@ def _builtin_recipe(bound_id: str, k: int | None) -> BoundRecipe:
     if spec["parametric"]:
         if k is None:
             raise DicboundError(f"bound {bound_id} is parametric; k is required")
-        lo, hi = spec.get("k_range", [1, 8])
+        lo, hi = spec["k_range"]
         if not lo <= k <= hi:
             raise UnsupportedBoundError(f"bound {bound_id} supports k in {lo}..{hi}, got {k}")
     counts, wiring, peel = _instantiate(spec, k)
@@ -344,10 +345,12 @@ def verify_chain_identity(
     dist: SourceDistribution,
     k_range: Sequence[int] = (1, 2, 3),
 ) -> IdentityReport:
-    """Check evaluate_chain == derived closed form, up to ``IDENTITY_TOL``, for
-    each k, reporting the first diverging term on mismatch and per-k
+    """Check the chain value == derived closed form, up to ``IDENTITY_TOL``,
+    for each k, reporting the first diverging term on mismatch and per-k
     increments.  The sizes are read in order and never listed, so a long
-    range stops at its first unsupported k."""
+    range stops at its first unsupported k.  Recipe chains come from
+    ``chain_from_cuts`` and are valid by construction, so none is
+    re-validated."""
     spec = bound_support_info(bound_id)
     ks = k_range if spec["parametric"] else [None]
     recipes = [builtin_recipe(bound_id, k) for k in ks]
@@ -358,7 +361,7 @@ def verify_chain_identity(
     for recipe in recipes:
         network = build_extended(channel, recipe.recipe)
         rdist = replicate_distribution(network, dist)
-        evaluated.append(_evaluate_chain(network, recipe.chain, rdist, shapes))
+        evaluated.append(_chain_value(network, recipe.chain, rdist, shapes))
     values = base_terms(channel, dist, (t.key for r in recipes for t in r.closed_terms))
     per_k = []
     diagnostics = []
@@ -401,26 +404,9 @@ def limit_bound(
     if not spec["parametric"]:
         recipe = builtin_recipe(bound_id)
         return recipe.recipe.counts, chain_closed_form(recipe, base_terms(channel, dist, recipe.term_counts()))
-    lo, _ = spec.get("k_range", [1, 8])
+    lo, _ = spec["k_range"]
     r_lo, r_hi = builtin_recipe(bound_id, lo), builtin_recipe(bound_id, lo + 1)
     values = base_terms(channel, dist, r_lo.term_counts() | r_hi.term_counts())
     weights = tuple(h - l for l, h in zip(r_lo.recipe.counts, r_hi.recipe.counts))
     return weights, chain_closed_form(r_hi, values) - chain_closed_form(r_lo, values)
 
-
-def affine_term_multiplicities(bound_id: str) -> dict[tuple[int, frozenset[int]], tuple[int, int]]:
-    """Closed-form term multiplicities as (a, b) meaning a*k + b.
-
-    Validated at three sizes; a constant-size recipe ignores k, so it reports a = 0.
-    """
-    lo, _ = bound_support_info(bound_id).get("k_range", [1, 8])
-    counts = [builtin_recipe(bound_id, k).term_counts() for k in (lo, lo + 1, lo + 2)]
-    out = {}
-    for key in set().union(*counts):
-        c0, c1, c2 = (c[key] for c in counts)
-        a = c1 - c0
-        b = c0 - a * lo
-        if c2 != a * (lo + 2) + b:
-            raise RecipeError(f"{bound_id}: term multiplicity for {key} is not affine in k")
-        out[key] = (a, b)
-    return out

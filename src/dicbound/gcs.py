@@ -17,10 +17,12 @@ distinct level is reduced once, on replica sets (``networks.reduce_query``),
 and answered by ``networks.memo_entropy``, which enumerates only a query
 shape its memo has not met.  A hit is exact: replicas of a user run i.i.d.
 copies of its inputs, and a shape renames replicas only within a user under
-equal tables.  ``chain_values`` keeps one memo per call, ``evaluate_chain``
-one per chain, and ``extend.verify_chain_identity`` one across its k range,
-which is one channel and the replicas of one base law.  A joint-law query
-has no shape and is asked once per distinct level.
+equal tables.  ``_chain_value`` is the one evaluator; its caller keeps the
+shape memo.  ``evaluate_chain`` starts one per chain and
+``extend.verify_chain_identity`` one across its k range, which is one
+channel and the replicas of one base law.  ``chain_values`` keeps one per
+call, and a local dict of the levels of its chains, so a joint-law query,
+which has no shape, is still asked once per distinct level.
 """
 
 from __future__ import annotations
@@ -115,34 +117,19 @@ def _level_value(network: NetworkGraph, dist: SourceDistribution, level: Level, 
     return 0.0 if reduced is None else memo_entropy(network, dist, *reduced, shapes)
 
 
-def _chain_value(
-    network: NetworkGraph, chain: CutChain, dist: SourceDistribution, shapes: dict, levels: dict
-) -> ChainValue:
-    """The chain's value.  ``levels`` maps this network's levels evaluated so
-    far to their values, ``shapes`` the query shapes (see ``_level_value``);
-    a shape memo may span networks of one channel."""
-    terms = []
-    for level in _chain_levels(network, chain):
-        if level not in levels:
-            levels[level] = _level_value(network, dist, level, shapes)
-        terms.append(levels[level])
-    return ChainValue(total=math.fsum(terms), terms=tuple(terms))
+def _chain_value(network: NetworkGraph, chain: CutChain, dist: SourceDistribution, shapes: dict) -> ChainValue:
+    """The value of a valid chain, not re-validated.  ``shapes`` is the shape
+    memo of ``_level_value``, and may span networks of one channel."""
+    terms = tuple(_level_value(network, dist, level, shapes) for level in _chain_levels(network, chain))
+    return ChainValue(total=math.fsum(terms), terms=terms)
 
 
 def evaluate_chain(network: NetworkGraph, chain: CutChain, dist: SourceDistribution) -> ChainValue:
     """Single-letter chain value; raises if the chain is invalid."""
-    return _evaluate_chain(network, chain, dist, {})
-
-
-def _evaluate_chain(
-    network: NetworkGraph, chain: CutChain, dist: SourceDistribution, shapes: dict
-) -> ChainValue:
-    """``evaluate_chain`` with a shape memo the caller keeps across networks
-    of one channel."""
     violations = validate_chain(network, chain)
     if violations:
         raise ChainValidationError(violations)
-    return _chain_value(network, chain, dist, shapes, {})
+    return _chain_value(network, chain, dist, {})
 
 
 def chain_from_cuts(
@@ -192,13 +179,15 @@ def chain_values(
     network: NetworkGraph, dist: SourceDistribution, max_l: int
 ) -> list[tuple[CutChain, float]]:
     """Every enumerated chain with its value, not re-validated: enumerated
-    chains are valid by construction.  Each distinct level is reduced once
-    and each distinct query shape asked once; the memos are dropped when the
-    call returns."""
+    chains are valid by construction.  Each distinct level is reduced once,
+    in the order the chains first meet it, and each distinct query shape
+    asked once; the memos are dropped when the call returns."""
     chains = enumerate_chains(network, max_l)
+    walks = [_chain_levels(network, chain) for chain in chains]
     shapes: dict = {}
-    levels: dict = {}
-    return [(chain, _chain_value(network, chain, dist, shapes, levels).total) for chain in chains]
+    distinct = dict.fromkeys(level for walk in walks for level in walk)
+    levels = {level: _level_value(network, dist, level, shapes) for level in distinct}
+    return [(chain, math.fsum(map(levels.__getitem__, walk))) for chain, walk in zip(chains, walks)]
 
 
 def tightest_chain(values: Iterable[tuple[CutChain, float]]) -> tuple[CutChain, float]:

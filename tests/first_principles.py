@@ -3,7 +3,9 @@
 The oracles here recompute entropies from first principles (plain dicts of
 probabilities over enumerated input tuples), and the variables a conditioning
 set determines by iterating the closure rules to their fixed point, so they
-share no code path with the engine under test.
+share no code path with the engine under test.  The test-only readings of
+the library's own data live here too, such as the per-k multiplicity of each
+recipe's closed-form terms.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from itertools import product
 import numpy as np
 
 from dicbound.entropy import VariableId
+from dicbound.extend import bound_support_info, builtin_recipe
 
 
 def oracle_entropy(probs) -> float:
@@ -164,3 +167,20 @@ def reference_elemental_columns(rows, signs):
     kept = np.sort(first)
     kept = kept[(signs[kept] != 0).any(axis=1)]
     return rows[kept], signs[kept], kept.tolist()
+
+
+def affine_term_multiplicities(bound_id):
+    """Closed-form term multiplicities of a bound recipe as (a, b), meaning
+    a*k + b copies at size k, read at the three least sizes and asserted
+    affine.  A constant-size recipe ignores k, so it reports a = 0."""
+    spec = bound_support_info(bound_id)
+    lo = spec["k_range"][0] if spec["parametric"] else 1
+    counts = [builtin_recipe(bound_id, k).term_counts() for k in (lo, lo + 1, lo + 2)]
+    out = {}
+    for key in set().union(*counts):
+        c0, c1, c2 = (c[key] for c in counts)
+        a = c1 - c0
+        b = c0 - a * lo
+        assert c2 == a * (lo + 2) + b, f"{bound_id}: term multiplicity for {key} is not affine in k"
+        out[key] = (a, b)
+    return out

@@ -1,4 +1,6 @@
+import ast
 from collections import Counter
+from pathlib import Path
 
 import dicbound
 
@@ -14,3 +16,35 @@ def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from dicbound import *", namespace)
     assert set(dicbound.__all__) <= namespace.keys()
+
+
+# public names that neither the library names nor ``__all__`` exports, each
+# kept on purpose
+REACHED_FROM_OUTSIDE = {
+    "channels.channel_to_dict": "writes the table document form that channel_from_dict reads",
+    "entropy.X": "the input-variable constructor beside V and Y, for callers naming queries",
+    "extend.recipe_to_dict": "writes the recipe file form that recipe_from_dict and --network read",
+    "networks.network_entropy": "public H(subset) network query beside cond_entropy_network",
+}
+
+
+def test_every_public_definition_is_used_exported_or_listed():
+    # a public module-level function or class that only tests reach belongs
+    # in tests/first_principles.py; names are matched by identifier, and a
+    # definition's own body does not count as a use of it
+    statements, definitions = [], {}
+    for path in sorted(Path(dicbound.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            nodes = list(ast.walk(stmt))
+            named = {n.id for n in nodes if isinstance(n, ast.Name)}
+            named |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            statements.append((stmt, named))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                definitions[f"{path.stem}.{stmt.name}"] = stmt
+    unreached = {
+        qualified
+        for qualified, definition in definitions.items()
+        if definition.name not in dicbound.__all__
+        and not any(definition.name in named for stmt, named in statements if stmt is not definition)
+    }
+    assert sorted(unreached) == sorted(REACHED_FROM_OUTSIDE)

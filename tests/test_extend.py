@@ -7,7 +7,6 @@ from dicbound.entropy import SourceDistribution, X, Y, base_terms, conditional_e
 from dicbound.errors import BudgetExceededError, DicboundError, DistributionError, RecipeError, UnsupportedBoundError
 from dicbound.extend import (
     ReplicationRecipe,
-    affine_term_multiplicities,
     bound_support_info,
     build_extended,
     builtin_recipe,
@@ -23,6 +22,8 @@ from dicbound.gcs import evaluate_chain, validate_chain
 from dicbound.networks import base_network, replicate_distribution, symbol_rows
 from dicbound.regions import bound_vector, load_templates
 from dicbound.sampling import sample_product_distribution
+
+from first_principles import affine_term_multiplicities
 
 UNIFORM2 = SourceDistribution.uniform([2, 2])
 UNIFORM3 = SourceDistribution.uniform([2, 2, 2])
@@ -72,14 +73,23 @@ def test_recipe_json_round_trip():
 
 
 def test_builtin_recipe_chain_validates_on_channels(xor2, shift2_331, concat3):
+    # the identity check evaluates recipe chains without re-validating them,
+    # so every chain it can meet is validated here, at every supported k
     for bound_id in supported_bounds():
         spec = bound_support_info(bound_id)
-        channel = xor2 if spec["users"] == 2 else concat3
-        ks = [1, 2, 4] if spec["parametric"] else [None]
+        channels = (xor2, shift2_331) if spec["users"] == 2 else (concat3,)
+        ks = range(spec["k_range"][0], spec["k_range"][1] + 1) if spec["parametric"] else [None]
         for k in ks:
             recipe = builtin_recipe(bound_id, k)
-            net = build_extended(channel, recipe.recipe)
-            assert validate_chain(net, recipe.chain) == []
+            for channel in channels:
+                net = build_extended(channel, recipe.recipe)
+                assert validate_chain(net, recipe.chain) == [], (bound_id, k, channel)
+
+
+def test_a_recipe_declares_a_k_range_exactly_when_parametric():
+    for bound_id in supported_bounds():
+        spec = bound_support_info(bound_id)
+        assert ("k_range" in spec) == spec["parametric"], bound_id
 
 
 def test_unknown_and_out_of_range_bounds():
@@ -504,22 +514,16 @@ def test_channel_validity_checked_once_per_channel(monkeypatch):
     assert len(calls) == 1
 
 
-def test_identity_check_validates_each_chain_once(xor2, monkeypatch):
-    import dicbound.extend
-    import dicbound.gcs
-
-    calls = []
-    real = dicbound.gcs.validate_chain
-
-    def counting(network, chain):
-        calls.append(chain)
-        return real(network, chain)
-
-    monkeypatch.setattr(dicbound.gcs, "validate_chain", counting)
-    monkeypatch.setattr(dicbound.extend, "validate_chain", counting, raising=False)
-    report = verify_chain_identity("4e", xor2, UNIFORM2, k_range=[1, 2, 3])
-    assert report.ok
-    assert len(calls) == 3
+def test_identity_check_does_not_revalidate_recipe_chains(xor2, count_calls):
+    # recipe chains are valid by construction (chain_from_cuts), so only a
+    # chain given from outside, to evaluate_chain, is validated
+    validations = count_calls(sys.modules["dicbound.gcs"], "validate_chain")
+    assert verify_chain_identity("4e", xor2, UNIFORM2, k_range=[1, 2, 3]).ok
+    assert validations == []
+    recipe = builtin_recipe("4e", 2)
+    net = build_extended(xor2, recipe.recipe)
+    evaluate_chain(net, recipe.chain, replicate_distribution(net, UNIFORM2))
+    assert len(validations) == 1
 
 
 def test_limit_bound_builds_one_joint_table(xor2, count_calls):

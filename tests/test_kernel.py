@@ -23,7 +23,7 @@ import pytest
 import dicbound
 from dicbound import networks
 from dicbound.channels import DeterministicChannel, builtin_channel
-from dicbound.entropy import SourceDistribution, VariableId, entropy, induce_joint
+from dicbound.entropy import SourceDistribution, VariableId, Y, entropy, induce_joint
 from dicbound.errors import BudgetExceededError, ChannelFormatError
 from dicbound.extend import build_extended, builtin_recipe, supported_bounds
 from dicbound.networks import (
@@ -33,6 +33,7 @@ from dicbound.networks import (
     network_entropy,
     replicas_from_counts,
 )
+from dicbound.sampling import sample_product_distribution
 
 from first_principles import fixed_point_closure
 
@@ -113,6 +114,8 @@ def reference_cond_entropy(network, dist, targets, cond=()):
     else:
         live, keys = sorted(targets - cond), sorted(cond)
     rows = reference_rows(network, dist, keys + live)
+    if not keys:  # H(live | nothing) is H(live): H(nothing) = 0
+        return reference_merged_entropy(rows)
     return reference_merged_entropy(rows) - reference_merged_entropy((v[: len(keys)], p) for v, p in rows)
 
 
@@ -227,6 +230,15 @@ def test_row_keys_never_overflow():
     assert network_entropy(network, dist, variables) == reference_cond_entropy(network, dist, variables)
     ys = [v for v in variables if v.kind == "Y"]
     assert cond_entropy_network(network, dist, variables, ys) == reference_cond_entropy(network, dist, variables, ys)
+
+
+def test_an_unconditioned_query_subtracts_nothing(concat3):
+    # H(nothing) = 0, so H(Y1) asked on the network is the joint table's H(Y1)
+    # bit for bit, not H(Y1) - (-s log2 s) for a mass sum s a rounding off 1
+    network = base_network(concat3)
+    for i in range(200):
+        law = sample_product_distribution((2, 2, 2), 7, i)
+        assert network_entropy(network, law, [Y(1)]) == entropy(induce_joint(concat3, law), [Y(1)]), i
 
 
 def test_huge_symbols_fit_and_larger_ones_are_refused():
