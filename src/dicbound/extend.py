@@ -315,8 +315,8 @@ def verify_replica_rates(
     memo: dict = {}
 
     def mi(net, d, replica):
-        y = [("Y", replica)]
-        return memo_entropy(net, d, [], y, memo) - memo_entropy(net, d, [("X", replica)], y, memo)
+        y, x = (set(), set(), {replica}), ({replica}, set(), set())
+        return memo_entropy(net, d, y, (set(), set(), set()), memo) - memo_entropy(net, d, y, x, memo)
 
     base_values = tuple(mi(base, dist, r) for r in base.replicas)
     replica_values = tuple((r, mi(network, rdist, r)) for r in network.replicas)

@@ -13,9 +13,9 @@ builds enumerated chains and recipe chains alike.
 
 Level j is H(Y(R_{j-1} - R_j) | X, Y(all - R_{j-1})), so the pair
 (R_{j-1}, R_j) alone decides its value, whichever chain it occurs in.  Each
-distinct level is reduced once, on replica sets (``networks.reduce_query``),
-and answered by ``networks.memo_entropy``, which enumerates only a query
-shape its memo has not met.  A hit is exact: replicas of a user run i.i.d.
+distinct level is asked once, on replica sets, of ``networks.memo_entropy``,
+the one network query, which reduces it and enumerates only a query shape
+its memo has not met.  A hit is exact: replicas of a user run i.i.d.
 copies of its inputs, and a shape renames replicas only within a user under
 equal tables.  ``_chain_value`` is the one evaluator; its caller keeps the
 shape memo.  ``evaluate_chain`` starts one per chain and
@@ -34,7 +34,7 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .entropy import SourceDistribution
 from .errors import BudgetExceededError, ChainValidationError, DicboundError
-from .networks import NetworkGraph, Replica, memo_entropy, reduce_query
+from .networks import NetworkGraph, Replica, memo_entropy
 
 # enumerate_chains refuses to build more.  The largest enumeration in the
 # benchmark builds 794 (ineq5 at k = 1, up to length 3); `gcs --enumerate` on
@@ -107,14 +107,13 @@ def _chain_levels(network: NetworkGraph, chain: CutChain) -> list[Level]:
 
 def _level_value(network: NetworkGraph, dist: SourceDistribution, level: Level, shapes: dict) -> float:
     """H(Y(R_{j-1} - R_j) | X, Y(all - R_{j-1})): the fresh outputs given the
-    inputs and outputs of every replica already cut, reduced on replica sets
-    and answered by ``memo_entropy`` from ``shapes``."""
+    inputs and outputs of every replica already cut, asked of
+    ``memo_entropy`` on replica sets with ``shapes`` as its memo."""
     outer, inner = level
     if outer == inner:
         return 0.0
     cut = set(network.replicas) - outer
-    reduced = reduce_query(network, dist, (set(), set(), outer - inner), (cut, set(), cut))
-    return 0.0 if reduced is None else memo_entropy(network, dist, *reduced, shapes)
+    return memo_entropy(network, dist, (set(), set(), outer - inner), (cut, set(), cut), shapes)
 
 
 def _chain_value(network: NetworkGraph, chain: CutChain, dist: SourceDistribution, shapes: dict) -> ChainValue:

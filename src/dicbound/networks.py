@@ -9,26 +9,27 @@ one check of them, ``replicas_from_counts`` lists the replicas, and
 ``node_labels`` is the one node-label format.
 
 This module holds the one entropy engine, a numpy kernel that speaks (kind,
-replica) columns: ``source_atoms`` enumerates source atoms as arrays (and is
-the only place that checks a law against a network and enforces the atom
-cap, ``MAX_ATOMS``), ``NetworkGraph.evaluator`` maps them to the values of
+replica) columns: ``source_atoms`` enumerates source atoms as arrays (after
+``check_law`` and under the atom cap, ``MAX_ATOMS``, which only it
+enforces), ``NetworkGraph.evaluator`` maps them to the values of
 the columns, and ``entropy.row_entropy`` merges equal rows into an entropy.
 A query enumerates once, over only the sources its columns read; under a
 product law, conditioning on a source's input and its receiver's output pins
 down the interference it saw, which shrinks that set further.
 
-A query has two steps.  ``reduce_query`` computes that closure on the
-(user, copy) replica sets of the known X's, V's and Y's and returns the key
-and live columns; ``query_entropy``, the engine step, evaluates them as they
-are.  ``query_shape`` names a reduced product-law query up to renaming
-replicas of one user under equal tables; two queries of one shape run the
-same arrays through the same arithmetic, so their values are equal bit for
-bit.  ``memo_entropy`` is the one memoized query and the only reader of
-shapes: ``gcs`` sends it each reduced cut-chain level, and
-``extend.verify_replica_rates`` each replica's H(Y) and H(Y | X).  A
-joint-mode law has no shape.  ``cond_entropy_network`` (``network_entropy``
-with nothing conditioned) is the public ``VariableId`` front end over both
-steps, and ``entropy.induce_joint`` builds a full joint table on the engine.
+``memo_entropy`` is the one network query and the only caller of its
+steps.  On the replica sets of the X's, V's and Y's of the targets and of
+the conditioning, it checks the law; ``reduce_query`` computes that closure
+and returns the key and live columns, or None when the conditioning
+determines every target; ``query_shape`` names a product-law query up to
+renaming replicas of one user under equal tables, so equal shapes have
+values equal bit for bit; and ``query_entropy``, the engine step, runs only
+for a shape not yet in the caller's memo.  A joint-mode law has no shape.
+Chain levels share a memo per chain, chain search or identity k range (see
+``gcs``), replica rates one over the base and extended network, and
+``cond_entropy_network`` (and ``network_entropy``), the public
+``VariableId`` front end, has a fresh one per call.  ``entropy.induce_joint``
+builds a full joint table on the engine.
 """
 
 from __future__ import annotations
@@ -340,38 +341,38 @@ def query_shape(network: NetworkGraph, dist: SourceDistribution, keys: Columns, 
     return tables, len(keys), columns
 
 
-def memo_entropy(
-    network: NetworkGraph, dist: SourceDistribution, keys: Columns, live: Columns, memo: dict
-) -> float:
-    """H(live | keys) from ``memo``, keyed by query shape: the one memoized
-    network query.  The law is checked first, since a shape reads its tables;
-    only a shape not in ``memo`` reaches ``query_entropy``, and its value is
-    stored.  A joint-law query has no shape and is always asked.  A memo may
-    span networks of one channel, since a shape names users, not channels."""
+def memo_entropy(network: NetworkGraph, dist: SourceDistribution, targets, cond, memo: dict) -> float:
+    """H(targets | cond) on (X, V, Y) replica sets: the one network query.
+
+    It checks the law, since a shape reads its tables; reduces the query,
+    returning 0.0 when the conditioning determines every target; looks the
+    query shape up in ``memo``; and runs ``query_entropy`` only for a shape
+    not yet there, storing its value.  A joint-law query has no shape and is
+    always asked.  A memo may span networks of one channel, since a shape
+    names users, not channels."""
     check_law(network, dist)
-    shape = query_shape(network, dist, keys, live)
+    reduced = reduce_query(network, dist, targets, cond)
+    if reduced is None:
+        return 0.0
+    shape = query_shape(network, dist, *reduced)
     if shape in memo:
         return memo[shape]
-    value = query_entropy(network, dist, keys, live)
+    value = query_entropy(network, dist, *reduced)
     if shape is not None:
         memo[shape] = value
     return value
 
 
 def cond_entropy_network(
-    network: NetworkGraph,
-    dist: SourceDistribution,
-    targets: Iterable[VariableId],
-    cond: Iterable[VariableId] = (),
+    network: NetworkGraph, dist: SourceDistribution, targets: Iterable[VariableId], cond: Iterable[VariableId] = ()
 ) -> float:
     """H(targets | cond) on the network without materializing the full joint:
-    the public ``VariableId`` front end, ``reduce_query`` on the variables'
-    replica sets, then ``query_entropy`` on the columns it returns."""
-    reduced = reduce_query(network, dist, network.replica_sets(targets), network.replica_sets(cond))
-    return 0.0 if reduced is None else query_entropy(network, dist, *reduced)
+    the public ``VariableId`` front end, ``memo_entropy`` on the variables'
+    replica sets with a memo of its own."""
+    return memo_entropy(network, dist, network.replica_sets(targets), network.replica_sets(cond), {})
 
 
 def network_entropy(network: NetworkGraph, dist: SourceDistribution, subset) -> float:
-    """H(subset): the network query with nothing conditioned.  Public API
-    beside ``cond_entropy_network``; the library itself asks neither."""
+    """H(subset): ``cond_entropy_network`` with nothing conditioned, so the
+    same ``memo_entropy`` path.  Public API; the library itself asks neither."""
     return cond_entropy_network(network, dist, subset)

@@ -24,7 +24,7 @@ REACHED_FROM_OUTSIDE = {
     "channels.channel_to_dict": "writes the table document form that channel_from_dict reads",
     "entropy.X": "the input-variable constructor beside V and Y, for callers naming queries",
     "extend.recipe_to_dict": "writes the recipe file form that recipe_from_dict and --network read",
-    "networks.network_entropy": "public H(subset) network query beside cond_entropy_network",
+    "networks.network_entropy": "public H(subset): cond_entropy_network, so memo_entropy, with nothing conditioned",
 }
 
 
@@ -48,3 +48,23 @@ def test_every_public_definition_is_used_exported_or_listed():
         and not any(definition.name in named for stmt, named in statements if stmt is not definition)
     }
     assert sorted(unreached) == sorted(REACHED_FROM_OUTSIDE)
+
+
+QUERY_STEPS = {"reduce_query", "query_shape", "query_entropy"}
+
+
+def test_the_query_steps_are_named_only_in_memo_entropy():
+    # memo_entropy is the one network query: no other statement of the
+    # library, an import included, names its steps, so none can skip the
+    # law check or the memo; a step's own definition does not count
+    naming = {}
+    for path in sorted(Path(dicbound.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            nodes = list(ast.walk(stmt))
+            named = {n.id for n in nodes if isinstance(n, ast.Name)}
+            named |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            named |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+            named -= {getattr(stmt, "name", None)}
+            if named & QUERY_STEPS:
+                naming[f"{path.stem}.{getattr(stmt, 'name', type(stmt).__name__)}"] = named & QUERY_STEPS
+    assert naming == {"networks.memo_entropy": QUERY_STEPS}

@@ -138,6 +138,13 @@ def test_prove_problem_file(capsys, tmp_path):
         "  1 * I(V1;Y1,V2|X1)\n"
         "  -1 * [=]V1 from X1\n"
     )
+    # a false claim, H(A) >= H(A,B), is a verification failure
+    path.write_text(json.dumps({"variables": ["A", "B"], "target": {"A": 1, "A B": -1}}))
+    code, out = run_cli(capsys, "prove", "--problem", str(path))
+    assert code == 1 and out == (
+        f"{path}: NotProvable\n"
+        "  not derivable from Shannon-type inequalities plus the given constraints; the inequality may still hold\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -203,6 +210,8 @@ def run_cli_exit(capsys, *argv):
         ("region", "--channel", "xor2", "--dist", "missing.json", "--samples", "1"),
         ("region", "--channel", "xor2", "--dist", "uniform", "--samples", "2", "--out", "svg"),
         ("validate", "--channel", "shift2:40,40,1"),
+        ("validate", "--channel", "xor2:1"),  # takes no parameters
+        ("validate", "--channel", "concat3:1"),
     ],
 )
 def test_bad_numeric_arguments_are_usage_errors(capsys, argv):
@@ -426,6 +435,7 @@ MALFORMED_FILES = {
     ),
     "dist-joint-length": ("--dist", "dist.json", json.dumps({"mode": "joint", "probs": [0.5, 0.5]})),
     "dist-sum": ("--dist", "dist.json", json.dumps({"probs": [[0.5, 0.4], [0.5, 0.5]]})),
+    "dist-joint-sum": ("--dist", "dist.json", json.dumps({"mode": "joint", "probs": [0.3, 0.2, 0.2, 0.2]})),
     "dist-not-numbers": ("--dist", "dist.json", json.dumps({"probs": [["a", "b"], [0.5, 0.5]]})),
     "dist-not-json": ("--dist", "dist.json", "{not json"),
     # JSON true and false are not the probabilities 1 and 0
@@ -517,6 +527,11 @@ INVALID_NETWORKS = {
     "nonrecoverable-channel": (
         {**NETWORK_4F, "channel": NONRECOVERABLE_DOC},
         "interference recoverability",
+    ),
+    "wired-twice": (  # "1" and "1^1" name the same receiver
+        {**NETWORK_4F, "recipe": {**NETWORK_4F["recipe"], "wiring": {
+            "1": {"2": 1}, **NETWORK_4F["recipe"]["wiring"]}}},
+        "a receiver is wired twice",
     ),
     "oversized-counts": (  # two million copies of user 1, one of them wired
         {**NETWORK_4F, "recipe": {"counts": [2000000, 1], "wiring": {"1^1": {"2": 1}, "2^1": {"1": 1}}}},

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -158,6 +159,20 @@ def test_law_that_does_not_fit_the_network_is_rejected(xor2, shift2_221):
         cond_entropy_network(base_network(shift2_221), SourceDistribution.uniform([2, 2]), [Y(1)], [X(1)])
     with pytest.raises(DistributionError):
         induce_joint(extended, SourceDistribution.uniform([2, 2]))
+
+
+def test_a_law_that_does_not_fit_is_refused_on_every_query(xor2):
+    # the law is checked before the reduction, so also on queries that the
+    # conditioning answers without the engine, and on the empty query
+    net, law = base_network(xor2), SourceDistribution.uniform([3, 3, 3])
+    message = "law over alphabet sizes [3, 3, 3] does not fit the sources X1, X2 with sizes [2, 2]"
+    for query in (
+        lambda: cond_entropy_network(net, law, [Y(1)], [X(1), X(2)]),  # Y1 is determined
+        lambda: cond_entropy_network(net, law, [V(1)], [X(1)]),  # V1 is determined
+        lambda: network_entropy(net, law, []),
+    ):
+        with pytest.raises(DistributionError, match=f"^{re.escape(message)}$"):
+            query()
 
 
 def test_variables_outside_the_network_are_rejected(xor2):

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import pytest
@@ -335,23 +336,36 @@ def test_peel_walk_rejects_malformed_orders():
         derive_closed_terms((2, 1), wiring3, [[(1, 1), (1, 2)], [(2, 1)]])
 
 
-def test_identity_mismatch_diagnostic(xor2):
-    # evaluating a deliberately wrong closed form names the diverging level
+def test_identity_mismatch_diagnostic(xor2, monkeypatch, capsys):
+    # a recipe whose last closed term at k = 2 drops its conditioning:
+    # verify_chain_identity names that level with both values, and
+    # `extend --verify` prints it as a MISMATCH line and exits 1
     import dicbound.extend as ext
+    from dicbound.cli import main
 
-    recipe = builtin_recipe("4a", 2)
-    broken = recipe.closed_terms[:-1] + (
-        ext.ClosedTerm(
-            level=recipe.closed_terms[-1].level,
-            target=recipe.closed_terms[-1].target,
-            given=frozenset(),
-            evidence=(),
-        ),
-    )
-    values = base_terms(xor2, UNIFORM2, [t.key for t in recipe.closed_terms + broken])
-    good = sum(values[t.key] for t in recipe.closed_terms)
-    bad = sum(values[t.key] for t in broken)
-    assert bad != pytest.approx(good, abs=1e-9)
+    real = ext.builtin_recipe
+
+    def broken(bound_id, k=None):
+        recipe = real(bound_id, k)
+        if k != 2:
+            return recipe
+        last = dataclasses.replace(recipe.closed_terms[-1], given=frozenset(), evidence=())
+        return dataclasses.replace(recipe, closed_terms=recipe.closed_terms[:-1] + (last,))
+
+    monkeypatch.setattr(ext, "builtin_recipe", broken)
+    recipe = real("4a", 2)
+    level = recipe.closed_terms[-1].level
+    net = build_extended(xor2, recipe.recipe)
+    chain_term = evaluate_chain(net, recipe.chain, replicate_distribution(net, UNIFORM2)).terms[level - 1]
+    closed_term = base_terms(xor2, UNIFORM2, [(2, frozenset())])[(2, frozenset())]
+    assert abs(chain_term - closed_term) > 1e-9
+    diagnostic = f"k=2: level {level} evaluates to {chain_term:.12g} but the closed form H(Y2^1) gives {closed_term:.12g}"
+    report = verify_chain_identity("4a", xor2, UNIFORM2, k_range=[1, 2, 3])
+    assert report.ok is False
+    assert report.diagnostics == (diagnostic,)
+    assert [diff > 1e-9 for _, _, _, diff in report.per_k] == [False, True, False]
+    assert main(["extend", "--bound", "4a", "--channel", "xor2", "--verify"]) == 1
+    assert f"MISMATCH {diagnostic}\n" in capsys.readouterr().out
 
 
 def test_reduced_evaluation_matches_materialized_joint_broadly(xor2, concat3):

@@ -577,6 +577,25 @@ def test_auto_falls_back_to_the_full_simplex_without_float_guidance(base2):
         assert verify_certificate(problem, result.certificate)
 
 
+def test_a_float_lp_without_an_optimum_leaves_the_verdict_to_the_full_simplex(monkeypatch, base2):
+    # HiGHS reporting no optimum is the failed float solve: the verdict is
+    # the one the full exact simplex gives without float guidance
+    variables, constraints = base2
+    problems = (
+        appendix_targets("4a")[0],  # a Provable residue
+        ProverProblem(  # -I(X1;Y1), NotProvable
+            variables=variables, constraints=constraints, target=expr_from_names(variables, {"X1 Y1": 1, "X1": -1, "Y1": -1})
+        ),
+    )
+    with without_float_guidance():
+        expected = [prove(problem) for problem in problems]
+    monkeypatch.setattr(prover_module, "linprog", lambda a_t, b: prover_module.FloatLPResult(False))
+    for problem, want, status in zip(problems, expected, ("Provable", "NotProvable")):
+        got = prove(problem)
+        assert (got.status, got.path) == (want.status, want.path) == (status, "exact"), problem.name
+        assert got.certificate == want.certificate and got.separating_vector == want.separating_vector
+
+
 def test_each_verdict_costs_one_float_lp(monkeypatch, base2):
     variables, constraints = base2
     calls = []
