@@ -1,8 +1,10 @@
 """Exact joint distributions over realized channel symbols and entropy queries.
 
 Joint tables are support-sparse: one atom per source-input tuple, since every
-other symbol is a deterministic image.  ``induce_joint`` builds them with the
-engine in ``networks``; its last step is ``row_entropy``.  Entropies are in bits.
+other symbol is a deterministic image.  ``induce_joint`` builds them as one of
+the two entries of the engine in ``networks`` (``source_atoms`` →
+``NetworkGraph.evaluator`` → ``row_entropy``): it checks the law once, then
+enumerates every replica.  Entropies are in bits.
 """
 
 from __future__ import annotations
@@ -206,15 +208,20 @@ def induce_joint(model, dist: SourceDistribution) -> JointTable:
     """Materialize the joint table of all realized symbols.
 
     ``model`` is a DeterministicChannel (treated as its one-hop network) or a
-    NetworkGraph.  Atom probabilities are exactly the source probabilities.
+    NetworkGraph.  An entry of the engine: it checks the law, then
+    enumerates every replica, in replica order, and evaluates every column
+    of ``all_variables()``.  Atom probabilities are exactly the source
+    probabilities.
     """
-    from .networks import base_network, symbol_rows
+    from .networks import base_network, check_law, source_atoms
 
     if isinstance(model, DeterministicChannel):
         model = base_network(model)
+    check_law(model, dist)
     variables = model.all_variables()
     columns = [(v.kind, (v.user, v.copy)) for v in variables]
-    return JointTable(variables, *symbol_rows(model, dist, columns))
+    xs, p = source_atoms(model, dist, model.replicas)
+    return JointTable(variables, model.evaluator(columns, model.replicas, xs), p)
 
 
 def row_entropy(values: np.ndarray, probs: np.ndarray) -> float:

@@ -117,13 +117,16 @@ class ClosedTerm:
     ``evidence`` records, per conditioned user in A, how the conditioning pins
     that interference symbol down: ("peeled", replica) when the replica's own
     input is conditioned, ("recovered", receiver) when it is recovered from a
-    conditioned (input, output) pair.
+    conditioned (input, output) pair.  A is read from it.
     """
 
     level: int
     target: Replica
-    given: frozenset[int]
     evidence: tuple[tuple[int, tuple[str, Replica]], ...]
+
+    @property
+    def given(self) -> frozenset[int]:
+        return frozenset(user for user, _ in self.evidence)
 
     @property
     def key(self) -> tuple[int, frozenset[int]]:
@@ -153,15 +156,12 @@ def derive_closed_terms(
         for target in level:
             if target in peeled:
                 raise RecipeError(f"replica {target} peeled twice")
-            given = set()
             evidence = []
             undetermined = {target}
             if target in known:
-                given.add(target[0])
                 evidence.append((target[0], known[target]))
             for w in wiring[target]:
                 if w in known:
-                    given.add(w[0])
                     evidence.append((w[0], known[w]))
                 else:
                     undetermined.add(w)
@@ -171,14 +171,7 @@ def derive_closed_terms(
                     f"{sorted(undetermined & used_sources)}; closed form would not split"
                 )
             used_sources |= undetermined
-            terms.append(
-                ClosedTerm(
-                    level=level_idx,
-                    target=target,
-                    given=frozenset(given),
-                    evidence=tuple(sorted(evidence)),
-                )
-            )
+            terms.append(ClosedTerm(level=level_idx, target=target, evidence=tuple(sorted(evidence))))
         for target in level:
             peeled.add(target)
             known.setdefault(target, ("peeled", target))

@@ -50,14 +50,23 @@ def test_every_public_definition_is_used_exported_or_listed():
     assert sorted(unreached) == sorted(REACHED_FROM_OUTSIDE)
 
 
-QUERY_STEPS = {"reduce_query", "query_shape", "query_entropy"}
+# each step of the entropy engine -> the only library statements that may name
+# it: memo_entropy, the one network query, and induce_joint, the one joint
+# table, each check the law once, and only query_entropy and induce_joint
+# enumerate sources, so no query skips the law check, the memo or the atom cap
+ENGINE_STEPS = {
+    "reduce_query": {"networks.memo_entropy"},
+    "query_shape": {"networks.memo_entropy"},
+    "query_entropy": {"networks.memo_entropy"},
+    "check_law": {"networks.memo_entropy", "entropy.induce_joint"},
+    "source_atoms": {"networks.query_entropy", "entropy.induce_joint"},
+}
 
 
-def test_the_query_steps_are_named_only_in_memo_entropy():
-    # memo_entropy is the one network query: no other statement of the
-    # library, an import included, names its steps, so none can skip the
-    # law check or the memo; a step's own definition does not count
-    naming = {}
+def test_the_engine_steps_are_named_only_in_their_entries():
+    # every statement of the library that names a step, an import included;
+    # a step's own definition does not count
+    naming = {step: set() for step in ENGINE_STEPS}
     for path in sorted(Path(dicbound.__file__).parent.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             nodes = list(ast.walk(stmt))
@@ -65,6 +74,6 @@ def test_the_query_steps_are_named_only_in_memo_entropy():
             named |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
             named |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
             named -= {getattr(stmt, "name", None)}
-            if named & QUERY_STEPS:
-                naming[f"{path.stem}.{getattr(stmt, 'name', type(stmt).__name__)}"] = named & QUERY_STEPS
-    assert naming == {"networks.memo_entropy": QUERY_STEPS}
+            for step in named & ENGINE_STEPS.keys():
+                naming[step].add(f"{path.stem}.{getattr(stmt, 'name', type(stmt).__name__)}")
+    assert naming == ENGINE_STEPS

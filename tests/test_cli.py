@@ -188,36 +188,53 @@ def run_cli_exit(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("validate", "--channel", "shift2:a"),
-        ("region", "--channel", "xor2", "--dist", "seed:abc"),
-        ("extend", "--bound", "4a", "--k", "1..x", "--channel", "xor2"),
-        ("extend", "--bound", "4a", "--k", "0", "--channel", "xor2"),
-        ("gcs", "--channel", "xor2", "--enumerate", "--max-l", "0"),
-        ("compare", "--channel", "xor2", "--samples", "0"),
-        ("extend", "--bound", "nope", "--channel", "xor2"),
-        ("extend", "--bound", "4e", "--k", "20", "--channel", "xor2"),
-        ("extend", "--bound", "4e", "--k", "7..9", "--channel", "xor2"),
+# (argv, fragment of the one refusal it must print)
+BAD_ARGUMENTS = [
+    (("validate", "--channel", "shift2:a"), "cannot load channel 'shift2:a': invalid literal for int()"),
+    (("region", "--channel", "xor2", "--dist", "seed:abc"), "distribution seed is not an integer: 'seed:abc'"),
+    (("extend", "--bound", "4a", "--k", "1..x", "--channel", "xor2"), "argument --k: 'x' is not an integer"),
+    (("extend", "--bound", "4a", "--k", "0", "--channel", "xor2"), "argument --k: '0' is below 1"),
+    (("gcs", "--channel", "xor2", "--enumerate", "--max-l", "0"), "argument --max-l: '0' is below 1"),
+    (("compare", "--channel", "xor2", "--samples", "0"), "argument --samples: '0' is below 1"),
+    (("extend", "--bound", "nope", "--channel", "xor2"), "no built-in recipe for bound 'nope'"),
+    (("extend", "--bound", "4e", "--k", "20", "--channel", "xor2"), "bound 4e supports k in 1..8, got 20"),
+    (("extend", "--bound", "4e", "--k", "7..9", "--channel", "xor2"), "bound 4e supports k in 1..8, got 9"),
+    (
         ("extend", "--bound", "ineq5", "--k", "7", "--channel", "concat3", "--verify"),
-        ("prove", "--bound", "nope"),
-        ("extend", "--bound", "ineq5", "--channel", "xor2"),  # 3-user bound, 2-user channel
-        ("region", "--channel", "concat3", "--out", "svg"),
-        ("gcs", "--enumerate"),  # neither --channel nor --network
-        ("gcs", "--channel", "xor2"),  # neither --chain nor --enumerate
-        ("region", "--channel", "xor2", "--dist", "seed:3", "--samples", "1"),  # exclusive options
+        "bound ineq5 supports k in 1..6, got 7",
+    ),
+    (("prove", "--bound", "nope"), "no built-in recipe for bound 'nope'"),
+    (  # 3-user bound, 2-user channel
+        ("extend", "--bound", "ineq5", "--channel", "xor2"),
+        "bound ineq5 is a 3-user bound, channel xor2 has 2 users",
+    ),
+    (("region", "--channel", "concat3", "--out", "svg"), "SVG output is limited to 2-user regions"),
+    (("gcs", "--enumerate"), "either --channel or --network is required"),
+    (("gcs", "--channel", "xor2"), "--chain FILE or --enumerate is required"),
+    # exclusive options, refused before --dist is read
+    (("region", "--channel", "xor2", "--dist", "seed:3", "--samples", "1"), "--dist and --samples exclude each other"),
+    (
         ("region", "--channel", "xor2", "--dist", "missing.json", "--samples", "1"),
+        "--dist and --samples exclude each other",
+    ),
+    (
         ("region", "--channel", "xor2", "--dist", "uniform", "--samples", "2", "--out", "svg"),
-        ("validate", "--channel", "shift2:40,40,1"),
-        ("validate", "--channel", "xor2:1"),  # takes no parameters
-        ("validate", "--channel", "concat3:1"),
-    ],
+        "--dist and --samples exclude each other",
+    ),
+    (("validate", "--channel", "shift2:40,40,1"), "needs a table of 2^41 entries, above the cap of 262144"),
+    (("validate", "--channel", "xor2:1"), "xor2 takes no parameters"),
+    (("validate", "--channel", "concat3:1"), "concat3 takes no parameters"),
+    (("extend", "--bound", "4a", "--channel", "xor2", "--k", "3..1"), "argument --k: empty range '3..1'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", BAD_ARGUMENTS, ids=[f"argv{i}" for i in range(len(BAD_ARGUMENTS))]
 )
-def test_bad_numeric_arguments_are_usage_errors(capsys, argv):
+def test_bad_numeric_arguments_are_usage_errors(capsys, argv, message):
     code, out, err = run_cli_exit(capsys, *argv)
     assert code == 2 and out == ""
-    assert "Traceback" not in err and "error" in err
+    assert "Traceback" not in err and message in err
 
 
 @pytest.mark.parametrize(
@@ -353,24 +370,37 @@ def test_joint_law_is_a_validation_failure_for_the_bound_commands(capsys, tmp_pa
         assert err.startswith("error:") and err.count("\n") == 1 and "product" in err
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"target": {"A": 1}},  # no variables
-        {"variables": ["A"]},  # no target
-        {"variables": ["A", "A"], "target": {"A": 1}},  # repeated name
-        {"variables": ["A B"], "target": {"A": 1}},  # whitespace in a name
-        {"variables": ["A"], "target": {"B": 1}},  # unknown variable
+# (problem document, fragment of the one refusal it must print)
+MALFORMED_PROBLEMS = [
+    ({"target": {"A": 1}}, "needs an object with 'variables' and 'target'"),  # no variables
+    ({"variables": ["A"]}, "needs an object with 'variables' and 'target'"),  # no target
+    ({"variables": ["A", "A"], "target": {"A": 1}}, "variable names repeat in ['A', 'A']"),
+    ({"variables": ["A B"], "target": {"A": 1}}, "unknown variable 'A'"),  # whitespace in a name
+    ({"variables": ["A"], "target": {"B": 1}}, "unknown variable 'B'"),
+    (
         {"variables": ["A"], "constraints": [{"name": "c", "expr": {"B": 1}}], "target": {"A": 1}},
-        {"variables": ["A"], "target": {"A": "x"}},  # coefficient not rational
-    ],
+        "unknown variable 'B'",
+    ),
+    ({"variables": ["A"], "target": {"A": "x"}}, "coefficient 'x' of 'A' is not a rational"),
+    (
+        {"variables": ["A"], "constraints": [{"name": "c"}], "target": {"A": 1}},  # no expr
+        "'constraints' must be a list of {name, expr} objects",
+    ),
+    ({"variables": ["A"], "target": "x"}, "an expression maps space-separated variable names to coefficients"),
+    ({"variables": ["A"], "target": {"": 1}}, "expressions may not reference the empty set"),
+    ({"variables": [], "target": {}}, "a problem needs at least one variable"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,message", MALFORMED_PROBLEMS, ids=[f"doc{i}" for i in range(len(MALFORMED_PROBLEMS))]
 )
-def test_malformed_problem_file_is_usage_error(capsys, tmp_path, doc):
+def test_malformed_problem_file_is_usage_error(capsys, tmp_path, doc, message):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(doc))
     code, _, err = run_cli_exit(capsys, "prove", "--problem", str(path))
     assert code == 2
-    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert err.startswith("usage error:") and err.count("\n") == 1 and message in err
 
 
 @pytest.mark.parametrize(
@@ -427,72 +457,122 @@ XOR2_DOC = {"user_count": 2, "alphabet_sizes": [2, 2], "g": [[0, 1], [0, 1]], "f
 NETWORK_4F = {"channel": {"family": "xor2"}, "recipe": {"counts": [2, 1], "wiring": {
     "1^1": {"2": 1}, "1^2": {"2": 1}, "2^1": {"1": 1}}}}
 
-# id -> (option, file name, file text): each file is malformed for that option
+# id -> (option, file name, file text, fragment of the one refusal it must
+# print): each file is malformed for that option
 MALFORMED_FILES = {
-    "dist-list": ("--dist", "dist.json", "[0.5, 0.5]"),
+    "dist-list": ("--dist", "dist.json", "[0.5, 0.5]", "distribution document must be an object with 'probs'"),
     "dist-string-keys": (
-        "--dist", "dist.json", json.dumps({"mode": "joint", "probs": {"00": 0.5, "11": 0.5}})
+        "--dist", "dist.json", json.dumps({"mode": "joint", "probs": {"00": 0.5, "11": 0.5}}),
+        "joint atom '00' is not a tuple of integers in the source tuple space",
     ),
-    "dist-joint-length": ("--dist", "dist.json", json.dumps({"mode": "joint", "probs": [0.5, 0.5]})),
-    "dist-sum": ("--dist", "dist.json", json.dumps({"probs": [[0.5, 0.4], [0.5, 0.5]]})),
-    "dist-joint-sum": ("--dist", "dist.json", json.dumps({"mode": "joint", "probs": [0.3, 0.2, 0.2, 0.2]})),
-    "dist-not-numbers": ("--dist", "dist.json", json.dumps({"probs": [["a", "b"], [0.5, 0.5]]})),
-    "dist-not-json": ("--dist", "dist.json", "{not json"),
+    "dist-joint-length": (
+        "--dist", "dist.json", json.dumps({"mode": "joint", "probs": [0.5, 0.5]}),
+        "joint table length 2 does not match tuple space 4",
+    ),
+    "dist-sum": (
+        "--dist", "dist.json", json.dumps({"probs": [[0.5, 0.4], [0.5, 0.5]]}),
+        "probability table does not sum to 1 within 1e-9",
+    ),
+    "dist-joint-sum": (
+        "--dist", "dist.json", json.dumps({"mode": "joint", "probs": [0.3, 0.2, 0.2, 0.2]}),
+        "joint table does not sum to 1 within 1e-9",
+    ),
+    "dist-not-numbers": (
+        "--dist", "dist.json", json.dumps({"probs": [["a", "b"], [0.5, 0.5]]}),
+        "expected a list of probabilities, got ['a', 'b']",
+    ),
+    "dist-not-json": ("--dist", "dist.json", "{not json", "Expecting property name enclosed in double quotes"),
     # JSON true and false are not the probabilities 1 and 0
-    "dist-bool-product": ("--dist", "dist.json", json.dumps({"probs": [[True, False], [0.5, 0.5]]})),
+    "dist-bool-product": (
+        "--dist", "dist.json", json.dumps({"probs": [[True, False], [0.5, 0.5]]}),
+        "expected a list of probabilities, got [True, False]",
+    ),
     "dist-bool-joint": (
-        "--dist", "dist.json", json.dumps({"mode": "joint", "probs": [True, False, False, False]})
+        "--dist", "dist.json", json.dumps({"mode": "joint", "probs": [True, False, False, False]}),
+        "expected a list of probabilities, got [True, False, False, False]",
     ),
     "channel-string-entry": (
-        "--channel", "channel.json", json.dumps({**XOR2_DOC, "g": [[0, "a"], [0, 1]]})
+        "--channel", "channel.json", json.dumps({**XOR2_DOC, "g": [[0, "a"], [0, 1]]}),
+        "g table for user 1 has a symbol that is not an integer",
     ),
     "channel-float-entry": (
-        "--channel", "channel.json", json.dumps({**XOR2_DOC, "f": [[0, 1, 1, 0.5], [0, 1, 1, 0]]})
+        "--channel", "channel.json", json.dumps({**XOR2_DOC, "f": [[0, 1, 1, 0.5], [0, 1, 1, 0]]}),
+        "f table for user 1 has a symbol that is not an integer",
     ),
-    "channel-float-user-count": ("--channel", "channel.json", json.dumps({**XOR2_DOC, "user_count": 2.0})),
-    "channel-string-size": ("--channel", "channel.json", json.dumps({**XOR2_DOC, "alphabet_sizes": ["2", 2]})),
+    "channel-float-user-count": (
+        "--channel", "channel.json", json.dumps({**XOR2_DOC, "user_count": 2.0}), "user_count must be 2 or 3, got 2.0"
+    ),
+    "channel-string-size": (
+        "--channel", "channel.json", json.dumps({**XOR2_DOC, "alphabet_sizes": ["2", 2]}),
+        "alphabet size must be an integer >= 1, got '2'",
+    ),
     "channel-params": (
-        "--channel", "channel.json", json.dumps({"family": "shift2", "params": "2,2,1"})
+        "--channel", "channel.json", json.dumps({"family": "shift2", "params": "2,2,1"}),
+        "channel params must be a list of integers, got '2,2,1'",
     ),
-    "channel-list": ("--channel", "channel.json", "[1, 2]"),
+    "channel-list": ("--channel", "channel.json", "[1, 2]", "channel document must be an object"),
+    # one alphabet, or one g table, for two users
+    "channel-one-alphabet": (
+        "--channel", "channel.json", json.dumps({**XOR2_DOC, "alphabet_sizes": [2]}),
+        "one input alphabet per user required",
+    ),
+    "channel-one-table": (
+        "--channel", "channel.json", json.dumps({**XOR2_DOC, "g": [[0, 1]]}),
+        "one g table and one f table per user required",
+    ),
     # JSON true is not the symbol, size or parameter 1
-    "channel-bool-entry": ("--channel", "channel.json", json.dumps({**XOR2_DOC, "g": [[0, True], [0, 1]]})),
+    "channel-bool-entry": (
+        "--channel", "channel.json", json.dumps({**XOR2_DOC, "g": [[0, True], [0, 1]]}),
+        "g table for user 1 has a symbol that is not an integer",
+    ),
     "channel-bool-size": ("--channel", "channel.json", json.dumps(
         {"user_count": 2, "alphabet_sizes": [True, 2], "g": [[0], [0, 1]], "f": [[0, 1], [0, 1]]}
-    )),
+    ), "alphabet size must be an integer >= 1, got True"),
     "channel-bool-params": (
-        "--channel", "channel.json", json.dumps({"family": "shift2", "params": [True, True, False]})
+        "--channel", "channel.json", json.dumps({"family": "shift2", "params": [True, True, False]}),
+        "channel params must be a list of integers, got [True, True, False]",
     ),
     "network-no-wiring": (
-        "--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {"counts": [2, 1]}})
+        "--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {"counts": [2, 1]}}),
+        "malformed recipe document: KeyError('wiring')",
     ),
-    "network-no-channel": ("--network", "net.json", json.dumps({"recipe": NETWORK_4F["recipe"]})),
+    "network-no-channel": (
+        "--network", "net.json", json.dumps({"recipe": NETWORK_4F["recipe"]}),
+        "needs an object with 'recipe' and, without --channel, 'channel'",
+    ),
     "network-wiring-list": (
-        "--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {"counts": [2, 1], "wiring": [1]}})
+        "--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {"counts": [2, 1], "wiring": [1]}}),
+        "malformed recipe document: AttributeError",
     ),
     # a count or wired copy that is not a JSON integer is not rounded to one
     "network-float-count": (
-        "--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {**NETWORK_4F["recipe"], "counts": [2.0, 1]}})
+        "--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {**NETWORK_4F["recipe"], "counts": [2.0, 1]}}),
+        "replica counts and wired copies must be integers, got 2.0",
     ),
     "network-bool-count": (
-        "--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {**NETWORK_4F["recipe"], "counts": [2, True]}})
+        "--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {**NETWORK_4F["recipe"], "counts": [2, True]}}),
+        "replica counts and wired copies must be integers, got True",
     ),
     "network-string-count": (
-        "--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {**NETWORK_4F["recipe"], "counts": ["2", 1]}})
+        "--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {**NETWORK_4F["recipe"], "counts": ["2", 1]}}),
+        "replica counts and wired copies must be integers, got '2'",
     ),
     "network-float-copy": ("--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {
-        **NETWORK_4F["recipe"], "wiring": {**NETWORK_4F["recipe"]["wiring"], "2^1": {"1": 1.0}}}})),
+        **NETWORK_4F["recipe"], "wiring": {**NETWORK_4F["recipe"]["wiring"], "2^1": {"1": 1.0}}}}),
+        "replica counts and wired copies must be integers, got 1.0"),
     "network-bool-copy": ("--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {
-        **NETWORK_4F["recipe"], "wiring": {**NETWORK_4F["recipe"]["wiring"], "2^1": {"1": True}}}})),
+        **NETWORK_4F["recipe"], "wiring": {**NETWORK_4F["recipe"]["wiring"], "2^1": {"1": True}}}}),
+        "replica counts and wired copies must be integers, got True"),
     "network-rounded": ("--network", "net.json", json.dumps({**NETWORK_4F, "recipe": {
-        "counts": [1.9, True], "wiring": {"1^1": {"2": 1.7}, "2^1": {"1": 1}}}})),
-    "chain-object": ("--chain", "chain.json", json.dumps({"a": ["S1"]})),
-    "chain-flat-list": ("--chain", "chain.json", json.dumps(["S1", "D1"])),
+        "counts": [1.9, True], "wiring": {"1^1": {"2": 1.7}, "2^1": {"1": 1}}}}),
+        "replica counts and wired copies must be integers, got 1.9"),
+    "chain-object": ("--chain", "chain.json", json.dumps({"a": ["S1"]}), "a chain is a list of node-label lists"),
+    "chain-flat-list": ("--chain", "chain.json", json.dumps(["S1", "D1"]), "a chain is a list of node-label lists"),
 }
 
 
-@pytest.mark.parametrize("option,name,text", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
-def test_malformed_input_file_is_usage_error(capsys, tmp_path, option, name, text):
+@pytest.mark.parametrize("option,name,text,message", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+def test_malformed_input_file_is_usage_error(capsys, tmp_path, option, name, text, message):
     path = tmp_path / name
     path.write_text(text)
     argv = {
@@ -503,7 +583,7 @@ def test_malformed_input_file_is_usage_error(capsys, tmp_path, option, name, tex
     }[option]
     code, out, err = run_cli_exit(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert err.startswith("usage error:") and err.count("\n") == 1 and message in err
 
 
 NONRECOVERABLE_DOC = {**XOR2_DOC, "f": [[0, 0, 0, 0]] * 2}
@@ -532,6 +612,11 @@ INVALID_NETWORKS = {
         {**NETWORK_4F, "recipe": {**NETWORK_4F["recipe"], "wiring": {
             "1": {"2": 1}, **NETWORK_4F["recipe"]["wiring"]}}},
         "a receiver is wired twice",
+    ),
+    "wired-to-own-user": (  # receiver 1^1 hears user 1 instead of user 2
+        {**NETWORK_4F, "recipe": {**NETWORK_4F["recipe"], "wiring": {
+            **NETWORK_4F["recipe"]["wiring"], "1^1": {"1": 1}}}},
+        r"replica \(1, 1\) must be wired to users \(2,\) in order",
     ),
     "oversized-counts": (  # two million copies of user 1, one of them wired
         {**NETWORK_4F, "recipe": {"counts": [2000000, 1], "wiring": {"1^1": {"2": 1}, "2^1": {"1": 1}}}},
@@ -594,7 +679,7 @@ FUZZ_FILES = {
     "false-problem.json": json.dumps({"variables": ["A", "B"], "target": {"A": 1, "A B": -1}}),
     "bad-problem.json": json.dumps({"variables": ["A", "A"], "target": {"A": 1}}),
 }
-FUZZ_FILES.update({f"bad-{case}-{name}": text for case, (_, name, text) in MALFORMED_FILES.items()})
+FUZZ_FILES.update({f"bad-{case}-{name}": text for case, (_, name, text, _) in MALFORMED_FILES.items()})
 FUZZ_FILES.update({f"bad-{case}-net.json": json.dumps(doc) for case, (doc, _) in INVALID_NETWORKS.items()})
 
 

@@ -20,7 +20,7 @@ from dicbound.extend import (
     verify_replica_rates,
 )
 from dicbound.gcs import evaluate_chain, validate_chain
-from dicbound.networks import base_network, replicate_distribution, symbol_rows
+from dicbound.networks import base_network, replicate_distribution, source_atoms
 from dicbound.regions import bound_vector, load_templates
 from dicbound.sampling import sample_product_distribution
 
@@ -141,7 +141,9 @@ def test_replica_rates_examples(xor2, shift2_221):
 def replica_rate_alone(network, dist, replica):
     """I(X;Y) = H(X) + H(Y) - H(X,Y) at one replica, from one enumeration of
     its own, with no memo."""
-    values, p = symbol_rows(network, dist, [("X", replica), ("Y", replica)])
+    sources = sorted(network.reads("Y", replica))
+    xs, p = source_atoms(network, dist, sources)
+    values = network.evaluator([("X", replica), ("Y", replica)], sources, xs)
     return row_entropy(values[:, :1], p) + row_entropy(values[:, 1:], p) - row_entropy(values, p)
 
 
@@ -349,7 +351,7 @@ def test_identity_mismatch_diagnostic(xor2, monkeypatch, capsys):
         recipe = real(bound_id, k)
         if k != 2:
             return recipe
-        last = dataclasses.replace(recipe.closed_terms[-1], given=frozenset(), evidence=())
+        last = dataclasses.replace(recipe.closed_terms[-1], evidence=())
         return dataclasses.replace(recipe, closed_terms=recipe.closed_terms[:-1] + (last,))
 
     monkeypatch.setattr(ext, "builtin_recipe", broken)

@@ -484,3 +484,10 @@ def test_given_chains_match_the_reference_term_by_term(shift2_331, tmp_path, cap
     path.write_text(json.dumps(HAND_INVALID))
     assert main(["gcs", "--network", str(network), "--chain", str(path), "--dist", "seed:42"]) == 1
     assert capsys.readouterr().out == "invalid chain:\n" + "".join(f"  {v}\n" for v in HAND_VIOLATIONS)
+
+
+def test_an_empty_chain_is_refused(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text("[]")
+    assert main(["gcs", "--channel", "xor2", "--chain", str(path)]) == 1
+    assert capsys.readouterr().out == "invalid chain:\n  chain must contain at least one subset\n"

@@ -564,6 +564,16 @@ def test_prove_returns_only_certificates_that_verify(monkeypatch, base2):
         prove(problem)
 
 
+def test_prove_returns_only_separating_vectors_that_separate(monkeypatch, base2):
+    variables, constraints = base2
+    target = expr_from_names(variables, {"X1 Y1": 1, "X1": -1, "Y1": -1})
+    problem = ProverProblem(variables=variables, constraints=constraints, target=target, name="-I(X1;Y1)")
+    assert prove(problem).status == "NotProvable"
+    monkeypatch.setattr(prover_module, "separates", lambda y, columns, target: False)
+    with pytest.raises(ProverError, match=r"separating vector for -I\(X1;Y1\) fails its exact check"):
+        prove(problem)
+
+
 def test_auto_falls_back_to_the_full_simplex_without_float_guidance(base2):
     # a failed float solve gives neither a support nor a candidate vector;
     # the full exact simplex then decides both -I(X1;X2) (independent
