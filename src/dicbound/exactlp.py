@@ -2,13 +2,18 @@
 
 Finds x >= 0 with A x = b in Fraction arithmetic, or reports infeasibility
 with a Farkas vector y satisfying y.A <= 0 and y.b > 0, checked exactly by
-``separates`` before it is returned.  A caller may offer a candidate y (for
-instance a rationalized float dual); when it passes the check, no pivot is
-made.  Otherwise a sparse phase-1 simplex decides.  Its reduced-cost row is
-kept as one more row of the tableau, so each pivot updates it with the
-constraint rows.  Its pivots follow the lowest-index rule on both the
-entering column and the leaving row, so the procedure terminates and is
-deterministic.
+``separates`` before it is returned.  The columns of A are any sequence of
+sparse columns, or a ``Columns`` container: an integer block, one line of
+(row, sign) terms per column, followed by sparse columns.  ``separates``
+scales y to integers once and checks the whole block in one integer array
+expression, in int64 when no sum can overflow and in Python integers
+otherwise; the sparse columns are dotted one by one.  A caller may offer a
+candidate y (for instance a rationalized float dual); when it passes the
+check, no pivot is made and no column is built as a dict.  Otherwise a
+sparse phase-1 simplex decides.  Its reduced-cost row is kept as one more
+row of the tableau, so each pivot updates it with the constraint rows.  Its
+pivots follow the lowest-index rule on both the entering column and the
+leaving row, so the procedure terminates and is deterministic.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -31,19 +38,76 @@ class FeasibilityResult:
     farkas: dict[int, Fraction] | None  # row index -> multiplier (infeasible case)
 
 
+class Columns(Sequence):
+    """Columns of A: first an integer block, then sparse columns.
+
+    Block column j has entry ``signs[j, s]`` on row ``rows[j, s]`` for each
+    s, with every row in 0..size-1 and at most one non-zero sign per row;
+    sign 0 marks padding, whose row may also be -1.  Items are built as
+    dicts on access, so only the simplex pays for them."""
+
+    def __init__(self, rows: np.ndarray, signs: np.ndarray, size: int, sparse: Sequence[SparseCol] = ()):
+        self.rows, self.signs, self.size, self.sparse = rows, signs, size, sparse
+
+    def __len__(self) -> int:
+        return len(self.rows) + len(self.sparse)
+
+    def __getitem__(self, j: int) -> SparseCol:
+        j = range(len(self))[j]
+        if j >= len(self.rows):
+            return self.sparse[j - len(self.rows)]
+        return {r: s for r, s in zip(self.rows[j].tolist(), self.signs[j].tolist()) if s}
+
+    def __iter__(self):
+        for rows, signs in zip(self.rows.tolist(), self.signs.tolist()):
+            yield {r: s for r, s in zip(rows, signs) if s}
+        yield from self.sparse
+
+    def select(self, indices: Sequence[int]) -> Columns:
+        """The columns at the given increasing indices, in that order."""
+        indices = np.asarray(indices, dtype=np.int64)
+        split = int(np.searchsorted(indices, len(self.rows)))
+        block = indices[:split]
+        sparse = [self.sparse[j] for j in (indices[split:] - len(self.rows)).tolist()]
+        return Columns(self.rows[block], self.signs[block], self.size, sparse)
+
+
 def _dot(y: Mapping[int, int], col: SparseCol):
     return sum((y.get(i, 0) * c for i, c in col.items()), 0)
 
 
+def _block_nonpositive(y: Mapping[int, int], columns: Columns) -> bool:
+    """Exact integer check that y.a_j <= 0 for every block column."""
+    # one slot past the rows, so that padding row -1 reads 0; y's entries
+    # off the block's rows touch no block column
+    inside = {i: v for i, v in y.items() if 0 <= i < columns.size}
+    largest = max(map(abs, inside.values()), default=0)
+    # every product and partial sum of a column is at most its sum of |sign|
+    # times the largest |y|; int64 only while that bound fits, so that no sum
+    # wraps, and Python integers through an object array otherwise
+    weight = int(np.abs(columns.signs).sum(axis=1).max(initial=1))
+    dtype = np.int64 if weight * largest < 2**63 else object
+    values = np.zeros(columns.size + 1, dtype=dtype)
+    values[list(inside)] = list(inside.values())
+    return bool(((values[columns.rows] * columns.signs).sum(axis=1) <= 0).all())
+
+
 def separates(y: Mapping[int, Fraction], columns: Iterable[SparseCol], rhs: SparseCol) -> bool:
     """Exact Farkas check: y.a_j <= 0 for every column and y.b > 0, so no
-    x >= 0 solves A x = b."""
+    x >= 0 solves A x = b.  The values of y are rationals (int or
+    Fraction); a ``Columns`` block is checked in integer arrays, every
+    other column by its own dot product."""
     # y times its common denominator has the same signs on every column, and
     # integer columns then sum in integer arithmetic
-    y = {i: Fraction(v) for i, v in y.items()}
     den = math.lcm(*(v.denominator for v in y.values()))
     scaled = {i: v.numerator * (den // v.denominator) for i, v in y.items()}
-    return _dot(scaled, rhs) > 0 and all(_dot(scaled, col) <= 0 for col in columns)
+    if _dot(scaled, rhs) <= 0:
+        return False
+    if isinstance(columns, Columns):
+        if not _block_nonpositive(scaled, columns):
+            return False
+        columns = columns.sparse
+    return all(_dot(scaled, col) <= 0 for col in columns)
 
 
 def solve_feasibility(
@@ -54,9 +118,11 @@ def solve_feasibility(
 ) -> FeasibilityResult:
     """Decide {x >= 0 : sum_j columns[j] * x_j = rhs} exactly.
 
+    ``columns`` is a sequence of sparse columns or a ``Columns`` container.
     A candidate Farkas vector that passes ``separates`` is returned as the
-    result's ``farkas`` (the same object) without a pivot; otherwise the
-    phase-1 simplex runs, and its own Farkas vector must pass the same check.
+    result's ``farkas`` (the same object) without a pivot or a column built;
+    otherwise the phase-1 simplex reads every column once, and its own
+    Farkas vector must pass the same check.
     """
     if candidate is not None and separates(candidate, columns, rhs):
         return FeasibilityResult(feasible=False, solution=None, farkas=candidate)

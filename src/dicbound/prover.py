@@ -29,13 +29,16 @@ FDs.  So every generator maps through h(S) -> h(cl S): the rows are the
 non-empty closed sets, the FD columns vanish, zero and repeated elemental
 columns are dropped, and every other constraint stays a (+, -) column pair.
 The elementals themselves are one integer table per n, a subset mask and a
-sign per joint-entropy term, and each label is read off its row.  One
-accessor returns every unreduced generator, for the certificate lift and for
-the separating-vector check.  Verdicts are lifted back to the unreduced
-system and checked there:
+sign per joint-entropy term, and each label is read off its row.  The
+reduced elementals are sorted and merged on one packed integer code per
+term, and both the reduced columns and the unreduced generators reach
+``exactlp`` as an ``exactlp.Columns`` container: that integer table as one
+block, then the other constraints as (+, -) pairs.  Verdicts are lifted
+back to the unreduced system and checked there:
 
 - a separating vector y_red of the reduced LP lifts to y(S) = y_red(cl S),
-  which ``exactlp.separates`` checks against every unreduced column;
+  which ``exactlp.separates`` checks against every unreduced column, the
+  elementals in one exact integer array expression;
 - a reduced solution leaves the residual R = target - sum(weights *
   generators) with R = sum_S r_S (h(S) - h(cl S)) over the sets S that are
   not closed.  When r_S < 0 the term is |r_S| H(cl S \\ S | S).  When r_S > 0
@@ -61,7 +64,7 @@ import numpy as np
 
 from .entropy import VariableId
 from .errors import ProverError, UnsupportedBoundError
-from .exactlp import separates, solve_feasibility
+from .exactlp import Columns, separates, solve_feasibility
 from .networks import replicas_from_counts
 
 MAX_VARIABLES = 12
@@ -407,42 +410,40 @@ def _functional_dependencies(constraints) -> list[tuple[int, int, int]]:
     return fds
 
 
-def _sort_terms(rows: np.ndarray, signs: np.ndarray) -> None:
-    """Sort each line's four (row, sign) terms by row, in place, with the
-    5-exchange sorting network on 4 inputs; terms of equal row keep an
-    unspecified order."""
-    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
-        swap = rows[:, i] > rows[:, j]
-        for a in (rows, signs):
-            a[swap, i], a[swap, j] = a[swap, j], a[swap, i]
-
-
 def _reduce_elementals(rows: np.ndarray, signs: np.ndarray, n_rows: int):
     """The distinct non-zero elemental columns on reduced rows.  Line t of
     ``rows`` and ``signs`` holds elemental t's four (reduced row, sign)
-    terms, row -1 and sign 0 for padding, and is overwritten.  Terms that
-    land on one row are merged and each column's terms sorted by row.
-    Returns the rows and signs of the kept columns and their elemental
-    indices: the first of equal columns is kept, and zero columns dropped."""
-    _sort_terms(rows, signs)
+    terms, row -1 and sign 0 for padding.  Terms that land on one row are
+    merged and each column's terms sorted by row.  Returns the rows and
+    signs of the kept columns and their elemental indices: the first of
+    equal columns is kept, and zero columns dropped."""
+    # one code (row + 1, sign + 2) per term, row the major digit: an
+    # elemental's signs are (1, -1) or (1, 1, -1, -1), so merged signs lie in
+    # -2..2, and sorting the codes sorts each line's terms by row
+    codes = np.sort((rows + 1) * 5 + (signs + 2), axis=1)
+    rows, signs = np.divmod(codes, 5)
+    rows -= 1
+    signs -= 2
     for s in range(1, rows.shape[1]):
         same = rows[:, s] == rows[:, s - 1]
         signs[same, s] += signs[same, s - 1]
         signs[same, s - 1] = 0
-    rows[signs == 0] = -1
-    _sort_terms(rows, signs)
-    # one integer key per column, a digit (row + 1, sign + 2) per term: an
-    # elemental's signs are (1, -1) or (1, 1, -1, -1), so merged signs lie in
-    # -2..2, and at n <= MAX_VARIABLES = 12 a key stays below
-    # (5 * 4096)^4 < 2^63.  return_index sorts stably, so it finds the first
-    # of equal columns
+    # merged-away terms become padding, code 2, which sorts first
+    codes = np.sort(np.where(signs == 0, 2, (rows + 1) * 5 + (signs + 2)), axis=1)
+    rows, signs = np.divmod(codes, 5)
+    rows -= 1
+    signs -= 2
+    # one integer key per column, the line's codes as digits: at n <=
+    # MAX_VARIABLES = 12 a key stays below (5 * 4096)^4 < 2^63.
+    # return_index sorts stably, so it finds the first of equal columns
     radix = 5 * (n_rows + 1)
-    key = np.zeros(len(rows), dtype=np.int64)
-    for s in range(rows.shape[1]):
-        key = key * radix + (rows[:, s] + 1) * 5 + (signs[:, s] + 2)
+    key = np.zeros(len(codes), dtype=np.int64)
+    for s in range(codes.shape[1]):
+        key = key * radix + codes[:, s]
     _, first = np.unique(key, return_index=True)
-    kept = np.sort(first)
-    kept = kept[(signs[kept] != 0).any(axis=1)]
+    keep = np.zeros(len(key), dtype=bool)
+    keep[first] = True
+    kept = np.flatnonzero(keep & (signs != 0).any(axis=1))
     return rows[kept], signs[kept], kept
 
 
@@ -478,22 +479,24 @@ class _ClosedSetLP:
         self.n_rows = len(closed)
 
         self.rows, self.row_signs, kept = _reduce_elementals(
-            self.row_of[elementals.masks], elementals.signs.copy(), self.n_rows
+            self.row_of[elementals.masks], elementals.signs, self.n_rows
         )
         self.gens = kept.tolist()
         self.signs = [1] * len(kept)
         self.n_elemental_columns = len(kept)
 
-        self.constraint_columns: dict[int, dict[int, Fraction]] = {}
+        pairs: list[dict[int, Fraction]] = []
         fd_index = {c for c, _, _ in self.fds}
         for c, (_, expr) in enumerate(problem.constraints):
             if c in fd_index:
                 continue
             col = self.reduce(expr)
             if col:
-                self.constraint_columns[c] = col
+                pairs += [col, {r: -v for r, v in col.items()}]
                 self.gens += [self.n_elementals + c] * 2
                 self.signs += [1, -1]
+        # reduced column j, exactly: the elementals as the integer block
+        self.columns = Columns(self.rows, self.row_signs, self.n_rows, pairs)
         self.target = self.reduce(problem.target)
 
     @property
@@ -506,13 +509,6 @@ class _ClosedSetLP:
             out[int(self.row_of[m])] += c
         return {r: c for r, c in out.items() if c}
 
-    def column(self, j: int) -> dict[int, object]:
-        """Reduced column j, exactly (integer or Fraction entries)."""
-        if j < self.n_elemental_columns:
-            return {r: s for r, s in zip(self.rows[j].tolist(), self.row_signs[j].tolist()) if s}
-        col = self.constraint_columns[self.gens[j] - self.n_elementals]
-        return col if self.signs[j] == 1 else {r: -c for r, c in col.items()}
-
     def float_system(self):
         """A^T as CSR arrays (indptr, indices, values), one row per reduced
         column, and b, in floats."""
@@ -520,8 +516,7 @@ class _ClosedSetLP:
         counts = [nz.sum(axis=1)]
         indices = [self.rows[nz]]
         values = [self.row_signs[nz].astype(float)]
-        for j in range(self.n_elemental_columns, self.n_columns):
-            col = self.column(j)
+        for col in self.columns.sparse:
             counts.append([len(col)])
             indices.append(np.fromiter(col, dtype=np.int64, count=len(col)))
             values.append(np.fromiter((float(c) for c in col.values()), dtype=float, count=len(col)))
@@ -586,21 +581,18 @@ class _ClosedSetLP:
             (f"[=]{constraints[c][0]}", equal[c]) for c in sorted(equal) if equal[c]
         )
 
-    def generator_columns(self):
-        """Every unreduced generator by subset mask, equalities as (+, -)
-        pairs, built one at a time."""
-        for g in range(self.n_elementals + len(self.problem.constraints)):
-            col = self.generator(g)
-            yield col
-            if g >= self.n_elementals:
-                yield {m: -c for m, c in col.items()}
+    def generator_columns(self) -> Columns:
+        """Every unreduced generator by subset mask: the elemental table as
+        the integer block, then the constraints as (+, -) pairs."""
+        pairs = [col for _, expr in self.problem.constraints for col in (expr, {m: -c for m, c in expr.items()})]
+        return Columns(self.elementals.masks, self.elementals.signs, len(self.row_of), pairs)
 
 
 def _solve_exact(lp: _ClosedSetLP, restrict: Iterable[int], candidate=None):
     """Exact feasibility over the given reduced columns; the solution is a
     list of (column index, weight) pairs, or None when infeasible."""
     cols = sorted(restrict)
-    result = solve_feasibility([lp.column(j) for j in cols], lp.target, lp.n_rows, candidate)
+    result = solve_feasibility(lp.columns.select(cols), lp.target, lp.n_rows, candidate)
     if not result.feasible:
         return None, result
     return [(cols[j], coeff) for j, coeff in sorted(result.solution.items())], result
@@ -661,45 +653,56 @@ class FloatLPResult(NamedTuple):
     duals: np.ndarray | None = None
 
 
-def linprog(a_t, b) -> FloatLPResult:
-    """max b.y subject to A^T y <= 0 and -1 <= y <= 1, with A^T given as
-    CSR arrays (indptr, indices, values), solved by HiGHS's dual simplex.
-
-    The model is passed row-wise to the HiGHS bindings bundled with scipy,
-    imported on the first call, so that importing dicbound and the entropy
-    engine never load scipy.  It is solved as min -b.y, with the options
-    scipy's ``linprog(method="highs-ds")`` sets."""
-    from scipy.optimize._highspy import _core as highs
-
+@functools.cache
+def _dual_simplex_options(highs):
+    """The options of every float LP, the ones scipy's
+    ``linprog(method="highs-ds")`` sets, built once per bindings module;
+    each solver copies them when they are passed."""
     simplex = highs.simplex_constants
-    indptr, indices, values = a_t
-    n_rows, n_cols = len(indptr) - 1, len(b)
-    # the bindings copy a list into a C++ vector about twice as fast as an array
-    lp = highs.HighsLp()
-    lp.num_col_, lp.num_row_ = n_cols, n_rows
-    lp.col_cost_ = (-b).tolist()
-    lp.col_lower_, lp.col_upper_ = [-1.0] * n_cols, [1.0] * n_cols
-    lp.row_lower_, lp.row_upper_ = [-highs.kHighsInf] * n_rows, [0.0] * n_rows
-    matrix = lp.a_matrix_
-    matrix.format_ = highs.MatrixFormat.kRowwise
-    matrix.num_col_, matrix.num_row_ = n_cols, n_rows
-    matrix.start_, matrix.index_, matrix.value_ = indptr.tolist(), indices.tolist(), values.tolist()
     options = highs.HighsOptions()
     options.solver = "simplex"
     options.simplex_strategy = simplex.SimplexStrategy.kSimplexStrategyDual
     options.simplex_dual_edge_weight_strategy = simplex.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex
     options.presolve = "off"
     options.output_flag = False
-    solver = highs._Highs()
-    solver.passOptions(options)
-    solver.passModel(lp)
-    solver.run()
-    if solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
-        return FloatLPResult(False)
-    solution = solver.getSolution()
-    return FloatLPResult(
-        True, -solver.getInfo().objective_function_value, np.array(solution.col_value), np.array(solution.row_dual)
-    )
+    return options
+
+
+def linprog(a_t, b) -> FloatLPResult:
+    """max b.y subject to A^T y <= 0 and -1 <= y <= 1, with A^T given as
+    CSR arrays (indptr, indices, values), solved by HiGHS's dual simplex.
+
+    The model is passed row-wise to the HiGHS bindings bundled with scipy,
+    imported on the first call, so that importing dicbound and the entropy
+    engine never load scipy.  It is solved as min -b.y.  The bindings are a
+    private scipy module: when it or a name used here is missing, the call
+    is a one-line ``ProverError``."""
+    indptr, indices, values = a_t
+    n_rows, n_cols = len(indptr) - 1, len(b)
+    try:
+        from scipy.optimize._highspy import _core as highs
+
+        # the bindings copy a list into a C++ vector about twice as fast as an array
+        lp = highs.HighsLp()
+        lp.num_col_, lp.num_row_ = n_cols, n_rows
+        lp.col_cost_ = (-b).tolist()
+        lp.col_lower_, lp.col_upper_ = [-1.0] * n_cols, [1.0] * n_cols
+        lp.row_lower_, lp.row_upper_ = [-highs.kHighsInf] * n_rows, [0.0] * n_rows
+        matrix = lp.a_matrix_
+        matrix.format_ = highs.MatrixFormat.kRowwise
+        matrix.num_col_, matrix.num_row_ = n_cols, n_rows
+        matrix.start_, matrix.index_, matrix.value_ = indptr.tolist(), indices.tolist(), values.tolist()
+        solver = highs._Highs()
+        solver.passOptions(_dual_simplex_options(highs))
+        solver.passModel(lp)
+        solver.run()
+        if solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
+            return FloatLPResult(False)
+        solution = solver.getSolution()
+        maximum = -solver.getInfo().objective_function_value
+        return FloatLPResult(True, maximum, np.array(solution.col_value), np.array(solution.row_dual))
+    except (ImportError, AttributeError) as exc:
+        raise ProverError(f"scipy's HiGHS bindings cannot run the float LP: {exc}") from None
 
 
 def _float_dual(a_t, b) -> tuple[set[int] | None, dict[int, Fraction] | None]:

@@ -11,6 +11,7 @@ recipe's closed-form terms.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -167,6 +168,21 @@ def reference_elemental_columns(rows, signs):
     kept = np.sort(first)
     kept = kept[(signs[kept] != 0).any(axis=1)]
     return rows[kept], signs[kept], kept.tolist()
+
+
+def reference_separates(y, columns, rhs) -> bool:
+    """The exact Farkas check column by column: y.a_j <= 0 for every sparse
+    column a_j (a {row: coefficient} dict) and y.b > 0, with y scaled to
+    integers by its common denominator and each dot product summed in
+    Python arithmetic."""
+    y = {i: Fraction(v) for i, v in y.items()}
+    den = math.lcm(*(v.denominator for v in y.values()))
+    scaled = {i: v.numerator * (den // v.denominator) for i, v in y.items()}
+
+    def dot(col):
+        return sum((scaled.get(i, 0) * c for i, c in col.items()), 0)
+
+    return dot(rhs) > 0 and all(dot(col) <= 0 for col in columns)
 
 
 def affine_term_multiplicities(bound_id):

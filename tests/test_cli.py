@@ -117,6 +117,23 @@ def test_prove_bound_and_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("missing", ["module", "HighsLp"])
+def test_prove_without_the_highs_bindings_is_a_one_line_error(capsys, monkeypatch, missing):
+    # the float LP's bindings are a private scipy module: without it, or
+    # without a name the prover uses, prove ends in one error line
+    import scipy.optimize._highspy as highspy
+
+    if missing == "module":
+        monkeypatch.delattr(highspy, "_core")
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    else:
+        monkeypatch.delattr(highspy._core, missing)
+    code, out, err = run_cli_exit(capsys, "prove", "--bound", "4c")
+    assert code == 1 and out == ""
+    assert err.startswith("error: scipy's HiGHS bindings cannot run the float LP: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_prove_problem_file(capsys, tmp_path):
     doc = {
         "variables": ["X1", "V1", "Y1", "X2", "V2", "Y2"],

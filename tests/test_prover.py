@@ -8,12 +8,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dicbound.errors import ProverError
 from dicbound import prover as prover_module
-from dicbound.exactlp import separates, solve_feasibility
+from dicbound.exactlp import Columns, separates, solve_feasibility
 from dicbound.networks import base_network
 from dicbound.prover import (
     ProverProblem,
@@ -25,7 +25,7 @@ from dicbound.prover import (
     verify_certificate,
 )
 from dicbound.sampling import sample_product_distribution
-from first_principles import oracle_expr_value, reference_elemental_columns
+from first_principles import oracle_expr_value, reference_elemental_columns, reference_separates
 
 BASE2_WIRING = {(1, 1): ((2, 1),), (2, 1): ((1, 1),)}
 BASE3_WIRING = {
@@ -81,20 +81,54 @@ def test_exact_lp_rejects_a_candidate_that_violates_one_column():
     assert solve_feasibility(cols, rhs, 2, candidate=good).farkas is good
 
 
-@settings(max_examples=100, deadline=None)
+# numerators around 2^61..2^63 scale past what an int64 sum of four terms
+# with signs of up to +-2 can hold, so both the int64 and the Python-integer
+# block checks run
+BLOCK_SIZE = 4
+rationals = st.builds(
+    Fraction,
+    st.integers(-3, 3) | st.integers(2**61 - 4, 2**63 + 4).flatmap(lambda v: st.sampled_from((v, -v))),
+    st.integers(1, 12),
+)
+# a block line: distinct rows among its terms, row -1 always padding (sign
+# 0), and sign 0 on any other row as the elemental table pads with mask 0
+block_lines = st.lists(
+    st.tuples(
+        st.lists(st.integers(-1, BLOCK_SIZE - 1), min_size=4, max_size=4, unique=True),
+        st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    ).map(lambda line: (line[0], [s if r >= 0 else 0 for r, s in zip(*line)])),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    st.dictionaries(st.integers(0, 3), st.fractions(max_denominator=12), max_size=4),
+    st.dictionaries(st.integers(0, BLOCK_SIZE - 1), rationals, max_size=BLOCK_SIZE),
+    block_lines,
     st.lists(
         st.dictionaries(st.integers(0, 3), st.integers(-3, 3) | st.fractions(max_denominator=5), max_size=4),
         max_size=4,
     ),
     st.dictionaries(st.integers(0, 3), st.fractions(max_denominator=5), max_size=4),
 )
-def test_separates_agrees_with_rational_dot_products(y, columns, rhs):
+# 2 * 2^62 + 2 * 2^62 wraps to 0 in int64, and so does 8 * (2^61 - 1) to -8,
+# though 4 * (2^61 - 1) fits: only a guard on the sum of |sign| keeps these
+# columns positive
+@example({0: Fraction(2**62), 1: Fraction(2**62), 2: Fraction(1)}, [([0, 1, -1, 3], [2, 2, 0, 0])], [], {2: 1})
+@example(dict.fromkeys(range(4), Fraction(2**61 - 1)), [([0, 1, 2, 3], [2, 2, 2, 2])], [], {0: 1})
+def test_separates_agrees_with_rational_dot_products(y, lines, sparse, rhs):
     def dot(col):
         return sum((y.get(i, Fraction(0)) * c for i, c in col.items()), Fraction(0))
 
-    assert separates(y, columns, rhs) == (dot(rhs) > 0 and all(dot(col) <= 0 for col in columns))
+    block = [{r: s for r, s in zip(rows, signs) if s} for rows, signs in lines]
+    expected = dot(rhs) > 0 and all(dot(col) <= 0 for col in block + sparse)
+    rows = np.array([rows for rows, _ in lines], dtype=np.int64).reshape(-1, 4)
+    signs = np.array([signs for _, signs in lines], dtype=np.int64).reshape(-1, 4)
+    columns = Columns(rows, signs, BLOCK_SIZE, sparse)
+    assert list(columns) == [columns[j] for j in range(len(columns))] == block + sparse
+    assert separates(y, columns, rhs) == expected
+    assert separates(y, block + sparse, rhs) == expected
+    assert reference_separates(y, block + sparse, rhs) == expected
 
 
 def test_elemental_counts():
@@ -375,6 +409,45 @@ def test_auto_and_exact_agree_on_refutations(monkeypatch):
         assert a.certificate is None and e.certificate is None
         assert separating_vector_holds(problem, a.separating_vector), problem.name
         assert separating_vector_holds(problem, e.separating_vector), problem.name
+
+
+def bench_refutations():
+    """The refutations above and the other negated elementals the refute
+    benchmark runs: every -I(Zi;Zj|K) at n = 5, and -I(Z1;Z2|Z3..Zr) at
+    n = 6 for each conditioning size."""
+    yield from refutations()
+    names = tuple(f"Z{i + 1}" for i in range(5))
+    for i, j in combinations(range(5), 2):
+        others = [t for t in range(5) if t not in (i, j)]
+        for r in range(len(others) + 1):
+            for ks in combinations(others, r):
+                target = negated_mutual_information(1 << i, 1 << j, sum(1 << t for t in ks))
+                yield ProverProblem(variables=names, constraints=(), target=target, name=f"n5 {i}{j}{ks}")
+    names = tuple(f"Z{i + 1}" for i in range(6))
+    for r in range(5):
+        target = negated_mutual_information(1, 2, sum(1 << t for t in range(2, 2 + r)))
+        yield ProverProblem(variables=names, constraints=(), target=target, name=f"n6 |K| = {r}")
+
+
+def test_refutation_verdicts_and_vectors_are_pinned():
+    # every refutation, guided, and the first set also by the full simplex:
+    # each vector passes the column-by-column oracle on the unreduced
+    # generators, and any change to a verdict, to the path that decided it or
+    # to one entry of a vector changes the digest
+    problems = list(bench_refutations())
+    assert len(problems) == 27 + 80 + 5
+    results = [prove(p) for p in problems]
+    with without_float_guidance():
+        results += [prove(p) for p in problems[:27]]
+    lines = []
+    for problem, result in zip(problems + problems[:27], results):
+        y = result.separating_vector
+        columns = [expr for _, expr in elemental_inequalities(problem.variables)]
+        columns += [col for _, expr in problem.constraints for col in (expr, {m: -c for m, c in expr.items()})]
+        assert result.status == "NotProvable" and reference_separates(y, columns, problem.target), problem.name
+        lines.append(f"{problem.name}: {result.path} {[(m, str(c)) for m, c in sorted(y.items())]}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "605b7bd3cb6e4d250b2e2faf0353f2eb10de3066fd673e764387605a4036158e"
 
 
 def test_nine_variable_refutation_decided_by_the_dual():
@@ -666,6 +739,52 @@ def test_the_float_lp_agrees_with_public_linprog(monkeypatch):
             assert np.abs(a - b).max() <= 1e-12, problem.name
         # the same support for a residue, the same rationalized candidate for a refutation
         assert duals[0] == duals[1] and duals[0] != (None, None), problem.name
+
+
+# every name prover.linprog reads from scipy's private HiGHS bindings, on the
+# module and on the objects it builds; a scipy release that renames one fails
+# here by name, and prove then stops with a one-line ProverError
+HIGHS_MODULE_NAMES = (
+    "HighsLp",
+    "_Highs",
+    "HighsOptions",
+    "MatrixFormat.kRowwise",
+    "kHighsInf",
+    "HighsModelStatus.kOptimal",
+    "simplex_constants.SimplexStrategy.kSimplexStrategyDual",
+    "simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex",
+)
+HIGHS_OBJECT_NAMES = {
+    "HighsLp": ("num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_", "row_lower_", "row_upper_", "a_matrix_"),
+    "HighsLp.a_matrix_": ("format_", "num_col_", "num_row_", "start_", "index_", "value_"),
+    "HighsOptions": ("solver", "simplex_strategy", "simplex_dual_edge_weight_strategy", "presolve", "output_flag"),
+    "_Highs": ("passOptions", "passModel", "run", "getModelStatus", "getSolution", "getInfo"),
+}
+
+
+def test_the_highs_bindings_have_every_name_the_float_lp_uses():
+    from scipy.optimize._highspy import _core as highs
+
+    def resolve(owner, dotted):
+        for name in dotted.split("."):
+            assert hasattr(owner, name), dotted
+            owner = getattr(owner, name)
+        return owner
+
+    for dotted in HIGHS_MODULE_NAMES:
+        resolve(highs, dotted)
+    objects = {"HighsLp": highs.HighsLp(), "HighsOptions": highs.HighsOptions(), "_Highs": highs._Highs()}
+    objects["HighsLp.a_matrix_"] = objects["HighsLp"].a_matrix_
+    for owner, names in HIGHS_OBJECT_NAMES.items():
+        for name in names:
+            resolve(objects[owner], name)
+    solver = objects["_Highs"]
+    solver.passOptions(prover_module._dual_simplex_options(highs))
+    solver.passModel(objects["HighsLp"])
+    solver.run()
+    for dotted in ("getSolution.col_value", "getSolution.row_dual", "getInfo.objective_function_value"):
+        method, attr = dotted.split(".")
+        resolve(getattr(solver, method)(), attr)
 
 
 def assert_same_reduction(got, expected, name=""):
