@@ -25,6 +25,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import ProverError
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -122,7 +124,7 @@ def solve_feasibility(
     A candidate Farkas vector that passes ``separates`` is returned as the
     result's ``farkas`` (the same object) without a pivot or a column built;
     otherwise the phase-1 simplex reads every column once, and its own
-    Farkas vector must pass the same check.
+    Farkas vector must pass the same check, or the call is a ``ProverError``.
     """
     if candidate is not None and separates(candidate, columns, rhs):
         return FeasibilityResult(feasible=False, solution=None, farkas=candidate)
@@ -171,7 +173,7 @@ def solve_feasibility(
         if leaving is None:
             # the artificial objective is bounded below by 0, so this cannot
             # happen for well-formed input; guard anyway
-            raise RuntimeError("phase-1 simplex became unbounded")
+            raise ProverError("internal error: phase-1 simplex became unbounded")
         pivot = rows[leaving][entering]
         prow = {j: a / pivot for j, a in rows[leaving].items()}
         pb = b[leaving] / pivot
@@ -208,5 +210,5 @@ def solve_feasibility(
         if y:
             farkas[i] = y
     if not separates(farkas, columns, rhs):
-        raise RuntimeError("phase-1 simplex ended with a Farkas vector that fails its check")
+        raise ProverError("internal error: phase-1 simplex ended with a Farkas vector that fails its check")
     return FeasibilityResult(feasible=False, solution=None, farkas=farkas)

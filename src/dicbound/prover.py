@@ -29,12 +29,14 @@ FDs.  So every generator maps through h(S) -> h(cl S): the rows are the
 non-empty closed sets, the FD columns vanish, zero and repeated elemental
 columns are dropped, and every other constraint stays a (+, -) column pair.
 The elementals themselves are one integer table per n, a subset mask and a
-sign per joint-entropy term, and each label is read off its row.  The
-reduced elementals are sorted and merged on one packed integer code per
-term, and both the reduced columns and the unreduced generators reach
-``exactlp`` as an ``exactlp.Columns`` container: that integer table as one
-block, then the other constraints as (+, -) pairs.  Verdicts are lifted
-back to the unreduced system and checked there:
+sign per joint-entropy term, and each label is read off its row.  Each
+system is kept once, as an ``exactlp.Columns`` container: the unreduced
+generators are that table as the integer block, then every constraint as a
+(+, -) pair; the reduced columns are the reduced elementals, sorted and
+merged on one packed integer code per term, then the pairs that do not
+vanish.  Each reduced column names its generator, so a constraint line's
+sign is the parity of its pair.  Verdicts are lifted back to the unreduced
+system and checked there:
 
 - a separating vector y_red of the reduced LP lifts to y(S) = y_red(cl S),
   which ``exactlp.separates`` checks against every unreduced column, the
@@ -288,7 +290,8 @@ class _Elementals(Sequence):
         if isinstance(t, slice):
             return [self[i] for i in range(len(self))[t]]
         t = range(len(self))[t]
-        return self.label(t), {m: Fraction(s) for m, s in self.terms(t).items()}
+        terms = zip(self.masks[t].tolist(), self.signs[t].tolist())
+        return self.label(t), {m: Fraction(s) for m, s in terms if s}
 
     def label(self, t: int) -> str:
         """H(A|C) or I(A;B|C) from row t: C is the fourth mask of an I, the
@@ -296,10 +299,6 @@ class _Elementals(Sequence):
         masks, signs = self.masks[t].tolist(), self.signs[t].tolist()
         c = masks[3] if signs[2] else masks[1] if signs[1] else 0
         return _basic_label(self.names, masks[0] & ~c, masks[1] & ~c if signs[2] else 0, c)
-
-    def terms(self, t: int) -> dict[int, int]:
-        """Row t's joint entropies, by subset mask, with integer signs."""
-        return {m: s for m, s in zip(self.masks[t].tolist(), self.signs[t].tolist()) if s}
 
 
 def elemental_inequalities(variables: int | Sequence[str]) -> Sequence[tuple[str, Expr]]:
@@ -448,14 +447,17 @@ def _reduce_elementals(rows: np.ndarray, signs: np.ndarray, n_rows: int):
 
 
 class _ClosedSetLP:
-    """The prover's LP over the sets closed under the problem's functional
-    dependencies (FDs).  Every generator maps through h(S) -> h(cl S): the
-    FDs vanish, zero and repeated elemental columns are dropped (the first
-    index is kept), and every other constraint stays a (+, -) column pair.
+    """The prover's two linear systems, one ``exactlp.Columns`` each.
 
-    Generator g is elemental g when g < len(elementals), else constraint
-    g - len(elementals); reduced column j is generator ``gens[j]`` times
-    ``signs[j]``.  Rows are the non-empty closed sets."""
+    ``generators`` holds every unreduced generator by subset mask: the
+    elemental table as the integer block, then constraint c as the pair of
+    generators e + 2c (+) and e + 2c + 1 (-), with e = len(elementals).
+    ``columns`` is the LP over the sets closed under the problem's
+    functional dependencies (FDs), whose rows are the non-empty closed sets.
+    Every generator maps through h(S) -> h(cl S): the FDs vanish, zero and
+    repeated elemental columns are dropped (the first index is kept), and
+    every other constraint keeps its pair.  Reduced column j is generator
+    ``gens[j]``."""
 
     def __init__(self, elementals: _Elementals, problem: ProverProblem):
         n = len(problem.variables)
@@ -478,30 +480,20 @@ class _ClosedSetLP:
         self.row_of = row[closure]  # reduced row of every mask; -1 for the empty set
         self.n_rows = len(closed)
 
-        self.rows, self.row_signs, kept = _reduce_elementals(
-            self.row_of[elementals.masks], elementals.signs, self.n_rows
-        )
+        pairs = [col for _, expr in problem.constraints for col in (expr, {m: -c for m, c in expr.items()})]
+        self.generators = Columns(elementals.masks, elementals.signs, 1 << n, pairs)
+        rows, signs, kept = _reduce_elementals(self.row_of[elementals.masks], elementals.signs, self.n_rows)
         self.gens = kept.tolist()
-        self.signs = [1] * len(kept)
-        self.n_elemental_columns = len(kept)
-
-        pairs: list[dict[int, Fraction]] = []
+        reduced = []
         fd_index = {c for c, _, _ in self.fds}
         for c, (_, expr) in enumerate(problem.constraints):
-            if c in fd_index:
-                continue
-            col = self.reduce(expr)
+            col = {} if c in fd_index else self.reduce(expr)
             if col:
-                pairs += [col, {r: -v for r, v in col.items()}]
-                self.gens += [self.n_elementals + c] * 2
-                self.signs += [1, -1]
-        # reduced column j, exactly: the elementals as the integer block
-        self.columns = Columns(self.rows, self.row_signs, self.n_rows, pairs)
+                g = self.n_elementals + 2 * c
+                reduced += [col, {r: -v for r, v in col.items()}]
+                self.gens += [g, g + 1]
+        self.columns = Columns(rows, signs, self.n_rows, reduced)
         self.target = self.reduce(problem.target)
-
-    @property
-    def n_columns(self) -> int:
-        return len(self.gens)
 
     def reduce(self, expr: Expr) -> dict[int, Fraction]:
         out: dict[int, Fraction] = defaultdict(Fraction)
@@ -512,11 +504,12 @@ class _ClosedSetLP:
     def float_system(self):
         """A^T as CSR arrays (indptr, indices, values), one row per reduced
         column, and b, in floats."""
-        nz = self.row_signs != 0
+        block = self.columns
+        nz = block.signs != 0
         counts = [nz.sum(axis=1)]
-        indices = [self.rows[nz]]
-        values = [self.row_signs[nz].astype(float)]
-        for col in self.columns.sparse:
+        indices = [block.rows[nz]]
+        values = [block.signs[nz].astype(float)]
+        for col in block.sparse:
             counts.append([len(col)])
             indices.append(np.fromiter(col, dtype=np.int64, count=len(col)))
             values.append(np.fromiter((float(c) for c in col.values()), dtype=float, count=len(col)))
@@ -526,13 +519,6 @@ class _ClosedSetLP:
         for r, c in self.target.items():
             b[r] = float(c)
         return a_t, b
-
-    def generator(self, g: int) -> Mapping[int, object]:
-        """Unreduced generator g by subset mask: elemental g when g <
-        len(elementals), else constraint g - len(elementals)."""
-        if g < self.n_elementals:
-            return self.elementals.terms(g)
-        return self.problem.constraints[g - self.n_elementals][1]
 
     def lift_vector(self, y: Mapping[int, Fraction]) -> Expr:
         """y(S) = y_red(cl S) for every non-empty set S."""
@@ -548,13 +534,14 @@ class _ClosedSetLP:
         names = self.problem.variables
         residual = defaultdict(Fraction, self.problem.target)
         for j, weight in solution:
-            g, coeff = self.gens[j], self.signs[j] * weight
+            g = self.gens[j]
             if g < self.n_elementals:
-                basic[self.elementals.label(g)] += coeff
+                basic[self.elementals.label(g)] += weight
             else:
-                equal[g - self.n_elementals] += coeff
-            for m, c in self.generator(g).items():
-                residual[m] -= coeff * c
+                c, negated = divmod(g - self.n_elementals, 2)
+                equal[c] += -weight if negated else weight
+            for m, coeff in self.generators[g].items():
+                residual[m] -= weight * coeff
         for s, r in sorted(residual.items()):
             cl = int(self.closure[s])
             if not r or cl == s:
@@ -580,12 +567,6 @@ class _ClosedSetLP:
         return tuple((label, w) for label, w in basic.items() if w) + tuple(
             (f"[=]{constraints[c][0]}", equal[c]) for c in sorted(equal) if equal[c]
         )
-
-    def generator_columns(self) -> Columns:
-        """Every unreduced generator by subset mask: the elemental table as
-        the integer block, then the constraints as (+, -) pairs."""
-        pairs = [col for _, expr in self.problem.constraints for col in (expr, {m: -c for m, c in expr.items()})]
-        return Columns(self.elementals.masks, self.elementals.signs, len(self.row_of), pairs)
 
 
 def _solve_exact(lp: _ClosedSetLP, restrict: Iterable[int], candidate=None):
@@ -614,7 +595,7 @@ def prove(problem: ProverProblem) -> ProofResult:
         if solution is not None:
             path = "guided"
     if solution is None:
-        solution, result = _solve_exact(lp, range(lp.n_columns), candidate)
+        solution, result = _solve_exact(lp, range(len(lp.columns)), candidate)
         if solution is None and result.farkas is candidate:
             path = "dual"
     if solution is not None:
@@ -630,7 +611,7 @@ def prove(problem: ProverProblem) -> ProofResult:
             path=path,
         )
     y = lp.lift_vector(result.farkas)
-    if not separates(y, lp.generator_columns(), problem.target):
+    if not separates(y, lp.generators, problem.target):
         raise ProverError(f"internal error: separating vector for {problem.name} fails its exact check")
     return ProofResult(
         status="NotProvable",

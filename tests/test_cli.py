@@ -134,6 +134,19 @@ def test_prove_without_the_highs_bindings_is_a_one_line_error(capsys, monkeypatc
     assert "Traceback" not in err
 
 
+def test_a_farkas_vector_that_fails_its_check_is_a_one_line_error(capsys, monkeypatch, tmp_path):
+    # the full exact simplex checks its own Farkas vector; should that check
+    # fail, prove ends in one error line, not a traceback
+    monkeypatch.setattr("dicbound.prover._float_dual", lambda a_t, b: (None, None))
+    monkeypatch.setattr("dicbound.exactlp.separates", lambda y, columns, rhs: False)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"variables": ["A", "B"], "target": {"A": 1, "A B": -1}}))
+    code, out, err = run_cli_exit(capsys, "prove", "--problem", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: internal error: phase-1 simplex ended with a Farkas vector") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_prove_problem_file(capsys, tmp_path):
     doc = {
         "variables": ["X1", "V1", "Y1", "X2", "V2", "Y2"],

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 
 import pytest
@@ -300,10 +301,54 @@ def test_affine_multiplicities():
 def test_support_covers_enough_bounds():
     assert len(supported_bounds(3)) >= 20
     assert len(supported_bounds(2)) == 7
-    # reconstruction provenance is recorded per entry
+
+
+_COPY = r"[\w+-]+"
+# "(V2^j, V3^1) = h1(X1^j+1, Y1^j+1)": receiver 1^{j+1} recovers the wired
+# copies V2^j and V3^1 from its input and output, optionally "at every user-1
+# receiver" (j over them); "V1^2 = g1(X1^2)": a wired copy is its own input's
+# interference
+_RECOVERY_RE = re.compile(
+    rf"(?P<copies>V\d\^{_COPY}|\(V\d\^{_COPY}(?:, V\d\^{_COPY})+\)) = "
+    rf"(?:h(?P<user>\d)\(X(?P=user)\^(?P<copy>{_COPY}), Y(?P=user)\^(?P=copy)\)"
+    rf"(?P<every> at every user-(?P=user) receiver)?|g(?P<g_user>\d)\(X(?P=g_user)\^(?P<g_copy>{_COPY})\))"
+)
+
+
+def test_every_recovery_note_matches_the_wiring():
+    # each note, at every k in range and j in 1..k (or over the named
+    # receivers), names exactly the copies its receiver is wired from; a
+    # statement with a copy outside the counts is the wrap-around of a cyclic
+    # index (V3^j-1 at j = 1), which the recipe wires separately
+    from dicbound.extend import _eval_expr
+
+    statements = 0
     for bound_id in supported_bounds():
         info = bound_support_info(bound_id)
-        assert "reconstructed" in info and "recovery" in info
+        assert isinstance(info["reconstructed"], bool), bound_id
+        sizes = range(info["k_range"][0], info["k_range"][1] + 1) if info["parametric"] else [None]
+        for note in info["recovery"]:
+            m = _RECOVERY_RE.fullmatch(note)
+            assert m, (bound_id, note)
+            named = [(int(v[1]), v[3:]) for v in m["copies"].strip("()").split(", ")]
+            user, copy = (int(m["user"]), m["copy"]) if m["user"] else (int(m["g_user"]), m["g_copy"])
+            checked = 0
+            for k in sizes:
+                recipe = builtin_recipe(bound_id, k).recipe
+                wiring, counts = dict(recipe.wiring), recipe.counts
+                for j in range(1, (counts[user - 1] if m["every"] else k) + 1) if "j" in note else [None]:
+                    rx = (user, _eval_expr(copy, k, j))
+                    copies = {(u, _eval_expr(c, k, j)) for u, c in named}
+                    if not all(1 <= c <= counts[u - 1] for u, c in copies | {rx}):
+                        continue
+                    if m["user"]:
+                        assert copies == set(wiring[rx]), (bound_id, note, k, j, wiring[rx])
+                    else:
+                        assert copies == {rx} and any(rx in wired for wired in wiring.values()), (bound_id, note, k)
+                    checked += 1
+            assert checked, (bound_id, note)
+            statements += checked
+    assert statements == 1087
 
 
 def test_index_expressions():

@@ -466,16 +466,21 @@ def test_nine_variable_refutation_decided_by_the_dual():
 
 def test_exact_method_agrees_with_guided(base2):
     variables, constraints = base2
+    independence = expr_from_names(variables, {"X1 X2": 1, "X1": -1, "X2": -1})
+    # target, then the guided and the exact certificate where they are
+    # pinned: each sign of a constraint line is one side of its (+, -) pair
     targets = [
-        expr_from_names(variables, {"Y1 V1 V2": 1, "V1 V2": -1, "Y1 X2 Y2": -1, "X2 Y2": 1}),
-        expr_from_names(variables, {"Y1 V2": 1, "V2": -1, "Y1": -1}),
-        expr_from_names(variables, {"X1 X2": 1, "X1": -1, "X2": -1}),
-        {m: -c for m, c in expr_from_names(variables, {"X1 X2": 1, "X1": -1, "X2": -1}).items()},
+        (expr_from_names(variables, {"Y1 V1 V2": 1, "V1 V2": -1, "Y1 X2 Y2": -1, "X2 Y2": 1}), None),
+        (expr_from_names(variables, {"Y1 V2": 1, "V2": -1, "Y1": -1}), None),
+        (independence, ((("[=]independent sources", 1),), (("[=]independent sources", 1),))),
+        ({m: -c for m, c in independence.items()}, ((("[=]independent sources", -1),), (("I(X1;X2)", 1),))),
     ]
-    for target in targets:
+    for target, pinned in targets:
         p = ProverProblem(variables=variables, constraints=constraints, target=target)
         guided, exact = prove_both_ways(p)
         assert exact.path == "exact" and guided.status == exact.status
+        if pinned:
+            assert (guided.path, guided.certificate, exact.certificate) == ("guided", *pinned)
 
 
 def test_certificates_resummed_and_nonnegative(base2):
@@ -795,7 +800,8 @@ def assert_same_reduction(got, expected, name=""):
 def assert_reduction_matches_the_reference(problem):
     lp = prover_module._ClosedSetLP(elemental_inequalities(problem.variables), problem)
     expected = reference_elemental_columns(lp.row_of[lp.elementals.masks], lp.elementals.signs)
-    assert_same_reduction((lp.rows, lp.row_signs, lp.gens[: lp.n_elemental_columns]), expected, problem.name)
+    block = lp.columns
+    assert_same_reduction((block.rows, block.signs, lp.gens[: len(block.rows)]), expected, problem.name)
     return lp
 
 
