@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
 
+import numpy as np
+
 from .errors import BudgetExceededError, ChannelFormatError, DicboundError
 
 # _shift2 refuses a receive table of more entries; it holds 2^(q + n_cross).
@@ -85,6 +87,12 @@ class DeterministicChannel:
     def valid(self) -> bool:
         """Interference recoverability, checked once per channel object."""
         return validate_channel(self).valid
+
+    @cached_property
+    def arrays(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """The g and f tables as int64 arrays, the entropy engine's lookups,
+        built once per channel object."""
+        return tuple(np.array(t, dtype=np.int64) for t in self.g), tuple(np.array(t, dtype=np.int64) for t in self.f)
 
     def interferers(self, user: int) -> tuple[int, ...]:
         """0-based indices of the other users, ascending."""

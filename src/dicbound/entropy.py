@@ -3,8 +3,9 @@
 Joint tables are support-sparse: one atom per source-input tuple, since every
 other symbol is a deterministic image.  ``induce_joint`` builds them as one of
 the two entries of the engine in ``networks`` (``source_atoms`` →
-``NetworkGraph.evaluator`` → ``row_entropy``): it checks the law once, then
-enumerates every replica.  Entropies are in bits.
+``evaluate_columns``, through ``NetworkGraph.evaluator`` → ``row_entropy``):
+it checks the law once, then enumerates every replica.  Entropies are in
+bits.
 """
 
 from __future__ import annotations
@@ -265,14 +266,25 @@ def conditional_entropy(table: JointTable, a: Iterable, b: Iterable) -> float:
 def base_terms(channel: DeterministicChannel, dist: SourceDistribution, keys: Iterable) -> dict:
     """H(Y_u | V_A) on the base channel for each distinct key (u, A), A a
     frozenset, from one joint table: the terms that rate bounds and chain
-    closed forms combine, over independent inputs only."""
+    closed forms combine, over independent inputs only.  Each term is
+    H(V_A, Y_u) - H(V_A), and each distinct column subset's entropy is
+    computed once."""
     if dist.mode != "product":
         raise DistributionError("rate-region bounds are defined over product input distributions")
     table = induce_joint(channel, dist)
+    index = {v: i for i, v in enumerate(table.variables)}
+    subsets: dict = {}
+
+    def h(columns):
+        if columns not in subsets:
+            subsets[columns] = row_entropy(table.values[:, list(columns)], table.probs)
+        return subsets[columns]
+
     values = {}
     for user, given in keys:
         if (user, given) not in values:
-            values[user, given] = conditional_entropy(table, [Y(user)], [V(w) for w in given])
+            cond = tuple(sorted(index[V(w)] for w in given))
+            values[user, given] = h(cond + (index[Y(user)],)) - h(cond)
     return values
 
 

@@ -36,6 +36,7 @@ from .gcs import CutChain, _chain_value, chain_from_cuts
 from .networks import (
     NetworkGraph,
     Replica,
+    ShapeMemo,
     base_network,
     memo_entropy,
     node_labels,
@@ -300,12 +301,13 @@ def verify_replica_rates(
 ) -> RateReport:
     """With identical i.i.d. replica inputs, every replica's I(X;Y) must equal
     the base channel's.  Each is H(Y) - H(Y | X) from ``memo_entropy`` with
-    one memo over both networks, so a replica asks its user's base shapes
-    and the check costs two enumerations per user."""
+    one memo over both networks, so a replica asks its user's base shapes,
+    and those all read the base law's one table tuple: the check costs one
+    enumeration."""
     network = build_extended(channel, recipe)
     rdist = replicate_distribution(network, dist)
     base = base_network(channel)
-    memo: dict = {}
+    memo = ShapeMemo()
 
     def mi(net, d, replica):
         y, x = (set(), set(), {replica}), ({replica}, set(), set())
@@ -349,7 +351,7 @@ def verify_chain_identity(
     recipes = [builtin_recipe(bound_id, k) for k in ks]
     # one channel and the replicas of one base law: a query shape met at one
     # size has the same value at every other, so the memo spans the range
-    shapes: dict = {}
+    shapes = ShapeMemo()
     evaluated = []
     for recipe in recipes:
         network = build_extended(channel, recipe.recipe)

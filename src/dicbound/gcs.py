@@ -14,15 +14,17 @@ builds enumerated chains and recipe chains alike.
 Level j is H(Y(R_{j-1} - R_j) | X, Y(all - R_{j-1})), so the pair
 (R_{j-1}, R_j) alone decides its value, whichever chain it occurs in.  Each
 distinct level is asked once, on replica sets, of ``networks.memo_entropy``,
-the one network query, which reduces it and enumerates only a query shape
+the one network query, which reduces it and evaluates only a query shape
 its memo has not met.  A hit is exact: replicas of a user run i.i.d.
 copies of its inputs, and a shape renames replicas only within a user under
-equal tables.  ``_chain_value`` is the one evaluator; its caller keeps the
-shape memo.  ``evaluate_chain`` starts one per chain and
-``extend.verify_chain_identity`` one across its k range, which is one
-channel and the replicas of one base law.  ``chain_values`` keeps one per
-call, and a local dict of the levels of its chains, so a joint-law query,
-which has no shape, is still asked once per distinct level.
+equal tables.  The same i.i.d. fact lets the memo, a ``networks.ShapeMemo``,
+enumerate each source-table tuple once for all the shapes that read it (the
+ineq5 search at k = 1: 622 shapes, 8 enumerations).  ``_chain_value`` is the
+one evaluator; its caller keeps the shape memo.  ``evaluate_chain`` starts
+one per chain and ``extend.verify_chain_identity`` one across its k range,
+which is one channel and the replicas of one base law.  ``chain_values``
+keeps one per call, and a local dict of the levels of its chains, so a
+joint-law query, which has no shape, is still asked once per distinct level.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .entropy import SourceDistribution
 from .errors import BudgetExceededError, ChainValidationError, DicboundError
-from .networks import NetworkGraph, Replica, memo_entropy
+from .networks import NetworkGraph, Replica, ShapeMemo, memo_entropy
 
 # enumerate_chains refuses to build more.  The largest enumeration in the
 # benchmark builds 794 (ineq5 at k = 1, up to length 3); `gcs --enumerate` on
@@ -105,7 +107,7 @@ def _chain_levels(network: NetworkGraph, chain: CutChain) -> list[Level]:
     return list(zip(uncut, uncut[1:]))
 
 
-def _level_value(network: NetworkGraph, dist: SourceDistribution, level: Level, shapes: dict) -> float:
+def _level_value(network: NetworkGraph, dist: SourceDistribution, level: Level, shapes: ShapeMemo) -> float:
     """H(Y(R_{j-1} - R_j) | X, Y(all - R_{j-1})): the fresh outputs given the
     inputs and outputs of every replica already cut, asked of
     ``memo_entropy`` on replica sets with ``shapes`` as its memo."""
@@ -116,7 +118,7 @@ def _level_value(network: NetworkGraph, dist: SourceDistribution, level: Level, 
     return memo_entropy(network, dist, (set(), set(), outer - inner), (cut, set(), cut), shapes)
 
 
-def _chain_value(network: NetworkGraph, chain: CutChain, dist: SourceDistribution, shapes: dict) -> ChainValue:
+def _chain_value(network: NetworkGraph, chain: CutChain, dist: SourceDistribution, shapes: ShapeMemo) -> ChainValue:
     """The value of a valid chain, not re-validated.  ``shapes`` is the shape
     memo of ``_level_value``, and may span networks of one channel."""
     terms = tuple(_level_value(network, dist, level, shapes) for level in _chain_levels(network, chain))
@@ -128,7 +130,7 @@ def evaluate_chain(network: NetworkGraph, chain: CutChain, dist: SourceDistribut
     violations = validate_chain(network, chain)
     if violations:
         raise ChainValidationError(violations)
-    return _chain_value(network, chain, dist, {})
+    return _chain_value(network, chain, dist, ShapeMemo())
 
 
 def chain_from_cuts(
@@ -183,7 +185,7 @@ def chain_values(
     asked once; the memos are dropped when the call returns."""
     chains = enumerate_chains(network, max_l)
     walks = [_chain_levels(network, chain) for chain in chains]
-    shapes: dict = {}
+    shapes = ShapeMemo()
     distinct = dict.fromkeys(level for walk in walks for level in walk)
     levels = {level: _level_value(network, dist, level, shapes) for level in distinct}
     return [(chain, math.fsum(map(levels.__getitem__, walk))) for chain, walk in zip(chains, walks)]

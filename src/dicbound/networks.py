@@ -8,17 +8,19 @@ module owns that model: ``NetworkGraph`` is built from those two and is the
 one check of them, ``replicas_from_counts`` lists the replicas, and
 ``node_labels`` is the one node-label format.
 
-This module holds the one entropy engine, a numpy kernel that speaks (kind,
-replica) columns: ``source_atoms`` enumerates source atoms as arrays under
-the atom cap, ``MAX_ATOMS``, which only it enforces; ``NetworkGraph.evaluator``
-maps them to the values of the columns; and ``entropy.row_entropy`` merges
-equal rows into an entropy.  The engine has two entries, and each checks the
-law once with ``check_law``: ``query_entropy``, reached only through
-``memo_entropy``, enumerates only the sources its columns read, and
-``entropy.induce_joint`` enumerates every replica for a full joint table.
-Under a product law, conditioning on a source's input and its receiver's
-output pins down the interference it saw, which shrinks a query's sources
-further.
+This module holds the one entropy engine, a numpy kernel: ``source_atoms``
+enumerates source atoms as arrays under the atom cap, ``MAX_ATOMS``, which
+only it enforces; ``evaluate_columns`` maps them to the values of columns
+relabelled by source position, (kind, the positions of the sources read),
+with the channel's lookup arrays (``DeterministicChannel.arrays``);
+``NetworkGraph.evaluator`` is its front end for (kind, replica) columns; and
+``entropy.row_entropy`` merges equal rows into an entropy.  The engine has
+two entries, and each checks the law once with ``check_law``:
+``query_entropy``, reached only through ``memo_entropy``, enumerates only
+the sources its columns read, and ``entropy.induce_joint`` enumerates every
+replica for a full joint table.  Under a product law, conditioning on a
+source's input and its receiver's output pins down the interference it saw,
+which shrinks a query's sources further.
 
 ``memo_entropy`` is the one network query and the only caller of its
 steps.  On the replica sets of the X's, V's and Y's of the targets and of
@@ -26,11 +28,18 @@ the conditioning, it checks the law; ``reduce_query`` computes that closure
 and returns the key and live columns, or None when the conditioning
 determines every target; ``query_shape`` names a product-law query up to
 renaming replicas of one user under equal tables, so equal shapes have
-values equal bit for bit; and ``query_entropy``, the engine entry, runs only
-for a shape not yet in the caller's memo.  A joint-mode law has no shape.
-Chain levels share a memo per chain, chain search or identity k range (see
-``gcs``), replica rates one over the base and extended network, and
-``cond_entropy_network`` (and ``network_entropy``), the public
+values equal bit for bit, and lists the sources the query reads; and
+``query_entropy``, the engine entry, runs only for a shape not yet in the
+caller's ``ShapeMemo``.  The memo holds the value of each shape met and,
+per source-table tuple (a shape's first part), one enumeration and the
+relabelled columns evaluated at it, so queries that differ in columns but
+read equal tables enumerate once: replicas of a user run i.i.d. copies of
+its inputs.  It keeps enumerations and columns only while the int64 cells
+it holds stay within ``MAX_ATOMS``; past that a query enumerates afresh and
+keeps nothing.  A joint-mode law has no shape and is always enumerated
+afresh.  Chain levels share a memo per chain, chain search or identity k
+range (see ``gcs``), replica rates one over the base and extended network,
+and ``cond_entropy_network`` (and ``network_entropy``), the public
 ``VariableId`` front end, has a fresh one per call.
 """
 
@@ -38,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -171,22 +179,13 @@ class NetworkGraph:
         return sets["X"], sets["V"], sets["Y"]
 
     def evaluator(self, columns: Columns, sources: Sequence[Replica], xs):
-        """The symbol evaluator: the (atoms x columns) value array of the
-        (kind, replica) ``columns`` at the inputs ``xs`` (atoms x ``sources``,
-        in order).  Each interference column a query needs is computed once.
-        """
-        channel, pos = self.channel, {r: i for i, r in enumerate(sources)}
-        v_col = cache(lambda r: np.asarray(channel.g[r[0] - 1])[xs[:, pos[r]]])
-        out = np.empty((len(xs), len(columns)), dtype=np.int64)
-        for j, (kind, r) in enumerate(columns):
-            if kind == "Y":
-                idx = xs[:, pos[r]]
-                for w in self._wiring_map[r]:
-                    idx = idx * channel.v_sizes[w[0] - 1] + v_col(w)
-                out[:, j] = np.asarray(channel.f[r[0] - 1])[idx]
-            else:
-                out[:, j] = xs[:, pos[r]] if kind == "X" else v_col(r)
-        return out
+        """The (atoms x columns) value array of the (kind, replica) ``columns``
+        at the inputs ``xs`` (atoms x ``sources``, in order): the columns,
+        relabelled by source position, through ``evaluate_columns`` with
+        nothing known."""
+        pos = {r: i for i, r in enumerate(sources)}
+        relabelled = [(kind, tuple(map(pos.__getitem__, self.reads(kind, r)))) for kind, r in columns]
+        return evaluate_columns(self.channel, [r[0] for r in sources], xs, relabelled, {})
 
     def reads(self, kind: str, replica: Replica) -> tuple[Replica, ...]:
         """Source replicas the symbol of that kind at the replica is a function
@@ -253,14 +252,78 @@ def source_atoms(network: NetworkGraph, dist: SourceDistribution, sources: Seque
     return xs.reshape(count, len(idx)), p
 
 
-def query_entropy(network: NetworkGraph, dist: SourceDistribution, keys: Columns, live: Columns) -> float:
+def evaluate_columns(channel: DeterministicChannel, users: Sequence[int], xs, columns, known: dict):
+    """The symbol evaluator: the (atoms x columns) int64 value array of the
+    relabelled ``columns`` at the inputs ``xs`` (atoms x sources), source j
+    being a replica of user ``users[j]``.  A relabelled column is (kind, the
+    positions of the sources it reads), so its values depend only on those
+    users and the channel.  ``known`` maps V and Y columns already evaluated
+    at these ``xs`` to their values; each one evaluated here, and each
+    interference column an output reads, is added to it."""
+    g, f = channel.arrays
+
+    def v(w):  # the interference column of source w
+        if ("V", (w,)) not in known:
+            known["V", (w,)] = g[users[w] - 1][xs[:, w]]
+        return known["V", (w,)]
+
+    out = np.empty((len(xs), len(columns)), dtype=np.int64)
+    for j, (kind, reads) in enumerate(columns):
+        if kind == "X":
+            out[:, j] = xs[:, reads[0]]
+        elif kind == "V":
+            out[:, j] = v(reads[0])
+        else:
+            if (kind, reads) not in known:
+                idx = xs[:, reads[0]]
+                for w in reads[1:]:
+                    idx = idx * channel.v_sizes[users[w] - 1] + v(w)
+                known[kind, reads] = f[users[reads[0]] - 1][idx]
+            out[:, j] = known[kind, reads]
+    return out
+
+
+@dataclass
+class ShapeMemo:
+    """The caller-owned memo of ``memo_entropy``, for networks of one
+    channel: ``values`` holds the entropy of each query shape met, ``atoms``
+    the enumeration ``(xs, p)`` of each source-table tuple (a shape's first
+    part) with the relabelled V and Y columns evaluated at it, and ``cells``
+    the int64 cells of those ``xs`` and columns, which ``query_entropy``
+    keeps within ``MAX_ATOMS``."""
+
+    values: dict = field(default_factory=dict)
+    atoms: dict = field(default_factory=dict)
+    cells: int = 0
+
+
+def query_entropy(
+    network: NetworkGraph, dist: SourceDistribution, keys: Columns, live: Columns, sources, shape, memo: ShapeMemo
+) -> float:
     """The network query's engine entry: H(live | keys) = H(keys, live) -
-    H(keys), from one enumeration of the sources the columns read, in sorted
-    order.  Reached only through ``memo_entropy``, which checks the law."""
-    columns = keys + live
-    sources = sorted(set().union(*(network.reads(kind, r) for kind, r in columns)))
-    xs, p = source_atoms(network, dist, sources)
-    values = network.evaluator(columns, sources, xs)
+    H(keys), from one enumeration of ``sources``, the sorted sources the
+    columns read.  Reached only through ``memo_entropy``, which checks the
+    law and passes the query's ``shape`` and its ``sources``.
+
+    A product-law query reads its table tuple's enumeration, and the columns
+    of its shape already evaluated there, from ``memo.atoms``, and adds what
+    it enumerates and evaluates while the memo's cells stay within
+    ``MAX_ATOMS``; past that it keeps nothing.  Equal table tuples enumerate
+    equal ``(xs, p)``, so the values are those of a fresh enumeration, bit
+    for bit.  A joint-law query has no shape and enumerates afresh.
+    """
+    if shape is None:
+        xs, p = source_atoms(network, dist, sources)
+        values = network.evaluator(keys + live, sources, xs)
+    else:
+        tables, _, columns = shape
+        kept = memo.atoms.get(tables)
+        xs, p, known = kept or (*source_atoms(network, dist, sources), {})
+        grown = dict(known)
+        values = evaluate_columns(network.channel, [u for u, _ in tables], xs, columns, grown)
+        cells = memo.cells + (len(grown) - len(known)) * len(xs) + (0 if kept else xs.size)
+        if cells <= MAX_ATOMS:
+            memo.atoms[tables], memo.cells = (xs, p, grown), cells
     return row_entropy(values, p) - row_entropy(values[:, : len(keys)], p)
 
 
@@ -319,45 +382,47 @@ def reduce_query(
 
 
 def query_shape(network: NetworkGraph, dist: SourceDistribution, keys: Columns, live: Columns):
-    """The shape of a reduced product-law query, None under a joint law.
+    """The shape of a reduced query, None under a joint law, and the sources
+    its columns read, in the sorted order the enumeration uses.
 
-    The sources the columns read are relabelled by their position in the
-    sorted order the enumeration uses.  The shape lists each source as (user,
-    its law's table), then the number of keys, then each column as (kind,
-    relabelled sources it reads).  Equal shapes differ only by renaming
-    replicas of the same user under the same tables, and the engine runs the
-    same arrays through the same arithmetic for both, so their entropies are
-    equal bit for bit.
+    The shape relabels those sources by their position in that order.  It
+    lists each source as (user, its law's table), then the number of keys,
+    then each column as (kind, relabelled sources it reads).  Equal shapes
+    differ only by renaming replicas of the same user under the same tables,
+    and the engine runs the same arrays through the same arithmetic for
+    both, so their entropies are equal bit for bit.
     """
-    if dist.mode != "product":
-        return None
     reads = [network.reads(kind, r) for kind, r in keys + live]
     sources = sorted(set().union(*reads))
+    if dist.mode != "product":
+        return None, sources
     label = {s: i for i, s in enumerate(sources)}
     tables = tuple((s[0], dist.tables[network._index[s]]) for s in sources)
     columns = tuple((kind, tuple(map(label.__getitem__, read))) for (kind, _), read in zip(keys + live, reads))
-    return tables, len(keys), columns
+    return (tables, len(keys), columns), sources
 
 
-def memo_entropy(network: NetworkGraph, dist: SourceDistribution, targets, cond, memo: dict) -> float:
+def memo_entropy(network: NetworkGraph, dist: SourceDistribution, targets, cond, memo: ShapeMemo) -> float:
     """H(targets | cond) on (X, V, Y) replica sets: the one network query.
 
     It checks the law, since a shape reads its tables; reduces the query,
     returning 0.0 when the conditioning determines every target; looks the
-    query shape up in ``memo``; and runs ``query_entropy`` only for a shape
-    not yet there, storing its value.  A joint-law query has no shape and is
-    always asked.  A memo may span networks of one channel, since a shape
-    names users, not channels."""
+    query shape up in ``memo.values``; and runs ``query_entropy`` only for a
+    shape not yet there, storing its value.  The engine reuses, from the same
+    memo, the enumeration of each source-table tuple and the columns already
+    evaluated at it, within the ``MAX_ATOMS`` rule of ``ShapeMemo``.  A
+    joint-law query has no shape and is always asked afresh.  A memo may span
+    networks of one channel, since a shape names users, not channels."""
     check_law(network, dist)
     reduced = reduce_query(network, dist, targets, cond)
     if reduced is None:
         return 0.0
-    shape = query_shape(network, dist, *reduced)
-    if shape in memo:
-        return memo[shape]
-    value = query_entropy(network, dist, *reduced)
+    shape, sources = query_shape(network, dist, *reduced)
+    if shape in memo.values:
+        return memo.values[shape]
+    value = query_entropy(network, dist, *reduced, sources, shape, memo)
     if shape is not None:
-        memo[shape] = value
+        memo.values[shape] = value
     return value
 
 
@@ -367,7 +432,7 @@ def cond_entropy_network(
     """H(targets | cond) on the network without materializing the full joint:
     the public ``VariableId`` front end, ``memo_entropy`` on the variables'
     replica sets with a memo of its own."""
-    return memo_entropy(network, dist, network.replica_sets(targets), network.replica_sets(cond), {})
+    return memo_entropy(network, dist, network.replica_sets(targets), network.replica_sets(cond), ShapeMemo())
 
 
 def network_entropy(network: NetworkGraph, dist: SourceDistribution, subset) -> float:

@@ -184,14 +184,16 @@ def test_a_replica_under_another_table_deviates(concat3, monkeypatch):
 
 def test_replica_rates_enumerate_once_per_query_shape(shift2_221, count_calls):
     # I(X;Y) = H(Y) - H(Y | X): every replica's two queries have its user's
-    # base shapes, so only the base network's queries are enumerated
+    # base shapes, so only the base network's queries reach the engine; each
+    # reads every user's source under the base tables, one table tuple, so
+    # the memo enumerates once
     from dicbound import networks
 
     atoms = count_calls(networks, "source_atoms")
     recipe = builtin_recipe("4e", 3).recipe
     dist = sample_product_distribution([4, 4], 12, 0)
     report = verify_replica_rates(shift2_221, recipe, dist)
-    assert len(atoms) == 2 * shift2_221.user_count
+    assert len(atoms) == 1
     assert report.max_deviation == 0.0
     table = induce_joint(shift2_221, dist)
     for user, value in enumerate(report.base_values, start=1):
@@ -610,14 +612,17 @@ def test_every_base_term_reader_rejects_a_joint_law(xor2):
             read()
 
 
-def test_identity_check_evaluates_each_base_term_once(xor2, count_calls):
+def test_identity_check_evaluates_each_base_term_once(xor2, count_calls, monkeypatch):
     entropy = sys.modules["dicbound.entropy"]
     tables = count_calls(entropy, "induce_joint")
-    terms = count_calls(entropy, "conditional_entropy")
+    # the entropies base_terms takes, not those of the chain queries
+    subsets, real = [], entropy.row_entropy
+    monkeypatch.setattr(entropy, "row_entropy", lambda *args: subsets.append(args) or real(*args))
     ks = range(1, 7)
     assert verify_chain_identity("4a", xor2, UNIFORM2, k_range=ks).ok
     distinct = set().union(*(builtin_recipe("4a", k).term_counts() for k in ks))
-    assert (len(tables), len(terms)) == (1, len(distinct))
+    # H(Y_u | V_A) = H(V_A, Y_u) - H(V_A), one entropy per distinct column subset
+    assert (len(tables), len(subsets)) == (1, len(distinct) + len({given for _, given in distinct}))
 
 
 def test_closed_form_builds_one_table_and_reads_each_term_once(xor2, count_calls):
@@ -625,9 +630,10 @@ def test_closed_form_builds_one_table_and_reads_each_term_once(xor2, count_calls
     assert len(recipe.closed_terms) > len(recipe.term_counts())  # repeated terms
     entropy = sys.modules["dicbound.entropy"]
     tables = count_calls(entropy, "induce_joint")
-    terms = count_calls(entropy, "conditional_entropy")
+    subsets = count_calls(entropy, "row_entropy")
     chain_closed_form(recipe, base_terms(xor2, UNIFORM2, recipe.term_counts()))
-    assert (len(tables), len(terms)) == (1, len(recipe.term_counts()))
+    distinct = recipe.term_counts()
+    assert (len(tables), len(subsets)) == (1, len(distinct) + len({given for _, given in distinct}))
 
 
 def test_recipes_are_built_once_per_id_and_size():

@@ -31,8 +31,10 @@ from dicbound.gcs import (
     validate_chain,
 )
 from dicbound.networks import (
+    ShapeMemo,
     base_network,
     cond_entropy_network,
+    memo_entropy,
     query_shape,
     reduce_query,
     replicate_distribution,
@@ -316,7 +318,7 @@ def level_shape(network, dist, targets, cond):
     """The query shape of a (targets, conditioning) level, from the two
     public steps, or None when the level needs no query."""
     reduced = reduce_query(network, dist, network.replica_sets(targets), network.replica_sets(cond))
-    return reduced and query_shape(network, dist, *reduced)
+    return reduced and query_shape(network, dist, *reduced)[0]
 
 
 def level_reads(network, dist, targets, cond):
@@ -351,6 +353,35 @@ def test_each_distinct_level_is_one_query(concat3, count_calls):
     chain_values(net, dist, 3)
     assert len(reductions) == len(distinct) == 665
     assert len(calls) == len(shapes) < len(distinct) < sum(len(c) for c in enumerate_chains(net, 3))
+
+
+def test_the_ineq5_search_enumerates_each_source_table_tuple_once(concat3, count_calls):
+    # replicas of a user run i.i.d. copies of its inputs, so the 622 engine
+    # queries read only 8 distinct source-table tuples, and the memo
+    # enumerates each of them once
+    net, dist = extended_search(concat3, "ineq5", 1, 22)
+    shapes = {level_shape(net, dist, *level) for level in search_levels(net, 3)} - {None}
+    atoms = count_calls(dicbound.networks, "source_atoms")
+    chain_values(net, dist, 3)
+    assert len(atoms) == len({tables for tables, _, _ in shapes}) == 8
+
+
+def test_a_memo_keeps_no_enumeration_past_the_atom_cap(concat3, monkeypatch):
+    # every enumeration of the search fits a cap of 64 atoms, but not all of
+    # them with their columns: the memo keeps what fits and nothing past it,
+    # and every value is still the one a fresh memo gives, bit for bit
+    monkeypatch.setattr(dicbound.networks, "MAX_ATOMS", 64)
+    net, dist = extended_search(concat3, "ineq5", 1, 22)
+    memo, tuples = ShapeMemo(), set()
+    for targets, cond in search_levels(net, 3):
+        shape = level_shape(net, dist, targets, cond)
+        if shape:
+            tuples.add(shape[0])
+        got = memo_entropy(net, dist, net.replica_sets(targets), net.replica_sets(cond), memo)
+        assert got == cond_entropy_network(net, dist, targets, cond)
+        assert memo.cells <= 64
+        assert memo.cells == sum(xs.size + len(xs) * len(known) for xs, _, known in memo.atoms.values())
+    assert 0 < len(memo.atoms) < len(tuples) == 8
 
 
 def recipe_levels(channel, law):

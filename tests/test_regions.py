@@ -70,12 +70,16 @@ def test_joint_mode_rejected(xor2):
 
 @pytest.mark.parametrize("name,distinct", [("xor2", 8), ("concat3", 20)])
 def test_bound_vector_evaluates_each_base_term_once(request, count_calls, name, distinct):
+    # a term H(Y_u | V_A) is H(V_A, Y_u) - H(V_A): one entropy per distinct
+    # column subset, the distinct terms and their distinct A's
     channel = request.getfixturevalue(name)
+    keys = {term.key for t in load_templates(channel.user_count) for term in t.terms}
     entropy = sys.modules["dicbound.entropy"]
     tables = count_calls(entropy, "induce_joint")
-    terms = count_calls(entropy, "conditional_entropy")
+    subsets = count_calls(entropy, "row_entropy")
     bound_vector(channel, SourceDistribution.uniform(channel.input_sizes))
-    assert (len(tables), len(terms)) == (1, distinct)
+    assert len(keys) == distinct
+    assert (len(tables), len(subsets)) == (1, distinct + len({given for _, given in keys}))
 
 
 def test_bounds_never_exceed_output_entropy_budget(shift2_331):
