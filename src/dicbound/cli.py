@@ -52,14 +52,14 @@ def _fmt(x: float) -> str:
 def _load_file(path: str, what: str, build):
     """``build`` applied to a JSON input file's document.  The one loading path
     for the channel, --dist, --network, --chain and --problem files: an
-    unreadable, unparsable or malformed file is a ``UsageError`` naming the
-    file.  A problem file's number literals are read exactly from their text
-    (``prover.rational``, so 0.1 is 1/10); the other files read them as
-    floats."""
+    unreadable, unparsable (nested past the recursion limit, too) or
+    malformed file is a ``UsageError`` naming the file.  A problem file's
+    number literals are read exactly from their text (``prover.rational``,
+    so 0.1 is 1/10); the other files read them as floats."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return build(json.load(fh, parse_float=rational if what == "problem" else float))
-    except (OSError, ValueError, DicboundError) as exc:
+    except (OSError, ValueError, RecursionError, DicboundError) as exc:
         raise UsageError(f"cannot load {what} {path!r}: {exc}") from exc
 
 

@@ -23,8 +23,10 @@ ineq5 search at k = 1: 622 shapes, 8 enumerations).  ``_chain_value`` is the
 one evaluator; its caller keeps the shape memo.  ``evaluate_chain`` starts
 one per chain and ``extend.verify_chain_identity`` one across its k range,
 which is one channel and the replicas of one base law.  ``chain_values``
-keeps one per call, and a local dict of the levels of its chains, so a
-joint-law query, which has no shape, is still asked once per distinct level.
+keeps one per call, and a local dict of the levels of its chains, so each
+distinct level is reduced once.  Under a joint law the memo keys a source
+by its position in the law, so a joint-law search, too, enumerates each
+source tuple once.
 """
 
 from __future__ import annotations
@@ -180,9 +182,10 @@ def chain_values(
     network: NetworkGraph, dist: SourceDistribution, max_l: int
 ) -> list[tuple[CutChain, float]]:
     """Every enumerated chain with its value, not re-validated: enumerated
-    chains are valid by construction.  Each distinct level is reduced once,
-    in the order the chains first meet it, and each distinct query shape
-    asked once; the memos are dropped when the call returns."""
+    chains are valid by construction.  The local ``levels`` dict reduces
+    each distinct level once, in the order the chains first meet it, and
+    the shape memo asks each distinct query shape once, under a product or
+    a joint law; both are dropped when the call returns."""
     chains = enumerate_chains(network, max_l)
     walks = [_chain_levels(network, chain) for chain in chains]
     shapes = ShapeMemo()

@@ -26,9 +26,9 @@ which shrinks a query's sources further.
 steps.  On the replica sets of the X's, V's and Y's of the targets and of
 the conditioning, it checks the law; ``reduce_query`` computes that closure
 and returns the key and live columns, or None when the conditioning
-determines every target; ``query_shape`` names a product-law query up to
-renaming replicas of one user under equal tables, so equal shapes have
-values equal bit for bit, and lists the sources the query reads; and
+determines every target; ``query_shape`` names a query up to renaming
+replicas of one user under equal tables, so equal shapes have values equal
+bit for bit, and lists the sources the query reads; and
 ``query_entropy``, the engine entry, runs only for a shape not yet in the
 caller's ``ShapeMemo``.  The memo holds the value of each shape met and,
 per source-table tuple (a shape's first part), one enumeration and the
@@ -36,11 +36,13 @@ relabelled columns evaluated at it, so queries that differ in columns but
 read equal tables enumerate once: replicas of a user run i.i.d. copies of
 its inputs.  It keeps enumerations and columns only while the int64 cells
 it holds stay within ``MAX_ATOMS``; past that a query enumerates afresh and
-keeps nothing.  A joint-mode law has no shape and is always enumerated
-afresh.  Chain levels share a memo per chain, chain search or identity k
-range (see ``gcs``), replica rates one over the base and extended network,
-and ``cond_entropy_network`` (and ``network_entropy``), the public
-``VariableId`` front end, has a fresh one per call.
+keeps nothing.  A joint-law source is named in the shape by the law and
+its position in it, so every query has a shape, and joint-law queries
+share enumerations like product-law ones.  Chain levels share a memo per
+chain, chain search or identity k range (see ``gcs``), replica rates one
+over the base and extended network, and ``cond_entropy_network`` (and
+``network_entropy``), the public ``VariableId`` front end, has a fresh one
+per call.
 """
 
 from __future__ import annotations
@@ -297,34 +299,28 @@ class ShapeMemo:
     cells: int = 0
 
 
-def query_entropy(
-    network: NetworkGraph, dist: SourceDistribution, keys: Columns, live: Columns, sources, shape, memo: ShapeMemo
-) -> float:
+def query_entropy(network: NetworkGraph, dist: SourceDistribution, sources, shape, memo: ShapeMemo) -> float:
     """The network query's engine entry: H(live | keys) = H(keys, live) -
     H(keys), from one enumeration of ``sources``, the sorted sources the
     columns read.  Reached only through ``memo_entropy``, which checks the
-    law and passes the query's ``shape`` and its ``sources``.
+    law and passes the query's ``shape`` and its ``sources``; the shape gives
+    the key count and the relabelled key and live columns.
 
-    A product-law query reads its table tuple's enumeration, and the columns
-    of its shape already evaluated there, from ``memo.atoms``, and adds what
-    it enumerates and evaluates while the memo's cells stay within
-    ``MAX_ATOMS``; past that it keeps nothing.  Equal table tuples enumerate
-    equal ``(xs, p)``, so the values are those of a fresh enumeration, bit
-    for bit.  A joint-law query has no shape and enumerates afresh.
+    A query reads its table tuple's enumeration, and the columns of its shape
+    already evaluated there, from ``memo.atoms``, and adds what it enumerates
+    and evaluates while the memo's cells stay within ``MAX_ATOMS``; past
+    that it keeps nothing.  Equal table tuples enumerate equal ``(xs, p)``,
+    so the values are those of a fresh enumeration, bit for bit.
     """
-    if shape is None:
-        xs, p = source_atoms(network, dist, sources)
-        values = network.evaluator(keys + live, sources, xs)
-    else:
-        tables, _, columns = shape
-        kept = memo.atoms.get(tables)
-        xs, p, known = kept or (*source_atoms(network, dist, sources), {})
-        grown = dict(known)
-        values = evaluate_columns(network.channel, [u for u, _ in tables], xs, columns, grown)
-        cells = memo.cells + (len(grown) - len(known)) * len(xs) + (0 if kept else xs.size)
-        if cells <= MAX_ATOMS:
-            memo.atoms[tables], memo.cells = (xs, p, grown), cells
-    return row_entropy(values, p) - row_entropy(values[:, : len(keys)], p)
+    tables, keys, columns = shape
+    kept = memo.atoms.get(tables)
+    xs, p, known = kept or (*source_atoms(network, dist, sources), {})
+    grown = dict(known)
+    values = evaluate_columns(network.channel, [u for u, _ in tables], xs, columns, grown)
+    cells = memo.cells + (len(grown) - len(known)) * len(xs) + (0 if kept else xs.size)
+    if cells <= MAX_ATOMS:
+        memo.atoms[tables], memo.cells = (xs, p, grown), cells
+    return row_entropy(values, p) - row_entropy(values[:, :keys], p)
 
 
 # -- the network query ---------------------------------------------------------
@@ -382,22 +378,23 @@ def reduce_query(
 
 
 def query_shape(network: NetworkGraph, dist: SourceDistribution, keys: Columns, live: Columns):
-    """The shape of a reduced query, None under a joint law, and the sources
-    its columns read, in the sorted order the enumeration uses.
+    """The shape of a reduced query and the sources its columns read, in the
+    sorted order the enumeration uses.
 
     The shape relabels those sources by their position in that order.  It
-    lists each source as (user, its law's table), then the number of keys,
-    then each column as (kind, relabelled sources it reads).  Equal shapes
-    differ only by renaming replicas of the same user under the same tables,
-    and the engine runs the same arrays through the same arithmetic for
-    both, so their entropies are equal bit for bit.
+    lists each source as (user, its law's table) under a product law, or as
+    (user, (the law, the source's position in it)) under a joint law, which
+    hashes by identity; then the number of keys; then each column as (kind,
+    relabelled sources it reads).  Equal shapes differ only by renaming
+    replicas of the same user under the same tables, or, under one joint
+    law, at the same positions, and the engine runs the same arrays through
+    the same arithmetic for both, so their entropies are equal bit for bit.
     """
     reads = [network.reads(kind, r) for kind, r in keys + live]
     sources = sorted(set().union(*reads))
-    if dist.mode != "product":
-        return None, sources
     label = {s: i for i, s in enumerate(sources)}
-    tables = tuple((s[0], dist.tables[network._index[s]]) for s in sources)
+    named = dist.tables or [(dist, i) for i in range(len(dist.sizes))]
+    tables = tuple((s[0], named[network._index[s]]) for s in sources)
     columns = tuple((kind, tuple(map(label.__getitem__, read))) for (kind, _), read in zip(keys + live, reads))
     return (tables, len(keys), columns), sources
 
@@ -410,19 +407,17 @@ def memo_entropy(network: NetworkGraph, dist: SourceDistribution, targets, cond,
     query shape up in ``memo.values``; and runs ``query_entropy`` only for a
     shape not yet there, storing its value.  The engine reuses, from the same
     memo, the enumeration of each source-table tuple and the columns already
-    evaluated at it, within the ``MAX_ATOMS`` rule of ``ShapeMemo``.  A
-    joint-law query has no shape and is always asked afresh.  A memo may span
-    networks of one channel, since a shape names users, not channels."""
+    evaluated at it, within the ``MAX_ATOMS`` rule of ``ShapeMemo``.  A memo
+    may span networks of one channel, since a shape names users, not
+    channels, and a joint-law source by its position."""
     check_law(network, dist)
     reduced = reduce_query(network, dist, targets, cond)
     if reduced is None:
         return 0.0
     shape, sources = query_shape(network, dist, *reduced)
-    if shape in memo.values:
-        return memo.values[shape]
-    value = query_entropy(network, dist, *reduced, sources, shape, memo)
-    if shape is not None:
-        memo.values[shape] = value
+    value = memo.values.get(shape)
+    if value is None:
+        value = memo.values[shape] = query_entropy(network, dist, sources, shape, memo)
     return value
 
 

@@ -449,6 +449,7 @@ def test_malformed_problem_file_is_usage_error(capsys, tmp_path, doc, message):
         pytest.param('{"variables": ["A"], "target": {"A": 1e-400000000}}', id="number-exponent"),
         pytest.param('{"variables": ["A"], "target": {"A": 1}, "name": 0.5}', id="number-name"),
         pytest.param('{"variables": ["A", 1.5], "target": {"A": 1}}', id="number-variable"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested"),
     ],
 )
 def test_problem_values_the_solver_cannot_take_are_usage_errors(tmp_path, doc):
@@ -483,6 +484,7 @@ def test_problem_file_numbers_are_exact_decimals(capsys, tmp_path):
     assert outputs[0][:2] == (0, "p: Provable\n  1/5 * H(A|B)\n  1/10 * H(B|A)\n  1/5 * H(B)\n")
 
 
+NESTED = "[" * 100_000 + "]" * 100_000  # json.load raises RecursionError
 XOR2_DOC = {"user_count": 2, "alphabet_sizes": [2, 2], "g": [[0, 1], [0, 1]], "f": [[0, 1, 1, 0]] * 2}
 NETWORK_4F = {"channel": {"family": "xor2"}, "recipe": {"counts": [2, 1], "wiring": {
     "1^1": {"2": 1}, "1^2": {"2": 1}, "2^1": {"1": 1}}}}
@@ -599,6 +601,17 @@ MALFORMED_FILES = {
     "chain-object": ("--chain", "chain.json", json.dumps({"a": ["S1"]}), "a chain is a list of node-label lists"),
     "chain-flat-list": ("--chain", "chain.json", json.dumps(["S1", "D1"]), "a chain is a list of node-label lists"),
 }
+# a document nested past the recursion limit fails to parse, for every option
+MALFORMED_FILES.update({
+    f"nested-{option[2:]}": (option, name, NESTED, "maximum recursion depth exceeded")
+    for option, name in (
+        ("--dist", "dist.json"),
+        ("--channel", "channel.json"),
+        ("--network", "net.json"),
+        ("--chain", "chain.json"),
+        ("--problem", "problem.json"),
+    )
+})
 
 
 @pytest.mark.parametrize("option,name,text,message", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
@@ -610,6 +623,7 @@ def test_malformed_input_file_is_usage_error(capsys, tmp_path, option, name, tex
         "--channel": ("region", "--channel", str(path)),
         "--network": ("gcs", "--network", str(path), "--enumerate"),
         "--chain": ("gcs", "--channel", "xor2", "--chain", str(path)),
+        "--problem": ("prove", "--problem", str(path)),
     }[option]
     code, out, err = run_cli_exit(capsys, *argv)
     assert code == 2 and out == ""

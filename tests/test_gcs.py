@@ -31,12 +31,14 @@ from dicbound.gcs import (
     validate_chain,
 )
 from dicbound.networks import (
+    NetworkGraph,
     ShapeMemo,
     base_network,
     cond_entropy_network,
     memo_entropy,
     query_shape,
     reduce_query,
+    replicas_from_counts,
     replicate_distribution,
 )
 from dicbound.sampling import sample_product_distribution
@@ -435,12 +437,45 @@ def test_a_replica_with_its_own_table_changes_every_shape_that_reads_it(concat3)
 
 
 def test_joint_law_searches_ask_one_query_per_distinct_level(concat3, count_calls):
+    # a joint-law source is named by its position in the law, so every
+    # distinct level has a shape, and the 19 queries, which all read the
+    # three sources, share one enumeration
     net, law = base_network(concat3), random_joint_law(concat3.input_sizes, 2)
     distinct = search_levels(net, 3)
-    assert {level_shape(net, law, *level) for level in distinct} == {None}
+    shapes = {level_shape(net, law, *level) for level in distinct}
+    assert None not in shapes and len(shapes) == 19
     calls = count_calls(dicbound.networks, "query_entropy")
+    atoms = count_calls(dicbound.networks, "source_atoms")
     chain_values(net, law, 3)
     assert len(calls) == len(distinct) == 19
+    assert len(atoms) == 1
+
+
+def two_user_network(channel, counts):
+    """A two-user network of the given replica counts, every receiver wired
+    to copy 1 of the other user."""
+    replicas = replicas_from_counts(counts)
+    return NetworkGraph(channel, counts, tuple((r, ((3 - r[0], 1),)) for r in replicas))
+
+
+def test_one_memo_keeps_joint_laws_and_networks_apart(concat3, xor2):
+    # a joint-law shape names the law object and each source's position and
+    # user: a memo shared across two laws of equal sizes, or across networks
+    # whose replicas differ at a position, gives what a fresh memo gives
+    base = base_network(concat3)
+    laws = [random_joint_law(concat3.input_sizes, seed) for seed in (0, 1)]
+    asks = [(base, dist, level) for dist in laws for level in search_levels(base, 2)]
+    law = random_joint_law((2, 2, 2), 3)
+    for counts in ((2, 1), (1, 2)):
+        net = two_user_network(xor2, counts)
+        asks += [(net, law, level) for level in search_levels(net, 2)]
+    memo, seen = ShapeMemo(), {}
+    for net, dist, (targets, cond) in asks:
+        got = memo_entropy(net, dist, net.replica_sets(targets), net.replica_sets(cond), memo)
+        assert got == cond_entropy_network(net, dist, targets, cond)
+        seen.setdefault((net.counts, targets, cond), set()).add(got)
+    # the two concat3 laws disagree on some level, so a shared key would show
+    assert any(len(values) > 1 for values in seen.values())
 
 
 def _evaluate(xor2, law):
