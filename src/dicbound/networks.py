@@ -14,8 +14,9 @@ only it enforces; ``evaluate_columns`` maps them to the values of columns
 relabelled by source position, (kind, the positions of the sources read),
 with the channel's lookup arrays (``DeterministicChannel.arrays``);
 ``NetworkGraph.evaluator`` is its front end for (kind, replica) columns; and
-``entropy.row_entropy`` merges equal rows into an entropy.  The engine has
-two entries, and each checks the law once with ``check_law``:
+``entropy.row_entropy`` merges equal rows into an entropy, and a query's
+H(keys, live) - H(keys) in one pass over its columns, keys first.  The
+engine has two entries, and each checks the law once with ``check_law``:
 ``query_entropy``, reached only through ``memo_entropy``, enumerates only
 the sources its columns read, and ``entropy.induce_joint`` enumerates every
 replica for a full joint table.  Under a product law, conditioning on a
@@ -24,13 +25,16 @@ which shrinks a query's sources further.
 
 ``memo_entropy`` is the one network query and the only caller of its
 steps.  On the replica sets of the X's, V's and Y's of the targets and of
-the conditioning, it checks the law; ``reduce_query`` computes that closure
-and returns the key and live columns, or None when the conditioning
+the conditioning, it checks the law; ``reduce_query`` turns the sets into
+int bitmasks over replica positions, computes that closure on them with
+the interference masks ``NetworkGraph`` builds once, and returns the key
+and live columns as (kind, bitmask) groups, or None when the conditioning
 determines every target; ``query_shape`` names a query up to renaming
 replicas of one user under equal tables, so equal shapes have values equal
-bit for bit, and lists the sources the query reads; and
-``query_entropy``, the engine entry, runs only for a shape not yet in the
-caller's ``ShapeMemo``.  The memo holds the value of each shape met and,
+bit for bit, and lists the sources the query reads: sorted replica order
+is position order, so a source's label is its rank among the positions
+read; and ``query_entropy``, the engine entry, runs only for a shape not
+yet in the caller's ``ShapeMemo``.  The memo holds the value of each shape met and,
 per source-table tuple (a shape's first part), one enumeration and the
 relabelled columns evaluated at it, so queries that differ in columns but
 read equal tables enumerate once: replicas of a user run i.i.d. copies of
@@ -99,7 +103,13 @@ class NetworkGraph:
     replicas: tuple[Replica, ...] = field(init=False)
     _wiring_map: Mapping[Replica, tuple[Replica, ...]] = field(init=False, repr=False)
     _index: Mapping[Replica, int] = field(init=False, repr=False)  # position in replicas
+    _bit: Mapping[Replica, int] = field(init=False, repr=False)  # 1 << position
     _sizes: tuple[int, ...] = field(init=False, repr=False)  # source alphabet sizes
+    # per replica position: the bitmask of the positions wired to its
+    # receiver, and the positions its output reads (its own, then the wired
+    # ones in user order)
+    _wired_masks: tuple[int, ...] = field(init=False, repr=False)
+    _output_reads: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         counts, wmap = self.counts, dict(self.wiring)
@@ -136,9 +146,14 @@ class NetworkGraph:
                     raise RecipeError(f"replica {r} wired to unknown replica {w}")
         object.__setattr__(self, "replicas", replicas)
         object.__setattr__(self, "_wiring_map", wmap)
-        object.__setattr__(self, "_index", {r: i for i, r in enumerate(replicas)})
+        index = {r: i for i, r in enumerate(replicas)}
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_bit", {r: 1 << i for r, i in index.items()})
         sizes = tuple(self.channel.input_sizes[u - 1] for u, _ in replicas)
         object.__setattr__(self, "_sizes", sizes)
+        wired = [[index[w] for w in wmap[r]] for r in replicas]
+        object.__setattr__(self, "_wired_masks", tuple(sum(1 << w for w in ws) for ws in wired))
+        object.__setattr__(self, "_output_reads", tuple((i, *ws) for i, ws in enumerate(wired)))
 
     # -- structure ----------------------------------------------------------
 
@@ -302,9 +317,10 @@ class ShapeMemo:
 def query_entropy(network: NetworkGraph, dist: SourceDistribution, sources, shape, memo: ShapeMemo) -> float:
     """The network query's engine entry: H(live | keys) = H(keys, live) -
     H(keys), from one enumeration of ``sources``, the sorted sources the
-    columns read.  Reached only through ``memo_entropy``, which checks the
-    law and passes the query's ``shape`` and its ``sources``; the shape gives
-    the key count and the relabelled key and live columns.
+    columns read, and one ``row_entropy`` pass over the columns, keys first.
+    Reached only through ``memo_entropy``, which checks the law and passes
+    the query's ``shape`` and its ``sources``; the shape gives the key count
+    and the relabelled key and live columns.
 
     A query reads its table tuple's enumeration, and the columns of its shape
     already evaluated there, from ``memo.atoms``, and adds what it enumerates
@@ -320,14 +336,26 @@ def query_entropy(network: NetworkGraph, dist: SourceDistribution, sources, shap
     cells = memo.cells + (len(grown) - len(known)) * len(xs) + (0 if kept else xs.size)
     if cells <= MAX_ATOMS:
         memo.atoms[tables], memo.cells = (xs, p, grown), cells
-    return row_entropy(values, p) - row_entropy(values[:, :keys], p)
+    return row_entropy(values, p, keys)
 
 
 # -- the network query ---------------------------------------------------------
 
 
-def _closure(network: NetworkGraph, xs: set[Replica], vs: set[Replica], ys: set[Replica]):
-    """The replicas of the known X's, V's and Y's, given those conditioned.
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending: a replica set as
+    a bitmask over replica positions, in sorted replica order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _closure(network: NetworkGraph, xs: int, vs: int, ys: int):
+    """The replicas of the known X's, V's and Y's, given those conditioned,
+    as bitmasks over replica positions.
 
     Closure rules: V = g(X); Y determined once its input and all wired
     interference symbols are; and (X, Y) of a receiver determine the wired
@@ -336,67 +364,82 @@ def _closure(network: NetworkGraph, xs: set[Replica], vs: set[Replica], ys: set[
     those recovered at receivers with X and Y known; the known Y's add each
     receiver whose input and wired V's are known, and that is the fixed point.
     """
+    wired = network._wired_masks
     known_v = vs | xs
-    for r in xs & ys:
-        known_v.update(network.interferers_of(r))
-    known_y = ys | {r for r in xs if known_v.issuperset(network.interferers_of(r))}
+    for i in _bits(xs & ys):
+        known_v |= wired[i]
+    known_y = ys
+    for i in _bits(xs):
+        if not wired[i] & ~known_v:
+            known_y |= 1 << i
     return xs, known_v, known_y
 
 
-def _columns(kind: str, replicas: Iterable[Replica]) -> Columns:
-    """The columns of one kind at the replicas, in sorted order."""
-    return [(kind, r) for r in sorted(replicas)]
-
-
-def reduce_query(
-    network: NetworkGraph, dist: SourceDistribution, targets, cond
-) -> tuple[Columns, Columns] | None:
+def reduce_query(network: NetworkGraph, dist: SourceDistribution, targets, cond):
     """The reduction step of the network query, on (X, V, Y) replica sets:
-    H(targets | cond) = H(live | keys), as (keys, live) columns, or None when
-    the conditioning determines every target and the value is 0.
+    H(targets | cond) = H(live | keys), or None when the conditioning
+    determines every target and the value is 0.  The keys and the live
+    columns are returned as (kind, replica bitmask) groups, in column order:
+    groups in order, and within a group replicas in sorted order, which is
+    the order of their positions.
 
     Under a product law whose conditioned outputs each come with their own
     input, the closure of the conditioning drops the targets it determines,
     and the keys become the conditioned X's and recovered V's that share a
     source with what is left.  Otherwise the keys are the conditioning.
     """
-    (t_x, t_v, t_y), (c_x, c_v, c_y) = targets, cond
-    if dist.mode == "product" and c_y <= c_x:
+    bit = network._bit.__getitem__
+    t_x, t_v, t_y, c_x, c_v, c_y = (sum(map(bit, replicas)) for replicas in (*targets, *cond))
+    if dist.mode == "product" and not c_y & ~c_x:
         k_x, k_v, k_y = _closure(network, c_x, c_v, c_y)
-        t_x, t_v, t_y = t_x - k_x, t_v - k_v, t_y - k_y
+        t_x, t_v, t_y = t_x & ~k_x, t_v & ~k_v, t_y & ~k_y
         if not (t_x or t_v or t_y):
             return None
-        gen_v = k_v - c_x
-        deps = set().union(t_x, t_v, t_y, gen_v)
-        for r in t_y:
-            deps.update(network.interferers_of(r))
-        keys = _columns("X", deps & c_x) + _columns("V", gen_v)
+        gen_v = k_v & ~c_x
+        deps = t_x | t_v | t_y | gen_v
+        for i in _bits(t_y):
+            deps |= network._wired_masks[i]
+        keys = (("X", deps & c_x), ("V", gen_v))
     else:
-        t_x, t_v, t_y = t_x - c_x, t_v - c_v, t_y - c_y
-        keys = _columns("V", c_v) + _columns("X", c_x) + _columns("Y", c_y)
-    return keys, _columns("V", t_v) + _columns("X", t_x) + _columns("Y", t_y)
+        t_x, t_v, t_y = t_x & ~c_x, t_v & ~c_v, t_y & ~c_y
+        keys = (("V", c_v), ("X", c_x), ("Y", c_y))
+    return keys, (("V", t_v), ("X", t_x), ("Y", t_y))
 
 
-def query_shape(network: NetworkGraph, dist: SourceDistribution, keys: Columns, live: Columns):
-    """The shape of a reduced query and the sources its columns read, in the
-    sorted order the enumeration uses.
+def query_shape(network: NetworkGraph, dist: SourceDistribution, keys, live):
+    """The shape of a reduced query, given as ``reduce_query`` returns it,
+    and the sources its columns read, in the sorted order the enumeration
+    uses.
 
-    The shape relabels those sources by their position in that order.  It
-    lists each source as (user, its law's table) under a product law, or as
-    (user, (the law, the source's position in it)) under a joint law, which
-    hashes by identity; then the number of keys; then each column as (kind,
-    relabelled sources it reads).  Equal shapes differ only by renaming
-    replicas of the same user under the same tables, or, under one joint
-    law, at the same positions, and the engine runs the same arrays through
-    the same arithmetic for both, so their entropies are equal bit for bit.
+    The shape relabels those sources by their position in that order, a
+    source's rank in the bitmask of the sources read.  It lists each source
+    as (user, its law's table) under a product law, or as (user, (the law,
+    the source's position in it)) under a joint law, which hashes by
+    identity; then the number of keys; then each column as (kind,
+    relabelled sources it reads: its own, then, for an output, the wired
+    ones in user order).  Equal shapes differ only by renaming replicas of
+    the same user under the same tables, or, under one joint law, at the
+    same positions, and the engine runs the same arrays through the same
+    arithmetic for both, so their entropies are equal bit for bit.
     """
-    reads = [network.reads(kind, r) for kind, r in keys + live]
-    sources = sorted(set().union(*reads))
-    label = {s: i for i, s in enumerate(sources)}
+    replicas, output_reads, wired = network.replicas, network._output_reads, network._wired_masks
+    at, read = [], 0  # (kind, positions read) per column, in column order
+    for kind, mask in keys + live:
+        while mask:  # the set bits, ascending, as in _bits: this loop is hot
+            low = mask & -mask
+            mask ^= low
+            i = low.bit_length() - 1
+            at.append((kind, output_reads[i] if kind == "Y" else (i,)))
+            read |= low | wired[i] if kind == "Y" else low
+    positions, label = _bits(read), [0] * len(replicas)
+    for rank, i in enumerate(positions):  # a source's label is its rank in read
+        label[i] = rank
+    columns = tuple([(kind, tuple(map(label.__getitem__, reads))) for kind, reads in at])
     named = dist.tables or [(dist, i) for i in range(len(dist.sizes))]
-    tables = tuple((s[0], named[network._index[s]]) for s in sources)
-    columns = tuple((kind, tuple(map(label.__getitem__, read))) for (kind, _), read in zip(keys + live, reads))
-    return (tables, len(keys), columns), sources
+    sources = [replicas[i] for i in positions]
+    tables = tuple([(s[0], named[i]) for s, i in zip(sources, positions)])
+    n_keys = sum(mask.bit_count() for _, mask in keys)
+    return (tables, n_keys, columns), sources
 
 
 def memo_entropy(network: NetworkGraph, dist: SourceDistribution, targets, cond, memo: ShapeMemo) -> float:

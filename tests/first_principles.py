@@ -148,6 +148,74 @@ def fixed_point_closure(net, cond):
             return known
 
 
+def reference_split_entropy(values, probs, keys=0) -> float:
+    """H(rows) - H(rows of the first ``keys`` columns) from two independent
+    passes, one per entropy: rows numbered by ``np.unique(axis=0)``, masses
+    merged by ``np.bincount`` in atom order, entropy by ``math.fsum``.  No
+    columns give 0.0."""
+
+    def h(columns):
+        if not columns.shape[1]:
+            return 0.0
+        rows = np.unique(columns, axis=0, return_inverse=True)[1].reshape(-1)
+        masses = np.bincount(rows, weights=probs)
+        return -math.fsum(m * math.log2(m) for m in masses[masses > 0.0].tolist())
+
+    return h(values) - h(values[:, :keys])
+
+
+def _reference_closure(net, xs, vs, ys):
+    """The one-pass closure of (X, V, Y) replica sets, on sets: the known V's
+    are the conditioned ones, those of the known X's and those recovered at
+    receivers with X and Y known; the known Y's add each receiver whose input
+    and wired V's are known."""
+    known_v = vs | xs
+    for r in xs & ys:
+        known_v.update(net.interferers_of(r))
+    known_y = ys | {r for r in xs if known_v.issuperset(net.interferers_of(r))}
+    return xs, known_v, known_y
+
+
+def _reference_columns(kind, replicas):
+    return [(kind, r) for r in sorted(replicas)]
+
+
+def reference_reduce_query(net, dist, targets, cond):
+    """The network query's reduction on (X, V, Y) replica sets, with sets
+    throughout: (keys, live) as (kind, replica) columns in column order, or
+    None when the conditioning determines every target."""
+    (t_x, t_v, t_y), (c_x, c_v, c_y) = targets, cond
+    if dist.mode == "product" and c_y <= c_x:
+        k_x, k_v, k_y = _reference_closure(net, c_x, c_v, c_y)
+        t_x, t_v, t_y = t_x - k_x, t_v - k_v, t_y - k_y
+        if not (t_x or t_v or t_y):
+            return None
+        gen_v = k_v - c_x
+        deps = set().union(t_x, t_v, t_y, gen_v)
+        for r in t_y:
+            deps.update(net.interferers_of(r))
+        keys = _reference_columns("X", deps & c_x) + _reference_columns("V", gen_v)
+    else:
+        t_x, t_v, t_y = t_x - c_x, t_v - c_v, t_y - c_y
+        keys = _reference_columns("V", c_v) + _reference_columns("X", c_x) + _reference_columns("Y", c_y)
+    return keys, _reference_columns("V", t_v) + _reference_columns("X", t_x) + _reference_columns("Y", t_y)
+
+
+def reference_query_shape(net, dist, keys, live):
+    """The shape of a query reduced by ``reference_reduce_query`` and the
+    sorted sources its columns read: the sources as (user, table) under a
+    product law or (user, (law, position)) under a joint law, the number of
+    keys, and each column as (kind, the sorted-order labels of the sources
+    it reads)."""
+    reads = [net.reads(kind, r) for kind, r in keys + live]
+    sources = sorted(set().union(*reads))
+    label = {s: i for i, s in enumerate(sources)}
+    named = dist.tables or [(dist, i) for i in range(len(dist.sizes))]
+    tables = tuple((s[0], named[net.replicas.index(s)]) for s in sources)
+    columns = tuple((kind, tuple(label[s] for s in read)) for (kind, _), read in zip(keys + live, reads))
+    return (tables, len(keys), columns), sources
+
+
 def reference_elemental_columns(rows, signs):
     """The prover's reduction of elemental columns, by row-wise stable
     argsorts and a row-wise ``np.unique``.  Line t of ``rows`` and ``signs``

@@ -385,6 +385,10 @@ def test_one_pass_closure_is_the_fixed_point(shift2_221, concat3):
             # V's and Y's are often conditioned without their X
             share = rng.choice((0.15, 0.35, 0.6))
             cond = {v for v in variables if rng.random() < share}
-            known = networks._closure(net, *net.replica_sets(cond))
-            one_pass = {VariableId(kind, *r) for kind, replicas in zip("XVY", known) for r in replicas}
+            # the closure works on bitmasks over replica positions
+            masks = [sum(1 << net.replicas.index(r) for r in rs) for rs in net.replica_sets(cond)]
+            known = networks._closure(net, *masks)
+            one_pass = {
+                VariableId(kind, *r) for kind, mask in zip("XVY", known) for i, r in enumerate(net.replicas) if mask >> i & 1
+            }
             assert one_pass == fixed_point_closure(net, cond)

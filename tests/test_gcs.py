@@ -43,6 +43,8 @@ from dicbound.networks import (
 )
 from dicbound.sampling import sample_product_distribution
 
+from first_principles import reference_query_shape, reference_reduce_query
+
 FIG_A = CutChain.of([{"S1", "S2", "D1"}, {"S1"}])  # opens on receiver 2
 FIG_B = CutChain.of([{"S1", "S2", "D2"}, {"S2"}])  # opens on receiver 1
 
@@ -328,8 +330,9 @@ def level_reads(network, dist, targets, cond):
     reduced = reduce_query(network, dist, network.replica_sets(targets), network.replica_sets(cond))
     if reduced is None:
         return set()
-    keys, live = reduced
-    return {s for kind, r in keys + live for s in network.reads(kind, r)}
+    keys, live = reduced  # (kind, replica bitmask) groups
+    columns = [(kind, r) for kind, mask in keys + live for i, r in enumerate(network.replicas) if mask >> i & 1]
+    return {s for kind, r in columns for s in network.reads(kind, r)}
 
 
 def search_levels(network, max_l):
@@ -417,6 +420,35 @@ def test_levels_with_equal_shapes_have_equal_values(xor2, shift2_331, concat3, s
                 by_shape.setdefault(shape, set()).add(cond_entropy_network(net, dist, targets, cond))
         assert len(by_shape) < len(levels)
         assert all(len(values) == 1 for values in by_shape.values())
+
+
+def test_the_mask_reduction_matches_the_set_reference(xor2, shift2_331, concat3):
+    # reduce_query and query_shape work on replica bitmasks; the set-based
+    # reference gives the same shape and the same sorted sources on every
+    # recipe level, every search level (the ineq5 and 4a searches, and joint
+    # laws on the base networks), and on random asks that condition outputs
+    # without their inputs, so every branch of the reduction is met
+    asks = []
+    for channel in (xor2, shift2_331, concat3):
+        law = sample_product_distribution(channel.input_sizes, 5, 0)
+        asks += recipe_levels(channel, law)
+    for net, dist, max_l in searches(shift2_331, concat3, xor2):
+        asks += [(net, dist, *level) for level in search_levels(net, max_l)]
+    rng = random.Random(30)
+    for net, dist, _ in searches(shift2_331, concat3, xor2):
+        variables = net.all_variables()
+        for _ in range(100):
+            asks.append((net, dist, *({v for v in variables if rng.random() < 0.3} for _ in "tc")))
+    branches = set()  # (law mode, every conditioned output with its input, determined)
+    for net, dist, targets, cond in asks:
+        sets = net.replica_sets(targets), net.replica_sets(cond)
+        reduced, expected = reduce_query(net, dist, *sets), reference_reduce_query(net, dist, *sets)
+        assert (reduced is None) == (expected is None)
+        if reduced is not None:
+            assert query_shape(net, dist, *reduced) == reference_query_shape(net, dist, *expected)
+        branches.add((dist.mode, sets[1][2] <= sets[1][0], reduced is None))
+    assert {("product", True, True), ("product", True, False), ("product", False, False)} <= branches
+    assert {("joint", True, False), ("joint", False, False)} <= branches
 
 
 def test_a_replica_with_its_own_table_changes_every_shape_that_reads_it(concat3):

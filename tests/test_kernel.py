@@ -18,12 +18,13 @@ from itertools import product
 from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dicbound
 from dicbound import networks
 from dicbound.channels import DeterministicChannel, builtin_channel
-from dicbound.entropy import SourceDistribution, VariableId, Y, entropy, induce_joint
+from dicbound.entropy import DENSE_KEYS, SourceDistribution, VariableId, Y, entropy, induce_joint, row_entropy
 from dicbound.errors import BudgetExceededError, ChannelFormatError
 from dicbound.extend import build_extended, builtin_recipe, supported_bounds
 from dicbound.networks import (
@@ -35,7 +36,7 @@ from dicbound.networks import (
 )
 from dicbound.sampling import sample_product_distribution
 
-from first_principles import fixed_point_closure
+from first_principles import fixed_point_closure, reference_split_entropy
 
 # -- the per-atom reference engine ----------------------------------------------
 
@@ -230,6 +231,51 @@ def test_row_keys_never_overflow():
     assert network_entropy(network, dist, variables) == reference_cond_entropy(network, dist, variables)
     ys = [v for v in variables if v.kind == "Y"]
     assert cond_entropy_network(network, dist, variables, ys) == reference_cond_entropy(network, dist, variables, ys)
+
+
+def kernel_arrays(rng):
+    """(name, values, probs) for the one-pass kernel: int64 arrays of up to 6
+    columns, some atoms of mass 0, and three symbols per column: 0..2, three
+    values of at least 2^31 (numbered in order), or 0, 1 and 2^21 - 1, whose
+    radix products pass 2^62 from 3 columns on, so a key that wrapped
+    around would merge atoms; and two-column arrays whose sparse keys end
+    just within and just past ``DENSE_KEYS``, with too few atoms for the
+    4-per-atom rule."""
+    side = math.isqrt(DENSE_KEYS)
+    out = []
+    for name in ("small", "huge", "past 2^62", "within the cap", "past the cap"):
+        for _ in range(20):
+            n, width = int(rng.integers(1, 200)), int(rng.integers(0, 7))
+            if name.endswith("the cap"):
+                values = rng.integers(0, side, (n, 2))
+                values[0] = (side if name == "past the cap" else side - 1, side - 1)
+            else:
+                values = rng.integers(0, 3, (n, width))
+                values[0] = 2  # every column holds its top symbol
+                if name == "huge":
+                    values = values * (1 << 60) + (1 << 31)
+                elif name == "past 2^62":
+                    values[values == 2] = (1 << 21) - 1
+            probs = rng.random(n) * (rng.random(n) < 0.9)
+            out.append((name, values.astype(np.int64), probs / (probs.sum() or 1.0)))
+    return out
+
+
+def test_the_one_pass_kernel_equals_two_reference_passes():
+    # bit for bit: H(keys, live) - H(keys) from one key build is the
+    # difference of two separate passes, for every key count 0..width
+    bounds, widths = {}, set()
+    for name, values, probs in kernel_arrays(np.random.default_rng(30)):
+        width = values.shape[1]
+        widths.add(width)
+        bounds.setdefault(name, set()).add(math.prod(int(c.max()) + 1 for c in values.T))
+        assert len(probs) * 4 < DENSE_KEYS
+        for keys in range(width + 1):
+            assert row_entropy(values, probs, keys) == reference_split_entropy(values, probs, keys), (name, keys)
+        assert row_entropy(values, probs) == reference_split_entropy(values, probs)
+        assert row_entropy(values, probs, width) == 0.0
+    assert bounds["within the cap"] == {DENSE_KEYS} and min(bounds["past the cap"]) > DENSE_KEYS
+    assert max(bounds["past 2^62"]) >= 1 << 62 and 0 in widths
 
 
 def test_an_unconditioned_query_subtracts_nothing(concat3):
