@@ -7,7 +7,8 @@ sparse columns, or a ``Columns`` container: an integer block, one line of
 (row, sign) terms per column, followed by sparse columns.  ``separates``
 scales y to integers once and checks the whole block in one integer array
 expression, in int64 when no sum can overflow and in Python integers
-otherwise; the sparse columns are dotted one by one.  A caller may offer a
+otherwise; the sparse columns and b are dotted one by one, each scaled to
+integers by its own common denominator.  A caller may offer a
 candidate y (for instance a rationalized float dual); when it passes the
 check, no pivot is made and no column is built as a dict.  Otherwise a
 sparse phase-1 simplex decides.  Its reduced-cost row is kept as one more
@@ -74,8 +75,11 @@ class Columns(Sequence):
         return Columns(self.rows[block], self.signs[block], self.size, sparse)
 
 
-def _dot(y: Mapping[int, int], col: SparseCol):
-    return sum((y.get(i, 0) * c for i, c in col.items()), 0)
+def _dot(y: Mapping[int, int], col: SparseCol) -> int:
+    """y.col times the common denominator of col's coefficients: the sign of
+    y.col, in integer arithmetic."""
+    den = math.lcm(*(c.denominator for c in col.values()))
+    return sum(y.get(i, 0) * (c.numerator * (den // c.denominator)) for i, c in col.items())
 
 
 def _block_nonpositive(y: Mapping[int, int], columns: Columns) -> bool:
@@ -98,9 +102,9 @@ def separates(y: Mapping[int, Fraction], columns: Iterable[SparseCol], rhs: Spar
     """Exact Farkas check: y.a_j <= 0 for every column and y.b > 0, so no
     x >= 0 solves A x = b.  The values of y are rationals (int or
     Fraction); a ``Columns`` block is checked in integer arrays, every
-    other column by its own dot product."""
+    other column, and b, by its own integer dot product."""
     # y times its common denominator has the same signs on every column, and
-    # integer columns then sum in integer arithmetic
+    # so does each column times its own, so every dot product is an integer
     den = math.lcm(*(v.denominator for v in y.values()))
     scaled = {i: v.numerator * (den // v.denominator) for i, v in y.items()}
     if _dot(scaled, rhs) <= 0:

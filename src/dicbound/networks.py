@@ -157,9 +157,6 @@ class NetworkGraph:
 
     # -- structure ----------------------------------------------------------
 
-    def interferers_of(self, replica: Replica) -> tuple[Replica, ...]:
-        return self._wiring_map[replica]
-
     def source_label(self, replica: Replica) -> str:
         return node_labels(replica, self.base_labels)[0]
 

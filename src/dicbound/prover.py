@@ -13,14 +13,17 @@ Search is float-guided for speed, but every verdict rests on exact rational
 arithmetic.  One float LP runs per verdict, the dual max b.y subject to
 A^T y <= 0 and -1 <= y <= 1.  Its matrix is built as the sparse rows of A^T
 and goes straight to HiGHS's dual simplex, through the HiGHS bindings that
-scipy bundles.  When its optimum is 0, its row duals are minus a float
-solution of A x = b, x >= 0 whose support is a basis, and the exact solver
-runs on that support alone; the certificate it yields re-sums to the target
-exactly.  When its optimum is positive, the rationalized y is offered to
-``exactlp.solve_feasibility`` as a candidate separating vector, with
-y.g <= 0 for every generator g and y.target > 0.  If the float solve fails,
-or its support or candidate fails the exact check, the full exact simplex
-decides.
+scipy bundles.  One solver, built on the first float LP and given its
+options once, serves the float LPs of the process, and is built again only
+after an LP with more than ``_KEPT_NONZEROS`` non-zeros; it is not
+re-entrant, and the library starts no threads.  When its optimum is 0, its
+row duals are minus a float solution of A x = b, x >= 0 whose support is a
+basis, and the exact solver runs on that support alone; the certificate it
+yields re-sums to the target exactly.  When its optimum is positive, the
+rationalized y is offered to ``exactlp.solve_feasibility`` as a candidate
+separating vector, with y.g <= 0 for every generator g and y.target > 0.
+If the float solve fails, or its support or candidate fails the exact
+check, the full exact simplex decides.
 
 Both LPs run over closed sets, a smaller system.  A constraint of the exact
 shape h(A u B) - h(A) with A non-empty is a functional dependency (FD), and on
@@ -34,7 +37,9 @@ system is kept once, as an ``exactlp.Columns`` container: the unreduced
 generators are that table as the integer block, then every constraint as a
 (+, -) pair; the reduced columns are the reduced elementals, sorted and
 merged on one packed integer code per term, then the pairs that do not
-vanish.  Each reduced column names its generator, so a constraint line's
+vanish.  Without an FD the closure is the identity, so the reduced
+elementals depend on n alone: they are reduced once per n and shared,
+read-only.  Each reduced column names its generator, so a constraint line's
 sign is the parity of its pair.  Verdicts are lifted back to the unreduced
 system and checked there:
 
@@ -275,6 +280,19 @@ def _elemental_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return masks, signs
 
 
+@functools.cache
+def _free_reduction(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_reduce_elementals`` of the n-variable table when no functional
+    dependency holds: the closure is the identity and mask m is row m - 1,
+    so the result depends on n alone.  Shared, read-only, by every later
+    call for this n."""
+    masks, signs = _elemental_table(n)
+    reduced = _reduce_elementals(masks - 1, signs, (1 << n) - 1)
+    for array in reduced:
+        array.flags.writeable = False
+    return reduced
+
+
 class _Elementals(Sequence):
     """The elemental inequalities on named variables: a sequence of
     (label, Expr) pairs, each built on access from the per-n table."""
@@ -482,7 +500,10 @@ class _ClosedSetLP:
 
         pairs = [col for _, expr in problem.constraints for col in (expr, {m: -c for m, c in expr.items()})]
         self.generators = Columns(elementals.masks, elementals.signs, 1 << n, pairs)
-        rows, signs, kept = _reduce_elementals(self.row_of[elementals.masks], elementals.signs, self.n_rows)
+        if self.fds:
+            rows, signs, kept = _reduce_elementals(self.row_of[elementals.masks], elementals.signs, self.n_rows)
+        else:
+            rows, signs, kept = _free_reduction(n)
         self.gens = kept.tolist()
         reduced = []
         fd_index = {c for c, _, _ in self.fds}
@@ -569,11 +590,16 @@ class _ClosedSetLP:
         )
 
 
-def _solve_exact(lp: _ClosedSetLP, restrict: Iterable[int], candidate=None):
-    """Exact feasibility over the given reduced columns; the solution is a
-    list of (column index, weight) pairs, or None when infeasible."""
-    cols = sorted(restrict)
-    result = solve_feasibility(lp.columns.select(cols), lp.target, lp.n_rows, candidate)
+def _solve_exact(lp: _ClosedSetLP, restrict: Iterable[int] | None = None, candidate=None):
+    """Exact feasibility over the given reduced columns, or over all of them
+    without a copy when none are given; the solution is a list of (column
+    index, weight) pairs, or None when infeasible."""
+    if restrict is None:
+        cols, columns = range(len(lp.columns)), lp.columns
+    else:
+        cols = sorted(restrict)
+        columns = lp.columns.select(cols)
+    result = solve_feasibility(columns, lp.target, lp.n_rows, candidate)
     if not result.feasible:
         return None, result
     return [(cols[j], coeff) for j, coeff in sorted(result.solution.items())], result
@@ -595,7 +621,7 @@ def prove(problem: ProverProblem) -> ProofResult:
         if solution is not None:
             path = "guided"
     if solution is None:
-        solution, result = _solve_exact(lp, range(len(lp.columns)), candidate)
+        solution, result = _solve_exact(lp, candidate=candidate)
         if solution is None and result.farkas is candidate:
             path = "dual"
     if solution is not None:
@@ -634,11 +660,10 @@ class FloatLPResult(NamedTuple):
     duals: np.ndarray | None = None
 
 
-@functools.cache
 def _dual_simplex_options(highs):
     """The options of every float LP, the ones scipy's
-    ``linprog(method="highs-ds")`` sets, built once per bindings module;
-    each solver copies them when they are passed."""
+    ``linprog(method="highs-ds")`` sets; a solver copies them when they are
+    passed."""
     simplex = highs.simplex_constants
     options = highs.HighsOptions()
     options.solver = "simplex"
@@ -649,13 +674,38 @@ def _dual_simplex_options(highs):
     return options
 
 
+# a solver that has run an LP with more non-zeros than this in A^T is let go.
+# Kept, its workspace raised the peak RSS of 2,400 residue proofs by about
+# 6 MB, against under 1 MB when let go (2-core Xeon, scipy 1.17.1), and a
+# new solver costs about 0.1 ms, little next to such an LP's run.  The
+# n = 11 residues hold 30,000 to 43,000 non-zeros, the n = 9 ones at most
+# 8,000
+_KEPT_NONZEROS = 2**14
+
+
+@functools.cache
+def _solver(highs):
+    """The one HiGHS solver of the float LPs, per bindings module: built on
+    the first float LP and given the options once, and built again after an
+    LP above ``_KEPT_NONZEROS``.  Each LP replaces the last one's model, and
+    with it the basis and solution, by ``passModel``.  It is not
+    re-entrant: one LP must finish before the next is passed, which holds
+    because the library starts no threads.  Its ``clear()`` is never
+    called, since it also resets the options: presolve would come back on
+    and HiGHS would print its log to stdout."""
+    solver = highs._Highs()
+    solver.passOptions(_dual_simplex_options(highs))
+    return solver
+
+
 def linprog(a_t, b) -> FloatLPResult:
     """max b.y subject to A^T y <= 0 and -1 <= y <= 1, with A^T given as
     CSR arrays (indptr, indices, values), solved by HiGHS's dual simplex.
 
     The model is passed row-wise to the HiGHS bindings bundled with scipy,
     imported on the first call, so that importing dicbound and the entropy
-    engine never load scipy.  It is solved as min -b.y.  The bindings are a
+    engine never load scipy.  It is solved as min -b.y by the solver the
+    calls share (``_solver``), which is not re-entrant.  The bindings are a
     private scipy module: when it or a name used here is missing, the call
     is a one-line ``ProverError``."""
     indptr, indices, values = a_t
@@ -673,10 +723,11 @@ def linprog(a_t, b) -> FloatLPResult:
         matrix.format_ = highs.MatrixFormat.kRowwise
         matrix.num_col_, matrix.num_row_ = n_cols, n_rows
         matrix.start_, matrix.index_, matrix.value_ = indptr.tolist(), indices.tolist(), values.tolist()
-        solver = highs._Highs()
-        solver.passOptions(_dual_simplex_options(highs))
+        solver = _solver(highs)
         solver.passModel(lp)
         solver.run()
+        if len(values) > _KEPT_NONZEROS:
+            _solver.cache_clear()  # the next LP builds a new solver
         if solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
             return FloatLPResult(False)
         solution = solver.getSolution()

@@ -79,6 +79,12 @@ def oracle_product_law(tables) -> dict:
     return law
 
 
+def interferers_of(network, replica) -> tuple:
+    """The replicas wired to ``replica``'s receiver, in user order, read off
+    the network's public ``wiring``."""
+    return dict(network.wiring)[replica]
+
+
 def oracle_network_atoms(network, law):
     """Realize every symbol of a one-hop network from first principles.
 
@@ -95,7 +101,7 @@ def oracle_network_atoms(network, law):
             values["X", u, c] = xv
             values["V", u, c] = ch.g[u - 1][xv]
             idx = xv  # f is row-major over (own input, wired V's in user order)
-            for w in network.interferers_of((u, c)):
+            for w in interferers_of(network, (u, c)):
                 idx = idx * ch.v_sizes[w[0] - 1] + ch.g[w[0] - 1][x[w]]
             values["Y", u, c] = ch.f[u - 1][idx]
         atoms.append((values, p))
@@ -137,7 +143,7 @@ def fixed_point_closure(net, cond):
         size = len(known)
         for u, c in net.replicas:
             x, v, y = (VariableId(kind, u, c) for kind in "XVY")
-            wired = {VariableId("V", *w) for w in net.interferers_of((u, c))}
+            wired = {VariableId("V", *w) for w in interferers_of(net, (u, c))}
             if x in known:
                 known.add(v)
                 if wired <= known:
@@ -171,8 +177,8 @@ def _reference_closure(net, xs, vs, ys):
     and wired V's are known."""
     known_v = vs | xs
     for r in xs & ys:
-        known_v.update(net.interferers_of(r))
-    known_y = ys | {r for r in xs if known_v.issuperset(net.interferers_of(r))}
+        known_v.update(interferers_of(net, r))
+    known_y = ys | {r for r in xs if known_v.issuperset(interferers_of(net, r))}
     return xs, known_v, known_y
 
 
@@ -193,7 +199,7 @@ def reference_reduce_query(net, dist, targets, cond):
         gen_v = k_v - c_x
         deps = set().union(t_x, t_v, t_y, gen_v)
         for r in t_y:
-            deps.update(net.interferers_of(r))
+            deps.update(interferers_of(net, r))
         keys = _reference_columns("X", deps & c_x) + _reference_columns("V", gen_v)
     else:
         t_x, t_v, t_y = t_x - c_x, t_v - c_v, t_y - c_y

@@ -24,28 +24,38 @@ REACHED_FROM_OUTSIDE = {
     "channels.channel_to_dict": "writes the table document form that channel_from_dict reads",
     "entropy.X": "the input-variable constructor beside V and Y, for callers naming queries",
     "extend.recipe_to_dict": "writes the recipe file form that recipe_from_dict and --network read",
+    "networks.NetworkGraph.source_label": "a replica's source node label, read by bench/workloads.py and the tests",
     "networks.network_entropy": "public H(subset): cond_entropy_network, so memo_entropy, with nothing conditioned",
 }
 
 
+def names_in(node) -> Counter:
+    """How often each identifier is named under ``node``, as a name or as an
+    attribute."""
+    nodes = list(ast.walk(node))
+    names = [n.id for n in nodes if isinstance(n, ast.Name)]
+    return Counter(names + [n.attr for n in nodes if isinstance(n, ast.Attribute)])
+
+
 def test_every_public_definition_is_used_exported_or_listed():
-    # a public module-level function or class that only tests reach belongs
-    # in tests/first_principles.py; names are matched by identifier, and a
-    # definition's own body does not count as a use of it
-    statements, definitions = [], {}
+    # a public module-level function or class, or a public method, that only
+    # tests reach belongs in tests/first_principles.py; names are matched by
+    # identifier, and a definition's own body does not count as a use of it
+    named, definitions = Counter(), {}
     for path in sorted(Path(dicbound.__file__).parent.glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            nodes = list(ast.walk(stmt))
-            named = {n.id for n in nodes if isinstance(n, ast.Name)}
-            named |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
-            statements.append((stmt, named))
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        named += names_in(module)
+        for stmt in module.body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
                 definitions[f"{path.stem}.{stmt.name}"] = stmt
+            if isinstance(stmt, ast.ClassDef):
+                for method in stmt.body:
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                        definitions[f"{path.stem}.{stmt.name}.{method.name}"] = method
     unreached = {
         qualified
         for qualified, definition in definitions.items()
-        if definition.name not in dicbound.__all__
-        and not any(definition.name in named for stmt, named in statements if stmt is not definition)
+        if definition.name not in dicbound.__all__ and named[definition.name] == names_in(definition)[definition.name]
     }
     assert sorted(unreached) == sorted(REACHED_FROM_OUTSIDE)
 

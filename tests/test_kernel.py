@@ -36,7 +36,7 @@ from dicbound.networks import (
 )
 from dicbound.sampling import sample_product_distribution
 
-from first_principles import fixed_point_closure, reference_split_entropy
+from first_principles import fixed_point_closure, interferers_of, reference_split_entropy
 
 # -- the per-atom reference engine ----------------------------------------------
 
@@ -62,7 +62,7 @@ def reference_evaluator(network, variables, sources):
     for var in variables:
         r = (var.user, var.copy)
         if var.kind == "Y":
-            wired = tuple((v_index(w), channel.v_sizes[w[0] - 1]) for w in network.interferers_of(r))
+            wired = tuple((v_index(w), channel.v_sizes[w[0] - 1]) for w in interferers_of(network, r))
             steps.append((pos[r], channel.f[var.user - 1], wired))
         else:
             steps.append((pos[r] if var.kind == "X" else v_index(r), None, ()))

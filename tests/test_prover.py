@@ -792,6 +792,49 @@ def test_the_highs_bindings_have_every_name_the_float_lp_uses():
         resolve(getattr(solver, method)(), attr)
 
 
+def test_the_shared_solver_answers_as_a_fresh_solver_per_lp(monkeypatch, capfd):
+    # one solver serves the float LPs of the process; solved through it in
+    # two shuffled orders, each LP must give what a new solver gives, bit for
+    # bit, so that no basis or workspace leaks from one LP into the next, and
+    # HiGHS must print nothing
+    from scipy.optimize._highspy import _core as highs
+
+    problems = list(bench_refutations()) + [p for p in every_residue() if len(p.variables) <= 7]
+    assert len(problems) == 112 + 67
+    systems = [prover_module._ClosedSetLP(elemental_inequalities(p.variables), p).float_system() for p in problems]
+    prover_module.linprog(*systems[0])  # the shared solver exists from here on
+    built, real = [], highs._Highs
+    monkeypatch.setattr(highs, "_Highs", lambda: built.append(1) or real())
+    orders = []
+    for seed in (1, 2):
+        order = list(range(len(systems)))
+        random.Random(seed).shuffle(order)
+        results = {i: prover_module.linprog(*systems[i]) for i in order}
+        orders.append([results[i] for i in range(len(systems))])
+    assert built == []
+    # an LP above the kept size runs on the shared solver too, which is then
+    # let go: the next LP builds a new one
+    large = next(p for p in appendix_targets("ineq5") if len(p.variables) == 11)
+    problems.append(large)
+    systems.append(prover_module._ClosedSetLP(elemental_inequalities(large.variables), large).float_system())
+    assert len(systems[-1][0][1]) > prover_module._KEPT_NONZEROS
+    for order in orders:
+        order.append(prover_module.linprog(*systems[-1]))
+        prover_module.linprog(*systems[0])
+    assert len(built) == 2
+    fresh = []
+    for system in systems:
+        prover_module._solver.cache_clear()
+        fresh.append(prover_module.linprog(*system))
+    assert len(built) == 2 + len(systems)
+    for problem, want, *got in zip(problems, fresh, *orders, strict=True):
+        assert want.success, problem.name
+        for result in got:
+            assert (result.success, result.maximum) == (want.success, want.maximum), problem.name
+            assert np.array_equal(result.x, want.x) and np.array_equal(result.duals, want.duals), problem.name
+    assert capfd.readouterr().out == ""
+
+
 def assert_same_reduction(got, expected, name=""):
     assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1]), name
     assert list(got[2]) == expected[2], name
@@ -846,6 +889,52 @@ def test_elemental_reduction_matches_the_argsort_reference():
         rows, signs = np.take_along_axis(rows, places, 1), np.take_along_axis(signs, places, 1)
         expected = reference_elemental_columns(rows, signs)
         assert_same_reduction(prover_module._reduce_elementals(rows, signs, n_rows), expected, n_rows)
+
+
+def identity_reduction(n):
+    """The elemental reduction when no dependency holds, computed as the
+    closed-set LP computes it under dependencies: through the row of each
+    mask, which is mask - 1 under the identity closure."""
+    masks, signs = prover_module._elemental_table(n)
+    return prover_module._reduce_elementals(np.arange(-1, (1 << n) - 1)[masks], signs, (1 << n) - 1)
+
+
+def test_the_dependency_free_reduction_is_kept_once_per_n(base2):
+    for n in range(1, 10):
+        memo = prover_module._free_reduction(n)
+        assert memo is prover_module._free_reduction(n)
+        assert all(np.array_equal(got, want) for got, want in zip(memo, identity_reduction(n), strict=True)), n
+        for array in memo:
+            with pytest.raises(ValueError):
+                array[0] = 0
+    # a problem without dependencies reads the memo; one with them does not
+    variables, constraints = base2
+    target = expr_from_names(variables, {"X1": 1})
+    for given, shared in (((), True), (doubled(constraints), True), (constraints, False)):
+        lp = prover_module._ClosedSetLP(elemental_inequalities(variables), ProverProblem(variables, given, target))
+        assert (lp.columns.rows is prover_module._free_reduction(len(variables))[0]) == shared
+
+
+def test_a_problem_without_dependencies_decides_alike_with_and_without_the_memo(monkeypatch, base2):
+    # the structural equalities doubled, none of them a dependency, plus the
+    # source independence once more, redundant beside its doubled copy
+    variables, constraints = base2
+    constraints = doubled(constraints) + (("independent sources, once", dict(constraints)["independent sources"]),)
+    problems = [
+        ProverProblem(variables=variables, constraints=constraints, target=expr_from_names(variables, terms))
+        for terms in (
+            {"X1 X2": 1, "X1": -1, "X2": -1},  # -I(X1;X2), from the independence equality
+            {"Y1 V1 V2": 1, "V1 V2": -1, "Y1 X2 Y2": -1, "X2 Y2": 1},
+            {"Y1 V2": 1, "V2": -1, "Y1": -1},
+            {"X1 Y1": 1, "X1": -1, "Y1": -1},  # -I(X1;Y1)
+        )
+    ]
+    memoized = [prove(problem) for problem in problems]
+    monkeypatch.setattr(prover_module, "_free_reduction", identity_reduction)
+    for problem, got, want in zip(problems, memoized, map(prove, problems)):
+        assert (got.status, got.path, got.certificate) == (want.status, want.path, want.certificate), problem.name
+        assert got.separating_vector == want.separating_vector, problem.name
+    assert [result.status for result in memoized] == ["Provable", "Provable", "NotProvable", "NotProvable"]
 
 
 def test_zero_coefficients_are_dropped():
