@@ -125,6 +125,7 @@ def cmd_region(args) -> int:
     channel = _resolve_channel(args.channel)
     if args.out == "svg" and channel.user_count != 2:
         raise UsageError("SVG output is limited to 2-user regions")
+    base_network(channel)  # the network check refuses a non-recoverable channel before any output
     templates = load_templates(channel.user_count)
     if args.samples is not None:
         polytopes = sample_region(channel, args.seed, args.samples, templates)
@@ -281,6 +282,7 @@ def cmd_compare(args) -> int:
     channel = _resolve_channel(args.channel)
     if args.samples > MAX_SAMPLES:
         raise BudgetExceededError(f"{args.samples} compare samples exceed the cap of {MAX_SAMPLES}")
+    base_network(channel)  # the network check refuses a non-recoverable channel before any output
     bounds = [b for b in supported_bounds(channel.user_count)]
     print("dist,bound,direct_bound_bits,chain_limit_bits,abs_diff")
     for index in range(args.samples):

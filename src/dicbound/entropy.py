@@ -3,8 +3,10 @@
 Joint tables are support-sparse: one atom per source-input tuple, since every
 other symbol is a deterministic image.  ``induce_joint`` builds them as one of
 the two entries of the engine in ``networks`` (``source_atoms`` →
-``evaluate_columns``, through ``NetworkGraph.evaluator`` → ``row_entropy``):
-it checks the law once, then enumerates every replica.  ``row_entropy`` is
+``evaluate_columns`` → ``row_entropy``): it checks the law once, then
+enumerates every source position.  As everywhere inside the engine, a source
+is its replica position and a column reads positions; replicas and
+``VariableId``s name the table's columns only at the edge.  ``row_entropy`` is
 the engine's one kernel: H(rows), or a network query's H(keys, live) -
 H(keys) from one mixed-radix key build whose prefix gives H(keys).
 Entropies are in bits.
@@ -218,19 +220,22 @@ def induce_joint(model, dist: SourceDistribution) -> JointTable:
 
     ``model`` is a DeterministicChannel (treated as its one-hop network) or a
     NetworkGraph.  An entry of the engine: it checks the law, then
-    enumerates every replica, in replica order, and evaluates every column
-    of ``all_variables()``.  Atom probabilities are exactly the source
-    probabilities.
+    enumerates every source position, in replica order, and evaluates the
+    columns of ``all_variables()`` (every X, then every V, then every Y) by
+    the positions each reads, as ``query_shape`` relabels them: its own,
+    then, for an output, the wired ones in user order.  Atom probabilities
+    are exactly the source probabilities.
     """
-    from .networks import base_network, check_law, source_atoms
+    from .networks import base_network, check_law, evaluate_columns, source_atoms
 
     if isinstance(model, DeterministicChannel):
         model = base_network(model)
     check_law(model, dist)
-    variables = model.all_variables()
-    columns = [(v.kind, (v.user, v.copy)) for v in variables]
-    xs, p = source_atoms(model, dist, model.replicas)
-    return JointTable(variables, model.evaluator(columns, model.replicas, xs), p)
+    positions = range(len(model.replicas))
+    columns = [(kind, model._output_reads[i] if kind == "Y" else (i,)) for kind in "XVY" for i in positions]
+    xs, p = source_atoms(model, dist, positions)
+    users = [u for u, _ in model.replicas]
+    return JointTable(model.all_variables(), evaluate_columns(model.channel, users, xs, columns, {}), p)
 
 
 def row_entropy(values: np.ndarray, probs: np.ndarray, keys: int = 0) -> float:

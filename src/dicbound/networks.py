@@ -8,20 +8,24 @@ module owns that model: ``NetworkGraph`` is built from those two and is the
 one check of them, ``replicas_from_counts`` lists the replicas, and
 ``node_labels`` is the one node-label format.
 
-This module holds the one entropy engine, a numpy kernel: ``source_atoms``
-enumerates source atoms as arrays under the atom cap, ``MAX_ATOMS``, which
-only it enforces; ``evaluate_columns`` maps them to the values of columns
-relabelled by source position, (kind, the positions of the sources read),
-with the channel's lookup arrays (``DeterministicChannel.arrays``);
-``NetworkGraph.evaluator`` is its front end for (kind, replica) columns; and
+This module holds the one entropy engine, a numpy kernel.  Inside it a
+source is its position in ``replicas``, and a column is (kind, the
+positions of the sources it reads: its own, then, for an output, the wired
+ones in user order): replicas of a user run i.i.d. copies of its inputs, so
+a value depends only on the positions its columns read.  Replicas appear
+only at the edge, in ``reduce_query``'s input sets and ``replica_sets``.
+``source_atoms`` enumerates the sources at given positions as arrays under
+the atom cap, ``MAX_ATOMS``, which only it enforces; ``evaluate_columns``
+maps them to the values of columns relabelled by rank among those positions,
+with the channel's lookup arrays (``DeterministicChannel.arrays``); and
 ``entropy.row_entropy`` merges equal rows into an entropy, and a query's
 H(keys, live) - H(keys) in one pass over its columns, keys first.  The
 engine has two entries, and each checks the law once with ``check_law``:
 ``query_entropy``, reached only through ``memo_entropy``, enumerates only
-the sources its columns read, and ``entropy.induce_joint`` enumerates every
-replica for a full joint table.  Under a product law, conditioning on a
-source's input and its receiver's output pins down the interference it saw,
-which shrinks a query's sources further.
+the positions its columns read, and ``entropy.induce_joint`` enumerates
+every position for a full joint table.  Under a product law, conditioning
+on a source's input and its receiver's output pins down the interference it
+saw, which shrinks a query's sources further.
 
 ``memo_entropy`` is the one network query and the only caller of its
 steps.  On the replica sets of the X's, V's and Y's of the targets and of
@@ -31,14 +35,13 @@ the interference masks ``NetworkGraph`` builds once, and returns the key
 and live columns as (kind, bitmask) groups, or None when the conditioning
 determines every target; ``query_shape`` names a query up to renaming
 replicas of one user under equal tables, so equal shapes have values equal
-bit for bit, and lists the sources the query reads: sorted replica order
-is position order, so a source's label is its rank among the positions
-read; and ``query_entropy``, the engine entry, runs only for a shape not
-yet in the caller's ``ShapeMemo``.  The memo holds the value of each shape met and,
-per source-table tuple (a shape's first part), one enumeration and the
-relabelled columns evaluated at it, so queries that differ in columns but
-read equal tables enumerate once: replicas of a user run i.i.d. copies of
-its inputs.  It keeps enumerations and columns only while the int64 cells
+bit for bit, and lists the positions the query reads, ascending, so a
+source's label is its rank among them; and ``query_entropy``, the engine
+entry, runs only for a shape not yet in the caller's ``ShapeMemo``.  The
+memo holds the value of each shape met and, per source-table tuple (a
+shape's first part), one enumeration and the relabelled columns evaluated
+at it, so queries that differ in columns but read equal tables enumerate
+once: replicas of a user run i.i.d. copies of its inputs.  It keeps enumerations and columns only while the int64 cells
 it holds stay within ``MAX_ATOMS``; past that a query enumerates afresh and
 keeps nothing.  A joint-law source is named in the shape by the law and
 its position in it, so every query has a shape, and joint-law queries
@@ -68,7 +71,6 @@ from .errors import BudgetExceededError, DicboundError, DistributionError, Recip
 MAX_ATOMS = 1 << 22
 
 Replica = tuple[int, int]  # (user, copy), both 1-based
-Columns = list[tuple[str, Replica]]  # (kind, replica) per column, in column order
 
 
 def replicas_from_counts(counts: Sequence[int]) -> tuple[Replica, ...]:
@@ -101,8 +103,6 @@ class NetworkGraph:
     wiring: tuple[tuple[Replica, tuple[Replica, ...]], ...]
     base_labels: bool = False
     replicas: tuple[Replica, ...] = field(init=False)
-    _wiring_map: Mapping[Replica, tuple[Replica, ...]] = field(init=False, repr=False)
-    _index: Mapping[Replica, int] = field(init=False, repr=False)  # position in replicas
     _bit: Mapping[Replica, int] = field(init=False, repr=False)  # 1 << position
     _sizes: tuple[int, ...] = field(init=False, repr=False)  # source alphabet sizes
     # per replica position: the bitmask of the positions wired to its
@@ -145,9 +145,7 @@ class NetworkGraph:
                 if w not in wmap:
                     raise RecipeError(f"replica {r} wired to unknown replica {w}")
         object.__setattr__(self, "replicas", replicas)
-        object.__setattr__(self, "_wiring_map", wmap)
         index = {r: i for i, r in enumerate(replicas)}
-        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_bit", {r: 1 << i for r, i in index.items()})
         sizes = tuple(self.channel.input_sizes[u - 1] for u, _ in replicas)
         object.__setattr__(self, "_sizes", sizes)
@@ -187,24 +185,10 @@ class NetworkGraph:
         sets: dict[str, set[Replica]] = {"X": set(), "V": set(), "Y": set()}
         for var in variables:
             r = (var.user, var.copy)
-            if r not in self._wiring_map:
+            if r not in self._bit:
                 raise DicboundError(f"variable {var} is not in this network")
             sets[var.kind].add(r)
         return sets["X"], sets["V"], sets["Y"]
-
-    def evaluator(self, columns: Columns, sources: Sequence[Replica], xs):
-        """The (atoms x columns) value array of the (kind, replica) ``columns``
-        at the inputs ``xs`` (atoms x ``sources``, in order): the columns,
-        relabelled by source position, through ``evaluate_columns`` with
-        nothing known."""
-        pos = {r: i for i, r in enumerate(sources)}
-        relabelled = [(kind, tuple(map(pos.__getitem__, self.reads(kind, r)))) for kind, r in columns]
-        return evaluate_columns(self.channel, [r[0] for r in sources], xs, relabelled, {})
-
-    def reads(self, kind: str, replica: Replica) -> tuple[Replica, ...]:
-        """Source replicas the symbol of that kind at the replica is a function
-        of: its own, then, for an output, the wired ones in user order."""
-        return (replica,) + self._wiring_map[replica] if kind == "Y" else (replica,)
 
 
 def base_network(channel: DeterministicChannel) -> NetworkGraph:
@@ -239,31 +223,31 @@ def check_law(network: NetworkGraph, dist: SourceDistribution) -> None:
         )
 
 
-def source_atoms(network: NetworkGraph, dist: SourceDistribution, sources: Sequence[Replica]):
-    """The source enumerator: (xs, p) over the given source replicas, xs an
-    int64 array with one row of their inputs per atom, p the atom masses.
+def source_atoms(network: NetworkGraph, dist: SourceDistribution, positions: Sequence[int]):
+    """The source enumerator: (xs, p) over the sources at the given replica
+    positions, xs an int64 array with one row of their inputs per atom, p
+    the atom masses.
 
     Enforces ``MAX_ATOMS`` before any array is allocated.  The law must fit
     the network: the engine's entries check it.  Product-law atoms are in
     row-major order.
     """
-    idx = [network._index[r] for r in sources]
     if dist.mode == "product":
-        supports = [[s for s, q in enumerate(dist.tables[i]) if q > 0.0] for i in idx]
+        supports = [[s for s, q in enumerate(dist.tables[i]) if q > 0.0] for i in positions]
         count = math.prod(len(s) for s in supports)
     else:
-        marginal = dist.marginal_joint(idx)
+        marginal = dist.marginal_joint(positions)
         count = len(marginal)
     if count > MAX_ATOMS:
-        raise BudgetExceededError(f"{count} source atoms over {len(sources)} sources exceed the cap of {MAX_ATOMS}")
+        raise BudgetExceededError(f"{count} source atoms over {len(positions)} sources exceed the cap of {MAX_ATOMS}")
     if dist.mode == "joint":
-        xs = np.array(list(marginal), dtype=np.int64).reshape(count, len(idx))
+        xs = np.array(list(marginal), dtype=np.int64).reshape(count, len(positions))
         return xs, np.fromiter(marginal.values(), dtype=float, count=count)
-    xs, p = np.empty([len(s) for s in supports] + [len(idx)], dtype=np.int64), np.ones(1)
-    for axis, (i, support) in enumerate(zip(idx, supports)):
-        xs[..., axis] = np.reshape(support, [-1] + [1] * (len(idx) - 1 - axis))
+    xs, p = np.empty([len(s) for s in supports] + [len(positions)], dtype=np.int64), np.ones(1)
+    for axis, (i, support) in enumerate(zip(positions, supports)):
+        xs[..., axis] = np.reshape(support, [-1] + [1] * (len(positions) - 1 - axis))
         p = (p[:, None] * np.array(dist.tables[i])[support]).ravel()
-    return xs.reshape(count, len(idx)), p
+    return xs.reshape(count, len(positions)), p
 
 
 def evaluate_columns(channel: DeterministicChannel, users: Sequence[int], xs, columns, known: dict):
@@ -311,13 +295,13 @@ class ShapeMemo:
     cells: int = 0
 
 
-def query_entropy(network: NetworkGraph, dist: SourceDistribution, sources, shape, memo: ShapeMemo) -> float:
+def query_entropy(network: NetworkGraph, dist: SourceDistribution, positions, shape, memo: ShapeMemo) -> float:
     """The network query's engine entry: H(live | keys) = H(keys, live) -
-    H(keys), from one enumeration of ``sources``, the sorted sources the
-    columns read, and one ``row_entropy`` pass over the columns, keys first.
-    Reached only through ``memo_entropy``, which checks the law and passes
-    the query's ``shape`` and its ``sources``; the shape gives the key count
-    and the relabelled key and live columns.
+    H(keys), from one enumeration of ``positions``, the ascending source
+    positions the columns read, and one ``row_entropy`` pass over the
+    columns, keys first.  Reached only through ``memo_entropy``, which checks
+    the law and passes the query's ``shape`` and its ``positions``; the shape
+    gives the key count and the relabelled key and live columns.
 
     A query reads its table tuple's enumeration, and the columns of its shape
     already evaluated there, from ``memo.atoms``, and adds what it enumerates
@@ -327,7 +311,7 @@ def query_entropy(network: NetworkGraph, dist: SourceDistribution, sources, shap
     """
     tables, keys, columns = shape
     kept = memo.atoms.get(tables)
-    xs, p, known = kept or (*source_atoms(network, dist, sources), {})
+    xs, p, known = kept or (*source_atoms(network, dist, positions), {})
     grown = dict(known)
     values = evaluate_columns(network.channel, [u for u, _ in tables], xs, columns, grown)
     cells = memo.cells + (len(grown) - len(known)) * len(xs) + (0 if kept else xs.size)
@@ -405,11 +389,11 @@ def reduce_query(network: NetworkGraph, dist: SourceDistribution, targets, cond)
 
 def query_shape(network: NetworkGraph, dist: SourceDistribution, keys, live):
     """The shape of a reduced query, given as ``reduce_query`` returns it,
-    and the sources its columns read, in the sorted order the enumeration
-    uses.
+    and the positions of the sources its columns read, ascending, the order
+    the enumeration uses.
 
-    The shape relabels those sources by their position in that order, a
-    source's rank in the bitmask of the sources read.  It lists each source
+    The shape relabels those sources by their rank among those positions,
+    the set bits of the bitmask of the sources read.  It lists each source
     as (user, its law's table) under a product law, or as (user, (the law,
     the source's position in it)) under a joint law, which hashes by
     identity; then the number of keys; then each column as (kind,
@@ -433,10 +417,9 @@ def query_shape(network: NetworkGraph, dist: SourceDistribution, keys, live):
         label[i] = rank
     columns = tuple([(kind, tuple(map(label.__getitem__, reads))) for kind, reads in at])
     named = dist.tables or [(dist, i) for i in range(len(dist.sizes))]
-    sources = [replicas[i] for i in positions]
-    tables = tuple([(s[0], named[i]) for s, i in zip(sources, positions)])
+    tables = tuple([(replicas[i][0], named[i]) for i in positions])
     n_keys = sum(mask.bit_count() for _, mask in keys)
-    return (tables, n_keys, columns), sources
+    return (tables, n_keys, columns), positions
 
 
 def memo_entropy(network: NetworkGraph, dist: SourceDistribution, targets, cond, memo: ShapeMemo) -> float:
@@ -454,10 +437,10 @@ def memo_entropy(network: NetworkGraph, dist: SourceDistribution, targets, cond,
     reduced = reduce_query(network, dist, targets, cond)
     if reduced is None:
         return 0.0
-    shape, sources = query_shape(network, dist, *reduced)
+    shape, positions = query_shape(network, dist, *reduced)
     value = memo.values.get(shape)
     if value is None:
-        value = memo.values[shape] = query_entropy(network, dist, sources, shape, memo)
+        value = memo.values[shape] = query_entropy(network, dist, positions, shape, memo)
     return value
 
 

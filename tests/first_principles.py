@@ -85,6 +85,13 @@ def interferers_of(network, replica) -> tuple:
     return dict(network.wiring)[replica]
 
 
+def reads(network, kind, replica) -> tuple:
+    """The source replicas the symbol of that kind at ``replica`` is a
+    function of: its own, then, for an output, the wired ones in user order,
+    read off the network's public ``wiring``."""
+    return (replica,) + interferers_of(network, replica) if kind == "Y" else (replica,)
+
+
 def oracle_network_atoms(network, law):
     """Realize every symbol of a one-hop network from first principles.
 
@@ -213,12 +220,12 @@ def reference_query_shape(net, dist, keys, live):
     product law or (user, (law, position)) under a joint law, the number of
     keys, and each column as (kind, the sorted-order labels of the sources
     it reads)."""
-    reads = [net.reads(kind, r) for kind, r in keys + live]
-    sources = sorted(set().union(*reads))
+    read = [reads(net, kind, r) for kind, r in keys + live]
+    sources = sorted(set().union(*read))
     label = {s: i for i, s in enumerate(sources)}
     named = dist.tables or [(dist, i) for i in range(len(dist.sizes))]
     tables = tuple((s[0], named[net.replicas.index(s)]) for s in sources)
-    columns = tuple((kind, tuple(label[s] for s in read)) for (kind, _), read in zip(keys + live, reads))
+    columns = tuple((kind, tuple(label[s] for s in r)) for (kind, _), r in zip(keys + live, read))
     return (tables, len(keys), columns), sources
 
 

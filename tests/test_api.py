@@ -63,15 +63,15 @@ def test_every_public_definition_is_used_exported_or_listed():
 # each step of the entropy engine -> the only library statements that may name
 # it: memo_entropy, the one network query, and induce_joint, the one joint
 # table, each check the law once, and only query_entropy and induce_joint
-# enumerate sources, so no query skips the law check, the memo or the atom cap;
-# columns are evaluated only by the engine entry and NetworkGraph.evaluator
+# enumerate sources and evaluate columns, both by source position, so no query
+# skips the law check, the memo or the atom cap
 ENGINE_STEPS = {
     "reduce_query": {"networks.memo_entropy"},
     "query_shape": {"networks.memo_entropy"},
     "query_entropy": {"networks.memo_entropy"},
     "check_law": {"networks.memo_entropy", "entropy.induce_joint"},
     "source_atoms": {"networks.query_entropy", "entropy.induce_joint"},
-    "evaluate_columns": {"networks.NetworkGraph", "networks.query_entropy"},
+    "evaluate_columns": {"entropy.induce_joint", "networks.query_entropy"},
 }
 
 

@@ -711,6 +711,28 @@ def test_nonrecoverable_channel_fails_the_same_way_from_either_option(capsys, tm
     assert results[0][1:] == results[1][1:]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("region", "--dist", "uniform"),
+        ("region", "--samples", "2"),
+        ("region", "--samples", "2", "--out", "svg"),
+        ("compare", "--samples", "2"),
+        ("extend", "--bound", "4a"),
+        ("gcs", "--enumerate"),
+    ],
+    ids=" ".join,
+)
+def test_nonrecoverable_channel_is_refused_before_any_output(capsys, tmp_path, argv):
+    # a command that prints as it goes (a CSV header, then rows) must refuse
+    # the channel before its first line, as the others do
+    channel = tmp_path / "channel.json"
+    channel.write_text(json.dumps(NONRECOVERABLE_DOC))
+    code, out, err = run_cli_exit(capsys, *argv, "--channel", str(channel))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "interference recoverability" in err
+
+
 # Inputs for the fuzzing test: one good and some malformed files per option.
 FUZZ_FILES = {
     "ok-dist.json": json.dumps({"probs": [[0.5, 0.5], [0.25, 0.75]]}),

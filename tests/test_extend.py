@@ -21,11 +21,11 @@ from dicbound.extend import (
     verify_replica_rates,
 )
 from dicbound.gcs import evaluate_chain, validate_chain
-from dicbound.networks import base_network, replicate_distribution, source_atoms
+from dicbound.networks import base_network, evaluate_columns, replicate_distribution, source_atoms
 from dicbound.regions import bound_vector, load_templates
 from dicbound.sampling import sample_product_distribution
 
-from first_principles import affine_term_multiplicities
+from first_principles import affine_term_multiplicities, reads
 
 UNIFORM2 = SourceDistribution.uniform([2, 2])
 UNIFORM3 = SourceDistribution.uniform([2, 2, 2])
@@ -141,10 +141,14 @@ def test_replica_rates_examples(xor2, shift2_221):
 
 def replica_rate_alone(network, dist, replica):
     """I(X;Y) = H(X) + H(Y) - H(X,Y) at one replica, from one enumeration of
-    its own, with no memo."""
-    sources = sorted(network.reads("Y", replica))
-    xs, p = source_atoms(network, dist, sources)
-    values = network.evaluator([("X", replica), ("Y", replica)], sources, xs)
+    its own, with no memo: the sources its output reads, enumerated by
+    position, and its X and Y as columns over those positions."""
+    y_reads = reads(network, "Y", replica)
+    sources = sorted(y_reads)
+    label = {r: i for i, r in enumerate(sources)}
+    xs, p = source_atoms(network, dist, [network.replicas.index(r) for r in sources])
+    columns = [("X", (label[replica],)), ("Y", tuple(label[r] for r in y_reads))]
+    values = evaluate_columns(network.channel, [u for u, _ in sources], xs, columns, {})
     return row_entropy(values[:, :1], p) + row_entropy(values[:, 1:], p) - row_entropy(values, p)
 
 
@@ -610,6 +614,26 @@ def test_every_base_term_reader_rejects_a_joint_law(xor2):
     for read in readers:
         with pytest.raises(DistributionError):
             read()
+
+
+def test_every_bound_entry_refuses_a_nonrecoverable_channel():
+    # the direct template path refuses such a channel as the chain path does:
+    # its base terms are read off the channel's one-hop network, whose check
+    # refuses it; f ignores the interference, so no receiver recovers it
+    from dicbound.channels import channel_from_dict
+
+    channel = channel_from_dict(
+        {"user_count": 2, "alphabet_sizes": [2, 2], "g": [[0, 1], [0, 1]], "f": [[0, 0, 1, 1], [0, 1, 1, 0]]}
+    )
+    entries = [
+        lambda: bound_vector(channel, UNIFORM2),
+        lambda: limit_bound("4e", channel, UNIFORM2),
+        lambda: verify_chain_identity("4e", channel, UNIFORM2),
+        lambda: verify_replica_rates(channel, builtin_recipe("4e", 2).recipe, UNIFORM2),
+    ]
+    for entry in entries:
+        with pytest.raises(RecipeError, match="interference recoverability"):
+            entry()
 
 
 def test_identity_check_evaluates_each_base_term_once(xor2, count_calls, monkeypatch):

@@ -43,7 +43,7 @@ from dicbound.networks import (
 )
 from dicbound.sampling import sample_product_distribution
 
-from first_principles import reference_query_shape, reference_reduce_query
+from first_principles import reads, reference_query_shape, reference_reduce_query
 
 FIG_A = CutChain.of([{"S1", "S2", "D1"}, {"S1"}])  # opens on receiver 2
 FIG_B = CutChain.of([{"S1", "S2", "D2"}, {"S2"}])  # opens on receiver 1
@@ -332,7 +332,7 @@ def level_reads(network, dist, targets, cond):
         return set()
     keys, live = reduced  # (kind, replica bitmask) groups
     columns = [(kind, r) for kind, mask in keys + live for i, r in enumerate(network.replicas) if mask >> i & 1]
-    return {s for kind, r in columns for s in network.reads(kind, r)}
+    return {s for kind, r in columns for s in reads(network, kind, r)}
 
 
 def search_levels(network, max_l):
@@ -445,7 +445,8 @@ def test_the_mask_reduction_matches_the_set_reference(xor2, shift2_331, concat3)
         reduced, expected = reduce_query(net, dist, *sets), reference_reduce_query(net, dist, *sets)
         assert (reduced is None) == (expected is None)
         if reduced is not None:
-            assert query_shape(net, dist, *reduced) == reference_query_shape(net, dist, *expected)
+            shape, positions = query_shape(net, dist, *reduced)
+            assert (shape, [net.replicas[i] for i in positions]) == reference_query_shape(net, dist, *expected)
         branches.add((dist.mode, sets[1][2] <= sets[1][0], reduced is None))
     assert {("product", True, True), ("product", True, False), ("product", False, False)} <= branches
     assert {("joint", True, False), ("joint", False, False)} <= branches

@@ -36,7 +36,7 @@ from dicbound.networks import (
 )
 from dicbound.sampling import sample_product_distribution
 
-from first_principles import fixed_point_closure, interferers_of, reference_split_entropy
+from first_principles import fixed_point_closure, interferers_of, reads, reference_split_entropy
 
 # -- the per-atom reference engine ----------------------------------------------
 
@@ -93,7 +93,7 @@ def reference_merged_entropy(rows):
 
 
 def reference_rows(network, dist, variables):
-    sources = sorted(set().union(*(network.reads(v.kind, (v.user, v.copy)) for v in variables)))
+    sources = sorted(set().union(*(reads(network, v.kind, (v.user, v.copy)) for v in variables)))
     evaluate = reference_evaluator(network, variables, sources)
     return [(evaluate(x), p) for x, p in reference_atoms(network, dist, sources)]
 
@@ -110,7 +110,7 @@ def reference_cond_entropy(network, dist, targets, cond=()):
         gen_v = sorted(v for v in known if v.kind == "V" and (v.user, v.copy) not in cond_x)
         deps = set()
         for v in live + gen_v:
-            deps.update(network.reads(v.kind, (v.user, v.copy)))
+            deps.update(reads(network, v.kind, (v.user, v.copy)))
         keys = sorted(VariableId("X", u, c) for (u, c) in deps & cond_x) + gen_v
     else:
         live, keys = sorted(targets - cond), sorted(cond)
