@@ -221,19 +221,18 @@ def induce_joint(model, dist: SourceDistribution) -> JointTable:
     ``model`` is a DeterministicChannel (treated as its one-hop network) or a
     NetworkGraph.  An entry of the engine: it checks the law, then
     enumerates every source position, in replica order, and evaluates the
-    columns of ``all_variables()`` (every X, then every V, then every Y) by
-    the positions each reads, as ``query_shape`` relabels them: its own,
-    then, for an output, the wired ones in user order.  Atom probabilities
-    are exactly the source probabilities.
+    columns of ``all_variables()`` (every X, then every V, then every Y) as
+    ``query_shape`` gives them on the full masks, labelled by position.
+    Atom probabilities are exactly the source probabilities.
     """
-    from .networks import base_network, check_law, evaluate_columns, source_atoms
+    from .networks import base_network, check_law, evaluate_columns, query_shape, source_atoms
 
     if isinstance(model, DeterministicChannel):
         model = base_network(model)
     check_law(model, dist)
-    positions = range(len(model.replicas))
-    columns = [(kind, model._output_reads[i] if kind == "Y" else (i,)) for kind in "XVY" for i in positions]
-    xs, p = source_atoms(model, dist, positions)
+    every = model.mask(model.replicas)
+    (_, _, columns), positions = query_shape(model, dist, (), (("X", every), ("V", every), ("Y", every)))
+    xs, p = source_atoms(dist, positions)
     users = [u for u, _ in model.replicas]
     return JointTable(model.all_variables(), evaluate_columns(model.channel, users, xs, columns, {}), p)
 

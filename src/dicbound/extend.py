@@ -310,8 +310,8 @@ def verify_replica_rates(
     memo = ShapeMemo()
 
     def mi(net, d, replica):
-        y, x = (set(), set(), {replica}), ({replica}, set(), set())
-        return memo_entropy(net, d, y, (set(), set(), set()), memo) - memo_entropy(net, d, y, x, memo)
+        r = net.mask([replica])
+        return memo_entropy(net, d, (0, 0, r), (0, 0, 0), memo) - memo_entropy(net, d, (0, 0, r), (r, 0, 0), memo)
 
     base_values = tuple(mi(base, dist, r) for r in base.replicas)
     replica_values = tuple((r, mi(network, rdist, r)) for r in network.replicas)
@@ -343,12 +343,14 @@ def verify_chain_identity(
     """Check the chain value == derived closed form, up to ``IDENTITY_TOL``,
     for each k, reporting the first diverging term on mismatch and per-k
     increments.  The sizes are read in order and never listed, so a long
-    range stops at its first unsupported k.  Recipe chains come from
-    ``chain_from_cuts`` and are valid by construction, so none is
-    re-validated."""
+    range stops at its first unsupported k; a parametric id refuses an
+    empty one.  Recipe chains come from ``chain_from_cuts`` and are valid
+    by construction, so none is re-validated."""
     spec = bound_support_info(bound_id)
     ks = k_range if spec["parametric"] else [None]
     recipes = [builtin_recipe(bound_id, k) for k in ks]
+    if not recipes:
+        raise DicboundError(f"bound {bound_id} is parametric; k_range must hold at least one size")
     # one channel and the replicas of one base law: a query shape met at one
     # size has the same value at every other, so the memo spans the range
     shapes = ShapeMemo()
@@ -358,9 +360,7 @@ def verify_chain_identity(
         rdist = replicate_distribution(network, dist)
         evaluated.append(_chain_value(network, recipe.chain, rdist, shapes))
     values = base_terms(channel, dist, (t.key for r in recipes for t in r.closed_terms))
-    per_k = []
-    diagnostics = []
-    ok = True
+    per_k, diagnostics, ok = [], [], True
     for k, recipe, value in zip(ks, recipes, evaluated):
         closed_total = chain_closed_form(recipe, values)
         diff = abs(value.total - closed_total)

@@ -12,21 +12,20 @@ valid chain arises this way.  ``chain_from_cuts`` is the one constructor; it
 builds enumerated chains and recipe chains alike.
 
 Level j is H(Y(R_{j-1} - R_j) | X, Y(all - R_{j-1})), so the pair
-(R_{j-1}, R_j) alone decides its value, whichever chain it occurs in.  Each
-distinct level is asked once, on replica sets, of ``networks.memo_entropy``,
-the one network query, which reduces it and evaluates only a query shape
-its memo has not met.  A hit is exact: replicas of a user run i.i.d.
-copies of its inputs, and a shape renames replicas only within a user under
-equal tables.  The same i.i.d. fact lets the memo, a ``networks.ShapeMemo``,
-enumerate each source-table tuple once for all the shapes that read it (the
-ineq5 search at k = 1: 622 shapes, 8 enumerations).  ``_chain_value`` is the
-one evaluator; its caller keeps the shape memo.  ``evaluate_chain`` starts
-one per chain and ``extend.verify_chain_identity`` one across its k range,
-which is one channel and the replicas of one base law.  ``chain_values``
-keeps one per call, and a local dict of the levels of its chains, so each
-distinct level is reduced once.  Under a joint law the memo keys a source
-by its position in the law, so a joint-law search, too, enumerates each
-source tuple once.
+(R_{j-1}, R_j) alone decides its value, whichever chain it occurs in.
+``_chain_levels`` gives a level as two replica bitmasks, of the replicas
+cut before it and of those it cuts, and each distinct level is asked once
+of ``networks.memo_entropy``, the one network query, which evaluates only a
+query shape its memo has not met.  A hit is exact: a shape renames replicas
+only within a user under equal tables, and a user's replicas run i.i.d.
+copies of its inputs.  The memo, a ``networks.ShapeMemo``, also enumerates each
+source-table tuple once for all the shapes that read it (the ineq5 search
+at k = 1: 622 shapes, 8 enumerations), under a product or a joint law.
+``_chain_value`` is the one evaluator; its caller keeps the shape memo:
+``evaluate_chain`` starts one per chain, ``extend.verify_chain_identity``
+one across its k range (one channel, the replicas of one base law), and
+``chain_values`` one per call, with a local dict of its chains' levels, so
+each distinct level is reduced once.
 """
 
 from __future__ import annotations
@@ -97,27 +96,25 @@ def validate_chain(network: NetworkGraph, chain: CutChain) -> list[str]:
     return violations
 
 
-Level = tuple[frozenset[Replica], frozenset[Replica]]
+Level = tuple[int, int]
 
 
 def _chain_levels(network: NetworkGraph, chain: CutChain) -> list[Level]:
-    """Per level j of a valid chain: (R_{j-1}, R_j), the replicas uncut before
-    and after it.  R_j is the replicas whose destination lies in subset j."""
+    """Per level j of a valid chain: the replica bitmasks (cut, fresh) of
+    all - R_{j-1} and R_{j-1} - R_j, R_j being the replicas whose destination
+    lies in subset j."""
     dests = [(r, network.dest_label(r)) for r in network.replicas]
-    uncut = [frozenset(network.replicas)]
-    uncut += (frozenset(r for r, dst in dests if dst in s) for s in chain.subsets)
-    return list(zip(uncut, uncut[1:]))
+    every = network.mask(network.replicas)
+    uncut = [every] + [network.mask(r for r, dst in dests if dst in s) for s in chain.subsets]
+    return [(every & ~outer, outer & ~inner) for outer, inner in zip(uncut, uncut[1:])]
 
 
 def _level_value(network: NetworkGraph, dist: SourceDistribution, level: Level, shapes: ShapeMemo) -> float:
-    """H(Y(R_{j-1} - R_j) | X, Y(all - R_{j-1})): the fresh outputs given the
+    """H(Y(fresh) | X(cut), Y(cut)): the outputs a level cuts given the
     inputs and outputs of every replica already cut, asked of
-    ``memo_entropy`` on replica sets with ``shapes`` as its memo."""
-    outer, inner = level
-    if outer == inner:
-        return 0.0
-    cut = set(network.replicas) - outer
-    return memo_entropy(network, dist, (set(), set(), outer - inner), (cut, set(), cut), shapes)
+    ``memo_entropy`` on replica bitmasks with ``shapes`` as its memo."""
+    cut, fresh = level
+    return memo_entropy(network, dist, (0, 0, fresh), (cut, 0, cut), shapes) if fresh else 0.0
 
 
 def _chain_value(network: NetworkGraph, chain: CutChain, dist: SourceDistribution, shapes: ShapeMemo) -> ChainValue:

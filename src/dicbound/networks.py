@@ -12,8 +12,10 @@ This module holds the one entropy engine, a numpy kernel.  Inside it a
 source is its position in ``replicas``, and a column is (kind, the
 positions of the sources it reads: its own, then, for an output, the wired
 ones in user order): replicas of a user run i.i.d. copies of its inputs, so
-a value depends only on the positions its columns read.  Replicas appear
-only at the edge, in ``reduce_query``'s input sets and ``replica_sets``.
+a value depends only on the positions its columns read.  From the network
+query's callers in, a replica set is a bitmask over those positions, bit i
+for ``replicas[i]``; ``NetworkGraph.mask`` is the one replica -> bit
+conversion, and no other module knows which bit is which replica.
 ``source_atoms`` enumerates the sources at given positions as arrays under
 the atom cap, ``MAX_ATOMS``, which only it enforces; ``evaluate_columns``
 maps them to the values of columns relabelled by rank among those positions,
@@ -23,33 +25,30 @@ H(keys, live) - H(keys) in one pass over its columns, keys first.  The
 engine has two entries, and each checks the law once with ``check_law``:
 ``query_entropy``, reached only through ``memo_entropy``, enumerates only
 the positions its columns read, and ``entropy.induce_joint`` enumerates
-every position for a full joint table.  Under a product law, conditioning
-on a source's input and its receiver's output pins down the interference it
-saw, which shrinks a query's sources further.
+every position for a full joint table, with the columns ``query_shape``
+gives on the full masks.  Under a product law, conditioning on a source's
+input and its receiver's output pins down the interference it saw, which
+shrinks a query's sources further.
 
 ``memo_entropy`` is the one network query and the only caller of its
-steps.  On the replica sets of the X's, V's and Y's of the targets and of
-the conditioning, it checks the law; ``reduce_query`` turns the sets into
-int bitmasks over replica positions, computes that closure on them with
+steps.  On (X, V, Y) mask triples of the targets and of the conditioning,
+it checks the law; ``reduce_query`` computes that closure on the masks with
 the interference masks ``NetworkGraph`` builds once, and returns the key
 and live columns as (kind, bitmask) groups, or None when the conditioning
 determines every target; ``query_shape`` names a query up to renaming
 replicas of one user under equal tables, so equal shapes have values equal
 bit for bit, and lists the positions the query reads, ascending, so a
 source's label is its rank among them; and ``query_entropy``, the engine
-entry, runs only for a shape not yet in the caller's ``ShapeMemo``.  The
-memo holds the value of each shape met and, per source-table tuple (a
-shape's first part), one enumeration and the relabelled columns evaluated
-at it, so queries that differ in columns but read equal tables enumerate
-once: replicas of a user run i.i.d. copies of its inputs.  It keeps enumerations and columns only while the int64 cells
-it holds stay within ``MAX_ATOMS``; past that a query enumerates afresh and
-keeps nothing.  A joint-law source is named in the shape by the law and
-its position in it, so every query has a shape, and joint-law queries
-share enumerations like product-law ones.  Chain levels share a memo per
-chain, chain search or identity k range (see ``gcs``), replica rates one
-over the base and extended network, and ``cond_entropy_network`` (and
-``network_entropy``), the public ``VariableId`` front end, has a fresh one
-per call.
+entry, runs only for a shape not yet in the caller's ``ShapeMemo``, which
+also keeps, within ``MAX_ATOMS`` cells, one enumeration per source-table
+tuple (a shape's first part) and the columns evaluated at it, so queries
+that read equal tables enumerate once.  A joint-law source is named in the
+shape by the law and its position in it, so every query has a shape.
+Chain levels share a memo per chain, chain search or identity k range (see
+``gcs``), replica rates one over the base and extended network, and
+``cond_entropy_network`` (and ``network_entropy``), the public
+``VariableId`` front end on the masks ``replica_sets`` builds, has a fresh
+one per call.
 """
 
 from __future__ import annotations
@@ -179,16 +178,22 @@ class NetworkGraph:
         ys = [VariableId("Y", u, c) for u, c in self.replicas]
         return tuple(xs + vs + ys)
 
-    def replica_sets(self, variables: Iterable[VariableId]) -> tuple[set[Replica], ...]:
-        """The replicas of the variables' X's, V's and Y's, as three sets,
-        each variable checked to belong to this network."""
-        sets: dict[str, set[Replica]] = {"X": set(), "V": set(), "Y": set()}
+    def mask(self, replicas: Iterable[Replica]) -> int:
+        """Replicas of this network as a bitmask, bit i for ``replicas[i]``:
+        the network query's replica-set format, and its one conversion."""
+        try:
+            return sum(set(map(self._bit.__getitem__, replicas)))
+        except KeyError as missing:
+            raise DicboundError(f"replica {missing} is not in this network") from None
+
+    def replica_sets(self, variables: Iterable[VariableId]) -> tuple[int, int, int]:
+        """The replicas of the variables' X's, V's and Y's, as three bitmasks
+        (see ``mask``), each variable checked to belong to this network."""
+        variables = list(variables)
         for var in variables:
-            r = (var.user, var.copy)
-            if r not in self._bit:
+            if (var.user, var.copy) not in self._bit:
                 raise DicboundError(f"variable {var} is not in this network")
-            sets[var.kind].add(r)
-        return sets["X"], sets["V"], sets["Y"]
+        return tuple(self.mask((v.user, v.copy) for v in variables if v.kind == kind) for kind in "XVY")
 
 
 def base_network(channel: DeterministicChannel) -> NetworkGraph:
@@ -223,14 +228,13 @@ def check_law(network: NetworkGraph, dist: SourceDistribution) -> None:
         )
 
 
-def source_atoms(network: NetworkGraph, dist: SourceDistribution, positions: Sequence[int]):
+def source_atoms(dist: SourceDistribution, positions: Sequence[int]):
     """The source enumerator: (xs, p) over the sources at the given replica
     positions, xs an int64 array with one row of their inputs per atom, p
     the atom masses.
 
-    Enforces ``MAX_ATOMS`` before any array is allocated.  The law must fit
-    the network: the engine's entries check it.  Product-law atoms are in
-    row-major order.
+    Enforces ``MAX_ATOMS`` before any array is allocated; the engine's
+    entries check the law first.  Product-law atoms are in row-major order.
     """
     if dist.mode == "product":
         supports = [[s for s, q in enumerate(dist.tables[i]) if q > 0.0] for i in positions]
@@ -311,7 +315,7 @@ def query_entropy(network: NetworkGraph, dist: SourceDistribution, positions, sh
     """
     tables, keys, columns = shape
     kept = memo.atoms.get(tables)
-    xs, p, known = kept or (*source_atoms(network, dist, positions), {})
+    xs, p, known = kept or (*source_atoms(dist, positions), {})
     grown = dict(known)
     values = evaluate_columns(network.channel, [u for u, _ in tables], xs, columns, grown)
     cells = memo.cells + (len(grown) - len(known)) * len(xs) + (0 if kept else xs.size)
@@ -357,20 +361,19 @@ def _closure(network: NetworkGraph, xs: int, vs: int, ys: int):
 
 
 def reduce_query(network: NetworkGraph, dist: SourceDistribution, targets, cond):
-    """The reduction step of the network query, on (X, V, Y) replica sets:
-    H(targets | cond) = H(live | keys), or None when the conditioning
-    determines every target and the value is 0.  The keys and the live
-    columns are returned as (kind, replica bitmask) groups, in column order:
-    groups in order, and within a group replicas in sorted order, which is
-    the order of their positions.
+    """The reduction step of the network query, on (X, V, Y) triples of
+    replica bitmasks: H(targets | cond) = H(live | keys), or None when the
+    conditioning determines every target and the value is 0.  The keys and
+    the live columns are returned as (kind, replica bitmask) groups, in
+    column order: groups in order, and within a group replicas in sorted
+    order, which is the order of their positions.
 
     Under a product law whose conditioned outputs each come with their own
     input, the closure of the conditioning drops the targets it determines,
     and the keys become the conditioned X's and recovered V's that share a
     source with what is left.  Otherwise the keys are the conditioning.
     """
-    bit = network._bit.__getitem__
-    t_x, t_v, t_y, c_x, c_v, c_y = (sum(map(bit, replicas)) for replicas in (*targets, *cond))
+    (t_x, t_v, t_y), (c_x, c_v, c_y) = targets, cond
     if dist.mode == "product" and not c_y & ~c_x:
         k_x, k_v, k_y = _closure(network, c_x, c_v, c_y)
         t_x, t_v, t_y = t_x & ~k_x, t_v & ~k_v, t_y & ~k_y
@@ -423,7 +426,8 @@ def query_shape(network: NetworkGraph, dist: SourceDistribution, keys, live):
 
 
 def memo_entropy(network: NetworkGraph, dist: SourceDistribution, targets, cond, memo: ShapeMemo) -> float:
-    """H(targets | cond) on (X, V, Y) replica sets: the one network query.
+    """H(targets | cond) on (X, V, Y) triples of replica bitmasks (see
+    ``NetworkGraph.mask``): the one network query.
 
     It checks the law, since a shape reads its tables; reduces the query,
     returning 0.0 when the conditioning determines every target; looks the
@@ -449,7 +453,7 @@ def cond_entropy_network(
 ) -> float:
     """H(targets | cond) on the network without materializing the full joint:
     the public ``VariableId`` front end, ``memo_entropy`` on the variables'
-    replica sets with a memo of its own."""
+    replica bitmasks with a memo of its own."""
     return memo_entropy(network, dist, network.replica_sets(targets), network.replica_sets(cond), ShapeMemo())
 
 

@@ -189,6 +189,16 @@ def _reference_closure(net, xs, vs, ys):
     return xs, known_v, known_y
 
 
+def reference_replica_sets(net, variables):
+    """The replicas of the variables' X's, V's and Y's, as three sets: the
+    set form of ``NetworkGraph.replica_sets``, for the set-based references."""
+    sets = {"X": set(), "V": set(), "Y": set()}
+    for var in variables:
+        assert (var.user, var.copy) in net.replicas
+        sets[var.kind].add((var.user, var.copy))
+    return sets["X"], sets["V"], sets["Y"]
+
+
 def _reference_columns(kind, replicas):
     return [(kind, r) for r in sorted(replicas)]
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
@@ -62,12 +63,13 @@ def test_every_public_definition_is_used_exported_or_listed():
 
 # each step of the entropy engine -> the only library statements that may name
 # it: memo_entropy, the one network query, and induce_joint, the one joint
-# table, each check the law once, and only query_entropy and induce_joint
-# enumerate sources and evaluate columns, both by source position, so no query
-# skips the law check, the memo or the atom cap
+# table, each check the law once and take their columns from query_shape, and
+# only query_entropy and induce_joint enumerate sources and evaluate columns,
+# both by source position, so no query skips the law check, the memo or the
+# atom cap
 ENGINE_STEPS = {
     "reduce_query": {"networks.memo_entropy"},
-    "query_shape": {"networks.memo_entropy"},
+    "query_shape": {"networks.memo_entropy", "entropy.induce_joint"},
     "query_entropy": {"networks.memo_entropy"},
     "check_law": {"networks.memo_entropy", "entropy.induce_joint"},
     "source_atoms": {"networks.query_entropy", "entropy.induce_joint"},
@@ -89,3 +91,19 @@ def test_the_engine_steps_are_named_only_in_their_entries():
             for step in named & ENGINE_STEPS.keys():
                 naming[step].add(f"{path.stem}.{getattr(stmt, 'name', type(stmt).__name__)}")
     assert naming == ENGINE_STEPS
+
+
+def test_only_networks_names_the_private_fields_of_a_network():
+    # the bit of a replica, the source sizes and the wiring masks and reads
+    # belong to networks; every other module goes through NetworkGraph's
+    # methods and the engine's steps
+    from dicbound.networks import NetworkGraph
+
+    private = {f.name for f in dataclasses.fields(NetworkGraph) if f.name.startswith("_")}
+    assert {"_bit", "_sizes", "_wired_masks", "_output_reads"} <= private
+    naming = set()
+    for path in sorted(Path(dicbound.__file__).parent.glob("*.py")):
+        if path.stem != "networks":
+            named = names_in(ast.parse(path.read_text(encoding="utf-8")))
+            naming |= {f"{path.stem}: {name}" for name in private if named[name]}
+    assert naming == set()

@@ -186,6 +186,15 @@ def test_variables_outside_the_network_are_rejected(xor2):
         cond_entropy_network(net, dist, [Y(1, 2)], [X(1)])
 
 
+def test_a_replica_mask_has_one_bit_per_position(shift2_221):
+    net = build_extended(shift2_221, builtin_recipe("4a", 2).recipe)
+    assert [net.mask([r]) for r in net.replicas] == [1 << i for i in range(len(net.replicas))]
+    assert net.mask(net.replicas + net.replicas[:1]) == (1 << len(net.replicas)) - 1
+    assert net.mask([]) == 0
+    with pytest.raises(DicboundError, match=r"^replica \(1, 9\) is not in this network$"):
+        net.mask([(1, 9)])
+
+
 def test_engine_matches_first_principles_oracle(shift2_221):
     tables = sample_product_distribution([4, 4], 99, 0).tables
     dist = SourceDistribution("product", [4, 4], tables)
@@ -386,8 +395,7 @@ def test_one_pass_closure_is_the_fixed_point(shift2_221, concat3):
             share = rng.choice((0.15, 0.35, 0.6))
             cond = {v for v in variables if rng.random() < share}
             # the closure works on bitmasks over replica positions
-            masks = [sum(1 << net.replicas.index(r) for r in rs) for rs in net.replica_sets(cond)]
-            known = networks._closure(net, *masks)
+            known = networks._closure(net, *net.replica_sets(cond))
             one_pass = {
                 VariableId(kind, *r) for kind, mask in zip("XVY", known) for i, r in enumerate(net.replicas) if mask >> i & 1
             }

@@ -146,7 +146,7 @@ def replica_rate_alone(network, dist, replica):
     y_reads = reads(network, "Y", replica)
     sources = sorted(y_reads)
     label = {r: i for i, r in enumerate(sources)}
-    xs, p = source_atoms(network, dist, [network.replicas.index(r) for r in sources])
+    xs, p = source_atoms(dist, [network.replicas.index(r) for r in sources])
     columns = [("X", (label[replica],)), ("Y", tuple(label[r] for r in y_reads))]
     values = evaluate_columns(network.channel, [u for u, _ in sources], xs, columns, {})
     return row_entropy(values[:, :1], p) + row_entropy(values[:, 1:], p) - row_entropy(values, p)
@@ -265,6 +265,13 @@ def test_increment_recovers_bound_examples(xor2):
     assert all(abs(inc - 1.0) < 1e-9 for inc in report.increments)  # H(Y1|V2)
     report_e = verify_chain_identity("4e", xor2, UNIFORM2, k_range=[1, 2, 3])
     assert all(abs(inc - 2.0) < 1e-9 for inc in report_e.increments)
+
+
+def test_an_empty_size_range_is_refused(xor2):
+    # a parametric identity over no size checks nothing, so it is an error,
+    # not a report with ok=True and no per-k line
+    with pytest.raises(DicboundError, match="^bound 4a is parametric; k_range must hold at least one size$"):
+        verify_chain_identity("4a", xor2, UNIFORM2, k_range=[])
 
 
 def test_limit_bound_examples(xor2):

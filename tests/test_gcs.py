@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -43,7 +44,7 @@ from dicbound.networks import (
 )
 from dicbound.sampling import sample_product_distribution
 
-from first_principles import reads, reference_query_shape, reference_reduce_query
+from first_principles import reads, reference_query_shape, reference_reduce_query, reference_replica_sets
 
 FIG_A = CutChain.of([{"S1", "S2", "D1"}, {"S1"}])  # opens on receiver 2
 FIG_B = CutChain.of([{"S1", "S2", "D2"}, {"S2"}])  # opens on receiver 1
@@ -318,6 +319,25 @@ def test_chain_values_equal_the_memo_free_reference(shift2_331, concat3, xor2):
         assert tightest_chain(values) == tightest_chain(expected)
 
 
+def test_search_and_identity_values_are_pinned(shift2_331, concat3):
+    # every chain value of the ineq5 (k = 1) and 4a (k = 3) searches, and
+    # every per-k entry of the ineq26 identity on concat3 at k = 1..6, as
+    # float.hex: a value that moves in its last bit changes the digest
+    lines = []
+    for net, dist, max_l in (
+        (*extended_search(concat3, "ineq5", 1, 22), 3),
+        (*extended_search(shift2_331, "4a", 3, 21), 2),
+    ):
+        lines += [f"{chain.canonical()}: {value.hex()}" for chain, value in chain_values(net, dist, max_l)]
+    law = sample_product_distribution(concat3.input_sizes, 5, 0)
+    report = verify_chain_identity("ineq26", concat3, law, k_range=range(1, 7))
+    assert report.ok
+    lines += [f"k={k}: {' '.join(v.hex() for v in values)}" for k, *values in report.per_k]
+    assert len(lines) == 817
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "908bc34abd0668e092eae8578fe9284be42db761236622d9fccb1e492a066628"
+
+
 def level_shape(network, dist, targets, cond):
     """The query shape of a (targets, conditioning) level, from the two
     public steps, or None when the level needs no query."""
@@ -424,7 +444,8 @@ def test_levels_with_equal_shapes_have_equal_values(xor2, shift2_331, concat3, s
 
 def test_the_mask_reduction_matches_the_set_reference(xor2, shift2_331, concat3):
     # reduce_query and query_shape work on replica bitmasks; the set-based
-    # reference gives the same shape and the same sorted sources on every
+    # reference, asked on the sets the masks stand for, gives the same shape
+    # and the same sorted sources on every
     # recipe level, every search level (the ineq5 and 4a searches, and joint
     # laws on the base networks), and on random asks that condition outputs
     # without their inputs, so every branch of the reduction is met
@@ -441,8 +462,10 @@ def test_the_mask_reduction_matches_the_set_reference(xor2, shift2_331, concat3)
             asks.append((net, dist, *({v for v in variables if rng.random() < 0.3} for _ in "tc")))
     branches = set()  # (law mode, every conditioned output with its input, determined)
     for net, dist, targets, cond in asks:
-        sets = net.replica_sets(targets), net.replica_sets(cond)
-        reduced, expected = reduce_query(net, dist, *sets), reference_reduce_query(net, dist, *sets)
+        masks = net.replica_sets(targets), net.replica_sets(cond)
+        sets = reference_replica_sets(net, targets), reference_replica_sets(net, cond)
+        assert masks == tuple(tuple(sum(1 << net.replicas.index(r) for r in rs) for rs in triple) for triple in sets)
+        reduced, expected = reduce_query(net, dist, *masks), reference_reduce_query(net, dist, *sets)
         assert (reduced is None) == (expected is None)
         if reduced is not None:
             shape, positions = query_shape(net, dist, *reduced)
