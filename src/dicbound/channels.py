@@ -94,6 +94,14 @@ class DeterministicChannel:
         built once per channel object."""
         return tuple(np.array(t, dtype=np.int64) for t in self.g), tuple(np.array(t, dtype=np.int64) for t in self.f)
 
+    @cached_property
+    def network(self):
+        """The channel as its own one-hop network (``networks.base_network``),
+        built and checked once per channel object: it holds no law."""
+        from .networks import one_hop_network
+
+        return one_hop_network(self)
+
     def interferers(self, user: int) -> tuple[int, ...]:
         """0-based indices of the other users, ascending."""
         return tuple(j for j in range(self.user_count) if j != user)

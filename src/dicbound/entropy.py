@@ -222,19 +222,18 @@ def induce_joint(model, dist: SourceDistribution) -> JointTable:
     NetworkGraph.  An entry of the engine: it checks the law, then
     enumerates every source position, in replica order, and evaluates the
     columns of ``all_variables()`` (every X, then every V, then every Y) as
-    ``query_shape`` gives them on the full masks, labelled by position.
+    ``query_plan`` gives them on the full masks, labelled by position.
     Atom probabilities are exactly the source probabilities.
     """
-    from .networks import base_network, check_law, evaluate_columns, query_shape, source_atoms
+    from .networks import base_network, check_law, evaluate_columns, query_plan, source_atoms
 
     if isinstance(model, DeterministicChannel):
         model = base_network(model)
     check_law(model, dist)
     every = model.mask(model.replicas)
-    (_, _, columns), positions = query_shape(model, dist, (), (("X", every), ("V", every), ("Y", every)))
-    xs, p = source_atoms(dist, positions)
-    users = [u for u, _ in model.replicas]
-    return JointTable(model.all_variables(), evaluate_columns(model.channel, users, xs, columns, {}), p)
+    plan = query_plan(model, (), (("X", every), ("V", every), ("Y", every)))
+    xs, p = source_atoms(dist, plan.positions)
+    return JointTable(model.all_variables(), evaluate_columns(model.channel, plan.users, xs, plan.columns, {}), p)
 
 
 def row_entropy(values: np.ndarray, probs: np.ndarray, keys: int = 0) -> float:

@@ -15,6 +15,18 @@ H(Y_u | V_A).
 ``chain_closed_form`` is the one closed-form total: it sums a recipe's terms
 from one ``base_terms`` evaluation, for ``verify_chain_identity`` and
 ``limit_bound`` alike.
+
+A built-in recipe is instantiated once per (id, k) and process, and is
+evaluated under many laws, so it keeps what does not depend on the law: each
+``BoundRecipe`` the compiled queries of its chain's levels, and each
+``ReplicationRecipe`` those of its replica rates (``networks.QueryPlan``),
+compiled on first use and dropped with the recipe cache.  A plan depends on
+the counts, the wiring and the product-law mode alone, so it holds on every
+channel; every call still builds and checks its network, and every law
+still goes through ``networks.memo_entropy``.  Chain plans belong to the
+``BoundRecipe``, never to its network: 4a, 4b and 4e at k = 1, 4c and 4d
+share one network and not one chain, as do 4a at k = 2 and 4f, and 4b at
+k = 2 and 4g.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from itertools import accumulate
@@ -32,16 +44,18 @@ from typing import Mapping, Sequence
 from .channels import DeterministicChannel, is_int
 from .entropy import SourceDistribution, base_terms
 from .errors import DicboundError, RecipeError, UnsupportedBoundError
-from .gcs import CutChain, _chain_value, chain_from_cuts
+from .gcs import CutChain, _chain_value, chain_from_cuts, chain_plans
 from .networks import (
     NetworkGraph,
     Replica,
     ShapeMemo,
     base_network,
+    compile_query,
     memo_entropy,
     node_labels,
     replicas_from_counts,
     replicate_distribution,
+    shared_plans,
 )
 
 IDENTITY_TOL = 1e-9
@@ -70,6 +84,23 @@ class ReplicationRecipe:
 
     counts: tuple[int, ...]
     wiring: tuple[tuple[Replica, tuple[Replica, ...]], ...]
+    _rate_plans: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def rate_plans(self, base: NetworkGraph, network: NetworkGraph) -> tuple:
+        """The compiled queries H(Y) and H(Y | X) of each replica of the base
+        network, then each replica of ``network``, an instance of this
+        recipe, with that replica, under a product law.  They depend on the
+        counts and the wiring alone (the base network's on the user count),
+        so they are compiled on first use and kept with the recipe."""
+        if self._rate_plans is None:
+            asks = [(net, r, net.mask([r])) for net in (base, network) for r in net.replicas]
+            plans = shared_plans(
+                compile_query(net, True, (0, 0, bit), cond) for net, _, bit in asks for cond in ((0, 0, 0), (bit, 0, 0))
+            )
+            rates = tuple(zip([r for _, r, _ in asks], plans[::2], plans[1::2]))
+            split = len(base.replicas)
+            object.__setattr__(self, "_rate_plans", (rates[:split], rates[split:]))
+        return self._rate_plans
 
 
 def build_extended(channel: DeterministicChannel, recipe: ReplicationRecipe) -> NetworkGraph:
@@ -195,6 +226,17 @@ class BoundRecipe:
     recipe: ReplicationRecipe
     chain: CutChain
     closed_terms: tuple[ClosedTerm, ...]
+    _level_plans: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def level_plans(self, network: NetworkGraph) -> tuple:
+        """The compiled queries of the chain's levels on ``network``, an
+        instance of ``recipe``, under a product law (``gcs.chain_plans``).
+        They depend on the counts and the wiring alone, so they are compiled
+        on first use and kept with this recipe: the chain is this recipe's
+        own, so equal network recipes of other ids never share them."""
+        if self._level_plans is None:
+            object.__setattr__(self, "_level_plans", chain_plans(network, self.chain, product=True))
+        return self._level_plans
 
     def term_counts(self) -> Counter[tuple[int, frozenset[int]]]:
         return Counter(t.key for t in self.closed_terms)
@@ -307,14 +349,14 @@ def verify_replica_rates(
     network = build_extended(channel, recipe)
     rdist = replicate_distribution(network, dist)
     base = base_network(channel)
+    base_rates, replica_rates = recipe.rate_plans(base, network)
     memo = ShapeMemo()
 
-    def mi(net, d, replica):
-        r = net.mask([replica])
-        return memo_entropy(net, d, (0, 0, r), (0, 0, 0), memo) - memo_entropy(net, d, (0, 0, r), (r, 0, 0), memo)
+    def mi(net, d, y, y_given_x):
+        return memo_entropy(net, d, y, memo) - memo_entropy(net, d, y_given_x, memo)
 
-    base_values = tuple(mi(base, dist, r) for r in base.replicas)
-    replica_values = tuple((r, mi(network, rdist, r)) for r in network.replicas)
+    base_values = tuple(mi(base, dist, *plans) for _, *plans in base_rates)
+    replica_values = tuple((r, mi(network, rdist, *plans)) for r, *plans in replica_rates)
     deviation = max((abs(value - base_values[u - 1]) for (u, _), value in replica_values), default=0.0)
     return RateReport(base_values=base_values, replica_values=replica_values, max_deviation=deviation)
 
@@ -358,7 +400,7 @@ def verify_chain_identity(
     for recipe in recipes:
         network = build_extended(channel, recipe.recipe)
         rdist = replicate_distribution(network, dist)
-        evaluated.append(_chain_value(network, recipe.chain, rdist, shapes))
+        evaluated.append(_chain_value(network, rdist, recipe.level_plans(network), shapes))
     values = base_terms(channel, dist, (t.key for r in recipes for t in r.closed_terms))
     per_k, diagnostics, ok = [], [], True
     for k, recipe, value in zip(ks, recipes, evaluated):

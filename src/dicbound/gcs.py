@@ -12,37 +12,48 @@ valid chain arises this way.  ``chain_from_cuts`` is the one constructor; it
 builds enumerated chains and recipe chains alike.
 
 Level j is H(Y(R_{j-1} - R_j) | X, Y(all - R_{j-1})), so the pair
-(R_{j-1}, R_j) alone decides its value, whichever chain it occurs in.
-``_chain_levels`` gives a level as two replica bitmasks, of the replicas
-cut before it and of those it cuts, and each distinct level is asked once
-of ``networks.memo_entropy``, the one network query, which evaluates only a
-query shape its memo has not met.  A hit is exact: a shape renames replicas
-only within a user under equal tables, and a user's replicas run i.i.d.
-copies of its inputs.  The memo, a ``networks.ShapeMemo``, also enumerates each
-source-table tuple once for all the shapes that read it (the ineq5 search
-at k = 1: 622 shapes, 8 enumerations), under a product or a joint law.
-``_chain_value`` is the one evaluator; its caller keeps the shape memo:
-``evaluate_chain`` starts one per chain, ``extend.verify_chain_identity``
-one across its k range (one channel, the replicas of one base law), and
-``chain_values`` one per call, with a local dict of its chains' levels, so
-each distinct level is reduced once.
+(R_{j-1}, R_j) alone decides its value, whichever chain it occurs in.  A
+level is two replica bitmasks, (cut, fresh), of the replicas cut before it
+and of those it cuts, and a chain's *walk* is its levels in order.  A
+level's query is compiled once (``networks.compile_query``, law-free) and
+asked of ``networks.memo_entropy``, the one network query, which evaluates
+only a query shape its memo has not met.  A hit is exact: a shape renames
+replicas only within a user under equal tables, and a user's replicas run
+i.i.d. copies of its inputs.  The memo, a ``networks.ShapeMemo``, also
+enumerates each source-table tuple once for all the shapes that read it (the
+ineq5 search at k = 1: 622 shapes, 8 enumerations), under a product or a
+joint law.
+
+``_chain_value`` is the one evaluator of a given chain, from its level plans
+(``chain_plans``); its caller keeps the shape memo: ``evaluate_chain``
+starts one per chain and reads the levels off the chain's labels, and
+``extend.verify_chain_identity`` one across its k range (one channel, the
+replicas of one base law), with the plans each cached recipe keeps.  The
+searches start from the walks, not from labels: ``_chain_walks`` lists
+every chain up to a length as its walk, once, after counting them against
+``MAX_CHAINS``; ``_walk_values`` asks each distinct level once, with one
+shape memo per call, and sums each walk's levels with ``math.fsum``.
+``chain_values`` (``gcs --enumerate``) turns every walk into its chain and
+lists them canonically ordered; ``min_chain_bound`` turns only the walks
+tied at the least value into chains, for the one tie rule,
+``tightest_chain``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .entropy import SourceDistribution
 from .errors import BudgetExceededError, ChainValidationError, DicboundError
-from .networks import NetworkGraph, Replica, ShapeMemo, memo_entropy
+from .networks import NetworkGraph, QueryPlan, Replica, ShapeMemo, compile_query, memo_entropy, shared_plans
 
-# enumerate_chains refuses to build more.  The largest enumeration in the
-# benchmark builds 794 (ineq5 at k = 1, up to length 3); `gcs --enumerate` on
-# xor2 up to length 30 builds 9,455 and takes 1.8-2.0 s and 96 MB on a 2-core Xeon,
-# and time and memory grow with the chain count times the chain length.
+# The chain searches and enumerate_chains refuse to walk more chains.  The
+# largest search in the benchmark walks 794 (ineq5 at k = 1, up to length 3);
+# `gcs --enumerate` on xor2 up to length 30 walks and prints 9,455 in 1.0-1.1 s
+# with 105 MB peak RSS on a 2-core Xeon, and time and memory grow with the
+# chain count times the chain length.
 MAX_CHAINS = 10_000
 
 
@@ -97,6 +108,7 @@ def validate_chain(network: NetworkGraph, chain: CutChain) -> list[str]:
 
 
 Level = tuple[int, int]
+Walk = tuple[Level, ...]
 
 
 def _chain_levels(network: NetworkGraph, chain: CutChain) -> list[Level]:
@@ -109,18 +121,25 @@ def _chain_levels(network: NetworkGraph, chain: CutChain) -> list[Level]:
     return [(every & ~outer, outer & ~inner) for outer, inner in zip(uncut, uncut[1:])]
 
 
-def _level_value(network: NetworkGraph, dist: SourceDistribution, level: Level, shapes: ShapeMemo) -> float:
-    """H(Y(fresh) | X(cut), Y(cut)): the outputs a level cuts given the
-    inputs and outputs of every replica already cut, asked of
-    ``memo_entropy`` on replica bitmasks with ``shapes`` as its memo."""
+def _level_plan(network: NetworkGraph, level: Level, product: bool) -> QueryPlan | None:
+    """The compiled query H(Y(fresh) | X(cut), Y(cut)) of a level: the
+    outputs it cuts given the inputs and outputs of every replica already
+    cut, or None when it cuts nothing."""
     cut, fresh = level
-    return memo_entropy(network, dist, (0, 0, fresh), (cut, 0, cut), shapes) if fresh else 0.0
+    return compile_query(network, product, (0, 0, fresh), (cut, 0, cut)) if fresh else None
 
 
-def _chain_value(network: NetworkGraph, chain: CutChain, dist: SourceDistribution, shapes: ShapeMemo) -> ChainValue:
-    """The value of a valid chain, not re-validated.  ``shapes`` is the shape
-    memo of ``_level_value``, and may span networks of one channel."""
-    terms = tuple(_level_value(network, dist, level, shapes) for level in _chain_levels(network, chain))
+def chain_plans(network: NetworkGraph, chain: CutChain, product: bool) -> tuple[QueryPlan | None, ...]:
+    """The law-free plans of a valid chain's levels on the network, for a
+    product law or not: what each level asks, whatever the law."""
+    return shared_plans(_level_plan(network, level, product) for level in _chain_levels(network, chain))
+
+
+def _chain_value(network: NetworkGraph, dist: SourceDistribution, plans, shapes: ShapeMemo) -> ChainValue:
+    """The value of a chain from its level plans (``chain_plans``, for the
+    law's mode), each asked of ``memo_entropy`` with ``shapes`` as its memo,
+    which may span networks of one channel."""
+    terms = tuple([memo_entropy(network, dist, plan, shapes) for plan in plans])
     return ChainValue(total=math.fsum(terms), terms=terms)
 
 
@@ -129,7 +148,7 @@ def evaluate_chain(network: NetworkGraph, chain: CutChain, dist: SourceDistribut
     violations = validate_chain(network, chain)
     if violations:
         raise ChainValidationError(violations)
-    return _chain_value(network, chain, dist, ShapeMemo())
+    return _chain_value(network, dist, chain_plans(network, chain, dist.mode == "product"), ShapeMemo())
 
 
 def chain_from_cuts(
@@ -140,7 +159,7 @@ def chain_from_cuts(
     in ``labels`` (replica -> source and destination label) and R_l is empty.
     Level j is S(R_{j-1}) | D(R_j), so the chain satisfies the membership rule
     by construction."""
-    if set(uncut[0]) != set(labels) or uncut[-1]:
+    if not uncut or set(uncut[0]) != set(labels) or uncut[-1]:
         raise DicboundError("a cut chain starts with every replica uncut and ends with none")
     subsets = []
     for outer, inner in zip(uncut, uncut[1:]):
@@ -150,6 +169,66 @@ def chain_from_cuts(
     return CutChain(tuple(subsets))
 
 
+def _chain_walks(network: NetworkGraph, max_l: int) -> list[Walk]:
+    """Every chain of length 1..max_l as its walk, the (cut, fresh) replica
+    bitmasks of its levels (see ``_chain_levels``), once each: a chain of
+    length l gives each of the n replicas the level that cuts it, so there
+    are l**n walks of that length.  More than ``MAX_CHAINS`` in all are
+    refused before any is built."""
+    if max_l < 1:
+        raise DicboundError("max_l must be >= 1")
+    total = 0
+    for length in range(1, max_l + 1):
+        total += length ** len(network.replicas)
+        if total > MAX_CHAINS:
+            raise BudgetExceededError(f"more than {MAX_CHAINS} cut chains of length up to {max_l}")
+    walks: list[Walk] = []
+    for length in range(1, max_l + 1):
+        _extend_walk((), 0, network.mask(network.replicas), length, walks)
+    return walks
+
+
+def _extend_walk(prefix: Walk, cut: int, uncut: int, left: int, walks: list[Walk]) -> None:
+    """Append to ``walks`` every walk of ``left`` more levels after
+    ``prefix``, ``cut`` and ``uncut`` being the replicas cut and not yet cut
+    after it: each level but the last cuts any subset of the uncut replicas,
+    the empty one included, and the last cuts them all."""
+    if left == 1:
+        walks.append(prefix + ((cut, uncut),))
+        return
+    fresh = uncut
+    while True:  # every subset of uncut, from uncut itself down to empty
+        _extend_walk(prefix + ((cut, fresh),), cut | fresh, uncut & ~fresh, left - 1, walks)
+        if not fresh:
+            return
+        fresh = (fresh - 1) & uncut
+
+
+def _walk_chains(network: NetworkGraph, walks: Iterable[Walk]) -> list[CutChain]:
+    """The chain of each walk, built by ``chain_from_cuts`` from the replicas
+    still uncut after each of its levels."""
+    labels = dict(zip(network.replicas, network.pairs()))
+    bits = [(r, network.mask([r])) for r in network.replicas]
+    every = network.mask(network.replicas)
+    chains = []
+    for walk in walks:
+        uncut, left = [frozenset(labels)], every
+        for _, fresh in walk:
+            left &= ~fresh
+            uncut.append(frozenset(r for r, bit in bits if left & bit))
+        chains.append(chain_from_cuts(labels, uncut))
+    return chains
+
+
+def _sorted_chains(network: NetworkGraph, max_l: int) -> list[tuple[CutChain, Walk]]:
+    """Every chain of length 1..max_l with its walk, canonically ordered:
+    by length, then canonical form."""
+    walks = _chain_walks(network, max_l)
+    pairs = list(zip(_walk_chains(network, walks), walks))
+    pairs.sort(key=lambda cw: (len(cw[0]), cw[0].canonical()))
+    return pairs
+
+
 def enumerate_chains(network: NetworkGraph, max_l: int) -> list[CutChain]:
     """Every valid chain of length 1..max_l, canonically ordered, no duplicates:
     one per nested sequence of uncut replica sets ending empty.
@@ -157,38 +236,30 @@ def enumerate_chains(network: NetworkGraph, max_l: int) -> list[CutChain]:
     A chain of length l assigns each of the n replicas the level 1..l that
     cuts it, so there are l**n such chains; more than ``MAX_CHAINS`` in all
     are refused before any is built."""
-    if max_l < 1:
-        raise DicboundError("max_l must be >= 1")
-    replicas = network.replicas
-    total = 0
-    for length in range(1, max_l + 1):
-        total += length ** len(replicas)
-        if total > MAX_CHAINS:
-            raise BudgetExceededError(f"more than {MAX_CHAINS} cut chains of length up to {max_l}")
-    labels = dict(zip(replicas, network.pairs()))
-    chains = []
-    for length in range(1, max_l + 1):
-        for cut_at in product(range(1, length + 1), repeat=len(replicas)):
-            uncut = [frozenset(r for r, t in zip(replicas, cut_at) if t > j) for j in range(length + 1)]
-            chains.append(chain_from_cuts(labels, uncut))
-    chains.sort(key=lambda c: (len(c), c.canonical()))
-    return chains
+    return [chain for chain, _ in _sorted_chains(network, max_l)]
+
+
+def _walk_values(network: NetworkGraph, dist: SourceDistribution, walks: Sequence[Walk]) -> list[float]:
+    """The value of each walk: the ``math.fsum`` of its levels' values, each
+    distinct level compiled and asked once, in the order the walks first meet
+    it, with one shape memo; both are dropped when the call returns."""
+    product, shapes, levels = dist.mode == "product", ShapeMemo(), {}
+    for walk in walks:
+        for level in walk:
+            if level not in levels:
+                levels[level] = memo_entropy(network, dist, _level_plan(network, level, product), shapes)
+    return [math.fsum(map(levels.__getitem__, walk)) for walk in walks]
 
 
 def chain_values(
     network: NetworkGraph, dist: SourceDistribution, max_l: int
 ) -> list[tuple[CutChain, float]]:
-    """Every enumerated chain with its value, not re-validated: enumerated
-    chains are valid by construction.  The local ``levels`` dict reduces
-    each distinct level once, in the order the chains first meet it, and
-    the shape memo asks each distinct query shape once, under a product or
-    a joint law; both are dropped when the call returns."""
-    chains = enumerate_chains(network, max_l)
-    walks = [_chain_levels(network, chain) for chain in chains]
-    shapes = ShapeMemo()
-    distinct = dict.fromkeys(level for walk in walks for level in walk)
-    levels = {level: _level_value(network, dist, level, shapes) for level in distinct}
-    return [(chain, math.fsum(map(levels.__getitem__, walk))) for chain, walk in zip(chains, walks)]
+    """Every enumerated chain with its value, canonically ordered, not
+    re-validated: enumerated chains are valid by construction.  Each distinct
+    level is compiled and asked once, and the shape memo asks each distinct
+    query shape once, under a product or a joint law."""
+    chains, walks = zip(*_sorted_chains(network, max_l))
+    return list(zip(chains, _walk_values(network, dist, walks)))
 
 
 def tightest_chain(values: Iterable[tuple[CutChain, float]]) -> tuple[CutChain, float]:
@@ -201,5 +272,11 @@ def tightest_chain(values: Iterable[tuple[CutChain, float]]) -> tuple[CutChain, 
 def min_chain_bound(
     network: NetworkGraph, dist: SourceDistribution, max_l: int
 ) -> tuple[CutChain, float]:
-    """Tightest chain value over all chains up to length max_l."""
-    return tightest_chain(chain_values(network, dist, max_l))
+    """Tightest chain value over all chains up to length max_l: every walk is
+    valued, and only the walks tied at the least value become chains, for
+    ``tightest_chain``."""
+    walks = _chain_walks(network, max_l)
+    values = _walk_values(network, dist, walks)
+    best = min(values)
+    walks, values = zip(*[(walk, value) for walk, value in zip(walks, values) if value == best])
+    return tightest_chain(zip(_walk_chains(network, walks), values))

@@ -25,37 +25,46 @@ H(keys, live) - H(keys) in one pass over its columns, keys first.  The
 engine has two entries, and each checks the law once with ``check_law``:
 ``query_entropy``, reached only through ``memo_entropy``, enumerates only
 the positions its columns read, and ``entropy.induce_joint`` enumerates
-every position for a full joint table, with the columns ``query_shape``
+every position for a full joint table, with the columns ``query_plan``
 gives on the full masks.  Under a product law, conditioning on a source's
 input and its receiver's output pins down the interference it saw, which
 shrinks a query's sources further.
 
-``memo_entropy`` is the one network query and the only caller of its
-steps.  On (X, V, Y) mask triples of the targets and of the conditioning,
-it checks the law; ``reduce_query`` computes that closure on the masks with
-the interference masks ``NetworkGraph`` builds once, and returns the key
-and live columns as (kind, bitmask) groups, or None when the conditioning
-determines every target; ``query_shape`` names a query up to renaming
-replicas of one user under equal tables, so equal shapes have values equal
-bit for bit, and lists the positions the query reads, ascending, so a
-source's label is its rank among them; and ``query_entropy``, the engine
-entry, runs only for a shape not yet in the caller's ``ShapeMemo``, which
-also keeps, within ``MAX_ATOMS`` cells, one enumeration per source-table
-tuple (a shape's first part) and the columns evaluated at it, so queries
-that read equal tables enumerate once.  A joint-law source is named in the
-shape by the law and its position in it, so every query has a shape.
-Chain levels share a memo per chain, chain search or identity k range (see
-``gcs``), replica rates one over the base and extended network, and
-``cond_entropy_network`` (and ``network_entropy``), the public
-``VariableId`` front end on the masks ``replica_sets`` builds, has a fresh
-one per call.
+A network query has two halves.  The law-free half, ``compile_query``,
+takes (X, V, Y) mask triples of the targets and of the conditioning and
+whether the law is a product law: ``reduce_query`` computes that closure on
+the masks with the interference masks ``NetworkGraph`` builds once, and
+returns the key and live columns as (kind, bitmask) groups, or None when
+the conditioning determines every target; ``query_plan`` then lists the
+positions the query reads, ascending, so a source's label is its rank among
+them, their users, the key count and the relabelled columns.  A
+``QueryPlan`` depends only on a network's counts and wiring, not on its
+channel or law, so a caller that asks one query under many laws compiles it
+once: recipe chains and replica rates keep theirs on the cached recipes
+(see ``extend``), and ``shared_plans`` holds their repeated parts once.
+The law step, ``memo_entropy``, is the one network query and the one law
+evaluator: it checks the law, turns the plan into a shape with
+``query_shape``, which names a query up to renaming replicas of one user
+under equal tables, so equal shapes have values equal bit for bit, and runs
+``query_entropy``, the engine entry, only for a shape not yet in the
+caller's ``ShapeMemo``.  The memo also keeps, within ``MAX_ATOMS`` cells,
+one enumeration per source-table tuple (a shape's first part) and the
+columns evaluated at it, so queries that read equal tables enumerate once.
+A joint-law source is named in the shape by the law and its position in it,
+so every query has a shape.  Chain levels share a memo per chain, chain
+search or identity k range (see ``gcs``), replica rates one over the base
+and extended network, and ``cond_entropy_network`` (and
+``network_entropy``), the public ``VariableId`` front end on the masks
+``replica_sets`` builds, compiles its query and has a fresh memo per call.
+A channel's own one-hop network, ``base_network``, is built and checked
+once per channel object.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -197,7 +206,15 @@ class NetworkGraph:
 
 
 def base_network(channel: DeterministicChannel) -> NetworkGraph:
-    """Wrap a channel as its own one-hop network (nodes S1..  D1..)."""
+    """The channel as its own one-hop network (nodes S1..  D1..), built and
+    checked once per channel object and kept on it as
+    ``DeterministicChannel.network``, like its validity."""
+    return channel.network
+
+
+def one_hop_network(channel: DeterministicChannel) -> NetworkGraph:
+    """Build the channel's one-hop network: each user once, its receiver
+    wired to the one copy of every other user."""
     wiring = tuple(
         ((u, 1), tuple((j + 1, 1) for j in channel.interferers(u - 1)))
         for u in range(1, channel.user_count + 1)
@@ -360,13 +377,13 @@ def _closure(network: NetworkGraph, xs: int, vs: int, ys: int):
     return xs, known_v, known_y
 
 
-def reduce_query(network: NetworkGraph, dist: SourceDistribution, targets, cond):
+def reduce_query(network: NetworkGraph, product: bool, targets, cond):
     """The reduction step of the network query, on (X, V, Y) triples of
-    replica bitmasks: H(targets | cond) = H(live | keys), or None when the
-    conditioning determines every target and the value is 0.  The keys and
-    the live columns are returned as (kind, replica bitmask) groups, in
-    column order: groups in order, and within a group replicas in sorted
-    order, which is the order of their positions.
+    replica bitmasks, for a product law or not: H(targets | cond) = H(live |
+    keys), or None when the conditioning determines every target and the
+    value is 0.  The keys and the live columns are returned as (kind, replica
+    bitmask) groups, in column order: groups in order, and within a group
+    replicas in sorted order, which is the order of their positions.
 
     Under a product law whose conditioned outputs each come with their own
     input, the closure of the conditioning drops the targets it determines,
@@ -374,7 +391,7 @@ def reduce_query(network: NetworkGraph, dist: SourceDistribution, targets, cond)
     source with what is left.  Otherwise the keys are the conditioning.
     """
     (t_x, t_v, t_y), (c_x, c_v, c_y) = targets, cond
-    if dist.mode == "product" and not c_y & ~c_x:
+    if product and not c_y & ~c_x:
         k_x, k_v, k_y = _closure(network, c_x, c_v, c_y)
         t_x, t_v, t_y = t_x & ~k_x, t_v & ~k_v, t_y & ~k_y
         if not (t_x or t_v or t_y):
@@ -390,22 +407,25 @@ def reduce_query(network: NetworkGraph, dist: SourceDistribution, targets, cond)
     return keys, (("V", t_v), ("X", t_x), ("Y", t_y))
 
 
-def query_shape(network: NetworkGraph, dist: SourceDistribution, keys, live):
-    """The shape of a reduced query, given as ``reduce_query`` returns it,
-    and the positions of the sources its columns read, ascending, the order
-    the enumeration uses.
+class QueryPlan(NamedTuple):
+    """The law-free half of a network query: the ascending source positions
+    its columns read, the user of each, the number of key columns, and each
+    column, keys first, as (kind, the sources it reads relabelled by their
+    rank among ``positions``: its own, then, for an output, the wired ones in
+    user order).  It depends only on the network's counts and wiring, not on
+    its channel."""
 
-    The shape relabels those sources by their rank among those positions,
-    the set bits of the bitmask of the sources read.  It lists each source
-    as (user, its law's table) under a product law, or as (user, (the law,
-    the source's position in it)) under a joint law, which hashes by
-    identity; then the number of keys; then each column as (kind,
-    relabelled sources it reads: its own, then, for an output, the wired
-    ones in user order).  Equal shapes differ only by renaming replicas of
-    the same user under the same tables, or, under one joint law, at the
-    same positions, and the engine runs the same arrays through the same
-    arithmetic for both, so their entropies are equal bit for bit.
-    """
+    positions: tuple[int, ...]
+    users: tuple[int, ...]
+    keys: int
+    columns: tuple[tuple[str, tuple[int, ...]], ...]
+
+
+def query_plan(network: NetworkGraph, keys, live) -> QueryPlan:
+    """The plan of a reduced query, given as ``reduce_query`` returns it: the
+    sources it reads are the set bits of the bitmask of what its columns
+    read, and a source's label is its rank among them, the order the
+    enumeration uses."""
     replicas, output_reads, wired = network.replicas, network._output_reads, network._wired_masks
     at, read = [], 0  # (kind, positions read) per column, in column order
     for kind, mask in keys + live:
@@ -419,32 +439,71 @@ def query_shape(network: NetworkGraph, dist: SourceDistribution, keys, live):
     for rank, i in enumerate(positions):  # a source's label is its rank in read
         label[i] = rank
     columns = tuple([(kind, tuple(map(label.__getitem__, reads))) for kind, reads in at])
+    users = tuple([replicas[i][0] for i in positions])
+    return QueryPlan(tuple(positions), users, sum(mask.bit_count() for _, mask in keys), columns)
+
+
+def compile_query(network: NetworkGraph, product: bool, targets, cond) -> QueryPlan | None:
+    """The law-free half of the network query H(targets | cond), on (X, V, Y)
+    triples of replica bitmasks (see ``NetworkGraph.mask``), for a product
+    law or not: ``reduce_query``, then ``query_plan``, or None when the
+    conditioning determines every target.  A caller that asks the same query
+    under many laws compiles it once."""
+    reduced = reduce_query(network, product, targets, cond)
+    return None if reduced is None else query_plan(network, *reduced)
+
+
+def shared_plans(plans: Iterable[QueryPlan | None]) -> tuple[QueryPlan | None, ...]:
+    """The plans again, with equal positions, users, columns and column
+    tuples held once among them: the plans a caller keeps for a whole chain
+    or network repeat these parts, and hold under half as much shared."""
+    parts: dict = {}
+
+    def share(part):
+        return parts.setdefault(part, part)
+
+    return tuple(
+        plan and QueryPlan(share(plan.positions), share(plan.users), plan.keys, share(tuple(map(share, plan.columns))))
+        for plan in plans
+    )
+
+
+def query_shape(dist: SourceDistribution, plan: QueryPlan):
+    """The law step of a query: the shape that names it in a ``ShapeMemo``.
+
+    The shape lists each source the plan reads as (user, its law's table)
+    under a product law, or as (user, (the law, the source's position in
+    it)) under a joint law, which hashes by identity; then the number of
+    keys; then the plan's relabelled columns.  Equal shapes differ only by
+    renaming replicas of the same user under the same tables, or, under one
+    joint law, at the same positions, and the engine runs the same arrays
+    through the same arithmetic for both, so their entropies are equal bit
+    for bit.
+    """
     named = dist.tables or [(dist, i) for i in range(len(dist.sizes))]
-    tables = tuple([(replicas[i][0], named[i]) for i in positions])
-    n_keys = sum(mask.bit_count() for _, mask in keys)
-    return (tables, n_keys, columns), positions
+    return tuple(zip(plan.users, map(named.__getitem__, plan.positions))), plan.keys, plan.columns
 
 
-def memo_entropy(network: NetworkGraph, dist: SourceDistribution, targets, cond, memo: ShapeMemo) -> float:
-    """H(targets | cond) on (X, V, Y) triples of replica bitmasks (see
-    ``NetworkGraph.mask``): the one network query.
+def memo_entropy(network: NetworkGraph, dist: SourceDistribution, plan: QueryPlan | None, memo: ShapeMemo) -> float:
+    """The one network query, and its one law step: the value of a query
+    compiled by ``compile_query`` for this network's counts and wiring and
+    for the law's mode.
 
-    It checks the law, since a shape reads its tables; reduces the query,
-    returning 0.0 when the conditioning determines every target; looks the
-    query shape up in ``memo.values``; and runs ``query_entropy`` only for a
-    shape not yet there, storing its value.  The engine reuses, from the same
-    memo, the enumeration of each source-table tuple and the columns already
-    evaluated at it, within the ``MAX_ATOMS`` rule of ``ShapeMemo``.  A memo
-    may span networks of one channel, since a shape names users, not
-    channels, and a joint-law source by its position."""
+    It checks the law, since a shape reads its tables; returns 0.0 for a
+    query the conditioning determines (no plan); looks the query shape up in
+    ``memo.values``; and runs ``query_entropy`` only for a shape not yet
+    there, storing its value.  The engine reuses, from the same memo, the
+    enumeration of each source-table tuple and the columns already evaluated
+    at it, within the ``MAX_ATOMS`` rule of ``ShapeMemo``.  A memo may span
+    networks of one channel, since a shape names users, not channels, and a
+    joint-law source by its position."""
     check_law(network, dist)
-    reduced = reduce_query(network, dist, targets, cond)
-    if reduced is None:
+    if plan is None:
         return 0.0
-    shape, positions = query_shape(network, dist, *reduced)
+    shape = query_shape(dist, plan)
     value = memo.values.get(shape)
     if value is None:
-        value = memo.values[shape] = query_entropy(network, dist, positions, shape, memo)
+        value = memo.values[shape] = query_entropy(network, dist, plan.positions, shape, memo)
     return value
 
 
@@ -452,9 +511,10 @@ def cond_entropy_network(
     network: NetworkGraph, dist: SourceDistribution, targets: Iterable[VariableId], cond: Iterable[VariableId] = ()
 ) -> float:
     """H(targets | cond) on the network without materializing the full joint:
-    the public ``VariableId`` front end, ``memo_entropy`` on the variables'
-    replica bitmasks with a memo of its own."""
-    return memo_entropy(network, dist, network.replica_sets(targets), network.replica_sets(cond), ShapeMemo())
+    the public ``VariableId`` front end: the query compiled on the variables'
+    replica bitmasks, then ``memo_entropy`` with a memo of its own."""
+    plan = compile_query(network, dist.mode == "product", network.replica_sets(targets), network.replica_sets(cond))
+    return memo_entropy(network, dist, plan, ShapeMemo())
 
 
 def network_entropy(network: NetworkGraph, dist: SourceDistribution, subset) -> float:

@@ -16,8 +16,9 @@ from itertools import product
 
 import numpy as np
 
-from dicbound.entropy import VariableId
+from dicbound.entropy import VariableId, X, Y
 from dicbound.extend import bound_support_info, builtin_recipe
+from dicbound.networks import cond_entropy_network
 
 
 def oracle_entropy(probs) -> float:
@@ -291,3 +292,29 @@ def affine_term_multiplicities(bound_id):
         assert c2 == a * (lo + 2) + b, f"{bound_id}: term multiplicity for {key} is not affine in k"
         out[key] = (a, b)
     return out
+
+
+def reference_levels(network, chain):
+    """Per level: (target outputs, conditioning), read from the node labels of
+    every replica at every level, with no assumption that the chain is valid."""
+    full = [network.nodes()] + list(chain.subsets)
+    levels = []
+    for omega_prev, omega in zip(full, full[1:]):
+        targets, cond = set(), set()
+        for (user, copy), (src, dst) in zip(network.replicas, network.pairs()):
+            if dst in omega_prev and dst not in omega:
+                targets.add(Y(user, copy))
+            if dst not in omega_prev:
+                cond.add(Y(user, copy))
+            if src not in omega:
+                cond.add(X(user, copy))
+        levels.append((targets, cond))
+    return levels
+
+
+def reference_terms(network, chain, dist):
+    """Every level of the chain evaluated with its own network query."""
+    return tuple(
+        cond_entropy_network(network, dist, targets, cond) if targets else 0.0
+        for targets, cond in reference_levels(network, chain)
+    )

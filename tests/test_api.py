@@ -62,14 +62,17 @@ def test_every_public_definition_is_used_exported_or_listed():
 
 
 # each step of the entropy engine -> the only library statements that may name
-# it: memo_entropy, the one network query, and induce_joint, the one joint
-# table, each check the law once and take their columns from query_shape, and
-# only query_entropy and induce_joint enumerate sources and evaluate columns,
-# both by source position, so no query skips the law check, the memo or the
-# atom cap
+# it: compile_query, the law-free half of a network query, reduces it and
+# takes its columns from query_plan, as induce_joint, the one joint table,
+# does on the full masks; memo_entropy, the one network query's law step, and
+# induce_joint each check the law once, and only memo_entropy names a query's
+# shape; and only query_entropy and induce_joint enumerate sources and
+# evaluate columns, both by source position, so no query skips the law
+# check, the memo or the atom cap
 ENGINE_STEPS = {
-    "reduce_query": {"networks.memo_entropy"},
-    "query_shape": {"networks.memo_entropy", "entropy.induce_joint"},
+    "reduce_query": {"networks.compile_query"},
+    "query_plan": {"networks.compile_query", "entropy.induce_joint"},
+    "query_shape": {"networks.memo_entropy"},
     "query_entropy": {"networks.memo_entropy"},
     "check_law": {"networks.memo_entropy", "entropy.induce_joint"},
     "source_atoms": {"networks.query_entropy", "entropy.induce_joint"},

@@ -35,8 +35,10 @@ from dicbound.networks import (
     NetworkGraph,
     ShapeMemo,
     base_network,
+    compile_query,
     cond_entropy_network,
     memo_entropy,
+    query_plan,
     query_shape,
     reduce_query,
     replicas_from_counts,
@@ -44,7 +46,14 @@ from dicbound.networks import (
 )
 from dicbound.sampling import sample_product_distribution
 
-from first_principles import reads, reference_query_shape, reference_reduce_query, reference_replica_sets
+from first_principles import (
+    reads,
+    reference_levels,
+    reference_query_shape,
+    reference_reduce_query,
+    reference_replica_sets,
+    reference_terms,
+)
 
 FIG_A = CutChain.of([{"S1", "S2", "D1"}, {"S1"}])  # opens on receiver 2
 FIG_B = CutChain.of([{"S1", "S2", "D2"}, {"S2"}])  # opens on receiver 1
@@ -135,15 +144,31 @@ def test_chain_from_uncut_replica_sets(xor2):
         chain_from_cuts(labels, [both, {(1, 1)}, {(2, 1)}, set()])  # not nested
 
 
+def test_a_chain_of_no_replica_sets_is_refused(xor2):
+    # no sets at all, like every replica left uncut, neither starts with
+    # every replica nor ends with none
+    net = base_network(xor2)
+    labels = dict(zip(net.replicas, net.pairs()))
+    for uncut in ([], [set(net.replicas)]):
+        with pytest.raises(DicboundError, match="^a cut chain starts with every replica uncut and ends with none$"):
+            chain_from_cuts(labels, uncut)
+
+
 def test_enumerate_command_evaluates_each_chain_once(count_calls, capsys):
-    # 36 chains on concat3 up to length 3: one enumeration and one level walk
-    # per chain, and the tightest chain is picked from the printed values
-    enumerations = count_calls(dicbound.gcs, "enumerate_chains")
-    walks = count_calls(dicbound.gcs, "_chain_levels")
+    # 36 chains on concat3 up to length 3: one walk enumeration, every walk
+    # valued in one pass and turned into its printed chain once, none read
+    # back from its labels, and the tightest chain is picked from the
+    # printed values
+    enumerations = count_calls(dicbound.gcs, "_chain_walks")
+    valuations = count_calls(dicbound.gcs, "_walk_values")
+    chains = count_calls(dicbound.gcs, "chain_from_cuts")
+    relabelled = count_calls(dicbound.gcs, "_chain_levels")
     assert main(["gcs", "--channel", "concat3", "--enumerate", "--max-l", "3"]) == 0
     assert capsys.readouterr().out.startswith("valid chains up to length 3: 36\n")
-    assert len(enumerations) == 1
-    assert len(walks) == 36
+    assert len(enumerations) == 1 and len(valuations) == 1
+    walks = valuations[0][2]
+    assert len(walks) == len(set(walks)) == 36
+    assert len(chains) == 36 and relabelled == []
 
 
 def test_min_chain_bound_does_not_revalidate_enumerated_chains(concat3, count_calls):
@@ -155,8 +180,15 @@ def test_min_chain_bound_does_not_revalidate_enumerated_chains(concat3, count_ca
 
 
 def test_enumeration_rejects_bad_max_l(xor2):
-    with pytest.raises(DicboundError):
-        enumerate_chains(base_network(xor2), 0)
+    net, law = base_network(xor2), SourceDistribution.uniform([2, 2])
+    for max_l in (0, -3):
+        for search in (lambda: enumerate_chains(net, max_l), lambda: chain_values(net, law, max_l)):
+            with pytest.raises(DicboundError, match="^max_l must be >= 1$") as exc:
+                search()
+            assert type(exc.value) is DicboundError
+        with pytest.raises(DicboundError, match="^max_l must be >= 1$") as exc:
+            min_chain_bound(net, law, max_l)
+        assert type(exc.value) is DicboundError
 
 
 def test_chain_count_is_a_sum_of_powers(xor2, concat3):
@@ -172,9 +204,12 @@ def test_enumeration_past_the_cap_is_refused_before_any_chain_is_built(monkeypat
     # the largest length that fits: 1 + 4 + ... + 30^2 = 9,455 chains
     assert len(enumerate_chains(net, 30)) == 9455 <= dicbound.gcs.MAX_CHAINS
     monkeypatch.setattr(dicbound.gcs, "chain_from_cuts", lambda labels, uncut: pytest.fail("built a chain"))
+    monkeypatch.setattr(dicbound.gcs, "_extend_walk", lambda *args: pytest.fail("built a walk"))
+    law = SourceDistribution.uniform([2, 2])
     for max_l in (31, 1500, 10**12):
-        with pytest.raises(BudgetExceededError, match="more than 10000 cut chains"):
-            enumerate_chains(net, max_l)
+        for search in (lambda: enumerate_chains(net, max_l), lambda: min_chain_bound(net, law, max_l)):
+            with pytest.raises(BudgetExceededError, match="more than 10000 cut chains"):
+                search()
 
 
 def test_networks_past_16_nodes_are_enumerated_within_the_chain_cap(xor2):
@@ -258,32 +293,6 @@ def test_enumeration_oracle_on_eight_node_network(xor2):
 # -- the memo-free reference evaluator ------------------------------------------
 
 
-def reference_levels(network, chain):
-    """Per level: (target outputs, conditioning), read from the node labels of
-    every replica at every level, with no assumption that the chain is valid."""
-    full = [network.nodes()] + list(chain.subsets)
-    levels = []
-    for omega_prev, omega in zip(full, full[1:]):
-        targets, cond = set(), set()
-        for (user, copy), (src, dst) in zip(network.replicas, network.pairs()):
-            if dst in omega_prev and dst not in omega:
-                targets.add(Y(user, copy))
-            if dst not in omega_prev:
-                cond.add(Y(user, copy))
-            if src not in omega:
-                cond.add(X(user, copy))
-        levels.append((targets, cond))
-    return levels
-
-
-def reference_terms(network, chain, dist):
-    """Every level of the chain evaluated with its own network query."""
-    return tuple(
-        cond_entropy_network(network, dist, targets, cond) if targets else 0.0
-        for targets, cond in reference_levels(network, chain)
-    )
-
-
 def extended_search(channel, bound_id, k, seed):
     net = build_extended(channel, builtin_recipe(bound_id, k).recipe)
     law = sample_product_distribution(channel.input_sizes, seed, 1)
@@ -319,6 +328,26 @@ def test_chain_values_equal_the_memo_free_reference(shift2_331, concat3, xor2):
         assert tightest_chain(values) == tightest_chain(expected)
 
 
+def test_min_chain_bound_is_the_tightest_of_every_chain(shift2_331, concat3, xor2):
+    # only the walks tied at the least value become chains, and the tie rule
+    # then picks among them what it picks among every chain: on the bench
+    # searches, and under uniform laws on the base networks, where many
+    # chains tie exactly
+    cases = searches(shift2_331, concat3, xor2) + [
+        (base_network(xor2), SourceDistribution.uniform([2, 2]), 3),
+        (base_network(concat3), SourceDistribution.uniform([2, 2, 2]), 3),
+    ]
+    ties = []
+    for net, dist, max_l in cases:
+        values = chain_values(net, dist, max_l)
+        reference = [(chain, math.fsum(reference_terms(net, chain, dist))) for chain in enumerate_chains(net, max_l)]
+        chain, value = min_chain_bound(net, dist, max_l)
+        for other, other_value in (tightest_chain(values), tightest_chain(reference)):
+            assert (chain, value.hex()) == (other, other_value.hex())
+        ties.append(sum(v == value for _, v in values))
+    assert ties[-2] > 1 and ties[-1] > 1
+
+
 def test_search_and_identity_values_are_pinned(shift2_331, concat3):
     # every chain value of the ineq5 (k = 1) and 4a (k = 3) searches, and
     # every per-k entry of the ineq26 identity on concat3 at k = 1..6, as
@@ -338,16 +367,24 @@ def test_search_and_identity_values_are_pinned(shift2_331, concat3):
     assert digest == "908bc34abd0668e092eae8578fe9284be42db761236622d9fccb1e492a066628"
 
 
+def level_plan(network, dist, targets, cond):
+    """The compiled query of a (targets, conditioning) level for the law's
+    mode, or None when the level needs no query."""
+    return compile_query(network, dist.mode == "product", network.replica_sets(targets), network.replica_sets(cond))
+
+
 def level_shape(network, dist, targets, cond):
-    """The query shape of a (targets, conditioning) level, from the two
-    public steps, or None when the level needs no query."""
-    reduced = reduce_query(network, dist, network.replica_sets(targets), network.replica_sets(cond))
-    return reduced and query_shape(network, dist, *reduced)[0]
+    """The query shape of a (targets, conditioning) level, from the public
+    steps, or None when the level needs no query."""
+    plan = level_plan(network, dist, targets, cond)
+    return plan and query_shape(dist, plan)
 
 
 def level_reads(network, dist, targets, cond):
     """The source replicas the reduced query of a level reads."""
-    reduced = reduce_query(network, dist, network.replica_sets(targets), network.replica_sets(cond))
+    reduced = reduce_query(
+        network, dist.mode == "product", network.replica_sets(targets), network.replica_sets(cond)
+    )
     if reduced is None:
         return set()
     keys, live = reduced  # (kind, replica bitmask) groups
@@ -402,7 +439,7 @@ def test_a_memo_keeps_no_enumeration_past_the_atom_cap(concat3, monkeypatch):
         shape = level_shape(net, dist, targets, cond)
         if shape:
             tuples.add(shape[0])
-        got = memo_entropy(net, dist, net.replica_sets(targets), net.replica_sets(cond), memo)
+        got = memo_entropy(net, dist, level_plan(net, dist, targets, cond), memo)
         assert got == cond_entropy_network(net, dist, targets, cond)
         assert memo.cells <= 64
         assert memo.cells == sum(xs.size + len(xs) * len(known) for xs, _, known in memo.atoms.values())
@@ -465,11 +502,14 @@ def test_the_mask_reduction_matches_the_set_reference(xor2, shift2_331, concat3)
         masks = net.replica_sets(targets), net.replica_sets(cond)
         sets = reference_replica_sets(net, targets), reference_replica_sets(net, cond)
         assert masks == tuple(tuple(sum(1 << net.replicas.index(r) for r in rs) for rs in triple) for triple in sets)
-        reduced, expected = reduce_query(net, dist, *masks), reference_reduce_query(net, dist, *sets)
+        reduced = reduce_query(net, dist.mode == "product", *masks)
+        expected = reference_reduce_query(net, dist, *sets)
         assert (reduced is None) == (expected is None)
         if reduced is not None:
-            shape, positions = query_shape(net, dist, *reduced)
-            assert (shape, [net.replicas[i] for i in positions]) == reference_query_shape(net, dist, *expected)
+            plan = query_plan(net, *reduced)
+            shape, sources = query_shape(dist, plan), [net.replicas[i] for i in plan.positions]
+            assert (shape, sources) == reference_query_shape(net, dist, *expected)
+            assert plan.users == tuple(u for u, _ in sources)
         branches.add((dist.mode, sets[1][2] <= sets[1][0], reduced is None))
     assert {("product", True, True), ("product", True, False), ("product", False, False)} <= branches
     assert {("joint", True, False), ("joint", False, False)} <= branches
@@ -527,7 +567,7 @@ def test_one_memo_keeps_joint_laws_and_networks_apart(concat3, xor2):
         asks += [(net, law, level) for level in search_levels(net, 2)]
     memo, seen = ShapeMemo(), {}
     for net, dist, (targets, cond) in asks:
-        got = memo_entropy(net, dist, net.replica_sets(targets), net.replica_sets(cond), memo)
+        got = memo_entropy(net, dist, level_plan(net, dist, targets, cond), memo)
         assert got == cond_entropy_network(net, dist, targets, cond)
         seen.setdefault((net.counts, targets, cond), set()).add(got)
     # the two concat3 laws disagree on some level, so a shared key would show

@@ -1,0 +1,184 @@
+"""Law-free query plans kept on the cached recipes.
+
+A recipe's chain levels and replica rates compile to plans once per process;
+every law after that only builds shapes from them.  The plans must give what
+a fresh evaluation gives, bit for bit, whichever recipes were compiled first
+and on whichever channel.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import dicbound
+from dicbound import extend, networks
+from dicbound.channels import builtin_channel
+from dicbound.entropy import SourceDistribution, X, Y, base_terms
+from dicbound.extend import (
+    build_extended,
+    builtin_recipe,
+    chain_closed_form,
+    supported_bounds,
+    verify_chain_identity,
+    verify_replica_rates,
+)
+from dicbound.gcs import _chain_value, chain_plans
+from dicbound.networks import (
+    QueryPlan,
+    ShapeMemo,
+    base_network,
+    cond_entropy_network,
+    network_entropy,
+    replicate_distribution,
+)
+from dicbound.sampling import sample_product_distribution
+
+from first_principles import reference_terms
+
+# (bound id, k) groups whose recipes are equal networks with chains of their
+# own: a plan keyed by the network alone would give one id the other's levels
+SHARED_NETWORKS = (
+    (("4a", 1), ("4b", 1), ("4e", 1), ("4c", None), ("4d", None)),
+    (("4a", 2), ("4f", None)),
+    (("4b", 2), ("4g", None)),
+)
+
+
+@pytest.fixture
+def fresh_recipes():
+    """No recipe, and so no plan, compiled by an earlier test."""
+    extend._builtin_recipe.cache_clear()
+    yield
+    extend._builtin_recipe.cache_clear()
+
+
+def fresh_identity(channel, law, bound_id, k):
+    """The per-k entry of ``verify_chain_identity`` from plans compiled for
+    this call, with a new shape memo, checked against the label-read
+    reference level by level."""
+    recipe = builtin_recipe(bound_id, k)
+    net = build_extended(channel, recipe.recipe)
+    rdist = replicate_distribution(net, law)
+    value = _chain_value(net, rdist, chain_plans(net, recipe.chain, True), ShapeMemo())
+    assert value.terms == reference_terms(net, recipe.chain, rdist)
+    closed = chain_closed_form(recipe, base_terms(channel, law, recipe.term_counts()))
+    return (k or 0, value.total, closed, abs(value.total - closed))
+
+
+def fresh_rates(channel, law, recipe):
+    """``verify_replica_rates``' values, each I(X;Y) from two public queries
+    with memos of their own."""
+
+    def mi(net, dist, replica):
+        y, x = Y(*replica), X(*replica)
+        return network_entropy(net, dist, [y]) - cond_entropy_network(net, dist, [y], [x])
+
+    net = build_extended(channel, recipe)
+    rdist = replicate_distribution(net, law)
+    base = base_network(channel)
+    base_values = tuple(mi(base, law, r) for r in base.replicas)
+    replica_values = tuple((r, mi(net, rdist, r)) for r in net.replicas)
+    deviation = max(abs(value - base_values[u - 1]) for (u, _), value in replica_values)
+    return base_values, replica_values, deviation
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_recipes_of_one_network_keep_their_own_plans(fresh_recipes, order):
+    # compiled on shift2:3,3,1 in one order, then read on shift2:5,5,2: the
+    # identity and the rates are what fresh plans give, bit for bit
+    groups = [group if order == "forward" else group[::-1] for group in SHARED_NETWORKS]
+    for channel in (builtin_channel("shift2", [3, 3, 1]), builtin_channel("shift2", [5, 5, 2])):
+        law = sample_product_distribution(channel.input_sizes, 8, 0)
+        for group in groups if order == "forward" else groups[::-1]:
+            for bound_id, k in group:
+                report = verify_chain_identity(bound_id, channel, law, [k])
+                assert report.ok
+                expected = fresh_identity(channel, law, bound_id, k)
+                assert [tuple(float(v).hex() for v in entry) for entry in report.per_k] == [
+                    tuple(float(v).hex() for v in expected)
+                ]
+                rates = verify_replica_rates(channel, builtin_recipe(bound_id, k).recipe, law)
+                assert (rates.base_values, rates.replica_values, rates.max_deviation) == fresh_rates(
+                    channel, law, builtin_recipe(bound_id, k).recipe
+                )
+    # each group shares one network, and not one chain
+    for group in SHARED_NETWORKS:
+        recipes = [builtin_recipe(bound_id, k) for bound_id, k in group]
+        assert len({r.recipe for r in recipes}) == 1 < len({r.chain for r in recipes})
+
+
+def test_a_recipe_compiles_its_plans_once(fresh_recipes, count_calls, xor2, concat3):
+    # the first identity sweep and rate check of 4a compile every level and
+    # both rate queries of every replica; later laws and channels reduce
+    # nothing, and still ask the engine for the shapes their memos lack
+    reductions = count_calls(networks, "reduce_query")
+    queries = count_calls(networks, "query_entropy")
+    ks = (1, 2, 3)
+    levels = sum(len(builtin_recipe("4a", k).chain) for k in ks)
+    replicas = sum(builtin_recipe("4a", 3).recipe.counts)
+    asked = []
+    for seed, channel in enumerate((xor2, builtin_channel("shift2", [3, 3, 1]), xor2)):
+        law = sample_product_distribution(channel.input_sizes, seed, 0)
+        assert verify_chain_identity("4a", channel, law, ks).ok
+        assert verify_replica_rates(channel, builtin_recipe("4a", 3).recipe, law).max_deviation == 0.0
+        assert len(reductions) == levels + 2 * (channel.user_count + replicas)
+        asked.append(len(queries))
+    assert 0 < asked[0] < asked[1] < asked[2]
+    # a three-user recipe compiles on its own first use, the chain only
+    assert verify_chain_identity("ineq8", concat3, SourceDistribution.uniform([2, 2, 2])).ok
+    assert len(reductions) == levels + 2 * (2 + replicas) + len(builtin_recipe("ineq8").chain)
+
+
+# parameter names that carry a law through the library
+LAW_PARAMETERS = {"dist", "law", "base_dist"}
+
+
+def cached_functions():
+    """(module, function, parameter names) of every library function under
+    ``functools.cache`` or ``lru_cache``, however the decorator is spelled."""
+    out = []
+    for path in sorted(Path(dicbound.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                    if name in ("cache", "lru_cache"):
+                        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                        out.append((path.stem, node.name, {a.arg for a in args}))
+    return out
+
+
+def test_no_process_cache_is_keyed_by_a_law():
+    # laws hash by identity, so a process-wide cache keyed by one would hold
+    # every law ever asked; plans live on the recipes, which hold no law
+    cached = cached_functions()
+    assert ("extend", "_builtin_recipe", {"bound_id", "k"}) in cached
+    assert [(module, name) for module, name, params in cached if params & LAW_PARAMETERS] == []
+
+
+def leaves(value):
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield value
+
+
+def test_kept_plans_hold_no_law(fresh_recipes):
+    # every plan the recipes keep after an identity sweep and a rate check of
+    # each id holds ints and column kinds only: no float, no table, no law
+    kept = []
+    for users, channel in ((2, builtin_channel("shift2", [3, 3, 1])), (3, builtin_channel("concat3"))):
+        law = sample_product_distribution(channel.input_sizes, 4, 0)
+        for bound_id in supported_bounds(users):
+            spec = extend.bound_support_info(bound_id)
+            k = spec["k_range"][0] if spec["parametric"] else None
+            verify_chain_identity(bound_id, channel, law, [k])
+            recipe = builtin_recipe(bound_id, k)
+            verify_replica_rates(channel, recipe.recipe, law)
+            kept += [plan for plan in recipe._level_plans if plan is not None]
+            kept += [plan for rates in recipe.recipe._rate_plans for _, *plans in rates for plan in plans if plan]
+    assert kept and all(isinstance(plan, QueryPlan) for plan in kept)
+    assert {type(leaf) for leaf in leaves(kept)} == {int, str}
