@@ -102,6 +102,14 @@ class DeterministicChannel:
 
         return one_hop_network(self)
 
+    @cached_property
+    def extended_networks(self) -> dict:
+        """The extended networks built on this channel, by (counts, wiring)
+        (``extend.build_extended``): each built and checked once per channel
+        object and recipe, with the queries compiled on it; they hold no
+        law."""
+        return {}
+
     def interferers(self, user: int) -> tuple[int, ...]:
         """0-based indices of the other users, ascending."""
         return tuple(j for j in range(self.user_count) if j != user)

@@ -157,6 +157,16 @@ class SourceDistribution:
             tables.append(t)
         return cls("product", sizes, tables)
 
+    def replicated(self, users: Sequence[int]) -> "SourceDistribution":
+        """The product law whose source i runs the table of user ``users[i]``
+        (1-based) of this product law, built from its tables as they were
+        converted and checked: no table is converted or checked again."""
+        law = object.__new__(SourceDistribution)
+        law.mode, law.joint = "product", None
+        law.sizes = tuple([self.sizes[u - 1] for u in users])
+        law.tables = tuple([self.tables[u - 1] for u in users])
+        return law
+
     def marginal_joint(self, indices: Sequence[int]) -> dict:
         """Joint table over a subset of sources (joint mode), summing others out."""
         out: dict[tuple[int, ...], float] = {}

@@ -5,11 +5,11 @@ with a Farkas vector y satisfying y.A <= 0 and y.b > 0, checked exactly by
 ``separates`` before it is returned.  The columns of A are any sequence of
 sparse columns, or a ``Columns`` container: an integer block, one line of
 (row, sign) terms per column, followed by sparse columns.  ``separates``
-scales y to integers once and checks the whole block in one integer array
-expression, in int64 when no sum can overflow and in Python integers
-otherwise; the sparse columns and b are dotted one by one, each scaled to
-integers by its own common denominator.  A caller may offer a
-candidate y (for instance a rationalized float dual); when it passes the
+scales y to integers once, each distinct value object once, and checks the
+whole block in one integer array expression, in int64 when no sum can
+overflow and in Python integers otherwise; the sparse columns and b are
+dotted one by one, each scaled to integers by its own common denominator.
+A caller may offer a candidate y (for instance a rationalized float dual); when it passes the
 check, no pivot is made and no column is built as a dict.  Otherwise a
 sparse phase-1 simplex decides.  Its reduced-cost row is kept as one more
 row of the tableau, so each pivot updates it with the constraint rows.  Its
@@ -104,9 +104,14 @@ def separates(y: Mapping[int, Fraction], columns: Iterable[SparseCol], rhs: Spar
     Fraction); a ``Columns`` block is checked in integer arrays, every
     other column, and b, by its own integer dot product."""
     # y times its common denominator has the same signs on every column, and
-    # so does each column times its own, so every dot product is an integer
-    den = math.lcm(*(v.denominator for v in y.values()))
-    scaled = {i: v.numerator * (den // v.denominator) for i, v in y.items()}
+    # so does each column times its own, so every dot product is an integer.
+    # A lifted y repeats each value of the reduced one, as the same object:
+    # the lcm and the scaling run once per distinct value object
+    distinct = {id(v): v for v in y.values()}
+    den = math.lcm(*(v.denominator for v in distinct.values()))
+    for key, v in distinct.items():
+        distinct[key] = v.numerator * (den // v.denominator)
+    scaled = {i: distinct[id(v)] for i, v in y.items()}
     if _dot(scaled, rhs) <= 0:
         return False
     if isinstance(columns, Columns):

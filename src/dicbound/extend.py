@@ -17,13 +17,17 @@ from one ``base_terms`` evaluation, for ``verify_chain_identity`` and
 ``limit_bound`` alike.
 
 A built-in recipe is instantiated once per (id, k) and process, and is
-evaluated under many laws, so it keeps what does not depend on the law: each
-``BoundRecipe`` the compiled queries of its chain's levels, and each
-``ReplicationRecipe`` those of its replica rates (``networks.QueryPlan``),
-compiled on first use and dropped with the recipe cache.  A plan depends on
-the counts, the wiring and the product-law mode alone, so it holds on every
-channel; every call still builds and checks its network, and every law
-still goes through ``networks.memo_entropy``.  Chain plans belong to the
+evaluated on a few channels under many laws, so what does not depend on the
+law is built once.  ``build_extended`` builds and checks a recipe's network
+once per channel object and keeps it on the channel
+(``DeterministicChannel.extended_networks``), and
+``networks.compile_query`` keeps every query compiled on it.  Each ``BoundRecipe`` keeps the compiled
+queries of its chain's levels in order, and each ``ReplicationRecipe`` those
+of its replica rates (``networks.QueryPlan``), taken from the network's
+memo on first use and dropped with the recipe cache; a plan depends on the
+counts, the wiring and the product-law mode alone, so it holds on every
+channel.  Every law still goes through ``networks.memo_entropy``, and no
+kept network, plan or recipe holds a law.  Chain plans belong to the
 ``BoundRecipe``, never to its network: 4a, 4b and 4e at k = 1, 4c and 4d
 share one network and not one chain, as do 4a at k = 2 and 4f, and 4b at
 k = 2 and 4g.
@@ -36,7 +40,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from itertools import accumulate
 from typing import Mapping, Sequence
@@ -55,7 +59,6 @@ from .networks import (
     node_labels,
     replicas_from_counts,
     replicate_distribution,
-    shared_plans,
 )
 
 IDENTITY_TOL = 1e-9
@@ -91,12 +94,13 @@ class ReplicationRecipe:
         network, then each replica of ``network``, an instance of this
         recipe, with that replica, under a product law.  They depend on the
         counts and the wiring alone (the base network's on the user count),
-        so they are compiled on first use and kept with the recipe."""
+        so they are taken from the networks' memos on first use and kept
+        with the recipe."""
         if self._rate_plans is None:
             asks = [(net, r, net.mask([r])) for net in (base, network) for r in net.replicas]
-            plans = shared_plans(
+            plans = [
                 compile_query(net, True, (0, 0, bit), cond) for net, _, bit in asks for cond in ((0, 0, 0), (bit, 0, 0))
-            )
+            ]
             rates = tuple(zip([r for _, r, _ in asks], plans[::2], plans[1::2]))
             split = len(base.replicas)
             object.__setattr__(self, "_rate_plans", (rates[:split], rates[split:]))
@@ -104,9 +108,17 @@ class ReplicationRecipe:
 
 
 def build_extended(channel: DeterministicChannel, recipe: ReplicationRecipe) -> NetworkGraph:
-    """Instantiate the recipe on a channel; every replica reuses the base
-    tables, and ``NetworkGraph`` checks the counts and wiring."""
-    return NetworkGraph(channel, recipe.counts, recipe.wiring)
+    """The recipe's network on a channel, every replica reusing the base
+    tables: built, and its counts and wiring checked by ``NetworkGraph``, on
+    the first call for this channel object and these counts and wiring, then
+    kept on the channel (``DeterministicChannel.extended_networks``) with
+    the queries compiled on it.  A network that fails its check is not
+    kept."""
+    key = recipe.counts, recipe.wiring
+    network = channel.extended_networks.get(key)
+    if network is None:
+        network = channel.extended_networks[key] = NetworkGraph(channel, recipe.counts, recipe.wiring)
+    return network
 
 
 def recipe_from_dict(data: dict) -> ReplicationRecipe:
@@ -156,11 +168,11 @@ class ClosedTerm:
     target: Replica
     evidence: tuple[tuple[int, tuple[str, Replica]], ...]
 
-    @property
+    @cached_property
     def given(self) -> frozenset[int]:
         return frozenset(user for user, _ in self.evidence)
 
-    @property
+    @cached_property
     def key(self) -> tuple[int, frozenset[int]]:
         return self.target[0], self.given
 
@@ -239,6 +251,12 @@ class BoundRecipe:
         return self._level_plans
 
     def term_counts(self) -> Counter[tuple[int, frozenset[int]]]:
+        """How often each closed-term key occurs, counted once per recipe:
+        the Counter returned is kept, and is read, never changed."""
+        return self._term_counts
+
+    @cached_property
+    def _term_counts(self) -> Counter[tuple[int, frozenset[int]]]:
         return Counter(t.key for t in self.closed_terms)
 
 
@@ -329,13 +347,27 @@ def _builtin_recipe(bound_id: str, k: int | None) -> BoundRecipe:
 # -- verification --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RateReport:
-    """Per-replica single-letter I(X;Y) against the base channel value."""
+    """Per-replica single-letter I(X;Y) against the base channel value: the
+    network's ``replicas`` and one float per replica in ``values``, shared
+    by replicas whose H(Y) and H(Y | X) are shared."""
 
     base_values: tuple[float, ...]
-    replica_values: tuple[tuple[Replica, float], ...]
+    replicas: tuple[Replica, ...]
+    values: tuple[float, ...]
     max_deviation: float
+
+    @property
+    def replica_values(self) -> tuple[tuple[Replica, float], ...]:
+        """(replica, I(X;Y)) for each replica of the network, in order."""
+        return tuple(zip(self.replicas, self.values))
+
+    def __repr__(self) -> str:
+        return (
+            f"RateReport(base_values={self.base_values!r}, replica_values={self.replica_values!r}, "
+            f"max_deviation={self.max_deviation!r})"
+        )
 
 
 def verify_replica_rates(
@@ -345,20 +377,28 @@ def verify_replica_rates(
     the base channel's.  Each is H(Y) - H(Y | X) from ``memo_entropy`` with
     one memo over both networks, so a replica asks its user's base shapes,
     and those all read the base law's one table tuple: the check costs one
-    enumeration."""
+    enumeration.  ``memo_entropy`` returns the memo's own float for a shape
+    met before, so a replica whose two shapes are a base replica's holds
+    that replica's I(X;Y), one float, not a copy."""
     network = build_extended(channel, recipe)
     rdist = replicate_distribution(network, dist)
     base = base_network(channel)
     base_rates, replica_rates = recipe.rate_plans(base, network)
-    memo = ShapeMemo()
+    memo, rates = ShapeMemo(), {}
 
     def mi(net, d, y, y_given_x):
-        return memo_entropy(net, d, y, memo) - memo_entropy(net, d, y_given_x, memo)
+        hy, hyx = memo_entropy(net, d, y, memo), memo_entropy(net, d, y_given_x, memo)
+        # keyed by the memo's floats themselves: equal pairs of values that
+        # are not the same floats may differ in the sign of a zero
+        pair = id(hy), id(hyx)
+        if pair not in rates:
+            rates[pair] = hy - hyx
+        return rates[pair]
 
-    base_values = tuple(mi(base, dist, *plans) for _, *plans in base_rates)
-    replica_values = tuple((r, mi(network, rdist, *plans)) for r, *plans in replica_rates)
-    deviation = max((abs(value - base_values[u - 1]) for (u, _), value in replica_values), default=0.0)
-    return RateReport(base_values=base_values, replica_values=replica_values, max_deviation=deviation)
+    base_values = tuple([mi(base, dist, *plans) for _, *plans in base_rates])
+    values = tuple([mi(network, rdist, *plans) for _, *plans in replica_rates])
+    deviation = max((abs(value - base_values[u - 1]) for (u, _), value in zip(network.replicas, values)), default=0.0)
+    return RateReport(base_values=base_values, replicas=network.replicas, values=values, max_deviation=deviation)
 
 
 def chain_closed_form(recipe: BoundRecipe, values: Mapping) -> float:
@@ -401,7 +441,7 @@ def verify_chain_identity(
         network = build_extended(channel, recipe.recipe)
         rdist = replicate_distribution(network, dist)
         evaluated.append(_chain_value(network, rdist, recipe.level_plans(network), shapes))
-    values = base_terms(channel, dist, (t.key for r in recipes for t in r.closed_terms))
+    values = base_terms(channel, dist, (key for r in recipes for key in r.term_counts()))
     per_k, diagnostics, ok = [], [], True
     for k, recipe, value in zip(ks, recipes, evaluated):
         closed_total = chain_closed_form(recipe, values)

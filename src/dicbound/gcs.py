@@ -15,11 +15,11 @@ Level j is H(Y(R_{j-1} - R_j) | X, Y(all - R_{j-1})), so the pair
 (R_{j-1}, R_j) alone decides its value, whichever chain it occurs in.  A
 level is two replica bitmasks, (cut, fresh), of the replicas cut before it
 and of those it cuts, and a chain's *walk* is its levels in order.  A
-level's query is compiled once (``networks.compile_query``, law-free) and
-asked of ``networks.memo_entropy``, the one network query, which evaluates
-only a query shape its memo has not met.  A hit is exact: a shape renames
-replicas only within a user under equal tables, and a user's replicas run
-i.i.d. copies of its inputs.  The memo, a ``networks.ShapeMemo``, also
+level's query is compiled once per network (``networks.compile_query``,
+law-free, keeps it on the network) and asked of ``networks.memo_entropy``,
+the one network query, which evaluates only a query shape its memo has not
+met.  A hit is exact: a shape renames replicas only within a user under
+equal tables, and a user's replicas run i.i.d. copies of its inputs.  The memo, a ``networks.ShapeMemo``, also
 enumerates each source-table tuple once for all the shapes that read it (the
 ineq5 search at k = 1: 622 shapes, 8 enumerations), under a product or a
 joint law.
@@ -32,7 +32,8 @@ replicas of one base law), with the plans each cached recipe keeps.  The
 searches start from the walks, not from labels: ``_chain_walks`` lists
 every chain up to a length as its walk, once, after counting them against
 ``MAX_CHAINS``; ``_walk_values`` asks each distinct level once, with one
-shape memo per call, and sums each walk's levels with ``math.fsum``.
+shape memo per call, and sums each walk's levels with ``math.fsum``; a
+search repeated on a kept network compiles nothing.
 ``chain_values`` (``gcs --enumerate``) turns every walk into its chain and
 lists them canonically ordered; ``min_chain_bound`` turns only the walks
 tied at the least value into chains, for the one tie rule,
@@ -47,7 +48,7 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .entropy import SourceDistribution
 from .errors import BudgetExceededError, ChainValidationError, DicboundError
-from .networks import NetworkGraph, QueryPlan, Replica, ShapeMemo, compile_query, memo_entropy, shared_plans
+from .networks import NetworkGraph, QueryPlan, Replica, ShapeMemo, compile_query, memo_entropy
 
 # The chain searches and enumerate_chains refuse to walk more chains.  The
 # largest search in the benchmark walks 794 (ineq5 at k = 1, up to length 3);
@@ -132,7 +133,7 @@ def _level_plan(network: NetworkGraph, level: Level, product: bool) -> QueryPlan
 def chain_plans(network: NetworkGraph, chain: CutChain, product: bool) -> tuple[QueryPlan | None, ...]:
     """The law-free plans of a valid chain's levels on the network, for a
     product law or not: what each level asks, whatever the law."""
-    return shared_plans(_level_plan(network, level, product) for level in _chain_levels(network, chain))
+    return tuple([_level_plan(network, level, product) for level in _chain_levels(network, chain)])
 
 
 def _chain_value(network: NetworkGraph, dist: SourceDistribution, plans, shapes: ShapeMemo) -> ChainValue:
@@ -241,8 +242,9 @@ def enumerate_chains(network: NetworkGraph, max_l: int) -> list[CutChain]:
 
 def _walk_values(network: NetworkGraph, dist: SourceDistribution, walks: Sequence[Walk]) -> list[float]:
     """The value of each walk: the ``math.fsum`` of its levels' values, each
-    distinct level compiled and asked once, in the order the walks first meet
-    it, with one shape memo; both are dropped when the call returns."""
+    distinct level asked once, in the order the walks first meet it, with one
+    shape memo, which is dropped when the call returns; the network keeps
+    the plans."""
     product, shapes, levels = dist.mode == "product", ShapeMemo(), {}
     for walk in walks:
         for level in walk:

@@ -39,15 +39,15 @@ the conditioning determines every target; ``query_plan`` then lists the
 positions the query reads, ascending, so a source's label is its rank among
 them, their users, the key count and the relabelled columns.  A
 ``QueryPlan`` depends only on a network's counts and wiring, not on its
-channel or law, so a caller that asks one query under many laws compiles it
-once: recipe chains and replica rates keep theirs on the cached recipes
-(see ``extend``), and ``shared_plans`` holds their repeated parts once.
-The law step, ``memo_entropy``, is the one network query and the one law
-evaluator: it checks the law, turns the plan into a shape with
-``query_shape``, which names a query up to renaming replicas of one user
-under equal tables, so equal shapes have values equal bit for bit, and runs
-``query_entropy``, the engine entry, only for a shape not yet in the
-caller's ``ShapeMemo``.  The memo also keeps, within ``MAX_ATOMS`` cells,
+channel or law, so ``compile_query`` keeps each plan in the network's own
+memo, with their repeated parts held once, and a query asked again under
+any law reduces nothing; recipe chains and replica rates keep theirs, in
+order, on the cached recipes (see ``extend``).  The law step,
+``memo_entropy``, is the one network query and the one law evaluator: it
+checks the law, turns the plan into a shape with ``query_shape``, which
+names a query up to renaming replicas of one user under equal tables, so
+equal shapes have values equal bit for bit, and runs ``query_entropy``, the
+engine entry, only for a shape not yet in the caller's ``ShapeMemo``.  The memo also keeps, within ``MAX_ATOMS`` cells,
 one enumeration per source-table tuple (a shape's first part) and the
 columns evaluated at it, so queries that read equal tables enumerate once.
 A joint-law source is named in the shape by the law and its position in it,
@@ -55,9 +55,11 @@ so every query has a shape.  Chain levels share a memo per chain, chain
 search or identity k range (see ``gcs``), replica rates one over the base
 and extended network, and ``cond_entropy_network`` (and
 ``network_entropy``), the public ``VariableId`` front end on the masks
-``replica_sets`` builds, compiles its query and has a fresh memo per call.
-A channel's own one-hop network, ``base_network``, is built and checked
-once per channel object.
+``replica_sets`` builds, compiles its query and has a fresh shape memo per
+call.  A channel's own one-hop network, ``base_network``, is built and
+checked once per channel object, as is each extended network (``extend``),
+so the plans kept on them live as long as the channel; no network holds a
+law.
 """
 
 from __future__ import annotations
@@ -118,6 +120,10 @@ class NetworkGraph:
     # ones in user order)
     _wired_masks: tuple[int, ...] = field(init=False, repr=False)
     _output_reads: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    # compile_query's memo: each plan by (product, targets, cond), and the
+    # positions, users, columns and column tuples its plans share
+    _plans: dict = field(init=False, repr=False, compare=False)
+    _parts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         counts, wmap = self.counts, dict(self.wiring)
@@ -160,6 +166,8 @@ class NetworkGraph:
         wired = [[index[w] for w in wmap[r]] for r in replicas]
         object.__setattr__(self, "_wired_masks", tuple(sum(1 << w for w in ws) for ws in wired))
         object.__setattr__(self, "_output_reads", tuple((i, *ws) for i, ws in enumerate(wired)))
+        object.__setattr__(self, "_plans", {})
+        object.__setattr__(self, "_parts", {})
 
     # -- structure ----------------------------------------------------------
 
@@ -223,13 +231,20 @@ def one_hop_network(channel: DeterministicChannel) -> NetworkGraph:
 
 
 def replicate_distribution(network: NetworkGraph, base_dist: SourceDistribution) -> SourceDistribution:
-    """Product distribution giving every replica its user's base marginal."""
+    """Product distribution giving every replica its user's base marginal,
+    from the base law's tables as it checked them: each user's table is
+    refused here if its length is not the user's alphabet size, and no table
+    is converted or checked again."""
     if base_dist.mode != "product":
         raise DistributionError("replica inputs require a product-mode base distribution")
     if len(base_dist.sizes) != network.channel.user_count:
         raise DistributionError("base distribution must have one factor per channel user")
-    tables = [base_dist.tables[u - 1] for u, _ in network.replicas]
-    return SourceDistribution("product", network.source_sizes(), tables)
+    # every user has a replica, and replicas are user-major, so the first
+    # user refused here is the first replica's a fresh check would refuse
+    for table, size in zip(base_dist.tables, network.channel.input_sizes):
+        if len(table) != size:
+            raise DistributionError(f"table length {len(table)} does not match alphabet size {size}")
+    return base_dist.replicated([u for u, _ in network.replicas])
 
 
 # -- the entropy engine ------------------------------------------------------
@@ -447,25 +462,29 @@ def compile_query(network: NetworkGraph, product: bool, targets, cond) -> QueryP
     """The law-free half of the network query H(targets | cond), on (X, V, Y)
     triples of replica bitmasks (see ``NetworkGraph.mask``), for a product
     law or not: ``reduce_query``, then ``query_plan``, or None when the
-    conditioning determines every target.  A caller that asks the same query
-    under many laws compiles it once."""
+    conditioning determines every target.
+
+    Compiled once per network: the plan is kept in the network's memo, so a
+    query asked again, under this law or any other, reduces nothing.  Kept
+    plans hold their equal positions, users, columns and column tuples once
+    per network, under half as much as apart."""
+    key = product, targets, cond
+    try:
+        return network._plans[key]
+    except KeyError:
+        pass
     reduced = reduce_query(network, product, targets, cond)
-    return None if reduced is None else query_plan(network, *reduced)
+    plan = None
+    if reduced is not None:
+        parts = network._parts
 
+        def share(part):
+            return parts.setdefault(part, part)
 
-def shared_plans(plans: Iterable[QueryPlan | None]) -> tuple[QueryPlan | None, ...]:
-    """The plans again, with equal positions, users, columns and column
-    tuples held once among them: the plans a caller keeps for a whole chain
-    or network repeat these parts, and hold under half as much shared."""
-    parts: dict = {}
-
-    def share(part):
-        return parts.setdefault(part, part)
-
-    return tuple(
-        plan and QueryPlan(share(plan.positions), share(plan.users), plan.keys, share(tuple(map(share, plan.columns))))
-        for plan in plans
-    )
+        positions, users, keys, columns = query_plan(network, *reduced)
+        plan = QueryPlan(share(positions), share(users), keys, share(tuple(map(share, columns))))
+    network._plans[key] = plan
+    return plan
 
 
 def query_shape(dist: SourceDistribution, plan: QueryPlan):

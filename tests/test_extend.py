@@ -206,12 +206,28 @@ def test_replica_rates_enumerate_once_per_query_shape(shift2_221, count_calls):
 
 
 def test_a_replicated_law_checks_each_base_table_once(concat3, count_calls):
+    # the base law converted and checked each of its tables once; the
+    # replicated law reuses them and converts none again
     net = build_extended(concat3, builtin_recipe("ineq26", 6).recipe)
     law = sample_product_distribution(concat3.input_sizes, 5, 0)
     calls = count_calls(sys.modules["dicbound.entropy"], "_probabilities")
     rdist = replicate_distribution(net, law)
-    assert len(net.replicas) == 39 and len(calls) == 3
+    assert len(net.replicas) == 39 and len(calls) == 0
     assert rdist.tables == tuple(law.tables[u - 1] for u, _ in net.replicas)
+
+
+@pytest.mark.parametrize("sizes, length", [([3, 3], 3), ([2, 3], 3), ([1, 2], 1)])
+def test_a_base_law_of_the_wrong_sizes_is_refused(xor2, sizes, length):
+    # the right user count, the wrong alphabet sizes: the replicated law
+    # refuses the first table that does not fit, as a fresh check of every
+    # replica's table would, before any query
+    law = SourceDistribution.uniform(sizes)
+    net = build_extended(xor2, builtin_recipe("4a", 2).recipe)
+    message = f"^table length {length} does not match alphabet size 2$"
+    with pytest.raises(DistributionError, match=message):
+        replicate_distribution(net, law)
+    with pytest.raises(DistributionError, match=message):
+        verify_replica_rates(xor2, builtin_recipe("4a", 2).recipe, law)
 
 
 def test_identity_against_materialized_joint(shift2_221):

@@ -406,13 +406,17 @@ def search_levels(network, max_l):
 def test_each_distinct_level_is_one_query(concat3, count_calls):
     # the ineq5 search reduces each distinct non-empty level once and asks
     # one engine query per distinct query shape among them, which are fewer
-    # than the levels themselves
+    # than the levels themselves.  The search runs on a fresh channel object,
+    # whose network has compiled nothing yet: the shapes are read from the
+    # session channel's own network
     net, dist = extended_search(concat3, "ineq5", 1, 22)
     distinct = search_levels(net, 3)
     shapes = {level_shape(net, dist, *level) for level in distinct} - {None}
+    fresh, fresh_dist = extended_search(builtin_channel("concat3"), "ineq5", 1, 22)
+    assert fresh is not net
     reductions = count_calls(dicbound.networks, "reduce_query")
     calls = count_calls(dicbound.networks, "query_entropy")
-    chain_values(net, dist, 3)
+    chain_values(fresh, fresh_dist, 3)
     assert len(reductions) == len(distinct) == 665
     assert len(calls) == len(shapes) < len(distinct) < sum(len(c) for c in enumerate_chains(net, 3))
 

@@ -1,14 +1,18 @@
-"""Law-free query plans kept on the cached recipes.
+"""Law-free query plans kept on the cached recipes and on the kept networks.
 
-A recipe's chain levels and replica rates compile to plans once per process;
-every law after that only builds shapes from them.  The plans must give what
-a fresh evaluation gives, bit for bit, whichever recipes were compiled first
-and on whichever channel.
+A channel builds each extended network once and each network compiles each
+query once; a recipe's chain levels and replica rates keep their plans once
+per process, and every law after that only builds shapes from them.  The
+plans must give what a fresh evaluation gives, bit for bit, whichever
+recipes were compiled first and on whichever channel, and nothing kept may
+hold a law.
 """
 
 import ast
+from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dicbound
@@ -23,8 +27,9 @@ from dicbound.extend import (
     verify_chain_identity,
     verify_replica_rates,
 )
-from dicbound.gcs import _chain_value, chain_plans
+from dicbound.gcs import _chain_value, chain_plans, min_chain_bound
 from dicbound.networks import (
+    NetworkGraph,
     QueryPlan,
     ShapeMemo,
     base_network,
@@ -108,14 +113,19 @@ def test_recipes_of_one_network_keep_their_own_plans(fresh_recipes, order):
         assert len({r.recipe for r in recipes}) == 1 < len({r.chain for r in recipes})
 
 
-def test_a_recipe_compiles_its_plans_once(fresh_recipes, count_calls, xor2, concat3):
+def test_a_recipe_compiles_its_plans_once(fresh_recipes, count_calls):
     # the first identity sweep and rate check of 4a compile every level and
     # both rate queries of every replica; later laws and channels reduce
-    # nothing, and still ask the engine for the shapes their memos lack
+    # nothing, and still ask the engine for the shapes their memos lack.
+    # The channels are fresh objects: a session fixture's networks keep what
+    # earlier tests compiled on them
+    xor2, concat3 = builtin_channel("xor2"), builtin_channel("concat3")
     reductions = count_calls(networks, "reduce_query")
     queries = count_calls(networks, "query_entropy")
     ks = (1, 2, 3)
-    levels = sum(len(builtin_recipe("4a", k).chain) for k in ks)
+    # the k = 3 chain's first level is H(Y1^3), which the rate check asks
+    # too: the network compiles that query once for both
+    levels = sum(len(builtin_recipe("4a", k).chain) for k in ks) - 1
     replicas = sum(builtin_recipe("4a", 3).recipe.counts)
     asked = []
     for seed, channel in enumerate((xor2, builtin_channel("shift2", [3, 3, 1]), xor2)):
@@ -128,6 +138,65 @@ def test_a_recipe_compiles_its_plans_once(fresh_recipes, count_calls, xor2, conc
     # a three-user recipe compiles on its own first use, the chain only
     assert verify_chain_identity("ineq8", concat3, SourceDistribution.uniform([2, 2, 2])).ok
     assert len(reductions) == levels + 2 * (2 + replicas) + len(builtin_recipe("ineq8").chain)
+
+
+def joint_law(sizes, seed):
+    """A correlated law over the whole source tuple space."""
+    weights = {xs: 1.0 + (seed * 7 + i) % 5 for i, xs in enumerate(product(*map(range, sizes)))}
+    total = sum(weights.values())
+    return SourceDistribution("joint", sizes, {xs: w / total for xs, w in weights.items()})
+
+
+def chains_round(channel, bound_id, k, max_l, seed):
+    """What one ``chains`` benchmark round asks of a channel: an identity
+    sweep over the id's k range, a rate check at its largest k, a search on
+    its extended network and a joint-law search on the base network; the
+    values, and the extended network searched."""
+    law = sample_product_distribution(channel.input_sizes, seed, 0)
+    spec = extend.bound_support_info(bound_id)
+    ks = [k, k + 1] if spec["parametric"] else [None]
+    identity = verify_chain_identity(bound_id, channel, law, ks)
+    rates = verify_replica_rates(channel, builtin_recipe(bound_id, ks[-1]).recipe, law)
+    net = build_extended(channel, builtin_recipe(bound_id, k).recipe)
+    search = min_chain_bound(net, replicate_distribution(net, law), max_l)
+    joint = min_chain_bound(base_network(channel), joint_law(channel.input_sizes, seed), 3)
+    return net, (identity, rates, search, joint)
+
+
+@pytest.mark.parametrize(
+    "family, params, bound_id, k, max_l", [("shift2", [3, 3, 1], "4a", 2, 2), ("concat3", None, "ineq5", 1, 2)]
+)
+def test_a_channel_builds_each_network_and_compiles_each_query_once(
+    count_calls, monkeypatch, family, params, bound_id, k, max_l
+):
+    # a second round on the same channel object builds no network and
+    # reduces nothing, and its values are the first round's, bit for bit;
+    # an equal channel object builds and compiles its own
+    built = []
+    check = NetworkGraph.__post_init__
+
+    def counting(network):
+        built.append(network.counts)
+        check(network)
+
+    monkeypatch.setattr(NetworkGraph, "__post_init__", counting)
+    reductions = count_calls(networks, "reduce_query")
+    channel = builtin_channel(family, params)
+    net, first = chains_round(channel, bound_id, k, max_l, 1)
+    first_built, first_reductions = list(built), len(reductions)
+    assert first_built and first_reductions
+    for seed in (1, 2):
+        again, values = chains_round(channel, bound_id, k, max_l, seed)
+        assert again is net and built == first_built and len(reductions) == first_reductions
+    assert repr(values) != repr(first)  # another law, other values
+    assert repr(chains_round(channel, bound_id, k, max_l, 1)[1]) == repr(first)
+    built.clear()
+    other = builtin_channel(family, params)
+    assert other == channel and other is not channel
+    other_net, values = chains_round(other, bound_id, k, max_l, 1)
+    assert other_net is not net and sorted(built) == sorted(first_built)
+    assert len(reductions) > first_reductions
+    assert repr(values) == repr(first)
 
 
 # parameter names that carry a law through the library
@@ -166,19 +235,48 @@ def leaves(value):
         yield value
 
 
+def reachable(root):
+    """Every object reachable from ``root`` through containers and the
+    fields of instances, private ones included."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            yield obj
+            if isinstance(obj, dict):
+                stack += [*obj.keys(), *obj.values()]
+            elif isinstance(obj, (tuple, list, set, frozenset)):
+                stack += obj
+            elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+                stack += vars(obj).values()
+
+
 def test_kept_plans_hold_no_law(fresh_recipes):
     # every plan the recipes keep after an identity sweep and a rate check of
-    # each id holds ints and column kinds only: no float, no table, no law
-    kept = []
-    for users, channel in ((2, builtin_channel("shift2", [3, 3, 1])), (3, builtin_channel("concat3"))):
+    # each id holds ints and column kinds only: no float, no table, no law;
+    # and after a chains round, nothing the channel keeps, its networks and
+    # their plan memos included, is a law, a shape memo or a float table
+    kept = {}  # users -> the plans the recipes keep
+    channels = (2, builtin_channel("shift2", [3, 3, 1])), (3, builtin_channel("concat3"))
+    for users, channel in channels:
         law = sample_product_distribution(channel.input_sizes, 4, 0)
+        plans = kept[users] = []
         for bound_id in supported_bounds(users):
             spec = extend.bound_support_info(bound_id)
             k = spec["k_range"][0] if spec["parametric"] else None
             verify_chain_identity(bound_id, channel, law, [k])
             recipe = builtin_recipe(bound_id, k)
             verify_replica_rates(channel, recipe.recipe, law)
-            kept += [plan for plan in recipe._level_plans if plan is not None]
-            kept += [plan for rates in recipe.recipe._rate_plans for _, *plans in rates for plan in plans if plan]
-    assert kept and all(isinstance(plan, QueryPlan) for plan in kept)
-    assert {type(leaf) for leaf in leaves(kept)} == {int, str}
+            plans += [plan for plan in recipe._level_plans if plan is not None]
+            plans += [plan for rates in recipe.recipe._rate_plans for _, *asks in rates for plan in asks if plan]
+    assert all(plans and all(isinstance(plan, QueryPlan) for plan in plans) for plans in kept.values())
+    assert {type(leaf) for leaf in leaves(list(kept.values()))} == {int, str}
+    for (users, channel), search in zip(channels, (("4a", 2, 2), ("ineq5", 1, 3))):
+        chains_round(channel, *search, 4)
+        found = list(reachable(channel))
+        assert len(channel.extended_networks) > 1 and any(obj is channel.network for obj in found)
+        # the plans the recipes keep are the networks' own, not copies
+        assert {id(plan) for plan in kept[users]} <= {id(obj) for obj in found if isinstance(obj, QueryPlan)}
+        assert [obj for obj in found if isinstance(obj, (float, SourceDistribution, ShapeMemo))] == []
+        assert {obj.dtype.kind for obj in found if isinstance(obj, np.ndarray)} == {"i"}
