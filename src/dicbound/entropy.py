@@ -90,22 +90,15 @@ class SourceDistribution:
         if mode == "product":
             if not isinstance(probs, (list, tuple)):
                 raise DistributionError(f"a product law is a list of per-source tables, got {probs!r}")
-            # a replicated law repeats its user's base table object: each
-            # distinct object is converted and checked once, in first-use order
-            distinct = {id(t): t for t in probs}
-            converted = {key: _probabilities(t) for key, t in distinct.items()}
-            tables = tuple(converted[id(t)] for t in probs)
+            tables = tuple(_probabilities(t) for t in probs)
             if len(tables) != len(self.sizes):
                 raise DistributionError("one probability table per source required")
-            checked = set()
             for size, table in zip(self.sizes, tables):
                 if len(table) != size:
                     raise DistributionError(
                         f"table length {len(table)} does not match alphabet size {size}"
                     )
-                if id(table) not in checked:
-                    checked.add(id(table))
-                    self._check_table(table)
+                self._check_table(table)
             self.tables = tables
             self.joint = None
         else:

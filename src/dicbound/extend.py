@@ -16,21 +16,16 @@ H(Y_u | V_A).
 from one ``base_terms`` evaluation, for ``verify_chain_identity`` and
 ``limit_bound`` alike.
 
-A built-in recipe is instantiated once per (id, k) and process, and is
-evaluated on a few channels under many laws, so what does not depend on the
-law is built once.  ``build_extended`` builds and checks a recipe's network
-once per channel object and keeps it on the channel
-(``DeterministicChannel.extended_networks``), and
-``networks.compile_query`` keeps every query compiled on it.  Each ``BoundRecipe`` keeps the compiled
-queries of its chain's levels in order, and each ``ReplicationRecipe`` those
-of its replica rates (``networks.QueryPlan``), taken from the network's
-memo on first use and dropped with the recipe cache; a plan depends on the
-counts, the wiring and the product-law mode alone, so it holds on every
-channel.  Every law still goes through ``networks.memo_entropy``, and no
-kept network, plan or recipe holds a law.  Chain plans belong to the
-``BoundRecipe``, never to its network: 4a, 4b and 4e at k = 1, 4c and 4d
-share one network and not one chain, as do 4a at k = 2 and 4f, and 4b at
-k = 2 and 4g.
+A built-in recipe is plain data, instantiated once per (id, k) and process:
+its network recipe, its peel order and its closed terms.  It is evaluated
+on a few channels under many laws, so what does not depend on the law is
+built once per network object and kept on it.  ``build_extended`` builds
+and checks a recipe's network once per channel object and keeps it on the
+channel (``DeterministicChannel.extended_networks``); the network keeps
+every query compiled on it (``networks.compile_query``) and, under
+``NetworkGraph.kept``, the plan tuple of each recipe chain, keyed by its
+peel order, and of its replica rates.  Every law still goes through
+``networks.memo_entropy``, and no kept network, plan or recipe holds a law.
 """
 
 from __future__ import annotations
@@ -39,10 +34,11 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
 from itertools import accumulate
+from operator import or_
 from typing import Mapping, Sequence
 
 from .channels import DeterministicChannel, is_int
@@ -87,24 +83,6 @@ class ReplicationRecipe:
 
     counts: tuple[int, ...]
     wiring: tuple[tuple[Replica, tuple[Replica, ...]], ...]
-    _rate_plans: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def rate_plans(self, base: NetworkGraph, network: NetworkGraph) -> tuple:
-        """The compiled queries H(Y) and H(Y | X) of each replica of the base
-        network, then each replica of ``network``, an instance of this
-        recipe, with that replica, under a product law.  They depend on the
-        counts and the wiring alone (the base network's on the user count),
-        so they are taken from the networks' memos on first use and kept
-        with the recipe."""
-        if self._rate_plans is None:
-            asks = [(net, r, net.mask([r])) for net in (base, network) for r in net.replicas]
-            plans = [
-                compile_query(net, True, (0, 0, bit), cond) for net, _, bit in asks for cond in ((0, 0, 0), (bit, 0, 0))
-            ]
-            rates = tuple(zip([r for _, r, _ in asks], plans[::2], plans[1::2]))
-            split = len(base.replicas)
-            object.__setattr__(self, "_rate_plans", (rates[:split], rates[split:]))
-        return self._rate_plans
 
 
 def build_extended(channel: DeterministicChannel, recipe: ReplicationRecipe) -> NetworkGraph:
@@ -112,7 +90,7 @@ def build_extended(channel: DeterministicChannel, recipe: ReplicationRecipe) -> 
     tables: built, and its counts and wiring checked by ``NetworkGraph``, on
     the first call for this channel object and these counts and wiring, then
     kept on the channel (``DeterministicChannel.extended_networks``) with
-    the queries compiled on it.  A network that fails its check is not
+    the plans compiled on it.  A network that fails its check is not
     kept."""
     key = recipe.counts, recipe.wiring
     network = channel.extended_networks.get(key)
@@ -232,23 +210,21 @@ def derive_closed_terms(
 
 @dataclass(frozen=True)
 class BoundRecipe:
-    """A bound id instantiated at size k: network recipe (its replica counts
-    are the rate weights), cut chain, and the derived closed form."""
+    """A bound id at size k: network recipe (its replica counts are the rate
+    weights), peel order (the replicas each level cuts), derived closed form."""
 
     recipe: ReplicationRecipe
-    chain: CutChain
+    peel: tuple[tuple[Replica, ...], ...]
     closed_terms: tuple[ClosedTerm, ...]
-    _level_plans: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def level_plans(self, network: NetworkGraph) -> tuple:
-        """The compiled queries of the chain's levels on ``network``, an
-        instance of ``recipe``, under a product law (``gcs.chain_plans``).
-        They depend on the counts and the wiring alone, so they are compiled
-        on first use and kept with this recipe: the chain is this recipe's
-        own, so equal network recipes of other ids never share them."""
-        if self._level_plans is None:
-            object.__setattr__(self, "_level_plans", chain_plans(network, self.chain, product=True))
-        return self._level_plans
+    @property
+    def chain(self) -> CutChain:
+        """The cut chain of the peel order, built on each read for validation
+        and printing; evaluation reads the peel."""
+        labels = {r: node_labels(r) for r in replicas_from_counts(self.recipe.counts)}
+        # the replicas not yet peeled after each level, from all of them down to none
+        uncut = list(accumulate(self.peel, lambda left, level: left - set(level), initial=frozenset(labels)))
+        return chain_from_cuts(labels, uncut)
 
     def term_counts(self) -> Counter[tuple[int, frozenset[int]]]:
         """How often each closed-term key occurs, counted once per recipe:
@@ -309,11 +285,10 @@ def _instantiate(spec: dict, k: int | None):
             if rx in wiring:
                 raise RecipeError(f"{spec['id']}: receiver {rx} wired twice")
             wiring[rx] = wired
-    peel: list[list[Replica]] = []
-    for rule in spec["peel"]:
-        for j in _iter_rule(rule, k):
-            for level in rule["levels"]:
-                peel.append([(int(u), _eval_expr(c, k, j)) for u, c in level])
+    peel = tuple(
+        tuple((int(u), _eval_expr(c, k, j)) for u, c in level)
+        for rule in spec["peel"] for j in _iter_rule(rule, k) for level in rule["levels"]
+    )
     return counts, wiring, peel
 
 
@@ -337,11 +312,19 @@ def _builtin_recipe(bound_id: str, k: int | None) -> BoundRecipe:
             raise UnsupportedBoundError(f"bound {bound_id} supports k in {lo}..{hi}, got {k}")
     counts, wiring, peel = _instantiate(spec, k)
     recipe = ReplicationRecipe(counts=counts, wiring=tuple(sorted(wiring.items())))
-    closed = derive_closed_terms(counts, wiring, peel)
-    labels = {r: node_labels(r) for r in replicas_from_counts(counts)}
-    # the replicas not yet peeled after each level, from all of them down to none
-    uncut = list(accumulate(peel, lambda left, level: left - set(level), initial=frozenset(labels)))
-    return BoundRecipe(recipe=recipe, chain=chain_from_cuts(labels, uncut), closed_terms=closed)
+    return BoundRecipe(recipe=recipe, peel=peel, closed_terms=derive_closed_terms(counts, wiring, peel))
+
+
+def _recipe_plans(network: NetworkGraph, recipe: BoundRecipe) -> tuple:
+    """The compiled queries of a recipe chain's levels on ``network``, an
+    instance of ``recipe.recipe``, under a product law: the walk is read off
+    the peel order, and the plans are kept on the network under it."""
+
+    def build():
+        fresh = [network.mask(level) for level in recipe.peel]
+        return chain_plans(network, zip(accumulate(fresh, or_, initial=0), fresh), True)
+
+    return network.kept(("chain", True, recipe.peel), build)
 
 
 # -- verification --------------------------------------------------------------
@@ -370,6 +353,17 @@ class RateReport:
         )
 
 
+def _rate_plans(network: NetworkGraph) -> tuple:
+    """The compiled queries H(Y) and H(Y | X) of each replica of ``network``
+    under a product law, in replica order, kept on the network."""
+
+    def build():
+        bits = [network.mask([r]) for r in network.replicas]
+        return tuple([tuple(compile_query(network, True, (0, 0, bit), (x, 0, 0)) for x in (0, bit)) for bit in bits])
+
+    return network.kept(("rates", True), build)
+
+
 def verify_replica_rates(
     channel: DeterministicChannel, recipe: ReplicationRecipe, dist: SourceDistribution
 ) -> RateReport:
@@ -383,7 +377,6 @@ def verify_replica_rates(
     network = build_extended(channel, recipe)
     rdist = replicate_distribution(network, dist)
     base = base_network(channel)
-    base_rates, replica_rates = recipe.rate_plans(base, network)
     memo, rates = ShapeMemo(), {}
 
     def mi(net, d, y, y_given_x):
@@ -395,8 +388,8 @@ def verify_replica_rates(
             rates[pair] = hy - hyx
         return rates[pair]
 
-    base_values = tuple([mi(base, dist, *plans) for _, *plans in base_rates])
-    values = tuple([mi(network, rdist, *plans) for _, *plans in replica_rates])
+    base_values = tuple([mi(base, dist, *plans) for plans in _rate_plans(base)])
+    values = tuple([mi(network, rdist, *plans) for plans in _rate_plans(network)])
     deviation = max((abs(value - base_values[u - 1]) for (u, _), value in zip(network.replicas, values)), default=0.0)
     return RateReport(base_values=base_values, replicas=network.replicas, values=values, max_deviation=deviation)
 
@@ -424,26 +417,26 @@ def verify_chain_identity(
 ) -> IdentityReport:
     """Check the chain value == derived closed form, up to ``IDENTITY_TOL``,
     for each k, reporting the first diverging term on mismatch and per-k
-    increments.  The sizes are read in order and never listed, so a long
-    range stops at its first unsupported k; a parametric id refuses an
-    empty one.  Recipe chains come from ``chain_from_cuts`` and are valid
-    by construction, so none is re-validated."""
+    increments.  The sizes are read once, in order, and never listed ahead,
+    so a long range stops at its first unsupported k; a parametric id
+    refuses an empty one.  A recipe's peel order cuts every replica once
+    (``derive_closed_terms`` checks it), so its chain is valid by
+    construction and is not re-validated."""
     spec = bound_support_info(bound_id)
-    ks = k_range if spec["parametric"] else [None]
-    recipes = [builtin_recipe(bound_id, k) for k in ks]
+    recipes = [(k, builtin_recipe(bound_id, k)) for k in (k_range if spec["parametric"] else [None])]
     if not recipes:
         raise DicboundError(f"bound {bound_id} is parametric; k_range must hold at least one size")
     # one channel and the replicas of one base law: a query shape met at one
     # size has the same value at every other, so the memo spans the range
     shapes = ShapeMemo()
     evaluated = []
-    for recipe in recipes:
+    for _, recipe in recipes:
         network = build_extended(channel, recipe.recipe)
         rdist = replicate_distribution(network, dist)
-        evaluated.append(_chain_value(network, rdist, recipe.level_plans(network), shapes))
-    values = base_terms(channel, dist, (key for r in recipes for key in r.term_counts()))
+        evaluated.append(_chain_value(network, rdist, _recipe_plans(network, recipe), shapes))
+    values = base_terms(channel, dist, (key for _, r in recipes for key in r.term_counts()))
     per_k, diagnostics, ok = [], [], True
-    for k, recipe, value in zip(ks, recipes, evaluated):
+    for (k, recipe), value in zip(recipes, evaluated):
         closed_total = chain_closed_form(recipe, values)
         diff = abs(value.total - closed_total)
         if diff > IDENTITY_TOL:

@@ -24,11 +24,13 @@ enumerates each source-table tuple once for all the shapes that read it (the
 ineq5 search at k = 1: 622 shapes, 8 enumerations), under a product or a
 joint law.
 
-``_chain_value`` is the one evaluator of a given chain, from its level plans
-(``chain_plans``); its caller keeps the shape memo: ``evaluate_chain``
-starts one per chain and reads the levels off the chain's labels, and
+``_chain_value`` is the one evaluator of a given chain, from the plans of
+its walk (``chain_plans``); its caller keeps the shape memo:
+``evaluate_chain`` starts one per chain and reads the walk off the chain's
+labels (``_chain_levels``, the one label -> walk conversion), and
 ``extend.verify_chain_identity`` one across its k range (one channel, the
-replicas of one base law), with the plans each cached recipe keeps.  The
+replicas of one base law), with each recipe's walk read off its peel order
+and its plans kept on the network.  The
 searches start from the walks, not from labels: ``_chain_walks`` lists
 every chain up to a length as its walk, once, after counting them against
 ``MAX_CHAINS``; ``_walk_values`` asks each distinct level once, with one
@@ -130,10 +132,10 @@ def _level_plan(network: NetworkGraph, level: Level, product: bool) -> QueryPlan
     return compile_query(network, product, (0, 0, fresh), (cut, 0, cut)) if fresh else None
 
 
-def chain_plans(network: NetworkGraph, chain: CutChain, product: bool) -> tuple[QueryPlan | None, ...]:
-    """The law-free plans of a valid chain's levels on the network, for a
-    product law or not: what each level asks, whatever the law."""
-    return tuple([_level_plan(network, level, product) for level in _chain_levels(network, chain)])
+def chain_plans(network: NetworkGraph, walk: Iterable[Level], product: bool) -> tuple[QueryPlan | None, ...]:
+    """The law-free plans of a chain's levels on the network, given as its
+    walk, for a product law or not: what each level asks, whatever the law."""
+    return tuple([_level_plan(network, level, product) for level in walk])
 
 
 def _chain_value(network: NetworkGraph, dist: SourceDistribution, plans, shapes: ShapeMemo) -> ChainValue:
@@ -149,7 +151,8 @@ def evaluate_chain(network: NetworkGraph, chain: CutChain, dist: SourceDistribut
     violations = validate_chain(network, chain)
     if violations:
         raise ChainValidationError(violations)
-    return _chain_value(network, dist, chain_plans(network, chain, dist.mode == "product"), ShapeMemo())
+    plans = chain_plans(network, _chain_levels(network, chain), dist.mode == "product")
+    return _chain_value(network, dist, plans, ShapeMemo())
 
 
 def chain_from_cuts(

@@ -41,13 +41,15 @@ them, their users, the key count and the relabelled columns.  A
 ``QueryPlan`` depends only on a network's counts and wiring, not on its
 channel or law, so ``compile_query`` keeps each plan in the network's own
 memo, with their repeated parts held once, and a query asked again under
-any law reduces nothing; recipe chains and replica rates keep theirs, in
-order, on the cached recipes (see ``extend``).  The law step,
-``memo_entropy``, is the one network query and the one law evaluator: it
-checks the law, turns the plan into a shape with ``query_shape``, which
-names a query up to renaming replicas of one user under equal tables, so
-equal shapes have values equal bit for bit, and runs ``query_entropy``, the
-engine entry, only for a shape not yet in the caller's ``ShapeMemo``.  The memo also keeps, within ``MAX_ATOMS`` cells,
+any law reduces nothing.  ``NetworkGraph.kept`` is that memo's one entry
+for other law-free values, such as the plan tuple of a recipe chain or of
+a network's replica rates: a plan is compiled once per network object.
+The law step, ``memo_entropy``, is the one network query and the one law
+evaluator: it checks the law, turns the plan into a shape with
+``query_shape``, which names a query up to renaming replicas of one user
+under equal tables, so equal shapes have values equal bit for bit, and
+runs ``query_entropy``, the engine entry, only for a shape not yet in the
+caller's ``ShapeMemo``.  The memo also keeps, within ``MAX_ATOMS`` cells,
 one enumeration per source-table tuple (a shape's first part) and the
 columns evaluated at it, so queries that read equal tables enumerate once.
 A joint-law source is named in the shape by the law and its position in it,
@@ -66,7 +68,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,8 +122,8 @@ class NetworkGraph:
     # ones in user order)
     _wired_masks: tuple[int, ...] = field(init=False, repr=False)
     _output_reads: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    # compile_query's memo: each plan by (product, targets, cond), and the
-    # positions, users, columns and column tuples its plans share
+    # the law-free memo: compile_query's plans by (product, targets, cond) and
+    # kept values; and the positions, users, columns and column tuples shared
     _plans: dict = field(init=False, repr=False, compare=False)
     _parts: dict = field(init=False, repr=False, compare=False)
 
@@ -202,6 +204,13 @@ class NetworkGraph:
             return sum(set(map(self._bit.__getitem__, replicas)))
         except KeyError as missing:
             raise DicboundError(f"replica {missing} is not in this network") from None
+
+    def kept(self, key: tuple, build: Callable[[], object]):
+        """The law-free value under ``key`` in the memo ``compile_query`` fills,
+        from ``build()`` on first use; ``key`` is led by a str, a query key by a bool."""
+        if key not in self._plans:
+            self._plans[key] = build()
+        return self._plans[key]
 
     def replica_sets(self, variables: Iterable[VariableId]) -> tuple[int, int, int]:
         """The replicas of the variables' X's, V's and Y's, as three bitmasks

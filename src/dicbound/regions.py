@@ -169,9 +169,11 @@ def sample_region(
     templates: Sequence[BoundTemplate] | None = None,
 ) -> Iterator[RegionPolytope]:
     """One polytope per law of the deterministic distribution sweep, each
-    computed when it is asked for; their union is an inner approximation of
-    the region.  The count is checked when the function is called, before
-    any law is drawn: more than ``MAX_SAMPLES`` are refused.
+    computed when it is asked for.  For two users their union is an inner
+    approximation of the region; for three it is not, as the templates'
+    images under user relabelling are not applied.  The count is checked
+    when the function is called, before any law is drawn: more than
+    ``MAX_SAMPLES`` are refused.
 
     The sweep starts at the uniform distribution, then point masses, then
     seeded per-source Dirichlet draws, so n_samples=1 is the uniform region.

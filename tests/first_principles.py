@@ -11,6 +11,7 @@ recipe's closed-form terms.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -275,6 +276,45 @@ def reference_separates(y, columns, rhs) -> bool:
         return sum((scaled.get(i, 0) * c for i, c in col.items()), 0)
 
     return dot(rhs) > 0 and all(dot(col) <= 0 for col in columns)
+
+
+# H(A) or H(A|C), I(A;B) or I(A;B|C), each side a comma-separated name list
+_BASIC_LINE_RE = re.compile(r"([HI])\(([^()|]+)(?:\|([^()|]+))?\)")
+
+
+def reference_check_certificate(problem, certificate) -> bool:
+    """An exact re-summer of a prover certificate that uses nothing from
+    dicbound: it reads only the problem's variable names, named constraints
+    and target, each expression a {subset bitmask: coefficient} dict with
+    bit i for ``problem.variables[i]``.  A line ``[=]name`` adds that
+    constraint with any weight; a line H(A|C) or I(A;B|C), parsed here, adds
+    its joint entropies with a non-negative weight.  The weighted sum, in
+    Fractions, must equal the target."""
+    bit = {name: 1 << i for i, name in enumerate(problem.variables)}
+    constraints = {f"[=]{name}": expr for name, expr in problem.constraints}
+
+    def subset(names):
+        masks = [bit.get(name) for name in names.split(",")]
+        return None if None in masks else sum(set(masks))
+
+    total = {}
+    for label, weight in certificate:
+        weight = Fraction(weight)
+        terms = constraints.get(label)
+        if terms is None:
+            line = _BASIC_LINE_RE.fullmatch(label)
+            if line is None or weight < 0:
+                return False
+            kind, sides, given = line.groups()
+            sides, c = [subset(side) for side in sides.split(";")], subset(given) if given else 0
+            if len(sides) != (2 if kind == "I" else 1) or None in sides or c is None:
+                return False
+            a, b = sides[0], sides[-1]
+            terms = {a | c: 1, c: -1} if kind == "H" else {a | c: 1, b | c: 1, a | b | c: -1, c: -1}
+        for mask, coeff in terms.items():
+            if mask:
+                total[mask] = total.get(mask, 0) + weight * coeff
+    return {m: c for m, c in total.items() if c} == {m: c for m, c in problem.target.items() if c}
 
 
 def affine_term_multiplicities(bound_id):

@@ -110,3 +110,29 @@ def test_only_networks_names_the_private_fields_of_a_network():
             named = names_in(ast.parse(path.read_text(encoding="utf-8")))
             naming |= {f"{path.stem}: {name}" for name in private if named[name]}
     assert naming == set()
+
+
+def object_setattr_calls(node) -> set:
+    """Every ``object.__setattr__(...)`` call under ``node``."""
+    return {
+        n
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "__setattr__"
+        and isinstance(n.func.value, ast.Name)
+        and n.func.value.id == "object"
+    }
+
+
+def test_frozen_fields_are_set_only_in_post_init():
+    # a frozen dataclass derives its own fields in __post_init__ and is plain
+    # data after that: no library statement writes a field of one later, as
+    # a cache on a recipe would
+    outside = []
+    for path in sorted(Path(dicbound.__file__).parent.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        inits = [n for n in ast.walk(module) if isinstance(n, ast.FunctionDef) and n.name == "__post_init__"]
+        allowed = set().union(*map(object_setattr_calls, inits))
+        outside += [f"{path.stem}:{call.lineno}" for call in object_setattr_calls(module) - allowed]
+    assert outside == []

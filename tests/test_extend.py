@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 import sys
 
@@ -288,6 +289,20 @@ def test_an_empty_size_range_is_refused(xor2):
     # not a report with ok=True and no per-k line
     with pytest.raises(DicboundError, match="^bound 4a is parametric; k_range must hold at least one size$"):
         verify_chain_identity("4a", xor2, UNIFORM2, k_range=[])
+
+
+def test_a_one_shot_size_range_is_checked_size_by_size(xor2):
+    # the sizes are read once, in order: a generator reports every size it
+    # yields, as a list does, an exhausted one is refused as empty, and an
+    # endless one stops at its first unsupported size
+    listed = verify_chain_identity("4a", xor2, UNIFORM2, k_range=[1, 2, 3])
+    drawn = verify_chain_identity("4a", xor2, UNIFORM2, k_range=(k for k in (1, 2, 3)))
+    assert [k for k, *_ in drawn.per_k] == [1, 2, 3] and drawn == listed
+    with pytest.raises(DicboundError, match="k_range must hold at least one size$"):
+        verify_chain_identity("4a", xor2, UNIFORM2, k_range=iter(()))
+    hi = bound_support_info("4a")["k_range"][1]
+    with pytest.raises(UnsupportedBoundError, match=f"got {hi + 1}$"):
+        verify_chain_identity("4a", xor2, UNIFORM2, k_range=itertools.count(1))
 
 
 def test_limit_bound_examples(xor2):

@@ -1,9 +1,9 @@
-"""Law-free query plans kept on the cached recipes and on the kept networks.
+"""Law-free query plans kept on the kept networks.
 
 A channel builds each extended network once and each network compiles each
-query once; a recipe's chain levels and replica rates keep their plans once
-per process, and every law after that only builds shapes from them.  The
-plans must give what a fresh evaluation gives, bit for bit, whichever
+query once, and keeps the plan tuples of the recipe chains and replica
+rates evaluated on it; every law after that only builds shapes from them.
+The plans must give what a fresh evaluation gives, bit for bit, whichever
 recipes were compiled first and on whichever channel, and nothing kept may
 hold a law.
 """
@@ -27,7 +27,7 @@ from dicbound.extend import (
     verify_chain_identity,
     verify_replica_rates,
 )
-from dicbound.gcs import _chain_value, chain_plans, min_chain_bound
+from dicbound.gcs import _chain_levels, _chain_value, chain_plans, min_chain_bound
 from dicbound.networks import (
     NetworkGraph,
     QueryPlan,
@@ -65,7 +65,7 @@ def fresh_identity(channel, law, bound_id, k):
     recipe = builtin_recipe(bound_id, k)
     net = build_extended(channel, recipe.recipe)
     rdist = replicate_distribution(net, law)
-    value = _chain_value(net, rdist, chain_plans(net, recipe.chain, True), ShapeMemo())
+    value = _chain_value(net, rdist, chain_plans(net, _chain_levels(net, recipe.chain), True), ShapeMemo())
     assert value.terms == reference_terms(net, recipe.chain, rdist)
     closed = chain_closed_form(recipe, base_terms(channel, law, recipe.term_counts()))
     return (k or 0, value.total, closed, abs(value.total - closed))
@@ -114,9 +114,10 @@ def test_recipes_of_one_network_keep_their_own_plans(fresh_recipes, order):
 
 
 def test_a_recipe_compiles_its_plans_once(fresh_recipes, count_calls):
-    # the first identity sweep and rate check of 4a compile every level and
-    # both rate queries of every replica; later laws and channels reduce
-    # nothing, and still ask the engine for the shapes their memos lack.
+    # the first identity sweep and rate check of 4a on a channel object
+    # compile every level and both rate queries of every replica; later laws
+    # on it reduce nothing, and still ask the engine for the shapes their
+    # memos lack, while another channel object compiles its own plans, once.
     # The channels are fresh objects: a session fixture's networks keep what
     # earlier tests compiled on them
     xor2, concat3 = builtin_channel("xor2"), builtin_channel("concat3")
@@ -125,19 +126,21 @@ def test_a_recipe_compiles_its_plans_once(fresh_recipes, count_calls):
     ks = (1, 2, 3)
     # the k = 3 chain's first level is H(Y1^3), which the rate check asks
     # too: the network compiles that query once for both
-    levels = sum(len(builtin_recipe("4a", k).chain) for k in ks) - 1
+    levels = sum(len(builtin_recipe("4a", k).peel) for k in ks) - 1
     replicas = sum(builtin_recipe("4a", 3).recipe.counts)
+    once = levels + 2 * (2 + replicas)  # what one two-user channel object compiles
     asked = []
-    for seed, channel in enumerate((xor2, builtin_channel("shift2", [3, 3, 1]), xor2)):
+    rounds = (xor2, once), (builtin_channel("shift2", [3, 3, 1]), 2 * once), (xor2, 2 * once)
+    for seed, (channel, compiled) in enumerate(rounds):
         law = sample_product_distribution(channel.input_sizes, seed, 0)
         assert verify_chain_identity("4a", channel, law, ks).ok
         assert verify_replica_rates(channel, builtin_recipe("4a", 3).recipe, law).max_deviation == 0.0
-        assert len(reductions) == levels + 2 * (channel.user_count + replicas)
+        assert len(reductions) == compiled
         asked.append(len(queries))
     assert 0 < asked[0] < asked[1] < asked[2]
     # a three-user recipe compiles on its own first use, the chain only
     assert verify_chain_identity("ineq8", concat3, SourceDistribution.uniform([2, 2, 2])).ok
-    assert len(reductions) == levels + 2 * (2 + replicas) + len(builtin_recipe("ineq8").chain)
+    assert len(reductions) == 2 * once + len(builtin_recipe("ineq8").peel)
 
 
 def joint_law(sizes, seed):
@@ -252,12 +255,17 @@ def reachable(root):
                 stack += vars(obj).values()
 
 
+def unkept():
+    pytest.fail("a plan tuple was not kept")
+
+
 def test_kept_plans_hold_no_law(fresh_recipes):
-    # every plan the recipes keep after an identity sweep and a rate check of
-    # each id holds ints and column kinds only: no float, no table, no law;
-    # and after a chains round, nothing the channel keeps, its networks and
-    # their plan memos included, is a law, a shape memo or a float table
-    kept = {}  # users -> the plans the recipes keep
+    # every plan tuple the networks keep after an identity sweep and a rate
+    # check of each id holds ints and column kinds only: no float, no table,
+    # no law; and after a chains round, nothing the channel keeps, its
+    # networks and their plan memos included, is a law, a shape memo or a
+    # float table
+    kept = {}  # users -> the plans the channel's networks keep for its recipes
     channels = (2, builtin_channel("shift2", [3, 3, 1])), (3, builtin_channel("concat3"))
     for users, channel in channels:
         law = sample_product_distribution(channel.input_sizes, 4, 0)
@@ -268,8 +276,10 @@ def test_kept_plans_hold_no_law(fresh_recipes):
             verify_chain_identity(bound_id, channel, law, [k])
             recipe = builtin_recipe(bound_id, k)
             verify_replica_rates(channel, recipe.recipe, law)
-            plans += [plan for plan in recipe._level_plans if plan is not None]
-            plans += [plan for rates in recipe.recipe._rate_plans for _, *asks in rates for plan in asks if plan]
+            net = build_extended(channel, recipe.recipe)
+            plans += [plan for plan in net.kept(("chain", True, recipe.peel), unkept) if plan is not None]
+            for network in (channel.network, net):
+                plans += [plan for asks in network.kept(("rates", True), unkept) for plan in asks if plan]
     assert all(plans and all(isinstance(plan, QueryPlan) for plan in plans) for plans in kept.values())
     assert {type(leaf) for leaf in leaves(list(kept.values()))} == {int, str}
     for (users, channel), search in zip(channels, (("4a", 2, 2), ("ineq5", 1, 3))):

@@ -25,7 +25,12 @@ from dicbound.prover import (
     verify_certificate,
 )
 from dicbound.sampling import sample_product_distribution
-from first_principles import oracle_expr_value, reference_elemental_columns, reference_separates
+from first_principles import (
+    oracle_expr_value,
+    reference_check_certificate,
+    reference_elemental_columns,
+    reference_separates,
+)
 
 BASE2_WIRING = {(1, 1): ((2, 1),), (2, 1): ((1, 1),)}
 BASE3_WIRING = {
@@ -1049,6 +1054,16 @@ def test_every_bound_residue_provable():
             # a fall-through to the full simplex has no time bound at n = 11
             assert (result.status, result.path) == ("Provable", "guided"), problem.name
             assert verify_certificate(problem, result.certificate), problem.name
+            # the independent re-summer accepts it, and rejects it with the
+            # weight of its first basic line changed, that line's label
+            # misspelt or that line dropped
+            assert reference_check_certificate(problem, result.certificate), problem.name
+            cert = list(result.certificate)
+            i = next(i for i, (label, _) in enumerate(cert) if not label.startswith("[=]"))
+            (label, weight), before, after = cert[i], cert[:i], cert[i + 1 :]
+            misspelt = label.replace("(", "(Z", 1)
+            for mutated in (before + [(label, weight + 1)] + after, before + [(misspelt, weight)] + after, before + after):
+                assert not reference_check_certificate(problem, mutated), problem.name
             lines += [f"{coeff} * {label}" for label, coeff in result.certificate]
     # one basic inequality per residual term keeps the 35 ids at 1,873 lines
     assert len(lines) <= 2000
