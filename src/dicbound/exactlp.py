@@ -66,14 +66,6 @@ class Columns(Sequence):
             yield {r: s for r, s in zip(rows, signs) if s}
         yield from self.sparse
 
-    def select(self, indices: Sequence[int]) -> Columns:
-        """The columns at the given increasing indices, in that order."""
-        indices = np.asarray(indices, dtype=np.int64)
-        split = int(np.searchsorted(indices, len(self.rows)))
-        block = indices[:split]
-        sparse = [self.sparse[j] for j in (indices[split:] - len(self.rows)).tolist()]
-        return Columns(self.rows[block], self.signs[block], self.size, sparse)
-
 
 def _dot(y: Mapping[int, int], col: SparseCol) -> int:
     """y.col times the common denominator of col's coefficients: the sign of

@@ -17,7 +17,9 @@ from one ``base_terms`` evaluation, for ``verify_chain_identity`` and
 ``limit_bound`` alike.
 
 A built-in recipe is plain data, instantiated once per (id, k) and process:
-its network recipe, its peel order and its closed terms.  It is evaluated
+its network recipe, its peel order and its closed terms; its chain's walk
+is read off the peel order (``_recipe_walk``, one of the three chain
+conversions that ``gcs`` lists).  It is evaluated
 on a few channels under many laws, so what does not depend on the law is
 built once per network object and kept on it.  ``build_extended`` builds
 and checks a recipe's network once per channel object and keeps it on the
@@ -44,7 +46,7 @@ from typing import Mapping, Sequence
 from .channels import DeterministicChannel, is_int
 from .entropy import SourceDistribution, base_terms
 from .errors import DicboundError, RecipeError, UnsupportedBoundError
-from .gcs import CutChain, _chain_value, chain_from_cuts, chain_plans
+from .gcs import Walk, _chain_value, chain_plans
 from .networks import (
     NetworkGraph,
     Replica,
@@ -52,7 +54,6 @@ from .networks import (
     base_network,
     compile_query,
     memo_entropy,
-    node_labels,
     replicas_from_counts,
     replicate_distribution,
 )
@@ -217,15 +218,6 @@ class BoundRecipe:
     peel: tuple[tuple[Replica, ...], ...]
     closed_terms: tuple[ClosedTerm, ...]
 
-    @property
-    def chain(self) -> CutChain:
-        """The cut chain of the peel order, built on each read for validation
-        and printing; evaluation reads the peel."""
-        labels = {r: node_labels(r) for r in replicas_from_counts(self.recipe.counts)}
-        # the replicas not yet peeled after each level, from all of them down to none
-        uncut = list(accumulate(self.peel, lambda left, level: left - set(level), initial=frozenset(labels)))
-        return chain_from_cuts(labels, uncut)
-
     def term_counts(self) -> Counter[tuple[int, frozenset[int]]]:
         """How often each closed-term key occurs, counted once per recipe:
         the Counter returned is kept, and is read, never changed."""
@@ -315,16 +307,18 @@ def _builtin_recipe(bound_id: str, k: int | None) -> BoundRecipe:
     return BoundRecipe(recipe=recipe, peel=peel, closed_terms=derive_closed_terms(counts, wiring, peel))
 
 
+def _recipe_walk(network: NetworkGraph, recipe: BoundRecipe) -> Walk:
+    """The walk of a recipe chain on ``network``, an instance of
+    ``recipe.recipe``, read off the peel order: level j cuts the replicas
+    peeled at j, after every replica peeled before it."""
+    fresh = [network.mask(level) for level in recipe.peel]
+    return tuple(zip(accumulate(fresh, or_, initial=0), fresh))
+
+
 def _recipe_plans(network: NetworkGraph, recipe: BoundRecipe) -> tuple:
-    """The compiled queries of a recipe chain's levels on ``network``, an
-    instance of ``recipe.recipe``, under a product law: the walk is read off
-    the peel order, and the plans are kept on the network under it."""
-
-    def build():
-        fresh = [network.mask(level) for level in recipe.peel]
-        return chain_plans(network, zip(accumulate(fresh, or_, initial=0), fresh), True)
-
-    return network.kept(("chain", True, recipe.peel), build)
+    """The compiled queries of a recipe chain's levels on ``network`` under a
+    product law, kept on the network under the peel order."""
+    return network.kept(("chain", True, recipe.peel), lambda: chain_plans(network, _recipe_walk(network, recipe), True))
 
 
 # -- verification --------------------------------------------------------------

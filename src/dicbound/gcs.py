@@ -8,37 +8,36 @@ outputs already cut), evaluated single-letter.
 
 The rule fixes a chain by the replicas still uncut at each level: nested sets
 R_0 = all >= R_1 >= ... >= R_l = {} give O_j = S(R_{j-1}) | D(R_j), and every
-valid chain arises this way.  ``chain_from_cuts`` is the one constructor; it
-builds enumerated chains and recipe chains alike.
+valid chain arises this way.  Level j is H(Y(R_{j-1} - R_j) | X, Y(all -
+R_{j-1})), so the pair (R_{j-1}, R_j) alone decides its value, whichever
+chain it occurs in.  A level is two replica bitmasks, (cut, fresh), of the
+replicas cut before it and of those it cuts, and a chain's *walk* is its
+levels in order.  Inside the library a chain is its walk; its node labels
+appear only at the edge, through three conversions: peel order -> walk
+(``extend._recipe_walk``), labels -> walk (``_chain_levels``, after
+``validate_chain``) and walk -> labels (``_walk_chains``).
 
-Level j is H(Y(R_{j-1} - R_j) | X, Y(all - R_{j-1})), so the pair
-(R_{j-1}, R_j) alone decides its value, whichever chain it occurs in.  A
-level is two replica bitmasks, (cut, fresh), of the replicas cut before it
-and of those it cuts, and a chain's *walk* is its levels in order.  A
-level's query is compiled once per network (``networks.compile_query``,
+A level's query is compiled once per network (``networks.compile_query``,
 law-free, keeps it on the network) and asked of ``networks.memo_entropy``,
 the one network query, which evaluates only a query shape its memo has not
 met.  A hit is exact: a shape renames replicas only within a user under
-equal tables, and a user's replicas run i.i.d. copies of its inputs.  The memo, a ``networks.ShapeMemo``, also
-enumerates each source-table tuple once for all the shapes that read it (the
-ineq5 search at k = 1: 622 shapes, 8 enumerations), under a product or a
-joint law.
+equal tables, and a user's replicas run i.i.d. copies of its inputs.  The
+memo, a ``networks.ShapeMemo``, also enumerates each source-table tuple once
+for all the shapes that read it (the ineq5 search at k = 1: 622 shapes, 8
+enumerations), under a product or a joint law.
 
 ``_chain_value`` is the one evaluator of a given chain, from the plans of
 its walk (``chain_plans``); its caller keeps the shape memo:
-``evaluate_chain`` starts one per chain and reads the walk off the chain's
-labels (``_chain_levels``, the one label -> walk conversion), and
-``extend.verify_chain_identity`` one across its k range (one channel, the
-replicas of one base law), with each recipe's walk read off its peel order
-and its plans kept on the network.  The
-searches start from the walks, not from labels: ``_chain_walks`` lists
-every chain up to a length as its walk, once, after counting them against
-``MAX_CHAINS``; ``_walk_values`` asks each distinct level once, with one
-shape memo per call, and sums each walk's levels with ``math.fsum``; a
-search repeated on a kept network compiles nothing.
-``chain_values`` (``gcs --enumerate``) turns every walk into its chain and
-lists them canonically ordered; ``min_chain_bound`` turns only the walks
-tied at the least value into chains, for the one tie rule,
+``evaluate_chain`` starts one per chain, and ``extend.verify_chain_identity``
+one across its k range (one channel, the replicas of one base law), with
+each recipe's plans kept on the network.  The searches start from the
+walks: ``_chain_walks`` lists every chain up to a length as its walk, once,
+after counting them against ``MAX_CHAINS``; ``_walk_values`` asks each
+distinct level once, with one shape memo per call, and sums each walk's
+levels with ``math.fsum``; a search repeated on a kept network compiles
+nothing.  ``chain_values`` (``gcs --enumerate``) turns every walk into its
+chain and lists them canonically ordered; ``min_chain_bound`` turns only
+the walks tied at the least value into chains, for the one tie rule,
 ``tightest_chain``.
 """
 
@@ -46,11 +45,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .entropy import SourceDistribution
 from .errors import BudgetExceededError, ChainValidationError, DicboundError
-from .networks import NetworkGraph, QueryPlan, Replica, ShapeMemo, compile_query, memo_entropy
+from .networks import NetworkGraph, QueryPlan, ShapeMemo, compile_query, memo_entropy
 
 # The chain searches and enumerate_chains refuse to walk more chains.  The
 # largest search in the benchmark walks 794 (ineq5 at k = 1, up to length 3);
@@ -155,24 +154,6 @@ def evaluate_chain(network: NetworkGraph, chain: CutChain, dist: SourceDistribut
     return _chain_value(network, dist, plans, ShapeMemo())
 
 
-def chain_from_cuts(
-    labels: Mapping[Replica, tuple[str, str]], uncut: Sequence[AbstractSet[Replica]]
-) -> CutChain:
-    """The chain of nested replica sets ``uncut`` = R_0 >= R_1 >= ... >= R_l,
-    R_j holding the replicas still uncut after level j: R_0 is every replica
-    in ``labels`` (replica -> source and destination label) and R_l is empty.
-    Level j is S(R_{j-1}) | D(R_j), so the chain satisfies the membership rule
-    by construction."""
-    if not uncut or set(uncut[0]) != set(labels) or uncut[-1]:
-        raise DicboundError("a cut chain starts with every replica uncut and ends with none")
-    subsets = []
-    for outer, inner in zip(uncut, uncut[1:]):
-        if not inner <= outer:
-            raise DicboundError(f"replicas {sorted(inner - outer)} are uncut again after a cut")
-        subsets.append(frozenset(labels[r][0] for r in outer) | {labels[r][1] for r in inner})
-    return CutChain(tuple(subsets))
-
-
 def _chain_walks(network: NetworkGraph, max_l: int) -> list[Walk]:
     """Every chain of length 1..max_l as its walk, the (cut, fresh) replica
     bitmasks of its levels (see ``_chain_levels``), once each: a chain of
@@ -209,18 +190,19 @@ def _extend_walk(prefix: Walk, cut: int, uncut: int, left: int, walks: list[Walk
 
 
 def _walk_chains(network: NetworkGraph, walks: Iterable[Walk]) -> list[CutChain]:
-    """The chain of each walk, built by ``chain_from_cuts`` from the replicas
-    still uncut after each of its levels."""
-    labels = dict(zip(network.replicas, network.pairs()))
-    bits = [(r, network.mask([r])) for r in network.replicas]
+    """The chain of each walk: level j is S(R_{j-1}) | D(R_j), R_{j-1} and R_j
+    being the replicas uncut before and after it, so every chain meets the
+    membership rule by construction."""
+    labels = [(network.mask([r]), src, dst) for r, (src, dst) in zip(network.replicas, network.pairs())]
     every = network.mask(network.replicas)
     chains = []
     for walk in walks:
-        uncut, left = [frozenset(labels)], every
-        for _, fresh in walk:
-            left &= ~fresh
-            uncut.append(frozenset(r for r, bit in bits if left & bit))
-        chains.append(chain_from_cuts(labels, uncut))
+        subsets = []
+        for cut, fresh in walk:
+            outer, inner = every & ~cut, every & ~(cut | fresh)
+            sources = [src for bit, src, _ in labels if outer & bit]
+            subsets.append(frozenset(sources + [dst for bit, _, dst in labels if inner & bit]))
+        chains.append(CutChain(tuple(subsets)))
     return chains
 
 
@@ -235,7 +217,7 @@ def _sorted_chains(network: NetworkGraph, max_l: int) -> list[tuple[CutChain, Wa
 
 def enumerate_chains(network: NetworkGraph, max_l: int) -> list[CutChain]:
     """Every valid chain of length 1..max_l, canonically ordered, no duplicates:
-    one per nested sequence of uncut replica sets ending empty.
+    one per walk.
 
     A chain of length l assigns each of the n replicas the level 1..l that
     cuts it, so there are l**n such chains; more than ``MAX_CHAINS`` in all

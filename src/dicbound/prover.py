@@ -598,7 +598,7 @@ def _solve_exact(lp: _ClosedSetLP, restrict: Iterable[int] | None = None, candid
         cols, columns = range(len(lp.columns)), lp.columns
     else:
         cols = sorted(restrict)
-        columns = lp.columns.select(cols)
+        columns = [lp.columns[j] for j in cols]
     result = solve_feasibility(columns, lp.target, lp.n_rows, candidate)
     if not result.feasible:
         return None, result

@@ -109,6 +109,8 @@ class RegionPolytope:
         for coeffs, rhs in self.halfspaces:
             if len(coeffs) != self.dimension:
                 raise DicboundError("halfspace dimension mismatch")
+            if math.isnan(rhs):
+                raise DicboundError("halfspace right-hand sides must not be NaN")
             if rhs < 0:
                 raise DicboundError("halfspace right-hand sides must be non-negative")
         for i in range(self.dimension):
@@ -128,6 +130,8 @@ def contains(polytope: RegionPolytope, point: Sequence[float]) -> bool:
     """Whether the point lies in the polytope, up to ``CONTAINS_TOL``."""
     if len(point) != polytope.dimension:
         raise DicboundError("point dimension mismatch")
+    if any(math.isnan(r) for r in point):
+        raise DicboundError("point coordinates must not be NaN")
     if any(r < -CONTAINS_TOL for r in point):
         return False
     for coeffs, rhs in polytope.halfspaces:

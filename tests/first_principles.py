@@ -5,7 +5,7 @@ probabilities over enumerated input tuples), and the variables a conditioning
 set determines by iterating the closure rules to their fixed point, so they
 share no code path with the engine under test.  The test-only readings of
 the library's own data live here too, such as the per-k multiplicity of each
-recipe's closed-form terms.
+recipe's closed-form terms and the cut chain of each recipe's peel order.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from itertools import product
 import numpy as np
 
 from dicbound.entropy import VariableId, X, Y
-from dicbound.extend import bound_support_info, builtin_recipe
-from dicbound.networks import cond_entropy_network
+from dicbound.extend import _recipe_walk, bound_support_info, build_extended, builtin_recipe, verify_chain_identity
+from dicbound.gcs import CutChain, _chain_walks, _walk_chains, _walk_values, min_chain_bound
+from dicbound.networks import cond_entropy_network, replicate_distribution
 
 
 def oracle_entropy(probs) -> float:
@@ -332,6 +333,47 @@ def affine_term_multiplicities(bound_id):
         assert c2 == a * (lo + 2) + b, f"{bound_id}: term multiplicity for {key} is not affine in k"
         out[key] = (a, b)
     return out
+
+
+def recipe_chain(recipe):
+    """The cut chain of a bound recipe's peel order, in replicated-network
+    labels: level j holds the source of every replica not peeled before it
+    and the destination of every replica not peeled by its end."""
+    left = {(u, c) for u, n in enumerate(recipe.recipe.counts, start=1) for c in range(1, n + 1)}
+    subsets = []
+    for level in recipe.peel:
+        sources = {f"S{u}^{c}" for u, c in left}
+        left -= set(level)
+        subsets.append(sources | {f"D{u}^{c}" for u, c in left})
+    return CutChain.of(subsets)
+
+
+# the recipe searches that ``check_recipe_search`` runs: those of at most
+# this many walks
+SEARCH_WALKS = 400
+
+
+def check_recipe_search(channel, law, bound_id):
+    """Check a bound's recipe chain at its least size against the chain
+    search up to the chain's length on its network, when that search has at
+    most ``SEARCH_WALKS`` walks: the search meets the recipe's walk, values
+    it exactly as the identity check values the chain, finds no greater
+    least value, and labels it as ``recipe_chain`` does.  Returns whether
+    the search ran."""
+    spec = bound_support_info(bound_id)
+    k = spec["k_range"][0] if spec["parametric"] else None
+    recipe = builtin_recipe(bound_id, k)
+    network, length = build_extended(channel, recipe.recipe), len(recipe.peel)
+    if sum(l ** len(network.replicas) for l in range(1, length + 1)) > SEARCH_WALKS:
+        return False
+    rdist = replicate_distribution(network, law)
+    walks, walk = _chain_walks(network, length), _recipe_walk(network, recipe)
+    assert walk in walks, bound_id
+    [(_, chain_value, _, _)] = verify_chain_identity(bound_id, channel, law, [k]).per_k
+    assert _walk_values(network, rdist, walks)[walks.index(walk)] == chain_value, bound_id
+    assert min_chain_bound(network, rdist, length)[1] <= chain_value, bound_id
+    assert _walk_chains(network, [walk]) == [recipe_chain(recipe)], bound_id
+    return True
 
 
 def reference_levels(network, chain):

@@ -136,3 +136,25 @@ def test_frozen_fields_are_set_only_in_post_init():
         allowed = set().union(*map(object_setattr_calls, inits))
         outside += [f"{path.stem}:{call.lineno}" for call in object_setattr_calls(module) - allowed]
     assert outside == []
+
+
+def builds_a_chain(call: ast.Call) -> bool:
+    """Whether the call is ``CutChain(...)`` or ``CutChain.of(...)``."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr == "of":
+        func = func.value
+    return isinstance(func, ast.Name) and func.id == "CutChain"
+
+
+def test_cut_chains_are_built_only_at_the_edge():
+    # inside the library a chain is its walk of replica masks: outside
+    # CutChain's own methods, only the walk -> labels conversion builds one,
+    # and the CLI reading a chain document
+    building = set()
+    for path in sorted(Path(dicbound.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.ClassDef) and stmt.name == "CutChain":
+                continue
+            if any(isinstance(n, ast.Call) and builds_a_chain(n) for n in ast.walk(stmt)):
+                building.add(f"{path.stem}.{getattr(stmt, 'name', type(stmt).__name__)}")
+    assert building == {"gcs._walk_chains", "cli._chain_from_doc"}

@@ -8,7 +8,9 @@ product law on it.  On each, every supported bound id at its two least sizes
 must satisfy the chain identity, its limit bound must equal its template
 bound, every replica's rate must equal its user's base rate exactly, and an
 equal channel object, which builds its own networks and compiles its own
-plans, must give the same floats.  The examples are derandomized and their
+plans, must give the same floats.  Each id's recipe chain at its least size
+must also be met by the chain search, at its identity value, wherever that
+search has at most 400 walks.  The examples are derandomized and their
 number fixed, so the test draws the same channels on every run.
 """
 
@@ -28,6 +30,8 @@ from dicbound.extend import (
 )
 from dicbound.regions import bound_vector
 from dicbound.sampling import sample_product_distribution
+
+from first_principles import check_recipe_search
 
 LIMIT_TOL = 1e-9
 
@@ -77,6 +81,7 @@ def test_the_three_checks_hold_on_drawn_recoverable_channels(channel, seed):
     assert channel.valid
     law = sample_product_distribution(channel.input_sizes, seed, 0)
     values = checked_values(channel, law)
+    assert any([check_recipe_search(channel, law, bound_id) for bound_id in supported_bounds(channel.user_count)])
     twin = DeterministicChannel(channel.user_count, channel.input_sizes, channel.g, channel.f)
     assert twin == channel and twin is not channel
     # repr spells each float exactly, so equal text is equal floats

@@ -32,6 +32,7 @@ from first_principles import (
     oracle_network_atoms,
     oracle_network_cond_entropy,
     oracle_product_law,
+    recipe_chain,
 )
 
 
@@ -154,7 +155,7 @@ def test_law_that_does_not_fit_the_network_is_rejected(xor2, shift2_221):
     recipe = builtin_recipe("4e", 2)
     extended = build_extended(xor2, recipe.recipe)
     with pytest.raises(DistributionError):
-        evaluate_chain(extended, recipe.chain, SourceDistribution.uniform([2, 2]))
+        evaluate_chain(extended, recipe_chain(recipe), SourceDistribution.uniform([2, 2]))
     with pytest.raises(DistributionError):
         cond_entropy_network(base_network(shift2_221), SourceDistribution.uniform([2, 2]), [Y(1)], [X(1)])
     with pytest.raises(DistributionError):

@@ -26,7 +26,7 @@ from dicbound.networks import base_network, evaluate_columns, replicate_distribu
 from dicbound.regions import bound_vector, load_templates
 from dicbound.sampling import sample_product_distribution
 
-from first_principles import affine_term_multiplicities, reads
+from first_principles import affine_term_multiplicities, reads, recipe_chain
 
 UNIFORM2 = SourceDistribution.uniform([2, 2])
 UNIFORM3 = SourceDistribution.uniform([2, 2, 2])
@@ -86,7 +86,7 @@ def test_builtin_recipe_chain_validates_on_channels(xor2, shift2_331, concat3):
             recipe = builtin_recipe(bound_id, k)
             for channel in channels:
                 net = build_extended(channel, recipe.recipe)
-                assert validate_chain(net, recipe.chain) == [], (bound_id, k, channel)
+                assert validate_chain(net, recipe_chain(recipe)) == [], (bound_id, k, channel)
 
 
 def test_a_recipe_declares_a_k_range_exactly_when_parametric():
@@ -107,13 +107,13 @@ def test_unknown_and_out_of_range_bounds():
 def test_recipe_examples_match_stated_structure():
     r4a = builtin_recipe("4a", 3)
     assert r4a.recipe.counts == (3, 1)
-    assert len(r4a.chain) == 4
+    assert len(recipe_chain(r4a)) == 4
     r4e = builtin_recipe("4e", 2)
     assert r4e.recipe.counts == (2, 2)
-    assert len(r4e.chain) == 4
+    assert len(recipe_chain(r4e)) == 4
     r4f = builtin_recipe("4f")
     assert r4f.recipe.counts == (2, 1)
-    assert len(r4f.chain) == 3
+    assert len(recipe_chain(r4f)) == 3
 
 
 def _closed(channel, dist, bound_id, k=None):
@@ -238,7 +238,7 @@ def test_identity_against_materialized_joint(shift2_221):
     net = build_extended(shift2_221, recipe.recipe)
     dist = sample_product_distribution([4, 4], 31, 0)
     rdist = replicate_distribution(net, dist)
-    chain = recipe.chain
+    chain = recipe_chain(recipe)
     reduced = evaluate_chain(net, chain, rdist)
     table = induce_joint(net, rdist)
     full = [frozenset(net.nodes())] + list(chain.subsets)
@@ -447,7 +447,7 @@ def test_identity_mismatch_diagnostic(xor2, monkeypatch, capsys):
     recipe = real("4a", 2)
     level = recipe.closed_terms[-1].level
     net = build_extended(xor2, recipe.recipe)
-    chain_term = evaluate_chain(net, recipe.chain, replicate_distribution(net, UNIFORM2)).terms[level - 1]
+    chain_term = evaluate_chain(net, recipe_chain(recipe), replicate_distribution(net, UNIFORM2)).terms[level - 1]
     closed_term = base_terms(xor2, UNIFORM2, [(2, frozenset())])[(2, frozenset())]
     assert abs(chain_term - closed_term) > 1e-9
     diagnostic = f"k=2: level {level} evaluates to {chain_term:.12g} but the closed form H(Y2^1) gives {closed_term:.12g}"
@@ -471,7 +471,7 @@ def test_reduced_evaluation_matches_materialized_joint_broadly(xor2, concat3):
         net = build_extended(channel, recipe.recipe)
         dist = sample_product_distribution(channel.input_sizes, 404, 1)
         rdist = replicate_distribution(net, dist)
-        chain = recipe.chain
+        chain = recipe_chain(recipe)
         reduced = evaluate_chain(net, chain, rdist)
         table = induce_joint(net, rdist)
         full = [frozenset(net.nodes())] + list(chain.subsets)
@@ -620,14 +620,14 @@ def test_channel_validity_checked_once_per_channel(monkeypatch):
 
 
 def test_identity_check_does_not_revalidate_recipe_chains(xor2, count_calls):
-    # recipe chains are valid by construction (chain_from_cuts), so only a
+    # recipe chains are valid by construction (read off the peel), so only a
     # chain given from outside, to evaluate_chain, is validated
     validations = count_calls(sys.modules["dicbound.gcs"], "validate_chain")
     assert verify_chain_identity("4e", xor2, UNIFORM2, k_range=[1, 2, 3]).ok
     assert validations == []
     recipe = builtin_recipe("4e", 2)
     net = build_extended(xor2, recipe.recipe)
-    evaluate_chain(net, recipe.chain, replicate_distribution(net, UNIFORM2))
+    evaluate_chain(net, recipe_chain(recipe), replicate_distribution(net, UNIFORM2))
     assert len(validations) == 1
 
 

@@ -23,7 +23,7 @@ from dicbound.extend import (
 )
 from dicbound.gcs import (
     CutChain,
-    chain_from_cuts,
+    _walk_chains,
     chain_values,
     enumerate_chains,
     evaluate_chain,
@@ -47,7 +47,9 @@ from dicbound.networks import (
 from dicbound.sampling import sample_product_distribution
 
 from first_principles import (
+    check_recipe_search,
     reads,
+    recipe_chain,
     reference_levels,
     reference_query_shape,
     reference_reduce_query,
@@ -130,28 +132,27 @@ def test_enumeration_counts_and_oracle(xor2, concat3):
     assert {c.canonical() for c in chains3} == brute_force_chains(net3, 2)
 
 
-def test_chain_from_uncut_replica_sets(xor2):
-    net = base_network(xor2)
-    labels = dict(zip(net.replicas, net.pairs()))
-    both = {(1, 1), (2, 1)}
-    assert chain_from_cuts(labels, [both, {(1, 1)}, set()]) == FIG_A
-    assert chain_from_cuts(labels, [both, set()]) == CutChain.of([{"S1", "S2"}])
-    with pytest.raises(DicboundError):
-        chain_from_cuts(labels, [both, {(1, 1)}])  # receiver 1 never cut
-    with pytest.raises(DicboundError):
-        chain_from_cuts(labels, [{(1, 1)}, set()])  # receiver 2 cut before level 1
-    with pytest.raises(DicboundError):
-        chain_from_cuts(labels, [both, {(1, 1)}, {(2, 1)}, set()])  # not nested
+def brute_force_labels(network, walk):
+    """The chain of a walk from the level that cuts each replica: subset j
+    holds the source of every replica cut at j or later and the destination
+    of every replica cut after j."""
+    replicas = range(len(network.replicas))
+    cut_at = [next(j for j, (_, fresh) in enumerate(walk, start=1) if fresh >> i & 1) for i in replicas]
+    return CutChain.of(
+        [src for (src, _), level in zip(network.pairs(), cut_at) if level >= j]
+        + [dst for (_, dst), level in zip(network.pairs(), cut_at) if level > j]
+        for j in range(1, len(walk) + 1)
+    )
 
 
-def test_a_chain_of_no_replica_sets_is_refused(xor2):
-    # no sets at all, like every replica left uncut, neither starts with
-    # every replica nor ends with none
+def test_walk_chains_match_a_brute_force_label_build(xor2, concat3):
+    net = base_network(concat3)
+    walks = dicbound.gcs._chain_walks(net, 3)
+    assert _walk_chains(net, walks) == [brute_force_labels(net, walk) for walk in walks]
+    # FIG_A cuts receiver 2 at level 1 and receiver 1 at level 2
     net = base_network(xor2)
-    labels = dict(zip(net.replicas, net.pairs()))
-    for uncut in ([], [set(net.replicas)]):
-        with pytest.raises(DicboundError, match="^a cut chain starts with every replica uncut and ends with none$"):
-            chain_from_cuts(labels, uncut)
+    one, two = net.mask([(1, 1)]), net.mask([(2, 1)])
+    assert _walk_chains(net, [((0, two), (two, one)), ((0, one | two),)]) == [FIG_A, CutChain.of([{"S1", "S2"}])]
 
 
 def test_enumerate_command_evaluates_each_chain_once(count_calls, capsys):
@@ -161,14 +162,24 @@ def test_enumerate_command_evaluates_each_chain_once(count_calls, capsys):
     # printed values
     enumerations = count_calls(dicbound.gcs, "_chain_walks")
     valuations = count_calls(dicbound.gcs, "_walk_values")
-    chains = count_calls(dicbound.gcs, "chain_from_cuts")
+    chains = count_calls(dicbound.gcs, "_walk_chains")
     relabelled = count_calls(dicbound.gcs, "_chain_levels")
     assert main(["gcs", "--channel", "concat3", "--enumerate", "--max-l", "3"]) == 0
     assert capsys.readouterr().out.startswith("valid chains up to length 3: 36\n")
     assert len(enumerations) == 1 and len(valuations) == 1
     walks = valuations[0][2]
     assert len(walks) == len(set(walks)) == 36
-    assert len(chains) == 36 and relabelled == []
+    assert len(chains) == 1 and sorted(chains[0][1]) == sorted(walks) and relabelled == []
+
+
+def test_the_search_meets_each_recipe_chain_at_its_identity_value(xor2, shift2_331, concat3):
+    # every id at its least size whose search up to the chain's length has
+    # at most 400 walks: 7 on each two-user channel, 4 on concat3
+    searched = []
+    for seed, channel in enumerate((xor2, shift2_331, concat3)):
+        law = sample_product_distribution(channel.input_sizes, seed, 0)
+        searched += [b for b in supported_bounds(channel.user_count) if check_recipe_search(channel, law, b)]
+    assert len(searched) == 18
 
 
 def test_min_chain_bound_does_not_revalidate_enumerated_chains(concat3, count_calls):
@@ -203,7 +214,7 @@ def test_enumeration_past_the_cap_is_refused_before_any_chain_is_built(monkeypat
     net = base_network(xor2)
     # the largest length that fits: 1 + 4 + ... + 30^2 = 9,455 chains
     assert len(enumerate_chains(net, 30)) == 9455 <= dicbound.gcs.MAX_CHAINS
-    monkeypatch.setattr(dicbound.gcs, "chain_from_cuts", lambda labels, uncut: pytest.fail("built a chain"))
+    monkeypatch.setattr(dicbound.gcs, "_walk_chains", lambda network, walks: pytest.fail("built a chain"))
     monkeypatch.setattr(dicbound.gcs, "_extend_walk", lambda *args: pytest.fail("built a walk"))
     law = SourceDistribution.uniform([2, 2])
     for max_l in (31, 1500, 10**12):
@@ -460,7 +471,7 @@ def recipe_levels(channel, law):
             recipe = builtin_recipe(bound_id, k)
             net = build_extended(channel, recipe.recipe)
             rdist = replicate_distribution(net, law)
-            out += [(net, rdist, *level) for level in reference_levels(net, recipe.chain) if level[0]]
+            out += [(net, rdist, *level) for level in reference_levels(net, recipe_chain(recipe)) if level[0]]
     return out
 
 
@@ -580,7 +591,7 @@ def test_one_memo_keeps_joint_laws_and_networks_apart(concat3, xor2):
 
 def _evaluate(xor2, law):
     recipe = builtin_recipe("4a", 2)
-    return evaluate_chain(build_extended(xor2, recipe.recipe), recipe.chain, law)
+    return evaluate_chain(build_extended(xor2, recipe.recipe), recipe_chain(recipe), law)
 
 
 def _values(xor2, law):
@@ -633,7 +644,7 @@ def test_given_chains_match_the_reference_term_by_term(shift2_331, tmp_path, cap
     channel = {"family": "shift2", "params": [3, 3, 1]}
     network.write_text(json.dumps({"channel": channel, "recipe": recipe_to_dict(recipe.recipe)}))
     dist = sample_product_distribution(net.source_sizes(), 42, 0)  # what --dist seed:42 draws
-    for doc in HAND_CHAINS + (recipe.chain.canonical(),):
+    for doc in HAND_CHAINS + (recipe_chain(recipe).canonical(),):
         chain = CutChain.of(doc)
         terms = reference_terms(net, chain, dist)
         value = evaluate_chain(net, chain, dist)

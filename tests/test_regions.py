@@ -193,3 +193,15 @@ def test_polytope_invariants_enforced():
     with pytest.raises(DicboundError):
         RegionPolytope(4, (((1, 0, 0, 0), 1.0),))
     RegionPolytope(2, (((1, 0), 1.0), ((0, 1), 1.0)))
+
+
+def test_nan_is_refused_as_a_point_and_as_a_bound(xor2):
+    # every comparison with NaN is false, so no halfspace ever excluded it
+    from dicbound.regions import RegionPolytope
+
+    poly = region_polytope(bound_vector(xor2, SourceDistribution.uniform([2, 2])), load_templates(2))
+    for point in ((math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(DicboundError, match="^point coordinates must not be NaN$"):
+            contains(poly, point)
+    with pytest.raises(DicboundError, match="^halfspace right-hand sides must not be NaN$"):
+        RegionPolytope(2, (((1, 0), math.nan), ((0, 1), 1.0)))
