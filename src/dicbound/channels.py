@@ -110,6 +110,16 @@ class DeterministicChannel:
         law."""
         return {}
 
+    @cached_property
+    def kernels(self):
+        """The entropy kernels of the product-law queries asked on this
+        channel's networks (``networks.query_kernel``), a
+        ``networks.KernelStore``: keyed by no law, and holding int arrays
+        only."""
+        from .networks import KernelStore
+
+        return KernelStore()
+
     def interferers(self, user: int) -> tuple[int, ...]:
         """0-based indices of the other users, ascending."""
         return tuple(j for j in range(self.user_count) if j != user)

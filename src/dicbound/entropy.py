@@ -7,9 +7,12 @@ the two entries of the engine in ``networks`` (``source_atoms`` →
 enumerates every source position.  As everywhere inside the engine, a source
 is its replica position and a column reads positions; replicas and
 ``VariableId``s name the table's columns only at the edge.  ``row_entropy`` is
-the engine's one kernel: H(rows), or a network query's H(keys, live) -
-H(keys) from one mixed-radix key build whose prefix gives H(keys).
-Entropies are in bits.
+the engine's one pass: H(rows), or a network query's H(keys, live) -
+H(keys), from one mixed-radix key build (``merged_keys``) whose prefix gives
+H(keys), and ``mass_entropy`` of the merged masses.  A product-law query's
+kernel (``networks.query_kernel``) keeps the merged keys of its full
+alphabet product and runs only ``mass_entropy`` per law.  Entropies are in
+bits.
 """
 
 from __future__ import annotations
@@ -81,6 +84,8 @@ def Y(user: int, copy: int = 1) -> VariableId:
 class SourceDistribution:
     """Distribution over the source inputs, either a product of per-source
     tables or one joint table over the source tuple."""
+
+    __slots__ = ("mode", "sizes", "tables", "joint")
 
     def __init__(self, mode: str, sizes: Sequence[int], probs):
         if mode not in ("product", "joint"):
@@ -239,29 +244,29 @@ def induce_joint(model, dist: SourceDistribution) -> JointTable:
     return JointTable(model.all_variables(), evaluate_columns(model.channel, plan.users, xs, plan.columns, {}), p)
 
 
-def row_entropy(values: np.ndarray, probs: np.ndarray, keys: int = 0) -> float:
-    """H(rows) - H(rows of the first ``keys`` columns), in bits, from one pass:
-    the entropy of the law merging atoms with equal ``values`` rows, less
-    that of their key prefix (0 log 0 = 0).  With no keys it is H(rows).
+def mass_entropy(masses: np.ndarray) -> float:
+    """-sum m log2 m over the positive masses, in bits (0 log 0 = 0): each
+    term ``m * math.log2(m)`` in Python floats, summed by ``math.fsum``,
+    which is exactly rounded, so the order of the masses does not matter."""
+    return -math.fsum([m * math.log2(m) for m in masses[masses > 0.0].tolist()])
 
-    The columns join one mixed-radix int64 key, radices from one
+
+def merged_keys(values: np.ndarray, keys: int, dense: int) -> list:
+    """The rows of ``values`` merged into int64 keys, one array per cut: after
+    the first ``keys`` columns when ``keys`` is positive, then after all of
+    them, so a cut at ``keys`` equal to the width is one array.
+
+    The columns join one mixed-radix key, radices from one
     ``values.max(axis=0)``; the key after the first ``keys`` columns is the
-    prefix's, so the key columns are merged once for both entropies.  A
-    column of huge symbols is numbered in order, and the key is re-indexed by
+    prefix's, so the key columns are merged once for both cuts.  A column of
+    huge symbols is numbered in order, and the key is re-indexed by
     ``np.unique`` before the radix product reaches 2^62, so it never
-    overflows.  A key bound within ``DENSE_KEYS``, or within 4 keys per atom,
-    goes straight to ``bincount``; a larger one is ranked by ``np.unique``
-    first, which keeps key order.  Either way ``bincount`` adds each merged
-    mass in atom order, the float a sequential sum gives, and ``math.fsum``
-    is exactly rounded, so the order of its terms does not matter: the
-    result is the difference of two separate passes, bit for bit.  No
-    columns give H(nothing) = 0.0, not -s log2 s for the mass sum s.
-    """
+    overflows.  A key bound past ``dense`` at a cut is ranked by
+    ``np.unique``, which keeps key order, and the columns after it extend the
+    ranked key; equal rows get equal keys and distinct rows distinct ones
+    either way."""
     width = values.shape[1]
-    if not width:
-        return 0.0
-    dense = max(DENSE_KEYS, 4 * len(probs))
-    key, bound, prefix = np.zeros(len(probs), dtype=np.int64), 1, 0.0
+    key, bound, cuts = np.zeros(len(values), dtype=np.int64), 1, []
     for j, (column, top) in enumerate(zip(values.T, values.max(axis=0).tolist()), start=1):
         radix = top + 1
         if radix > 1 << 31:  # huge symbols: number them in order instead
@@ -275,11 +280,28 @@ def row_entropy(values: np.ndarray, probs: np.ndarray, keys: int = 0) -> float:
             if bound > dense:
                 merged, key = np.unique(key, return_inverse=True)
                 bound = len(merged)
-            masses = np.bincount(key, weights=probs)
-            h = -math.fsum(m * math.log2(m) for m in masses[masses > 0.0].tolist())
-            if j == keys:
-                prefix = h
-    return h - prefix
+            cuts.append(key)
+    return cuts
+
+
+def row_entropy(values: np.ndarray, probs: np.ndarray, keys: int = 0) -> float:
+    """H(rows) - H(rows of the first ``keys`` columns), in bits, from one pass:
+    the entropy of the law merging atoms with equal ``values`` rows, less
+    that of their key prefix (0 log 0 = 0).  With no keys it is H(rows).
+
+    ``merged_keys`` merges the rows, the key columns once for both cuts; a
+    key bound within ``DENSE_KEYS``, or within 4 keys per atom, goes
+    straight to ``bincount``, and a larger one is ranked first.  Either way
+    ``bincount`` adds each merged mass in atom order, the float a sequential
+    sum gives, and ``mass_entropy`` is exactly rounded: the result is the
+    difference of two separate passes, bit for bit.  No columns give
+    H(nothing) = 0.0, not -s log2 s for the mass sum s.
+    """
+    if not values.shape[1]:
+        return 0.0
+    cuts = merged_keys(values, keys, max(DENSE_KEYS, 4 * len(probs)))
+    h = mass_entropy(np.bincount(cuts[-1], weights=probs))
+    return h - mass_entropy(np.bincount(cuts[0], weights=probs)) if keys else h
 
 
 def entropy(table: JointTable, subset: Iterable[VariableId | str]) -> float:

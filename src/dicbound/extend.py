@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -324,7 +325,7 @@ def _recipe_plans(network: NetworkGraph, recipe: BoundRecipe) -> tuple:
 # -- verification --------------------------------------------------------------
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class RateReport:
     """Per-replica single-letter I(X;Y) against the base channel value: the
     network's ``replicas`` and one float per replica in ``values``, shared
@@ -364,8 +365,8 @@ def verify_replica_rates(
     """With identical i.i.d. replica inputs, every replica's I(X;Y) must equal
     the base channel's.  Each is H(Y) - H(Y | X) from ``memo_entropy`` with
     one memo over both networks, so a replica asks its user's base shapes,
-    and those all read the base law's one table tuple: the check costs one
-    enumeration.  ``memo_entropy`` returns the memo's own float for a shape
+    and those all read the base law's one table tuple: the check builds one
+    mass vector.  ``memo_entropy`` returns the memo's own float for a shape
     met before, so a replica whose two shapes are a base replica's holds
     that replica's I(X;Y), one float, not a copy."""
     network = build_extended(channel, recipe)
@@ -394,13 +395,37 @@ def chain_closed_form(recipe: BoundRecipe, values: Mapping) -> float:
     return math.fsum(values[t.key] for t in recipe.closed_terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, slots=True)
 class IdentityReport:
+    """The chain identity at each size checked: the sizes in ``ks`` (0 for a
+    constant-size id) and, per size, the chain value and the closed form,
+    packed as two native doubles in ``values``; ``per_k`` and
+    ``increments`` are read-only views of them.  A caller that keeps many
+    reports keeps no float object and no tuple per size."""
+
     bound_id: str
     ok: bool
-    per_k: tuple[tuple[int, float, float, float], ...]  # (k, chain, closed, |diff|)
-    increments: tuple[float, ...]
+    ks: tuple[int, ...]
+    values: bytes  # (chain, closed form) per size, struct format "dd"
     diagnostics: tuple[str, ...]
+
+    @property
+    def per_k(self) -> tuple[tuple[int, float, float, float], ...]:
+        """(k, chain, closed form, |chain - closed form|) per size, in order."""
+        pairs = struct.iter_unpack("dd", self.values)
+        return tuple([(k, c, f, abs(c - f)) for k, (c, f) in zip(self.ks, pairs)])
+
+    @property
+    def increments(self) -> tuple[float, ...]:
+        """The closed form's increase from each size to the next."""
+        closed = [f for _, f in struct.iter_unpack("dd", self.values)]
+        return tuple([b - a for a, b in zip(closed, closed[1:])])
+
+    def __repr__(self) -> str:
+        return (
+            f"IdentityReport(bound_id={self.bound_id!r}, ok={self.ok!r}, per_k={self.per_k!r}, "
+            f"increments={self.increments!r}, diagnostics={self.diagnostics!r})"
+        )
 
 
 def verify_chain_identity(
@@ -429,11 +454,10 @@ def verify_chain_identity(
         rdist = replicate_distribution(network, dist)
         evaluated.append(_chain_value(network, rdist, _recipe_plans(network, recipe), shapes))
     values = base_terms(channel, dist, (key for _, r in recipes for key in r.term_counts()))
-    per_k, diagnostics, ok = [], [], True
+    totals, diagnostics, ok = [], [], True
     for (k, recipe), value in zip(recipes, evaluated):
         closed_total = chain_closed_form(recipe, values)
-        diff = abs(value.total - closed_total)
-        if diff > IDENTITY_TOL:
+        if abs(value.total - closed_total) > IDENTITY_TOL:
             ok = False
             for level, term_value in enumerate(value.terms, start=1):
                 terms = [t for t in recipe.closed_terms if t.level == level]
@@ -444,15 +468,10 @@ def verify_chain_identity(
                         f"{' + '.join(t.describe() for t in terms) or '0'} gives {expected:.12g}"
                     )
                     break
-        per_k.append((k if k is not None else 0, value.total, closed_total, diff))
-    increments = tuple(b[2] - a[2] for a, b in zip(per_k, per_k[1:]))
-    return IdentityReport(
-        bound_id=bound_id,
-        ok=ok,
-        per_k=tuple(per_k),
-        increments=increments,
-        diagnostics=tuple(diagnostics),
-    )
+        totals += value.total, closed_total
+    ks = tuple([k if k is not None else 0 for k, _ in recipes])
+    values = struct.pack(f"{len(totals)}d", *totals)
+    return IdentityReport(bound_id=bound_id, ok=ok, ks=ks, values=values, diagnostics=tuple(diagnostics))
 
 
 def limit_bound(

@@ -22,9 +22,10 @@ law-free, keeps it on the network) and asked of ``networks.memo_entropy``,
 the one network query, which evaluates only a query shape its memo has not
 met.  A hit is exact: a shape renames replicas only within a user under
 equal tables, and a user's replicas run i.i.d. copies of its inputs.  The
-memo, a ``networks.ShapeMemo``, also enumerates each source-table tuple once
-for all the shapes that read it (the ineq5 search at k = 1: 622 shapes, 8
-enumerations), under a product or a joint law.
+memo, a ``networks.ShapeMemo``, also builds each source-table tuple's masses
+(under a product law, for the channel's kernels) or enumeration (under a
+joint law) once for all the shapes that read it (the ineq5 search at k = 1:
+622 shapes, 8 table tuples).
 
 ``_chain_value`` is the one evaluator of a given chain, from the plans of
 its walk (``chain_plans``); its caller keeps the shape memo:
@@ -74,6 +75,11 @@ class CutChain:
 
     def canonical(self) -> tuple[tuple[str, ...], ...]:
         return tuple(tuple(sorted(s)) for s in self.subsets)
+
+    def __repr__(self) -> str:
+        # a frozenset prints in hash-table order, which depends on how it was
+        # built and on the hash seed; the canonical form does not
+        return f"CutChain.of({self.canonical()!r})"
 
 
 @dataclass(frozen=True)

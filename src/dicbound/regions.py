@@ -111,6 +111,8 @@ class RegionPolytope:
                 raise DicboundError("halfspace dimension mismatch")
             if math.isnan(rhs):
                 raise DicboundError("halfspace right-hand sides must not be NaN")
+            if math.isinf(rhs):
+                raise DicboundError("halfspace right-hand sides must be finite")
             if rhs < 0:
                 raise DicboundError("halfspace right-hand sides must be non-negative")
         for i in range(self.dimension):

@@ -10,8 +10,11 @@ bound, every replica's rate must equal its user's base rate exactly, and an
 equal channel object, which builds its own networks and compiles its own
 plans, must give the same floats.  Each id's recipe chain at its least size
 must also be met by the chain search, at its identity value, wherever that
-search has at most 400 walks.  The examples are derandomized and their
-number fixed, so the test draws the same channels on every run.
+search has at most 400 walks.  And under Dirichlet laws, point masses and
+tables with zero entries, every query of every recipe chain and replica
+rate must have, through its kernel, the value that the enumerating engine
+gives on a fresh memo, bit for bit.  The examples are derandomized and
+their number fixed, so the tests draw the same channels on every run.
 """
 
 import math
@@ -20,14 +23,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dicbound.channels import DeterministicChannel
+from dicbound.entropy import SourceDistribution
 from dicbound.extend import (
+    _rate_plans,
+    _recipe_plans,
     bound_support_info,
+    build_extended,
     builtin_recipe,
     limit_bound,
     supported_bounds,
     verify_chain_identity,
     verify_replica_rates,
 )
+from dicbound.networks import ShapeMemo, base_network, memo_entropy, query_entropy, query_shape, replicate_distribution
 from dicbound.regions import bound_vector
 from dicbound.sampling import sample_product_distribution
 
@@ -89,3 +97,41 @@ def test_the_three_checks_hold_on_drawn_recoverable_channels(channel, seed):
     kept = channel.extended_networks
     assert twin.extended_networks.keys() == kept.keys()
     assert all(net is not kept[key] for key, net in twin.extended_networks.items())
+
+
+@st.composite
+def product_laws(draw, sizes):
+    """A product law on the given alphabet sizes: a seeded Dirichlet law, a
+    point mass, or tables with zero entries (each a random support of one
+    symbol or more), so that the support is often smaller than the alphabet
+    product."""
+    kind = draw(st.sampled_from(["dirichlet", "point", "zeros"]))
+    if kind == "dirichlet":
+        return sample_product_distribution(sizes, draw(st.integers(0, 1 << 16)), 0)
+    if kind == "point":
+        return SourceDistribution.point_mass(sizes, [draw(st.integers(0, size - 1)) for size in sizes])
+    tables = []
+    for size in sizes:
+        weights = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=size, max_size=size))
+        weights = weights if any(weights) else [1.0] + weights[1:]
+        tables.append([w / sum(weights) for w in weights])
+    return SourceDistribution("product", sizes, tables)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), channel=recoverable_channels())
+def test_kernels_give_the_enumerating_values_bit_for_bit(data, channel):
+    law = data.draw(product_laws(channel.input_sizes))
+    queries = [(base_network(channel), law, plan) for plans in _rate_plans(base_network(channel)) for plan in plans]
+    for bound_id in supported_bounds(channel.user_count):
+        recipe = builtin_recipe(bound_id, sizes_of(bound_id)[0])
+        net = build_extended(channel, recipe.recipe)
+        rdist = replicate_distribution(net, law)
+        plans = _recipe_plans(net, recipe) + tuple(plan for pair in _rate_plans(net) for plan in pair)
+        queries += [(net, rdist, plan) for plan in plans if plan is not None]
+    memo = ShapeMemo()  # one memo, so the masses of a table tuple are shared
+    for net, dist, plan in queries:
+        got = memo_entropy(net, dist, plan, memo)
+        assert got == query_entropy(net, dist, plan.positions, query_shape(dist, plan), ShapeMemo())
+    # every query ran a kernel: the memo holds masses and no enumeration
+    assert channel.kernels.kernels and memo.masses and not memo.atoms

@@ -151,6 +151,45 @@ def test_atom_budget_enforced(shift2_331, monkeypatch):
     assert network_entropy(net, dist, [X(1)]) == pytest.approx(3.0, abs=1e-12)
 
 
+def test_a_kept_kernel_never_answers_past_a_lowered_atom_cap(monkeypatch):
+    # H(Y1) on a fresh channel object compiles its 64-atom kernel under the
+    # default cap; with the cap lowered below that, the same query on the
+    # same object is refused as source_atoms refuses it, and with the cap
+    # back the kernel answers again
+    channel = builtin_channel("shift2", [3, 3, 1])
+    net, dist = base_network(channel), SourceDistribution.uniform([8, 8])
+    value = network_entropy(net, dist, [Y(1)])
+    assert [kernel.rows.size for kernel in channel.kernels.kernels.values()] == [64]
+    monkeypatch.setattr(networks, "MAX_ATOMS", 63)
+    with pytest.raises(BudgetExceededError, match="64 source atoms over 2 sources exceed the cap of 63"):
+        network_entropy(net, dist, [Y(1)])
+    monkeypatch.undo()
+    assert network_entropy(net, dist, [Y(1)]) == value
+
+
+def test_kernels_past_the_cell_cap_are_not_kept(monkeypatch):
+    # with room for some kernels but not all, a fresh channel object keeps
+    # those that fit, and every query, run by a kernel or not, has the value
+    # the enumerating engine gives on a fresh memo, bit for bit
+    from dicbound.gcs import _chain_walks, chain_plans
+    from dicbound.networks import ShapeMemo, memo_entropy, query_entropy, query_shape, replicate_distribution
+
+    monkeypatch.setattr(networks, "MAX_KERNEL_CELLS", 200)
+    channel = builtin_channel("concat3")
+    net = build_extended(channel, builtin_recipe("ineq5", 1).recipe)
+    dist = replicate_distribution(net, sample_product_distribution(channel.input_sizes, 7, 0))
+    plans = {plan for walk in _chain_walks(net, 2) for plan in chain_plans(net, walk, True)} - {None}
+    for plan in plans:
+        got = memo_entropy(net, dist, plan, ShapeMemo())
+        assert got == query_entropy(net, dist, plan.positions, query_shape(dist, plan), ShapeMemo())
+    shapes = {(plan.users, plan.keys, plan.columns): plan for plan in plans}
+    store = channel.kernels
+    assert store.kernels.keys() == {key for key, plan in shapes.items() if networks.query_kernel(channel, plan)}
+    assert 0 < len(store.kernels) < len(shapes)
+    assert store.cells == sum(k.rows.size + (0 if k.keys is None else k.keys.size) for k in store.kernels.values())
+    assert store.cells <= 200
+
+
 def test_law_that_does_not_fit_the_network_is_rejected(xor2, shift2_221):
     recipe = builtin_recipe("4e", 2)
     extended = build_extended(xor2, recipe.recipe)
@@ -370,16 +409,23 @@ def test_network_entropy_is_the_query_with_nothing_conditioned(shift2_221):
             assert network_entropy(net, dist, subset) == cond_entropy_network(net, dist, subset)
 
 
-def test_one_source_enumeration_per_query(shift2_221, count_calls):
-    net = base_network(shift2_221)
-    calls = count_calls(networks, "source_atoms")
+def test_one_source_enumeration_per_query(count_calls):
+    # a joint-law query enumerates its sources once; a product-law query
+    # (Y1 conditioned without X1) compiles its kernel once per channel
+    # object, enumerating nothing, and every later law only runs it.  The
+    # channel is a fresh object: a session fixture keeps the kernels that
+    # earlier tests compiled on it
+    net = base_network(builtin_channel("shift2", [2, 2, 1]))
+    calls = [count_calls(networks, name) for name in ("source_atoms", "compile_kernel", "kernel_entropy")]
     _, joint_law, _ = _network_and_law(None, "joint", 3)
-    product_law = sample_product_distribution([4, 4], 3, 0)
-    # a joint law, and Y1 conditioned without X1 under a product law
-    for dist, cond in ((joint_law, [X(1), Y(1)]), (product_law, [Y(1), V(2)])):
-        calls.clear()
+    product_laws = [sample_product_distribution([4, 4], seed, 0) for seed in (3, 4)]
+    asks = [(joint_law, [X(1), Y(1)], [1, 0, 0])]
+    asks += [(law, [Y(1), V(2)], [0, compiles, 1]) for law, compiles in zip(product_laws, (1, 0))]
+    for dist, cond, counts in asks:
+        for c in calls:
+            c.clear()
         cond_entropy_network(net, dist, [X(2), Y(2)], cond)
-        assert len(calls) == 1
+        assert [len(c) for c in calls] == counts
 
 
 def test_one_pass_closure_is_the_fixed_point(shift2_221, concat3):

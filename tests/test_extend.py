@@ -189,16 +189,17 @@ def test_a_replica_under_another_table_deviates(concat3, monkeypatch):
 
 def test_replica_rates_enumerate_once_per_query_shape(shift2_221, count_calls):
     # I(X;Y) = H(Y) - H(Y | X): every replica's two queries have its user's
-    # base shapes, so only the base network's queries reach the engine; each
-    # reads every user's source under the base tables, one table tuple, so
-    # the memo enumerates once
+    # base shapes, so only the base network's four queries reach the engine,
+    # each through its kernel; each reads every user's source under the base
+    # tables, one table tuple, so the memo builds its masses once and
+    # enumerates nothing
     from dicbound import networks
 
-    atoms = count_calls(networks, "source_atoms")
+    calls = [count_calls(networks, name) for name in ("source_atoms", "product_masses", "kernel_entropy")]
     recipe = builtin_recipe("4e", 3).recipe
     dist = sample_product_distribution([4, 4], 12, 0)
     report = verify_replica_rates(shift2_221, recipe, dist)
-    assert len(atoms) == 1
+    assert [len(c) for c in calls] == [0, 1, 4]
     assert report.max_deviation == 0.0
     table = induce_joint(shift2_221, dist)
     for user, value in enumerate(report.base_values, start=1):

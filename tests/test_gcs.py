@@ -155,6 +155,19 @@ def test_walk_chains_match_a_brute_force_label_build(xor2, concat3):
     assert _walk_chains(net, [((0, two), (two, one)), ((0, one | two),)]) == [FIG_A, CutChain.of([{"S1", "S2"}])]
 
 
+def test_equal_chains_print_equally(concat3):
+    # a chain prints its canonical form, not its frozensets in hash-table
+    # order: every chain of the ineq5 search, rebuilt from its label sets in
+    # reverse order, is equal and prints the same
+    net, _ = extended_search(concat3, "ineq5", 1, 22)
+    chains = enumerate_chains(net, 3)
+    rebuilt = [CutChain.of(sorted(s, reverse=True) for s in chain.subsets) for chain in chains]
+    assert rebuilt == chains
+    assert [repr(c) for c in rebuilt] == [repr(c) for c in chains]
+    assert repr(FIG_A) == "CutChain.of((('D1', 'S1', 'S2'), ('S1',)))"
+    assert eval(repr(FIG_A), {"CutChain": CutChain}) == FIG_A
+
+
 def test_enumerate_command_evaluates_each_chain_once(count_calls, capsys):
     # 36 chains on concat3 up to length 3: one walk enumeration, every walk
     # valued in one pass and turned into its printed chain once, none read
@@ -426,39 +439,56 @@ def test_each_distinct_level_is_one_query(concat3, count_calls):
     fresh, fresh_dist = extended_search(builtin_channel("concat3"), "ineq5", 1, 22)
     assert fresh is not net
     reductions = count_calls(dicbound.networks, "reduce_query")
-    calls = count_calls(dicbound.networks, "query_entropy")
+    calls = [count_calls(dicbound.networks, name) for name in ("query_entropy", "kernel_entropy", "compile_kernel")]
     chain_values(fresh, fresh_dist, 3)
     assert len(reductions) == len(distinct) == 665
-    assert len(calls) == len(shapes) < len(distinct) < sum(len(c) for c in enumerate_chains(net, 3))
+    queries, kernels, compiles = map(len, calls)
+    assert queries == 0
+    assert kernels == len(shapes) < len(distinct) < sum(len(c) for c in enumerate_chains(net, 3))
+    # the product-law queries run kernels, one compiled per law-free shape
+    # (users, keys, columns) on the fresh channel; another law compiles none
+    assert compiles == len({(tuple(u for u, _ in tables), keys, columns) for tables, keys, columns in shapes})
+    chain_values(fresh, replicate_distribution(fresh, sample_product_distribution((2, 2, 2), 23, 0)), 3)
+    assert list(map(len, calls)) == [0, 2 * kernels, compiles]
 
 
 def test_the_ineq5_search_enumerates_each_source_table_tuple_once(concat3, count_calls):
     # replicas of a user run i.i.d. copies of its inputs, so the 622 engine
-    # queries read only 8 distinct source-table tuples, and the memo
-    # enumerates each of them once
+    # queries read only 8 distinct source-table tuples, and the memo builds
+    # the masses of each of them once, for the kernels; no source is
+    # enumerated
     net, dist = extended_search(concat3, "ineq5", 1, 22)
     shapes = {level_shape(net, dist, *level) for level in search_levels(net, 3)} - {None}
     atoms = count_calls(dicbound.networks, "source_atoms")
+    masses = count_calls(dicbound.networks, "product_masses")
     chain_values(net, dist, 3)
-    assert len(atoms) == len({tables for tables, _, _ in shapes}) == 8
+    assert len(atoms) == 0
+    assert len(masses) == len({tables for tables, _, _ in shapes}) == 8
 
 
-def test_a_memo_keeps_no_enumeration_past_the_atom_cap(concat3, monkeypatch):
+def test_a_memo_keeps_no_enumeration_past_the_atom_cap(monkeypatch):
     # every enumeration of the search fits a cap of 64 atoms, but not all of
-    # them with their columns: the memo keeps what fits and nothing past it,
-    # and every value is still the one a fresh memo gives, bit for bit
+    # them with their columns, nor all of their mass vectors: the memo keeps
+    # what fits and nothing past it, and every value is still the one a
+    # fresh memo gives, bit for bit.  Without kernels (a fresh channel with
+    # no kernel cells) the memo keeps enumerations, with them mass vectors
     monkeypatch.setattr(dicbound.networks, "MAX_ATOMS", 64)
-    net, dist = extended_search(concat3, "ineq5", 1, 22)
-    memo, tuples = ShapeMemo(), set()
-    for targets, cond in search_levels(net, 3):
-        shape = level_shape(net, dist, targets, cond)
-        if shape:
-            tuples.add(shape[0])
-        got = memo_entropy(net, dist, level_plan(net, dist, targets, cond), memo)
-        assert got == cond_entropy_network(net, dist, targets, cond)
-        assert memo.cells <= 64
-        assert memo.cells == sum(xs.size + len(xs) * len(known) for xs, _, known in memo.atoms.values())
-    assert 0 < len(memo.atoms) < len(tuples) == 8
+    for cells in (0, dicbound.networks.MAX_KERNEL_CELLS):
+        monkeypatch.setattr(dicbound.networks, "MAX_KERNEL_CELLS", cells)
+        net, dist = extended_search(builtin_channel("concat3"), "ineq5", 1, 22)
+        memo, tuples = ShapeMemo(), set()
+        for targets, cond in search_levels(net, 3):
+            shape = level_shape(net, dist, targets, cond)
+            if shape:
+                tuples.add(shape[0])
+            got = memo_entropy(net, dist, level_plan(net, dist, targets, cond), memo)
+            assert got == cond_entropy_network(net, dist, targets, cond)
+            assert memo.cells <= 64
+            enumerated = sum(xs.size + len(xs) * len(known) for xs, _, known in memo.atoms.values())
+            assert memo.cells == enumerated + sum(map(len, memo.masses.values()))
+        kept = memo.masses if cells else memo.atoms
+        assert memo.atoms.keys() | memo.masses.keys() == kept.keys()
+        assert 0 < len(kept) < len(tuples) == 8
 
 
 def recipe_levels(channel, law):

@@ -116,21 +116,24 @@ def test_recipes_of_one_network_keep_their_own_plans(fresh_recipes, order):
 
 def test_a_recipe_compiles_its_plans_once(fresh_recipes, count_calls):
     # the first identity sweep and rate check of 4a on a channel object
-    # compile every level and both rate queries of every replica; later laws
-    # on it reduce nothing, and still ask the engine for the shapes their
-    # memos lack, while another channel object compiles its own plans, once.
-    # The channels are fresh objects: a session fixture's networks keep what
+    # compile every level and both rate queries of every replica, and a
+    # kernel per law-free shape; later laws on it reduce and compile
+    # nothing, and still run a kernel for each shape their memos lack, while
+    # another channel object compiles its own plans and kernels, once.  The
+    # channels are fresh objects: a session fixture's networks keep what
     # earlier tests compiled on them
     xor2, concat3 = builtin_channel("xor2"), builtin_channel("concat3")
     reductions = count_calls(networks, "reduce_query")
-    queries = count_calls(networks, "query_entropy")
+    queries = count_calls(networks, "kernel_entropy")
+    kernels = count_calls(networks, "compile_kernel")
+    unkerneled = count_calls(networks, "query_entropy")
     ks = (1, 2, 3)
     # the k = 3 chain's first level is H(Y1^3), which the rate check asks
     # too: the network compiles that query once for both
     levels = sum(len(builtin_recipe("4a", k).peel) for k in ks) - 1
     replicas = sum(builtin_recipe("4a", 3).recipe.counts)
     once = levels + 2 * (2 + replicas)  # what one two-user channel object compiles
-    asked = []
+    asked, built = [], []
     rounds = (xor2, once), (builtin_channel("shift2", [3, 3, 1]), 2 * once), (xor2, 2 * once)
     for seed, (channel, compiled) in enumerate(rounds):
         law = sample_product_distribution(channel.input_sizes, seed, 0)
@@ -138,7 +141,9 @@ def test_a_recipe_compiles_its_plans_once(fresh_recipes, count_calls):
         assert verify_replica_rates(channel, builtin_recipe("4a", 3).recipe, law).max_deviation == 0.0
         assert len(reductions) == compiled
         asked.append(len(queries))
+        built.append(len(kernels))
     assert 0 < asked[0] < asked[1] < asked[2]
+    assert 0 < built[0] < built[1] == built[2] and unkerneled == []
     # a three-user recipe compiles on its own first use, the chain only
     assert verify_chain_identity("ineq8", concat3, SourceDistribution.uniform([2, 2, 2])).ok
     assert len(reductions) == 2 * once + len(builtin_recipe("ineq8").peel)

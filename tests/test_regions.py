@@ -205,3 +205,14 @@ def test_nan_is_refused_as_a_point_and_as_a_bound(xor2):
             contains(poly, point)
     with pytest.raises(DicboundError, match="^halfspace right-hand sides must not be NaN$"):
         RegionPolytope(2, (((1, 0), math.nan), ((0, 1), 1.0)))
+
+
+def test_an_infinite_bound_is_refused(xor2):
+    # an infinite right-hand side caps no rate: the polytope held (1e300, 0.5)
+    from dicbound.regions import RegionPolytope
+
+    for rhs in (math.inf, -math.inf):
+        with pytest.raises(DicboundError, match="^halfspace right-hand sides must be finite$"):
+            RegionPolytope(2, (((1, 0), rhs), ((0, 1), 1.0)))
+    poly = RegionPolytope(2, (((1, 0), 1.0), ((0, 1), 1.0)))
+    assert not contains(poly, (1e300, 0.5))
