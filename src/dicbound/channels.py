@@ -112,10 +112,11 @@ class DeterministicChannel:
 
     @cached_property
     def kernels(self):
-        """The entropy kernels of the product-law queries asked on this
-        channel's networks (``networks.query_kernel``), a
-        ``networks.KernelStore``: keyed by no law, and holding int arrays
-        only."""
+        """The entropy kernels of the queries asked on this channel's
+        networks, under product and joint laws alike
+        (``networks.query_kernel``), a ``networks.KernelStore``: keyed by no
+        law, holding int arrays only, and within
+        ``networks.MAX_KERNEL_CELLS``."""
         from .networks import KernelStore
 
         return KernelStore()

@@ -174,6 +174,8 @@ def _chain_from_doc(doc) -> CutChain:
 
 
 def cmd_gcs(args) -> int:
+    if args.chain and args.enumerate:
+        raise UsageError("--chain and --enumerate exclude each other")
     network = _load_network(args)
     sizes = network.source_sizes()
     dist = _resolve_dist(args.dist, sizes)

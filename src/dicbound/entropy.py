@@ -9,10 +9,11 @@ is its replica position and a column reads positions; replicas and
 ``VariableId``s name the table's columns only at the edge.  ``row_entropy`` is
 the engine's one pass: H(rows), or a network query's H(keys, live) -
 H(keys), from one mixed-radix key build (``merged_keys``) whose prefix gives
-H(keys), and ``mass_entropy`` of the merged masses.  A product-law query's
+H(keys), and ``mass_entropy`` of the merged masses.  A network query's
 kernel (``networks.query_kernel``) keeps the merged keys of its full
-alphabet product and runs only ``mass_entropy`` per law.  Entropies are in
-bits.
+alphabet product and runs only ``bincount`` and ``mass_entropy`` per law,
+under a product or a joint law; a query whose kernel passes a cap runs
+``row_entropy`` itself.  Entropies are in bits.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ def induce_joint(model, dist: SourceDistribution) -> JointTable:
     every = model.mask(model.replicas)
     plan = query_plan(model, (), (("X", every), ("V", every), ("Y", every)))
     xs, p = source_atoms(dist, plan.positions)
-    return JointTable(model.all_variables(), evaluate_columns(model.channel, plan.users, xs, plan.columns, {}), p)
+    return JointTable(model.all_variables(), evaluate_columns(model.channel, plan.users, xs, plan.columns), p)
 
 
 def mass_entropy(masses: np.ndarray) -> float:

@@ -23,9 +23,9 @@ the one network query, which evaluates only a query shape its memo has not
 met.  A hit is exact: a shape renames replicas only within a user under
 equal tables, and a user's replicas run i.i.d. copies of its inputs.  The
 memo, a ``networks.ShapeMemo``, also builds each source-table tuple's masses
-(under a product law, for the channel's kernels) or enumeration (under a
-joint law) once for all the shapes that read it (the ineq5 search at k = 1:
-622 shapes, 8 table tuples).
+for the channel's kernels once for all the shapes that read it, under a
+product or a joint law (the ineq5 search at k = 1: 622 shapes, 8 table
+tuples).
 
 ``_chain_value`` is the one evaluator of a given chain, from the plans of
 its walk (``chain_plans``); its caller keeps the shape memo:

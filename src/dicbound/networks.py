@@ -23,12 +23,11 @@ with the channel's lookup arrays (``DeterministicChannel.arrays``); and
 ``entropy.row_entropy`` merges equal rows into an entropy, and a query's
 H(keys, live) - H(keys) in one pass over its columns, keys first.  The
 engine has two entries, and each checks the law once with ``check_law``:
-``query_entropy``, reached only through ``memo_entropy``, enumerates only
-the positions its columns read, and ``entropy.induce_joint`` enumerates
-every position for a full joint table, with the columns ``query_plan``
-gives on the full masks.  Under a product law, conditioning on a source's
-input and its receiver's output pins down the interference it saw, which
-shrinks a query's sources further.
+``memo_entropy``, the network query, and ``entropy.induce_joint``, which
+enumerates every position for a full joint table, with the columns
+``query_plan`` gives on the full masks.  Under a product law, conditioning
+on a source's input and its receiver's output pins down the interference
+it saw, which shrinks a query's sources further.
 
 A network query has two halves.  The law-free half, ``compile_query``,
 takes (X, V, Y) mask triples of the targets and of the conditioning and
@@ -48,37 +47,32 @@ The law step, ``memo_entropy``, is the one network query and the one law
 evaluator: it checks the law, turns the plan into a shape with
 ``query_shape``, which names a query up to renaming replicas of one user
 under equal tables, so equal shapes have values equal bit for bit, and
-runs the query's kernel, or ``query_entropy``, only for a shape not yet in
-the caller's ``ShapeMemo``.  The memo also keeps, within ``MAX_ATOMS``
-cells, the mass vector, or the enumeration and the columns evaluated at
-it, of each source-table tuple (a shape's first part), so queries that
-read equal tables build them once.
-A joint-law source is named in the shape by the law and its position in it,
-so every query has a shape.  Chain levels share a memo per chain, chain
-search or identity k range (see ``gcs``), replica rates one over the base
-and extended network, and ``cond_entropy_network`` (and
-``network_entropy``), the public ``VariableId`` front end on the masks
-``replica_sets`` builds, compiles its query and has a fresh shape memo per
-call.  A channel's own one-hop network, ``base_network``, is built and
-checked once per channel object, as is each extended network (``extend``),
-so the plans kept on them live as long as the channel; no network holds a
-law.
+evaluates only a shape not yet in the caller's ``ShapeMemo``.  A joint-law
+source is named in the shape by the law and its position in it, so every
+query has a shape.  Chain levels share a memo per chain, chain search or
+identity k range (see ``gcs``), replica rates one over the base and
+extended network, and ``cond_entropy_network`` (and ``network_entropy``),
+the public ``VariableId`` front end on the masks ``replica_sets`` builds,
+compiles its query and has a fresh shape memo per call.  A channel's own
+one-hop network, ``base_network``, is built and checked once per channel
+object, as is each extended network (``extend``), so the plans kept on
+them live as long as the channel; no network holds a law.
 
-Under a product law the engine's law-free work is done once per channel
-object, as a kernel.  ``query_kernel`` keeps a ``Kernel`` per law-free
-shape of a query, (users, key count, columns), in
-``DeterministicChannel.kernels``, a ``KernelStore``.  ``compile_kernel``
-enumerates the full alphabet product of the sources in row-major order,
-evaluates the columns once, and keeps only two int bin arrays from
-``entropy.merged_keys``: one for the full rows, one for the key prefixes.
-Per law, ``kernel_entropy`` builds the Kronecker mass vector of a table
-tuple once per memo, then runs one ``np.bincount`` and one
-``entropy.mass_entropy`` per bin array.  Its values are ``query_entropy``'s
-bit for bit (see ``kernel_entropy``).  ``query_entropy`` still answers
-joint laws, queries whose alphabet product exceeds ``MAX_ATOMS`` (read at
-every use, so ``source_atoms`` stays the one place that enforces it), and
-queries whose kernel would take the channel's kept cells past
-``MAX_KERNEL_CELLS``.
+The engine's law-free work is done once per channel object, under any law,
+as a kernel: ``query_kernel`` keeps a ``Kernel`` per law-free shape of a
+query, (users, key count, columns), in ``DeterministicChannel.kernels``.
+``compile_kernel`` enumerates the sources' full alphabet product in
+row-major order, evaluates the columns once, and keeps only the int bins of
+the full rows and of the key prefixes (``entropy.merged_keys``).  Per law,
+``kernel_entropy`` takes a table tuple's masses from ``kernel_masses``
+once per memo, and runs one ``np.bincount`` and one ``mass_entropy`` per
+bin array: under a joint law at the bins gathered at the enumerated atoms'
+places, so every bin adds its masses in the marginal's order.  Size alone
+picks the path: a query whose alphabet product exceeds ``MAX_ATOMS`` (read
+at every use, so ``source_atoms`` stays the one place that enforces it),
+or whose kernel would take the channel past ``MAX_KERNEL_CELLS``, runs the
+memo-free ``query_entropy``, which enumerates only the law's atoms.  Both
+give the same values bit for bit (see ``kernel_entropy``).
 """
 
 from __future__ import annotations
@@ -99,9 +93,9 @@ from .errors import BudgetExceededError, DicboundError, DistributionError, Recip
 # (2.2-2.3 s and 1,031 MB) on a 2-core Xeon; memory grows with atoms x columns.
 MAX_ATOMS = 1 << 22
 
-# query_kernel keeps the kernels of a channel object's product-law queries
-# within this many int64 cells (16 MB); a query whose kernel would pass it
-# runs query_entropy.  A kernel of 2^20 atoms with keys fills it: on
+# query_kernel keeps the kernels of a channel object's queries within this
+# many int64 cells (16 MB); a query whose kernel would pass it runs
+# query_entropy.  A kernel of 2^20 atoms with keys fills it: on
 # shift2:5,5,2 (4 sources, 4 columns, 2 keys) its compile takes 0.47 s and
 # 130 MB of transient memory on a 2-core Xeon, and a law then takes 0.19 s
 # against 0.37 s for query_entropy.
@@ -320,20 +314,20 @@ def source_atoms(dist: SourceDistribution, positions: Sequence[int]):
     return xs.reshape(count, len(positions)), p
 
 
-def evaluate_columns(channel: DeterministicChannel, users: Sequence[int], xs, columns, known: dict):
+def evaluate_columns(channel: DeterministicChannel, users: Sequence[int], xs, columns):
     """The symbol evaluator: the (atoms x columns) int64 value array of the
     relabelled ``columns`` at the inputs ``xs`` (atoms x sources), source j
     being a replica of user ``users[j]``.  A relabelled column is (kind, the
     positions of the sources it reads), so its values depend only on those
-    users and the channel.  ``known`` maps V and Y columns already evaluated
-    at these ``xs`` to their values; each one evaluated here, and each
-    interference column an output reads, is added to it."""
+    users and the channel.  Each interference column is computed once per
+    call, for the V columns and the outputs that read it."""
     g, f = channel.arrays
+    known = {}
 
     def v(w):  # the interference column of source w
-        if ("V", (w,)) not in known:
-            known["V", (w,)] = g[users[w] - 1][xs[:, w]]
-        return known["V", (w,)]
+        if w not in known:
+            known[w] = g[users[w] - 1][xs[:, w]]
+        return known[w]
 
     out = np.empty((len(xs), len(columns)), dtype=np.int64)
     for j, (kind, reads) in enumerate(columns):
@@ -342,12 +336,10 @@ def evaluate_columns(channel: DeterministicChannel, users: Sequence[int], xs, co
         elif kind == "V":
             out[:, j] = v(reads[0])
         else:
-            if (kind, reads) not in known:
-                idx = xs[:, reads[0]]
-                for w in reads[1:]:
-                    idx = idx * channel.v_sizes[users[w] - 1] + v(w)
-                known[kind, reads] = f[users[reads[0]] - 1][idx]
-            out[:, j] = known[kind, reads]
+            idx = xs[:, reads[0]]
+            for w in reads[1:]:
+                idx = idx * channel.v_sizes[users[w] - 1] + v(w)
+            out[:, j] = f[users[reads[0]] - 1][idx]
     return out
 
 
@@ -355,50 +347,30 @@ def evaluate_columns(channel: DeterministicChannel, users: Sequence[int], xs, co
 class ShapeMemo:
     """The caller-owned memo of ``memo_entropy``, for networks of one
     channel: ``values`` holds the entropy of each query shape met;
-    ``masses`` the product-law mass vector of each source-table tuple (a
-    shape's first part) over its full alphabet product, for the kernels;
-    ``atoms`` the enumeration ``(xs, p)`` of each source-table tuple that
-    ``query_entropy`` met, with the relabelled V and Y columns evaluated at
-    it; and ``cells`` the cells of those arrays, kept within ``MAX_ATOMS``."""
+    ``masses`` what ``kernel_masses`` gives for each source-table tuple (a
+    shape's first part), for the kernels; and ``cells`` the cells of those
+    arrays, kept within ``MAX_ATOMS``."""
 
     values: dict = field(default_factory=dict)
     masses: dict = field(default_factory=dict)
-    atoms: dict = field(default_factory=dict)
     cells: int = 0
 
 
-def query_entropy(network: NetworkGraph, dist: SourceDistribution, positions, shape, memo: ShapeMemo) -> float:
-    """The network query's engine entry for a joint law, or for a query
-    without a kernel: H(live | keys) = H(keys, live) - H(keys), from one
-    enumeration of ``positions``, the ascending source positions the
-    columns read, and one ``row_entropy`` pass over the columns, keys first.
-    Reached only through ``memo_entropy``, which checks the law and passes
-    the query's ``shape`` and its ``positions``; the shape gives the key
-    count and the relabelled key and live columns.
-
-    A query reads its table tuple's enumeration, and the columns of its shape
-    already evaluated there, from ``memo.atoms``, and adds what it enumerates
-    and evaluates while the memo's cells stay within ``MAX_ATOMS``; past
-    that it keeps nothing.  Equal table tuples enumerate equal ``(xs, p)``,
-    so the values are those of a fresh enumeration, bit for bit.
-    """
-    tables, keys, columns = shape
-    kept = memo.atoms.get(tables)
-    xs, p, known = kept or (*source_atoms(dist, positions), {})
-    grown = dict(known)
-    values = evaluate_columns(network.channel, [u for u, _ in tables], xs, columns, grown)
-    cells = memo.cells + (len(grown) - len(known)) * len(xs) + (0 if kept else xs.size)
-    if cells <= MAX_ATOMS:
-        memo.atoms[tables], memo.cells = (xs, p, grown), cells
-    return row_entropy(values, p, keys)
+def query_entropy(network: NetworkGraph, dist: SourceDistribution, plan: QueryPlan) -> float:
+    """The network query's engine entry for a query without a kernel:
+    H(live | keys) = H(keys, live) - H(keys), from one enumeration of the
+    plan's positions, the ascending source positions its columns read, and
+    one ``row_entropy`` pass over its columns, keys first.  Reached only
+    through ``memo_entropy``, which checks the law; it keeps nothing."""
+    xs, p = source_atoms(dist, plan.positions)
+    return row_entropy(evaluate_columns(network.channel, plan.users, xs, plan.columns), p, plan.keys)
 
 
 class Kernel(NamedTuple):
-    """The law-free engine work of a product-law query on one channel: per
-    atom of the alphabet product of the sources it reads, in row-major
-    order, the bin of its row of columns and the bin of its key prefix (None
-    for a query without keys), each numbered from 0.  It holds int arrays
-    only."""
+    """The law-free engine work of a query on one channel: per atom of the
+    alphabet product of the sources it reads, in row-major order, the bin
+    of its row of columns and the bin of its key prefix (None for a query
+    without keys), each numbered from 0.  It holds int arrays only."""
 
     rows: np.ndarray
     keys: np.ndarray | None
@@ -422,17 +394,18 @@ def compile_kernel(channel: DeterministicChannel, users, keys: int, columns) -> 
     prefixes merged into bins by ``merged_keys``.  No inputs or symbols are
     kept."""
     xs = np.indices([channel.input_sizes[u - 1] for u in users]).reshape(len(users), -1).T
-    cuts = merged_keys(evaluate_columns(channel, users, xs, columns, {}), keys, 0)
+    cuts = merged_keys(evaluate_columns(channel, users, xs, columns), keys, 0)
     return Kernel(cuts[-1], cuts[0] if keys else None)
 
 
 def query_kernel(channel: DeterministicChannel, plan: QueryPlan) -> Kernel | None:
-    """The channel's kernel of a product-law query, compiled on first use
+    """The channel's kernel of a query, under any law, compiled on first use
     and kept on the channel, or None when the query runs ``query_entropy``:
     its alphabet product exceeds ``MAX_ATOMS``, read at every use, so a
     kernel kept under a larger cap never answers, or a new kernel would
-    take the channel's kept cells past ``MAX_KERNEL_CELLS``.  So
-    ``source_atoms`` stays the one place that enforces the atom cap."""
+    take the channel's kept cells past ``MAX_KERNEL_CELLS``.  So the path
+    depends only on size, and ``source_atoms`` stays the one place that
+    enforces the atom cap."""
     store = channel.kernels
     key = plan.users, plan.keys, plan.columns
     kernel = store.kernels.get(key)
@@ -447,34 +420,53 @@ def query_kernel(channel: DeterministicChannel, plan: QueryPlan) -> Kernel | Non
 
 
 def product_masses(tables) -> np.ndarray:
-    """The masses of the full alphabet product of a source-table tuple (a
-    shape's first part), in row-major order: the Kronecker product of its
-    tables, each atom's mass the product of its entries in source order."""
+    """The masses of the full alphabet product of a product law's tables, in
+    row-major order: the Kronecker product of the tables, each atom's mass
+    the product of its entries in source order."""
     p = np.ones(1)
-    for _, table in tables:
+    for table in tables:
         p = (p[:, None] * np.array(table)).ravel()
     return p
 
 
-def kernel_entropy(kernel: Kernel, tables, memo: ShapeMemo) -> float:
-    """The per-law work of a product-law query with a kernel: H(keys, live)
-    - H(keys) from the masses of its source-table tuple, kept in
+def kernel_masses(dist: SourceDistribution, positions) -> tuple:
+    """The masses a kernel reads, as (places, p), for the sources at the
+    given positions: under a product law no places and the
+    ``product_masses`` of their tables; under a joint law the atoms
+    ``source_atoms`` enumerates, with their places in the row-major
+    alphabet product."""
+    if dist.mode == "product":
+        return None, product_masses([dist.tables[i] for i in positions])
+    xs, p = source_atoms(dist, positions)
+    return np.ravel_multi_index(tuple(xs.T), [dist.sizes[i] for i in positions]), p
+
+
+def kernel_entropy(kernel: Kernel, dist: SourceDistribution, plan: QueryPlan, tables, memo: ShapeMemo) -> float:
+    """The per-law work of a query with a kernel: H(keys, live) - H(keys)
+    from the ``kernel_masses`` of its source-table tuple ``tables``, kept in
     ``memo.masses`` within the ``MAX_ATOMS`` rule of ``ShapeMemo``, one
     ``bincount`` per bin array and one ``mass_entropy`` per count.
 
-    The values are ``query_entropy``'s, bit for bit: ``bincount`` adds each
-    bin's masses in atom order; the support atoms that ``source_atoms``
-    enumerates keep their relative order in the full product and have equal
-    masses, the same products of the same entries; an atom outside the
-    support adds +0.0, which changes no sum; and ``mass_entropy`` is exactly
-    rounded, so the numbering of the bins does not matter."""
-    p = memo.masses.get(tables)
-    if p is None:
-        p = product_masses(tables)
-        if memo.cells + len(p) <= MAX_ATOMS:
-            memo.masses[tables], memo.cells = p, memo.cells + len(p)
-    h = mass_entropy(np.bincount(kernel.rows, weights=p))
-    return h if kernel.keys is None else h - mass_entropy(np.bincount(kernel.keys, weights=p))
+    The values are ``query_entropy``'s, bit for bit: both add each bin's
+    masses in the order ``source_atoms`` enumerates them.  Under a product
+    law its support atoms keep their relative order in the full product,
+    with the same products of the same entries, and an atom outside it adds
+    +0.0; under a joint law the bins are gathered at the enumerated atoms'
+    places.  Atoms share a bin exactly when their rows are equal, and
+    ``mass_entropy`` is exactly rounded, so bin numbers do not matter."""
+    kept = memo.masses.get(tables)
+    if kept is None:
+        kept = kernel_masses(dist, plan.positions)
+        cells = len(kept[1]) * (1 if kept[0] is None else 2)
+        if memo.cells + cells <= MAX_ATOMS:
+            memo.masses[tables], memo.cells = kept, memo.cells + cells
+    places, p = kept
+
+    def entropy_of(bins):
+        return mass_entropy(np.bincount(bins if places is None else bins[places], weights=p))
+
+    h = entropy_of(kernel.rows)
+    return h if kernel.keys is None else h - entropy_of(kernel.keys)
 
 
 # -- the network query ---------------------------------------------------------
@@ -583,7 +575,8 @@ def compile_query(network: NetworkGraph, product: bool, targets, cond) -> QueryP
     """The law-free half of the network query H(targets | cond), on (X, V, Y)
     triples of replica bitmasks (see ``NetworkGraph.mask``), for a product
     law or not: ``reduce_query``, then ``query_plan``, or None when the
-    conditioning determines every target.
+    conditioning determines every target, or leaves none live: the value is
+    then 0.0 exactly, as the engine would give it.
 
     Compiled once per network: the plan is kept in the network's memo, so a
     query asked again, under this law or any other, reduces nothing.  Kept
@@ -596,7 +589,7 @@ def compile_query(network: NetworkGraph, product: bool, targets, cond) -> QueryP
         pass
     reduced = reduce_query(network, product, targets, cond)
     plan = None
-    if reduced is not None:
+    if reduced is not None and any(mask for _, mask in reduced[1]):
         parts = network._parts
 
         def share(part):
@@ -632,24 +625,21 @@ def memo_entropy(network: NetworkGraph, dist: SourceDistribution, plan: QueryPla
     It checks the law, since a shape reads its tables; returns 0.0 for a
     query the conditioning determines (no plan); looks the query shape up in
     ``memo.values``; and only for a shape not yet there runs the query's
-    kernel under a product law (``query_kernel``, ``kernel_entropy``), or
-    else ``query_entropy``, storing its value.  Both reuse, from the same
-    memo, what they built for each source-table tuple (masses, or the
-    enumeration and the columns already evaluated at it), within the
-    ``MAX_ATOMS`` rule of ``ShapeMemo``.  A memo may span networks of one
-    channel, since a shape names users, not channels, and a joint-law
-    source by its position."""
+    kernel (``query_kernel``, ``kernel_entropy``), under any law, or, past
+    a cap, ``query_entropy``, storing its value.  A memo may span networks
+    of one channel, since a shape names users, not channels, and a
+    joint-law source by its position."""
     check_law(network, dist)
     if plan is None:
         return 0.0
     shape = query_shape(dist, plan)
     value = memo.values.get(shape)
     if value is None:
-        kernel = query_kernel(network.channel, plan) if dist.mode == "product" else None
+        kernel = query_kernel(network.channel, plan)
         if kernel is None:
-            value = query_entropy(network, dist, plan.positions, shape, memo)
+            value = query_entropy(network, dist, plan)
         else:
-            value = kernel_entropy(kernel, shape[0], memo)
+            value = kernel_entropy(kernel, dist, plan, shape[0], memo)
         memo.values[shape] = value
     return value
 

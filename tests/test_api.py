@@ -66,10 +66,12 @@ def test_every_public_definition_is_used_exported_or_listed():
 # takes its columns from query_plan, as induce_joint, the one joint table,
 # does on the full masks; memo_entropy, the one network query's law step, and
 # induce_joint each check the law once, and only memo_entropy names a query's
-# shape, its kernel and the kernel's per-law step; only query_entropy and
-# induce_joint enumerate sources, both by source position, so no query skips
-# the law check, the memo or the atom cap; and columns are evaluated only
-# there and in a kernel's one compile, which query_kernel runs within the cap
+# shape, its kernel, the kernel's per-law step and query_entropy, the
+# fallback for a query whose kernel passes a cap; only query_entropy,
+# induce_joint and the kernel's mass step enumerate sources, all by source
+# position, so no query skips the law check, the memo or the atom cap; and
+# columns are evaluated only in query_entropy, induce_joint and a kernel's
+# one compile, which query_kernel runs within the caps
 ENGINE_STEPS = {
     "reduce_query": {"networks.compile_query"},
     "query_plan": {"networks.compile_query", "entropy.induce_joint"},
@@ -77,9 +79,10 @@ ENGINE_STEPS = {
     "query_entropy": {"networks.memo_entropy"},
     "query_kernel": {"networks.memo_entropy"},
     "kernel_entropy": {"networks.memo_entropy"},
+    "kernel_masses": {"networks.kernel_entropy"},
     "compile_kernel": {"networks.query_kernel"},
     "check_law": {"networks.memo_entropy", "entropy.induce_joint"},
-    "source_atoms": {"networks.query_entropy", "entropy.induce_joint"},
+    "source_atoms": {"networks.query_entropy", "entropy.induce_joint", "networks.kernel_masses"},
     "evaluate_columns": {"entropy.induce_joint", "networks.query_entropy", "networks.compile_kernel"},
 }
 

@@ -170,9 +170,9 @@ def test_a_kept_kernel_never_answers_past_a_lowered_atom_cap(monkeypatch):
 def test_kernels_past_the_cell_cap_are_not_kept(monkeypatch):
     # with room for some kernels but not all, a fresh channel object keeps
     # those that fit, and every query, run by a kernel or not, has the value
-    # the enumerating engine gives on a fresh memo, bit for bit
+    # the memo-free enumerating engine gives, bit for bit
     from dicbound.gcs import _chain_walks, chain_plans
-    from dicbound.networks import ShapeMemo, memo_entropy, query_entropy, query_shape, replicate_distribution
+    from dicbound.networks import ShapeMemo, memo_entropy, query_entropy, replicate_distribution
 
     monkeypatch.setattr(networks, "MAX_KERNEL_CELLS", 200)
     channel = builtin_channel("concat3")
@@ -181,7 +181,7 @@ def test_kernels_past_the_cell_cap_are_not_kept(monkeypatch):
     plans = {plan for walk in _chain_walks(net, 2) for plan in chain_plans(net, walk, True)} - {None}
     for plan in plans:
         got = memo_entropy(net, dist, plan, ShapeMemo())
-        assert got == query_entropy(net, dist, plan.positions, query_shape(dist, plan), ShapeMemo())
+        assert got == query_entropy(net, dist, plan)
     shapes = {(plan.users, plan.keys, plan.columns): plan for plan in plans}
     store = channel.kernels
     assert store.kernels.keys() == {key for key, plan in shapes.items() if networks.query_kernel(channel, plan)}
@@ -409,17 +409,31 @@ def test_network_entropy_is_the_query_with_nothing_conditioned(shift2_221):
             assert network_entropy(net, dist, subset) == cond_entropy_network(net, dist, subset)
 
 
+def test_a_query_with_nothing_live_has_no_plan(shift2_221):
+    # under the general reduction, targets inside the conditioning, or no
+    # targets, leave nothing live: no plan, and the value 0.0, under a joint
+    # law as under a product law, without a kernel of no columns
+    net = base_network(shift2_221)
+    _, joint_law, _ = _network_and_law(None, "joint", 8)
+    for dist in (joint_law, SourceDistribution.uniform([4, 4])):
+        product = dist.mode == "product"
+        for targets, cond in (([], []), ([Y(1)], [Y(1)]), ([X(2), Y(1)], [X(2), Y(1), V(2)])):
+            assert networks.compile_query(net, product, net.replica_sets(targets), net.replica_sets(cond)) is None
+            assert cond_entropy_network(net, dist, targets, cond) == 0.0
+
+
 def test_one_source_enumeration_per_query(count_calls):
-    # a joint-law query enumerates its sources once; a product-law query
-    # (Y1 conditioned without X1) compiles its kernel once per channel
-    # object, enumerating nothing, and every later law only runs it.  The
-    # channel is a fresh object: a session fixture keeps the kernels that
-    # earlier tests compiled on it
+    # a query compiles its kernel once per channel object, under a joint law
+    # or a product law (Y1 conditioned without X1), and every later law only
+    # runs it; a joint law's atoms are enumerated once, for the masses the
+    # kernel reads, and a product law enumerates nothing.  The channel is a
+    # fresh object: a session fixture keeps the kernels that earlier tests
+    # compiled on it
     net = base_network(builtin_channel("shift2", [2, 2, 1]))
     calls = [count_calls(networks, name) for name in ("source_atoms", "compile_kernel", "kernel_entropy")]
     _, joint_law, _ = _network_and_law(None, "joint", 3)
     product_laws = [sample_product_distribution([4, 4], seed, 0) for seed in (3, 4)]
-    asks = [(joint_law, [X(1), Y(1)], [1, 0, 0])]
+    asks = [(joint_law, [X(1), Y(1)], [1, 1, 1])]
     asks += [(law, [Y(1), V(2)], [0, compiles, 1]) for law, compiles in zip(product_laws, (1, 0))]
     for dist, cond, counts in asks:
         for c in calls:

@@ -149,7 +149,7 @@ def replica_rate_alone(network, dist, replica):
     label = {r: i for i, r in enumerate(sources)}
     xs, p = source_atoms(dist, [network.replicas.index(r) for r in sources])
     columns = [("X", (label[replica],)), ("Y", tuple(label[r] for r in y_reads))]
-    values = evaluate_columns(network.channel, [u for u, _ in sources], xs, columns, {})
+    values = evaluate_columns(network.channel, [u for u, _ in sources], xs, columns)
     return row_entropy(values[:, :1], p) + row_entropy(values[:, 1:], p) - row_entropy(values, p)
 
 

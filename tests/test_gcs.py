@@ -468,10 +468,11 @@ def test_the_ineq5_search_enumerates_each_source_table_tuple_once(concat3, count
 
 def test_a_memo_keeps_no_enumeration_past_the_atom_cap(monkeypatch):
     # every enumeration of the search fits a cap of 64 atoms, but not all of
-    # them with their columns, nor all of their mass vectors: the memo keeps
-    # what fits and nothing past it, and every value is still the one a
-    # fresh memo gives, bit for bit.  Without kernels (a fresh channel with
-    # no kernel cells) the memo keeps enumerations, with them mass vectors
+    # their mass vectors: the memo keeps what fits and nothing past it, and
+    # every value is still the one a fresh memo gives, bit for bit.  Without
+    # kernels (a fresh channel with no kernel cells) every query runs the
+    # memo-free enumeration and the memo keeps no array; with them it keeps
+    # mass vectors
     monkeypatch.setattr(dicbound.networks, "MAX_ATOMS", 64)
     for cells in (0, dicbound.networks.MAX_KERNEL_CELLS):
         monkeypatch.setattr(dicbound.networks, "MAX_KERNEL_CELLS", cells)
@@ -484,11 +485,8 @@ def test_a_memo_keeps_no_enumeration_past_the_atom_cap(monkeypatch):
             got = memo_entropy(net, dist, level_plan(net, dist, targets, cond), memo)
             assert got == cond_entropy_network(net, dist, targets, cond)
             assert memo.cells <= 64
-            enumerated = sum(xs.size + len(xs) * len(known) for xs, _, known in memo.atoms.values())
-            assert memo.cells == enumerated + sum(map(len, memo.masses.values()))
-        kept = memo.masses if cells else memo.atoms
-        assert memo.atoms.keys() | memo.masses.keys() == kept.keys()
-        assert 0 < len(kept) < len(tuples) == 8
+            assert memo.cells == sum(len(p) for places, p in memo.masses.values() if places is None)
+        assert 0 < len(memo.masses) < len(tuples) == 8 if cells else memo.masses == {}
 
 
 def recipe_levels(channel, law):
@@ -580,16 +578,17 @@ def test_a_replica_with_its_own_table_changes_every_shape_that_reads_it(concat3)
 def test_joint_law_searches_ask_one_query_per_distinct_level(concat3, count_calls):
     # a joint-law source is named by its position in the law, so every
     # distinct level has a shape, and the 19 queries, which all read the
-    # three sources, share one enumeration
+    # three sources, run kernels and share one enumeration of the law's atoms
     net, law = base_network(concat3), random_joint_law(concat3.input_sizes, 2)
     distinct = search_levels(net, 3)
     shapes = {level_shape(net, law, *level) for level in distinct}
     assert None not in shapes and len(shapes) == 19
-    calls = count_calls(dicbound.networks, "query_entropy")
+    calls = count_calls(dicbound.networks, "kernel_entropy")
+    unkerneled = count_calls(dicbound.networks, "query_entropy")
     atoms = count_calls(dicbound.networks, "source_atoms")
     chain_values(net, law, 3)
     assert len(calls) == len(distinct) == 19
-    assert len(atoms) == 1
+    assert len(atoms) == 1 and unkerneled == []
 
 
 def two_user_network(channel, counts):
