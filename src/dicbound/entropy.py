@@ -12,7 +12,7 @@ H(keys), from one mixed-radix key build (``merged_keys``) whose prefix gives
 H(keys), and ``mass_entropy`` of the merged masses.  A network query's
 kernel (``networks.query_kernel``) keeps the merged keys of its full
 alphabet product and runs only ``bincount`` and ``mass_entropy`` per law,
-under a product or a joint law; a query whose kernel passes a cap runs
+under a product or a joint law; a query without a kernel runs
 ``row_entropy`` itself.  Entropies are in bits.
 """
 

@@ -67,12 +67,13 @@ the full rows and of the key prefixes (``entropy.merged_keys``).  Per law,
 ``kernel_entropy`` takes a table tuple's masses from ``kernel_masses``
 once per memo, and runs one ``np.bincount`` and one ``mass_entropy`` per
 bin array: under a joint law at the bins gathered at the enumerated atoms'
-places, so every bin adds its masses in the marginal's order.  Size alone
-picks the path: a query whose alphabet product exceeds ``MAX_ATOMS`` (read
+places, so every bin adds its masses in the marginal's order.  Sizes alone
+pick the path: a query whose alphabet product exceeds ``MAX_ATOMS`` (read
 at every use, so ``source_atoms`` stays the one place that enforces it),
-or whose kernel would take the channel past ``MAX_KERNEL_CELLS``, runs the
-memo-free ``query_entropy``, which enumerates only the law's atoms.  Both
-give the same values bit for bit (see ``kernel_entropy``).
+or whose kernel is not kept and would exceed the atoms a joint law lists
+or the channel's ``MAX_KERNEL_CELLS``, runs the memo-free ``query_entropy``,
+which enumerates only the law's atoms.  Both give the same values bit for
+bit (see ``kernel_entropy``).
 """
 
 from __future__ import annotations
@@ -398,21 +399,23 @@ def compile_kernel(channel: DeterministicChannel, users, keys: int, columns) -> 
     return Kernel(cuts[-1], cuts[0] if keys else None)
 
 
-def query_kernel(channel: DeterministicChannel, plan: QueryPlan) -> Kernel | None:
-    """The channel's kernel of a query, under any law, compiled on first use
-    and kept on the channel, or None when the query runs ``query_entropy``:
-    its alphabet product exceeds ``MAX_ATOMS``, read at every use, so a
-    kernel kept under a larger cap never answers, or a new kernel would
-    take the channel's kept cells past ``MAX_KERNEL_CELLS``.  So the path
-    depends only on size, and ``source_atoms`` stays the one place that
-    enforces the atom cap."""
+def query_kernel(channel: DeterministicChannel, plan: QueryPlan, dist: SourceDistribution) -> Kernel | None:
+    """The channel's kernel of a query, kept on the channel and run under any
+    law, or None when the query runs ``query_entropy``: its alphabet product
+    exceeds ``MAX_ATOMS``, read at every use, so a kernel kept under a
+    larger cap never answers; or no kernel is kept and a new one would
+    exceed the atoms a joint law lists, so a sparse law enumerates its few
+    atoms instead of compiling more rows than it has, or take the channel's
+    kept cells past ``MAX_KERNEL_CELLS``.  So sizes alone pick the path, and
+    ``source_atoms`` stays the one place that enforces the atom cap."""
     store = channel.kernels
     key = plan.users, plan.keys, plan.columns
     kernel = store.kernels.get(key)
     if kernel is None:
         atoms = math.prod([channel.input_sizes[u - 1] for u in plan.users])
         cells = atoms * (2 if plan.keys else 1)
-        if atoms > MAX_ATOMS or store.cells + cells > MAX_KERNEL_CELLS:
+        listed = atoms if dist.joint is None else len(dist.joint)
+        if atoms > min(MAX_ATOMS, listed) or store.cells + cells > MAX_KERNEL_CELLS:
             return None
         kernel = store.kernels[key] = compile_kernel(channel, plan.users, plan.keys, plan.columns)
         store.cells += cells
@@ -625,9 +628,9 @@ def memo_entropy(network: NetworkGraph, dist: SourceDistribution, plan: QueryPla
     It checks the law, since a shape reads its tables; returns 0.0 for a
     query the conditioning determines (no plan); looks the query shape up in
     ``memo.values``; and only for a shape not yet there runs the query's
-    kernel (``query_kernel``, ``kernel_entropy``), under any law, or, past
-    a cap, ``query_entropy``, storing its value.  A memo may span networks
-    of one channel, since a shape names users, not channels, and a
+    kernel (``query_kernel``, ``kernel_entropy``), under any law, or,
+    without one, ``query_entropy``, storing its value.  A memo may span
+    networks of one channel, since a shape names users, not channels, and a
     joint-law source by its position."""
     check_law(network, dist)
     if plan is None:
@@ -635,7 +638,7 @@ def memo_entropy(network: NetworkGraph, dist: SourceDistribution, plan: QueryPla
     shape = query_shape(dist, plan)
     value = memo.values.get(shape)
     if value is None:
-        kernel = query_kernel(network.channel, plan)
+        kernel = query_kernel(network.channel, plan, dist)
         if kernel is None:
             value = query_entropy(network, dist, plan)
         else:

@@ -67,11 +67,11 @@ def test_every_public_definition_is_used_exported_or_listed():
 # does on the full masks; memo_entropy, the one network query's law step, and
 # induce_joint each check the law once, and only memo_entropy names a query's
 # shape, its kernel, the kernel's per-law step and query_entropy, the
-# fallback for a query whose kernel passes a cap; only query_entropy,
+# fallback for a query without a kernel; only query_entropy,
 # induce_joint and the kernel's mass step enumerate sources, all by source
 # position, so no query skips the law check, the memo or the atom cap; and
 # columns are evaluated only in query_entropy, induce_joint and a kernel's
-# one compile, which query_kernel runs within the caps
+# one compile, which query_kernel runs within its size rules
 ENGINE_STEPS = {
     "reduce_query": {"networks.compile_query"},
     "query_plan": {"networks.compile_query", "entropy.induce_joint"},

@@ -184,7 +184,7 @@ def test_kernels_past_the_cell_cap_are_not_kept(monkeypatch):
         assert got == query_entropy(net, dist, plan)
     shapes = {(plan.users, plan.keys, plan.columns): plan for plan in plans}
     store = channel.kernels
-    assert store.kernels.keys() == {key for key, plan in shapes.items() if networks.query_kernel(channel, plan)}
+    assert store.kernels.keys() == {key for key, plan in shapes.items() if networks.query_kernel(channel, plan, dist)}
     assert 0 < len(store.kernels) < len(shapes)
     assert store.cells == sum(k.rows.size + (0 if k.keys is None else k.keys.size) for k in store.kernels.values())
     assert store.cells <= 200
@@ -426,14 +426,16 @@ def test_one_source_enumeration_per_query(count_calls):
     # a query compiles its kernel once per channel object, under a joint law
     # or a product law (Y1 conditioned without X1), and every later law only
     # runs it; a joint law's atoms are enumerated once, for the masses the
-    # kernel reads, and a product law enumerates nothing.  The channel is a
-    # fresh object: a session fixture keeps the kernels that earlier tests
-    # compiled on it
+    # kernel reads, and a product law enumerates nothing.  A joint law that
+    # lists fewer atoms than the query's 16 source tuples compiles no kernel
+    # and enumerates its atoms instead.  The channel is a fresh object: a
+    # session fixture keeps the kernels that earlier tests compiled on it
     net = base_network(builtin_channel("shift2", [2, 2, 1]))
     calls = [count_calls(networks, name) for name in ("source_atoms", "compile_kernel", "kernel_entropy")]
     _, joint_law, _ = _network_and_law(None, "joint", 3)
+    sparse_law = SourceDistribution("joint", [4, 4], {(0, 1): 0.25, (3, 2): 0.75})
     product_laws = [sample_product_distribution([4, 4], seed, 0) for seed in (3, 4)]
-    asks = [(joint_law, [X(1), Y(1)], [1, 1, 1])]
+    asks = [(sparse_law, [X(1), Y(1)], [1, 0, 0]), (joint_law, [X(1), Y(1)], [1, 1, 1])]
     asks += [(law, [Y(1), V(2)], [0, compiles, 1]) for law, compiles in zip(product_laws, (1, 0))]
     for dist, cond, counts in asks:
         for c in calls:
