@@ -9,11 +9,13 @@ is its replica position and a column reads positions; replicas and
 ``VariableId``s name the table's columns only at the edge.  ``row_entropy`` is
 the engine's one pass: H(rows), or a network query's H(keys, live) -
 H(keys), from one mixed-radix key build (``merged_keys``) whose prefix gives
-H(keys), and ``mass_entropy`` of the merged masses.  A network query's
-kernel (``networks.query_kernel``) keeps the merged keys of its full
-alphabet product and runs only ``bincount`` and ``mass_entropy`` per law,
-under a product or a joint law; a query without a kernel runs
-``row_entropy`` itself.  Entropies are in bits.
+H(keys), and ``mass_entropy`` of the merged masses.  ``base_terms`` reads
+each base term H(Y_u | V_A) off one joint table as one such keyed pass, V_A
+the keys and Y_u the live column.  A network query's kernel
+(``networks.query_kernel``) keeps the merged keys of its full alphabet
+product and runs only ``bincount`` and ``mass_entropy`` per law, under a
+product or a joint law; a query without a kernel runs ``row_entropy``
+itself.  Entropies are in bits.
 """
 
 from __future__ import annotations
@@ -321,25 +323,18 @@ def conditional_entropy(table: JointTable, a: Iterable, b: Iterable) -> float:
 def base_terms(channel: DeterministicChannel, dist: SourceDistribution, keys: Iterable) -> dict:
     """H(Y_u | V_A) on the base channel for each distinct key (u, A), A a
     frozenset, from one joint table: the terms that rate bounds and chain
-    closed forms combine, over independent inputs only.  Each term is
-    H(V_A, Y_u) - H(V_A), and each distinct column subset's entropy is
-    computed once."""
+    closed forms combine, over independent inputs only.  Each distinct key
+    is one ``row_entropy`` pass over the columns of V_A, keys first, then
+    Y_u: H(V_A, Y_u) - H(V_A), the split a network query runs."""
     if dist.mode != "product":
         raise DistributionError("rate-region bounds are defined over product input distributions")
     table = induce_joint(channel, dist)
     index = {v: i for i, v in enumerate(table.variables)}
-    subsets: dict = {}
-
-    def h(columns):
-        if columns not in subsets:
-            subsets[columns] = row_entropy(table.values[:, list(columns)], table.probs)
-        return subsets[columns]
-
     values = {}
     for user, given in keys:
         if (user, given) not in values:
-            cond = tuple(sorted(index[V(w)] for w in given))
-            values[user, given] = h(cond + (index[Y(user)],)) - h(cond)
+            columns = sorted(index[V(w)] for w in given) + [index[Y(user)]]
+            values[user, given] = row_entropy(table.values[:, columns], table.probs, len(given))
     return values
 
 

@@ -811,7 +811,7 @@ def cli_argv(draw, paths):
     return argv
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), budget=st.sampled_from([None] * 6 + [64]))
 def test_cli_exit_codes_over_the_argument_surface(fuzz_files, data, budget):
     argv = data.draw(cli_argv(fuzz_files))

@@ -16,12 +16,16 @@ rate must have, through its kernel, the value that the memo-free
 enumerating engine gives, bit for bit; so must the joint-law queries of
 those chains, of the base network's short chains and of every replica
 rate, under sparse joint laws with missing tuples and dense Dirichlet
-joint laws.  A second strategy draws channels that are not recoverable,
-and every bound entry must refuse them.  The examples are derandomized and
-their number fixed, so the tests draw the same channels on every run.
+joint laws.  Every base term H(Y_u | V_A), for each user u and each subset
+A of users, must equal the network query on the base network, bit for bit,
+under the drawn law, the uniform law and a point mass.  A second strategy
+draws channels that are not recoverable, and every bound entry must refuse
+them.  The examples are derandomized and their number fixed, so the tests
+draw the same channels on every run.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dicbound.channels import DeterministicChannel, validate_channel
-from dicbound.entropy import SourceDistribution
+from dicbound.entropy import SourceDistribution, base_terms
 from dicbound.extend import (
     _rate_plans,
     _recipe_plans,
@@ -183,6 +187,18 @@ def joint_plans(net, walks):
     return [plan for plan in plans if plan is not None]
 
 
+def base_term_plans(base):
+    """Per key (u, A), for every user u and every subset A of users, the
+    product-law plan of H(Y_u | V_A) on the base network."""
+    users = range(1, base.channel.user_count + 1)
+    subsets = [frozenset(given) for size in range(len(users) + 1) for given in combinations(users, size)]
+    return {
+        (u, given): compile_query(base, True, (0, 0, base.mask([(u, 1)])), (0, base.mask([(w, 1) for w in given]), 0))
+        for u in users
+        for given in subsets
+    }
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), channel=recoverable_channels(), seed=st.integers(0, 1 << 16))
 def test_kernels_give_the_enumerating_values_bit_for_bit(data, channel, seed):
@@ -212,6 +228,13 @@ def test_kernels_give_the_enumerating_values_bit_for_bit(data, channel, seed):
             for plan in plans:
                 assert memo_entropy(net, dist, plan, memo) == query_entropy(net, dist, plan)
             assert memo.masses and all(places is not None for places, _ in memo.masses.values())
+    # each base term is the network query on the base network, bit for bit
+    sizes = channel.input_sizes
+    point = SourceDistribution.point_mass(sizes, data.draw(st.tuples(*[st.integers(0, size - 1) for size in sizes])))
+    terms = base_term_plans(base)
+    for dist in (law, SourceDistribution.uniform(sizes), point):
+        values = {key: memo_entropy(base, dist, plan, ShapeMemo()) for key, plan in terms.items()}
+        assert base_terms(channel, dist, terms) == values
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

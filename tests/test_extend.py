@@ -460,6 +460,25 @@ def test_identity_mismatch_diagnostic(xor2, monkeypatch, capsys):
     assert f"MISMATCH {diagnostic}\n" in capsys.readouterr().out
 
 
+def test_identity_check_rejects_a_closed_form_off_by_a_millionth(xor2, monkeypatch):
+    # one base term 1e-6 off is far outside IDENTITY_TOL: the check fails
+    # and names the first level that reads the term
+    import dicbound.extend as ext
+
+    term = builtin_recipe("4a", 1).closed_terms[-1]
+    real = ext.base_terms
+
+    def nudged(*args):
+        values = real(*args)
+        values[term.key] += 1e-6
+        return values
+
+    monkeypatch.setattr(ext, "base_terms", nudged)
+    report = verify_chain_identity("4a", xor2, UNIFORM2, k_range=range(1, 4))
+    assert report.ok is False
+    assert report.diagnostics[0].startswith(f"k=1: level {term.level} evaluates to ")
+
+
 def test_reduced_evaluation_matches_materialized_joint_broadly(xor2, concat3):
     # strongest check of the conditioning reduction: on networks small enough
     # to materialize, every chain term must match the table computation
@@ -679,13 +698,13 @@ def test_identity_check_evaluates_each_base_term_once(xor2, count_calls, monkeyp
     entropy = sys.modules["dicbound.entropy"]
     tables = count_calls(entropy, "induce_joint")
     # the entropies base_terms takes, not those of the chain queries
-    subsets, real = [], entropy.row_entropy
-    monkeypatch.setattr(entropy, "row_entropy", lambda *args: subsets.append(args) or real(*args))
+    passes, real = [], entropy.row_entropy
+    monkeypatch.setattr(entropy, "row_entropy", lambda *args: passes.append(args) or real(*args))
     ks = range(1, 7)
     assert verify_chain_identity("4a", xor2, UNIFORM2, k_range=ks).ok
     distinct = set().union(*(builtin_recipe("4a", k).term_counts() for k in ks))
-    # H(Y_u | V_A) = H(V_A, Y_u) - H(V_A), one entropy per distinct column subset
-    assert (len(tables), len(subsets)) == (1, len(distinct) + len({given for _, given in distinct}))
+    # H(Y_u | V_A) = H(V_A, Y_u) - H(V_A), one keyed pass per distinct term
+    assert (len(tables), len(passes)) == (1, len(distinct))
 
 
 def test_closed_form_builds_one_table_and_reads_each_term_once(xor2, count_calls):
@@ -693,10 +712,9 @@ def test_closed_form_builds_one_table_and_reads_each_term_once(xor2, count_calls
     assert len(recipe.closed_terms) > len(recipe.term_counts())  # repeated terms
     entropy = sys.modules["dicbound.entropy"]
     tables = count_calls(entropy, "induce_joint")
-    subsets = count_calls(entropy, "row_entropy")
+    passes = count_calls(entropy, "row_entropy")
     chain_closed_form(recipe, base_terms(xor2, UNIFORM2, recipe.term_counts()))
-    distinct = recipe.term_counts()
-    assert (len(tables), len(subsets)) == (1, len(distinct) + len({given for _, given in distinct}))
+    assert (len(tables), len(passes)) == (1, len(recipe.term_counts()))
 
 
 def test_recipes_are_built_once_per_id_and_size():

@@ -264,7 +264,7 @@ def test_chain_value_invariant_under_relabeling(shift2_221):
     assert abs(a - b) < 1e-12
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 10**6))
 def test_form_equivalence_conditioned_outputs_redundant(seed):
     # H(all fresh outputs | ...) equals H(fresh outputs in the previous set | ...)
@@ -277,7 +277,7 @@ def test_form_equivalence_conditioned_outputs_redundant(seed):
     assert abs(lhs - rhs) < 1e-12
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 10**6))
 def test_opening_chain_identities(seed):
     # the two-step chain equals its interference-conditioned closed form exactly

@@ -106,7 +106,7 @@ block_lines = st.lists(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     st.dictionaries(st.integers(0, BLOCK_SIZE - 1), rationals, max_size=BLOCK_SIZE),
     block_lines,
@@ -348,7 +348,7 @@ def dependency_problems(draw):
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(dependency_problems())
 def test_closed_set_lp_decides_like_the_unreduced_lp(problem):
     columns, target = unreduced_system(problem)
@@ -622,7 +622,7 @@ def basic_certificates(draw):
     return n, lines
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(basic_certificates(), st.data())
 def test_basic_certificates_verify_exactly(case, data):
     n, lines = case
@@ -1145,7 +1145,7 @@ def renamed_problems(draw):
     )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(renamed_problems())
 def test_verdicts_invariant_under_renaming_and_permutation(case):
     problem, renamed, permuted, provable = case

@@ -70,16 +70,16 @@ def test_joint_mode_rejected(xor2):
 
 @pytest.mark.parametrize("name,distinct", [("xor2", 8), ("concat3", 20)])
 def test_bound_vector_evaluates_each_base_term_once(request, count_calls, name, distinct):
-    # a term H(Y_u | V_A) is H(V_A, Y_u) - H(V_A): one entropy per distinct
-    # column subset, the distinct terms and their distinct A's
+    # a term H(Y_u | V_A) is H(V_A, Y_u) - H(V_A): one keyed pass per
+    # distinct term
     channel = request.getfixturevalue(name)
     keys = {term.key for t in load_templates(channel.user_count) for term in t.terms}
     entropy = sys.modules["dicbound.entropy"]
     tables = count_calls(entropy, "induce_joint")
-    subsets = count_calls(entropy, "row_entropy")
+    passes = count_calls(entropy, "row_entropy")
     bound_vector(channel, SourceDistribution.uniform(channel.input_sizes))
     assert len(keys) == distinct
-    assert (len(tables), len(subsets)) == (1, distinct + len({given for _, given in keys}))
+    assert (len(tables), len(passes)) == (1, distinct)
 
 
 def test_bounds_never_exceed_output_entropy_budget(shift2_331):
@@ -102,6 +102,15 @@ def test_polytope_membership(xor2):
     assert not contains(poly, (0.7, 0.5))  # violates the sum-rate 1
     assert contains(poly, (0.0, 0.0))
     assert not contains(poly, (-0.1, 0.0))
+
+
+def test_membership_tolerance_is_tight(xor2):
+    # a point 1e-6 past the sum-rate halfspace is outside; 1e-10 past it is
+    # within CONTAINS_TOL
+    poly = region_polytope(bound_vector(xor2, SourceDistribution.uniform([2, 2])), load_templates(2))
+    rhs = min(rhs for coeffs, rhs in poly.halfspaces if coeffs == (1, 1))
+    assert not contains(poly, (rhs / 2, rhs / 2 + 1e-6))
+    assert contains(poly, (rhs / 2, rhs / 2 + 1e-10))
 
 
 def test_region_monotone_under_extra_halfspaces(xor2):
