@@ -63,17 +63,23 @@ as a kernel: ``query_kernel`` keeps a ``Kernel`` per law-free shape of a
 query, (users, key count, columns), in ``DeterministicChannel.kernels``.
 ``compile_kernel`` enumerates the sources' full alphabet product in
 row-major order, evaluates the columns once, and keeps only the int bins of
-the full rows and of the key prefixes (``entropy.merged_keys``).  Per law,
+the full rows and of the key prefixes (``entropy.merged_keys``), each
+renumbered by first occurrence and interned in the channel's
+``KernelStore``: kernels whose columns split one alphabet product into the
+same classes share one array and one partition number.  Per law,
 ``kernel_entropy`` takes a table tuple's masses from ``kernel_masses``
 once per memo, and runs one ``np.bincount`` and one ``mass_entropy`` per
-bin array: under a joint law at the bins gathered at the enumerated atoms'
-places, so every bin adds its masses in the marginal's order.  Sizes alone
-pick the path: a query whose alphabet product exceeds ``MAX_ATOMS`` (read
-at every use, so ``source_atoms`` stays the one place that enforces it),
-or whose kernel is not kept and would exceed the atoms a joint law lists
-or the channel's ``MAX_KERNEL_CELLS``, runs the memo-free ``query_entropy``,
-which enumerates only the law's atoms.  Both give the same values bit for
-bit (see ``kernel_entropy``).
+partition not yet met under that tuple, keeping its entropy in the same
+memo entry: under a joint law at the bins gathered at the enumerated
+atoms' places, so every bin adds its masses in the marginal's order.  So
+H(keys) of two levels that cut different outputs given the same inputs,
+or H(keys, live) of one level that is H(keys) of another, is one log-sum
+per memo.  Sizes alone pick the path: a query whose alphabet product
+exceeds ``MAX_ATOMS`` (read at every use, so ``source_atoms`` stays the one
+place that enforces it), or whose kernel is not kept and would exceed the
+atoms a joint law lists or the channel's ``MAX_KERNEL_CELLS``, runs the
+memo-free ``query_entropy``, which enumerates only the law's atoms.  Both
+give the same values bit for bit (see ``kernel_entropy``).
 """
 
 from __future__ import annotations
@@ -348,9 +354,11 @@ def evaluate_columns(channel: DeterministicChannel, users: Sequence[int], xs, co
 class ShapeMemo:
     """The caller-owned memo of ``memo_entropy``, for networks of one
     channel: ``values`` holds the entropy of each query shape met;
-    ``masses`` what ``kernel_masses`` gives for each source-table tuple (a
-    shape's first part), for the kernels; and ``cells`` the cells of those
-    arrays, kept within ``MAX_ATOMS``."""
+    ``masses``, for the kernels, by source-table tuple (a shape's first
+    part), what ``kernel_masses`` gives for it, as (places, p), and a dict
+    of the entropy of each of the channel's bin partitions (``KernelStore``)
+    met under it; and ``cells`` the cells of the mass arrays, kept within
+    ``MAX_ATOMS``."""
 
     values: dict = field(default_factory=dict)
     masses: dict = field(default_factory=dict)
@@ -371,10 +379,23 @@ class Kernel(NamedTuple):
     """The law-free engine work of a query on one channel: per atom of the
     alphabet product of the sources it reads, in row-major order, the bin
     of its row of columns and the bin of its key prefix (None for a query
-    without keys), each numbered from 0.  It holds int arrays only."""
+    without keys), each numbered from 0 in order of first occurrence; and
+    the numbers of those two bin partitions in the channel's
+    ``KernelStore`` (rows first), whose arrays these are.  It holds int
+    arrays and ints only."""
 
     rows: np.ndarray
     keys: np.ndarray | None
+    parts: tuple[int, ...]
+
+
+def first_seen(bins: np.ndarray) -> np.ndarray:
+    """The bins renumbered 0, 1, ... in order of first occurrence, so two bin
+    arrays that split the atoms into the same classes become equal."""
+    _, first, inverse = np.unique(bins, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse]
 
 
 @dataclass
@@ -382,21 +403,43 @@ class KernelStore:
     """The kernels compiled on one channel object, kept on it as
     ``DeterministicChannel.kernels``: by the law-free shape (users, key
     count, columns) of their queries, and the cells their arrays hold, kept
-    within ``MAX_KERNEL_CELLS``."""
+    within ``MAX_KERNEL_CELLS`` as if no array were shared.
+
+    ``parts`` lists the distinct bin partitions of its kernels, one array
+    each, numbered by position, and ``numbers`` finds an array's numbers
+    from the hash of its bytes; so kernels whose columns split an alphabet
+    product into the same classes share one array and one number."""
 
     kernels: dict = field(default_factory=dict)
+    parts: list = field(default_factory=list)
+    numbers: dict = field(default_factory=dict)
     cells: int = 0
+
+    def intern(self, bins: np.ndarray) -> int:
+        """The number of the partition of ``bins``, renumbered by
+        ``first_seen``, kept in ``parts`` on first sight."""
+        bins = first_seen(bins)
+        same = self.numbers.setdefault(hash(bins.tobytes()), [])
+        for number in same:
+            if np.array_equal(self.parts[number], bins):
+                return number
+        same.append(len(self.parts))
+        self.parts.append(bins)
+        return same[-1]
 
 
 def compile_kernel(channel: DeterministicChannel, users, keys: int, columns) -> Kernel:
     """The kernel of the relabelled ``columns``, the first ``keys`` of them
     keys, on sources of the given ``users``: their full alphabet product in
-    row-major order, its columns evaluated once, and the rows and the key
-    prefixes merged into bins by ``merged_keys``.  No inputs or symbols are
+    row-major order, its columns evaluated once, the rows and the key
+    prefixes merged into bins by ``merged_keys``, and each bin array
+    interned in the channel's ``KernelStore``.  No inputs or symbols are
     kept."""
     xs = np.indices([channel.input_sizes[u - 1] for u in users]).reshape(len(users), -1).T
     cuts = merged_keys(evaluate_columns(channel, users, xs, columns), keys, 0)
-    return Kernel(cuts[-1], cuts[0] if keys else None)
+    store = channel.kernels
+    parts = tuple(map(store.intern, cuts[::-1]))  # rows, then keys
+    return Kernel(store.parts[parts[0]], store.parts[parts[-1]] if keys else None, parts)
 
 
 def query_kernel(channel: DeterministicChannel, plan: QueryPlan, dist: SourceDistribution) -> Kernel | None:
@@ -447,8 +490,9 @@ def kernel_masses(dist: SourceDistribution, positions) -> tuple:
 def kernel_entropy(kernel: Kernel, dist: SourceDistribution, plan: QueryPlan, tables, memo: ShapeMemo) -> float:
     """The per-law work of a query with a kernel: H(keys, live) - H(keys)
     from the ``kernel_masses`` of its source-table tuple ``tables``, kept in
-    ``memo.masses`` within the ``MAX_ATOMS`` rule of ``ShapeMemo``, one
-    ``bincount`` per bin array and one ``mass_entropy`` per count.
+    ``memo.masses`` within the ``MAX_ATOMS`` rule of ``ShapeMemo``, with the
+    entropy of each bin partition met under that tuple: a partition not yet
+    there costs one ``bincount`` and one ``mass_entropy``.
 
     The values are ``query_entropy``'s, bit for bit: both add each bin's
     masses in the order ``source_atoms`` enumerates them.  Under a product
@@ -456,20 +500,26 @@ def kernel_entropy(kernel: Kernel, dist: SourceDistribution, plan: QueryPlan, ta
     with the same products of the same entries, and an atom outside it adds
     +0.0; under a joint law the bins are gathered at the enumerated atoms'
     places.  Atoms share a bin exactly when their rows are equal, and
-    ``mass_entropy`` is exactly rounded, so bin numbers do not matter."""
+    ``mass_entropy`` is exactly rounded, so bin numbers do not matter.  And
+    a (table tuple, partition number) pair names the same masses and the
+    same interned bin array, so a kept entropy is the one a fresh
+    ``bincount`` would give."""
     kept = memo.masses.get(tables)
     if kept is None:
-        kept = kernel_masses(dist, plan.positions)
+        kept = *kernel_masses(dist, plan.positions), {}
         cells = len(kept[1]) * (1 if kept[0] is None else 2)
         if memo.cells + cells <= MAX_ATOMS:
             memo.masses[tables], memo.cells = kept, memo.cells + cells
-    places, p = kept
+    places, p, entropies = kept
 
-    def entropy_of(bins):
-        return mass_entropy(np.bincount(bins if places is None else bins[places], weights=p))
+    def entropy_of(part, bins):
+        h = entropies.get(part)
+        if h is None:
+            h = entropies[part] = mass_entropy(np.bincount(bins if places is None else bins[places], weights=p))
+        return h
 
-    h = entropy_of(kernel.rows)
-    return h if kernel.keys is None else h - entropy_of(kernel.keys)
+    h = entropy_of(kernel.parts[0], kernel.rows)
+    return h if kernel.keys is None else h - entropy_of(kernel.parts[-1], kernel.keys)
 
 
 # -- the network query ---------------------------------------------------------

@@ -21,18 +21,24 @@ A of users, must equal the network query on the base network, bit for bit,
 under the drawn law, the uniform law and a point mass.  A second strategy
 draws channels that are not recoverable, and every bound entry must refuse
 them.  The examples are derandomized and their number fixed, so the tests
-draw the same channels on every run.
+draw the same channels on every run, and each test notes its channel as
+the JSON that ``--channel FILE`` reads, so a failure prints a file that
+``dicbound validate`` and the other commands load as the drawn channel.
 """
 
+import contextlib
+import io
+import json
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
-from dicbound.channels import DeterministicChannel, validate_channel
+from dicbound.channels import DeterministicChannel, channel_to_dict, validate_channel
+from dicbound.cli import _resolve_channel, main
 from dicbound.entropy import SourceDistribution, base_terms
 from dicbound.extend import (
     _rate_plans,
@@ -104,6 +110,34 @@ def non_recoverable_channels(draw):
     return DeterministicChannel(users, tuple(sizes), tuple(map(tuple, g)), tuple(f))
 
 
+def channel_note(channel):
+    """The drawn channel as the JSON document ``--channel FILE`` reads,
+    noted so that a failing example prints it."""
+    text = json.dumps(channel_to_dict(channel))
+    note(f"channel file: {text}")
+    return text
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(channel=st.one_of(recoverable_channels(), non_recoverable_channels()))
+def test_a_noted_channel_reloads_from_its_file(tmp_path, channel):
+    path = tmp_path / "drawn.json"
+    path.write_text(channel_note(channel))
+    loaded = _resolve_channel(str(path))
+    assert loaded == channel and loaded.valid == channel.valid
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["validate", "--channel", str(path)])
+    assert (code == 0) == channel.valid
+    assert out.getvalue().startswith(f"channel {path}: {'valid' if channel.valid else 'INVALID'}")
+
+
 def sizes_of(bound_id):
     """The two least sizes of a parametric id, or the one size of a constant one."""
     spec = bound_support_info(bound_id)
@@ -129,6 +163,7 @@ def checked_values(channel, law):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(channel=recoverable_channels(), seed=st.integers(0, 1 << 16))
 def test_the_three_checks_hold_on_drawn_recoverable_channels(channel, seed):
+    channel_note(channel)
     assert channel.valid
     law = sample_product_distribution(channel.input_sizes, seed, 0)
     values = checked_values(channel, law)
@@ -202,6 +237,7 @@ def base_term_plans(base):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), channel=recoverable_channels(), seed=st.integers(0, 1 << 16))
 def test_kernels_give_the_enumerating_values_bit_for_bit(data, channel, seed):
+    channel_note(channel)
     law = data.draw(product_laws(channel.input_sizes))
     base = base_network(channel)
     queries = [(base, law, plan) for plans in _rate_plans(base) for plan in plans]
@@ -227,7 +263,7 @@ def test_kernels_give_the_enumerating_values_bit_for_bit(data, channel, seed):
             memo = ShapeMemo()
             for plan in plans:
                 assert memo_entropy(net, dist, plan, memo) == query_entropy(net, dist, plan)
-            assert memo.masses and all(places is not None for places, _ in memo.masses.values())
+            assert memo.masses and all(places is not None for places, _, _ in memo.masses.values())
     # each base term is the network query on the base network, bit for bit
     sizes = channel.input_sizes
     point = SourceDistribution.point_mass(sizes, data.draw(st.tuples(*[st.integers(0, size - 1) for size in sizes])))
@@ -240,6 +276,7 @@ def test_kernels_give_the_enumerating_values_bit_for_bit(data, channel, seed):
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(channel=non_recoverable_channels(), seed=st.integers(0, 1 << 16))
 def test_every_entry_refuses_a_drawn_non_recoverable_channel(channel, seed):
+    channel_note(channel)
     assert not validate_channel(channel).valid
     law = sample_product_distribution(channel.input_sizes, seed, 0)
     bound_id = supported_bounds(channel.user_count)[0]

@@ -466,6 +466,28 @@ def test_the_ineq5_search_enumerates_each_source_table_tuple_once(concat3, count
     assert len(masses) == len({tables for tables, _, _ in shapes}) == 8
 
 
+def test_the_ineq5_search_takes_each_partition_entropy_once(count_calls):
+    # the search's 622 kernels hold 1,184 bin arrays, which split their
+    # alphabet products into 49 distinct partitions; the memo takes the
+    # entropy of each (source-table tuple, partition) pair the search reaches
+    # once, 72 log-sums in all.  A second law on the same channel compiles no
+    # kernel, interns no partition, and again pays one log-sum per pair
+    channel = builtin_channel("concat3")
+    net, dist = extended_search(channel, "ineq5", 1, 22)
+    shapes = {level_shape(net, dist, *level) for level in search_levels(net, 3)} - {None}
+    sums = count_calls(dicbound.networks, "mass_entropy")
+    compiles = count_calls(dicbound.networks, "compile_kernel")
+    chain_values(net, dist, 3)
+    store = channel.kernels
+    kernels = [(tables, store.kernels[tuple(u for u, _ in tables), keys, columns]) for tables, keys, columns in shapes]
+    assert sum(len(kernel.parts) for _, kernel in kernels) == 1184
+    assert len(store.parts) == 49
+    assert len(sums) == len({(tables, part) for tables, kernel in kernels for part in kernel.parts}) == 72
+    made = len(compiles)
+    chain_values(net, replicate_distribution(net, sample_product_distribution((2, 2, 2), 23, 0)), 3)
+    assert (len(compiles), len(store.parts), len(sums)) == (made, 49, 2 * 72)
+
+
 def test_a_memo_keeps_no_enumeration_past_the_atom_cap(monkeypatch):
     # every enumeration of the search fits a cap of 64 atoms, but not all of
     # their mass vectors: the memo keeps what fits and nothing past it, and
@@ -485,7 +507,7 @@ def test_a_memo_keeps_no_enumeration_past_the_atom_cap(monkeypatch):
             got = memo_entropy(net, dist, level_plan(net, dist, targets, cond), memo)
             assert got == cond_entropy_network(net, dist, targets, cond)
             assert memo.cells <= 64
-            assert memo.cells == sum(len(p) for places, p in memo.masses.values() if places is None)
+            assert memo.cells == sum(len(p) for places, p, _ in memo.masses.values() if places is None)
         assert 0 < len(memo.masses) < len(tuples) == 8 if cells else memo.masses == {}
 
 

@@ -270,7 +270,9 @@ def test_kept_plans_hold_no_law(fresh_recipes):
     # check of each id holds ints and column kinds only: no float, no table,
     # no law; and after a chains round, nothing the channel keeps, its
     # networks and their plan memos included, is a law, a shape memo or a
-    # float table
+    # float table.  The kernel store's interned partitions are int arrays,
+    # pairwise unequal, found by int hashes, and every kernel array is the
+    # one partition its number names, so an array has at most one number
     kept = {}  # users -> the plans the channel's networks keep for its recipes
     channels = (2, builtin_channel("shift2", [3, 3, 1])), (3, builtin_channel("concat3"))
     for users, channel in channels:
@@ -296,3 +298,12 @@ def test_kept_plans_hold_no_law(fresh_recipes):
         assert {id(plan) for plan in kept[users]} <= {id(obj) for obj in found if isinstance(obj, QueryPlan)}
         assert [obj for obj in found if isinstance(obj, (float, SourceDistribution, ShapeMemo))] == []
         assert {obj.dtype.kind for obj in found if isinstance(obj, np.ndarray)} == {"i"}
+        store = channel.kernels
+        assert store.parts and {part.dtype.kind for part in store.parts} == {"i"}
+        assert len({part.tobytes() for part in store.parts}) == len(store.parts)
+        assert {type(leaf) for leaf in leaves([*store.numbers.items()])} == {int}
+        assert sorted(leaves(list(store.numbers.values()))) == list(range(len(store.parts)))
+        for kernel in store.kernels.values():
+            arrays = (kernel.rows,) if kernel.keys is None else (kernel.rows, kernel.keys)
+            assert len(kernel.parts) == len(arrays)
+            assert all(store.parts[number] is array for number, array in zip(kernel.parts, arrays))
